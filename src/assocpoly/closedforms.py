@@ -17,9 +17,14 @@ Two robustness policies apply throughout:
   compensated summation while tracking a condition estimate (largest
   intermediate magnitude over the final sum).  When cancellation would
   destroy more digits than the target accuracy allows and all inputs
-  are real, the same sum is re-evaluated in exact rational arithmetic
-  (:class:`fractions.Fraction`), which is possible because every term
-  of these sums is rational in the parameters.
+  are real, the same sum is re-evaluated exactly, which is possible
+  because every term of these sums is rational in the parameters.  The
+  exact engine works on plain integers: each input becomes a
+  numerator/denominator pair once, each inner terminating sum is folded
+  backwards (Horner) as one unreduced integer fraction and reduced once
+  into a :class:`fractions.Fraction`, and only the at most n + 1 outer
+  steps use Fraction arithmetic.  The result is the same rational the
+  sum denotes, rounded to binary64 once.
 
 The module also carries the finite-sum hypergeometric identities that
 underpin the quadratic representation, as report-producing checkers.
@@ -123,31 +128,13 @@ def _exactable(*vals):
 
 
 # ---------------------------------------------------------------------------
-# Field-generic summation engine (binary64 with condition tracking, or
-# exact rationals on escalation)
+# Summation engines: binary64 with condition tracking, and the exact
+# integer engine the ill-conditioned sums are re-summed with
 # ---------------------------------------------------------------------------
 
 
-class _PlainSum:
-    __slots__ = ("value",)
-
-    def __init__(self, zero):
-        self.value = zero
-
-    def add(self, term):
-        self.value = self.value + term
-
-
-def _inner_hyp(nums, dens, arg, top, track, kahan=True):
-    """Terminating sum over a generic field; returns (value, peak magnitude).
-
-    ``nums``/``dens``/``arg`` must already live in the working field
-    (floats or Fractions).  Implements the same semantics as
-    :func:`~assocpoly.hyperkernel.hyp_terminating`: exact
-    numerator/denominator pairs cancel, a zero numerator factor
-    terminates, a zero denominator factor raises
-    :class:`~assocpoly.errors.DenominatorPole`.
-    """
+def _cancel(nums, dens):
+    """Drop each denominator parameter that equals a numerator parameter."""
     nums = list(nums)
     remaining = []
     for d in dens:
@@ -155,8 +142,27 @@ def _inner_hyp(nums, dens, arg, top, track, kahan=True):
             nums.remove(d)
         else:
             remaining.append(d)
+    return nums, remaining
+
+
+def _pole(j):
+    return DenominatorPole(
+        f"denominator factor vanishes at offset {j} in terminating sum"
+    )
+
+
+def _inner_hyp(nums, dens, arg, top, kahan=True):
+    """Binary64 terminating sum; returns (value, peak term magnitude).
+
+    Implements the same semantics as
+    :func:`~assocpoly.hyperkernel.hyp_terminating`: exact
+    numerator/denominator pairs cancel, a zero numerator factor
+    terminates, a zero denominator factor raises
+    :class:`~assocpoly.errors.DenominatorPole`.
+    """
+    nums, dens = _cancel(nums, dens)
     one = arg * 0 + 1
-    acc = Accumulator() if (track and kahan) else _PlainSum(one * 0)
+    acc = Accumulator(kahan)
     term = one
     acc.add(term)
     peak = 1.0
@@ -167,54 +173,210 @@ def _inner_hyp(nums, dens, arg, top, track, kahan=True):
         if numprod == 0:
             break
         denprod = one
-        for q in remaining:
+        for q in dens:
             denprod = denprod * (q + j)
         if denprod == 0:
-            raise DenominatorPole(
-                f"denominator factor vanishes at offset {j} in terminating sum"
-            )
+            raise _pole(j)
         term = term * numprod / denprod * arg / (j + 1)
         acc.add(term)
-        if track:
-            peak = max(peak, abs(term))
+        peak = max(peak, abs(term))
     return acc.value, peak
 
 
-def _double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker, track,
+def _double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker,
                 kahan=True):
-    """sum_k coef_k * inner_k with coef ratio built from the given factors.
+    """sum_k coef_k * inner_k in binary64, with a condition estimate.
 
     ``coef_{k+1}/coef_k = outer_scale * prod(outer_nums + k) /
     prod(outer_dens + k)``; ``inner_maker(k)`` returns the
     ``(nums, dens, arg, top)`` of the inner terminating sum at k.
     Returns ``(value, condition_estimate)`` where the condition is the
-    peak intermediate magnitude over the final magnitude (None when not
-    tracking).
+    peak intermediate magnitude over the final magnitude.
     """
     one = outer_scale * 0 + 1
-    acc = Accumulator() if (track and kahan) else _PlainSum(one * 0)
+    acc = Accumulator(kahan)
     coef = one
     peak = 0.0
     for k in range(n + 1):
         if coef == 0:
             break
-        nums, dens, arg, top = inner_maker(k)
-        inner, ipeak = _inner_hyp(nums, dens, arg, top, track, kahan)
+        inner, ipeak = _inner_hyp(*inner_maker(k), kahan)
         acc.add(coef * inner)
-        if track:
-            cmag = abs(coef)
-            peak = max(peak, cmag * max(ipeak, abs(inner)))
+        peak = max(peak, abs(coef) * max(ipeak, abs(inner)))
         ratio = outer_scale
         for p in outer_nums:
             ratio = ratio * (p + k)
         for q in outer_dens:
             ratio = ratio / (q + k)
         coef = coef * ratio
-    if not track:
-        return acc.value, None
     mag = abs(acc.value)
     cond = peak / mag if mag > 0 else math.inf
     return acc.value, cond
+
+
+def _exact_hyp(nums, dens, arg, top):
+    """Exact terminating sum of rational parameters, as a Fraction.
+
+    Each parameter ``u/v`` enters as the integer pair ``(u, v)``, so the
+    term ratio at offset j is ``a_j / b_j`` with ``a_j = an *
+    prod(u + j v)`` and ``b_j = ad * (j+1) * prod(u' + j v')``.  The sum
+    ``1 + r_0 (1 + r_1 (1 + ...))`` is folded backwards as one unreduced
+    integer fraction ``N/D``, and reduced once at the end.
+    """
+    nums, dens = _cancel([(p.numerator, p.denominator) for p in nums],
+                         [(q.numerator, q.denominator) for q in dens])
+    an, ad = arg.numerator, arg.denominator
+    for _, v in nums:
+        ad *= v
+    for _, v in dens:
+        an *= v
+    ratios = []
+    for j in range(top):
+        a = 1
+        for u, v in nums:
+            a *= u + j * v
+        if a == 0:
+            break
+        b = j + 1
+        for u, v in dens:
+            b *= u + j * v
+        if b == 0:
+            raise _pole(j)
+        ratios.append((an * a, ad * b))
+    num, den = 1, 1
+    for a, b in reversed(ratios):
+        num, den = den * b + a * num, den * b
+    return Fraction(num, den)
+
+
+def _exact_double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker):
+    """The double sum of :func:`_double_sum` in exact rationals.
+
+    Takes the same arguments, with every parameter an int or a
+    Fraction, and returns the Fraction value.
+    """
+    total = 0
+    coef = Fraction(1)
+    for k in range(n + 1):
+        if coef == 0:
+            break
+        total += coef * _exact_hyp(*inner_maker(k))
+        ratio = outer_scale
+        for p in outer_nums:
+            ratio = ratio * (p + k)
+        for q in outer_dens:
+            ratio = ratio / (q + k)
+        coef = coef * ratio
+    return total
+
+
+def _resum(terms, n, inputs, kahan=True):
+    """Binary64 value of the double sum ``terms(n, *inputs)``.
+
+    ``terms`` builds the arguments of :func:`_double_sum` from the
+    inputs in whichever field they live.  When the condition estimate
+    exceeds ``_ESCALATE_COND`` and every input is a finite real, the sum
+    is re-evaluated exactly from the rationals the inputs denote and
+    rounded once.
+    """
+    total, cond = _double_sum(*terms(n, *inputs), kahan)
+    if cond > _ESCALATE_COND and _exactable(*inputs):
+        total = float(_exact_double_sum(*terms(n, *map(Fraction, inputs))))
+    return total
+
+
+# The double sums of the routes below, as ``(n, outer_nums, outer_dens,
+# outer_scale, inner_maker)``; every parameter is built from the inputs
+# by field operations, so the same function serves both engines.  A
+# single terminating sum is the k = 0 term of a double sum of degree 0.
+
+
+def _meixner_4f3_terms(n, x, beta, c, gamma):
+    gb = gamma + beta
+    gbx = gb + x
+    one = (gb * 0) + 1
+
+    def inner_maker(k):
+        return ([k - n, gbx + k, gb - 1, gamma], [gbx, gb + k, gamma + 1 + k],
+                one, n - k)
+
+    return n, [-n, gbx], [gamma + 1, gb], one - c, inner_maker
+
+
+def _meixner_4f3_alt_terms(n, x, beta, c, gamma):
+    gb = gamma + beta
+    gx = gamma - x
+    one = (gb * 0) + 1
+
+    def inner_maker(k):
+        return ([k - n, gx + k, gb - 1, gamma], [gx, gb + k, gamma + 1 + k],
+                one, n - k)
+
+    return n, [-n, gx], [gamma + 1, gb], (c - 1) / c, inner_maker
+
+
+def _charlier_terms(n, x, a, gamma):
+    gx = gamma - x
+    one = (gamma * 0) + 1
+
+    def inner_maker(k):
+        return [k - n, gx + k, gamma], [gx, gamma + k + 1], one, n - k
+
+    return n, [-n, gx], [gamma + 1], -(one / a), inner_maker
+
+
+def _charlier_transformed_terms(n, x, a, gamma):
+    gx = gamma - x
+    one = (gamma * 0) + 1
+
+    def inner_maker(k):
+        return [-k, gamma, k - n], [-n, gx], one, min(k, n - k)
+
+    return n, [-n, gx], [1], -(one / a), inner_maker
+
+
+def _laguerre_terms(n, x, alpha, gamma):
+    ga = gamma + alpha
+    one = (gamma * 0) + 1
+
+    def inner_maker(k):
+        return [k - n, ga, gamma], [ga + k + 1, gamma + 1 + k], one, n - k
+
+    return n, [-n], [gamma + 1, ga + 1], x, inner_maker
+
+
+def _laguerre_rahman_terms(n, x, alpha, gamma):
+    one = (gamma * 0) + 1
+
+    def inner_maker(k):
+        return ([k - n, 1 - alpha + k, gamma], [-alpha - n, gamma + k + 1],
+                one, n - k)
+
+    return n, [-n], [gamma + 1, alpha + 1], x, inner_maker
+
+
+def _finite_4f3_terms(n, a, b, t, y):
+    one = (a * 0) + 1
+
+    def inner_maker(k):
+        return ([k - n, a + y + k, a, b], [a + y, b + 1 + k, a + 1 + k],
+                one, n - k)
+
+    return n, [-n, a + y], [a + 1, b + 1], t, inner_maker
+
+
+def _t_powered_terms(n, a, b, t):
+    one = (a * 0) + 1
+
+    def inner_maker(k):
+        return [k - n, a, b], [a + 1, b + 1 + k], one, n - k
+
+    return n, [-n], [b + 1], t, inner_maker
+
+
+def _m_generalized_terms(n, a, b, m):
+    one = (a * 0) + 1
+    return 0, [], [], one, lambda k: ([-n, a, b], [a + m, b + 1], one, n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +419,7 @@ def meixner_4f3(x, params, n, cfg=None):
                 f"{name} = {w!r} makes a denominator factor vanish for degree {n}"
             )
     kahan = cfg.use_compensated_sum if cfg is not None else True
-
-    def run(exact):
-        if exact:
-            xe, be, ce, ge = (Fraction(v) for v in (x, beta, c, gamma))
-        else:
-            xe, be, ce, ge = x, beta, c, gamma
-        gb = ge + be
-        gbx = gb + xe
-        one = (gb * 0) + 1
-
-        def inner_maker(k):
-            return (
-                [k - n, gbx + k, gb - 1, ge],
-                [gbx, gb + k, ge + 1 + k],
-                one,
-                n - k,
-            )
-
-        return _double_sum(
-            n, [-n, gbx], [ge + 1, gb], one - ce, inner_maker, not exact, kahan
-        )
-
-    total, cond = run(False)
-    if cond is not None and cond > _ESCALATE_COND and _exactable(x, beta, c, gamma):
-        exact_total, _ = run(True)
-        total = float(exact_total)
+    total = _resum(_meixner_4f3_terms, n, (x, beta, c, gamma), kahan)
     pref = (
         c ** (-n) * pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n)
         / _factorial(n)
@@ -317,33 +454,7 @@ def meixner_4f3_alt(x, params, n, cfg=None):
             f"for degree {n}"
         )
     kahan = cfg.use_compensated_sum if cfg is not None else True
-
-    def run(exact):
-        if exact:
-            xe, be, ce, ge = (Fraction(v) for v in (x, beta, c, gamma))
-        else:
-            xe, be, ce, ge = x, beta, c, gamma
-        gb = ge + be
-        gx = ge - xe
-        one = (gb * 0) + 1
-        ct = (ce - 1) / ce
-
-        def inner_maker(k):
-            return (
-                [k - n, gx + k, gb - 1, ge],
-                [gx, gb + k, ge + 1 + k],
-                one,
-                n - k,
-            )
-
-        return _double_sum(
-            n, [-n, gx], [ge + 1, gb], ct, inner_maker, not exact, kahan
-        )
-
-    total, cond = run(False)
-    if cond is not None and cond > _ESCALATE_COND and _exactable(x, beta, c, gamma):
-        exact_total, _ = run(True)
-        total = float(exact_total)
+    total = _resum(_meixner_4f3_alt_terms, n, (x, beta, c, gamma), kahan)
     pref = (
         pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n) / _factorial(n)
     )
@@ -521,26 +632,7 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY, cfg=None):
                 f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
                 f"for degree {n}"
             )
-
-        def run(exact):
-            if exact:
-                xe, ae, ge = Fraction(x), Fraction(a), Fraction(gamma)
-            else:
-                xe, ae, ge = x, a, gamma
-            gx = ge - xe
-            one = (ge * 0) + 1
-
-            def inner_maker(k):
-                return ([k - n, gx + k, ge], [gx, ge + k + 1], one, n - k)
-
-            return _double_sum(
-                n, [-n, gx], [ge + 1], -(one / ae), inner_maker, not exact, kahan
-            )
-
-        total, cond = run(False)
-        if cond is not None and cond > _ESCALATE_COND and _exactable(x, a, gamma):
-            exact_total, _ = run(True)
-            total = float(exact_total)
+        total = _resum(_charlier_terms, n, (x, a, gamma), kahan)
         return pochhammer(gamma + 1.0, n) / _factorial(n) * total
     upper = max(0, n // 2 - 1)
     if _near_int_in_range(x - gamma, 0, upper) is not None:
@@ -548,27 +640,7 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY, cfg=None):
             f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
             f"for degree {n} (transformed variant)"
         )
-
-    def run(exact):
-        if exact:
-            xe, ae, ge = Fraction(x), Fraction(a), Fraction(gamma)
-        else:
-            xe, ae, ge = x, a, gamma
-        gx = ge - xe
-        one = (ge * 0) + 1
-
-        def inner_maker(k):
-            return ([-k, ge, k - n], [-n, gx], one, min(k, n - k))
-
-        return _double_sum(
-            n, [-n, gx], [1], -(one / ae), inner_maker, not exact, kahan
-        )
-
-    total, cond = run(False)
-    if cond is not None and cond > _ESCALATE_COND and _exactable(x, a, gamma):
-        exact_total, _ = run(True)
-        total = float(exact_total)
-    return total
+    return _resum(_charlier_transformed_terms, n, (x, a, gamma), kahan)
 
 
 def charlier_classical(x, a, n, cfg=None):
@@ -613,56 +685,14 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY, cfg=None):
                 f"gamma+alpha+1 = {gamma + alpha + 1.0!r} makes a denominator "
                 f"factor vanish for degree {n}"
             )
-
-        def run(exact):
-            if exact:
-                xe, ale, ge = Fraction(x), Fraction(alpha), Fraction(gamma)
-            else:
-                xe, ale, ge = x, alpha, gamma
-            ga = ge + ale
-            one = (ge * 0) + 1
-
-            def inner_maker(k):
-                return ([k - n, ga, ge], [ga + k + 1, ge + 1 + k], one, n - k)
-
-            return _double_sum(
-                n, [-n], [ge + 1, ga + 1], xe, inner_maker, not exact, kahan
-            )
-
-        total, cond = run(False)
-        if cond is not None and cond > _ESCALATE_COND and _exactable(x, alpha, gamma):
-            exact_total, _ = run(True)
-            total = float(exact_total)
+        total = _resum(_laguerre_terms, n, (x, alpha, gamma), kahan)
         return pochhammer(gamma + alpha + 1.0, n) / _factorial(n) * total
     if abs(alpha - round(alpha)) < _INT_TOL:
         raise RestrictedParameter(
             f"the second Laguerre 3F2 form requires non-integer alpha, "
             f"got alpha={alpha!r}"
         )
-
-    def run(exact):
-        if exact:
-            xe, ale, ge = Fraction(x), Fraction(alpha), Fraction(gamma)
-        else:
-            xe, ale, ge = x, alpha, gamma
-        one = (ge * 0) + 1
-
-        def inner_maker(k):
-            return (
-                [k - n, 1 - ale + k, ge],
-                [-ale - n, ge + k + 1],
-                one,
-                n - k,
-            )
-
-        return _double_sum(
-            n, [-n], [ge + 1, ale + 1], xe, inner_maker, not exact, kahan
-        )
-
-    total, cond = run(False)
-    if cond is not None and cond > _ESCALATE_COND and _exactable(x, alpha, gamma):
-        exact_total, _ = run(True)
-        total = float(exact_total)
+    total = _resum(_laguerre_rahman_terms, n, (x, alpha, gamma), kahan)
     return pochhammer(alpha + 1.0, n) / _factorial(n) * total
 
 
@@ -738,29 +768,7 @@ def identity_4f3_finite_sum(n, a, b, t, y, rel_tol=1e-9, cfg=None):
             f"a + y = {a + y!r} makes a denominator factor vanish for degree {n}"
         )
 
-    def run(exact):
-        if exact:
-            ae, be, te, ye = (Fraction(v) for v in (a, b, t, y))
-        else:
-            ae, be, te, ye = a, b, t, y
-        one = (ae * 0) + 1
-
-        def inner_maker(k):
-            return (
-                [k - n, ae + ye + k, ae, be],
-                [ae + ye, be + 1 + k, ae + 1 + k],
-                one,
-                n - k,
-            )
-
-        return _double_sum(
-            n, [-n, ae + ye], [ae + 1, be + 1], te, inner_maker, not exact
-        )
-
-    lhs, cond = run(False)
-    if cond is not None and cond > _ESCALATE_COND and _exactable(a, b, t, y):
-        exact_lhs, _ = run(True)
-        lhs = float(exact_lhs)
+    lhs = _resum(_finite_4f3_terms, n, (a, b, t, y))
     rhs = (
         _factorial(n)
         / (b - a)
@@ -800,15 +808,7 @@ def identity_3f2_pochhammer(n, a, b, rel_tol=1e-10, cfg=None):
                 f"3F2 pochhammer identity requires denominator parameter {w!r} "
                 "away from the nonpositive integers"
             )
-    lhs, peak = _inner_hyp([-n, a, b], [a + 1.0, b + 1.0], 1.0, n, True)
-    mag = abs(lhs)
-    cond = peak / mag if mag > 0 else math.inf
-    if cond > _ESCALATE_COND and _exactable(a, b):
-        ae, be = Fraction(a), Fraction(b)
-        exact_lhs, _ = _inner_hyp(
-            [-n, ae, be], [ae + 1, be + 1], Fraction(1), n, False
-        )
-        lhs = float(exact_lhs)
+    lhs = _resum(_m_generalized_terms, n, (a, b, 1))
     rhs = (
         _factorial(n)
         / (b - a)
@@ -846,23 +846,7 @@ def identity_3f2_t_powered(n, a, b, t, rel_tol=1e-9, cfg=None):
                 f"t-powered 3F2 identity requires denominator parameter {w!r} "
                 "away from the nonpositive integers"
             )
-
-    def run(exact):
-        if exact:
-            ae, be, te = Fraction(a), Fraction(b), Fraction(t)
-        else:
-            ae, be, te = a, b, t
-        one = (ae * 0) + 1
-
-        def inner_maker(k):
-            return ([k - n, ae, be], [ae + 1, be + 1 + k], one, n - k)
-
-        return _double_sum(n, [-n], [be + 1], te, inner_maker, not exact)
-
-    lhs, cond = run(False)
-    if cond is not None and cond > _ESCALATE_COND and _exactable(a, b, t):
-        exact_lhs, _ = run(True)
-        lhs = float(exact_lhs)
+    lhs = _resum(_t_powered_terms, n, (a, b, t))
     rhs = (
         _factorial(n)
         / (b - a)
@@ -910,15 +894,7 @@ def identity_3f2_m_generalized(n, a, b, m, rel_tol=1e-9, cfg=None):
         raise RestrictedParameter(
             f"m-generalized 3F2 identity requires (a-b)_m nonzero, got a-b={a - b!r}"
         )
-    lhs, peak = _inner_hyp([-n, a, b], [a + m, b + 1.0], 1.0, n, True)
-    mag = abs(lhs)
-    cond = peak / mag if mag > 0 else math.inf
-    if cond > _ESCALATE_COND and _exactable(a, b):
-        ae, be = Fraction(a), Fraction(b)
-        exact_lhs, _ = _inner_hyp(
-            [-n, ae, be], [ae + m, be + 1], Fraction(1), n, False
-        )
-        lhs = float(exact_lhs)
+    lhs = _resum(_m_generalized_terms, n, (a, b, m))
     tail = Accumulator()
     for l in range(m):
         tail.add(

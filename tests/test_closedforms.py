@@ -6,6 +6,8 @@ sums with mpmath at 50 significant digits, short cases by hand.
 """
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 import scipy.special
@@ -42,6 +44,7 @@ from assocpoly import (
     meixner_seq,
     mp_from_meixner,
 )
+from assocpoly import closedforms
 
 
 def rel(a, b):
@@ -404,3 +407,154 @@ def test_m_generalized_rejects_bad_parameters():
 def test_identity_checkers_reject_negative_degree():
     with pytest.raises(ValueError):
         identity_3f2_pochhammer(-1, 0.6, 1.9)
+
+
+# ---------------------------------------------------------------------------
+# Exact re-summation: the integer engine against a Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def fraction_hyp(nums, dens, arg, top):
+    """Reference terminating sum, term by term in Fraction arithmetic."""
+    nums, remaining = list(nums), []
+    for d in dens:
+        if d in nums:
+            nums.remove(d)
+        else:
+            remaining.append(d)
+    term = total = Fraction(1)
+    for j in range(top):
+        numprod = math.prod(p + j for p in nums)
+        if numprod == 0:
+            break
+        denprod = math.prod(q + j for q in remaining)
+        if denprod == 0:
+            raise DenominatorPole(
+                f"denominator factor vanishes at offset {j} in terminating sum"
+            )
+        term = term * numprod / denprod * arg / (j + 1)
+        total += term
+    return total
+
+
+def fraction_double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker):
+    """Reference double sum, term by term in Fraction arithmetic."""
+    total, coef = Fraction(0), Fraction(1)
+    for k in range(n + 1):
+        if coef == 0:
+            break
+        total += coef * fraction_hyp(*inner_maker(k))
+        coef = coef * outer_scale * math.prod(p + k for p in outer_nums)
+        for q in outer_dens:
+            coef = coef / (q + k)
+    return total
+
+
+def pochhammer_terms(n, a, b):
+    """The sum of identity_3f2_pochhammer: the m = 1 case."""
+    return closedforms._m_generalized_terms(n, a, b, 1)
+
+
+# Each route's double sum and the number of real inputs after n.
+EXACT_SUMS = {
+    "meixner-4f3": (closedforms._meixner_4f3_terms, 4),
+    "meixner-4f3-alt": (closedforms._meixner_4f3_alt_terms, 4),
+    "charlier-3f2": (closedforms._charlier_terms, 3),
+    "charlier-3f2-transformed": (closedforms._charlier_transformed_terms, 3),
+    "laguerre-3f2": (closedforms._laguerre_terms, 3),
+    "laguerre-3f2-rahman": (closedforms._laguerre_rahman_terms, 3),
+    "3f2-pochhammer": (pochhammer_terms, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_SUMS))
+def test_exact_engine_equals_fraction_reference(name):
+    # Every binary64 value is a dyadic rational, so seeded uniform draws
+    # are dyadic inputs with full 53-bit numerators.
+    terms, arity = EXACT_SUMS[name]
+    rng = random.Random(name)
+    for _ in range(6):
+        n = rng.randint(1, 14)
+        inputs = [Fraction(rng.uniform(-3.0, 3.0)) for _ in range(arity)]
+        spec = terms(n, *inputs)
+        assert closedforms._exact_double_sum(*spec) == fraction_double_sum(*spec)
+
+
+def test_exact_engine_terminates_early():
+    # gamma = 0 is a numerator parameter of every inner sum, so each one
+    # stops at its first term, and the double sum is a terminating 2F1.
+    x, beta, c = Fraction(3), Fraction(3, 2), Fraction(2, 5)
+    spec = closedforms._meixner_4f3_terms(9, x, beta, c, Fraction(0))
+    value = closedforms._exact_double_sum(*spec)
+    assert value == fraction_double_sum(*spec)
+    assert value == fraction_hyp([-9, beta + x], [beta], 1 - c, 9)
+    spec = closedforms._laguerre_terms(7, Fraction(5, 4), Fraction(1, 2), Fraction(0))
+    assert closedforms._exact_double_sum(*spec) == fraction_double_sum(*spec)
+
+
+def single_sum(nums, dens, top):
+    """A lone terminating sum at argument 1, as a double sum of degree 0."""
+    return 0, [], [], Fraction(1), lambda k: (nums, dens, Fraction(1), top)
+
+
+@pytest.mark.parametrize(
+    "nums, dens, expected",
+    [
+        # -1 cancels exactly, leaving (1 - 1)^3.
+        ([Fraction(-3), Fraction(-1)], [Fraction(-1)], Fraction(0)),
+        # The zero numerator at offset 1 ends the sum before the pole at 2.
+        ([Fraction(-1)], [Fraction(-2)], Fraction(3, 2)),
+    ],
+    ids=["exact-cancellation", "termination-before-pole"],
+)
+def test_exact_engine_cancellation_and_termination(nums, dens, expected):
+    spec = single_sum(nums, dens, 5)
+    assert closedforms._exact_double_sum(*spec) == expected
+    assert fraction_double_sum(*spec) == expected
+    value, _ = closedforms._double_sum(*single_sum(
+        [float(p) for p in nums], [float(q) for q in dens], 5))
+    assert value == float(expected)
+
+
+def test_exact_engine_cancels_only_equal_parameters():
+    # A numerator 2^-60 away from the denominator -1 does not cancel it.
+    spec = single_sum([Fraction(-3), Fraction(-1) + Fraction(1, 2**60)],
+                      [Fraction(-1)], 5)
+    with pytest.raises(DenominatorPole, match="at offset 1 "):
+        closedforms._exact_double_sum(*spec)
+
+
+def test_exact_engine_raises_denominator_pole_at_same_offset():
+    # a + 1 = -1 is a denominator parameter: it vanishes at offset 1.
+    spec = pochhammer_terms(6, Fraction(-2), Fraction(7, 4))
+    with pytest.raises(DenominatorPole, match="at offset 1 "):
+        fraction_double_sum(*spec)
+    with pytest.raises(DenominatorPole, match="at offset 1 "):
+        closedforms._exact_double_sum(*spec)
+
+
+def test_exact_engine_outer_zero_divisor_raises():
+    spec = (3, [], [Fraction(-1)], Fraction(1), lambda k: ([], [], Fraction(1), 0))
+    with pytest.raises(ZeroDivisionError):
+        fraction_double_sum(*spec)
+    with pytest.raises(ZeroDivisionError):
+        closedforms._exact_double_sum(*spec)
+
+
+def test_escalated_routes_round_the_exact_rational(monkeypatch):
+    engine = closedforms._exact_double_sum
+    checked = []
+
+    def reference_checked(*spec):
+        value = engine(*spec)
+        assert value == fraction_double_sum(*spec)
+        checked.append(value)
+        return value
+
+    monkeypatch.setattr(closedforms, "_exact_double_sum", reference_checked)
+    params = MeixnerParams(1.5, 0.4, 0.0)
+    assert rel(meixner_4f3(3.0, params, 25), meixner_seq(3.0, params, 25)[25]) < 1e-9
+    report = identity_3f2_pochhammer(20, 1.5, 0.75)
+    assert report.passed
+    assert report.lhs == float(checked[-1])
+    assert len(checked) == 2
