@@ -25,7 +25,6 @@ from .asymptotics import (
 from .closedforms import (
     CharlierVariant,
     LaguerreVariant,
-    RepresentationTag,
     charlier_3f2,
     charlier_classical,
     identity_3f2_m_generalized,
@@ -136,7 +135,7 @@ __all__ = [
     "meixner_seq", "charlier_seq", "laguerre_seq", "meixner_pollaczek_seq",
     "positivity_product", "positivity_check",
     # closed forms
-    "RepresentationTag", "CharlierVariant", "LaguerreVariant",
+    "CharlierVariant", "LaguerreVariant",
     "meixner_4f3", "meixner_4f3_alt", "meixner_quadratic",
     "meixner_cross_2f1", "meixner_reflection_rhs", "meixner_c1_degenerate",
     "meixner_classical", "charlier_3f2", "charlier_classical",

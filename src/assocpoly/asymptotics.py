@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PoleArgument
 from .hyperkernel import gamma_value, gauss_2f1, kummer_1f1
-from .recurrences import CharlierParams, MeixnerParams
+from .recurrences import CharlierParams, MeixnerParams, _check_n_max
 
 __all__ = [
     "ScaledSequence",
@@ -96,11 +96,6 @@ def _check_scaling_pole(x, gamma):
             f"gamma - x = {gamma - x!r} is a nonpositive integer: the scaling "
             f"prefactor 1/Gamma(gamma-x) vanishes"
         )
-
-
-def _check_n_max(n_max):
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
 
 
 def scaled_meixner_seq(x, params, n_max):

@@ -43,7 +43,6 @@ from .recurrences import MeixnerParams, meixner_seq
 from .report import make_report
 
 __all__ = [
-    "RepresentationTag",
     "CharlierVariant",
     "LaguerreVariant",
     "meixner_4f3",
@@ -69,23 +68,6 @@ _INT_TOL = 1e-8
 # magnitude exceeds the final sum by this factor (binary64 then retains
 # fewer than ~12 significant digits).
 _ESCALATE_COND = 1e4
-
-
-class RepresentationTag(enum.Enum):
-    """Stable names for the available evaluation routes."""
-
-    RECURRENCE = "recurrence"
-    MEIXNER_4F3 = "4f3"
-    MEIXNER_4F3_ALT = "4f3-alt"
-    MEIXNER_QUADRATIC = "quadratic"
-    MEIXNER_CROSS = "cross"
-    CHARLIER_3F2 = "3f2"
-    CHARLIER_3F2_TRANSFORMED = "3f2-transformed"
-    LAGUERRE_3F2 = "3f2"
-    LAGUERRE_3F2_RAHMAN = "3f2-rahman"
-    MP_CONNECTION = "connection"
-    DEGENERATE_C1 = "degenerate-c1"
-    CLASSICAL = "classical"
 
 
 class CharlierVariant(enum.Enum):

@@ -27,6 +27,7 @@ from .errors import DomainError, NotConverged, TailTooLarge
 from .hyperkernel import (
     Accumulator,
     EulerIntegrand,
+    _exp,
     appell_f1,
     euler_integral,
     gauss_2f1,
@@ -367,10 +368,6 @@ def gf_charlier_phi1(x, params, t, cfg=None):
 def gf_charlier_elementary(x, a, t):
     """Classical (gamma = 0) closed form e^t (1-t/a)^x."""
     return _exp(t) * _pow(1.0 - t / a, x)
-
-
-def _exp(z):
-    return cmath.exp(z) if isinstance(z, complex) else math.exp(z)
 
 
 def gf_charlier_integral(x, params, t, cfg=None):

@@ -11,6 +11,10 @@ Infinite series follow one stopping rule: summation ends once two
 consecutive terms are below ``rel_tol`` times the running partial sum,
 and raises :class:`~assocpoly.errors.NotConverged` (carrying the
 partial outcome) if ``max_terms`` is hit first.
+
+``scipy.special`` is imported inside the three gamma helpers that call
+it (complex ``gamma_value``, ``gamma_ratio`` and ``_gamma_quotient``),
+so importing the package does not load scipy or numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-from scipy.special import gammaln, gammasgn, loggamma
 
 from .errors import (
     DenominatorPole,
@@ -226,6 +228,7 @@ def gamma_value(w):
     if _nonpos_int_degree(w, _POLE_TOL) is not None:
         raise PoleArgument(f"gamma pole at {w!r}")
     if isinstance(w, complex):
+        from scipy.special import loggamma
         return cmath.exp(loggamma(w))
     return math.gamma(w)
 
@@ -249,6 +252,7 @@ def gamma_ratio(z, a, b):
     for w in (za, zb):
         if _nonpos_int_degree(w, _POLE_TOL) is not None:
             raise PoleArgument(f"gamma pole at {w!r}")
+    from scipy.special import gammaln, gammasgn, loggamma
     if _is_complex(za, zb):
         return cmath.exp(loggamma(complex(za)) - loggamma(complex(zb)))
     sign = float(gammasgn(za)) * float(gammasgn(zb))
@@ -267,6 +271,7 @@ def _gamma_quotient(numerators, denominators):
     for w in denominators:
         if _nonpos_int_degree(w, _POLE_TOL) is not None:
             return 0.0
+    from scipy.special import gammaln, gammasgn, loggamma
     if _is_complex(*numerators, *denominators):
         s = 0.0 + 0.0j
         for w in numerators:

@@ -22,7 +22,6 @@ from assocpoly import (
     LaguerreVariant,
     MeixnerParams,
     MeixnerPollaczekParams,
-    RepresentationTag,
     RestrictedParameter,
     charlier_3f2,
     charlier_classical,
@@ -220,20 +219,6 @@ def test_unknown_variant_rejected():
         charlier_3f2(0.9, CharlierParams(2.0, 0.7), 4, "bogus")
     with pytest.raises(ValueError):
         laguerre_3f2(1.1, LaguerreParams(0.7, 0.4), 4, "bogus")
-
-
-def test_representation_tag_values_are_stable():
-    assert RepresentationTag.RECURRENCE.value == "recurrence"
-    assert RepresentationTag.MEIXNER_4F3.value == "4f3"
-    assert RepresentationTag.MEIXNER_4F3_ALT.value == "4f3-alt"
-    assert RepresentationTag.MEIXNER_QUADRATIC.value == "quadratic"
-    assert RepresentationTag.MEIXNER_CROSS.value == "cross"
-    assert RepresentationTag.CHARLIER_3F2.value == "3f2"
-    assert RepresentationTag.CHARLIER_3F2_TRANSFORMED.value == "3f2-transformed"
-    assert RepresentationTag.LAGUERRE_3F2_RAHMAN.value == "3f2-rahman"
-    assert RepresentationTag.MP_CONNECTION.value == "connection"
-    assert RepresentationTag.DEGENERATE_C1.value == "degenerate-c1"
-    assert RepresentationTag.CLASSICAL.value == "classical"
 
 
 # ---------------------------------------------------------------------------
