@@ -12,9 +12,9 @@ consecutive terms are below ``rel_tol`` times the running partial sum,
 and raises :class:`~assocpoly.errors.NotConverged` (carrying the
 partial outcome) if ``max_terms`` is hit first.
 
-``scipy.special`` is imported inside the three gamma helpers that call
-it (complex ``gamma_value``, ``gamma_ratio`` and ``_gamma_quotient``),
-so importing the package does not load scipy or numpy.
+Gamma functions are computed here in pure Python: ``math.lgamma`` for
+real arguments and a Stirling series for complex ones, so no evaluation
+loads scipy or numpy.
 """
 
 from __future__ import annotations
@@ -223,13 +223,54 @@ def pochhammer_log(a, k):
     return logmag, phase
 
 
+# Stirling-series coefficients B_2k / (2k (2k - 1)) for k = 8, ..., 1.
+_STIRLING = (-3617.0 / 122400.0, 1.0 / 156.0, -691.0 / 360360.0,
+             1.0 / 1188.0, -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0,
+             1.0 / 12.0)
+_LOG_PI = math.log(math.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_gamma(w):
+    """A logarithm of Gamma(w) off the poles, and the sign it leaves out.
+
+    Real ``w`` gives ``(log|Gamma(w)|, sign of Gamma(w))``.  Complex ``w``
+    gives ``(log Gamma(w), 1.0)`` with the imaginary part fixed only modulo
+    2*pi, which is all that a caller exponentiating it needs.
+    """
+    if not isinstance(w, complex):
+        sign = -1.0 if w < 0 and math.floor(w) % 2 else 1.0
+        return math.lgamma(w), sign
+    if w.real < 0.5:
+        # Reflection Gamma(w) Gamma(1-w) = pi / sin(pi w), with the nearest
+        # integer k taken out of Re(w) exactly: sin(pi w) = (-1)^k sin(pi (w-k)).
+        k = round(w.real)
+        sine = cmath.sin(math.pi * (w - k))
+        if k % 2:
+            sine = -sine
+        return _LOG_PI - cmath.log(sine) - _log_gamma(1.0 - w)[0], 1.0
+    # Shift to |w| >= 8 by Gamma(w) = Gamma(w + m) / (w (w+1) ... (w+m-1)),
+    # where the series below is accurate to about 1e-16.
+    shift = 1.0
+    if abs(w.imag) < 8.0:
+        while w.real < 8.0:
+            shift *= w
+            w += 1.0
+    inv = 1.0 / w
+    inv2 = inv * inv
+    series = 0.0
+    for coef in _STIRLING:
+        series = series * inv2 + coef
+    return ((w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + series * inv
+            - cmath.log(shift)), 1.0
+
+
 def gamma_value(w):
     """Gamma(w) with an explicit pole error at nonpositive integers."""
     if _nonpos_int_degree(w, _POLE_TOL) is not None:
         raise PoleArgument(f"gamma pole at {w!r}")
     if isinstance(w, complex):
-        from scipy.special import loggamma
-        return cmath.exp(loggamma(w))
+        return cmath.exp(_log_gamma(w)[0])
     return math.gamma(w)
 
 
@@ -252,11 +293,7 @@ def gamma_ratio(z, a, b):
     for w in (za, zb):
         if _nonpos_int_degree(w, _POLE_TOL) is not None:
             raise PoleArgument(f"gamma pole at {w!r}")
-    from scipy.special import gammaln, gammasgn, loggamma
-    if _is_complex(za, zb):
-        return cmath.exp(loggamma(complex(za)) - loggamma(complex(zb)))
-    sign = float(gammasgn(za)) * float(gammasgn(zb))
-    return sign * math.exp(float(gammaln(za)) - float(gammaln(zb)))
+    return _gamma_quotient([za], [zb])
 
 
 def _gamma_quotient(numerators, denominators):
@@ -271,23 +308,17 @@ def _gamma_quotient(numerators, denominators):
     for w in denominators:
         if _nonpos_int_degree(w, _POLE_TOL) is not None:
             return 0.0
-    from scipy.special import gammaln, gammasgn, loggamma
-    if _is_complex(*numerators, *denominators):
-        s = 0.0 + 0.0j
-        for w in numerators:
-            s += loggamma(complex(w))
-        for w in denominators:
-            s -= loggamma(complex(w))
-        return cmath.exp(s)
-    logmag = 0.0
+    log_mag = 0.0
     sign = 1.0
     for w in numerators:
-        logmag += float(gammaln(w))
-        sign *= float(gammasgn(w))
+        part, part_sign = _log_gamma(w)
+        log_mag += part
+        sign *= part_sign
     for w in denominators:
-        logmag -= float(gammaln(w))
-        sign *= float(gammasgn(w))
-    return sign * math.exp(logmag)
+        part, part_sign = _log_gamma(w)
+        log_mag -= part
+        sign *= part_sign
+    return sign * _exp(log_mag)
 
 
 # ---------------------------------------------------------------------------

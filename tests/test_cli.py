@@ -439,21 +439,22 @@ def test_module_entry_point_runs_as_subprocess():
     assert record["value_re"] == pytest.approx(0.5, rel=1e-14)
 
 
-def test_cold_import_defers_scipy_and_keeps_gamma_bits():
-    # A fresh interpreter imports the package and the CLI without scipy or
-    # numpy; the three scipy paths then load it on first use and return the
+def test_cold_process_loads_no_scipy_and_keeps_gamma_bits():
+    # A fresh interpreter imports the package and the CLI and runs the gamma
+    # paths (complex gamma_value, gamma_ratio, the connection and z = 1
+    # branches of gauss_2f1) without loading scipy or numpy, and gets the
     # same bits as the same calls in this process.
     script = (
         "import sys\n"
         "import assocpoly, assocpoly.cli\n"
-        "loaded = [m for m in sys.modules\n"
-        "          if m.split('.')[0] in ('scipy', 'numpy')]\n"
-        "assert not loaded, loaded\n"
         "from assocpoly import gamma_ratio, gamma_value, gauss_2f1\n"
         "print(repr(gamma_value(0.5 + 0.5j)))\n"
         "print(repr(gamma_ratio(2.5, 0.7, -0.3)))\n"
         "print(repr(gauss_2f1(0.3, 1.2, 2.1, -3.0).value))\n"
         "print(repr(gauss_2f1(0.3, 0.4, 2.0, 1.0).value))\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m.split('.')[0] in ('scipy', 'numpy')]\n"
+        "assert not loaded, loaded\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,

@@ -91,6 +91,26 @@ def test_gamma_value_pole():
     assert rel(gamma_value(0.5), math.sqrt(math.pi)) < 1e-15
 
 
+@pytest.mark.parametrize("w", [
+    0.5 + 0.5j, 1.0 + 1e-9j, 2.0 - 0.25j, 7.9 + 0.1j, 3.0 + 30.0j,
+    -0.4 + 0.01j, -1.3 + 0.2j, -2.5 - 0.3j, -4.6 + 0.5j, -7.999 + 1e-3j,
+    -20.3 + 2.0j, 0.1 - 12.0j,
+])
+def test_gamma_value_complex_matches_scipy(w):
+    # Both sides of the reflection at Re(w) = 1/2 and of the Stirling
+    # shift at |w| = 8, near poles and far up the imaginary axis.
+    ref = complex(scipy.special.gamma(w))
+    assert abs(gamma_value(w) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("z, a, b", [
+    (-0.5, 0.0, 1.0), (-1.5, 0.0, -1.0), (-2.7, 0.4, -0.9), (3.3, -5.6, 1.2),
+])
+def test_gamma_ratio_real_signs_match_scipy(z, a, b):
+    ref = scipy.special.gamma(z + a) / scipy.special.gamma(z + b)
+    assert rel(gamma_ratio(z, a, b), ref) < 1e-13
+
+
 def test_gamma_ratio_integer_steps():
     assert rel(gamma_ratio(5.0, 1.0, 0.0), 5.0) < 1e-14
     assert rel(gamma_ratio(0.0, 3.0, 1.0), 2.0) < 1e-14
