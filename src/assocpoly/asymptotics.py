@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleArgument
-from .hyperkernel import gamma_value, gauss_2f1, kummer_1f1
-from .recurrences import CharlierParams, MeixnerParams, _check_n_max
+from .hyperkernel import _check_nonneg_int, gamma_value, gauss_2f1, kummer_1f1
+from .recurrences import CharlierParams, MeixnerParams
 
 __all__ = [
     "ScaledSequence",
@@ -115,7 +115,7 @@ def scaled_meixner_seq(x, params, n_max):
     -------
     ScaledSequence
     """
-    _check_n_max(n_max)
+    _check_nonneg_int(n_max, "n_max")
     beta, c, gamma = params.beta, params.c, params.gamma
     _check_scaling_pole(x, gamma)
     r0 = 1.0 / gamma_value(gamma - x)
@@ -145,7 +145,7 @@ def scaled_charlier_seq(x, params, n_max):
     -------
     ScaledSequence
     """
-    _check_n_max(n_max)
+    _check_nonneg_int(n_max, "n_max")
     a, gamma = params.a, params.gamma
     _check_scaling_pole(x, gamma)
     r0 = 1.0 / gamma_value(gamma - x)

@@ -14,17 +14,18 @@ Two robustness policies apply throughout:
   than regularized; the affected parameter sets are measure-zero and a
   caller can perturb or switch representation.
 * The alternating finite sums are evaluated in binary64 with
-  compensated summation while tracking a condition estimate (largest
-  intermediate magnitude over the final sum).  When cancellation would
-  destroy more digits than the target accuracy allows and all inputs
-  are real, the same sum is re-evaluated exactly, which is possible
-  because every term of these sums is rational in the parameters.  The
-  exact engine works on plain integers: each input becomes a
-  numerator/denominator pair once, each inner terminating sum is folded
-  backwards (Horner) as one unreduced integer fraction and reduced once
-  into a :class:`fractions.Fraction`, and only the at most n + 1 outer
-  steps use Fraction arithmetic.  The result is the same rational the
-  sum denotes, rounded to binary64 once.
+  compensated summation, each inner terminating sum by the loop of
+  :func:`~assocpoly.hyperkernel.hyp_terminating`, while tracking a
+  condition estimate (largest intermediate magnitude over the final
+  sum).  When cancellation would destroy more digits than the target
+  accuracy allows and all inputs are real, the same sum is re-evaluated
+  exactly, which is possible because every term of these sums is
+  rational in the parameters.  The exact engine works on plain
+  integers: each input becomes a numerator/denominator pair once, each
+  inner terminating sum is folded backwards (Horner) as one unreduced
+  integer fraction and reduced once into a :class:`fractions.Fraction`,
+  and only the at most n + 1 outer steps use Fraction arithmetic.  The
+  result is the same rational the sum denotes, rounded to binary64 once.
 
 The module also carries the finite-sum hypergeometric identities that
 underpin the quadratic representation, as report-producing checkers.
@@ -38,7 +39,16 @@ import math
 from fractions import Fraction
 
 from .errors import DenominatorPole, RestrictedParameter
-from .hyperkernel import Accumulator, gauss_2f1, hyp_terminating, pochhammer
+from .hyperkernel import (
+    Accumulator,
+    _cancel,
+    _check_nonneg_int,
+    _pole,
+    _terminating_sum,
+    gauss_2f1,
+    hyp_terminating,
+    pochhammer,
+)
 from .recurrences import MeixnerParams, meixner_seq
 from .report import make_report
 
@@ -92,11 +102,6 @@ def _near_int_in_range(w, lo, hi, tol=_INT_TOL):
     return int(r)
 
 
-def _check_n(n):
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-
-
 def _factorial(n):
     return math.factorial(n)
 
@@ -115,59 +120,8 @@ def _exactable(*vals):
 # ---------------------------------------------------------------------------
 
 
-def _cancel(nums, dens):
-    """Drop each denominator parameter that equals a numerator parameter."""
-    nums = list(nums)
-    remaining = []
-    for d in dens:
-        if d in nums:
-            nums.remove(d)
-        else:
-            remaining.append(d)
-    return nums, remaining
-
-
-def _pole(j):
-    return DenominatorPole(
-        f"denominator factor vanishes at offset {j} in terminating sum"
-    )
-
-
-def _inner_hyp(nums, dens, arg, top, kahan=True):
-    """Binary64 terminating sum; returns (value, peak term magnitude).
-
-    Implements the same semantics as
-    :func:`~assocpoly.hyperkernel.hyp_terminating`: exact
-    numerator/denominator pairs cancel, a zero numerator factor
-    terminates, a zero denominator factor raises
-    :class:`~assocpoly.errors.DenominatorPole`.
-    """
-    nums, dens = _cancel(nums, dens)
-    one = arg * 0 + 1
-    acc = Accumulator(kahan)
-    term = one
-    acc.add(term)
-    peak = 1.0
-    for j in range(top):
-        numprod = one
-        for p in nums:
-            numprod = numprod * (p + j)
-        if numprod == 0:
-            break
-        denprod = one
-        for q in dens:
-            denprod = denprod * (q + j)
-        if denprod == 0:
-            raise _pole(j)
-        term = term * numprod / denprod * arg / (j + 1)
-        acc.add(term)
-        peak = max(peak, abs(term))
-    return acc.value, peak
-
-
-def _double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker,
-                kahan=True):
-    """sum_k coef_k * inner_k in binary64, with a condition estimate.
+def _double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker):
+    """sum_k coef_k * inner_k in compensated binary64, with a condition estimate.
 
     ``coef_{k+1}/coef_k = outer_scale * prod(outer_nums + k) /
     prod(outer_dens + k)``; ``inner_maker(k)`` returns the
@@ -176,14 +130,17 @@ def _double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker,
     peak intermediate magnitude over the final magnitude.
     """
     one = outer_scale * 0 + 1
-    acc = Accumulator(kahan)
+    total = comp = 0.0
     coef = one
     peak = 0.0
     for k in range(n + 1):
         if coef == 0:
             break
-        inner, ipeak = _inner_hyp(*inner_maker(k), kahan)
-        acc.add(coef * inner)
+        inner, ipeak = _terminating_sum(*inner_maker(k))
+        y = coef * inner - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
         peak = max(peak, abs(coef) * max(ipeak, abs(inner)))
         ratio = outer_scale
         for p in outer_nums:
@@ -191,9 +148,9 @@ def _double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker,
         for q in outer_dens:
             ratio = ratio / (q + k)
         coef = coef * ratio
-    mag = abs(acc.value)
+    mag = abs(total)
     cond = peak / mag if mag > 0 else math.inf
-    return acc.value, cond
+    return total, cond
 
 
 def _exact_hyp(nums, dens, arg, top):
@@ -252,7 +209,7 @@ def _exact_double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker):
     return total
 
 
-def _resum(terms, n, inputs, kahan=True):
+def _resum(terms, n, inputs):
     """Binary64 value of the double sum ``terms(n, *inputs)``.
 
     ``terms`` builds the arguments of :func:`_double_sum` from the
@@ -261,7 +218,7 @@ def _resum(terms, n, inputs, kahan=True):
     is re-evaluated exactly from the rationals the inputs denote and
     rounded once.
     """
-    total, cond = _double_sum(*terms(n, *inputs), kahan)
+    total, cond = _double_sum(*terms(n, *inputs))
     if cond > _ESCALATE_COND and _exactable(*inputs):
         total = float(_exact_double_sum(*terms(n, *map(Fraction, inputs))))
     return total
@@ -366,7 +323,7 @@ def _m_generalized_terms(n, a, b, m):
 # ---------------------------------------------------------------------------
 
 
-def meixner_4f3(x, params, n, cfg=None):
+def meixner_4f3(x, params, n):
     """Index-shifted Meixner value by the (1-c)-powered finite 4F3 double sum.
 
     ``M_n = c^{-n} (gamma+1)_n (gamma+beta)_n / n! *
@@ -391,7 +348,7 @@ def meixner_4f3(x, params, n, cfg=None):
         in ``[-(n-1), 0]`` (a denominator factor would vanish inside
         the summation range).
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     beta, c, gamma = params.beta, params.c, params.gamma
     if n == 0:
         return 1.0
@@ -400,8 +357,7 @@ def meixner_4f3(x, params, n, cfg=None):
             raise DenominatorPole(
                 f"{name} = {w!r} makes a denominator factor vanish for degree {n}"
             )
-    kahan = cfg.use_compensated_sum if cfg is not None else True
-    total = _resum(_meixner_4f3_terms, n, (x, beta, c, gamma), kahan)
+    total = _resum(_meixner_4f3_terms, n, (x, beta, c, gamma))
     pref = (
         c ** (-n) * pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n)
         / _factorial(n)
@@ -409,7 +365,7 @@ def meixner_4f3(x, params, n, cfg=None):
     return pref * total
 
 
-def meixner_4f3_alt(x, params, n, cfg=None):
+def meixner_4f3_alt(x, params, n):
     """Index-shifted Meixner value by the (c-1)/c-powered finite 4F3 double sum.
 
     ``M_n = (gamma+1)_n (gamma+beta)_n / n! *
@@ -421,7 +377,7 @@ def meixner_4f3_alt(x, params, n, cfg=None):
     is within 1e-8 of an integer in ``[0, n-1]`` or ``gamma + beta`` of
     an integer in ``[-(n-1), 0]``.
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     beta, c, gamma = params.beta, params.c, params.gamma
     if n == 0:
         return 1.0
@@ -435,8 +391,7 @@ def meixner_4f3_alt(x, params, n, cfg=None):
             f"gamma+beta = {gamma + beta!r} makes a denominator factor vanish "
             f"for degree {n}"
         )
-    kahan = cfg.use_compensated_sum if cfg is not None else True
-    total = _resum(_meixner_4f3_alt_terms, n, (x, beta, c, gamma), kahan)
+    total = _resum(_meixner_4f3_alt_terms, n, (x, beta, c, gamma))
     pref = (
         pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n) / _factorial(n)
     )
@@ -457,7 +412,7 @@ def meixner_quadratic(x, params, n, cfg=None):
     degenerates and the prefactor ``1/(beta-1)`` can blow up), when
     ``gamma+beta`` is within 1e-8 of 1, or when ``gamma+beta <= 0``.
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     beta, gamma = params.beta, params.gamma
     if _near_int_in_range(beta, 1, 10**9) is not None:
         raise RestrictedParameter(
@@ -507,7 +462,7 @@ def meixner_cross_2f1(x, params, n, cfg=None):
     denominator parameter or the rising factorial
     ``(gamma-x-1)_{n+2}`` degenerate for some degree.
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     beta, c, gamma = params.beta, params.c, params.gamma
     if _near_int_in_range(x - gamma, -(10**9), 10**9) is not None:
         raise DenominatorPole(
@@ -543,7 +498,7 @@ def meixner_reflection_rhs(x, params, n, cfg=None):
     this evaluates the right side by recurrence so it can be compared
     against a left side computed any other way.
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     reflected = MeixnerParams(params.beta, 1.0 / params.c, params.gamma)
     seq = meixner_seq(-params.beta - x, reflected, n)
     return params.c ** (-n) * seq[n]
@@ -557,7 +512,7 @@ def meixner_c1_degenerate(beta, gamma, n):
     Raises :class:`~assocpoly.errors.RestrictedParameter` when ``beta``
     is within 1e-9 of 1.
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     if abs(beta - 1.0) < 1e-9:
         raise RestrictedParameter("degenerate c=1 closed form requires beta != 1")
     return (pochhammer(gamma + beta - 1.0, n + 1) - pochhammer(gamma, n + 1)) / (
@@ -565,11 +520,11 @@ def meixner_c1_degenerate(beta, gamma, n):
     )
 
 
-def meixner_classical(x, beta, c, n, cfg=None):
+def meixner_classical(x, beta, c, n):
     """Classical Meixner polynomial (beta)_n 2F1(-n, -x; beta; 1 - 1/c)."""
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     return pochhammer(beta, n) * hyp_terminating(
-        [-n, -x], [beta], 1.0 - 1.0 / c, n, cfg
+        [-n, -x], [beta], 1.0 - 1.0 / c, n
     )
 
 
@@ -578,7 +533,7 @@ def meixner_classical(x, beta, c, n, cfg=None):
 # ---------------------------------------------------------------------------
 
 
-def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY, cfg=None):
+def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY):
     """Index-shifted Charlier value by a finite 3F2 double sum.
 
     The primary variant is
@@ -602,19 +557,18 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY, cfg=None):
         denominator range (``[0, n-1]`` for primary,
         ``[0, floor(n/2)-1]`` for transformed).
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     variant = CharlierVariant(variant)
     a, gamma = params.a, params.gamma
     if n == 0:
         return 1.0
-    kahan = cfg.use_compensated_sum if cfg is not None else True
     if variant is CharlierVariant.PRIMARY:
         if _near_int_in_range(x - gamma, 0, n - 1) is not None:
             raise DenominatorPole(
                 f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
                 f"for degree {n}"
             )
-        total = _resum(_charlier_terms, n, (x, a, gamma), kahan)
+        total = _resum(_charlier_terms, n, (x, a, gamma))
         return pochhammer(gamma + 1.0, n) / _factorial(n) * total
     upper = max(0, n // 2 - 1)
     if _near_int_in_range(x - gamma, 0, upper) is not None:
@@ -622,13 +576,13 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY, cfg=None):
             f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
             f"for degree {n} (transformed variant)"
         )
-    return _resum(_charlier_transformed_terms, n, (x, a, gamma), kahan)
+    return _resum(_charlier_transformed_terms, n, (x, a, gamma))
 
 
-def charlier_classical(x, a, n, cfg=None):
+def charlier_classical(x, a, n):
     """Classical Charlier polynomial 2F0(-n, -x; ; -1/a)."""
-    _check_n(n)
-    return hyp_terminating([-n, -x], [], -1.0 / a, n, cfg)
+    _check_nonneg_int(n, "n")
+    return hyp_terminating([-n, -x], [], -1.0 / a, n)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +590,7 @@ def charlier_classical(x, a, n, cfg=None):
 # ---------------------------------------------------------------------------
 
 
-def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY, cfg=None):
+def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY):
     """Index-shifted Laguerre value by a finite 3F2 double sum.
 
     The primary variant is
@@ -655,36 +609,35 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY, cfg=None):
     variant : LaguerreVariant or str
         ``"primary"`` or ``"rahman"``.
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     variant = LaguerreVariant(variant)
     alpha, gamma = params.alpha, params.gamma
     if n == 0:
         return 1.0
-    kahan = cfg.use_compensated_sum if cfg is not None else True
     if variant is LaguerreVariant.PRIMARY:
         if _near_int_in_range(gamma + alpha + 1.0, -(n - 1), 0) is not None:
             raise DenominatorPole(
                 f"gamma+alpha+1 = {gamma + alpha + 1.0!r} makes a denominator "
                 f"factor vanish for degree {n}"
             )
-        total = _resum(_laguerre_terms, n, (x, alpha, gamma), kahan)
+        total = _resum(_laguerre_terms, n, (x, alpha, gamma))
         return pochhammer(gamma + alpha + 1.0, n) / _factorial(n) * total
     if abs(alpha - round(alpha)) < _INT_TOL:
         raise RestrictedParameter(
             f"the second Laguerre 3F2 form requires non-integer alpha, "
             f"got alpha={alpha!r}"
         )
-    total = _resum(_laguerre_rahman_terms, n, (x, alpha, gamma), kahan)
+    total = _resum(_laguerre_rahman_terms, n, (x, alpha, gamma))
     return pochhammer(alpha + 1.0, n) / _factorial(n) * total
 
 
-def laguerre_classical(x, alpha, n, cfg=None):
+def laguerre_classical(x, alpha, n):
     """Classical Laguerre polynomial (alpha+1)_n / n! 1F1(-n; alpha+1; x)."""
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     return (
         pochhammer(alpha + 1.0, n)
         / _factorial(n)
-        * hyp_terminating([-n], [alpha + 1.0], x, n, cfg)
+        * hyp_terminating([-n], [alpha + 1.0], x, n)
     )
 
 
@@ -701,7 +654,7 @@ def mp_from_meixner(x, params, n):
     is computed by its recurrence with complex parameters.  For real
     ``x`` the imaginary part of the result is a rounding residual.
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     nu, phi, gamma = params.nu, params.phi, params.gamma
     c = cmath.exp(-2.0j * phi)
     meix = MeixnerParams(2.0 * nu, c, gamma)
@@ -734,7 +687,7 @@ def identity_4f3_finite_sum(n, a, b, t, y, rel_tol=1e-9, cfg=None):
     -------
     IdentityReport
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     if not (a > 0 and b > -1) or abs(b) < _INT_TOL:
         raise RestrictedParameter(
             f"finite 4F3 sum identity requires a > 0, b > -1, b != 0; "
@@ -781,7 +734,7 @@ def identity_3f2_pochhammer(n, a, b, rel_tol=1e-10, cfg=None):
     -------
     IdentityReport
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     if abs(b - a) < _INT_TOL:
         raise RestrictedParameter("3F2 pochhammer identity requires a != b")
     for w in (a + 1.0, b + 1.0):
@@ -816,7 +769,7 @@ def identity_3f2_t_powered(n, a, b, t, rel_tol=1e-9, cfg=None):
     -------
     IdentityReport
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     if abs(b - a) < _INT_TOL or _near_int_in_range(b - a + 1.0, -(10**9), 0) is not None:
         raise RestrictedParameter(
             f"t-powered 3F2 identity requires b - a away from the nonpositive "
@@ -860,7 +813,7 @@ def identity_3f2_m_generalized(n, a, b, m, rel_tol=1e-9, cfg=None):
     -------
     IdentityReport
     """
-    _check_n(n)
+    _check_nonneg_int(n, "n")
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be an integer >= 1")
     if not a > 0:

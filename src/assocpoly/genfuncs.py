@@ -22,12 +22,15 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import count
 
 from .errors import DomainError, NotConverged, TailTooLarge
 from .hyperkernel import (
     Accumulator,
     EulerIntegrand,
+    _check_nonneg_int,
     _exp,
+    _sum_series,
     appell_f1,
     euler_integral,
     gauss_2f1,
@@ -539,8 +542,7 @@ def convolution_identity(x, params, n, rel_tol=1e-9):
     -------
     IdentityReport
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _check_nonneg_int(n, "n")
     gamma = params.gamma
     if gamma <= 0:
         raise DomainError(
@@ -601,7 +603,8 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400, cfg=None)
     Left side: ``sum_n (gamma+beta)_n/n!
     3F2(-n, gamma+beta-1, gamma; gamma+beta, gamma+1; 1) t^n`` summed
     until two consecutive terms fall below ``rel_tol`` times the
-    partial sum.  Right side:
+    partial sum; :class:`~assocpoly.errors.NotConverged` is raised if
+    that takes more than ``max_terms`` terms.  Right side:
     ``(1-t)^{-beta} 2F1(2-beta, gamma; gamma+1; t)``.
 
     Returns
@@ -610,31 +613,29 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400, cfg=None)
     """
     if abs(t) >= 1.0:
         raise DomainError(f"the reduction chain requires |t| < 1, got {t!r}")
-    acc = Accumulator()
-    coef = 1.0
-    small = 0
-    for n in range(max_terms):
-        inner = hyp_terminating(
-            [-n, gamma + beta - 1.0, gamma],
-            [gamma + beta, gamma + 1.0],
-            1.0,
-            n,
-            cfg,
-        )
-        term = coef * inner
-        acc.add(term)
-        if abs(term) <= rel_tol * abs(acc.value):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-        coef = coef * (gamma + beta + n) / (n + 1.0) * t
+
+    def terms():
+        coef = 1.0
+        for n in count():
+            inner = hyp_terminating(
+                [-n, gamma + beta - 1.0, gamma],
+                [gamma + beta, gamma + 1.0],
+                1.0,
+                n,
+            )
+            yield coef * inner, 1
+            coef = coef * (gamma + beta + n) / (n + 1.0) * t
+
+    lhs = _sum_series(
+        terms(), rel_tol, max_terms,
+        "c = 1 reduction series did not converge in {max_terms} terms "
+        "at t={z!r}", t,
+    )[0]
     rhs = _pow(1.0 - t, -beta) * gauss_2f1(
         2.0 - beta, gamma, gamma + 1.0, t, cfg
     ).value
     point = {"beta": beta, "gamma": gamma, "t": t}
-    return make_report("c1-reduction-chain", point, acc.value, rhs, rel_tol)
+    return make_report("c1-reduction-chain", point, lhs, rhs, rel_tol)
 
 
 def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, h=1e-4,

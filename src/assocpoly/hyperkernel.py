@@ -7,10 +7,16 @@ sums, the Gauss 2F1 with a multi-route evaluation ladder, the confluent
 tanh-sinh quadrature for Euler-type integrals over (0, 1).
 
 All routines accept real or complex scalars and keep real inputs real.
-Infinite series follow one stopping rule: summation ends once two
-consecutive terms are below ``rel_tol`` times the running partial sum,
-and raises :class:`~assocpoly.errors.NotConverged` (carrying the
-partial outcome) if ``max_terms`` is hit first.
+Series and terminating sums are compensated (Kahan), because the
+alternating binary64 sums here lose digits without it.  One driver,
+``_sum_series``, sums every infinite series (2F1, 1F1, F1, Phi1 and the
+c = 1 reduction chain of :mod:`assocpoly.genfuncs`) under one stopping
+rule: summation ends once two consecutive terms are below ``rel_tol``
+times the running partial sum, and raises
+:class:`~assocpoly.errors.NotConverged` (carrying the partial outcome)
+if ``max_terms`` is hit first.  One loop, ``_terminating_sum``, sums
+every terminating series, including the inner sums of the double sums
+in :mod:`assocpoly.closedforms`.
 
 Gamma functions are computed here in pure Python: ``math.lgamma`` for
 real arguments and a Stirling series for complex ones, so no evaluation
@@ -22,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import (
     DenominatorPole,
@@ -61,7 +68,6 @@ class SeriesConfig:
 
     rel_tol: float = 1e-14
     max_terms: int = 10000
-    use_compensated_sum: bool = True
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -99,17 +105,13 @@ class EvalOutcome:
 class Accumulator:
     """Compensated (Kahan) scalar accumulator; works for real or complex."""
 
-    __slots__ = ("value", "_comp", "_compensated")
+    __slots__ = ("value", "_comp")
 
-    def __init__(self, compensated=True):
+    def __init__(self):
         self.value = 0.0
         self._comp = 0.0
-        self._compensated = compensated
 
     def add(self, term):
-        if not self._compensated:
-            self.value = self.value + term
-            return
         y = term - self._comp
         t = self.value + y
         self._comp = (t - self.value) - y
@@ -163,6 +165,11 @@ def _close(u, v, tol=1e-12):
     return abs(u - v) <= tol
 
 
+def _check_nonneg_int(value, name):
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer")
+
+
 # ---------------------------------------------------------------------------
 # Rising factorials and gamma ratios
 # ---------------------------------------------------------------------------
@@ -186,8 +193,7 @@ def pochhammer(a, k):
         recomputed in log space and ``OverflowError`` is raised when it
         still exceeds the representable range.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_nonneg_int(k, "k")
     result = 1.0
     for j in range(k):
         result = result * (a + j)
@@ -209,8 +215,7 @@ def pochhammer_log(a, k):
         (for real ``a`` it is +-1.0).  Raises
         :class:`~assocpoly.errors.ZeroPochhammer` when a factor is zero.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_nonneg_int(k, "k")
     logmag = 0.0
     phase = 1.0
     for j in range(k):
@@ -326,7 +331,56 @@ def _gamma_quotient(numerators, denominators):
 # ---------------------------------------------------------------------------
 
 
-def hyp_terminating(num_params, den_params, arg, top_index, cfg=None):
+def _cancel(nums, dens):
+    """Drop each denominator parameter that equals a numerator parameter."""
+    nums = list(nums)
+    remaining = []
+    for d in dens:
+        if d in nums:
+            nums.remove(d)
+        else:
+            remaining.append(d)
+    return nums, remaining
+
+
+def _pole(j):
+    return DenominatorPole(
+        f"denominator factor vanishes at offset {j} in terminating sum"
+    )
+
+
+def _terminating_sum(nums, dens, arg, top):
+    """Compensated binary64 sum of :func:`hyp_terminating`, unvalidated.
+
+    Returns ``(value, peak)``, where ``peak`` is the largest term
+    magnitude (at least that of the leading 1).
+    """
+    nums, dens = _cancel(nums, dens)
+    total = term = peak = 1.0
+    comp = 0.0
+    for j in range(top):
+        numprod = 1.0
+        for p in nums:
+            numprod = numprod * (p + j)
+        if numprod == 0:
+            break
+        denprod = 1.0
+        for q in dens:
+            denprod = denprod * (q + j)
+        if denprod == 0:
+            raise _pole(j)
+        term = term * numprod / denprod * arg / (j + 1)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        t_abs = abs(term)
+        if t_abs > peak:
+            peak = t_abs
+    return total, peak
+
+
+def hyp_terminating(num_params, den_params, arg, top_index):
     """Finite hypergeometric sum sum_{j=0}^{top_index} term_j.
 
     ``term_j = prod (n_i)_j / prod (d_i)_j * arg^j / j!`` with the
@@ -334,7 +388,7 @@ def hyp_terminating(num_params, den_params, arg, top_index, cfg=None):
     the sum (all later terms vanish), while a denominator factor
     hitting zero raises :class:`~assocpoly.errors.DenominatorPole`.
     A denominator parameter exactly equal to a numerator parameter is
-    cancelled against it before summation.
+    cancelled against it before summation.  The sum is compensated.
 
     Parameters
     ----------
@@ -347,50 +401,93 @@ def hyp_terminating(num_params, den_params, arg, top_index, cfg=None):
         Series argument.
     top_index : int
         Last retained index (the polynomial degree).
-    cfg : SeriesConfig, optional
-        Only ``use_compensated_sum`` is consulted.
 
     Returns
     -------
     float or complex
         The finite sum.
     """
-    cfg = cfg or _DEFAULT_CFG
-    if not isinstance(top_index, int) or top_index < 0:
-        raise ValueError("top_index must be a nonnegative integer")
+    _check_nonneg_int(top_index, "top_index")
     nums = list(num_params)
     if not any(abs(p + top_index) <= _NONPOS_INT_TOL for p in nums):
         raise ValueError(
             f"no numerator parameter matches -top_index = {-top_index}"
         )
-    # Cancel denominator parameters exactly equal to numerator ones.
-    dens = []
-    for d in den_params:
-        if d in nums:
-            nums.remove(d)
-        else:
-            dens.append(d)
     if top_index == 0 or arg == 0:
         return 1.0
-    acc = Accumulator(cfg.use_compensated_sum)
-    term = 1.0
-    acc.add(term)
-    for j in range(top_index):
-        numprod = 1.0
-        for p in nums:
-            numprod = numprod * (p + j)
-        if numprod == 0:
-            break
-        denprod = 1.0
-        for q in dens:
-            denprod = denprod * (q + j)
-        if denprod == 0:
-            raise DenominatorPole(
-                f"denominator factor vanishes at offset {j} in terminating sum"
-            )
-        term = term * numprod / denprod * arg / (j + 1)
-        acc.add(term)
-    return acc.value
+    return _terminating_sum(nums, den_params, arg, top_index)[0]
+
+
+# ---------------------------------------------------------------------------
+# Infinite series
+# ---------------------------------------------------------------------------
+
+
+def _sum_series(terms, rel_tol, max_terms, message, z=None, total=0.0,
+                prev_abs=math.inf):
+    """Compensated sum of ``total`` and the terms of an infinite series.
+
+    ``terms`` yields ``(term, cost)`` pairs; ``cost`` is what the term
+    adds to the reported ``terms_used`` (1 for a plain term, the inner
+    kernel's count for a term that is itself a series).  Summation ends
+    once two consecutive terms are at most ``rel_tol`` times the running
+    sum, or when ``terms`` runs out (the series ended exactly).
+
+    Returns ``(value, cost, err)``: ``cost`` sums the costs of the terms
+    taken, and ``err`` is the larger magnitude of the last two terms
+    (``prev_abs`` stands in for the term before the first), or 0.0 for a
+    series that ended exactly.  After ``max_terms`` terms raises
+    :class:`~assocpoly.errors.NotConverged` with the partial outcome and
+    ``message.format(max_terms=max_terms, z=z)``.
+    """
+    comp = 0.0
+    used = 0
+    small = 0
+    taken = 0
+    for taken, (term, cost) in zip(range(1, max_terms + 1), terms):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        used += cost
+        t_abs = abs(term)
+        if t_abs <= rel_tol * abs(total):
+            small += 1
+            if small >= 2:
+                return total, used, max(t_abs, prev_abs)
+        else:
+            small = 0
+        prev_abs = t_abs
+    if taken < max_terms:
+        return total, used, 0.0
+    raise NotConverged(
+        message.format(max_terms=max_terms, z=z),
+        outcome=EvalOutcome(total, False, used, prev_abs),
+    )
+
+
+def _coef_series(a, b, c, x, inner, cfg, name):
+    """Sum over m of ``(a)_m (b)_m / ((c)_m m!) x^m inner(m).value``.
+
+    This is the shape of the F1 and Phi1 series.  The series ends
+    exactly at a zero coefficient; each term costs the inner kernel's
+    ``terms_used``.
+    """
+
+    def terms():
+        coef = 1.0
+        m = 0
+        while coef != 0:
+            out = inner(m)
+            yield coef * out.value, out.terms_used
+            coef = coef * (a + m) * (b + m) / ((c + m) * (m + 1)) * x
+            m += 1
+
+    value, used, err = _sum_series(
+        terms(), cfg.rel_tol, cfg.max_terms,
+        name + " series did not converge in {max_terms} terms",
+    )
+    return EvalOutcome(value, True, max(used, 1), err)
 
 
 # ---------------------------------------------------------------------------
@@ -398,27 +495,20 @@ def hyp_terminating(num_params, den_params, arg, top_index, cfg=None):
 # ---------------------------------------------------------------------------
 
 
-def _series_2f1(a, b, c, z, cfg):
-    acc = Accumulator(cfg.use_compensated_sum)
+def _terms_2f1(a, b, c, z):
     term = 1.0
-    acc.add(term)
-    prev_abs = abs(term)
-    small_streak = 0
-    for n in range(cfg.max_terms):
+    for n in count():
         term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        acc.add(term)
-        t_abs = abs(term)
-        if t_abs <= cfg.rel_tol * abs(acc.value):
-            small_streak += 1
-            if small_streak >= 2:
-                return EvalOutcome(acc.value, True, n + 2, max(t_abs, prev_abs))
-        else:
-            small_streak = 0
-        prev_abs = t_abs
-    raise NotConverged(
-        f"2F1 series did not converge in {cfg.max_terms} terms at z={z!r}",
-        outcome=EvalOutcome(acc.value, False, cfg.max_terms, prev_abs),
+        yield term, 1
+
+
+def _series_2f1(a, b, c, z, cfg):
+    value, used, err = _sum_series(
+        _terms_2f1(a, b, c, z), cfg.rel_tol, cfg.max_terms,
+        "2F1 series did not converge in {max_terms} terms at z={z!r}", z,
+        1.0, 1.0,
     )
+    return EvalOutcome(value, True, used + 1, err)
 
 
 def _scaled_outcome(factor, inner):
@@ -503,7 +593,7 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
     if na is not None or nb is not None:
         degrees = [d for d in (na, nb) if d is not None]
         top = min(degrees)
-        val = hyp_terminating([a, b], [c], z, top, cfg)
+        val = hyp_terminating([a, b], [c], z, top)
         return EvalOutcome(val, True, top + 1, 0.0)
     if _nonpos_int_degree(c, _POLE_TOL) is not None:
         raise PoleArgument(f"2F1 denominator parameter c={c!r} is a gamma pole")
@@ -549,27 +639,20 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
 # ---------------------------------------------------------------------------
 
 
-def _series_1f1(a, b, z, cfg):
-    acc = Accumulator(cfg.use_compensated_sum)
+def _terms_1f1(a, b, z):
     term = 1.0
-    acc.add(term)
-    prev_abs = abs(term)
-    small_streak = 0
-    for n in range(cfg.max_terms):
+    for n in count():
         term = term * (a + n) / ((b + n) * (n + 1)) * z
-        acc.add(term)
-        t_abs = abs(term)
-        if t_abs <= cfg.rel_tol * abs(acc.value):
-            small_streak += 1
-            if small_streak >= 2:
-                return EvalOutcome(acc.value, True, n + 2, max(t_abs, prev_abs))
-        else:
-            small_streak = 0
-        prev_abs = t_abs
-    raise NotConverged(
-        f"1F1 series did not converge in {cfg.max_terms} terms at z={z!r}",
-        outcome=EvalOutcome(acc.value, False, cfg.max_terms, prev_abs),
+        yield term, 1
+
+
+def _series_1f1(a, b, z, cfg):
+    value, used, err = _sum_series(
+        _terms_1f1(a, b, z), cfg.rel_tol, cfg.max_terms,
+        "1F1 series did not converge in {max_terms} terms at z={z!r}", z,
+        1.0, 1.0,
     )
+    return EvalOutcome(value, True, used + 1, err)
 
 
 def kummer_1f1(a, b, z, cfg=None):
@@ -590,7 +673,7 @@ def kummer_1f1(a, b, z, cfg=None):
         return EvalOutcome(1.0, True, 1, 0.0)
     na = _nonpos_int_degree(a)
     if na is not None:
-        val = hyp_terminating([a], [b], z, na, cfg)
+        val = hyp_terminating([a], [b], z, na)
         return EvalOutcome(val, True, na + 1, 0.0)
     if _real(z) < 0:
         inner = _series_1f1(b - a, b, -z, cfg)
@@ -604,30 +687,10 @@ def kummer_1f1(a, b, z, cfg=None):
 
 
 def _f1_series(alpha, beta1, beta2, sigma, x, y, cfg):
-    acc = Accumulator(cfg.use_compensated_sum)
-    coef = 1.0
-    terms_total = 0
-    prev_abs = math.inf
-    small_streak = 0
-    for m in range(cfg.max_terms):
-        if coef == 0:
-            return EvalOutcome(acc.value, True, max(terms_total, 1), 0.0)
-        inner = gauss_2f1(alpha + m, beta2, sigma + m, y, cfg)
-        term = coef * inner.value
-        acc.add(term)
-        terms_total += inner.terms_used
-        t_abs = abs(term)
-        if t_abs <= cfg.rel_tol * abs(acc.value):
-            small_streak += 1
-            if small_streak >= 2:
-                return EvalOutcome(acc.value, True, terms_total, max(t_abs, prev_abs))
-        else:
-            small_streak = 0
-        prev_abs = t_abs
-        coef = coef * (alpha + m) * (beta1 + m) / ((sigma + m) * (m + 1)) * x
-    raise NotConverged(
-        f"Appell F1 series did not converge in {cfg.max_terms} terms",
-        outcome=EvalOutcome(acc.value, False, terms_total, prev_abs),
+    return _coef_series(
+        alpha, beta1, sigma, x,
+        lambda m: gauss_2f1(alpha + m, beta2, sigma + m, y, cfg), cfg,
+        "Appell F1",
     )
 
 
@@ -682,30 +745,9 @@ def humbert_phi1(alpha1, lam, alpha2, x, y, cfg=None):
         )
     if abs(x) >= 1.0:
         raise DomainError(f"Phi1 requires |x| < 1, got x={x!r}")
-    acc = Accumulator(cfg.use_compensated_sum)
-    coef = 1.0
-    terms_total = 0
-    prev_abs = math.inf
-    small_streak = 0
-    for m in range(cfg.max_terms):
-        if coef == 0:
-            return EvalOutcome(acc.value, True, max(terms_total, 1), 0.0)
-        inner = kummer_1f1(alpha1 + m, alpha2 + m, y, cfg)
-        term = coef * inner.value
-        acc.add(term)
-        terms_total += inner.terms_used
-        t_abs = abs(term)
-        if t_abs <= cfg.rel_tol * abs(acc.value):
-            small_streak += 1
-            if small_streak >= 2:
-                return EvalOutcome(acc.value, True, terms_total, max(t_abs, prev_abs))
-        else:
-            small_streak = 0
-        prev_abs = t_abs
-        coef = coef * (alpha1 + m) * (lam + m) / ((alpha2 + m) * (m + 1)) * x
-    raise NotConverged(
-        f"Phi1 series did not converge in {cfg.max_terms} terms",
-        outcome=EvalOutcome(acc.value, False, terms_total, prev_abs),
+    return _coef_series(
+        alpha1, lam, alpha2, x,
+        lambda m: kummer_1f1(alpha1 + m, alpha2 + m, y, cfg), cfg, "Phi1",
     )
 
 
@@ -804,7 +846,7 @@ def euler_integral(spec, cfg=None, max_levels=12):
     n0 = 6
     h = tmax / n0
     nodes = 0
-    total = Accumulator(cfg.use_compensated_sum)
+    total = Accumulator()
     for k in range(-n0, n0 + 1):
         total.add(_euler_node_value(spec, k * h))
         nodes += 1

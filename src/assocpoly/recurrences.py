@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ZeroA, ZeroC
+from .hyperkernel import _check_nonneg_int
 
 __all__ = [
     "MeixnerParams",
@@ -157,11 +158,6 @@ class PolySequence:
         return len(self.values)
 
 
-def _check_n_max(n_max):
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
-
-
 # When x - gamma is within this distance of a nonnegative integer, the
 # Meixner/Charlier value is a minimal (subdominant) solution of the
 # recurrence and binary64 forward recursion loses accuracy at the rate
@@ -219,7 +215,7 @@ def meixner_seq(x, params, n_max, exact_on_lattice=True):
     -------
     PolySequence
     """
-    _check_n_max(n_max)
+    _check_nonneg_int(n_max, "n_max")
     beta, c, gamma = params.beta, params.c, params.gamma
     if (
         exact_on_lattice
@@ -263,7 +259,7 @@ def charlier_seq(x, params, n_max, exact_on_lattice=True):
     -------
     PolySequence
     """
-    _check_n_max(n_max)
+    _check_nonneg_int(n_max, "n_max")
     a, gamma = params.a, params.gamma
     if (
         exact_on_lattice
@@ -299,7 +295,7 @@ def laguerre_seq(x, params, n_max):
     -------
     PolySequence
     """
-    _check_n_max(n_max)
+    _check_nonneg_int(n_max, "n_max")
     alpha, gamma = params.alpha, params.gamma
     values = [1.0]
     prev, cur = 0.0, 1.0
@@ -321,7 +317,7 @@ def meixner_pollaczek_seq(x, params, n_max):
     -------
     PolySequence
     """
-    _check_n_max(n_max)
+    _check_nonneg_int(n_max, "n_max")
     nu, phi, gamma = params.nu, params.phi, params.gamma
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     values = [1.0]

@@ -369,6 +369,16 @@ def test_degenerate_reduction_chain_requires_unit_disk():
         c1_reduction_identity(1.5, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("t,max_terms", [(0.97, 400), (0.2, 3)])
+def test_degenerate_reduction_chain_raises_when_terms_run_out(t, max_terms):
+    # The partial sum was once reported as a failed identity (rel
+    # discrepancy 5.7e94 at t = 0.97, 0.036 at t = 0.2 with 3 terms).
+    with pytest.raises(NotConverged) as info:
+        c1_reduction_identity(2.5, 0.7, t, max_terms=max_terms)
+    assert info.value.outcome.terms_used == max_terms
+    assert not info.value.outcome.converged
+
+
 def test_laguerre_diag_derivative_link():
     report = laguerre_diag_derivative_check()
     assert report.passed

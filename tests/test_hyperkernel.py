@@ -7,7 +7,9 @@ double sum, Euler integrals via ``mpmath.quad``) or follow from exact
 closed forms (Chu-Vandermonde, Gauss summation, binomial cases).
 """
 
+import cmath
 import math
+import random
 
 import pytest
 import scipy.special
@@ -19,6 +21,7 @@ from assocpoly import (
     DomainError,
     EulerIntegrand,
     IllConditioned,
+    NotConverged,
     PoleArgument,
     SeriesConfig,
     SingularIntegrand,
@@ -431,3 +434,133 @@ def test_eval_outcome_error_estimate_honours_tolerance():
     assert out.converged
     assert out.err_estimate <= 1e-12 * abs(out.value) * 10.0
     assert out.terms_used <= cfg.max_terms
+
+
+# ---------------------------------------------------------------------------
+# Bit pinning of the series kernels
+# ---------------------------------------------------------------------------
+
+
+def _pinned_cases():
+    """Seeded real and complex kernel calls, as ``(kernel, args)`` pairs."""
+    rng = random.Random(6)
+    u = rng.uniform
+
+    def w(r):
+        return cmath.rect(r, u(-3.0, 3.0))
+
+    cases = []
+    for _ in range(3):
+        a, b, c = u(-1.5, 2.5), complex(u(-1.5, 2.5), u(-1.0, 1.0)), u(0.3, 3.0)
+        for z in (u(-0.5, 0.5), u(0.55, 0.95), u(-6.0, -2.5), w(u(0.1, 0.9))):
+            cases.append((gauss_2f1, (a, b.real, c, z)))
+            cases.append((gauss_2f1, (a, b, c, z)))
+    for _ in range(3):
+        a, b = u(-2.5, 2.5), u(0.2, 3.0)
+        for z in (u(0.1, 4.0), u(-6.0, -0.1), w(u(0.5, 5.0))):
+            cases.append((kummer_1f1, (a, b, z)))
+            cases.append((kummer_1f1, (complex(a, u(-1.0, 1.0)), b, z)))
+    for _ in range(3):
+        al, b1, b2, s = u(0.2, 2.0), u(-1.5, 1.5), u(-1.5, 1.5), u(0.5, 3.0)
+        for x, y in ((u(-0.6, 0.6), u(-0.6, 0.6)),
+                     (w(u(0.1, 0.6)), w(u(0.1, 0.6))),
+                     (u(-2.5, -1.2), u(-0.9, 0.4))):
+            cases.append((appell_f1, (al, b1, b2, s, x, y)))
+    for _ in range(3):
+        a1, lam, a2 = u(0.2, 2.0), u(-1.5, 2.0), u(0.5, 3.0)
+        for x, y in ((u(-0.7, 0.7), u(-3.0, 3.0)),
+                     (w(u(0.1, 0.7)), w(u(0.3, 3.0)))):
+            cases.append((humbert_phi1, (a1, lam, a2, x, y)))
+    # F1 and Phi1 series that end exactly at a zero coefficient.
+    cases += [(appell_f1, (1.0, -2.0, 0.7, 1.3, 0.4, 0.3)),
+              (humbert_phi1, (0.8, -1.0, 1.6, 0.5, -1.2))]
+    # Four series cut off by the term cap; F1 and Phi1 at y = 0 so that
+    # their own loop, not an inner one, runs out.
+    short = SeriesConfig(max_terms=4)
+    cases += [(gauss_2f1, (0.3, 1.7, 2.2, 0.4, short)),
+              (kummer_1f1, (0.6, 1.9, -2.0, short)),
+              (appell_f1, (1.0, 0.5, 0.7, 1.3, 0.6, 0.0, short)),
+              (humbert_phi1, (0.8, 1.1, 1.6, 0.5, 0.0, short))]
+    return cases
+
+
+# repr((status, value, terms_used, err_estimate)) of each pinned case,
+# where status is "ok" or the NotConverged message.
+_PINNED = [
+    "('ok', 0.27497992660778264, 60, 1.4689138266332248e-15)",
+    "('ok', (0.27491866518776925+0.007076882001418876j), 60, 1.469391907264532e-15)",
+    "('ok', 90.14217118964514, 176, 7.773268310751398e-13)",
+    "('ok', (89.98038042855426-5.521416068174113j), 176, 7.775837116242675e-13)",
+    "('ok', -0.018571692638919404, 38, 1.4348665964978605e-15)",
+    "('ok', (-0.018615811360680606+0.000634889398882444j), 38, 1.4012943095457289e-15)",
+    "('ok', (-1.706115318666105-2.7213733939161j), 113, 2.47826661656109e-14)",
+    "('ok', (-1.711021265804941-2.6096430134980833j), 113, 2.479082046646981e-14)",
+    "('ok', 1.0240228556528537, 13, 4.076154909123583e-15)",
+    "('ok', (1.0233125621653725-0.03591534456550598j), 14, 8.55956779485957e-16)",
+    "('ok', 0.7177964122415779, 86, 5.520926111043545e-15)",
+    "('ok', (0.6210044055124843+0.31434477291202867j), 89, 6.808651562404718e-15)",
+    "('ok', 1.6561338770470124, 50, 1.7022924870112657e-14)",
+    "('ok', (1.186040425398099-1.1198154758383683j), 48, 5.8287781681418574e-15)",
+    "('ok', (0.9275206338047368-0.02596845497145161j), 21, 3.524923209606937e-15)",
+    "('ok', (0.887161478403762+0.07219615037621534j), 22, 2.370030795169097e-15)",
+    "('ok', 0.8673126309305192, 26, 6.51639234884354e-15)",
+    "('ok', (0.8490462956954087+0.16846328357716708j), 27, 6.0694359423577934e-15)",
+    "('ok', 0.6980514079852649, 65, 5.8305698102881374e-15)",
+    "('ok', (0.6058950728485129+0.3199281604236147j), 68, 5.022471295634026e-15)",
+    "('ok', 2.09823078811849, 40, 3.621857706342152e-15)",
+    "('ok', (1.0516304385727415-1.785117845473959j), 39, 1.0835192475039635e-14)",
+    "('ok', (1.0945121207959216-0.22182918851324024j), 79, 8.441600121046204e-15)",
+    "('ok', (0.7941835486823757-0.2890477022536879j), 83, 6.766303314162757e-15)",
+    "('ok', 0.34742283494615606, 18, 2.7815462004924696e-16)",
+    "('ok', (0.3244445251449649+0.3847123603151405j), 18, 3.447776940173481e-16)",
+    "('ok', 1.8559727624864426, 25, 1.937847047648533e-15)",
+    "('ok', (1.1086789060638373+2.072911660293712j), 25, 2.832638395210428e-15)",
+    "('ok', (1.7188706570471624-0.223103199720442j), 23, 3.4761327697489638e-15)",
+    "('ok', (1.2814800752531776-1.0373153947522984j), 23, 3.906143714991707e-15)",
+    "('ok', -0.10301166563870216, 26, 2.6037903046853903e-16)",
+    "('ok', (-0.39522494447425444+0.4621243439783658j), 26, 9.453933549406423e-16)",
+    "('ok', 1.667292392276342, 27, 1.0632119172431174e-14)",
+    "('ok', (1.3584865627046103-1.0656328181189074j), 27, 1.2119727281368947e-14)",
+    "('ok', (0.793301995359449-0.8358158768076316j), 24, 3.1237585077746466e-15)",
+    "('ok', (2.3208657586834445-1.8304286226192499j), 24, 2.625428203738071e-14)",
+    "('ok', 0.4888989698003415, 18, 4.764560500392165e-16)",
+    "('ok', (0.4884663970932759+0.030783650498441055j), 18, 4.848062936166608e-16)",
+    "('ok', 1.8306345017337262, 26, 3.728066415239098e-15)",
+    "('ok', (1.5470572416259427+1.1091695911588837j), 26, 4.223421768988414e-15)",
+    "('ok', (1.2176986075495648-0.23716002172717476j), 19, 1.4437870364917964e-15)",
+    "('ok', (1.0916271790268612-0.33099520270168153j), 19, 1.4761440946930903e-15)",
+    "('ok', 1.2501502214315625, 825, 4.373943476008971e-15)",
+    "('ok', (1.3785420816429783+0.08335055145741366j), 1178, 8.224477191013497e-15)",
+    "('ok', 2.5677507344498394, 1337, 1.7170756370634013e-14)",
+    "('ok', 0.90822386408007, 1742, 7.67107433971029e-15)",
+    "('ok', (0.8132893059582558+0.13534887540384627j), 555, 6.187275479220146e-15)",
+    "('ok', 1.7921150580840268, 933, 1.445189461971962e-14)",
+    "('ok', 1.1332415598378112, 468, 1.954787417452595e-15)",
+    "('ok', (1.744471140097817+0.37064734635174573j), 1354, 9.071900973238468e-15)",
+    "('ok', 0.30599582631658145, 2338, 2.0297102082419962e-15)",
+    "('ok', 0.14974001417660904, 455, 7.392344302839693e-16)",
+    "('ok', (0.9857883877872807-3.1215235317912136j), 345, 5.759220781568494e-15)",
+    "('ok', 0.882655520813503, 281, 2.901838789494819e-15)",
+    "('ok', (1.3148645671596186-0.04339464100916986j), 808, 8.26671607816751e-15)",
+    "('ok', 5.276085136208872, 396, 1.638354336344344e-14)",
+    "('ok', (0.1476102388376288+0.11559623682278235j), 357, 9.027238721861786e-16)",
+    "('ok', 0.5805345438288483, 81, 0.0)",
+    "('ok', 0.47358552018833594, 37, 0.0)",
+    "('2F1 series did not converge in 4 terms at z=0.4', 1.1202040621185065, 4, 0.001639162767857143)",
+    "('1F1 series did not converge in 4 terms at z=2.0', 4.3345679469609975, 4, 0.2686272331073989)",
+    "('Appell F1 series did not converge in 4 terms', 1.3621161447248402, 4, 0.041045910611128)",
+    "('Phi1 series did not converge in 4 terms', 1.4151177884615385, 4, 0.040165865384615376)",
+]
+
+
+def test_series_kernels_are_bit_pinned():
+    got = []
+    for kernel, args in _pinned_cases():
+        try:
+            out = kernel(*args)
+            status = "ok"
+        except NotConverged as exc:
+            out = exc.outcome
+            status = str(exc)
+        got.append(repr((status, out.value, out.terms_used, out.err_estimate)))
+    assert got == _PINNED
