@@ -19,13 +19,17 @@ Two robustness policies apply throughout:
   condition estimate (largest intermediate magnitude over the final
   sum).  When cancellation would destroy more digits than the target
   accuracy allows and all inputs are real, the same sum is re-evaluated
-  exactly, which is possible because every term of these sums is
-  rational in the parameters.  The exact engine works on plain
-  integers: each input becomes a numerator/denominator pair once, each
-  inner terminating sum is folded backwards (Horner) as one unreduced
-  integer fraction and reduced once into a :class:`fractions.Fraction`,
-  and only the at most n + 1 outer steps use Fraction arithmetic.  The
-  result is the same rational the sum denotes, rounded to binary64 once.
+  from the rationals the inputs denote, which is possible because every
+  term of these sums is rational in the parameters.  The re-evaluation
+  is certified fixed point (a Ziv loop): the sum runs on plain integers
+  at scale 2**p beside a rigorous integer bound on its error, and is
+  accepted once both ends of that interval round to the same double,
+  which is then the exact value correctly rounded; otherwise p doubles.
+  After three passes (always for an exact zero), or once an end of the
+  interval lies beyond the binary64 range, the sum is done in exact
+  rationals instead, each inner terminating sum folded backwards
+  as one unreduced integer fraction.  Either way the result is the
+  rational the sum denotes, rounded to binary64 once.
 
 The module also carries the finite-sum hypergeometric identities that
 underpin the quadratic representation, as report-producing checkers.
@@ -102,10 +106,6 @@ def _near_int_in_range(w, lo, hi, tol=_INT_TOL):
     return int(r)
 
 
-def _factorial(n):
-    return math.factorial(n)
-
-
 def _exactable(*vals):
     return all(
         isinstance(v, (int, Fraction))
@@ -115,20 +115,34 @@ def _exactable(*vals):
 
 
 # ---------------------------------------------------------------------------
-# Summation engines: binary64 with condition tracking, and the exact
-# integer engine the ill-conditioned sums are re-summed with
+# Summation engines: binary64 with condition tracking, certified fixed
+# point for the ill-conditioned sums, and exact rationals as its fallback
 # ---------------------------------------------------------------------------
+#
+# A double sum is ``(n, outer_nums, outer_dens, outer_scale, inner)``.
+# Its outer coefficients are ``coef_0 = 1`` and ``coef_{k+1}/coef_k =
+# outer_scale * prod(outer_nums + k) / prod(outer_dens + k)``.  ``inner =
+# (nums, dens, arg, top)`` states the inner terminating sum at every
+# outer step k at once: each parameter ``(b, s, o)`` is ``b + s*k + o``
+# with integers s and o (o is added last, so that a binary64 parameter
+# rounds as its formula is written), the argument is ``arg`` and the
+# last index is ``top(k)``.
+
+# Fixed-point passes before the certified engine falls back to exact
+# rationals; each doubles the precision of the one before.
+_ZIV_ROUNDS = 3
+# Cap on the condition estimate that sizes the first pass; the estimate
+# is infinite when the binary64 sum is 0.
+_PREC_COND_CAP = 2.0**64
 
 
-def _double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker):
+def _double_sum(n, outer_nums, outer_dens, outer_scale, inner):
     """sum_k coef_k * inner_k in compensated binary64, with a condition estimate.
 
-    ``coef_{k+1}/coef_k = outer_scale * prod(outer_nums + k) /
-    prod(outer_dens + k)``; ``inner_maker(k)`` returns the
-    ``(nums, dens, arg, top)`` of the inner terminating sum at k.
     Returns ``(value, condition_estimate)`` where the condition is the
     peak intermediate magnitude over the final magnitude.
     """
+    nums, dens, arg, top = inner
     one = outer_scale * 0 + 1
     total = comp = 0.0
     coef = one
@@ -136,12 +150,14 @@ def _double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker):
     for k in range(n + 1):
         if coef == 0:
             break
-        inner, ipeak = _terminating_sum(*inner_maker(k))
-        y = coef * inner - comp
+        inner_k, ipeak = _terminating_sum([b + s * k + o for b, s, o in nums],
+                                          [b + s * k + o for b, s, o in dens],
+                                          arg, top(k))
+        y = coef * inner_k - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        peak = max(peak, abs(coef) * max(ipeak, abs(inner)))
+        peak = max(peak, abs(coef) * max(ipeak, abs(inner_k)))
         ratio = outer_scale
         for p in outer_nums:
             ratio = ratio * (p + k)
@@ -162,8 +178,7 @@ def _exact_hyp(nums, dens, arg, top):
     ``1 + r_0 (1 + r_1 (1 + ...))`` is folded backwards as one unreduced
     integer fraction ``N/D``, and reduced once at the end.
     """
-    nums, dens = _cancel([(p.numerator, p.denominator) for p in nums],
-                         [(q.numerator, q.denominator) for q in dens])
+    nums, dens = _cancel(_pairs(nums), _pairs(dens))
     an, ad = arg.numerator, arg.denominator
     for _, v in nums:
         ad *= v
@@ -188,18 +203,21 @@ def _exact_hyp(nums, dens, arg, top):
     return Fraction(num, den)
 
 
-def _exact_double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker):
+def _exact_double_sum(n, outer_nums, outer_dens, outer_scale, inner):
     """The double sum of :func:`_double_sum` in exact rationals.
 
     Takes the same arguments, with every parameter an int or a
     Fraction, and returns the Fraction value.
     """
+    nums, dens, arg, top = inner
     total = 0
     coef = Fraction(1)
     for k in range(n + 1):
         if coef == 0:
             break
-        total += coef * _exact_hyp(*inner_maker(k))
+        total += coef * _exact_hyp([b + s * k + o for b, s, o in nums],
+                                   [b + s * k + o for b, s, o in dens],
+                                   arg, top(k))
         ratio = outer_scale
         for p in outer_nums:
             ratio = ratio * (p + k)
@@ -209,113 +227,213 @@ def _exact_double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker):
     return total
 
 
+def _pairs(values):
+    """Each rational as its (numerator, denominator) in lowest terms."""
+    return [(w.numerator, w.denominator) for w in values]
+
+
+def _triples(params):
+    """Inner parameters ``(b, s, o)`` as ``(u, v, s v)`` with ``u/v = b + o``."""
+    return [(b.numerator + o * b.denominator, b.denominator, s * b.denominator)
+            for b, s, o in params]
+
+
+def _fixed_point_sum(prec, n, outer_nums, outer_dens, sn, sd, nums, dens,
+                     an, ad, top):
+    """One fixed-point pass of an exact double sum at scale ``2**prec``.
+
+    Returns integers ``(t, e)`` with ``|t - 2**prec * S| <= e`` for the
+    exact value S.  Outer parameters are pairs ``(u, v)``, worth ``(u +
+    k v)/v`` at step k; inner parameters are triples ``(u, v, s v)``,
+    worth ``(u + k s v)/v`` at step k, which is in lowest terms whenever
+    ``u/v`` is, so equal parameters cancel exactly as in
+    :func:`_exact_hyp`.  Raises what :func:`_exact_double_sum` raises.
+    """
+    for _, v in outer_dens:
+        sn *= v
+    for _, v in outer_nums:
+        sd *= v
+    # Every scaled quantity x carries a bound ex on its distance from
+    # 2**prec times its exact value; one line per operation:
+    #   x = 1 << prec          exact:                    ex = 0
+    #   a, b = integer products exact:                   no error
+    #   y = x * a // b         the error scales by |a/b| and the floor
+    #                          division adds at most 1:  ey = ceil(ex |a/b|) + 1
+    #   t = sum of terms       exact:                    e = sum of their bounds
+    coef, ecoef = 1 << prec, 0
+    total = err = 0
+    for k in range(n + 1):
+        knums, kdens = _cancel([(u + k * sv, v) for u, v, sv in nums],
+                               [(u + k * sv, v) for u, v, sv in dens])
+        a0, b0 = an, ad
+        for _, v in knums:
+            b0 *= v
+        for _, v in kdens:
+            a0 *= v
+        term, e = coef, ecoef
+        total += term
+        err += e
+        for j in range(top(k)):
+            a = 1
+            for u, v in knums:
+                a *= u + j * v
+            if a == 0:
+                break
+            b = j + 1
+            for u, v in kdens:
+                b *= u + j * v
+            if b == 0:
+                raise _pole(j)
+            a *= a0
+            b *= b0
+            if b < 0:
+                a, b = -a, -b
+            term = term * a // b
+            # With b > 0, -(-e |a| // b) is ceil(e |a| / b).
+            e = 1 - -e * (a if a > 0 else -a) // b
+            total += term
+            err += e
+        a, b = sn, sd
+        for u, v in outer_nums:
+            a *= u + k * v
+        for u, v in outer_dens:
+            b *= u + k * v
+        if b == 0:
+            raise ZeroDivisionError(
+                f"outer denominator factor vanishes at step {k}")
+        if a == 0:
+            break
+        if b < 0:
+            a, b = -a, -b
+        coef = coef * a // b
+        ecoef = 1 - -ecoef * (a if a > 0 else -a) // b
+    return total, err
+
+
+def _certified_double_sum(n, outer_nums, outer_dens, outer_scale, inner, prec):
+    """``float(_exact_double_sum(...))``, certified in fixed point (a Ziv loop).
+
+    Takes the arguments of :func:`_exact_double_sum` and the precision
+    of the first pass.  A pass at scale ``2**prec`` gives ``t`` and a
+    bound ``e`` with the exact value in ``[(t - e)/2**prec, (t + e)/2**
+    prec]``; when both ends have the same strict sign and round to the
+    same double (int/int division is correctly rounded), that double is
+    the exact value rounded.  Otherwise the precision doubles, and after
+    ``_ZIV_ROUNDS`` passes, or an end beyond the binary64 range, the sum
+    is re-done in exact rationals.  An exact zero always falls back.
+    """
+    nums, dens, arg, top = inner
+    ints = (n, _pairs(outer_nums), _pairs(outer_dens),
+            outer_scale.numerator, outer_scale.denominator,
+            _triples(nums), _triples(dens), arg.numerator, arg.denominator,
+            top)
+    for _ in range(_ZIV_ROUNDS):
+        t, e = _fixed_point_sum(prec, *ints)
+        if t - e > 0 or t + e < 0:
+            scale = 1 << prec
+            try:
+                lo, hi = (t - e) / scale, (t + e) / scale
+            except OverflowError:
+                break
+            if lo == hi:
+                return lo
+        prec *= 2
+    return float(_exact_double_sum(n, outer_nums, outer_dens, outer_scale, inner))
+
+
 def _resum(terms, n, inputs):
     """Binary64 value of the double sum ``terms(n, *inputs)``.
 
-    ``terms`` builds the arguments of :func:`_double_sum` from the
-    inputs in whichever field they live.  When the condition estimate
-    exceeds ``_ESCALATE_COND`` and every input is a finite real, the sum
-    is re-evaluated exactly from the rationals the inputs denote and
-    rounded once.
+    ``terms`` builds the double sum from the inputs in whichever field
+    they live.  When the condition estimate exceeds ``_ESCALATE_COND``
+    and every input is a finite real, the sum is re-evaluated from the
+    rationals the inputs denote by :func:`_certified_double_sum`, which
+    returns the exact value rounded once.  Its first pass keeps 64 bits
+    below the leading bit of the binary64 estimate, plus the bits the
+    condition estimate says cancellation may have cost, plus 16.
     """
     total, cond = _double_sum(*terms(n, *inputs))
     if cond > _ESCALATE_COND and _exactable(*inputs):
-        total = float(_exact_double_sum(*terms(n, *map(Fraction, inputs))))
+        prec = (80 - math.frexp(total)[1]
+                + math.ceil(math.log2(min(cond, _PREC_COND_CAP))))
+        total = _certified_double_sum(*terms(n, *map(Fraction, inputs)),
+                                      max(prec, 16))
     return total
 
 
-# The double sums of the routes below, as ``(n, outer_nums, outer_dens,
-# outer_scale, inner_maker)``; every parameter is built from the inputs
-# by field operations, so the same function serves both engines.  A
-# single terminating sum is the k = 0 term of a double sum of degree 0.
+# The double sums of the routes below; every parameter is built from the
+# inputs by field operations, so the same function serves every engine.
+# A single terminating sum is the k = 0 term of a double sum of degree 0.
 
 
 def _meixner_4f3_terms(n, x, beta, c, gamma):
     gb = gamma + beta
     gbx = gb + x
     one = (gb * 0) + 1
-
-    def inner_maker(k):
-        return ([k - n, gbx + k, gb - 1, gamma], [gbx, gb + k, gamma + 1 + k],
-                one, n - k)
-
-    return n, [-n, gbx], [gamma + 1, gb], one - c, inner_maker
+    inner = ([(-n, 1, 0), (gbx, 1, 0), (gb - 1, 0, 0), (gamma, 0, 0)],
+             [(gbx, 0, 0), (gb, 1, 0), (gamma + 1, 1, 0)], one, lambda k: n - k)
+    return n, [-n, gbx], [gamma + 1, gb], one - c, inner
 
 
 def _meixner_4f3_alt_terms(n, x, beta, c, gamma):
     gb = gamma + beta
     gx = gamma - x
     one = (gb * 0) + 1
-
-    def inner_maker(k):
-        return ([k - n, gx + k, gb - 1, gamma], [gx, gb + k, gamma + 1 + k],
-                one, n - k)
-
-    return n, [-n, gx], [gamma + 1, gb], (c - 1) / c, inner_maker
+    inner = ([(-n, 1, 0), (gx, 1, 0), (gb - 1, 0, 0), (gamma, 0, 0)],
+             [(gx, 0, 0), (gb, 1, 0), (gamma + 1, 1, 0)], one, lambda k: n - k)
+    return n, [-n, gx], [gamma + 1, gb], (c - 1) / c, inner
 
 
 def _charlier_terms(n, x, a, gamma):
     gx = gamma - x
     one = (gamma * 0) + 1
-
-    def inner_maker(k):
-        return [k - n, gx + k, gamma], [gx, gamma + k + 1], one, n - k
-
-    return n, [-n, gx], [gamma + 1], -(one / a), inner_maker
+    inner = ([(-n, 1, 0), (gx, 1, 0), (gamma, 0, 0)],
+             [(gx, 0, 0), (gamma, 1, 1)], one, lambda k: n - k)
+    return n, [-n, gx], [gamma + 1], -(one / a), inner
 
 
 def _charlier_transformed_terms(n, x, a, gamma):
     gx = gamma - x
     one = (gamma * 0) + 1
-
-    def inner_maker(k):
-        return [-k, gamma, k - n], [-n, gx], one, min(k, n - k)
-
-    return n, [-n, gx], [1], -(one / a), inner_maker
+    inner = ([(0, -1, 0), (gamma, 0, 0), (-n, 1, 0)],
+             [(-n, 0, 0), (gx, 0, 0)], one, lambda k: min(k, n - k))
+    return n, [-n, gx], [1], -(one / a), inner
 
 
 def _laguerre_terms(n, x, alpha, gamma):
     ga = gamma + alpha
     one = (gamma * 0) + 1
-
-    def inner_maker(k):
-        return [k - n, ga, gamma], [ga + k + 1, gamma + 1 + k], one, n - k
-
-    return n, [-n], [gamma + 1, ga + 1], x, inner_maker
+    inner = ([(-n, 1, 0), (ga, 0, 0), (gamma, 0, 0)],
+             [(ga, 1, 1), (gamma + 1, 1, 0)], one, lambda k: n - k)
+    return n, [-n], [gamma + 1, ga + 1], x, inner
 
 
 def _laguerre_rahman_terms(n, x, alpha, gamma):
     one = (gamma * 0) + 1
-
-    def inner_maker(k):
-        return ([k - n, 1 - alpha + k, gamma], [-alpha - n, gamma + k + 1],
-                one, n - k)
-
-    return n, [-n], [gamma + 1, alpha + 1], x, inner_maker
+    inner = ([(-n, 1, 0), (1 - alpha, 1, 0), (gamma, 0, 0)],
+             [(-alpha - n, 0, 0), (gamma, 1, 1)], one, lambda k: n - k)
+    return n, [-n], [gamma + 1, alpha + 1], x, inner
 
 
 def _finite_4f3_terms(n, a, b, t, y):
     one = (a * 0) + 1
-
-    def inner_maker(k):
-        return ([k - n, a + y + k, a, b], [a + y, b + 1 + k, a + 1 + k],
-                one, n - k)
-
-    return n, [-n, a + y], [a + 1, b + 1], t, inner_maker
+    inner = ([(-n, 1, 0), (a + y, 1, 0), (a, 0, 0), (b, 0, 0)],
+             [(a + y, 0, 0), (b + 1, 1, 0), (a + 1, 1, 0)], one, lambda k: n - k)
+    return n, [-n, a + y], [a + 1, b + 1], t, inner
 
 
 def _t_powered_terms(n, a, b, t):
     one = (a * 0) + 1
-
-    def inner_maker(k):
-        return [k - n, a, b], [a + 1, b + 1 + k], one, n - k
-
-    return n, [-n], [b + 1], t, inner_maker
+    inner = ([(-n, 1, 0), (a, 0, 0), (b, 0, 0)],
+             [(a + 1, 0, 0), (b + 1, 1, 0)], one, lambda k: n - k)
+    return n, [-n], [b + 1], t, inner
 
 
 def _m_generalized_terms(n, a, b, m):
     one = (a * 0) + 1
-    return 0, [], [], one, lambda k: ([-n, a, b], [a + m, b + 1], one, n)
+    inner = ([(-n, 0, 0), (a, 0, 0), (b, 0, 0)],
+             [(a + m, 0, 0), (b + 1, 0, 0)], one, lambda k: n)
+    return 0, [], [], one, inner
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +478,7 @@ def meixner_4f3(x, params, n):
     total = _resum(_meixner_4f3_terms, n, (x, beta, c, gamma))
     pref = (
         c ** (-n) * pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n)
-        / _factorial(n)
+        / math.factorial(n)
     )
     return pref * total
 
@@ -393,7 +511,7 @@ def meixner_4f3_alt(x, params, n):
         )
     total = _resum(_meixner_4f3_alt_terms, n, (x, beta, c, gamma))
     pref = (
-        pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n) / _factorial(n)
+        pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n) / math.factorial(n)
     )
     return pref * total
 
@@ -569,7 +687,7 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY):
                 f"for degree {n}"
             )
         total = _resum(_charlier_terms, n, (x, a, gamma))
-        return pochhammer(gamma + 1.0, n) / _factorial(n) * total
+        return pochhammer(gamma + 1.0, n) / math.factorial(n) * total
     upper = max(0, n // 2 - 1)
     if _near_int_in_range(x - gamma, 0, upper) is not None:
         raise DenominatorPole(
@@ -621,14 +739,14 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY):
                 f"factor vanish for degree {n}"
             )
         total = _resum(_laguerre_terms, n, (x, alpha, gamma))
-        return pochhammer(gamma + alpha + 1.0, n) / _factorial(n) * total
+        return pochhammer(gamma + alpha + 1.0, n) / math.factorial(n) * total
     if abs(alpha - round(alpha)) < _INT_TOL:
         raise RestrictedParameter(
             f"the second Laguerre 3F2 form requires non-integer alpha, "
             f"got alpha={alpha!r}"
         )
     total = _resum(_laguerre_rahman_terms, n, (x, alpha, gamma))
-    return pochhammer(alpha + 1.0, n) / _factorial(n) * total
+    return pochhammer(alpha + 1.0, n) / math.factorial(n) * total
 
 
 def laguerre_classical(x, alpha, n):
@@ -636,7 +754,7 @@ def laguerre_classical(x, alpha, n):
     _check_nonneg_int(n, "n")
     return (
         pochhammer(alpha + 1.0, n)
-        / _factorial(n)
+        / math.factorial(n)
         * hyp_terminating([-n], [alpha + 1.0], x, n)
     )
 
@@ -705,7 +823,7 @@ def identity_4f3_finite_sum(n, a, b, t, y, rel_tol=1e-9, cfg=None):
 
     lhs = _resum(_finite_4f3_terms, n, (a, b, t, y))
     rhs = (
-        _factorial(n)
+        math.factorial(n)
         / (b - a)
         * (
             b
@@ -745,7 +863,7 @@ def identity_3f2_pochhammer(n, a, b, rel_tol=1e-10, cfg=None):
             )
     lhs = _resum(_m_generalized_terms, n, (a, b, 1))
     rhs = (
-        _factorial(n)
+        math.factorial(n)
         / (b - a)
         * (b / pochhammer(a + 1.0, n) - a / pochhammer(b + 1.0, n))
     )
@@ -783,7 +901,7 @@ def identity_3f2_t_powered(n, a, b, t, rel_tol=1e-9, cfg=None):
             )
     lhs = _resum(_t_powered_terms, n, (a, b, t))
     rhs = (
-        _factorial(n)
+        math.factorial(n)
         / (b - a)
         * (
             b
@@ -840,7 +958,7 @@ def identity_3f2_m_generalized(n, a, b, m, rel_tol=1e-9, cfg=None):
     rhs = (
         pochhammer(a, m)
         / pochhammer(a - b, m)
-        * (_factorial(n) / pochhammer(1.0 + b, n) - (b / a) * tail.value)
+        * (math.factorial(n) / pochhammer(1.0 + b, n) - (b / a) * tail.value)
     )
     point = {"n": n, "a": a, "b": b, "m": m}
     return make_report("3f2-m-generalized", point, lhs, rhs, rel_tol)

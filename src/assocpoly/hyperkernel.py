@@ -660,7 +660,10 @@ def kummer_1f1(a, b, z, cfg=None):
 
     Uses the direct series for ``Re(z) >= 0`` and the Kummer
     transformation ``exp(z) 1F1(b-a; b; -z)`` otherwise, so the summed
-    series always has a nonnegative-real argument.
+    series always has a nonnegative-real argument.  Only an ``a`` that
+    is exactly a nonpositive integer gives the terminating polynomial:
+    one merely near it still has a tail of terms about ``|a + m|``
+    times the last retained one.
 
     Returns
     -------
@@ -671,7 +674,7 @@ def kummer_1f1(a, b, z, cfg=None):
         raise PoleArgument(f"1F1 denominator parameter b={b!r} is a gamma pole")
     if z == 0:
         return EvalOutcome(1.0, True, 1, 0.0)
-    na = _nonpos_int_degree(a)
+    na = _nonpos_int_degree(a, 0.0)
     if na is not None:
         val = hyp_terminating([a], [b], z, na)
         return EvalOutcome(val, True, na + 1, 0.0)

@@ -422,13 +422,16 @@ def fraction_hyp(nums, dens, arg, top):
     return total
 
 
-def fraction_double_sum(n, outer_nums, outer_dens, outer_scale, inner_maker):
+def fraction_double_sum(n, outer_nums, outer_dens, outer_scale, inner):
     """Reference double sum, term by term in Fraction arithmetic."""
+    nums, dens, arg, top = inner
     total, coef = Fraction(0), Fraction(1)
     for k in range(n + 1):
         if coef == 0:
             break
-        total += coef * fraction_hyp(*inner_maker(k))
+        total += coef * fraction_hyp([b + s * k + o for b, s, o in nums],
+                                     [b + s * k + o for b, s, o in dens],
+                                     arg, top(k))
         coef = coef * outer_scale * math.prod(p + k for p in outer_nums)
         for q in outer_dens:
             coef = coef / (q + k)
@@ -479,7 +482,9 @@ def test_exact_engine_terminates_early():
 
 def single_sum(nums, dens, top):
     """A lone terminating sum at argument 1, as a double sum of degree 0."""
-    return 0, [], [], Fraction(1), lambda k: (nums, dens, Fraction(1), top)
+    return 0, [], [], Fraction(1), ([(p, 0, 0) for p in nums],
+                                     [(q, 0, 0) for q in dens],
+                                     Fraction(1), lambda k: top)
 
 
 @pytest.mark.parametrize(
@@ -499,6 +504,15 @@ def test_exact_engine_cancellation_and_termination(nums, dens, expected):
     value, _ = closedforms._double_sum(*single_sum(
         [float(p) for p in nums], [float(q) for q in dens], 5))
     assert value == float(expected)
+    # The certified engine: an exact zero straddles 0 at every precision,
+    # so it runs every pass and the exact engine decides (a positive zero).
+    value, passes = certified(spec, 64)
+    assert repr(value) == repr(float(expected))
+    assert len(passes) == (closedforms._ZIV_ROUNDS if expected == 0 else 1)
+    # From 2**1200 on, both ends of a zero's interval round to zeros of
+    # opposite sign, which compare equal: only the sign check refuses.
+    value, _ = certified(spec, 1200)
+    assert repr(value) == repr(float(expected))
 
 
 def test_exact_engine_cancels_only_equal_parameters():
@@ -507,6 +521,8 @@ def test_exact_engine_cancels_only_equal_parameters():
                       [Fraction(-1)], 5)
     with pytest.raises(DenominatorPole, match="at offset 1 "):
         closedforms._exact_double_sum(*spec)
+    with pytest.raises(DenominatorPole, match="at offset 1 "):
+        closedforms._certified_double_sum(*spec, 64)
 
 
 def test_exact_engine_raises_denominator_pole_at_same_offset():
@@ -516,30 +532,107 @@ def test_exact_engine_raises_denominator_pole_at_same_offset():
         fraction_double_sum(*spec)
     with pytest.raises(DenominatorPole, match="at offset 1 "):
         closedforms._exact_double_sum(*spec)
+    with pytest.raises(DenominatorPole, match="at offset 1 "):
+        closedforms._certified_double_sum(*spec, 64)
 
 
 def test_exact_engine_outer_zero_divisor_raises():
-    spec = (3, [], [Fraction(-1)], Fraction(1), lambda k: ([], [], Fraction(1), 0))
+    spec = (3, [], [Fraction(-1)], Fraction(1), ([], [], Fraction(1), lambda k: 0))
     with pytest.raises(ZeroDivisionError):
         fraction_double_sum(*spec)
     with pytest.raises(ZeroDivisionError):
         closedforms._exact_double_sum(*spec)
+    with pytest.raises(ZeroDivisionError):
+        closedforms._certified_double_sum(*spec, 64)
 
 
 def test_escalated_routes_round_the_exact_rational(monkeypatch):
-    engine = closedforms._exact_double_sum
+    engine = closedforms._certified_double_sum
     checked = []
 
-    def reference_checked(*spec):
-        value = engine(*spec)
-        assert value == fraction_double_sum(*spec)
+    def reference_checked(*args):
+        value = engine(*args)
+        assert value == float(fraction_double_sum(*args[:5]))
         checked.append(value)
         return value
 
-    monkeypatch.setattr(closedforms, "_exact_double_sum", reference_checked)
+    monkeypatch.setattr(closedforms, "_certified_double_sum", reference_checked)
     params = MeixnerParams(1.5, 0.4, 0.0)
     assert rel(meixner_4f3(3.0, params, 25), meixner_seq(3.0, params, 25)[25]) < 1e-9
     report = identity_3f2_pochhammer(20, 1.5, 0.75)
     assert report.passed
-    assert report.lhs == float(checked[-1])
+    assert report.lhs == checked[-1]
     assert len(checked) == 2
+
+
+# ---------------------------------------------------------------------------
+# The certified fixed-point engine against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def certified(spec, prec):
+    """The certified engine's value and the precision of each pass."""
+    passes = []
+    fixed = closedforms._fixed_point_sum
+
+    def counted(p, *args):
+        passes.append(p)
+        return fixed(p, *args)
+
+    closedforms._fixed_point_sum = counted
+    try:
+        return closedforms._certified_double_sum(*spec, prec), passes
+    finally:
+        closedforms._fixed_point_sum = fixed
+
+
+@pytest.mark.parametrize("name", list(EXACT_SUMS))
+def test_certified_engine_equals_fraction_reference(name):
+    # Dyadic inputs as in the exact-engine test, each summed from every
+    # starting precision in 4..94 bits, so that many passes certify at
+    # the edge of the last bit, where an error bound that is too small
+    # shows as a wrong double.
+    terms, arity = EXACT_SUMS[name]
+    rng = random.Random(name)
+    for _ in range(6):
+        n = rng.randint(1, 14)
+        inputs = [Fraction(rng.uniform(-3.0, 3.0)) for _ in range(arity)]
+        spec = terms(n, *inputs)
+        want = float(fraction_double_sum(*spec))
+        for prec in range(4, 95, 3):
+            value, _ = certified(spec, prec)
+            assert repr(value) == repr(want), (inputs, n, prec)
+
+
+NEAR_POLE = Fraction(-1) + Fraction(1, 2**30)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        single_sum([Fraction(-4), Fraction(1, 3)], [NEAR_POLE], 4),
+        (3, [Fraction(1, 3)], [NEAR_POLE], Fraction(-5, 7),
+         ([(Fraction(-3), 1, 0), (Fraction(2, 5), 0, 0)],
+          [(Fraction(3, 4), 1, 0)], Fraction(1), lambda k: 3 - k)),
+    ],
+    ids=["inner", "outer"],
+)
+def test_certified_engine_bounds_steep_growth(spec):
+    # A factor 2**-30 in a denominator multiplies the error of the term
+    # before it by 2**30: a bound that does not grow by |a/b| certifies
+    # a wrong double from some starting precision.
+    want = float(fraction_double_sum(*spec))
+    for prec in range(4, 95, 3):
+        value, _ = certified(spec, prec)
+        assert repr(value) == repr(want), prec
+
+
+def test_certified_engine_retries_from_a_small_precision(monkeypatch):
+    # The lattice-point sum of meixner_4f3: its terms reach 1e12 times
+    # its value 2.9e-7, so 48 bits cannot certify it and 96 can.
+    monkeypatch.setattr(closedforms, "_exact_double_sum", None)
+    spec = closedforms._meixner_4f3_terms(25, Fraction(3), Fraction(3, 2),
+                                          Fraction(2, 5), Fraction(0))
+    value, passes = certified(spec, 48)
+    assert value == float(fraction_double_sum(*spec))
+    assert passes == [48, 96]

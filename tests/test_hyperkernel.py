@@ -296,6 +296,21 @@ def test_kummer_first_parameter_zero_is_one():
     assert kummer_1f1(0.0, 0.7, -2.0).value == 1.0
 
 
+@pytest.mark.parametrize(
+    "a, expected",
+    [
+        (1e-9, 1.000000012859529579740079898692854450606),
+        (-3 + 1e-10, 1.740031897611337662180560867372284953111),
+    ],
+    ids=["near-zero", "near-minus-three"],
+)
+def test_kummer_near_nonpositive_integer_keeps_its_tail(a, expected):
+    # a is within 1e-9 of a nonpositive integer but not on it, so the
+    # series does not terminate; truncating it costs about |a + m| times
+    # the last retained term (1.3e-8 and 6e-11 relative here).
+    assert rel(kummer_1f1(a, 0.375, 2.0).value, expected) < 1e-14
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(-3.0, 3.0),
