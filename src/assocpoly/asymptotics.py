@@ -162,7 +162,7 @@ def scaled_charlier_seq(x, params, n_max):
     return ScaledSequence(tuple(values), params, x, n_max)
 
 
-def mh_meixner_limit(x, params, cfg=None):
+def mh_meixner_limit(x, params):
     """Closed-form limit of the scaled Meixner iterates.
 
     ``(1-c)^{-beta-x}/Gamma(gamma-x) * 2F1(gamma, 1-beta-x; gamma-x; c)``
@@ -180,31 +180,31 @@ def mh_meixner_limit(x, params, cfg=None):
         pref = complex(1.0 - c) ** (-beta - x)
     else:
         pref = (1.0 - c) ** (-beta - x)
-    f = gauss_2f1(gamma, 1.0 - beta - x, gamma - x, c, cfg)
+    f = gauss_2f1(gamma, 1.0 - beta - x, gamma - x, c)
     return pref / gamma_value(gamma - x) * f.value
 
 
-def mh_charlier_limit(x, params, cfg=None):
+def mh_charlier_limit(x, params):
     """Closed-form limit of the scaled Charlier iterates.
 
     ``e^a/Gamma(gamma-x) * 1F1(gamma; gamma-x; -a)``.
     """
     a, gamma = params.a, params.gamma
     _check_scaling_pole(x, gamma)
-    f = kummer_1f1(gamma, gamma - x, -a, cfg)
+    f = kummer_1f1(gamma, gamma - x, -a)
     ea = cmath.exp(a) if isinstance(a, complex) else math.exp(a)
     return ea / gamma_value(gamma - x) * f.value
 
 
-def _second_term_magnitude(x, params, n, cfg=None):
+def _second_term_magnitude(x, params, n):
     beta, c, gamma = params.beta, params.c, params.gamma
-    f = gauss_2f1(x + 1.0, 2.0 - beta - gamma, 2.0 + x - gamma, c, cfg)
+    f = gauss_2f1(x + 1.0, 2.0 - beta - gamma, 2.0 + x - gamma, c)
     return abs(
         float(n) ** (2.0 * x + beta) * c ** (n + 1) * (1.0 - c) ** x * f.value
     )
 
 
-def mh_convergence_study(x, params, checkpoints, cfg=None):
+def mh_convergence_study(x, params, checkpoints):
     """Error of the scaled iterates against the closed limit at checkpoints.
 
     Parameters
@@ -231,10 +231,10 @@ def mh_convergence_study(x, params, checkpoints, cfg=None):
     if checkpoints[-1] > 10**4:
         raise ValueError("largest checkpoint must be at most 10^4")
     if isinstance(params, MeixnerParams):
-        limit = mh_meixner_limit(x, params, cfg)
+        limit = mh_meixner_limit(x, params)
         seq = scaled_meixner_seq(x, params, checkpoints[-1])
     elif isinstance(params, CharlierParams):
-        limit = mh_charlier_limit(x, params, cfg)
+        limit = mh_charlier_limit(x, params)
         seq = scaled_charlier_seq(x, params, checkpoints[-1])
     else:
         raise TypeError(f"unsupported family parameter type {type(params)!r}")
@@ -246,7 +246,7 @@ def mh_convergence_study(x, params, checkpoints, cfg=None):
     ratios = None
     if isinstance(params, MeixnerParams) and not isinstance(x, complex):
         ratios = tuple(
-            err / max(_second_term_magnitude(x, params, n, cfg), 1e-300)
+            err / max(_second_term_magnitude(x, params, n), 1e-300)
             for n, _v, err in samples
         )
     return MHStudy(samples, limit, monotone, ratios)

@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .asymptotics import mh_convergence_study
 from .closedforms import (
@@ -96,22 +97,6 @@ _NUMERICAL_ERRORS = (PoleArgument, DenominatorPole, NotConverged,
                      IllConditioned, QuadratureNotConverged, TailTooLarge,
                      ZeroPochhammer, SingularIntegrand)
 
-_FAMILIES = ("meixner", "charlier", "laguerre", "meixner-pollaczek")
-
-_REPS = {
-    "meixner": ("recurrence", "4f3", "4f3-alt", "quadratic", "cross",
-                "reflection", "degenerate-c1", "classical"),
-    "charlier": ("recurrence", "3f2", "3f2-transformed", "classical"),
-    "laguerre": ("recurrence", "3f2", "3f2-rahman", "classical"),
-    "meixner-pollaczek": ("recurrence", "connection"),
-}
-
-_GF_FORMS = {
-    "meixner": ("appell", "alt", "integral", "weighted", "elementary"),
-    "charlier": ("phi1", "integral", "weighted", "elementary", "ode"),
-    "laguerre": ("phi1", "weighted", "diag", "elementary"),
-}
-
 
 # ---------------------------------------------------------------------------
 # Output plumbing
@@ -183,8 +168,131 @@ _REPORT_FIELDS = ("identity_id", "point", "lhs_re", "lhs_im", "rhs_re",
 
 
 # ---------------------------------------------------------------------------
-# Family parameter handling
+# Family table
 # ---------------------------------------------------------------------------
+
+
+def _zero_shift(params):
+    if params.gamma != 0.0:
+        raise ValueError(
+            "--rep classical applies to the gamma = 0 case only"
+        )
+    return params
+
+
+def _degenerate_c1(x, params, n):
+    if params.c != 1.0:
+        raise ValueError("--rep degenerate-c1 requires c = 1")
+    return meixner_c1_degenerate(params.beta, params.gamma, n)
+
+
+class _Family(NamedTuple):
+    """What the subcommands need to know about one family."""
+
+    params: type
+    # Flags that must be given, in the params constructor's order.
+    flags: tuple
+    # seq(x, params, n_max) -> PolySequence
+    seq: Callable
+    # {rep: route(x, params, n)}; the order is the one "choose from" prints.
+    routes: dict
+    # The route the cross-check compares a recurrence value against.
+    alternate: str
+    # {gf-check form: (normalization, closed form(x, params, t))}; None for
+    # the weighted and ODE forms, which build their own report.
+    gf_forms: dict
+
+
+def _family(params, flags, seq, routes, alternate, gf_forms):
+    routes = {"recurrence": lambda x, p, n: seq(x, p, n)[n], **routes}
+    return _Family(params, flags, seq, routes, alternate, gf_forms)
+
+
+# Every route calls this module's global names when it runs, never a stored
+# function object: perfbench patches ``cli.<name>`` after import to time the
+# ``cli.route``, ``closedforms.*`` and ``recurrences`` spans, and a function
+# captured at import would silently bypass those patches.
+_FAMILIES = {
+    "meixner": _family(
+        MeixnerParams, ("beta", "c"),
+        lambda x, p, n: meixner_seq(x, p, n),
+        {
+            "4f3": lambda x, p, n: meixner_4f3(x, p, n),
+            "4f3-alt": lambda x, p, n: meixner_4f3_alt(x, p, n),
+            "quadratic": lambda x, p, n: meixner_quadratic(x, p, n),
+            "cross": lambda x, p, n: meixner_cross_2f1(x, p, n),
+            "reflection": lambda x, p, n: meixner_reflection_rhs(x, p, n),
+            "degenerate-c1": _degenerate_c1,
+            "classical": lambda x, p, n: meixner_classical(
+                x, _zero_shift(p).beta, p.c, n),
+        },
+        "4f3",
+        {
+            "appell": (Normalization.BY_GAMMA_BETA,
+                       lambda x, p, t: gf_meixner_appell(x, p, t)),
+            "alt": (Normalization.BY_GAMMA_ONE,
+                    lambda x, p, t: gf_meixner_alt(x, p, t)),
+            "integral": (Normalization.BY_GAMMA_ONE,
+                         lambda x, p, t: gf_meixner_integral(x, p, t)),
+            "weighted": None,
+            "elementary": (Normalization.BY_GAMMA_ONE,
+                           lambda x, p, t: gf_meixner_elementary(
+                               x, p.beta, p.c, t)),
+        },
+    ),
+    "charlier": _family(
+        CharlierParams, ("a",),
+        lambda x, p, n: charlier_seq(x, p, n),
+        {
+            "3f2": lambda x, p, n: charlier_3f2(x, p, n, "primary"),
+            "3f2-transformed": lambda x, p, n: charlier_3f2(
+                x, p, n, "transformed"),
+            "classical": lambda x, p, n: charlier_classical(
+                x, _zero_shift(p).a, n),
+        },
+        "3f2",
+        {
+            "phi1": (Normalization.BY_GAMMA_ONE,
+                     lambda x, p, t: gf_charlier_phi1(x, p, t)),
+            "integral": (Normalization.BY_GAMMA_ONE,
+                         lambda x, p, t: gf_charlier_integral(x, p, t)),
+            "weighted": None,
+            "elementary": (Normalization.BY_GAMMA_ONE,
+                           lambda x, p, t: gf_charlier_elementary(
+                               x, p.a, t)),
+            "ode": None,
+        },
+    ),
+    "laguerre": _family(
+        LaguerreParams, ("alpha",),
+        lambda x, p, n: laguerre_seq(x, p, n),
+        {
+            "3f2": lambda x, p, n: laguerre_3f2(x, p, n, "primary"),
+            "3f2-rahman": lambda x, p, n: laguerre_3f2(x, p, n, "rahman"),
+            "classical": lambda x, p, n: laguerre_classical(
+                x, _zero_shift(p).alpha, n),
+        },
+        "3f2",
+        {
+            "phi1": (Normalization.PLAIN,
+                     lambda x, p, t: gf_laguerre(x, p, t)),
+            "weighted": None,
+            "diag": (Normalization.WEIGHTED,
+                     lambda x, p, t: gf_weighted_laguerre_diag(
+                         x, p.alpha, t)),
+            "elementary": (Normalization.PLAIN,
+                           lambda x, p, t: gf_laguerre_elementary(
+                               x, p.alpha, t)),
+        },
+    ),
+    "meixner-pollaczek": _family(
+        MeixnerPollaczekParams, ("nu", "phi"),
+        lambda x, p, n: meixner_pollaczek_seq(x, p, n),
+        {"connection": lambda x, p, n: mp_from_meixner(x, p, n)},
+        "connection",
+        {},
+    ),
+}
 
 
 def _require(args, *names):
@@ -196,90 +304,32 @@ def _require(args, *names):
 
 
 def _build_params(args):
-    family = args.family
-    gamma = args.gamma
-    if family == "meixner":
-        _require(args, "beta", "c")
-        return MeixnerParams(args.beta, args.c, gamma)
-    if family == "charlier":
-        _require(args, "a")
-        return CharlierParams(args.a, gamma)
-    if family == "laguerre":
-        _require(args, "alpha")
-        return LaguerreParams(args.alpha, gamma)
-    _require(args, "nu", "phi")
-    return MeixnerPollaczekParams(args.nu, args.phi, gamma)
+    family = _FAMILIES[args.family]
+    _require(args, *family.flags)
+    return family.params(*(getattr(args, name) for name in family.flags),
+                         args.gamma)
 
 
-def _seq_value(params, x, n):
-    if isinstance(params, MeixnerParams):
-        return meixner_seq(x, params, n)[n]
-    if isinstance(params, CharlierParams):
-        return charlier_seq(x, params, n)[n]
-    if isinstance(params, LaguerreParams):
-        return laguerre_seq(x, params, n)[n]
-    return meixner_pollaczek_seq(x, params, n)[n]
-
-
-def _require_classical(params):
-    if params.gamma != 0.0:
+def _route(args):
+    """The route for ``--rep``; call after ``_build_params``."""
+    routes = _FAMILIES[args.family].routes
+    if args.rep not in routes:
         raise ValueError(
-            "--rep classical applies to the gamma = 0 case only"
+            f"representation {args.rep!r} does not apply to family "
+            f"{args.family!r}; choose from {tuple(routes)}"
         )
+    return routes[args.rep]
 
 
-def _route_value(args, params, x, n, rep):
-    """Evaluate one representation; assumes rep is valid for the family."""
-    if rep == "recurrence":
-        return _seq_value(params, x, n)
-    if isinstance(params, MeixnerParams):
-        if rep == "4f3":
-            return meixner_4f3(x, params, n)
-        if rep == "4f3-alt":
-            return meixner_4f3_alt(x, params, n)
-        if rep == "quadratic":
-            return meixner_quadratic(x, params, n)
-        if rep == "cross":
-            return meixner_cross_2f1(x, params, n)
-        if rep == "reflection":
-            return meixner_reflection_rhs(x, params, n)
-        if rep == "degenerate-c1":
-            if args.c is not None and args.c != 1.0:
-                raise ValueError("--rep degenerate-c1 requires c = 1")
-            return meixner_c1_degenerate(params.beta, params.gamma, n)
-        _require_classical(params)
-        return meixner_classical(x, params.beta, params.c, n)
-    if isinstance(params, CharlierParams):
-        if rep == "3f2":
-            return charlier_3f2(x, params, n, "primary")
-        if rep == "3f2-transformed":
-            return charlier_3f2(x, params, n, "transformed")
-        _require_classical(params)
-        return charlier_classical(x, params.a, n)
-    if isinstance(params, LaguerreParams):
-        if rep == "3f2":
-            return laguerre_3f2(x, params, n, "primary")
-        if rep == "3f2-rahman":
-            return laguerre_3f2(x, params, n, "rahman")
-        _require_classical(params)
-        return laguerre_classical(x, params.alpha, n)
-    return mp_from_meixner(x, params, n)
-
-
-def _cross_check(args, params, x, n, rep, value):
+def _cross_check(args, params, x, n, value):
     """Best-effort independent estimate of the relative error."""
-    alternates = {
-        "meixner": "4f3",
-        "charlier": "3f2",
-        "laguerre": "3f2",
-        "meixner-pollaczek": "connection",
-    }
-    other = alternates[args.family] if rep == "recurrence" else "recurrence"
-    if rep == "degenerate-c1" and other == "recurrence":
-        x = 0.0 if x is None else x
+    family = _FAMILIES[args.family]
+    other = family.alternate if args.rep == "recurrence" else "recurrence"
+    if args.rep == "degenerate-c1" and x is None:
+        x = 0.0
     try:
-        check = _route_value(args, params, x, n, other)
-    except (ValueError, *_VALIDATION_ERRORS, *_NUMERICAL_ERRORS):
+        check = family.routes[other](x, params, n)
+    except (*_VALIDATION_ERRORS, *_NUMERICAL_ERRORS):
         return None
     scale = max(abs(value), abs(check))
     if scale == 0.0:
@@ -294,19 +344,15 @@ def _cross_check(args, params, x, n, rep, value):
 
 def _cmd_eval(args):
     rep = args.rep
-    if args.family == "meixner" and rep == "degenerate-c1" and args.c is None:
+    if rep == "degenerate-c1" and args.c is None:
         args.c = 1.0
     params = _build_params(args)
-    if rep not in _REPS[args.family]:
-        raise ValueError(
-            f"representation {rep!r} does not apply to family "
-            f"{args.family!r}; choose from {_REPS[args.family]}"
-        )
+    route = _route(args)
     if args.x is None and rep != "degenerate-c1":
         raise ValueError("--x is required (except --rep degenerate-c1)")
     x = args.x
-    value = _route_value(args, params, x, args.n, rep)
-    estimate = _cross_check(args, params, x, args.n, rep, value)
+    value = route(x, params, args.n)
+    estimate = _cross_check(args, params, x, args.n, value)
     v = complex(value)
     record = {
         "family": args.family,
@@ -325,35 +371,21 @@ def _cmd_eval(args):
 
 def _cmd_table(args):
     params = _build_params(args)
-    rep = args.rep
-    if rep not in _REPS[args.family]:
-        raise ValueError(
-            f"representation {rep!r} does not apply to family "
-            f"{args.family!r}; choose from {_REPS[args.family]}"
-        )
+    route = _route(args)
     if args.n_max < 0:
         raise ValueError("empty grid: --n-max must be >= 0")
+    seq = _FAMILIES[args.family].seq
     records = []
     for x in args.x:
-        if rep == "recurrence":
-            if isinstance(params, MeixnerParams):
-                values = meixner_seq(x, params, args.n_max).values
-            elif isinstance(params, CharlierParams):
-                values = charlier_seq(x, params, args.n_max).values
-            elif isinstance(params, LaguerreParams):
-                values = laguerre_seq(x, params, args.n_max).values
-            else:
-                values = meixner_pollaczek_seq(x, params, args.n_max).values
+        if args.rep == "recurrence":
+            values = seq(x, params, args.n_max).values
         else:
-            values = [
-                _route_value(args, params, x, n, rep)
-                for n in range(args.n_max + 1)
-            ]
+            values = [route(x, params, n) for n in range(args.n_max + 1)]
         for n, value in enumerate(values):
             v = complex(value)
             records.append({
                 "family": args.family,
-                "representation": rep,
+                "representation": args.rep,
                 "x_re": complex(x).real,
                 "x_im": complex(x).imag,
                 "n": n,
@@ -400,61 +432,31 @@ def _cmd_verify(args):
 def _gf_applicable_forms(args, params):
     forms = []
     gamma = params.gamma
-    for form in _GF_FORMS[args.family]:
+    for form in _FAMILIES[args.family].gf_forms:
         if form in ("integral", "weighted") and gamma <= 0.0:
             continue
         if form == "elementary" and gamma != 0.0:
             continue
-        if form == "diag" and (not isinstance(params, LaguerreParams)
-                               or gamma != params.alpha or gamma == 0.0):
+        if form == "diag" and (gamma != params.alpha or gamma == 0.0):
             continue
         forms.append(form)
     return forms
 
 
 def _gf_report(args, params, x, t, form, rel_tol):
-    family = args.family
-    gamma = params.gamma
-    point = {"x": x, "t": t, "gamma": gamma}
-    if family == "meixner":
-        point.update(beta=params.beta, c=params.c)
-    elif family == "charlier":
-        point.update(a=params.a)
-    else:
-        point.update(alpha=params.alpha)
+    family = _FAMILIES[args.family]
+    point = {"x": x, "t": t, "gamma": params.gamma}
+    point.update((name, getattr(params, name)) for name in family.flags)
     if form == "weighted":
         return weighted_classical_gf(x, params, t, rel_tol)
     if form == "ode":
         residual = gf_charlier_ode_residual(x, params, t)
         return make_report("gf-charlier-ode", point, residual, 0.0, rel_tol)
-    if family == "meixner":
-        norm = (Normalization.BY_GAMMA_BETA if form == "appell"
-                else Normalization.BY_GAMMA_ONE)
-        rhs = {
-            "appell": lambda: gf_meixner_appell(x, params, t),
-            "alt": lambda: gf_meixner_alt(x, params, t),
-            "integral": lambda: gf_meixner_integral(x, params, t),
-            "elementary": lambda: gf_meixner_elementary(
-                x, params.beta, params.c, t),
-        }[form]()
-    elif family == "charlier":
-        norm = Normalization.BY_GAMMA_ONE
-        rhs = {
-            "phi1": lambda: gf_charlier_phi1(x, params, t),
-            "integral": lambda: gf_charlier_integral(x, params, t),
-            "elementary": lambda: gf_charlier_elementary(x, params.a, t),
-        }[form]()
-    else:
-        if form == "diag":
-            norm = Normalization.WEIGHTED
-            rhs = gf_weighted_laguerre_diag(x, params.alpha, t)
-        else:
-            norm = Normalization.PLAIN
-            rhs = (gf_laguerre(x, params, t) if form == "phi1"
-                   else gf_laguerre_elementary(x, params.alpha, t))
+    norm, closed_form = family.gf_forms[form]
+    rhs = closed_form(x, params, t)
     lhs, n_used = gf_lhs_auto(GFSpec(params, x, t, norm, 60))
     point["N"] = n_used
-    return make_report(f"gf-{family}-{form}", point, lhs, rhs, rel_tol)
+    return make_report(f"gf-{args.family}-{form}", point, lhs, rhs, rel_tol)
 
 
 def _cmd_gf_check(args):
@@ -464,11 +466,12 @@ def _cmd_gf_check(args):
         forms = applicable
     else:
         forms = args.forms
+        known = tuple(_FAMILIES[args.family].gf_forms)
         for form in forms:
-            if form not in _GF_FORMS[args.family]:
+            if form not in known:
                 raise ValueError(
                     f"form {form!r} does not apply to family "
-                    f"{args.family!r}; choose from {_GF_FORMS[args.family]}"
+                    f"{args.family!r}; choose from {known}"
                 )
             if form not in applicable:
                 raise ValueError(
@@ -495,12 +498,7 @@ def _cmd_gf_check(args):
 
 
 def _cmd_mh_study(args):
-    if args.family == "meixner":
-        _require(args, "beta", "c")
-        params = MeixnerParams(args.beta, args.c, args.gamma)
-    else:
-        _require(args, "a")
-        params = CharlierParams(args.a, args.gamma)
+    params = _build_params(args)
     study = mh_convergence_study(args.x, params, args.checkpoints)
     limit = complex(study.limit)
     records = []

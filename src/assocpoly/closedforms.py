@@ -516,7 +516,7 @@ def meixner_4f3_alt(x, params, n):
     return pref * total
 
 
-def meixner_quadratic(x, params, n, cfg=None):
+def meixner_quadratic(x, params, n):
     """Index-shifted Meixner value as a two-product quadratic 2F1 combination.
 
     ``(beta-1) M_n = (gamma+beta-1)_{n+1}
@@ -549,8 +549,8 @@ def meixner_quadratic(x, params, n, cfg=None):
     else:
         term1 = (
             coef1
-            * gauss_2f1(x + 1.0, gamma, 2.0 - beta, ct, cfg).value
-            * gauss_2f1(-x, -n - gamma, beta, ct, cfg).value
+            * gauss_2f1(x + 1.0, gamma, 2.0 - beta, ct).value
+            * gauss_2f1(-x, -n - gamma, beta, ct).value
         )
     coef2 = pochhammer(gamma, n + 1)
     if coef2 == 0:
@@ -558,15 +558,15 @@ def meixner_quadratic(x, params, n, cfg=None):
     else:
         term2 = (
             coef2
-            * gauss_2f1(x + beta, gamma + beta - 1.0, beta, ct, cfg).value
+            * gauss_2f1(x + beta, gamma + beta - 1.0, beta, ct).value
             * gauss_2f1(
-                1.0 - beta - x, 1.0 - n - gamma - beta, 2.0 - beta, ct, cfg
+                1.0 - beta - x, 1.0 - n - gamma - beta, 2.0 - beta, ct
             ).value
         )
     return (term1 - term2) / (beta - 1.0)
 
 
-def meixner_cross_2f1(x, params, n, cfg=None):
+def meixner_cross_2f1(x, params, n):
     """Index-shifted Meixner value as a cross product of 2F1 values at c.
 
     ``M_n = (1-c)^{1-beta} [ c^{-n} (gamma-x)_n F_{n+1}(c) G_0(c)
@@ -589,10 +589,10 @@ def meixner_cross_2f1(x, params, n, cfg=None):
         )
 
     def f_part(m):
-        return gauss_2f1(x + 1.0, 2.0 - beta - gamma - m, 2.0 + x - gamma - m, c, cfg)
+        return gauss_2f1(x + 1.0, 2.0 - beta - gamma - m, 2.0 + x - gamma - m, c)
 
     def g_part(m):
-        return gauss_2f1(gamma + m, 1.0 - beta - x, gamma - x + m, c, cfg)
+        return gauss_2f1(gamma + m, 1.0 - beta - x, gamma - x + m, c)
 
     term1 = c ** (-n) * pochhammer(gamma - x, n) * f_part(n + 1).value * g_part(0).value
     coef2 = pochhammer(gamma, n + 1) * pochhammer(gamma + beta - 1.0, n + 1)
@@ -609,7 +609,7 @@ def meixner_cross_2f1(x, params, n, cfg=None):
     return (1.0 - c) ** (1.0 - beta) * (term1 - term2)
 
 
-def meixner_reflection_rhs(x, params, n, cfg=None):
+def meixner_reflection_rhs(x, params, n):
     """Right-hand side of the reflection identity for the Meixner family.
 
     ``M_n(x; beta, c, gamma) = c^{-n} M_n(-beta-x; beta, 1/c, gamma)``;
@@ -785,7 +785,7 @@ def mp_from_meixner(x, params, n):
 # ---------------------------------------------------------------------------
 
 
-def identity_4f3_finite_sum(n, a, b, t, y, rel_tol=1e-9, cfg=None):
+def identity_4f3_finite_sum(n, a, b, t, y, rel_tol=1e-9):
     """Check the t-powered finite 4F3 double sum against its 2F1 product form.
 
     Left side:
@@ -828,20 +828,20 @@ def identity_4f3_finite_sum(n, a, b, t, y, rel_tol=1e-9, cfg=None):
         * (
             b
             / pochhammer(a + 1.0, n)
-            * gauss_2f1(1.0 - y, a, a - b + 1.0, t, cfg).value
-            * gauss_2f1(y, -n - a, b - a + 1.0, t, cfg).value
+            * gauss_2f1(1.0 - y, a, a - b + 1.0, t).value
+            * gauss_2f1(y, -n - a, b - a + 1.0, t).value
             - (1.0 - t) ** (n + 1)
             * a
             / pochhammer(b + 1.0, n)
-            * gauss_2f1(1.0 - y, n + a + 1.0, a - b + 1.0, t, cfg).value
-            * gauss_2f1(y, 1.0 - a, b - a + 1.0, t, cfg).value
+            * gauss_2f1(1.0 - y, n + a + 1.0, a - b + 1.0, t).value
+            * gauss_2f1(y, 1.0 - a, b - a + 1.0, t).value
         )
     )
     point = {"n": n, "a": a, "b": b, "t": t, "y": y}
     return make_report("finite-sum-4f3", point, lhs, rhs, rel_tol)
 
 
-def identity_3f2_pochhammer(n, a, b, rel_tol=1e-10, cfg=None):
+def identity_3f2_pochhammer(n, a, b, rel_tol=1e-10):
     """Check 3F2(-n, a, b; a+1, b+1; 1) against its two-term pochhammer form.
 
     Right side: ``n!/(b-a) [ b/(a+1)_n - a/(b+1)_n ]``.  Requires
@@ -871,7 +871,7 @@ def identity_3f2_pochhammer(n, a, b, rel_tol=1e-10, cfg=None):
     return make_report("3f2-pochhammer", point, lhs, rhs, rel_tol)
 
 
-def identity_3f2_t_powered(n, a, b, t, rel_tol=1e-9, cfg=None):
+def identity_3f2_t_powered(n, a, b, t, rel_tol=1e-9):
     """Check the t-powered finite 3F2 double sum against its 2F1 product form.
 
     Left side: ``sum_k t^k (-n)_k / (b+1)_k *
@@ -906,18 +906,18 @@ def identity_3f2_t_powered(n, a, b, t, rel_tol=1e-9, cfg=None):
         * (
             b
             / pochhammer(a + 1.0, n)
-            * gauss_2f1(1.0, -n - a, b - a + 1.0, t, cfg).value
+            * gauss_2f1(1.0, -n - a, b - a + 1.0, t).value
             - (1.0 - t) ** (n + 1)
             * a
             / pochhammer(b + 1.0, n)
-            * gauss_2f1(1.0, 1.0 - a, b - a + 1.0, t, cfg).value
+            * gauss_2f1(1.0, 1.0 - a, b - a + 1.0, t).value
         )
     )
     point = {"n": n, "a": a, "b": b, "t": t}
     return make_report("3f2-t-powered", point, lhs, rhs, rel_tol)
 
 
-def identity_3f2_m_generalized(n, a, b, m, rel_tol=1e-9, cfg=None):
+def identity_3f2_m_generalized(n, a, b, m, rel_tol=1e-9):
     """Check 3F2(-n, a, b; a+m, b+1; 1) against its m-term product form.
 
     Right side: ``(a)_m / (a-b)_m { n!/(1+b)_n

@@ -271,7 +271,7 @@ def _check_meixner_t(params, t):
         )
 
 
-def gf_meixner_appell(x, params, t, cfg=None):
+def gf_meixner_appell(x, params, t):
     """Sum of (ct)^n/(gamma+beta)_n M_n(x) as an Appell F1 closed form.
 
     ``(1-ct)^{-1} F1(1; gamma, -x; gamma+beta; t, t(1-c)/(1-ct))``.
@@ -281,11 +281,11 @@ def gf_meixner_appell(x, params, t, cfg=None):
     if t == 0:
         return 1.0
     y = t * (1.0 - c) / (1.0 - c * t)
-    f1 = appell_f1(1.0, gamma, -x, gamma + beta, t, y, cfg)
+    f1 = appell_f1(1.0, gamma, -x, gamma + beta, t, y)
     return f1.value / (1.0 - c * t)
 
 
-def gf_meixner_classical_2f1(x, beta, c, t, cfg=None):
+def gf_meixner_classical_2f1(x, beta, c, t):
     """Classical (gamma = 0) series sum of t^n/(beta)_n M_n(x;beta,c).
 
     ``(1-t)^{-1} 2F1(1, -x; beta; t(1-c)/(c(1-t)))``; this matches
@@ -295,10 +295,10 @@ def gf_meixner_classical_2f1(x, beta, c, t, cfg=None):
     if t == 0:
         return 1.0
     z = t * (1.0 - c) / (c * (1.0 - t))
-    return gauss_2f1(1.0, -x, beta, z, cfg).value / (1.0 - t)
+    return gauss_2f1(1.0, -x, beta, z).value / (1.0 - t)
 
 
-def gf_meixner_alt(x, params, t, cfg=None):
+def gf_meixner_alt(x, params, t):
     """Sum of (ct)^n/(gamma+1)_n M_n(x) as an Appell F1 closed form.
 
     ``(1-ct)^{-beta-x} (1-t)^x F1(gamma; 1-beta-x, 1+x; gamma+1; ct, t)``.
@@ -307,7 +307,7 @@ def gf_meixner_alt(x, params, t, cfg=None):
     beta, c, gamma = params.beta, params.c, params.gamma
     if t == 0:
         return 1.0
-    f1 = appell_f1(gamma, 1.0 - beta - x, 1.0 + x, gamma + 1.0, c * t, t, cfg)
+    f1 = appell_f1(gamma, 1.0 - beta - x, 1.0 + x, gamma + 1.0, c * t, t)
     return _pow(1.0 - c * t, -beta - x) * _pow(1.0 - t, x) * f1.value
 
 
@@ -316,7 +316,7 @@ def gf_meixner_elementary(x, beta, c, t):
     return _pow(1.0 - c * t, -beta - x) * _pow(1.0 - t, x)
 
 
-def gf_meixner_integral(x, params, t, cfg=None):
+def gf_meixner_integral(x, params, t):
     """Euler-integral form of the (gamma+1)_n-normalized Meixner series.
 
     ``gamma (1-ct)^{-beta-x} (1-t)^x
@@ -332,7 +332,7 @@ def gf_meixner_integral(x, params, t, cfg=None):
     spec = EulerIntegrand(
         gamma, factors=((c * t, x + beta - 1.0), (t, -x - 1.0))
     )
-    quad = euler_integral(spec, cfg)
+    quad = euler_integral(spec)
     return gamma * gf_meixner_elementary(x, beta, c, t) * quad.value
 
 
@@ -355,7 +355,7 @@ def _check_charlier_t(params, t):
         )
 
 
-def gf_charlier_phi1(x, params, t, cfg=None):
+def gf_charlier_phi1(x, params, t):
     """Sum of t^n/(gamma+1)_n C_n(x) as a Humbert Phi1 closed form.
 
     ``e^t (1-t/a)^x Phi1(gamma, x+1; gamma+1; t/a, -t)``.
@@ -364,7 +364,7 @@ def gf_charlier_phi1(x, params, t, cfg=None):
     a, gamma = params.a, params.gamma
     if t == 0:
         return 1.0
-    phi = humbert_phi1(gamma, x + 1.0, gamma + 1.0, t / a, -t, cfg)
+    phi = humbert_phi1(gamma, x + 1.0, gamma + 1.0, t / a, -t)
     return _exp(t) * _pow(1.0 - t / a, x) * phi.value
 
 
@@ -373,7 +373,7 @@ def gf_charlier_elementary(x, a, t):
     return _exp(t) * _pow(1.0 - t / a, x)
 
 
-def gf_charlier_integral(x, params, t, cfg=None):
+def gf_charlier_integral(x, params, t):
     """Euler-integral form of the (gamma+1)_n-normalized Charlier series.
 
     ``gamma e^t (1-t/a)^x ∫_0^1 u^{gamma-1} e^{-tu} (1-tu/a)^{-x-1} du``;
@@ -386,11 +386,11 @@ def gf_charlier_integral(x, params, t, cfg=None):
             f"the integral representation requires gamma > 0, got {gamma!r}"
         )
     spec = EulerIntegrand(gamma, factors=((t / a, -x - 1.0),), exp_scale=-t)
-    quad = euler_integral(spec, cfg)
+    quad = euler_integral(spec)
     return gamma * gf_charlier_elementary(x, a, t) * quad.value
 
 
-def gf_charlier_ode_residual(x, params, t, h=None, cfg=None):
+def gf_charlier_ode_residual(x, params, t, h=None):
     """Residual of the Charlier generating-function ODE at one t.
 
     The (gamma+1)_n-normalized series G satisfies
@@ -412,7 +412,7 @@ def gf_charlier_ode_residual(x, params, t, h=None, cfg=None):
     def g(tt):
         if gamma == 0:
             return gf_charlier_elementary(x, a, tt)
-        return gf_charlier_phi1(x, params, tt, cfg)
+        return gf_charlier_phi1(x, params, tt)
 
     deriv = (
         -g(t + 2 * h) + 8.0 * g(t + h) - 8.0 * g(t - h) + g(t - 2 * h)
@@ -431,7 +431,7 @@ def gf_charlier_ode_residual(x, params, t, h=None, cfg=None):
 # ---------------------------------------------------------------------------
 
 
-def gf_laguerre(x, params, t, cfg=None):
+def gf_laguerre(x, params, t):
     """Sum of t^n L_n(x) as a Humbert Phi1 closed form.
 
     ``(1-t)^{-gamma-alpha-1} exp(xt/(t-1))
@@ -445,7 +445,7 @@ def gf_laguerre(x, params, t, cfg=None):
     if t == 0:
         return 1.0
     w = t / (t - 1.0)
-    phi = humbert_phi1(gamma, gamma + alpha, gamma + 1.0, w, -x * w, cfg)
+    phi = humbert_phi1(gamma, gamma + alpha, gamma + 1.0, w, -x * w)
     return _pow(1.0 - t, -gamma - alpha - 1.0) * _exp(x * t / (t - 1.0)) * phi.value
 
 
@@ -459,35 +459,35 @@ def gf_laguerre_elementary(x, alpha, t):
 # ---------------------------------------------------------------------------
 
 
-def gf_weighted_meixner_rhs(x, beta, c, gamma, t, cfg=None):
+def gf_weighted_meixner_rhs(x, beta, c, gamma, t):
     """Closed form of sum gamma (ct)^n/((n+gamma) n!) M_n(x;beta,c):
     ``F1(gamma; x+beta, -x; gamma+1; ct, t)``."""
-    return appell_f1(gamma, x + beta, -x, gamma + 1.0, c * t, t, cfg).value
+    return appell_f1(gamma, x + beta, -x, gamma + 1.0, c * t, t).value
 
 
-def gf_weighted_charlier_rhs(x, a, gamma, t, cfg=None):
+def gf_weighted_charlier_rhs(x, a, gamma, t):
     """Closed form of sum gamma/((gamma+n) n!) C_n(x;a) t^n:
     ``Phi1(gamma, -x; gamma+1; t/a, t)``."""
-    return humbert_phi1(gamma, -x, gamma + 1.0, t / a, t, cfg).value
+    return humbert_phi1(gamma, -x, gamma + 1.0, t / a, t).value
 
 
-def gf_weighted_laguerre_rhs(x, alpha, gamma, t, cfg=None):
+def gf_weighted_laguerre_rhs(x, alpha, gamma, t):
     """Closed form of sum gamma/(n+gamma) L_n^(alpha)(x) t^n:
     ``(1-t)^{-gamma} Phi1(gamma, gamma-alpha; gamma+1; t/(t-1), xt/(t-1))``."""
     w = t / (t - 1.0)
-    phi = humbert_phi1(gamma, gamma - alpha, gamma + 1.0, w, x * w, cfg)
+    phi = humbert_phi1(gamma, gamma - alpha, gamma + 1.0, w, x * w)
     return _pow(1.0 - t, -gamma) * phi.value
 
 
-def gf_weighted_laguerre_diag(x, alpha, t, cfg=None):
+def gf_weighted_laguerre_diag(x, alpha, t):
     """The alpha = gamma case of the weighted Laguerre closed form:
     ``(1-t)^{-alpha} 1F1(alpha; alpha+1; xt/(t-1))``."""
     z = x * t / (t - 1.0)
-    return _pow(1.0 - t, -alpha) * kummer_1f1(alpha, alpha + 1.0, z, cfg).value
+    return _pow(1.0 - t, -alpha) * kummer_1f1(alpha, alpha + 1.0, z).value
 
 
 def weighted_classical_gf(x, params, t, rel_tol=1e-9, n_start=60,
-                          weight_gamma=None, cfg=None):
+                          weight_gamma=None):
     """Weighted classical generating-function identity as a report.
 
     Compares the auto-truncated partial sum of the family's classical
@@ -505,13 +505,13 @@ def weighted_classical_gf(x, params, t, rel_tol=1e-9, n_start=60,
     g = weight_gamma if weight_gamma is not None else params.gamma
     lhs, n_used = gf_lhs_auto(spec, rel_tol)
     if isinstance(params, MeixnerParams):
-        rhs = gf_weighted_meixner_rhs(x, params.beta, params.c, g, t, cfg)
+        rhs = gf_weighted_meixner_rhs(x, params.beta, params.c, g, t)
         ident = "weighted-gf-meixner"
     elif isinstance(params, CharlierParams):
-        rhs = gf_weighted_charlier_rhs(x, params.a, g, t, cfg)
+        rhs = gf_weighted_charlier_rhs(x, params.a, g, t)
         ident = "weighted-gf-charlier"
     elif isinstance(params, LaguerreParams):
-        rhs = gf_weighted_laguerre_rhs(x, params.alpha, g, t, cfg)
+        rhs = gf_weighted_laguerre_rhs(x, params.alpha, g, t)
         ident = "weighted-gf-laguerre"
     else:
         raise TypeError(f"unsupported family parameter type {type(params)!r}")
@@ -597,7 +597,7 @@ def convolution_identity(x, params, n, rel_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400, cfg=None):
+def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400):
     """Degenerate-argument (c = 1) generating-series reduction as a report.
 
     Left side: ``sum_n (gamma+beta)_n/n!
@@ -632,14 +632,14 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400, cfg=None)
         "at t={z!r}", t,
     )[0]
     rhs = _pow(1.0 - t, -beta) * gauss_2f1(
-        2.0 - beta, gamma, gamma + 1.0, t, cfg
+        2.0 - beta, gamma, gamma + 1.0, t
     ).value
     point = {"beta": beta, "gamma": gamma, "t": t}
     return make_report("c1-reduction-chain", point, lhs, rhs, rel_tol)
 
 
 def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, h=1e-4,
-                                   rel_tol=1e-6, cfg=None):
+                                   rel_tol=1e-6):
     """Derivative link between the diagonal weighted form and the classical GF.
 
     With ``W(t) = (1-t)^{-alpha} 1F1(alpha; alpha+1; xt/(t-1))``, the
@@ -653,7 +653,7 @@ def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, h=1e-4,
     """
 
     def f(tt):
-        return tt**alpha * gf_weighted_laguerre_diag(x, alpha, tt, cfg)
+        return tt**alpha * gf_weighted_laguerre_diag(x, alpha, tt)
 
     deriv = (-f(t + 2 * h) + 8.0 * f(t + h) - 8.0 * f(t - h) + f(t - 2 * h)) / (
         12.0 * h

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Callable, NamedTuple
 
 from .closedforms import (
     charlier_3f2,
@@ -103,6 +104,59 @@ def _worst_pair_report(identity_id, point, pairs, rel_tol):
     )
 
 
+class _Family(NamedTuple):
+    """The routes of one family that ``verify_representations`` compares."""
+
+    name: str
+    params: type
+    # {parameter name: grid}, in the params constructor's order before gamma.
+    grids: dict
+    # seq(x, params, n_max) -> PolySequence
+    seq: Callable
+    # {tag: route(x, params, n)}; every pair is compared in this order.
+    routes: dict
+    # classical(x, params, n): the gamma = 0 closed form.
+    classical: Callable
+
+
+# Every route calls this module's global names when it runs, never a stored
+# function object: perfbench patches ``verify.<name>`` after import to time
+# the ``closedforms.*`` and ``recurrences`` spans, and a function captured
+# at import would silently bypass those patches.
+_FAMILIES = (
+    _Family(
+        "meixner", MeixnerParams, {"beta": _MEIXNER_BETAS, "c": _MEIXNER_CS},
+        lambda x, p, n: meixner_seq(x, p, n),
+        {
+            "4f3": lambda x, p, n: meixner_4f3(x, p, n),
+            "4f3-alt": lambda x, p, n: meixner_4f3_alt(x, p, n),
+            "cross": lambda x, p, n: meixner_cross_2f1(x, p, n),
+            "quadratic": lambda x, p, n: meixner_quadratic(x, p, n),
+        },
+        lambda x, p, n: meixner_classical(x, p.beta, p.c, n),
+    ),
+    _Family(
+        "charlier", CharlierParams, {"a": _CHARLIER_AS},
+        lambda x, p, n: charlier_seq(x, p, n),
+        {
+            "3f2": lambda x, p, n: charlier_3f2(x, p, n, "primary"),
+            "3f2-transformed": lambda x, p, n: charlier_3f2(
+                x, p, n, "transformed"),
+        },
+        lambda x, p, n: charlier_classical(x, p.a, n),
+    ),
+    _Family(
+        "laguerre", LaguerreParams, {"alpha": _LAGUERRE_ALPHAS},
+        lambda x, p, n: laguerre_seq(x, p, n),
+        {
+            "3f2": lambda x, p, n: laguerre_3f2(x, p, n, "primary"),
+            "3f2-rahman": lambda x, p, n: laguerre_3f2(x, p, n, "rahman"),
+        },
+        lambda x, p, n: laguerre_classical(x, p.alpha, n),
+    ),
+)
+
+
 def verify_representations(rel_tol=1e-8, n_max=25):
     """Pairwise route agreement and classical reductions.
 
@@ -111,90 +165,27 @@ def verify_representations(rel_tol=1e-8, n_max=25):
     list of IdentityReport
     """
     reports = []
-    # Meixner: recurrence, two double sums, cross product, and the
-    # quadratic form where defined.
-    for beta, c, gamma, x in itertools.product(
-        _MEIXNER_BETAS, _MEIXNER_CS, _GAMMAS, _XS
-    ):
-        params = MeixnerParams(beta, c, gamma)
-        point = {"beta": beta, "c": c, "gamma": gamma, "x": x}
-        values = {"recurrence": list(meixner_seq(x, params, n_max).values)}
-        routes = {
-            "4f3": meixner_4f3,
-            "4f3-alt": meixner_4f3_alt,
-            "cross": meixner_cross_2f1,
-            "quadratic": meixner_quadratic,
-        }
-        for tag, fn in routes.items():
-            vals = []
-            try:
-                for n in range(n_max + 1):
-                    vals.append(fn(x, params, n))
-            except (DenominatorPole, RestrictedParameter):
-                continue
-            values[tag] = vals
-        tags = list(values)
-        for i, tag_a in enumerate(tags):
-            for tag_b in tags[i + 1:]:
-                pairs = [
-                    (n, values[tag_a][n], values[tag_b][n])
-                    for n in range(n_max + 1)
-                ]
-                reports.append(
-                    _worst_pair_report(
-                        f"meixner-rep:{tag_a}~{tag_b}", point, pairs, rel_tol
-                    )
-                )
-    # Charlier: recurrence and the two 3F2 double sums.
-    for a, gamma, x in itertools.product(_CHARLIER_AS, _GAMMAS, _XS):
-        params = CharlierParams(a, gamma)
-        point = {"a": a, "gamma": gamma, "x": x}
-        values = {"recurrence": list(charlier_seq(x, params, n_max).values)}
-        for tag, variant in (("3f2", "primary"), ("3f2-transformed", "transformed")):
-            vals = []
-            try:
-                for n in range(n_max + 1):
-                    vals.append(charlier_3f2(x, params, n, variant))
-            except DenominatorPole:
-                continue
-            values[tag] = vals
-        tags = list(values)
-        for i, tag_a in enumerate(tags):
-            for tag_b in tags[i + 1:]:
-                pairs = [
-                    (n, values[tag_a][n], values[tag_b][n])
-                    for n in range(n_max + 1)
-                ]
-                reports.append(
-                    _worst_pair_report(
-                        f"charlier-rep:{tag_a}~{tag_b}", point, pairs, rel_tol
-                    )
-                )
-    # Laguerre: recurrence and the two 3F2 double sums.
-    for alpha, gamma, x in itertools.product(_LAGUERRE_ALPHAS, _GAMMAS, _XS):
-        params = LaguerreParams(alpha, gamma)
-        point = {"alpha": alpha, "gamma": gamma, "x": x}
-        values = {"recurrence": list(laguerre_seq(x, params, n_max).values)}
-        for tag, variant in (("3f2", "primary"), ("3f2-rahman", "rahman")):
-            vals = []
-            try:
-                for n in range(n_max + 1):
-                    vals.append(laguerre_3f2(x, params, n, variant))
-            except (DenominatorPole, RestrictedParameter):
-                continue
-            values[tag] = vals
-        tags = list(values)
-        for i, tag_a in enumerate(tags):
-            for tag_b in tags[i + 1:]:
-                pairs = [
-                    (n, values[tag_a][n], values[tag_b][n])
-                    for n in range(n_max + 1)
-                ]
-                reports.append(
-                    _worst_pair_report(
-                        f"laguerre-rep:{tag_a}~{tag_b}", point, pairs, rel_tol
-                    )
-                )
+    # Recurrence against every closed form, and each closed form against
+    # the later ones; a route that is not defined at a point is skipped.
+    for family in _FAMILIES:
+        names = (*family.grids, "gamma", "x")
+        for values in itertools.product(*family.grids.values(), _GAMMAS, _XS):
+            point = dict(zip(names, values))
+            *args, x = values
+            params = family.params(*args)
+            routes = {"recurrence": list(family.seq(x, params, n_max).values)}
+            for tag, route in family.routes.items():
+                try:
+                    routes[tag] = [route(x, params, n)
+                                   for n in range(n_max + 1)]
+                except (DenominatorPole, RestrictedParameter):
+                    continue
+            for tag_a, tag_b in itertools.combinations(routes, 2):
+                reports.append(_worst_pair_report(
+                    f"{family.name}-rep:{tag_a}~{tag_b}", point,
+                    zip(range(n_max + 1), routes[tag_a], routes[tag_b]),
+                    rel_tol,
+                ))
     # Meixner-Pollaczek: recurrence vs the complex Meixner connection.
     mp_n_max = min(n_max, 20)
     for nu, phi, gamma, x in itertools.product(
@@ -215,48 +206,20 @@ def verify_representations(rel_tol=1e-8, n_max=25):
     # Classical gamma = 0 reductions, tighter tolerance.
     red_tol = min(rel_tol, 1e-10)
     red_n_max = min(n_max, 20)
-    for beta, c, x in itertools.product(_MEIXNER_BETAS, _MEIXNER_CS, _XS):
-        params = MeixnerParams(beta, c, 0.0)
-        seq = meixner_seq(x, params, red_n_max)
-        pairs = [
-            (n, meixner_classical(x, beta, c, n), seq[n])
-            for n in range(red_n_max + 1)
-        ]
-        reports.append(
-            _worst_pair_report(
-                "meixner-classical-reduction",
-                {"beta": beta, "c": c, "x": x},
-                pairs,
-                red_tol,
-            )
-        )
-    for a, x in itertools.product(_CHARLIER_AS, _XS):
-        params = CharlierParams(a, 0.0)
-        seq = charlier_seq(x, params, red_n_max)
-        pairs = [
-            (n, charlier_classical(x, a, n), seq[n])
-            for n in range(red_n_max + 1)
-        ]
-        reports.append(
-            _worst_pair_report(
-                "charlier-classical-reduction", {"a": a, "x": x}, pairs, red_tol
-            )
-        )
-    for alpha, x in itertools.product(_LAGUERRE_ALPHAS, _XS):
-        params = LaguerreParams(alpha, 0.0)
-        seq = laguerre_seq(x, params, red_n_max)
-        pairs = [
-            (n, laguerre_classical(x, alpha, n), seq[n])
-            for n in range(red_n_max + 1)
-        ]
-        reports.append(
-            _worst_pair_report(
-                "laguerre-classical-reduction",
-                {"alpha": alpha, "x": x},
-                pairs,
-                red_tol,
-            )
-        )
+    for family in _FAMILIES:
+        names = (*family.grids, "x")
+        for values in itertools.product(*family.grids.values(), _XS):
+            *args, x = values
+            params = family.params(*args, 0.0)
+            seq = family.seq(x, params, red_n_max)
+            pairs = [
+                (n, family.classical(x, params, n), seq[n])
+                for n in range(red_n_max + 1)
+            ]
+            reports.append(_worst_pair_report(
+                f"{family.name}-classical-reduction",
+                dict(zip(names, values)), pairs, red_tol,
+            ))
     return reports
 
 

@@ -9,9 +9,12 @@ convergence is first order in 1/n; see tests/test_asymptotics.py) and
 are marked as strict expected failures rather than being loosened.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -98,6 +101,49 @@ def test_criterion_1_representation_agreement(representation_run):
     }
     assert quad_pairs == expected
     assert elapsed < 30.0, f"representation run took {elapsed:.1f}s"
+
+
+def test_criterion_1_route_pairs_and_grid_points_are_pinned(
+    representation_run,
+):
+    # The ordered (identity_id, grid point) rows, without the worst-n key,
+    # which depends on the value bits. A dropped, duplicated or reordered
+    # route pair, or a changed grid, changes the counts or the digest.
+    reports, _elapsed = representation_run
+    rows = [
+        (r.identity_id, {k: v for k, v in r.point.items() if k != "n"})
+        for r in reports
+    ]
+    assert Counter(identity_id for identity_id, _ in rows) == {
+        "meixner-rep:recurrence~4f3": 144,
+        "meixner-rep:recurrence~4f3-alt": 117,
+        "meixner-rep:recurrence~cross": 108,
+        "meixner-rep:recurrence~quadratic": 144,
+        "meixner-rep:4f3~4f3-alt": 117,
+        "meixner-rep:4f3~cross": 108,
+        "meixner-rep:4f3~quadratic": 144,
+        "meixner-rep:4f3-alt~cross": 108,
+        "meixner-rep:4f3-alt~quadratic": 117,
+        "meixner-rep:cross~quadratic": 108,
+        "charlier-rep:recurrence~3f2": 39,
+        "charlier-rep:recurrence~3f2-transformed": 39,
+        "charlier-rep:3f2~3f2-transformed": 39,
+        "laguerre-rep:recurrence~3f2": 48,
+        "laguerre-rep:recurrence~3f2-rahman": 48,
+        "laguerre-rep:3f2~3f2-rahman": 48,
+        "mp-rep:connection~recurrence": 36,
+        "meixner-classical-reduction": 36,
+        "charlier-classical-reduction": 12,
+        "laguerre-classical-reduction": 12,
+    }
+    assert rows[0] == ("meixner-rep:recurrence~4f3",
+                       {"beta": 0.5, "c": 0.2, "gamma": 0.0, "x": -1.2})
+    assert rows[-1] == ("laguerre-classical-reduction",
+                        {"alpha": 1.7, "x": 3.0})
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == (
+        "37d8817274f9351be2953d17da911c63a2318e77417901f1046ccff9c9345550"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,33 @@ import sys
 
 import pytest
 
-from assocpoly import gamma_ratio, gamma_value, gauss_2f1
+from assocpoly import (
+    CharlierParams,
+    LaguerreParams,
+    MeixnerParams,
+    MeixnerPollaczekParams,
+    charlier_3f2,
+    charlier_classical,
+    charlier_seq,
+    gamma_ratio,
+    gamma_value,
+    gauss_2f1,
+    laguerre_3f2,
+    laguerre_classical,
+    laguerre_seq,
+    meixner_4f3,
+    meixner_4f3_alt,
+    meixner_c1_degenerate,
+    meixner_classical,
+    meixner_cross_2f1,
+    meixner_pollaczek_seq,
+    meixner_quadratic,
+    meixner_reflection_rhs,
+    meixner_seq,
+    mp_from_meixner,
+)
 from assocpoly.cli import (
+    _FAMILIES,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -135,6 +160,89 @@ def test_eval_complex_point(capsys):
     record = json.loads(out)[0]
     assert record["x_im"] == 0.5
     assert record["value_im"] != 0.0
+
+
+# ---------------------------------------------------------------------------
+# eval: every route of the family table against the library call
+# ---------------------------------------------------------------------------
+
+# (family, rep) -> the library call, in the order "choose from" prints.
+LIBRARY_ROUTES = {
+    ("meixner", "recurrence"): lambda x, p, n: meixner_seq(x, p, n)[n],
+    ("meixner", "4f3"): meixner_4f3,
+    ("meixner", "4f3-alt"): meixner_4f3_alt,
+    ("meixner", "quadratic"): meixner_quadratic,
+    ("meixner", "cross"): meixner_cross_2f1,
+    ("meixner", "reflection"): meixner_reflection_rhs,
+    ("meixner", "degenerate-c1"): lambda x, p, n: meixner_c1_degenerate(
+        p.beta, p.gamma, n),
+    ("meixner", "classical"): lambda x, p, n: meixner_classical(
+        x, p.beta, p.c, n),
+    ("charlier", "recurrence"): lambda x, p, n: charlier_seq(x, p, n)[n],
+    ("charlier", "3f2"): charlier_3f2,
+    ("charlier", "3f2-transformed"): lambda x, p, n: charlier_3f2(
+        x, p, n, "transformed"),
+    ("charlier", "classical"): lambda x, p, n: charlier_classical(x, p.a, n),
+    ("laguerre", "recurrence"): lambda x, p, n: laguerre_seq(x, p, n)[n],
+    ("laguerre", "3f2"): laguerre_3f2,
+    ("laguerre", "3f2-rahman"): lambda x, p, n: laguerre_3f2(
+        x, p, n, "rahman"),
+    ("laguerre", "classical"): lambda x, p, n: laguerre_classical(
+        x, p.alpha, n),
+    ("meixner-pollaczek", "recurrence"): lambda x, p, n: meixner_pollaczek_seq(
+        x, p, n)[n],
+    ("meixner-pollaczek", "connection"): mp_from_meixner,
+}
+
+# family -> (params class, {flag: value} in constructor order)
+FAMILY_PARAMS = {
+    "meixner": (MeixnerParams, {"beta": 1.5, "c": 0.4}),
+    "charlier": (CharlierParams, {"a": 2.0}),
+    "laguerre": (LaguerreParams, {"alpha": 0.7}),
+    "meixner-pollaczek": (MeixnerPollaczekParams, {"nu": 0.7, "phi": 1.1}),
+}
+
+TABLE_ROUTES = [(family, rep) for family, spec in _FAMILIES.items()
+                for rep in spec.routes]
+
+
+def test_route_table_lists_every_representation_in_order():
+    assert TABLE_ROUTES == list(LIBRARY_ROUTES)
+
+
+@pytest.mark.parametrize("family,rep", TABLE_ROUTES)
+def test_eval_every_route_prints_the_library_value(capsys, family, rep):
+    cls, values = FAMILY_PARAMS[family]
+    values = dict(values)
+    if rep == "degenerate-c1":
+        values["c"] = 1.0
+    gamma = 0.0 if rep == "classical" else 0.7
+    x, n = 0.5, 4
+    argv = ["eval", "--family", family, "--rep", rep, "--gamma", repr(gamma),
+            "--x", repr(x), "--n", str(n)]
+    for name, value in values.items():
+        argv += [f"--{name}", repr(value)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    header, data = parse_csv(out)
+    expected = complex(
+        LIBRARY_ROUTES[family, rep](x, cls(*values.values(), gamma), n))
+    assert float(csv_value(header, data[0], "value_re")) == expected.real
+    assert float(csv_value(header, data[0], "value_im")) == expected.imag
+
+
+def test_eval_foreign_representation_lists_the_family_routes(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+        "--x", "0.5", "--n", "1", "--rep", "3f2",
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == (
+        "assocpoly: invalid input: representation '3f2' does not apply to "
+        "family 'meixner'; choose from ('recurrence', '4f3', '4f3-alt', "
+        "'quadratic', 'cross', 'reflection', 'degenerate-c1', 'classical')\n"
+    )
 
 
 # ---------------------------------------------------------------------------
