@@ -22,14 +22,15 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
-from itertools import count
 
-from .errors import DomainError, NotConverged, TailTooLarge
+from .errors import DenominatorPole, DomainError, NotConverged, TailTooLarge
 from .hyperkernel import (
     Accumulator,
     EulerIntegrand,
+    EvalOutcome,
     _check_nonneg_int,
     _exp,
+    _nonpos_int_degree,
     _sum_series,
     appell_f1,
     euler_integral,
@@ -605,7 +606,10 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400):
     until two consecutive terms fall below ``rel_tol`` times the
     partial sum; :class:`~assocpoly.errors.NotConverged` is raised if
     that takes more than ``max_terms`` terms.  Right side:
-    ``(1-t)^{-beta} 2F1(2-beta, gamma; gamma+1; t)``.
+    ``(1-t)^{-beta} 2F1(2-beta, gamma; gamma+1; t)``.  A nonpositive
+    integer ``gamma + beta`` raises
+    :class:`~assocpoly.errors.DenominatorPole`: past ``n = -(gamma+beta)``
+    each term is the zero coefficient times a 3F2 with a denominator pole.
 
     Returns
     -------
@@ -613,23 +617,24 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400):
     """
     if abs(t) >= 1.0:
         raise DomainError(f"the reduction chain requires |t| < 1, got {t!r}")
+    if _nonpos_int_degree(gamma + beta, 0.0) is not None:
+        raise DenominatorPole(
+            f"gamma + beta = {gamma + beta!r} is a pole of the chain's 3F2"
+        )
 
-    def terms():
-        coef = 1.0
-        for n in count():
-            inner = hyp_terminating(
-                [-n, gamma + beta - 1.0, gamma],
-                [gamma + beta, gamma + 1.0],
-                1.0,
-                n,
-            )
-            yield coef * inner, 1
-            coef = coef * (gamma + beta + n) / (n + 1.0) * t
+    def inner(n):
+        value = hyp_terminating(
+            [-n, gamma + beta - 1.0, gamma],
+            [gamma + beta, gamma + 1.0],
+            1.0,
+            n,
+        )
+        return EvalOutcome(value, True, 1, 0.0)
 
     lhs = _sum_series(
-        terms(), rel_tol, max_terms,
+        gamma + beta, None, None, t, rel_tol, max_terms,
         "c = 1 reduction series did not converge in {max_terms} terms "
-        "at t={z!r}", t,
+        "at t={z!r}", inner,
     )[0]
     rhs = _pow(1.0 - t, -beta) * gauss_2f1(
         2.0 - beta, gamma, gamma + 1.0, t

@@ -10,9 +10,12 @@ All routines accept real or complex scalars and keep real inputs real.
 Series and terminating sums are compensated (Kahan), because the
 alternating binary64 sums here lose digits without it.  One driver,
 ``_sum_series``, sums every infinite series (2F1, 1F1, F1, Phi1 and the
-c = 1 reduction chain of :mod:`assocpoly.genfuncs`) under one stopping
-rule: summation ends once two consecutive terms are below ``rel_tol``
-times the running partial sum, and raises
+c = 1 reduction chain of :mod:`assocpoly.genfuncs`).  A caller gives it
+the parameters of the coefficient ratio, plus, for F1, Phi1 and the
+chain, the inner value that multiplies each coefficient; it steps
+the coefficients in one loop with no generator.  Its one stopping
+rule ends summation once two consecutive terms are below ``rel_tol``
+times the running partial sum, and it raises
 :class:`~assocpoly.errors.NotConverged` (carrying the partial outcome)
 if ``max_terms`` is hit first.  One loop, ``_terminating_sum``, sums
 every terminating series, including the inner sums of the double sums
@@ -28,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import count
 
 from .errors import (
     DenominatorPole,
@@ -123,14 +125,10 @@ class Accumulator:
 # ---------------------------------------------------------------------------
 
 
-def _is_complex(*vals):
-    return any(isinstance(v, complex) for v in vals)
-
-
 def _power(base, exponent):
     # Python itself promotes negative-real ** fractional to complex,
     # but (0.0)**negative raises; route through cmath only when needed.
-    if _is_complex(base, exponent):
+    if isinstance(base, complex) or isinstance(exponent, complex):
         return complex(base) ** complex(exponent)
     return base ** exponent
 
@@ -143,14 +141,14 @@ def _real(z):
     return z.real if isinstance(z, complex) else z
 
 
-def _nonpos_int_degree(w, tol=_NONPOS_INT_TOL):
+def _nonpos_int_degree(w, tol):
     """Return m >= 0 when w is within tol of the nonpositive integer -m, else None."""
-    re = _real(w)
-    im = w.imag if isinstance(w, complex) else 0.0
-    if abs(im) > tol:
-        return None
-    r = round(re)
-    if r > 0 or abs(re - r) > tol:
+    if isinstance(w, complex):
+        if abs(w.imag) > tol:
+            return None
+        w = w.real
+    r = round(w)
+    if r > 0 or abs(w - r) > tol:
         return None
     return -int(r)
 
@@ -332,7 +330,15 @@ def _gamma_quotient(numerators, denominators):
 
 
 def _cancel(nums, dens):
-    """Drop each denominator parameter that equals a numerator parameter."""
+    """Drop each denominator parameter that equals a numerator parameter.
+
+    Returns the inputs themselves when no parameter cancels.
+    """
+    for d in dens:
+        if d in nums:
+            break
+    else:
+        return nums, dens
     nums = list(nums)
     remaining = []
     for d in dens:
@@ -423,33 +429,49 @@ def hyp_terminating(num_params, den_params, arg, top_index):
 # ---------------------------------------------------------------------------
 
 
-def _sum_series(terms, rel_tol, max_terms, message, z=None, total=0.0,
-                prev_abs=math.inf):
-    """Compensated sum of ``total`` and the terms of an infinite series.
+def _sum_series(a, b, c, z, rel_tol, max_terms, message, inner=None):
+    """Compensated sum of a series whose coefficients have a rational ratio.
 
-    ``terms`` yields ``(term, cost)`` pairs; ``cost`` is what the term
-    adds to the reported ``terms_used`` (1 for a plain term, the inner
-    kernel's count for a term that is itself a series).  Summation ends
-    once two consecutive terms are at most ``rel_tol`` times the running
-    sum, or when ``terms`` runs out (the series ended exactly).
+    The coefficients start at 1 and step as ``coef * (a + m) * (b + m) /
+    ((c + m) * (m + 1)) * z``; ``b`` or ``c`` set to ``None`` drops its
+    factor.  Without ``inner`` the terms are the coefficients: the leading
+    1 starts the sum and each later term costs 1.  With ``inner``, term m
+    is ``coef * inner(m).value`` and costs ``inner(m).terms_used``, and the
+    series ends exactly at a zero coefficient.  Summation ends once two
+    consecutive terms are at most ``rel_tol`` times the running sum.
 
     Returns ``(value, cost, err)``: ``cost`` sums the costs of the terms
-    taken, and ``err`` is the larger magnitude of the last two terms
-    (``prev_abs`` stands in for the term before the first), or 0.0 for a
-    series that ended exactly.  After ``max_terms`` terms raises
+    taken, and ``err`` is the larger magnitude of the last two terms, or
+    0.0 for a series that ended exactly.  After ``max_terms`` terms raises
     :class:`~assocpoly.errors.NotConverged` with the partial outcome and
     ``message.format(max_terms=max_terms, z=z)``.
     """
+    coef = 1.0
     comp = 0.0
-    used = 0
-    small = 0
-    taken = 0
-    for taken, (term, cost) in zip(range(1, max_terms + 1), terms):
+    used = small = 0
+    if inner is None:
+        total = prev_abs = 1.0
+    else:
+        total, prev_abs = 0.0, math.inf
+    for m in range(max_terms):
+        if inner is not None:
+            out = inner(m)
+            term = coef * out.value
+            used += out.terms_used
+        if b is None:
+            if c is None:
+                coef = coef * (a + m) / (m + 1) * z
+            else:
+                coef = coef * (a + m) / ((c + m) * (m + 1)) * z
+        else:
+            coef = coef * (a + m) * (b + m) / ((c + m) * (m + 1)) * z
+        if inner is None:
+            term = coef
+            used += 1
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        used += cost
         t_abs = abs(term)
         if t_abs <= rel_tol * abs(total):
             small += 1
@@ -458,8 +480,8 @@ def _sum_series(terms, rel_tol, max_terms, message, z=None, total=0.0,
         else:
             small = 0
         prev_abs = t_abs
-    if taken < max_terms:
-        return total, used, 0.0
+        if inner is not None and coef == 0:
+            return total, used, 0.0
     raise NotConverged(
         message.format(max_terms=max_terms, z=z),
         outcome=EvalOutcome(total, False, used, prev_abs),
@@ -469,23 +491,11 @@ def _sum_series(terms, rel_tol, max_terms, message, z=None, total=0.0,
 def _coef_series(a, b, c, x, inner, cfg, name):
     """Sum over m of ``(a)_m (b)_m / ((c)_m m!) x^m inner(m).value``.
 
-    This is the shape of the F1 and Phi1 series.  The series ends
-    exactly at a zero coefficient; each term costs the inner kernel's
-    ``terms_used``.
+    This is the shape of the F1 and Phi1 series.
     """
-
-    def terms():
-        coef = 1.0
-        m = 0
-        while coef != 0:
-            out = inner(m)
-            yield coef * out.value, out.terms_used
-            coef = coef * (a + m) * (b + m) / ((c + m) * (m + 1)) * x
-            m += 1
-
     value, used, err = _sum_series(
-        terms(), cfg.rel_tol, cfg.max_terms,
-        name + " series did not converge in {max_terms} terms",
+        a, b, c, x, cfg.rel_tol, cfg.max_terms,
+        name + " series did not converge in {max_terms} terms", inner,
     )
     return EvalOutcome(value, True, max(used, 1), err)
 
@@ -495,18 +505,10 @@ def _coef_series(a, b, c, x, inner, cfg, name):
 # ---------------------------------------------------------------------------
 
 
-def _terms_2f1(a, b, c, z):
-    term = 1.0
-    for n in count():
-        term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        yield term, 1
-
-
 def _series_2f1(a, b, c, z, cfg):
     value, used, err = _sum_series(
-        _terms_2f1(a, b, c, z), cfg.rel_tol, cfg.max_terms,
-        "2F1 series did not converge in {max_terms} terms at z={z!r}", z,
-        1.0, 1.0,
+        a, b, c, z, cfg.rel_tol, cfg.max_terms,
+        "2F1 series did not converge in {max_terms} terms at z={z!r}",
     )
     return EvalOutcome(value, True, used + 1, err)
 
@@ -551,15 +553,15 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
 
     The evaluation ladder, in order: exact elementary cases
     (``z = 0``, ``b = c``, ``a = c``), terminating series when ``a`` or
-    ``b`` is within 1e-9 of a nonpositive integer (truncating at the
-    smaller degree), the Gauss summation at ``z = 1`` when
-    ``Re(c-a-b) > 0``, the direct series for ``|z| <= 0.5``, the
-    z/(z-1) transformed series for ``|z/(z-1)| <= 0.5``, the 1/(1-z)
-    connection formula for ``|1-z| >= 2`` when ``a - b`` stays at least
-    1e-6 away from the integers, then the slow direct and transformed
-    series up to radius 0.95, and finally the direct series on the rest
-    of the open unit disk when ``Re(c-a-b) > 0`` (absolutely convergent
-    there).
+    ``b`` is exactly a nonpositive integer (truncating at the smaller
+    degree; one merely near it keeps its tail), the Gauss summation at
+    ``z = 1`` when ``Re(c-a-b) > 0``, the direct series for
+    ``|z| <= 0.5``, the z/(z-1) transformed series for
+    ``|z/(z-1)| <= 0.5``, the 1/(1-z) connection formula for
+    ``|1-z| >= 2`` when ``a - b`` stays at least 1e-6 away from the
+    integers, then the slow direct and transformed series up to radius
+    0.95, and finally the direct series on the rest of the open unit
+    disk when ``Re(c-a-b) > 0`` (absolutely convergent there).
 
     Parameters
     ----------
@@ -588,8 +590,8 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
         return EvalOutcome(_power(1.0 - z, -a), True, 1, 0.0)
     if _close(a, c):
         return EvalOutcome(_power(1.0 - z, -b), True, 1, 0.0)
-    na = _nonpos_int_degree(a)
-    nb = _nonpos_int_degree(b)
+    na = _nonpos_int_degree(a, 0.0)
+    nb = _nonpos_int_degree(b, 0.0)
     if na is not None or nb is not None:
         degrees = [d for d in (na, nb) if d is not None]
         top = min(degrees)
@@ -639,18 +641,10 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
 # ---------------------------------------------------------------------------
 
 
-def _terms_1f1(a, b, z):
-    term = 1.0
-    for n in count():
-        term = term * (a + n) / ((b + n) * (n + 1)) * z
-        yield term, 1
-
-
 def _series_1f1(a, b, z, cfg):
     value, used, err = _sum_series(
-        _terms_1f1(a, b, z), cfg.rel_tol, cfg.max_terms,
-        "1F1 series did not converge in {max_terms} terms at z={z!r}", z,
-        1.0, 1.0,
+        a, None, b, z, cfg.rel_tol, cfg.max_terms,
+        "1F1 series did not converge in {max_terms} terms at z={z!r}",
     )
     return EvalOutcome(value, True, used + 1, err)
 

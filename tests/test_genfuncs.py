@@ -11,6 +11,7 @@ import pytest
 
 from assocpoly import (
     CharlierParams,
+    DenominatorPole,
     DomainError,
     GFSpec,
     LaguerreParams,
@@ -367,6 +368,14 @@ def test_degenerate_reduction_chain(beta, gamma, t):
 def test_degenerate_reduction_chain_requires_unit_disk():
     with pytest.raises(DomainError):
         c1_reduction_identity(1.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("beta,gamma", [(-2.5, 0.5), (-1.5, 0.5), (-0.5, 0.5)])
+def test_degenerate_reduction_chain_rejects_pole_of_its_3f2(beta, gamma):
+    # gamma + beta = -k: the coefficients vanish past n = k while the 3F2
+    # there has a zero denominator factor, so the chain has no value.
+    with pytest.raises(DenominatorPole):
+        c1_reduction_identity(beta, gamma, 0.2)
 
 
 @pytest.mark.parametrize("t,max_terms", [(0.97, 400), (0.2, 3)])

@@ -20,6 +20,7 @@ from assocpoly import (
     DenominatorPole,
     DomainError,
     EulerIntegrand,
+    EvalOutcome,
     IllConditioned,
     NotConverged,
     PoleArgument,
@@ -27,6 +28,7 @@ from assocpoly import (
     SingularIntegrand,
     ZeroPochhammer,
     appell_f1,
+    c1_reduction_identity,
     euler_integral,
     gamma_ratio,
     gamma_value,
@@ -37,6 +39,7 @@ from assocpoly import (
     pochhammer,
     pochhammer_log,
 )
+from assocpoly import hyperkernel
 
 
 def rel(a, b):
@@ -254,6 +257,23 @@ def test_gauss_2f1_large_parameter_asymptotic_shrinks():
         assert devs[1] <= devs[0] / 5.0
 
 
+@pytest.mark.parametrize(
+    "a, b, c, z, expected",
+    [
+        (1e-9, 0.5, 0.375, 0.5, 1.000000000955102793771988840),
+        (-0.9999999997, 0.5, 0.375, -0.8, 2.066666666235207608183487604),
+        (0.7, -0.9999999997, 1.6, -3.0, 2.312499999362234321279153223),
+        (-2.0000000001, 0.5, 0.375, 0.8, -0.2024242424260816615304043065),
+    ],
+    ids=["direct", "z/(z-1)", "1/(1-z)", "slow-direct"],
+)
+def test_gauss_2f1_near_nonpositive_integer_keeps_its_tail(a, b, c, z, expected):
+    # a or b lies within 1e-9 of a nonpositive integer but not on it, on
+    # each series branch of the ladder; truncating there cost 5e-11 to
+    # 1e-9 relative.  References are mpmath at 40 digits.
+    assert rel(gauss_2f1(a, b, c, z).value, expected) < 1e-13
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(-3.0, 3.0),
@@ -370,6 +390,18 @@ def test_humbert_phi1_confluence_limit_of_f1():
         lhs = appell_f1(alpha, lam, mu, sigma, x, y / mu).value
         rhs = humbert_phi1(alpha, lam, sigma, x, y).value
         assert rel(lhs, rhs) < 1e-5
+
+
+@pytest.mark.parametrize("kernel, args, value", [
+    (appell_f1, (1.0, -3.0, 0.7, 1.3, 0.4, 0.0), 0.3590757069017939),
+    (humbert_phi1, (0.8, -3.0, 1.6, 0.5, 0.0), 0.47596153846153844),
+])
+def test_series_ending_on_its_last_allowed_term_converges(kernel, args, value):
+    # beta1 = -3 ends the series after its fourth term, which is exactly
+    # the cap: the polynomial is complete, not a partial sum.
+    out = kernel(*args, SeriesConfig(max_terms=4))
+    assert (out.value, out.converged, out.terms_used, out.err_estimate) == (
+        value, True, 4, 0.0)
 
 
 def test_humbert_phi1_x_outside_disk_raises():
@@ -496,7 +528,25 @@ def _pinned_cases():
               (kummer_1f1, (0.6, 1.9, -2.0, short)),
               (appell_f1, (1.0, 0.5, 0.7, 1.3, 0.6, 0.0, short)),
               (humbert_phi1, (0.8, 1.1, 1.6, 0.5, 0.0, short))]
+    # Connection-formula 2F1 whose first inner series reaches an exactly
+    # zero numerator (c - b = -2) and keeps summing zero terms.
+    cases += [(gauss_2f1, (0.3, 3.5, 1.5, -3.0)),
+              (gauss_2f1, (0.3, 3.5, 1.5, -3.0 + 0.5j))]
+    # F1 and Phi1 whose inner 2F1 or 1F1 runs out of terms.
+    cases += [(appell_f1, (0.8, 0.6, 1.1, 2.3, 0.3, 0.45, short)),
+              (humbert_phi1, (0.7, 1.5, 2.2, 0.4, 3.0, short))]
+    # The c = 1 chain at the points verify_convolutions checks, at a t
+    # that needs more terms, and cut off by its own term cap.
+    cases += [(_c1_chain, (2.5, 0.7, 0.2)), (_c1_chain, (0.7, 1.4, -0.15)),
+              (_c1_chain, (1.8, 0.4, 0.1)), (_c1_chain, (2.5, 0.7, 0.5)),
+              (_c1_chain, (2.5, 0.7, 0.2, 3))]
     return cases
+
+
+def _c1_chain(beta, gamma, t, max_terms=400):
+    """Left side of the c = 1 chain at the tolerance of verify_convolutions."""
+    report = c1_reduction_identity(beta, gamma, t, 1e-8, max_terms)
+    return EvalOutcome(report.lhs, True, 0, 0.0)
 
 
 # repr((status, value, terms_used, err_estimate)) of each pinned case,
@@ -565,6 +615,15 @@ _PINNED = [
     "('1F1 series did not converge in 4 terms at z=2.0', 4.3345679469609975, 4, 0.2686272331073989)",
     "('Appell F1 series did not converge in 4 terms', 1.3621161447248402, 4, 0.041045910611128)",
     "('Phi1 series did not converge in 4 terms', 1.4151177884615385, 4, 0.040165865384615376)",
+    "('ok', 0.5004233751606201, 5, 0.0)",
+    "('ok', (0.4980487902501782+0.023518032052334527j), 5, 0.0)",
+    "('2F1 series did not converge in 4 terms at z=0.45', 1.2344272234547953, 4, 0.0044433892788599124)",
+    "('1F1 series did not converge in 4 terms at z=3.0', 3.4651425234921325, 4, 0.2609521825830419)",
+    "('ok', 1.6725475705190114, 0, 0.0)",
+    "('ok', 0.814795523296644, 0, 0.0)",
+    "('ok', 1.2159878215610198, 0, 0.0)",
+    "('ok', 5.017396729002289, 0, 0.0)",
+    "('c = 1 reduction series did not converge in 3 terms at t=0.2', 1.611938997821351, 3, 0.1531154684095861)",
 ]
 
 
@@ -579,3 +638,97 @@ def test_series_kernels_are_bit_pinned():
             status = str(exc)
         got.append(repr((status, out.value, out.terms_used, out.err_estimate)))
     assert got == _PINNED
+
+
+# ---------------------------------------------------------------------------
+# Reference: the generator-driven series loop, kept to check the kernels'
+# own loop bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_sum_series(terms, rel_tol, max_terms, message, z):
+    """Compensated sum of 1 and the ``(term, cost)`` pairs of ``terms``."""
+    total = prev_abs = 1.0
+    comp = 0.0
+    used = 0
+    small = 0
+    for _taken, (term, cost) in zip(range(1, max_terms + 1), terms):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        used += cost
+        t_abs = abs(term)
+        if t_abs <= rel_tol * abs(total):
+            small += 1
+            if small >= 2:
+                return EvalOutcome(total, True, used + 1, max(t_abs, prev_abs))
+        else:
+            small = 0
+        prev_abs = t_abs
+    raise NotConverged(
+        message.format(max_terms=max_terms, z=z),
+        outcome=EvalOutcome(total, False, used, prev_abs),
+    )
+
+
+def _reference_2f1(a, b, c, z, cfg):
+    def terms():
+        term = 1.0
+        n = 0
+        while True:
+            term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+            yield term, 1
+            n += 1
+
+    return _reference_sum_series(
+        terms(), cfg.rel_tol, cfg.max_terms,
+        "2F1 series did not converge in {max_terms} terms at z={z!r}", z,
+    )
+
+
+def _reference_1f1(a, b, z, cfg):
+    def terms():
+        term = 1.0
+        n = 0
+        while True:
+            term = term * (a + n) / ((b + n) * (n + 1)) * z
+            yield term, 1
+            n += 1
+
+    return _reference_sum_series(
+        terms(), cfg.rel_tol, cfg.max_terms,
+        "1F1 series did not converge in {max_terms} terms at z={z!r}", z,
+    )
+
+
+def _outcome_repr(series, *args):
+    try:
+        out = series(*args)
+        status = "ok"
+    except NotConverged as exc:
+        out = exc.outcome
+        status = str(exc)
+    except ZeroDivisionError as exc:
+        return repr(("ZeroDivisionError", str(exc)))
+    return repr((status, out.value, out.converged, out.terms_used,
+                 out.err_estimate))
+
+
+_PARAM = st.one_of(st.floats(-4.0, 4.0),
+                   st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                      allow_infinity=False))
+_ARG = st.one_of(st.floats(-0.9, 0.9),
+                 st.complex_numbers(max_magnitude=0.9, allow_nan=False,
+                                    allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_PARAM, b=_PARAM, c=_PARAM, z=_ARG,
+       max_terms=st.sampled_from([3, 40, 10000]))
+def test_series_loop_matches_generator_reference(a, b, c, z, max_terms):
+    cfg = SeriesConfig(max_terms=max_terms)
+    assert (_outcome_repr(hyperkernel._series_2f1, a, b, c, z, cfg)
+            == _outcome_repr(_reference_2f1, a, b, c, z, cfg))
+    assert (_outcome_repr(hyperkernel._series_1f1, a, c, z, cfg)
+            == _outcome_repr(_reference_1f1, a, c, z, cfg))
