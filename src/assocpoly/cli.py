@@ -20,12 +20,14 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
-import json
 import sys
 from typing import Callable, NamedTuple
 
-from .asymptotics import mh_convergence_study
+# Only what ``eval`` and ``table`` run is imported here; the ``verify``,
+# ``gf-check`` and ``mh-study`` handlers import the verifier, the
+# generating functions and the asymptotics when they run.
 from .closedforms import (
     charlier_3f2,
     charlier_classical,
@@ -54,23 +56,6 @@ from .errors import (
     ZeroC,
     ZeroPochhammer,
 )
-from .genfuncs import (
-    GFSpec,
-    Normalization,
-    gf_charlier_elementary,
-    gf_charlier_integral,
-    gf_charlier_ode_residual,
-    gf_charlier_phi1,
-    gf_laguerre,
-    gf_laguerre_elementary,
-    gf_lhs_auto,
-    gf_meixner_alt,
-    gf_meixner_appell,
-    gf_meixner_elementary,
-    gf_meixner_integral,
-    gf_weighted_laguerre_diag,
-    weighted_classical_gf,
-)
 from .recurrences import (
     CharlierParams,
     LaguerreParams,
@@ -81,8 +66,7 @@ from .recurrences import (
     meixner_pollaczek_seq,
     meixner_seq,
 )
-from .report import make_report
-from .verify import VERIFY_SETS, run_set, summarize
+from .report import VERIFY_SETS, summarize
 
 __all__ = ["main"]
 
@@ -93,9 +77,10 @@ EXIT_NUMERICAL = 3
 
 _VALIDATION_ERRORS = (ZeroC, ZeroA, RestrictedParameter, DomainError,
                       ValueError, TypeError)
+# OverflowError: a value beyond the binary64 range.
 _NUMERICAL_ERRORS = (PoleArgument, DenominatorPole, NotConverged,
                      IllConditioned, QuadratureNotConverged, TailTooLarge,
-                     ZeroPochhammer, SingularIntegrand)
+                     ZeroPochhammer, SingularIntegrand, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +96,27 @@ def _scalar(text):
         return complex(text)
 
 
+def _finite(parse):
+    """The argparse type that parses with ``parse`` and rejects NaN and inf.
+
+    Text that does not parse keeps argparse's own message, which names
+    ``parse``.
+    """
+    def finite(text):
+        value = parse(text)
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(
+                f"not a finite number: {text!r}")
+        return value
+
+    finite.__name__ = parse.__name__
+    return finite
+
+
+_REAL = _finite(float)
+_SCALAR = _finite(_scalar)
+
+
 def _cell(value):
     if value is None:
         return ""
@@ -121,6 +127,8 @@ def _cell(value):
     if isinstance(value, int):
         return str(value)
     if isinstance(value, dict):
+        import json
+
         return json.dumps(value, sort_keys=True, default=str)
     return str(value)
 
@@ -136,6 +144,8 @@ def _write_records(args, fieldnames, records):
 
 def _write_stream(stream, args, fieldnames, records):
     if args.output == "json":
+        import json
+
         stream.write(json.dumps(records, indent=2, default=str))
         stream.write("\n")
         return
@@ -198,14 +208,11 @@ class _Family(NamedTuple):
     routes: dict
     # The route the cross-check compares a recurrence value against.
     alternate: str
-    # {gf-check form: (normalization, closed form(x, params, t))}; None for
-    # the weighted and ODE forms, which build their own report.
-    gf_forms: dict
 
 
-def _family(params, flags, seq, routes, alternate, gf_forms):
+def _family(params, flags, seq, routes, alternate):
     routes = {"recurrence": lambda x, p, n: seq(x, p, n)[n], **routes}
-    return _Family(params, flags, seq, routes, alternate, gf_forms)
+    return _Family(params, flags, seq, routes, alternate)
 
 
 # Every route calls this module's global names when it runs, never a stored
@@ -227,18 +234,6 @@ _FAMILIES = {
                 x, _zero_shift(p).beta, p.c, n),
         },
         "4f3",
-        {
-            "appell": (Normalization.BY_GAMMA_BETA,
-                       lambda x, p, t: gf_meixner_appell(x, p, t)),
-            "alt": (Normalization.BY_GAMMA_ONE,
-                    lambda x, p, t: gf_meixner_alt(x, p, t)),
-            "integral": (Normalization.BY_GAMMA_ONE,
-                         lambda x, p, t: gf_meixner_integral(x, p, t)),
-            "weighted": None,
-            "elementary": (Normalization.BY_GAMMA_ONE,
-                           lambda x, p, t: gf_meixner_elementary(
-                               x, p.beta, p.c, t)),
-        },
     ),
     "charlier": _family(
         CharlierParams, ("a",),
@@ -251,17 +246,6 @@ _FAMILIES = {
                 x, _zero_shift(p).a, n),
         },
         "3f2",
-        {
-            "phi1": (Normalization.BY_GAMMA_ONE,
-                     lambda x, p, t: gf_charlier_phi1(x, p, t)),
-            "integral": (Normalization.BY_GAMMA_ONE,
-                         lambda x, p, t: gf_charlier_integral(x, p, t)),
-            "weighted": None,
-            "elementary": (Normalization.BY_GAMMA_ONE,
-                           lambda x, p, t: gf_charlier_elementary(
-                               x, p.a, t)),
-            "ode": None,
-        },
     ),
     "laguerre": _family(
         LaguerreParams, ("alpha",),
@@ -273,24 +257,12 @@ _FAMILIES = {
                 x, _zero_shift(p).alpha, n),
         },
         "3f2",
-        {
-            "phi1": (Normalization.PLAIN,
-                     lambda x, p, t: gf_laguerre(x, p, t)),
-            "weighted": None,
-            "diag": (Normalization.WEIGHTED,
-                     lambda x, p, t: gf_weighted_laguerre_diag(
-                         x, p.alpha, t)),
-            "elementary": (Normalization.PLAIN,
-                           lambda x, p, t: gf_laguerre_elementary(
-                               x, p.alpha, t)),
-        },
     ),
     "meixner-pollaczek": _family(
         MeixnerPollaczekParams, ("nu", "phi"),
         lambda x, p, n: meixner_pollaczek_seq(x, p, n),
         {"connection": lambda x, p, n: mp_from_meixner(x, p, n)},
         "connection",
-        {},
     ),
 }
 
@@ -402,6 +374,8 @@ def _cmd_table(args):
 
 
 def _cmd_verify(args):
+    from .verify import run_set
+
     if args.n_max < 0:
         print("verify: empty grid (--n-max < 0)", file=sys.stderr)
         return EXIT_VALIDATION
@@ -429,10 +403,10 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
-def _gf_applicable_forms(args, params):
+def _gf_applicable_forms(known, params):
     forms = []
     gamma = params.gamma
-    for form in _FAMILIES[args.family].gf_forms:
+    for form in known:
         if form in ("integral", "weighted") and gamma <= 0.0:
             continue
         if form == "elementary" and gamma != 0.0:
@@ -444,15 +418,24 @@ def _gf_applicable_forms(args, params):
 
 
 def _gf_report(args, params, x, t, form, rel_tol):
-    family = _FAMILIES[args.family]
+    from .genfuncs import (
+        GF_FORMS,
+        GFSpec,
+        gf_charlier_ode_residual,
+        gf_lhs_auto,
+        weighted_classical_gf,
+    )
+    from .report import make_report
+
     point = {"x": x, "t": t, "gamma": params.gamma}
-    point.update((name, getattr(params, name)) for name in family.flags)
+    point.update((name, getattr(params, name))
+                 for name in _FAMILIES[args.family].flags)
     if form == "weighted":
         return weighted_classical_gf(x, params, t, rel_tol)
     if form == "ode":
         residual = gf_charlier_ode_residual(x, params, t)
         return make_report("gf-charlier-ode", point, residual, 0.0, rel_tol)
-    norm, closed_form = family.gf_forms[form]
+    norm, closed_form = GF_FORMS[args.family][form]
     rhs = closed_form(x, params, t)
     lhs, n_used = gf_lhs_auto(GFSpec(params, x, t, norm, 60))
     point["N"] = n_used
@@ -460,13 +443,15 @@ def _gf_report(args, params, x, t, form, rel_tol):
 
 
 def _cmd_gf_check(args):
+    from .genfuncs import GF_FORMS
+
     params = _build_params(args)
-    applicable = _gf_applicable_forms(args, params)
+    known = tuple(GF_FORMS[args.family])
+    applicable = _gf_applicable_forms(known, params)
     if args.forms == ["all"]:
         forms = applicable
     else:
         forms = args.forms
-        known = tuple(_FAMILIES[args.family].gf_forms)
         for form in forms:
             if form not in known:
                 raise ValueError(
@@ -498,6 +483,8 @@ def _cmd_gf_check(args):
 
 
 def _cmd_mh_study(args):
+    from .asymptotics import mh_convergence_study
+
     params = _build_params(args)
     study = mh_convergence_study(args.x, params, args.checkpoints)
     limit = complex(study.limit)
@@ -536,7 +523,7 @@ def _add_output_flags(parser):
                         help="output format (default csv)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output path (default stdout)")
-    parser.add_argument("--rel-tol", type=float, default=1e-8,
+    parser.add_argument("--rel-tol", type=_REAL, default=1e-8,
                         help="relative tolerance (default 1e-8)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized sampling (default 0)")
@@ -544,19 +531,19 @@ def _add_output_flags(parser):
 
 def _add_family_flags(parser, families=_FAMILIES):
     parser.add_argument("--family", required=True, choices=families)
-    parser.add_argument("--beta", type=float, default=None,
+    parser.add_argument("--beta", type=_REAL, default=None,
                         help="Meixner shape parameter")
-    parser.add_argument("--c", type=float, default=None,
+    parser.add_argument("--c", type=_REAL, default=None,
                         help="Meixner geometric parameter")
-    parser.add_argument("--a", type=float, default=None,
+    parser.add_argument("--a", type=_REAL, default=None,
                         help="Charlier rate parameter")
-    parser.add_argument("--alpha", type=float, default=None,
+    parser.add_argument("--alpha", type=_REAL, default=None,
                         help="Laguerre shape parameter")
-    parser.add_argument("--nu", type=float, default=None,
+    parser.add_argument("--nu", type=_REAL, default=None,
                         help="Meixner-Pollaczek shape parameter")
-    parser.add_argument("--phi", type=float, default=None,
+    parser.add_argument("--phi", type=_REAL, default=None,
                         help="Meixner-Pollaczek angle in (0, pi)")
-    parser.add_argument("--gamma", type=float, default=0.0,
+    parser.add_argument("--gamma", type=_REAL, default=0.0,
                         help="index shift (default 0)")
 
 
@@ -573,7 +560,7 @@ def build_parser():
 
     p_eval = sub.add_parser("eval", help="evaluate one polynomial value")
     _add_family_flags(p_eval)
-    p_eval.add_argument("--x", type=_scalar, default=None,
+    p_eval.add_argument("--x", type=_SCALAR, default=None,
                         help="evaluation point (real or complex)")
     p_eval.add_argument("--n", type=int, required=True, help="degree")
     p_eval.add_argument("--rep", default="recurrence",
@@ -583,7 +570,7 @@ def build_parser():
 
     p_table = sub.add_parser("table", help="tabulate a family")
     _add_family_flags(p_table)
-    p_table.add_argument("--x", type=_scalar, nargs="+", required=True,
+    p_table.add_argument("--x", type=_SCALAR, nargs="+", required=True,
                          help="evaluation points")
     p_table.add_argument("--n-max", type=int, default=10,
                          help="highest degree (default 10)")
@@ -602,9 +589,9 @@ def build_parser():
     p_gf = sub.add_parser("gf-check",
                           help="check generating functions at (x, t) points")
     _add_family_flags(p_gf, families=("meixner", "charlier", "laguerre"))
-    p_gf.add_argument("--x", type=_scalar, nargs="+", default=[0.5],
+    p_gf.add_argument("--x", type=_SCALAR, nargs="+", default=[0.5],
                       help="evaluation points (default 0.5)")
-    p_gf.add_argument("--t", type=float, nargs="+", default=[0.05, 0.1],
+    p_gf.add_argument("--t", type=_REAL, nargs="+", default=[0.05, 0.1],
                       help="series variable values (default 0.05 0.1)")
     p_gf.add_argument("--forms", nargs="+", default=["all"],
                       help="closed forms to check (default all applicable)")
@@ -614,7 +601,7 @@ def build_parser():
     p_mh = sub.add_parser("mh-study",
                           help="large-degree scaled convergence study")
     _add_family_flags(p_mh, families=("meixner", "charlier"))
-    p_mh.add_argument("--x", type=_scalar, required=True,
+    p_mh.add_argument("--x", type=_SCALAR, required=True,
                       help="evaluation point (real or complex)")
     p_mh.add_argument("--checkpoints", type=int, nargs="+",
                       default=[50, 100, 200, 400],

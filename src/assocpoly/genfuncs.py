@@ -666,3 +666,44 @@ def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, h=1e-4,
     rhs = alpha * t ** (alpha - 1.0) * gf_laguerre_elementary(x, alpha, t)
     point = {"x": x, "alpha": alpha, "t": t, "h": h}
     return make_report("laguerre-diag-derivative", point, deriv, rhs, rel_tol)
+
+
+# The forms ``assocpoly gf-check`` compares, per family:
+# {form: (normalization of the left side, closed form(x, params, t))}, in
+# the order the command runs them; None for the weighted and ODE forms,
+# which build their own report.  Each closed form is called through this
+# module's global name when it runs, so that a wrapper patched over the
+# name (perfbench's span recorders) sees the call.
+GF_FORMS = {
+    "meixner": {
+        "appell": (Normalization.BY_GAMMA_BETA,
+                   lambda x, p, t: gf_meixner_appell(x, p, t)),
+        "alt": (Normalization.BY_GAMMA_ONE,
+                lambda x, p, t: gf_meixner_alt(x, p, t)),
+        "integral": (Normalization.BY_GAMMA_ONE,
+                     lambda x, p, t: gf_meixner_integral(x, p, t)),
+        "weighted": None,
+        "elementary": (Normalization.BY_GAMMA_ONE,
+                       lambda x, p, t: gf_meixner_elementary(
+                           x, p.beta, p.c, t)),
+    },
+    "charlier": {
+        "phi1": (Normalization.BY_GAMMA_ONE,
+                 lambda x, p, t: gf_charlier_phi1(x, p, t)),
+        "integral": (Normalization.BY_GAMMA_ONE,
+                     lambda x, p, t: gf_charlier_integral(x, p, t)),
+        "weighted": None,
+        "elementary": (Normalization.BY_GAMMA_ONE,
+                       lambda x, p, t: gf_charlier_elementary(x, p.a, t)),
+        "ode": None,
+    },
+    "laguerre": {
+        "phi1": (Normalization.PLAIN, lambda x, p, t: gf_laguerre(x, p, t)),
+        "weighted": None,
+        "diag": (Normalization.WEIGHTED,
+                 lambda x, p, t: gf_weighted_laguerre_diag(x, p.alpha, t)),
+        "elementary": (Normalization.PLAIN,
+                       lambda x, p, t: gf_laguerre_elementary(
+                           x, p.alpha, t)),
+    },
+}

@@ -3,12 +3,20 @@
 Every verification routine in the library returns
 :class:`IdentityReport` records: two independently computed values, the
 relative discrepancy between them, and a pass flag at the tolerance the
-check was run with.
+check was run with.  :func:`summarize` counts a batch of them and picks
+the worst.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+# The identity sets of :func:`assocpoly.verify.run_set`.  They are named
+# here, in a module every command loads, so that the command line can
+# offer them without loading the verifier.
+VERIFY_SETS = ("representations", "transformations", "convolutions",
+               "finite-sums", "all")
 
 
 @dataclass(frozen=True)
@@ -60,3 +68,21 @@ def make_report(identity_id, point, lhs, rhs, rel_tol):
         passed=rel <= rel_tol,
         rel_tol=rel_tol,
     )
+
+
+def _severity(report):
+    """Ranking key for worst-of selection: a NaN or inf discrepancy ranks
+    above every finite one, so a non-finite result is never hidden."""
+    rel = report.rel_discrepancy
+    return rel if math.isfinite(rel) else math.inf
+
+
+def _worst(reports):
+    """The first report of the largest severity, or None for no reports."""
+    return max(reports, key=_severity, default=None)
+
+
+def summarize(reports):
+    """(passed count, failed count, worst report or None)."""
+    passed = sum(1 for r in reports if r.passed)
+    return passed, len(reports) - passed, _worst(reports)

@@ -61,7 +61,7 @@ from .recurrences import (
     meixner_pollaczek_seq,
     meixner_seq,
 )
-from .report import make_report
+from .report import VERIFY_SETS, _worst, make_report, summarize
 
 __all__ = [
     "VERIFY_SETS",
@@ -73,27 +73,12 @@ __all__ = [
     "summarize",
 ]
 
-VERIFY_SETS = ("representations", "transformations", "convolutions",
-               "finite-sums", "all")
-
 _MEIXNER_BETAS = (0.5, 1.5, 2.5)
 _MEIXNER_CS = (0.2, 0.4, 0.8)
 _GAMMAS = (0.0, 0.3, 1.0, 2.7)
 _XS = (-1.2, 0.0, 0.5, 3.0)
 _CHARLIER_AS = (0.5, 2.0, 5.0)
 _LAGUERRE_ALPHAS = (-0.5, 0.5, 1.7)
-
-
-def _severity(report):
-    """Ranking key for worst-of selection: a NaN or inf discrepancy ranks
-    above every finite one, so a non-finite result is never hidden."""
-    rel = report.rel_discrepancy
-    return rel if math.isfinite(rel) else math.inf
-
-
-def _worst(reports):
-    """The first report of the largest severity, or None for no reports."""
-    return max(reports, key=_severity, default=None)
 
 
 def _worst_pair_report(identity_id, point, pairs, rel_tol):
@@ -433,9 +418,3 @@ def run_set(set_name, rel_tol=1e-8, seed=0, n_max=25):
     if set_name in ("finite-sums", "all"):
         reports.extend(verify_finite_sums(min(rel_tol, 1e-9), seed))
     return reports
-
-
-def summarize(reports):
-    """(passed count, failed count, worst report or None)."""
-    passed = sum(1 for r in reports if r.passed)
-    return passed, len(reports) - passed, _worst(reports)

@@ -1,10 +1,13 @@
 """Command-line interface tests (in-process via main(argv))."""
 
 import csv
+import importlib
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +304,66 @@ def test_argparse_errors_exit_2():
     assert excinfo.value.code == 2
 
 
+# One valid command per subcommand, and its real-valued and scalar flags.
+NUMERIC_FLAGS = {
+    ("eval", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+     "--x", "0.5", "--n", "3"): ("--beta", "--c", "--gamma", "--x",
+                                 "--rel-tol"),
+    ("eval", "--family", "meixner-pollaczek", "--nu", "0.7", "--phi", "1.1",
+     "--x", "0.5", "--n", "3"): ("--nu", "--phi"),
+    ("table", "--family", "charlier", "--a", "2", "--x", "0.5",
+     "--n-max", "3"): ("--a", "--gamma", "--x", "--rel-tol"),
+    ("gf-check", "--family", "laguerre", "--alpha", "0.7"): (
+        "--alpha", "--gamma", "--x", "--t", "--rel-tol"),
+    ("mh-study", "--family", "charlier", "--a", "1", "--x", "-0.5",
+     "--checkpoints", "50"): ("--a", "--gamma", "--x", "--rel-tol"),
+}
+NON_FINITE = ("nan", "inf", "-inf", "NaN", "1e999")
+COMPLEX_FLAGS = ("--x",)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(argv, flag, id=f"{argv[0]}-{argv[2]}{flag}")
+    for argv, flags in NUMERIC_FLAGS.items() for flag in flags])
+def test_non_finite_numeric_flag_is_a_parse_error(capsys, argv, flag):
+    texts = NON_FINITE + (("nan+1j", "1+infj") if flag in COMPLEX_FLAGS
+                          else ())
+    for text in texts:
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, f"{flag}={text}"])
+        assert excinfo.value.code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {flag}: not a finite number: {text!r}")
+
+
+def test_unparsable_numeric_flag_keeps_the_argparse_message(capsys):
+    for flag, kind in (("--beta", "float"), ("--x", "_scalar")):
+        with pytest.raises(SystemExit):
+            main(["eval", "--family", "meixner", "--beta", "1.5", "--c",
+                  "0.4", "--x", "0.5", "--n", "3", flag, "abc"])
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"assocpoly eval: error: argument {flag}: invalid {kind} "
+            f"value: 'abc'")
+
+
+@pytest.mark.parametrize("argv", [
+    # The exact escalation of the double sum ends in a float() overflow.
+    ("eval", "--family", "charlier", "--rep", "3f2", "--n", "25", "--a",
+     "1e-300", "--x", "3", "--gamma", "0.5"),
+    # The exact-lattice values of the recurrence overflow binary64.
+    ("eval", "--family", "meixner", "--rep", "recurrence", "--n", "25",
+     "--beta", "1e200", "--c", "0.5", "--x", "1e200", "--gamma", "0.5"),
+])
+def test_binary64_overflow_exits_numerical_in_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("assocpoly: numerical failure: ")
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -545,6 +608,89 @@ def test_module_entry_point_runs_as_subprocess():
     assert result.returncode == 0
     record = json.loads(result.stdout)[0]
     assert record["value_re"] == pytest.approx(0.5, rel=1e-14)
+
+
+# A fresh ``python -m assocpoly`` for one route of each family, and a table.
+COLD_RUNS = [
+    ["eval", "--family", "meixner", "--beta", "1.5", "--c", "0.4", "--gamma",
+     "0.7", "--x", "0.5", "--n", "6", "--rep", "4f3"],
+    ["eval", "--family", "charlier", "--a", "2", "--gamma", "0.7", "--x",
+     "0.5+0.1j", "--n", "6", "--rep", "3f2"],
+    ["eval", "--family", "laguerre", "--alpha", "0.7", "--gamma", "0.7",
+     "--x", "0.5", "--n", "6", "--rep", "3f2-rahman"],
+    ["eval", "--family", "meixner-pollaczek", "--nu", "0.7", "--phi", "1.1",
+     "--gamma", "0.7", "--x", "0.5", "--n", "6", "--rep", "connection"],
+    ["table", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+     "--gamma", "0.7", "--x", "0.5", "1+1j", "--n-max", "5", "--rep",
+     "quadratic"],
+]
+# Runs the package as ``python -m assocpoly`` does, then lists on stderr
+# the package modules the run loaded.
+_LIST_MODULES_AFTER_RUN = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('assocpoly', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(*sorted(m for m in sys.modules\n"
+    "                  if m.startswith('assocpoly.')), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("argv", COLD_RUNS,
+                         ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_cold_eval_and_table_load_only_the_modules_they_run(capsys, argv):
+    result = subprocess.run(
+        [sys.executable, "-c", _LIST_MODULES_AFTER_RUN, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert set(result.stderr.split()) == {
+        "assocpoly.cli", "assocpoly.errors",
+        "assocpoly.hyperkernel", "assocpoly.recurrences",
+        "assocpoly.closedforms", "assocpoly.report",
+    }
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert result.stdout == out
+
+
+def _perfbench_spans():
+    """perfbench's span recorders, loaded from their file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_times_the_cli_and_restores_it(capsys):
+    # perfbench patches every name of spans.CLI_ROUTES on the cli module
+    # without checking that it exists, so each must stay a module global.
+    spans = _perfbench_spans()
+    modules = [importlib.import_module(name) for name in spans._MODULES]
+    names = {*spans.SPANS, *spans.CLI_ROUTES}
+
+    def bound():
+        return {(module.__name__, name): getattr(module, name)
+                for module in modules for name in names
+                if hasattr(module, name)}
+
+    before = bound()
+    tracer = spans.Tracer().install()
+    try:
+        code, out, _ = run_cli(
+            capsys, "eval", "--family", "meixner", "--beta", "1.5", "--c",
+            "0.4", "--gamma", "0.7", "--x", "0.5", "--n", "6", "--rep", "4f3",
+        )
+    finally:
+        tracer.remove()
+    assert code == EXIT_OK
+    # The value and its cross-check against the recurrence.
+    assert tracer.spans["cli.route"].calls == 2
+    assert tracer.spans["closedforms.meixner_4f3"].calls == 1
+    after = bound()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
 
 
 def test_cold_process_loads_no_scipy_and_keeps_gamma_bits():
