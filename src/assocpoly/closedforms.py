@@ -14,22 +14,29 @@ Two robustness policies apply throughout:
   than regularized; the affected parameter sets are measure-zero and a
   caller can perturb or switch representation.
 * The alternating finite sums are evaluated in binary64 with
-  compensated summation, each inner terminating sum by the loop of
-  :func:`~assocpoly.hyperkernel.hyp_terminating`, while tracking a
-  condition estimate (largest intermediate magnitude over the final
-  sum).  When cancellation would destroy more digits than the target
-  accuracy allows and all inputs are real, the same sum is re-evaluated
-  from the rationals the inputs denote, which is possible because every
-  term of these sums is rational in the parameters.  The re-evaluation
-  is certified fixed point (a Ziv loop): the sum runs on plain integers
-  at scale 2**p beside a rigorous integer bound on its error, and is
-  accepted once both ends of that interval round to the same double,
-  which is then the exact value correctly rounded; otherwise p doubles.
-  After three passes (always for an exact zero), or once an end of the
+  compensated summation while tracking a condition estimate (largest
+  intermediate magnitude over the final sum).  Most are Cauchy sums:
+  the paper's double sums whose k-shifted inner parameters continue an
+  outer Pochhammer symbol collapse, with m = k + j, to one sum
+  ``sum_m T_m C_m`` whose C_m obey a first-order recurrence, so a
+  degree costs O(n); the classical (gamma = 0) forms are Cauchy sums
+  too.  The Charlier ``transformed`` and Laguerre ``rahman`` sums do not
+  collapse and stay double sums, each inner terminating sum by the loop
+  of :func:`~assocpoly.hyperkernel.hyp_terminating`.  When cancellation
+  would destroy more digits than the target accuracy allows and every
+  input is finite (and, for those two double sums, real), the same sum
+  is re-evaluated from the rationals the inputs denote, Gaussian
+  rationals for complex inputs, which is possible because every term of
+  these sums is rational in the parameters.  The re-evaluation is
+  certified fixed point (a Ziv loop): the sum runs on plain integers
+  (pairs of them for complex values) at scale 2**p beside a rigorous
+  integer bound on its error, and is accepted once both ends of that
+  interval round to the same double in each component, which is then
+  the exact value correctly rounded; otherwise p doubles.  After three
+  passes (always for an exact zero component), or once an end of the
   interval lies beyond the binary64 range, the sum is done in exact
-  rationals instead, each inner terminating sum folded backwards
-  as one unreduced integer fraction.  Either way the result is the
-  rational the sum denotes, rounded to binary64 once.
+  arithmetic instead.  Either way the result is the exact value of the
+  sum at the given inputs, each component rounded to binary64 once.
 
 The module also carries the finite-sum hypergeometric identities that
 underpin the quadratic representation, as report-producing checkers.
@@ -50,7 +57,6 @@ from .hyperkernel import (
     _pole,
     _terminating_sum,
     gauss_2f1,
-    hyp_terminating,
     pochhammer,
 )
 from .recurrences import MeixnerParams, meixner_seq
@@ -109,31 +115,306 @@ def _near_int_in_range(w, lo, hi, tol=_INT_TOL):
 def _exactable(*vals):
     return all(
         isinstance(v, (int, Fraction))
-        or (isinstance(v, float) and math.isfinite(v))
+        or (isinstance(v, (float, complex)) and cmath.isfinite(v))
         for v in vals
     )
 
 
 # ---------------------------------------------------------------------------
 # Summation engines: binary64 with condition tracking, certified fixed
-# point for the ill-conditioned sums, and exact rationals as its fallback
+# point for the ill-conditioned sums, and exact arithmetic as its fallback
 # ---------------------------------------------------------------------------
 #
-# A double sum is ``(n, outer_nums, outer_dens, outer_scale, inner)``.
-# Its outer coefficients are ``coef_0 = 1`` and ``coef_{k+1}/coef_k =
-# outer_scale * prod(outer_nums + k) / prod(outer_dens + k)``.  ``inner =
-# (nums, dens, arg, top)`` states the inner terminating sum at every
-# outer step k at once: each parameter ``(b, s, o)`` is ``b + s*k + o``
-# with integers s and o (o is added last, so that a binary64 parameter
-# rounds as its formula is written), the argument is ``arg`` and the
-# last index is ``top(k)``.
+# Every route sum but two is a Cauchy sum ``(n, t_nums, t_dens, s, d_nums,
+# d_dens)``, worth ``S = sum_{m<=n} T_m C_m`` with
+#   T_m = prod (t_nums)_m / prod (t_dens)_m,
+#   C_m = s C_{m-1} + d_m,  C_{-1} = 0,
+#   d_m = prod (d_nums)_m / (prod (d_dens)_m m!).
+# The paper's double sums collapse to this form because each inner
+# parameter that shifts with the outer index k continues an outer
+# Pochhammer symbol: ``(-n)_k (k-n)_j = (-n)_{k+j}``, and likewise for the
+# others, so with m = k + j the inner sums are one convolution C_m
+# (W. Koepf, Hypergeometric Summation, 2nd ed., Springer 2014).  One
+# degree then costs O(n) instead of O(n^2).
+#
+# The two sums that do not collapse (Charlier ``transformed``, Laguerre
+# ``rahman``) stay double sums ``(n, outer_nums, outer_dens, outer_scale,
+# inner)``.  Their outer coefficients are ``coef_0 = 1`` and
+# ``coef_{k+1}/coef_k = outer_scale * prod(outer_nums + k) /
+# prod(outer_dens + k)``.  ``inner = (nums, dens, arg, top)`` states the
+# inner terminating sum at every outer step k at once: each parameter
+# ``(b, s, o)`` is ``b + s*k + o`` with integers s and o (o is added last,
+# so that a binary64 parameter rounds as its formula is written), the
+# argument is ``arg`` and the last index is ``top(k)``.
 
-# Fixed-point passes before the certified engine falls back to exact
-# rationals; each doubles the precision of the one before.
+# Fixed-point passes before the certified engines fall back to exact
+# arithmetic; each doubles the precision of the one before.
 _ZIV_ROUNDS = 3
 # Cap on the condition estimate that sizes the first pass; the estimate
 # is infinite when the binary64 sum is 0.
 _PREC_COND_CAP = 2.0**64
+
+
+class _Gaussian:
+    """An exact Gaussian rational ``re + i*im`` with Fraction parts.
+
+    It has the field operations the sum builders apply to their inputs,
+    with ints and Fractions on either side.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def _parts(w):
+        return (w.re, w.im) if isinstance(w, _Gaussian) else (w, 0)
+
+    def __add__(self, w):
+        re, im = self._parts(w)
+        return _Gaussian(self.re + re, self.im + im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Gaussian(-self.re, -self.im)
+
+    def __sub__(self, w):
+        return self + -w
+
+    def __rsub__(self, w):
+        return -self + w
+
+    def __mul__(self, w):
+        re, im = self._parts(w)
+        return _Gaussian(self.re * re - self.im * im, self.re * im + self.im * re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, w):
+        re, im = self._parts(w)
+        p = self * _Gaussian(re, -im)
+        norm = re * re + im * im
+        return _Gaussian(p.re / norm, p.im / norm)
+
+    def __rtruediv__(self, w):
+        return _Gaussian(w) / self
+
+    def __eq__(self, w):
+        return (self.re, self.im) == self._parts(w)
+
+    def __abs__(self):
+        return math.hypot(self.re, self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def _exact(v):
+    """The rational, or Gaussian rational, that a finite input denotes."""
+    return _Gaussian(v.real, v.imag) if isinstance(v, complex) else Fraction(v)
+
+
+def _rounded(t, e, prec):
+    """The double both ends of ``[(t - e)/2**prec, (t + e)/2**prec]`` round to.
+
+    Returns None when the ends differ in strict sign or round apart
+    (int/int division is correctly rounded), and raises OverflowError
+    when an end lies beyond the binary64 range.
+    """
+    if t - e > 0 or t + e < 0:
+        scale = 1 << prec
+        lo = (t - e) / scale
+        if lo == (t + e) / scale:
+            return lo
+    return None
+
+
+def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens):
+    """The Cauchy sum ``sum_m T_m C_m``, compensated, with a condition estimate.
+
+    Returns ``(value, condition_estimate)``; the condition is ``max_m
+    |T_m| Ĉ_m`` over ``|value|``, where ``Ĉ_m = |s| Ĉ_{m-1} + |d_m|``
+    bounds C_m and each of its terms.  On ints, Fractions and
+    :class:`_Gaussian` values the same loop is exact.  As in a
+    terminating sum, equal numerator and denominator parameters cancel,
+    a zero numerator factor ends T (or d), and a zero denominator factor
+    raises :class:`~assocpoly.errors.DenominatorPole` at its offset.
+    """
+    t_nums, t_dens = _cancel(t_nums, t_dens)
+    d_nums, d_dens = _cancel(d_nums, d_dens)
+    one = s * 0 + 1
+    tm = dm = one
+    cm = chat = total = comp = peak = 0
+    abs_s = abs(s)
+    for m in range(n + 1):
+        if m:
+            j = m - 1
+            num = one
+            for p in t_nums:
+                num = num * (p + j)
+            if num == 0:
+                break
+            den = one
+            for q in t_dens:
+                den = den * (q + j)
+            if den == 0:
+                raise _pole(j)
+            tm = tm * num / den
+            if dm != 0:
+                num = one
+                for p in d_nums:
+                    num = num * (p + j)
+                den = one * m
+                for q in d_dens:
+                    den = den * (q + j)
+                if num == 0:
+                    dm = num
+                elif den == 0:
+                    raise _pole(j)
+                else:
+                    dm = dm * num / den
+        cm = s * cm + dm
+        chat = abs_s * chat + abs(dm)
+        y = tm * cm - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        mag = abs(tm) * chat
+        if mag > peak:
+            peak = mag
+    mag = abs(total)
+    return total, (peak / mag if mag > 0 else math.inf)
+
+
+def _gaussian(value):
+    """An exact value as integers ``(u, w, v)``, worth ``(u + i w)/v`` with v > 0."""
+    if isinstance(value, _Gaussian):
+        re, im = value.re, value.im
+        v = math.lcm(re.denominator, im.denominator)
+        return (re.numerator * (v // re.denominator),
+                im.numerator * (v // im.denominator), v)
+    return value.numerator, 0, value.denominator
+
+
+def _scaled(xr, xi, e, ar, ai, br, bi):
+    """``x * a / b`` for Gaussian integers, floored in each component.
+
+    With ``a / b = c / q`` and q > 0 (``c = a conj(b)`` and ``q = |b|^2``,
+    or ``c = ±a`` when b is real), a bound e on the error of each
+    component of x becomes ``ceil(e (|Re c| + |Im c|) / q) + 1``.
+    Returns ``(re, im, bound)``.
+    """
+    if bi:
+        ar, ai, q = ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi
+    elif br < 0:
+        ar, ai, q = -ar, -ai, -br
+    else:
+        q = br
+    return ((xr * ar - xi * ai) // q, (xr * ai + xi * ar) // q,
+            1 - -e * (abs(ar) + abs(ai)) // q)
+
+
+def _fixed_point_cauchy(prec, n, t_nums, t_dens, s, d_nums, d_dens):
+    """One fixed-point pass of an exact Cauchy sum at scale ``2**prec``.
+
+    Parameters, and s, are triples ``(u, w, v)`` from :func:`_gaussian`;
+    a parameter is worth ``(u + j v + i w)/v`` at offset j.  The pass
+    sums ``W_m = T_m C_m``, which steps as ``W_m = s (T_m/T_{m-1})
+    W_{m-1} + V_m`` with ``V_m = T_m d_m``: each of W and V takes one
+    exact ratio of Gaussian integers per step, so the error rules of
+    :func:`_fixed_point_sum` apply, through :func:`_scaled`.  Returns
+    integers ``(re, im, e)``, both components of ``2**prec * S`` within
+    e of them.  Raises what :func:`_cauchy_sum` raises.
+    """
+    sr, si, sv = s
+    tn = td = dn = dd = 1
+    for _, _, v in t_dens:
+        tn *= v
+    for _, _, v in t_nums:
+        td *= v
+    for _, _, v in d_dens:
+        dn *= v
+    for _, _, v in d_nums:
+        dd *= v
+    wr = vr = re = 1 << prec
+    wi = vi = im = ew = ev = err = 0
+    live = True
+    for j in range(n):
+        ar, ai = tn, 0
+        for u, w, v in t_nums:
+            u += j * v
+            ar, ai = ar * u - ai * w, ar * w + ai * u
+        if not (ar or ai):
+            break
+        br, bi = td, 0
+        for u, w, v in t_dens:
+            u += j * v
+            br, bi = br * u - bi * w, br * w + bi * u
+        if not (br or bi):
+            raise _pole(j)
+        if live:
+            cr, ci = ar * dn, ai * dn
+            for u, w, v in d_nums:
+                u += j * v
+                cr, ci = cr * u - ci * w, cr * w + ci * u
+            qr, qi = br * dd * (j + 1), bi * dd * (j + 1)
+            for u, w, v in d_dens:
+                u += j * v
+                qr, qi = qr * u - qi * w, qr * w + qi * u
+            if not (cr or ci):
+                live = False
+                vr = vi = ev = 0
+            elif not (qr or qi):
+                raise _pole(j)
+            else:
+                vr, vi, ev = _scaled(vr, vi, ev, cr, ci, qr, qi)
+        wr, wi, ew = _scaled(wr, wi, ew, ar * sr - ai * si, ar * si + ai * sr,
+                             br * sv, bi * sv)
+        wr += vr
+        wi += vi
+        ew += ev
+        re += wr
+        im += wi
+        err += ew
+    return re, im, err
+
+
+def _certified_cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens, prec):
+    """The exact Cauchy sum rounded once, certified in fixed point (a Ziv loop).
+
+    Takes the arguments of :func:`_cauchy_sum` as ints, Fractions or
+    :class:`_Gaussian` values, and the precision of the first pass.
+    Each component of a pass is certified as in
+    :func:`_certified_double_sum`; when every value is real, the
+    imaginary part is exactly 0 and is not certified.  After
+    ``_ZIV_ROUNDS`` passes, an end beyond the binary64 range or an
+    exact zero component, the loop of :func:`_cauchy_sum` runs exactly
+    instead.  Returns a complex when any value is a :class:`_Gaussian`,
+    else a float.
+    """
+    t_nums, t_dens = _cancel(t_nums, t_dens)
+    d_nums, d_dens = _cancel(d_nums, d_dens)
+    values = (s, *t_nums, *t_dens, *d_nums, *d_dens)
+    gaussian = any(isinstance(w, _Gaussian) for w in values)
+    real = not any(isinstance(w, _Gaussian) and w.im for w in values)
+    tn, td, dn, dd = ([_gaussian(w) for w in group]
+                      for group in (t_nums, t_dens, d_nums, d_dens))
+    for _ in range(_ZIV_ROUNDS):
+        re, im, e = _fixed_point_cauchy(prec, n, tn, td, _gaussian(s), dn, dd)
+        try:
+            value = _rounded(re, e, prec)
+            if value is not None and not real:
+                imag = _rounded(im, e, prec)
+                value = None if imag is None else complex(value, imag)
+        except OverflowError:
+            break
+        if value is not None:
+            return complex(value) if gaussian else value
+        prec *= 2
+    total = _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens)[0]
+    return complex(total) if gaussian else float(total)
 
 
 def _double_sum(n, outer_nums, outer_dens, outer_scale, inner):
@@ -329,67 +610,78 @@ def _certified_double_sum(n, outer_nums, outer_dens, outer_scale, inner, prec):
             top)
     for _ in range(_ZIV_ROUNDS):
         t, e = _fixed_point_sum(prec, *ints)
-        if t - e > 0 or t + e < 0:
-            scale = 1 << prec
-            try:
-                lo, hi = (t - e) / scale, (t + e) / scale
-            except OverflowError:
-                break
-            if lo == hi:
-                return lo
+        try:
+            value = _rounded(t, e, prec)
+        except OverflowError:
+            break
+        if value is not None:
+            return value
         prec *= 2
     return float(_exact_double_sum(n, outer_nums, outer_dens, outer_scale, inner))
 
 
-def _resum(terms, n, inputs):
-    """Binary64 value of the double sum ``terms(n, *inputs)``.
+def _first_precision(total, cond):
+    """Bits of the first certified pass for a binary64 estimate.
 
-    ``terms`` builds the double sum from the inputs in whichever field
-    they live.  When the condition estimate exceeds ``_ESCALATE_COND``
-    and every input is a finite real, the sum is re-evaluated from the
-    rationals the inputs denote by :func:`_certified_double_sum`, which
-    returns the exact value rounded once.  Its first pass keeps 64 bits
-    below the leading bit of the binary64 estimate, plus the bits the
-    condition estimate says cancellation may have cost, plus 16.
+    It keeps 64 bits below the leading bit of the estimate, plus the bits
+    the condition estimate says cancellation may have cost, plus 16.
     """
-    total, cond = _double_sum(*terms(n, *inputs))
+    return max(16, 80 - math.frexp(abs(total))[1]
+               + math.ceil(math.log2(min(cond, _PREC_COND_CAP))))
+
+
+def _resum(terms, n, inputs):
+    """Binary64 value of the Cauchy sum ``terms(n, *inputs)``.
+
+    ``terms`` builds the sum from the inputs in whichever field they
+    live.  When the condition estimate exceeds ``_ESCALATE_COND`` and
+    every input is finite, real or complex, the sum is re-evaluated from
+    the exact (Gaussian) rationals the inputs denote by
+    :func:`_certified_cauchy_sum`, which returns the exact value with
+    each component rounded once.
+    """
+    total, cond = _cauchy_sum(*terms(n, *inputs))
     if cond > _ESCALATE_COND and _exactable(*inputs):
-        prec = (80 - math.frexp(total)[1]
-                + math.ceil(math.log2(min(cond, _PREC_COND_CAP))))
-        total = _certified_double_sum(*terms(n, *map(Fraction, inputs)),
-                                      max(prec, 16))
+        total = _certified_cauchy_sum(*terms(n, *map(_exact, inputs)),
+                                      _first_precision(total, cond))
     return total
 
 
-# The double sums of the routes below; every parameter is built from the
-# inputs by field operations, so the same function serves every engine.
-# A single terminating sum is the k = 0 term of a double sum of degree 0.
+def _resum_double(terms, n, inputs):
+    """Binary64 value of the double sum ``terms(n, *inputs)``.
+
+    As :func:`_resum`, through :func:`_double_sum` and
+    :func:`_certified_double_sum`; only real inputs escalate.
+    """
+    total, cond = _double_sum(*terms(n, *inputs))
+    if (cond > _ESCALATE_COND and _exactable(*inputs)
+            and not isinstance(total, complex)):
+        total = _certified_double_sum(*terms(n, *map(Fraction, inputs)),
+                                      _first_precision(total, cond))
+    return total
 
 
-def _meixner_4f3_terms(n, x, beta, c, gamma):
+# The sums of the routes below; every parameter is built from the inputs
+# by field operations, so the same function serves every engine.  A
+# terminating hypergeometric sum is a Cauchy sum with ``d_nums = [0]``
+# (so that C_m = s^m) and a 1 among ``t_dens`` for the m!.
+
+
+def _meixner_4f3_sum(n, x, beta, c, gamma):
     gb = gamma + beta
     gbx = gb + x
-    one = (gb * 0) + 1
-    inner = ([(-n, 1, 0), (gbx, 1, 0), (gb - 1, 0, 0), (gamma, 0, 0)],
-             [(gbx, 0, 0), (gb, 1, 0), (gamma + 1, 1, 0)], one, lambda k: n - k)
-    return n, [-n, gbx], [gamma + 1, gb], one - c, inner
+    return n, [-n, gbx], [gamma + 1, gb], 1 - c, [gb - 1, gamma], [gbx]
 
 
-def _meixner_4f3_alt_terms(n, x, beta, c, gamma):
+def _meixner_4f3_alt_sum(n, x, beta, c, gamma):
     gb = gamma + beta
     gx = gamma - x
-    one = (gb * 0) + 1
-    inner = ([(-n, 1, 0), (gx, 1, 0), (gb - 1, 0, 0), (gamma, 0, 0)],
-             [(gx, 0, 0), (gb, 1, 0), (gamma + 1, 1, 0)], one, lambda k: n - k)
-    return n, [-n, gx], [gamma + 1, gb], (c - 1) / c, inner
+    return n, [-n, gx], [gamma + 1, gb], (c - 1) / c, [gb - 1, gamma], [gx]
 
 
-def _charlier_terms(n, x, a, gamma):
+def _charlier_sum(n, x, a, gamma):
     gx = gamma - x
-    one = (gamma * 0) + 1
-    inner = ([(-n, 1, 0), (gx, 1, 0), (gamma, 0, 0)],
-             [(gx, 0, 0), (gamma, 1, 1)], one, lambda k: n - k)
-    return n, [-n, gx], [gamma + 1], -(one / a), inner
+    return n, [-n, gx], [gamma + 1], -1 / a, [gamma], [gx]
 
 
 def _charlier_transformed_terms(n, x, a, gamma):
@@ -400,12 +692,9 @@ def _charlier_transformed_terms(n, x, a, gamma):
     return n, [-n, gx], [1], -(one / a), inner
 
 
-def _laguerre_terms(n, x, alpha, gamma):
+def _laguerre_sum(n, x, alpha, gamma):
     ga = gamma + alpha
-    one = (gamma * 0) + 1
-    inner = ([(-n, 1, 0), (ga, 0, 0), (gamma, 0, 0)],
-             [(ga, 1, 1), (gamma + 1, 1, 0)], one, lambda k: n - k)
-    return n, [-n], [gamma + 1, ga + 1], x, inner
+    return n, [-n], [gamma + 1, ga + 1], x, [ga, gamma], []
 
 
 def _laguerre_rahman_terms(n, x, alpha, gamma):
@@ -415,25 +704,28 @@ def _laguerre_rahman_terms(n, x, alpha, gamma):
     return n, [-n], [gamma + 1, alpha + 1], x, inner
 
 
-def _finite_4f3_terms(n, a, b, t, y):
-    one = (a * 0) + 1
-    inner = ([(-n, 1, 0), (a + y, 1, 0), (a, 0, 0), (b, 0, 0)],
-             [(a + y, 0, 0), (b + 1, 1, 0), (a + 1, 1, 0)], one, lambda k: n - k)
-    return n, [-n, a + y], [a + 1, b + 1], t, inner
+def _finite_4f3_sum(n, a, b, t, y):
+    return n, [-n, a + y], [a + 1, b + 1], t, [a, b], [a + y]
 
 
-def _t_powered_terms(n, a, b, t):
-    one = (a * 0) + 1
-    inner = ([(-n, 1, 0), (a, 0, 0), (b, 0, 0)],
-             [(a + 1, 0, 0), (b + 1, 1, 0)], one, lambda k: n - k)
-    return n, [-n], [b + 1], t, inner
+def _t_powered_sum(n, a, b, t):
+    return n, [-n], [b + 1], t, [a, b], [a + 1]
 
 
-def _m_generalized_terms(n, a, b, m):
-    one = (a * 0) + 1
-    inner = ([(-n, 0, 0), (a, 0, 0), (b, 0, 0)],
-             [(a + m, 0, 0), (b + 1, 0, 0)], one, lambda k: n)
-    return 0, [], [], one, inner
+def _m_generalized_sum(n, a, b, m):
+    return n, [-n], [], a * 0, [a, b], [a + m, b + 1]
+
+
+def _meixner_classical_sum(n, x, beta, c):
+    return n, [-n, -x], [beta, 1], 1 - 1 / c, [0], []
+
+
+def _charlier_classical_sum(n, x, a):
+    return n, [-n, -x], [1], -1 / a, [0], []
+
+
+def _laguerre_classical_sum(n, x, alpha):
+    return n, [-n], [alpha + 1, 1], x, [0], []
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +767,7 @@ def meixner_4f3(x, params, n):
             raise DenominatorPole(
                 f"{name} = {w!r} makes a denominator factor vanish for degree {n}"
             )
-    total = _resum(_meixner_4f3_terms, n, (x, beta, c, gamma))
+    total = _resum(_meixner_4f3_sum, n, (x, beta, c, gamma))
     pref = (
         c ** (-n) * pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n)
         / math.factorial(n)
@@ -509,7 +801,7 @@ def meixner_4f3_alt(x, params, n):
             f"gamma+beta = {gamma + beta!r} makes a denominator factor vanish "
             f"for degree {n}"
         )
-    total = _resum(_meixner_4f3_alt_terms, n, (x, beta, c, gamma))
+    total = _resum(_meixner_4f3_alt_sum, n, (x, beta, c, gamma))
     pref = (
         pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n) / math.factorial(n)
     )
@@ -641,9 +933,7 @@ def meixner_c1_degenerate(beta, gamma, n):
 def meixner_classical(x, beta, c, n):
     """Classical Meixner polynomial (beta)_n 2F1(-n, -x; beta; 1 - 1/c)."""
     _check_nonneg_int(n, "n")
-    return pochhammer(beta, n) * hyp_terminating(
-        [-n, -x], [beta], 1.0 - 1.0 / c, n
-    )
+    return pochhammer(beta, n) * _resum(_meixner_classical_sum, n, (x, beta, c))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +976,7 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY):
                 f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
                 f"for degree {n}"
             )
-        total = _resum(_charlier_terms, n, (x, a, gamma))
+        total = _resum(_charlier_sum, n, (x, a, gamma))
         return pochhammer(gamma + 1.0, n) / math.factorial(n) * total
     upper = max(0, n // 2 - 1)
     if _near_int_in_range(x - gamma, 0, upper) is not None:
@@ -694,13 +984,13 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY):
             f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
             f"for degree {n} (transformed variant)"
         )
-    return _resum(_charlier_transformed_terms, n, (x, a, gamma))
+    return _resum_double(_charlier_transformed_terms, n, (x, a, gamma))
 
 
 def charlier_classical(x, a, n):
     """Classical Charlier polynomial 2F0(-n, -x; ; -1/a)."""
     _check_nonneg_int(n, "n")
-    return hyp_terminating([-n, -x], [], -1.0 / a, n)
+    return _resum(_charlier_classical_sum, n, (x, a))
 
 
 # ---------------------------------------------------------------------------
@@ -738,14 +1028,14 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY):
                 f"gamma+alpha+1 = {gamma + alpha + 1.0!r} makes a denominator "
                 f"factor vanish for degree {n}"
             )
-        total = _resum(_laguerre_terms, n, (x, alpha, gamma))
+        total = _resum(_laguerre_sum, n, (x, alpha, gamma))
         return pochhammer(gamma + alpha + 1.0, n) / math.factorial(n) * total
     if abs(alpha - round(alpha)) < _INT_TOL:
         raise RestrictedParameter(
             f"the second Laguerre 3F2 form requires non-integer alpha, "
             f"got alpha={alpha!r}"
         )
-    total = _resum(_laguerre_rahman_terms, n, (x, alpha, gamma))
+    total = _resum_double(_laguerre_rahman_terms, n, (x, alpha, gamma))
     return pochhammer(alpha + 1.0, n) / math.factorial(n) * total
 
 
@@ -755,7 +1045,7 @@ def laguerre_classical(x, alpha, n):
     return (
         pochhammer(alpha + 1.0, n)
         / math.factorial(n)
-        * hyp_terminating([-n], [alpha + 1.0], x, n)
+        * _resum(_laguerre_classical_sum, n, (x, alpha))
     )
 
 
@@ -821,7 +1111,7 @@ def identity_4f3_finite_sum(n, a, b, t, y, rel_tol=1e-9):
             f"a + y = {a + y!r} makes a denominator factor vanish for degree {n}"
         )
 
-    lhs = _resum(_finite_4f3_terms, n, (a, b, t, y))
+    lhs = _resum(_finite_4f3_sum, n, (a, b, t, y))
     rhs = (
         math.factorial(n)
         / (b - a)
@@ -861,7 +1151,7 @@ def identity_3f2_pochhammer(n, a, b, rel_tol=1e-10):
                 f"3F2 pochhammer identity requires denominator parameter {w!r} "
                 "away from the nonpositive integers"
             )
-    lhs = _resum(_m_generalized_terms, n, (a, b, 1))
+    lhs = _resum(_m_generalized_sum, n, (a, b, 1))
     rhs = (
         math.factorial(n)
         / (b - a)
@@ -899,7 +1189,7 @@ def identity_3f2_t_powered(n, a, b, t, rel_tol=1e-9):
                 f"t-powered 3F2 identity requires denominator parameter {w!r} "
                 "away from the nonpositive integers"
             )
-    lhs = _resum(_t_powered_terms, n, (a, b, t))
+    lhs = _resum(_t_powered_sum, n, (a, b, t))
     rhs = (
         math.factorial(n)
         / (b - a)
@@ -947,7 +1237,7 @@ def identity_3f2_m_generalized(n, a, b, m, rel_tol=1e-9):
         raise RestrictedParameter(
             f"m-generalized 3F2 identity requires (a-b)_m nonzero, got a-b={a - b!r}"
         )
-    lhs = _resum(_m_generalized_terms, n, (a, b, m))
+    lhs = _resum(_m_generalized_sum, n, (a, b, m))
     tail = Accumulator()
     for l in range(m):
         tail.add(

@@ -18,8 +18,9 @@ rule ends summation once two consecutive terms are below ``rel_tol``
 times the running partial sum, and it raises
 :class:`~assocpoly.errors.NotConverged` (carrying the partial outcome)
 if ``max_terms`` is hit first.  One loop, ``_terminating_sum``, sums
-every terminating series, including the inner sums of the double sums
-in :mod:`assocpoly.closedforms`.
+every terminating series here, and the inner sums of the two double
+sums that :mod:`assocpoly.closedforms` keeps (its other sums are
+Cauchy sums, with a loop of their own).
 
 Gamma functions are computed here in pure Python: ``math.lgamma`` for
 real arguments and a Stirling series for complex ones, so no evaluation

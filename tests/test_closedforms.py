@@ -395,12 +395,61 @@ def test_identity_checkers_reject_negative_degree():
 
 
 # ---------------------------------------------------------------------------
-# Exact re-summation: the integer engine against a Fraction reference
+# Exact re-summation: the engines against a Fraction reference
 # ---------------------------------------------------------------------------
 
 
+class GaussQ:
+    """Exact Gaussian rational ``re + i*im`` for the references."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def lift(w):
+        return w if isinstance(w, GaussQ) else GaussQ(w)
+
+    def __add__(self, w):
+        w = GaussQ.lift(w)
+        return GaussQ(self.re + w.re, self.im + w.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussQ(-self.re, -self.im)
+
+    def __sub__(self, w):
+        return self + -GaussQ.lift(w)
+
+    def __rsub__(self, w):
+        return GaussQ.lift(w) - self
+
+    def __mul__(self, w):
+        w = GaussQ.lift(w)
+        return GaussQ(self.re * w.re - self.im * w.im,
+                      self.re * w.im + self.im * w.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, w):
+        w = GaussQ.lift(w)
+        norm = w.re * w.re + w.im * w.im
+        return self * GaussQ(w.re / norm, -w.im / norm)
+
+    def __rtruediv__(self, w):
+        return GaussQ.lift(w) / self
+
+    def __eq__(self, w):
+        w = GaussQ.lift(w)
+        return self.re == w.re and self.im == w.im
+
+    def rounded(self):
+        """Each component correctly rounded to binary64."""
+        return complex(float(self.re), float(self.im))
+
+
 def fraction_hyp(nums, dens, arg, top):
-    """Reference terminating sum, term by term in Fraction arithmetic."""
+    """Reference terminating sum, term by term in exact arithmetic."""
     nums, remaining = list(nums), []
     for d in dens:
         if d in nums:
@@ -423,7 +472,7 @@ def fraction_hyp(nums, dens, arg, top):
 
 
 def fraction_double_sum(n, outer_nums, outer_dens, outer_scale, inner):
-    """Reference double sum, term by term in Fraction arithmetic."""
+    """Reference double sum, term by term in exact arithmetic."""
     nums, dens, arg, top = inner
     total, coef = Fraction(0), Fraction(1)
     for k in range(n + 1):
@@ -438,53 +487,159 @@ def fraction_double_sum(n, outer_nums, outer_dens, outer_scale, inner):
     return total
 
 
+# The paper's double sums, kept here as the references of the Cauchy sums
+# that closedforms evaluates: ``(n, outer_nums, outer_dens, outer_scale,
+# inner)`` as ``fraction_double_sum`` reads them (see closedforms).
+
+
+def meixner_4f3_terms(n, x, beta, c, gamma):
+    gb = gamma + beta
+    gbx = gb + x
+    inner = ([(-n, 1, 0), (gbx, 1, 0), (gb - 1, 0, 0), (gamma, 0, 0)],
+             [(gbx, 0, 0), (gb, 1, 0), (gamma + 1, 1, 0)], 1, lambda k: n - k)
+    return n, [-n, gbx], [gamma + 1, gb], 1 - c, inner
+
+
+def meixner_4f3_alt_terms(n, x, beta, c, gamma):
+    gb = gamma + beta
+    gx = gamma - x
+    inner = ([(-n, 1, 0), (gx, 1, 0), (gb - 1, 0, 0), (gamma, 0, 0)],
+             [(gx, 0, 0), (gb, 1, 0), (gamma + 1, 1, 0)], 1, lambda k: n - k)
+    return n, [-n, gx], [gamma + 1, gb], (c - 1) / c, inner
+
+
+def charlier_terms(n, x, a, gamma):
+    gx = gamma - x
+    inner = ([(-n, 1, 0), (gx, 1, 0), (gamma, 0, 0)],
+             [(gx, 0, 0), (gamma, 1, 1)], 1, lambda k: n - k)
+    return n, [-n, gx], [gamma + 1], -1 / a, inner
+
+
+def laguerre_terms(n, x, alpha, gamma):
+    ga = gamma + alpha
+    inner = ([(-n, 1, 0), (ga, 0, 0), (gamma, 0, 0)],
+             [(ga, 1, 1), (gamma + 1, 1, 0)], 1, lambda k: n - k)
+    return n, [-n], [gamma + 1, ga + 1], x, inner
+
+
+def finite_4f3_terms(n, a, b, t, y):
+    inner = ([(-n, 1, 0), (a + y, 1, 0), (a, 0, 0), (b, 0, 0)],
+             [(a + y, 0, 0), (b + 1, 1, 0), (a + 1, 1, 0)], 1, lambda k: n - k)
+    return n, [-n, a + y], [a + 1, b + 1], t, inner
+
+
+def t_powered_terms(n, a, b, t):
+    inner = ([(-n, 1, 0), (a, 0, 0), (b, 0, 0)],
+             [(a + 1, 0, 0), (b + 1, 1, 0)], 1, lambda k: n - k)
+    return n, [-n], [b + 1], t, inner
+
+
+def single_sum(nums, dens, top, arg=Fraction(1)):
+    """A lone terminating sum, as a double sum of degree 0."""
+    return 0, [], [], Fraction(1), ([(p, 0, 0) for p in nums],
+                                     [(q, 0, 0) for q in dens],
+                                     arg, lambda k: top)
+
+
+def m_generalized_terms(n, a, b, m):
+    return single_sum([-n, a, b], [a + m, b + 1], n)
+
+
 def pochhammer_terms(n, a, b):
     """The sum of identity_3f2_pochhammer: the m = 1 case."""
-    return closedforms._m_generalized_terms(n, a, b, 1)
+    return m_generalized_terms(n, a, b, 1)
 
 
-# Each route's double sum and the number of real inputs after n.
+def meixner_classical_terms(n, x, beta, c):
+    return single_sum([-n, -x], [beta], n, 1 - 1 / c)
+
+
+def charlier_classical_terms(n, x, a):
+    return single_sum([-n, -x], [], n, -1 / a)
+
+
+def laguerre_classical_terms(n, x, alpha):
+    return single_sum([-n], [alpha + 1], n, x)
+
+
+def cauchy_single_sum(nums, dens, top):
+    """A lone terminating sum at argument 1, as a Cauchy sum (C_m = 1)."""
+    return top, nums, dens + [1], 1, [0], []
+
+
+# Each sum: its builder in closedforms, the paper's double sum that the
+# builder's Cauchy sum collapses (None where the builder is that double
+# sum), and the number of inputs after n.
 EXACT_SUMS = {
-    "meixner-4f3": (closedforms._meixner_4f3_terms, 4),
-    "meixner-4f3-alt": (closedforms._meixner_4f3_alt_terms, 4),
-    "charlier-3f2": (closedforms._charlier_terms, 3),
-    "charlier-3f2-transformed": (closedforms._charlier_transformed_terms, 3),
-    "laguerre-3f2": (closedforms._laguerre_terms, 3),
-    "laguerre-3f2-rahman": (closedforms._laguerre_rahman_terms, 3),
-    "3f2-pochhammer": (pochhammer_terms, 2),
+    "meixner-4f3": (closedforms._meixner_4f3_sum, meixner_4f3_terms, 4),
+    "meixner-4f3-alt": (closedforms._meixner_4f3_alt_sum,
+                        meixner_4f3_alt_terms, 4),
+    "charlier-3f2": (closedforms._charlier_sum, charlier_terms, 3),
+    "charlier-3f2-transformed": (closedforms._charlier_transformed_terms,
+                                 None, 3),
+    "laguerre-3f2": (closedforms._laguerre_sum, laguerre_terms, 3),
+    "laguerre-3f2-rahman": (closedforms._laguerre_rahman_terms, None, 3),
+    "3f2-pochhammer": (
+        lambda n, a, b: closedforms._m_generalized_sum(n, a, b, 1),
+        pochhammer_terms, 2),
+    "3f2-m-generalized": (
+        lambda n, a, b: closedforms._m_generalized_sum(n, a, b, 3),
+        lambda n, a, b: m_generalized_terms(n, a, b, 3), 2),
+    "finite-sum-4f3": (closedforms._finite_4f3_sum, finite_4f3_terms, 4),
+    "3f2-t-powered": (closedforms._t_powered_sum, t_powered_terms, 3),
+    "meixner-classical": (closedforms._meixner_classical_sum,
+                          meixner_classical_terms, 3),
+    "charlier-classical": (closedforms._charlier_classical_sum,
+                           charlier_classical_terms, 2),
+    "laguerre-classical": (closedforms._laguerre_classical_sum,
+                           laguerre_classical_terms, 2),
 }
 
 
-@pytest.mark.parametrize("name", list(EXACT_SUMS))
-def test_exact_engine_equals_fraction_reference(name):
-    # Every binary64 value is a dyadic rational, so seeded uniform draws
-    # are dyadic inputs with full 53-bit numerators.
-    terms, arity = EXACT_SUMS[name]
+def draws(name):
+    """Seeded ``(spec, reference spec)`` pairs of one sum.
+
+    Every binary64 value is a dyadic rational, so seeded uniform draws
+    are dyadic inputs with full 53-bit numerators.
+    """
+    builder, paper, arity = EXACT_SUMS[name]
     rng = random.Random(name)
     for _ in range(6):
         n = rng.randint(1, 14)
         inputs = [Fraction(rng.uniform(-3.0, 3.0)) for _ in range(arity)]
-        spec = terms(n, *inputs)
-        assert closedforms._exact_double_sum(*spec) == fraction_double_sum(*spec)
+        yield builder(n, *inputs), (paper or builder)(n, *inputs)
+
+
+def exact_sum(spec):
+    """The exact engine's value of a Cauchy (six-field) or double-sum spec."""
+    if len(spec) == 6:
+        return closedforms._cauchy_sum(*spec)[0]
+    return closedforms._exact_double_sum(*spec)
+
+
+@pytest.mark.parametrize("name", list(EXACT_SUMS))
+def test_exact_engine_equals_fraction_reference(name):
+    # A Cauchy sum equals the paper's double sum it collapses, exactly.
+    for spec, reference in draws(name):
+        want = fraction_double_sum(*reference)
+        assert exact_sum(spec) == want
+        assert closedforms._exact_double_sum(*reference) == want
 
 
 def test_exact_engine_terminates_early():
     # gamma = 0 is a numerator parameter of every inner sum, so each one
     # stops at its first term, and the double sum is a terminating 2F1.
     x, beta, c = Fraction(3), Fraction(3, 2), Fraction(2, 5)
-    spec = closedforms._meixner_4f3_terms(9, x, beta, c, Fraction(0))
+    spec = meixner_4f3_terms(9, x, beta, c, Fraction(0))
     value = closedforms._exact_double_sum(*spec)
     assert value == fraction_double_sum(*spec)
     assert value == fraction_hyp([-9, beta + x], [beta], 1 - c, 9)
-    spec = closedforms._laguerre_terms(7, Fraction(5, 4), Fraction(1, 2), Fraction(0))
+    assert exact_sum(closedforms._meixner_4f3_sum(9, x, beta, c, Fraction(0))) == value
+    inputs = (Fraction(5, 4), Fraction(1, 2), Fraction(0))
+    spec = laguerre_terms(7, *inputs)
     assert closedforms._exact_double_sum(*spec) == fraction_double_sum(*spec)
-
-
-def single_sum(nums, dens, top):
-    """A lone terminating sum at argument 1, as a double sum of degree 0."""
-    return 0, [], [], Fraction(1), ([(p, 0, 0) for p in nums],
-                                     [(q, 0, 0) for q in dens],
-                                     Fraction(1), lambda k: top)
+    assert (exact_sum(closedforms._laguerre_sum(7, *inputs))
+            == fraction_double_sum(*spec))
 
 
 @pytest.mark.parametrize(
@@ -504,36 +659,50 @@ def test_exact_engine_cancellation_and_termination(nums, dens, expected):
     value, _ = closedforms._double_sum(*single_sum(
         [float(p) for p in nums], [float(q) for q in dens], 5))
     assert value == float(expected)
-    # The certified engine: an exact zero straddles 0 at every precision,
-    # so it runs every pass and the exact engine decides (a positive zero).
-    value, passes = certified(spec, 64)
-    assert repr(value) == repr(float(expected))
-    assert len(passes) == (closedforms._ZIV_ROUNDS if expected == 0 else 1)
-    # From 2**1200 on, both ends of a zero's interval round to zeros of
-    # opposite sign, which compare equal: only the sign check refuses.
-    value, _ = certified(spec, 1200)
-    assert repr(value) == repr(float(expected))
+    # The same sum as a Cauchy sum cancels and terminates alike.
+    cauchy = cauchy_single_sum(nums, dens, 5)
+    assert exact_sum(cauchy) == expected
+    value, _ = closedforms._cauchy_sum(*cauchy_single_sum(
+        [float(p) for p in nums], [float(q) for q in dens], 5))
+    assert value == float(expected)
+    for spec in (spec, cauchy):
+        # The certified engine: an exact zero straddles 0 at every
+        # precision, so it runs every pass and the exact engine decides
+        # (a positive zero).
+        value, passes = certified(spec, 64)
+        assert repr(value) == repr(float(expected))
+        assert len(passes) == (closedforms._ZIV_ROUNDS if expected == 0 else 1)
+        # From 2**1200 on, both ends of a zero's interval round to zeros of
+        # opposite sign, which compare equal: only the sign check refuses.
+        value, _ = certified(spec, 1200)
+        assert repr(value) == repr(float(expected))
 
 
 def test_exact_engine_cancels_only_equal_parameters():
     # A numerator 2^-60 away from the denominator -1 does not cancel it.
-    spec = single_sum([Fraction(-3), Fraction(-1) + Fraction(1, 2**60)],
-                      [Fraction(-1)], 5)
-    with pytest.raises(DenominatorPole, match="at offset 1 "):
-        closedforms._exact_double_sum(*spec)
-    with pytest.raises(DenominatorPole, match="at offset 1 "):
-        closedforms._certified_double_sum(*spec, 64)
+    nums = [Fraction(-3), Fraction(-1) + Fraction(1, 2**60)]
+    for spec in (single_sum(nums, [Fraction(-1)], 5),
+                 cauchy_single_sum(nums, [Fraction(-1)], 5)):
+        with pytest.raises(DenominatorPole, match="at offset 1 "):
+            exact_sum(spec)
+        with pytest.raises(DenominatorPole, match="at offset 1 "):
+            certified(spec, 64)
 
 
 def test_exact_engine_raises_denominator_pole_at_same_offset():
     # a + 1 = -1 is a denominator parameter: it vanishes at offset 1.
-    spec = pochhammer_terms(6, Fraction(-2), Fraction(7, 4))
-    with pytest.raises(DenominatorPole, match="at offset 1 "):
-        fraction_double_sum(*spec)
-    with pytest.raises(DenominatorPole, match="at offset 1 "):
-        closedforms._exact_double_sum(*spec)
-    with pytest.raises(DenominatorPole, match="at offset 1 "):
-        closedforms._certified_double_sum(*spec, 64)
+    a, b = Fraction(-2), Fraction(7, 4)
+    spec = pochhammer_terms(6, a, b)
+    cauchy = closedforms._m_generalized_sum(6, a, b, 1)
+    binary64 = closedforms._m_generalized_sum(6, float(a), float(b), 1)
+    for evaluate in (lambda: fraction_double_sum(*spec),
+                     lambda: closedforms._exact_double_sum(*spec),
+                     lambda: closedforms._certified_double_sum(*spec, 64),
+                     lambda: exact_sum(cauchy),
+                     lambda: closedforms._certified_cauchy_sum(*cauchy, 64),
+                     lambda: closedforms._cauchy_sum(*binary64)):
+        with pytest.raises(DenominatorPole, match="at offset 1 "):
+            evaluate()
 
 
 def test_exact_engine_outer_zero_divisor_raises():
@@ -547,81 +716,89 @@ def test_exact_engine_outer_zero_divisor_raises():
 
 
 def test_escalated_routes_round_the_exact_rational(monkeypatch):
-    engine = closedforms._certified_double_sum
+    engine = closedforms._certified_cauchy_sum
     checked = []
 
-    def reference_checked(*args):
+    def recorded(*args):
         value = engine(*args)
-        assert value == float(fraction_double_sum(*args[:5]))
         checked.append(value)
         return value
 
-    monkeypatch.setattr(closedforms, "_certified_double_sum", reference_checked)
+    monkeypatch.setattr(closedforms, "_certified_cauchy_sum", recorded)
     params = MeixnerParams(1.5, 0.4, 0.0)
     assert rel(meixner_4f3(3.0, params, 25), meixner_seq(3.0, params, 25)[25]) < 1e-9
     report = identity_3f2_pochhammer(20, 1.5, 0.75)
     assert report.passed
     assert report.lhs == checked[-1]
-    assert len(checked) == 2
+    # Each escalated sum is the paper's double sum at the given inputs,
+    # rounded once.
+    exact = [fraction_double_sum(*meixner_4f3_terms(
+                 25, *map(Fraction, (3.0, 1.5, 0.4, 0.0)))),
+             fraction_double_sum(*pochhammer_terms(
+                 20, Fraction(1.5), Fraction(0.75)))]
+    assert checked == [float(value) for value in exact]
 
 
 # ---------------------------------------------------------------------------
-# The certified fixed-point engine against the Fraction reference
+# The certified fixed-point engines against the exact reference
 # ---------------------------------------------------------------------------
 
 
 def certified(spec, prec):
-    """The certified engine's value and the precision of each pass."""
+    """The certified engine's value for a spec and the precision of each pass."""
+    if len(spec) == 6:
+        name, engine = "_fixed_point_cauchy", closedforms._certified_cauchy_sum
+    else:
+        name, engine = "_fixed_point_sum", closedforms._certified_double_sum
     passes = []
-    fixed = closedforms._fixed_point_sum
+    fixed = getattr(closedforms, name)
 
     def counted(p, *args):
         passes.append(p)
         return fixed(p, *args)
 
-    closedforms._fixed_point_sum = counted
+    setattr(closedforms, name, counted)
     try:
-        return closedforms._certified_double_sum(*spec, prec), passes
+        return engine(*spec, prec), passes
     finally:
-        closedforms._fixed_point_sum = fixed
+        setattr(closedforms, name, fixed)
 
 
 @pytest.mark.parametrize("name", list(EXACT_SUMS))
 def test_certified_engine_equals_fraction_reference(name):
-    # Dyadic inputs as in the exact-engine test, each summed from every
-    # starting precision in 4..94 bits, so that many passes certify at
-    # the edge of the last bit, where an error bound that is too small
-    # shows as a wrong double.
-    terms, arity = EXACT_SUMS[name]
-    rng = random.Random(name)
-    for _ in range(6):
-        n = rng.randint(1, 14)
-        inputs = [Fraction(rng.uniform(-3.0, 3.0)) for _ in range(arity)]
-        spec = terms(n, *inputs)
-        want = float(fraction_double_sum(*spec))
+    # Each seeded dyadic draw summed from every starting precision in
+    # 4..94 bits, so that many passes certify at the edge of the last
+    # bit, where an error bound that is too small shows as a wrong double.
+    for spec, reference in draws(name):
+        want = float(fraction_double_sum(*reference))
         for prec in range(4, 95, 3):
             value, _ = certified(spec, prec)
-            assert repr(value) == repr(want), (inputs, n, prec)
+            assert repr(value) == repr(want), (spec, prec)
 
 
 NEAR_POLE = Fraction(-1) + Fraction(1, 2**30)
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, reference",
     [
-        single_sum([Fraction(-4), Fraction(1, 3)], [NEAR_POLE], 4),
-        (3, [Fraction(1, 3)], [NEAR_POLE], Fraction(-5, 7),
-         ([(Fraction(-3), 1, 0), (Fraction(2, 5), 0, 0)],
-          [(Fraction(3, 4), 1, 0)], Fraction(1), lambda k: 3 - k)),
+        (single_sum([Fraction(-4), Fraction(1, 3)], [NEAR_POLE], 4), None),
+        ((3, [Fraction(1, 3)], [NEAR_POLE], Fraction(-5, 7),
+          ([(Fraction(-3), 1, 0), (Fraction(2, 5), 0, 0)],
+           [(Fraction(3, 4), 1, 0)], Fraction(1), lambda k: 3 - k)), None),
+        # b + 1 is a denominator of T_m, a + 1 one of d_m.
+        (closedforms._t_powered_sum(4, Fraction(1, 3), NEAR_POLE - 1, Fraction(-5, 7)),
+         t_powered_terms(4, Fraction(1, 3), NEAR_POLE - 1, Fraction(-5, 7))),
+        (closedforms._t_powered_sum(4, NEAR_POLE - 1, Fraction(2, 5), Fraction(-5, 7)),
+         t_powered_terms(4, NEAR_POLE - 1, Fraction(2, 5), Fraction(-5, 7))),
     ],
-    ids=["inner", "outer"],
+    ids=["inner", "outer", "cauchy-t", "cauchy-d"],
 )
-def test_certified_engine_bounds_steep_growth(spec):
+def test_certified_engine_bounds_steep_growth(spec, reference):
     # A factor 2**-30 in a denominator multiplies the error of the term
     # before it by 2**30: a bound that does not grow by |a/b| certifies
     # a wrong double from some starting precision.
-    want = float(fraction_double_sum(*spec))
+    want = float(fraction_double_sum(*(reference or spec)))
     for prec in range(4, 95, 3):
         value, _ = certified(spec, prec)
         assert repr(value) == repr(want), prec
@@ -629,10 +806,166 @@ def test_certified_engine_bounds_steep_growth(spec):
 
 def test_certified_engine_retries_from_a_small_precision(monkeypatch):
     # The lattice-point sum of meixner_4f3: its terms reach 1e12 times
-    # its value 2.9e-7, so 48 bits cannot certify it and 96 can.
+    # its value 2.9e-7 (1e13 times as a Cauchy sum), so 48 bits cannot
+    # certify it and 96 can.
     monkeypatch.setattr(closedforms, "_exact_double_sum", None)
-    spec = closedforms._meixner_4f3_terms(25, Fraction(3), Fraction(3, 2),
-                                          Fraction(2, 5), Fraction(0))
-    value, passes = certified(spec, 48)
-    assert value == float(fraction_double_sum(*spec))
-    assert passes == [48, 96]
+    monkeypatch.setattr(closedforms, "_cauchy_sum", None)
+    inputs = (Fraction(3), Fraction(3, 2), Fraction(2, 5), Fraction(0))
+    want = float(fraction_double_sum(*meixner_4f3_terms(25, *inputs)))
+    for spec in (meixner_4f3_terms(25, *inputs),
+                 closedforms._meixner_4f3_sum(25, *inputs)):
+        value, passes = certified(spec, 48)
+        assert value == want
+        assert passes == [48, 96]
+
+
+def test_classical_routes_escalate():
+    # The 1F1 terms of L_60^(-1/2)(3) reach 2e8 times its value, so the
+    # unescalated sum was off by 3.3e-7.
+    x, alpha, n = Fraction(3), Fraction(-1, 2), 60
+    exact = (math.prod(alpha + 1 + j for j in range(n)) / math.factorial(n)
+             * fraction_hyp([-n], [alpha + 1], x, n))
+    assert rel(laguerre_classical(3.0, -0.5, 60), float(exact)) < 1e-14
+
+
+def test_collapsed_routes_never_call_the_inner_terminating_sum(monkeypatch):
+    def refused(*args):
+        raise AssertionError("inner terminating sum called")
+
+    monkeypatch.setattr(closedforms, "_terminating_sum", refused)
+    for x in (0.9, 3.0, 0.9 + 0.4j):
+        meixner_4f3(x, MeixnerParams(1.5, 0.4, 0.3), 12)
+        meixner_4f3_alt(x, MeixnerParams(1.5, 0.4, 0.3), 12)
+        charlier_3f2(x, CharlierParams(2.0, 0.7), 12)
+        laguerre_3f2(x, LaguerreParams(0.5, 0.7), 12)
+    # The double sums that do not collapse still run it.
+    with pytest.raises(AssertionError, match="inner terminating sum"):
+        charlier_3f2(0.9, CharlierParams(2.0, 0.7), 12, "transformed")
+
+
+# ---------------------------------------------------------------------------
+# Complex inputs: Gaussian fixed point against the exact Gaussian reference
+# ---------------------------------------------------------------------------
+
+
+def gaussian(re, im):
+    """One Gaussian rational for the engine and for the reference."""
+    return closedforms._Gaussian(re, im), GaussQ(re, im)
+
+
+# b = -2 + 2^-40 + 2^-30 i: b + 1 + j is 2^-40 + 2^-30 i at offset j = 1,
+# so dividing by it scales the error of a component by about 2^30 through
+# the imaginary part of its inverse.
+NEAR_POLE_B = gaussian(Fraction(-2) + Fraction(1, 2**40), Fraction(1, 2**30))
+T_COMPLEX = gaussian(Fraction(-5, 7), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("steep", ["t", "d"])
+def test_gaussian_engine_bounds_steep_growth(steep):
+    # The near-pole parameter is b + 1 in the denominators of T_m, or
+    # a + 1 in those of d_m: both components must come out right.
+    third = Fraction(1, 3)
+    if steep == "t":
+        spec = closedforms._t_powered_sum(4, third, NEAR_POLE_B[0], T_COMPLEX[0])
+        reference = t_powered_terms(4, third, NEAR_POLE_B[1], T_COMPLEX[1])
+    else:
+        spec = closedforms._t_powered_sum(4, NEAR_POLE_B[0], third, T_COMPLEX[0])
+        reference = t_powered_terms(4, NEAR_POLE_B[1], third, T_COMPLEX[1])
+    want = fraction_double_sum(*reference)
+    value = exact_sum(spec)
+    assert (value.re, value.im) == (want.re, want.im)
+    for prec in range(4, 95, 3):
+        value, _ = certified(spec, prec)
+        assert repr(value) == repr(want.rounded()), prec
+
+
+def test_gaussian_engine_falls_back_on_an_exact_zero_component():
+    # 1 - (t + ab/(a+1))/(b+1) at n = 1, a = b = 1 and t = 3/2 + i/7 is
+    # -i/14: its real part straddles 0 at every precision, so every pass
+    # runs and the exact loop decides.
+    t, t_ref = gaussian(Fraction(3, 2), Fraction(1, 7))
+    want = fraction_double_sum(*t_powered_terms(1, 1, 1, t_ref))
+    assert want == GaussQ(0, Fraction(-1, 14))
+    spec = closedforms._t_powered_sum(1, Fraction(1), Fraction(1), t)
+    value, passes = certified(spec, 64)
+    assert repr(value) == repr(want.rounded())
+    assert len(passes) == closedforms._ZIV_ROUNDS
+
+
+def test_gaussian_engine_raises_denominator_pole_at_same_offset():
+    # a + 1 = -1 + 0i vanishes at offset 1, beside a complex b.
+    a, a_ref = gaussian(-2, 0)
+    b, b_ref = gaussian(Fraction(7, 4), Fraction(1, 3))
+    spec = closedforms._m_generalized_sum(6, a, b, 1)
+    binary64 = closedforms._m_generalized_sum(6, -2 + 0j, 1.75 + 1j / 3, 1)
+    for evaluate in (lambda: fraction_double_sum(*pochhammer_terms(6, a_ref, b_ref)),
+                     lambda: exact_sum(spec),
+                     lambda: closedforms._certified_cauchy_sum(*spec, 64),
+                     lambda: closedforms._cauchy_sum(*binary64)):
+        with pytest.raises(DenominatorPole, match="at offset 1 "):
+            evaluate()
+
+
+# M_25(x; beta = 0.5, c = 0.2, gamma = 0.3) from the exact Gaussian
+# rational, each component rounded once (also checked against mpmath at 80
+# digits).  Unescalated complex sums were off by up to 1e-3 relative here.
+COMPLEX_MEIXNER = [
+    (3.0, -1.1371237335185186e+38),
+    (3 + 1e-12j, complex(-1.1371237335185186e+38, 4.39569855099991e+26)),
+    (3 + 0.1j, complex(-1.1349425423505767e+38, 4.4783478808233175e+37)),
+    (0.5 + 0.5j, complex(-6.148884449869647e+40, 4.784405270634503e+40)),
+]
+
+
+@pytest.mark.parametrize("x, exact", COMPLEX_MEIXNER,
+                         ids=["3", "3+1e-12j", "3+0.1j", "0.5+0.5j"])
+def test_meixner_4f3_complex_points_match_exact(x, exact):
+    value = meixner_4f3(x, MeixnerParams(0.5, 0.2, 0.3), 25)
+    assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+# Each route with complex x, its paper double sum, and its parameters
+# drawn as in the benchmark's complex-x operations.
+COMPLEX_ROUTES = {
+    "meixner-4f3": (meixner_4f3, meixner_4f3_terms, MeixnerParams,
+                    [(0.3, 2.7), (0.2, 0.8), (0.0, 2.7)]),
+    "meixner-4f3-alt": (meixner_4f3_alt, meixner_4f3_alt_terms, MeixnerParams,
+                        [(0.3, 2.7), (0.2, 0.8), (0.0, 2.7)]),
+    "charlier-3f2": (charlier_3f2, charlier_terms, CharlierParams,
+                     [(0.5, 5.0), (0.0, 2.7)]),
+    "laguerre-3f2": (laguerre_3f2, laguerre_terms, LaguerreParams,
+                     [(-0.5, 1.7), (0.0, 2.7)]),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(COMPLEX_ROUTES)),
+    re=st.floats(-1.2, 3.0),
+    log_im=st.floats(-3.0, 0.0),
+    shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    n=st.integers(1, 25),
+)
+@settings(max_examples=40, deadline=None)
+def test_escalated_complex_components_are_correctly_rounded(name, re, log_im,
+                                                            shares, n):
+    route, paper, params_type, ranges = COMPLEX_ROUTES[name]
+    x = complex(re, 10.0 ** log_im)
+    inputs = [lo + share * (hi - lo) for share, (lo, hi) in zip(shares, ranges)]
+    engine = closedforms._certified_cauchy_sum
+    escalated = []
+
+    def recorded(*args):
+        escalated.append(engine(*args))
+        return escalated[-1]
+
+    closedforms._certified_cauchy_sum = recorded
+    try:
+        route(x, params_type(*inputs), n)
+    except DenominatorPole:
+        assume(False)
+    finally:
+        closedforms._certified_cauchy_sum = engine
+    for value in escalated:
+        want = fraction_double_sum(*paper(n, GaussQ(x.real, x.imag),
+                                          *map(Fraction, inputs)))
+        assert repr(value) == repr(want.rounded())
