@@ -15,16 +15,16 @@ Two robustness policies apply throughout:
   caller can perturb or switch representation.
 * The alternating finite sums are evaluated in binary64 with
   compensated summation while tracking a condition estimate (largest
-  intermediate magnitude over the final sum).  Most are Cauchy sums:
-  the paper's double sums whose k-shifted inner parameters continue an
-  outer Pochhammer symbol collapse, with m = k + j, to one sum
-  ``sum_m T_m C_m`` whose C_m obey a first-order recurrence, so a
-  degree costs O(n); the classical (gamma = 0) forms are Cauchy sums
-  too.  The Charlier ``transformed`` and Laguerre ``rahman`` sums do not
-  collapse and stay double sums, each inner terminating sum by the loop
-  of :func:`~assocpoly.hyperkernel.hyp_terminating`.  When cancellation
-  would destroy more digits than the target accuracy allows and every
-  input is finite (and, for those two double sums, real), the same sum
+  intermediate magnitude over the final sum).  Every sum is an outer
+  sum over k of Cauchy sums ``sum_m T_m C_m`` whose C_m obey a
+  first-order recurrence.  The paper's double sums whose k-shifted
+  inner parameters continue an outer Pochhammer symbol collapse, with
+  m = k + j, to one Cauchy sum, so a degree costs O(n); the classical
+  (gamma = 0) forms are one Cauchy sum too.  The Charlier
+  ``transformed`` and Laguerre ``rahman`` sums do not collapse and keep
+  their outer sum, each inner terminating sum a Cauchy sum of its own.
+  When cancellation would destroy more digits than the target accuracy
+  allows and every input is finite, real or complex, the same sum
   is re-evaluated from the rationals the inputs denote, Gaussian
   rationals for complex inputs, which is possible because every term of
   these sums is rational in the parameters.  The re-evaluation is
@@ -55,7 +55,6 @@ from .hyperkernel import (
     _cancel,
     _check_nonneg_int,
     _pole,
-    _terminating_sum,
     gauss_2f1,
     pochhammer,
 )
@@ -121,33 +120,31 @@ def _exactable(*vals):
 
 
 # ---------------------------------------------------------------------------
-# Summation engines: binary64 with condition tracking, certified fixed
+# Summation engine: binary64 with condition tracking, certified fixed
 # point for the ill-conditioned sums, and exact arithmetic as its fallback
 # ---------------------------------------------------------------------------
 #
-# Every route sum but two is a Cauchy sum ``(n, t_nums, t_dens, s, d_nums,
-# d_dens)``, worth ``S = sum_{m<=n} T_m C_m`` with
+# Every route sum is ``(n, outer_nums, outer_dens, outer_scale, inner)``,
+# worth ``S = sum_{k<=n} coef_k S_k``.  The outer coefficients are
+# ``coef_0 = 1`` and ``coef_{k+1}/coef_k = outer_scale * prod(outer_nums +
+# k) / prod(outer_dens + k)``, and ``S_k`` is the Cauchy sum ``inner(k) =
+# (top, t_nums, t_dens, s, d_nums, d_dens)``, worth ``sum_{m<=top} T_m C_m``
+# with
 #   T_m = prod (t_nums)_m / prod (t_dens)_m,
 #   C_m = s C_{m-1} + d_m,  C_{-1} = 0,
 #   d_m = prod (d_nums)_m / (prod (d_dens)_m m!).
-# The paper's double sums collapse to this form because each inner
+# Most of the paper's double sums are a lone Cauchy sum (n = 0): each inner
 # parameter that shifts with the outer index k continues an outer
-# Pochhammer symbol: ``(-n)_k (k-n)_j = (-n)_{k+j}``, and likewise for the
+# Pochhammer symbol, ``(-n)_k (k-n)_j = (-n)_{k+j}``, and likewise for the
 # others, so with m = k + j the inner sums are one convolution C_m
-# (W. Koepf, Hypergeometric Summation, 2nd ed., Springer 2014).  One
-# degree then costs O(n) instead of O(n^2).
-#
-# The two sums that do not collapse (Charlier ``transformed``, Laguerre
-# ``rahman``) stay double sums ``(n, outer_nums, outer_dens, outer_scale,
-# inner)``.  Their outer coefficients are ``coef_0 = 1`` and
-# ``coef_{k+1}/coef_k = outer_scale * prod(outer_nums + k) /
-# prod(outer_dens + k)``.  ``inner = (nums, dens, arg, top)`` states the
-# inner terminating sum at every outer step k at once: each parameter
-# ``(b, s, o)`` is ``b + s*k + o`` with integers s and o (o is added last,
-# so that a binary64 parameter rounds as its formula is written), the
-# argument is ``arg`` and the last index is ``top(k)``.
+# (W. Koepf, Hypergeometric Summation, 2nd ed., Springer 2014), and one
+# degree costs O(n) instead of O(n^2).  The two that do not collapse
+# (Charlier ``transformed``, Laguerre ``rahman``) keep their outer sum; a
+# terminating hypergeometric sum such as their inner 3F2(1) is a Cauchy
+# sum with s = 1, ``d_nums = [0]`` (so that C_m = 1) and a 1 among
+# ``t_dens`` for the m!.
 
-# Fixed-point passes before the certified engines fall back to exact
+# Fixed-point passes before the certified engine falls back to exact
 # arithmetic; each doubles the precision of the one before.
 _ZIV_ROUNDS = 3
 # Cap on the condition estimate that sizes the first pass; the estimate
@@ -231,16 +228,21 @@ def _rounded(t, e, prec):
     return None
 
 
-def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens):
-    """The Cauchy sum ``sum_m T_m C_m``, compensated, with a condition estimate.
+def _cauchy(*spec):
+    """A lone Cauchy sum as a route sum: the outer sum of degree 0."""
+    return 0, (), (), 1, lambda k: spec
 
-    Returns ``(value, condition_estimate)``; the condition is ``max_m
-    |T_m| Ĉ_m`` over ``|value|``, where ``Ĉ_m = |s| Ĉ_{m-1} + |d_m|``
-    bounds C_m and each of its terms.  On ints, Fractions and
-    :class:`_Gaussian` values the same loop is exact.  As in a
-    terminating sum, equal numerator and denominator parameters cancel,
-    a zero numerator factor ends T (or d), and a zero denominator factor
-    raises :class:`~assocpoly.errors.DenominatorPole` at its offset.
+
+def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens):
+    """The Cauchy sum ``sum_m T_m C_m``, compensated, with its peak.
+
+    Returns ``(value, peak)``; the peak is ``max_m |T_m| Ĉ_m``, where
+    ``Ĉ_m = |s| Ĉ_{m-1} + |d_m|`` bounds C_m and each of its terms.  On
+    ints, Fractions and :class:`_Gaussian` values the same loop is
+    exact.  As in a terminating sum, equal numerator and denominator
+    parameters cancel, a zero numerator factor ends T (or d), and a zero
+    denominator factor raises :class:`~assocpoly.errors.DenominatorPole`
+    at its offset.
     """
     t_nums, t_dens = _cancel(t_nums, t_dens)
     d_nums, d_dens = _cancel(d_nums, d_dens)
@@ -284,6 +286,39 @@ def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens):
         mag = abs(tm) * chat
         if mag > peak:
             peak = mag
+    return total, peak
+
+
+def _sum(n, outer_nums, outer_dens, outer_scale, inner):
+    """A route sum, compensated, with a condition estimate.
+
+    Returns ``(value, condition_estimate)``; the condition is ``max_k
+    |coef_k| max(peak_k, |S_k|)`` over ``|value|``, with ``peak_k`` the
+    peak of :func:`_cauchy_sum` for S_k.  On ints, Fractions and
+    :class:`_Gaussian` values the same loop is exact.  Raises what
+    :func:`_cauchy_sum` raises, and ZeroDivisionError when an outer
+    denominator factor vanishes.
+    """
+    total, peak = _cauchy_sum(*inner(0))
+    peak = max(peak, abs(total))
+    coef, comp = 1, 0
+    for k in range(n):
+        ratio = outer_scale
+        for p in outer_nums:
+            ratio = ratio * (p + k)
+        for q in outer_dens:
+            ratio = ratio / (q + k)
+        coef = coef * ratio
+        if coef == 0:
+            break
+        value, inner_peak = _cauchy_sum(*inner(k + 1))
+        y = coef * value - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        mag = abs(coef) * max(inner_peak, abs(value))
+        if mag > peak:
+            peak = mag
     mag = abs(total)
     return total, (peak / mag if mag > 0 else math.inf)
 
@@ -316,19 +351,27 @@ def _scaled(xr, xi, e, ar, ai, br, bi):
             1 - -e * (abs(ar) + abs(ai)) // q)
 
 
-def _fixed_point_cauchy(prec, n, t_nums, t_dens, s, d_nums, d_dens):
-    """One fixed-point pass of an exact Cauchy sum at scale ``2**prec``.
+def _fixed_point_cauchy(re, im, e, n, t_nums, t_dens, s, d_nums, d_dens):
+    """One fixed-point pass of an exact Cauchy sum, from a scaled start value.
 
-    Parameters, and s, are triples ``(u, w, v)`` from :func:`_gaussian`;
-    a parameter is worth ``(u + j v + i w)/v`` at offset j.  The pass
-    sums ``W_m = T_m C_m``, which steps as ``W_m = s (T_m/T_{m-1})
-    W_{m-1} + V_m`` with ``V_m = T_m d_m``: each of W and V takes one
-    exact ratio of Gaussian integers per step, so the error rules of
-    :func:`_fixed_point_sum` apply, through :func:`_scaled`.  Returns
-    integers ``(re, im, e)``, both components of ``2**prec * S`` within
-    e of them.  Raises what :func:`_cauchy_sum` raises.
+    The start ``(re, im)`` holds both components of ``2**prec * c`` for a
+    coefficient c, each within e; the integers ``(re, im, e)`` returned
+    hold ``2**prec * c * S`` alike.  The other arguments are those of
+    :func:`_cauchy_sum` as ints, Fractions or :class:`_Gaussian` values;
+    each parameter, and s, enters as a triple ``(u, w, v)`` from
+    :func:`_gaussian`, worth ``(u + j v + i w)/v`` at offset j.  The pass
+    sums ``W_m = c T_m C_m``, which steps as ``W_m = s (T_m/T_{m-1})
+    W_{m-1} + V_m`` with ``V_m = c T_m d_m``: each of W and V takes one
+    exact ratio of Gaussian integers per step, through :func:`_scaled`.
+    Raises what :func:`_cauchy_sum` raises.
     """
-    sr, si, sv = s
+    # Triples in lowest terms are equal exactly when their values are, so
+    # they cancel as the values do.
+    t_nums, t_dens, d_nums, d_dens = ([_gaussian(w) for w in group]
+                                      for group in (t_nums, t_dens, d_nums, d_dens))
+    t_nums, t_dens = _cancel(t_nums, t_dens)
+    d_nums, d_dens = _cancel(d_nums, d_dens)
+    sr, si, sv = _gaussian(s)
     tn = td = dn = dd = 1
     for _, _, v in t_dens:
         tn *= v
@@ -338,8 +381,9 @@ def _fixed_point_cauchy(prec, n, t_nums, t_dens, s, d_nums, d_dens):
         dn *= v
     for _, _, v in d_nums:
         dd *= v
-    wr = vr = re = 1 << prec
-    wi = vi = im = ew = ev = err = 0
+    wr = vr = re
+    wi = vi = im
+    ew = ev = err = e
     live = True
     for j in range(n):
         ar, ai = tn, 0
@@ -381,28 +425,72 @@ def _fixed_point_cauchy(prec, n, t_nums, t_dens, s, d_nums, d_dens):
     return re, im, err
 
 
-def _certified_cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens, prec):
-    """The exact Cauchy sum rounded once, certified in fixed point (a Ziv loop).
+def _fixed_point(prec, n, outer_nums, outer_dens, outer_scale, inner):
+    """One fixed-point pass of an exact route sum at scale ``2**prec``.
 
-    Takes the arguments of :func:`_cauchy_sum` as ints, Fractions or
-    :class:`_Gaussian` values, and the precision of the first pass.
-    Each component of a pass is certified as in
-    :func:`_certified_double_sum`; when every value is real, the
-    imaginary part is exactly 0 and is not certified.  After
-    ``_ZIV_ROUNDS`` passes, an end beyond the binary64 range or an
-    exact zero component, the loop of :func:`_cauchy_sum` runs exactly
-    instead.  Returns a complex when any value is a :class:`_Gaussian`,
-    else a float.
+    Takes the arguments of :func:`_sum` as exact values.  coef_k runs as
+    a Gaussian integer beside its error bound, through :func:`_scaled`,
+    and starts the pass of :func:`_fixed_point_cauchy` for S_k.  Returns
+    integers ``(re, im, e)``, both components of ``2**prec * S`` within e
+    of them.  Raises what :func:`_sum` raises.
     """
-    t_nums, t_dens = _cancel(t_nums, t_dens)
-    d_nums, d_dens = _cancel(d_nums, d_dens)
-    values = (s, *t_nums, *t_dens, *d_nums, *d_dens)
-    gaussian = any(isinstance(w, _Gaussian) for w in values)
-    real = not any(isinstance(w, _Gaussian) and w.im for w in values)
-    tn, td, dn, dd = ([_gaussian(w) for w in group]
-                      for group in (t_nums, t_dens, d_nums, d_dens))
+    # Every scaled quantity x carries a bound ex on its distance from
+    # 2**prec times its exact value; one line per operation:
+    #   x = 1 << prec          exact:                    ex = 0
+    #   a, b = integer products exact:                   no error
+    #   y = x * a // b         the error scales by |a/b| and the floor
+    #                          division adds at most 1:  ey = ceil(ex |a/b|) + 1
+    #   t = sum of terms       exact:                    e = sum of their bounds
+    sr, si, sv = _gaussian(outer_scale)
+    nums = [_gaussian(w) for w in outer_nums]
+    dens = [_gaussian(w) for w in outer_dens]
+    an = bn = 1
+    for _, _, v in dens:
+        an *= v
+    for _, _, v in nums:
+        bn *= v
+    cr, ci, ec = 1 << prec, 0, 0
+    re, im, err = _fixed_point_cauchy(cr, ci, ec, *inner(0))
+    for k in range(n):
+        ar, ai = sr * an, si * an
+        for u, w, v in nums:
+            u += k * v
+            ar, ai = ar * u - ai * w, ar * w + ai * u
+        br, bi = sv * bn, 0
+        for u, w, v in dens:
+            u += k * v
+            br, bi = br * u - bi * w, br * w + bi * u
+        if not (br or bi):
+            raise ZeroDivisionError(
+                f"outer denominator factor vanishes at step {k}")
+        if not (ar or ai):
+            break
+        cr, ci, ec = _scaled(cr, ci, ec, ar, ai, br, bi)
+        r, i, e = _fixed_point_cauchy(cr, ci, ec, *inner(k + 1))
+        re += r
+        im += i
+        err += e
+    return re, im, err
+
+
+def _certified_cauchy_sum(spec, prec, gaussian, real):
+    """The exact route sum ``spec`` rounded once, certified in fixed point.
+
+    A Ziv loop: ``spec`` is built from exact values, ``prec`` is the
+    precision of the first pass, and ``gaussian`` and ``real`` say
+    whether an input is complex and whether every input has a zero
+    imaginary part.  A pass at scale ``2**prec`` gives integers t and e
+    with each component of the exact value in ``[(t - e)/2**prec, (t +
+    e)/2**prec]``; when both ends have the same strict sign and round to
+    the same double (int/int division is correctly rounded), that double
+    is the exact component rounded.  When ``real``, the imaginary part is
+    exactly 0 and is not certified.  Otherwise the precision doubles, and
+    after ``_ZIV_ROUNDS`` passes, an end beyond the binary64 range or an
+    exact zero component, the loop of :func:`_sum` runs exactly instead.
+    Returns a complex when ``gaussian``, else a float.
+    """
     for _ in range(_ZIV_ROUNDS):
-        re, im, e = _fixed_point_cauchy(prec, n, tn, td, _gaussian(s), dn, dd)
+        re, im, e = _fixed_point(prec, *spec)
         try:
             value = _rounded(re, e, prec)
             if value is not None and not real:
@@ -413,211 +501,8 @@ def _certified_cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens, prec):
         if value is not None:
             return complex(value) if gaussian else value
         prec *= 2
-    total = _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens)[0]
+    total = _sum(*spec)[0]
     return complex(total) if gaussian else float(total)
-
-
-def _double_sum(n, outer_nums, outer_dens, outer_scale, inner):
-    """sum_k coef_k * inner_k in compensated binary64, with a condition estimate.
-
-    Returns ``(value, condition_estimate)`` where the condition is the
-    peak intermediate magnitude over the final magnitude.
-    """
-    nums, dens, arg, top = inner
-    one = outer_scale * 0 + 1
-    total = comp = 0.0
-    coef = one
-    peak = 0.0
-    for k in range(n + 1):
-        if coef == 0:
-            break
-        inner_k, ipeak = _terminating_sum([b + s * k + o for b, s, o in nums],
-                                          [b + s * k + o for b, s, o in dens],
-                                          arg, top(k))
-        y = coef * inner_k - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        peak = max(peak, abs(coef) * max(ipeak, abs(inner_k)))
-        ratio = outer_scale
-        for p in outer_nums:
-            ratio = ratio * (p + k)
-        for q in outer_dens:
-            ratio = ratio / (q + k)
-        coef = coef * ratio
-    mag = abs(total)
-    cond = peak / mag if mag > 0 else math.inf
-    return total, cond
-
-
-def _exact_hyp(nums, dens, arg, top):
-    """Exact terminating sum of rational parameters, as a Fraction.
-
-    Each parameter ``u/v`` enters as the integer pair ``(u, v)``, so the
-    term ratio at offset j is ``a_j / b_j`` with ``a_j = an *
-    prod(u + j v)`` and ``b_j = ad * (j+1) * prod(u' + j v')``.  The sum
-    ``1 + r_0 (1 + r_1 (1 + ...))`` is folded backwards as one unreduced
-    integer fraction ``N/D``, and reduced once at the end.
-    """
-    nums, dens = _cancel(_pairs(nums), _pairs(dens))
-    an, ad = arg.numerator, arg.denominator
-    for _, v in nums:
-        ad *= v
-    for _, v in dens:
-        an *= v
-    ratios = []
-    for j in range(top):
-        a = 1
-        for u, v in nums:
-            a *= u + j * v
-        if a == 0:
-            break
-        b = j + 1
-        for u, v in dens:
-            b *= u + j * v
-        if b == 0:
-            raise _pole(j)
-        ratios.append((an * a, ad * b))
-    num, den = 1, 1
-    for a, b in reversed(ratios):
-        num, den = den * b + a * num, den * b
-    return Fraction(num, den)
-
-
-def _exact_double_sum(n, outer_nums, outer_dens, outer_scale, inner):
-    """The double sum of :func:`_double_sum` in exact rationals.
-
-    Takes the same arguments, with every parameter an int or a
-    Fraction, and returns the Fraction value.
-    """
-    nums, dens, arg, top = inner
-    total = 0
-    coef = Fraction(1)
-    for k in range(n + 1):
-        if coef == 0:
-            break
-        total += coef * _exact_hyp([b + s * k + o for b, s, o in nums],
-                                   [b + s * k + o for b, s, o in dens],
-                                   arg, top(k))
-        ratio = outer_scale
-        for p in outer_nums:
-            ratio = ratio * (p + k)
-        for q in outer_dens:
-            ratio = ratio / (q + k)
-        coef = coef * ratio
-    return total
-
-
-def _pairs(values):
-    """Each rational as its (numerator, denominator) in lowest terms."""
-    return [(w.numerator, w.denominator) for w in values]
-
-
-def _triples(params):
-    """Inner parameters ``(b, s, o)`` as ``(u, v, s v)`` with ``u/v = b + o``."""
-    return [(b.numerator + o * b.denominator, b.denominator, s * b.denominator)
-            for b, s, o in params]
-
-
-def _fixed_point_sum(prec, n, outer_nums, outer_dens, sn, sd, nums, dens,
-                     an, ad, top):
-    """One fixed-point pass of an exact double sum at scale ``2**prec``.
-
-    Returns integers ``(t, e)`` with ``|t - 2**prec * S| <= e`` for the
-    exact value S.  Outer parameters are pairs ``(u, v)``, worth ``(u +
-    k v)/v`` at step k; inner parameters are triples ``(u, v, s v)``,
-    worth ``(u + k s v)/v`` at step k, which is in lowest terms whenever
-    ``u/v`` is, so equal parameters cancel exactly as in
-    :func:`_exact_hyp`.  Raises what :func:`_exact_double_sum` raises.
-    """
-    for _, v in outer_dens:
-        sn *= v
-    for _, v in outer_nums:
-        sd *= v
-    # Every scaled quantity x carries a bound ex on its distance from
-    # 2**prec times its exact value; one line per operation:
-    #   x = 1 << prec          exact:                    ex = 0
-    #   a, b = integer products exact:                   no error
-    #   y = x * a // b         the error scales by |a/b| and the floor
-    #                          division adds at most 1:  ey = ceil(ex |a/b|) + 1
-    #   t = sum of terms       exact:                    e = sum of their bounds
-    coef, ecoef = 1 << prec, 0
-    total = err = 0
-    for k in range(n + 1):
-        knums, kdens = _cancel([(u + k * sv, v) for u, v, sv in nums],
-                               [(u + k * sv, v) for u, v, sv in dens])
-        a0, b0 = an, ad
-        for _, v in knums:
-            b0 *= v
-        for _, v in kdens:
-            a0 *= v
-        term, e = coef, ecoef
-        total += term
-        err += e
-        for j in range(top(k)):
-            a = 1
-            for u, v in knums:
-                a *= u + j * v
-            if a == 0:
-                break
-            b = j + 1
-            for u, v in kdens:
-                b *= u + j * v
-            if b == 0:
-                raise _pole(j)
-            a *= a0
-            b *= b0
-            if b < 0:
-                a, b = -a, -b
-            term = term * a // b
-            # With b > 0, -(-e |a| // b) is ceil(e |a| / b).
-            e = 1 - -e * (a if a > 0 else -a) // b
-            total += term
-            err += e
-        a, b = sn, sd
-        for u, v in outer_nums:
-            a *= u + k * v
-        for u, v in outer_dens:
-            b *= u + k * v
-        if b == 0:
-            raise ZeroDivisionError(
-                f"outer denominator factor vanishes at step {k}")
-        if a == 0:
-            break
-        if b < 0:
-            a, b = -a, -b
-        coef = coef * a // b
-        ecoef = 1 - -ecoef * (a if a > 0 else -a) // b
-    return total, err
-
-
-def _certified_double_sum(n, outer_nums, outer_dens, outer_scale, inner, prec):
-    """``float(_exact_double_sum(...))``, certified in fixed point (a Ziv loop).
-
-    Takes the arguments of :func:`_exact_double_sum` and the precision
-    of the first pass.  A pass at scale ``2**prec`` gives ``t`` and a
-    bound ``e`` with the exact value in ``[(t - e)/2**prec, (t + e)/2**
-    prec]``; when both ends have the same strict sign and round to the
-    same double (int/int division is correctly rounded), that double is
-    the exact value rounded.  Otherwise the precision doubles, and after
-    ``_ZIV_ROUNDS`` passes, or an end beyond the binary64 range, the sum
-    is re-done in exact rationals.  An exact zero always falls back.
-    """
-    nums, dens, arg, top = inner
-    ints = (n, _pairs(outer_nums), _pairs(outer_dens),
-            outer_scale.numerator, outer_scale.denominator,
-            _triples(nums), _triples(dens), arg.numerator, arg.denominator,
-            top)
-    for _ in range(_ZIV_ROUNDS):
-        t, e = _fixed_point_sum(prec, *ints)
-        try:
-            value = _rounded(t, e, prec)
-        except OverflowError:
-            break
-        if value is not None:
-            return value
-        prec *= 2
-    return float(_exact_double_sum(n, outer_nums, outer_dens, outer_scale, inner))
 
 
 def _first_precision(total, cond):
@@ -631,7 +516,7 @@ def _first_precision(total, cond):
 
 
 def _resum(terms, n, inputs):
-    """Binary64 value of the Cauchy sum ``terms(n, *inputs)``.
+    """Binary64 value of the route sum ``terms(n, *inputs)``.
 
     ``terms`` builds the sum from the inputs in whichever field they
     live.  When the condition estimate exceeds ``_ESCALATE_COND`` and
@@ -640,92 +525,81 @@ def _resum(terms, n, inputs):
     :func:`_certified_cauchy_sum`, which returns the exact value with
     each component rounded once.
     """
-    total, cond = _cauchy_sum(*terms(n, *inputs))
+    total, cond = _sum(*terms(n, *inputs))
     if cond > _ESCALATE_COND and _exactable(*inputs):
-        total = _certified_cauchy_sum(*terms(n, *map(_exact, inputs)),
-                                      _first_precision(total, cond))
-    return total
-
-
-def _resum_double(terms, n, inputs):
-    """Binary64 value of the double sum ``terms(n, *inputs)``.
-
-    As :func:`_resum`, through :func:`_double_sum` and
-    :func:`_certified_double_sum`; only real inputs escalate.
-    """
-    total, cond = _double_sum(*terms(n, *inputs))
-    if (cond > _ESCALATE_COND and _exactable(*inputs)
-            and not isinstance(total, complex)):
-        total = _certified_double_sum(*terms(n, *map(Fraction, inputs)),
-                                      _first_precision(total, cond))
+        total = _certified_cauchy_sum(
+            terms(n, *map(_exact, inputs)), _first_precision(total, cond),
+            any(isinstance(v, complex) for v in inputs),
+            all(v.imag == 0 for v in inputs))
     return total
 
 
 # The sums of the routes below; every parameter is built from the inputs
-# by field operations, so the same function serves every engine.  A
-# terminating hypergeometric sum is a Cauchy sum with ``d_nums = [0]``
-# (so that C_m = s^m) and a 1 among ``t_dens`` for the m!.
+# by field operations, so the same function serves every engine.  Values
+# that do not depend on the outer index k are built once, outside
+# ``inner``.
 
 
 def _meixner_4f3_sum(n, x, beta, c, gamma):
     gb = gamma + beta
     gbx = gb + x
-    return n, [-n, gbx], [gamma + 1, gb], 1 - c, [gb - 1, gamma], [gbx]
+    return _cauchy(n, [-n, gbx], [gamma + 1, gb], 1 - c, [gb - 1, gamma], [gbx])
 
 
 def _meixner_4f3_alt_sum(n, x, beta, c, gamma):
     gb = gamma + beta
     gx = gamma - x
-    return n, [-n, gx], [gamma + 1, gb], (c - 1) / c, [gb - 1, gamma], [gx]
+    return _cauchy(n, [-n, gx], [gamma + 1, gb], (c - 1) / c, [gb - 1, gamma], [gx])
 
 
 def _charlier_sum(n, x, a, gamma):
     gx = gamma - x
-    return n, [-n, gx], [gamma + 1], -1 / a, [gamma], [gx]
+    return _cauchy(n, [-n, gx], [gamma + 1], -1 / a, [gamma], [gx])
 
 
-def _charlier_transformed_terms(n, x, a, gamma):
+def _charlier_transformed_sum(n, x, a, gamma):
     gx = gamma - x
-    one = (gamma * 0) + 1
-    inner = ([(0, -1, 0), (gamma, 0, 0), (-n, 1, 0)],
-             [(-n, 0, 0), (gx, 0, 0)], one, lambda k: min(k, n - k))
-    return n, [-n, gx], [1], -(one / a), inner
+    one = gamma * 0 + 1
+    return n, [-n, gx], [1], -(one / a), lambda k: (
+        min(k, n - k), [-k, gamma, k - n], [-n, gx, 1], one, [0], [])
 
 
 def _laguerre_sum(n, x, alpha, gamma):
     ga = gamma + alpha
-    return n, [-n], [gamma + 1, ga + 1], x, [ga, gamma], []
+    return _cauchy(n, [-n], [gamma + 1, ga + 1], x, [ga, gamma], [])
 
 
-def _laguerre_rahman_terms(n, x, alpha, gamma):
-    one = (gamma * 0) + 1
-    inner = ([(-n, 1, 0), (1 - alpha, 1, 0), (gamma, 0, 0)],
-             [(-alpha - n, 0, 0), (gamma, 1, 1)], one, lambda k: n - k)
-    return n, [-n], [gamma + 1, alpha + 1], x, inner
+def _laguerre_rahman_sum(n, x, alpha, gamma):
+    one = gamma * 0 + 1
+    one_alpha = 1 - alpha
+    alpha_n = -alpha - n
+    g1 = gamma + 1
+    return n, [-n], [g1, alpha + 1], x, lambda k: (
+        n - k, [k - n, one_alpha + k, gamma], [alpha_n, g1 + k, 1], one, [0], [])
 
 
 def _finite_4f3_sum(n, a, b, t, y):
-    return n, [-n, a + y], [a + 1, b + 1], t, [a, b], [a + y]
+    return _cauchy(n, [-n, a + y], [a + 1, b + 1], t, [a, b], [a + y])
 
 
 def _t_powered_sum(n, a, b, t):
-    return n, [-n], [b + 1], t, [a, b], [a + 1]
+    return _cauchy(n, [-n], [b + 1], t, [a, b], [a + 1])
 
 
 def _m_generalized_sum(n, a, b, m):
-    return n, [-n], [], a * 0, [a, b], [a + m, b + 1]
+    return _cauchy(n, [-n], [], a * 0, [a, b], [a + m, b + 1])
 
 
 def _meixner_classical_sum(n, x, beta, c):
-    return n, [-n, -x], [beta, 1], 1 - 1 / c, [0], []
+    return _cauchy(n, [-n, -x], [beta, 1], 1 - 1 / c, [0], [])
 
 
 def _charlier_classical_sum(n, x, a):
-    return n, [-n, -x], [1], -1 / a, [0], []
+    return _cauchy(n, [-n, -x], [1], -1 / a, [0], [])
 
 
 def _laguerre_classical_sum(n, x, alpha):
-    return n, [-n], [alpha + 1, 1], x, [0], []
+    return _cauchy(n, [-n], [alpha + 1, 1], x, [0], [])
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +858,7 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY):
             f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
             f"for degree {n} (transformed variant)"
         )
-    return _resum_double(_charlier_transformed_terms, n, (x, a, gamma))
+    return _resum(_charlier_transformed_sum, n, (x, a, gamma))
 
 
 def charlier_classical(x, a, n):
@@ -1035,7 +909,7 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY):
             f"the second Laguerre 3F2 form requires non-integer alpha, "
             f"got alpha={alpha!r}"
         )
-    total = _resum_double(_laguerre_rahman_terms, n, (x, alpha, gamma))
+    total = _resum(_laguerre_rahman_sum, n, (x, alpha, gamma))
     return pochhammer(alpha + 1.0, n) / math.factorial(n) * total
 
 

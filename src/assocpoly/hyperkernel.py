@@ -17,10 +17,9 @@ the coefficients in one loop with no generator.  Its one stopping
 rule ends summation once two consecutive terms are below ``rel_tol``
 times the running partial sum, and it raises
 :class:`~assocpoly.errors.NotConverged` (carrying the partial outcome)
-if ``max_terms`` is hit first.  One loop, ``_terminating_sum``, sums
-every terminating series here, and the inner sums of the two double
-sums that :mod:`assocpoly.closedforms` keeps (its other sums are
-Cauchy sums, with a loop of their own).
+if ``max_terms`` is hit first.  The loop of ``hyp_terminating`` sums
+every terminating series here; :mod:`assocpoly.closedforms` sums its
+own as Cauchy sums.
 
 Gamma functions are computed here in pure Python: ``math.lgamma`` for
 real arguments and a Stirling series for complex ones, so no evaluation
@@ -356,37 +355,6 @@ def _pole(j):
     )
 
 
-def _terminating_sum(nums, dens, arg, top):
-    """Compensated binary64 sum of :func:`hyp_terminating`, unvalidated.
-
-    Returns ``(value, peak)``, where ``peak`` is the largest term
-    magnitude (at least that of the leading 1).
-    """
-    nums, dens = _cancel(nums, dens)
-    total = term = peak = 1.0
-    comp = 0.0
-    for j in range(top):
-        numprod = 1.0
-        for p in nums:
-            numprod = numprod * (p + j)
-        if numprod == 0:
-            break
-        denprod = 1.0
-        for q in dens:
-            denprod = denprod * (q + j)
-        if denprod == 0:
-            raise _pole(j)
-        term = term * numprod / denprod * arg / (j + 1)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        t_abs = abs(term)
-        if t_abs > peak:
-            peak = t_abs
-    return total, peak
-
-
 def hyp_terminating(num_params, den_params, arg, top_index):
     """Finite hypergeometric sum sum_{j=0}^{top_index} term_j.
 
@@ -422,7 +390,26 @@ def hyp_terminating(num_params, den_params, arg, top_index):
         )
     if top_index == 0 or arg == 0:
         return 1.0
-    return _terminating_sum(nums, den_params, arg, top_index)[0]
+    nums, dens = _cancel(nums, den_params)
+    total = term = 1.0
+    comp = 0.0
+    for j in range(top_index):
+        numprod = 1.0
+        for p in nums:
+            numprod = numprod * (p + j)
+        if numprod == 0:
+            break
+        denprod = 1.0
+        for q in dens:
+            denprod = denprod * (q + j)
+        if denprod == 0:
+            raise _pole(j)
+        term = term * numprod / denprod * arg / (j + 1)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
 
 
 # ---------------------------------------------------------------------------

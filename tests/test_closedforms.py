@@ -443,6 +443,9 @@ class GaussQ:
         w = GaussQ.lift(w)
         return self.re == w.re and self.im == w.im
 
+    def __abs__(self):
+        return math.hypot(self.re, self.im)
+
     def rounded(self):
         """Each component correctly rounded to binary64."""
         return complex(float(self.re), float(self.im))
@@ -487,9 +490,12 @@ def fraction_double_sum(n, outer_nums, outer_dens, outer_scale, inner):
     return total
 
 
-# The paper's double sums, kept here as the references of the Cauchy sums
-# that closedforms evaluates: ``(n, outer_nums, outer_dens, outer_scale,
-# inner)`` as ``fraction_double_sum`` reads them (see closedforms).
+# The paper's double sums, kept here as the references of the sums that
+# closedforms evaluates: ``(n, outer_nums, outer_dens, outer_scale,
+# inner)`` as ``fraction_double_sum`` reads them.  ``inner = (nums, dens,
+# arg, top)`` states the inner terminating sum at every outer step k at
+# once: each parameter ``(b, s, o)`` is ``b + s*k + o``, the argument is
+# ``arg`` and the last index is ``top(k)``.
 
 
 def meixner_4f3_terms(n, x, beta, c, gamma):
@@ -515,11 +521,24 @@ def charlier_terms(n, x, a, gamma):
     return n, [-n, gx], [gamma + 1], -1 / a, inner
 
 
+def charlier_transformed_terms(n, x, a, gamma):
+    gx = gamma - x
+    inner = ([(0, -1, 0), (gamma, 0, 0), (-n, 1, 0)],
+             [(-n, 0, 0), (gx, 0, 0)], 1, lambda k: min(k, n - k))
+    return n, [-n, gx], [1], -1 / a, inner
+
+
 def laguerre_terms(n, x, alpha, gamma):
     ga = gamma + alpha
     inner = ([(-n, 1, 0), (ga, 0, 0), (gamma, 0, 0)],
              [(ga, 1, 1), (gamma + 1, 1, 0)], 1, lambda k: n - k)
     return n, [-n], [gamma + 1, ga + 1], x, inner
+
+
+def laguerre_rahman_terms(n, x, alpha, gamma):
+    inner = ([(-n, 1, 0), (1 - alpha, 1, 0), (gamma, 0, 0)],
+             [(-alpha - n, 0, 0), (gamma, 1, 1)], 1, lambda k: n - k)
+    return n, [-n], [gamma + 1, alpha + 1], x, inner
 
 
 def finite_4f3_terms(n, a, b, t, y):
@@ -563,22 +582,34 @@ def laguerre_classical_terms(n, x, alpha):
 
 
 def cauchy_single_sum(nums, dens, top):
-    """A lone terminating sum at argument 1, as a Cauchy sum (C_m = 1)."""
-    return top, nums, dens + [1], 1, [0], []
+    """A lone terminating sum at argument 1, as a route sum (C_m = 1)."""
+    return closedforms._cauchy(top, nums, dens + [1], 1, [0], [])
 
 
-# Each sum: its builder in closedforms, the paper's double sum that the
-# builder's Cauchy sum collapses (None where the builder is that double
-# sum), and the number of inputs after n.
+def as_route(spec):
+    """A double-sum spec of ``fraction_double_sum`` as a closedforms route sum.
+
+    Each inner terminating sum at argument z is a Cauchy sum with s = z,
+    ``d_nums = [0]`` (so that C_m = z^m) and a 1 among ``t_dens``.
+    """
+    n, outer_nums, outer_dens, outer_scale, (nums, dens, arg, top) = spec
+    return n, outer_nums, outer_dens, outer_scale, lambda k: (
+        top(k), [b + s * k + o for b, s, o in nums],
+        [b + s * k + o for b, s, o in dens] + [1], arg, [0], [])
+
+
+# Each sum: its builder in closedforms, the paper's double sum that it
+# evaluates, and the number of inputs after n.
 EXACT_SUMS = {
     "meixner-4f3": (closedforms._meixner_4f3_sum, meixner_4f3_terms, 4),
     "meixner-4f3-alt": (closedforms._meixner_4f3_alt_sum,
                         meixner_4f3_alt_terms, 4),
     "charlier-3f2": (closedforms._charlier_sum, charlier_terms, 3),
-    "charlier-3f2-transformed": (closedforms._charlier_transformed_terms,
-                                 None, 3),
+    "charlier-3f2-transformed": (closedforms._charlier_transformed_sum,
+                                 charlier_transformed_terms, 3),
     "laguerre-3f2": (closedforms._laguerre_sum, laguerre_terms, 3),
-    "laguerre-3f2-rahman": (closedforms._laguerre_rahman_terms, None, 3),
+    "laguerre-3f2-rahman": (closedforms._laguerre_rahman_sum,
+                            laguerre_rahman_terms, 3),
     "3f2-pochhammer": (
         lambda n, a, b: closedforms._m_generalized_sum(n, a, b, 1),
         pochhammer_terms, 2),
@@ -594,36 +625,50 @@ EXACT_SUMS = {
     "laguerre-classical": (closedforms._laguerre_classical_sum,
                            laguerre_classical_terms, 2),
 }
+# The sums that stay double sums, also drawn with a complex x.
+COMPLEX_X_SUMS = ("charlier-3f2-transformed", "laguerre-3f2-rahman")
 
 
 def draws(name):
-    """Seeded ``(spec, reference spec)`` pairs of one sum.
+    """Seeded ``(spec, reference spec, gaussian)`` triples of one sum.
 
     Every binary64 value is a dyadic rational, so seeded uniform draws
-    are dyadic inputs with full 53-bit numerators.
+    are dyadic inputs with full 53-bit numerators.  The sums of
+    ``COMPLEX_X_SUMS`` are drawn again with a dyadic complex x.
     """
     builder, paper, arity = EXACT_SUMS[name]
     rng = random.Random(name)
     for _ in range(6):
         n = rng.randint(1, 14)
         inputs = [Fraction(rng.uniform(-3.0, 3.0)) for _ in range(arity)]
-        yield builder(n, *inputs), (paper or builder)(n, *inputs)
+        yield builder(n, *inputs), paper(n, *inputs), False
+    if name in COMPLEX_X_SUMS:
+        for _ in range(6):
+            n = rng.randint(1, 14)
+            x, x_ref = gaussian(Fraction(rng.uniform(-3.0, 3.0)),
+                                Fraction(rng.uniform(-3.0, 3.0)))
+            inputs = [Fraction(rng.uniform(-3.0, 3.0)) for _ in range(arity - 1)]
+            yield builder(n, x, *inputs), paper(n, x_ref, *inputs), True
 
 
 def exact_sum(spec):
-    """The exact engine's value of a Cauchy (six-field) or double-sum spec."""
-    if len(spec) == 6:
-        return closedforms._cauchy_sum(*spec)[0]
-    return closedforms._exact_double_sum(*spec)
+    """The exact engine's value of a route sum."""
+    return closedforms._sum(*spec)[0]
+
+
+def parts(value):
+    """The real and imaginary parts of an exact value."""
+    return (value.re, value.im) if hasattr(value, "re") else (value, 0)
 
 
 @pytest.mark.parametrize("name", list(EXACT_SUMS))
 def test_exact_engine_equals_fraction_reference(name):
-    # A Cauchy sum equals the paper's double sum it collapses, exactly.
-    for spec, reference in draws(name):
-        want = fraction_double_sum(*reference)
-        assert exact_sum(spec) == want
-        assert closedforms._exact_double_sum(*reference) == want
+    # A collapsed Cauchy sum equals the paper's double sum it collapses,
+    # exactly, and so does the paper's double sum run by the same engine.
+    for spec, reference, _ in draws(name):
+        want = parts(fraction_double_sum(*reference))
+        assert parts(exact_sum(spec)) == want
+        assert parts(exact_sum(as_route(reference))) == want
 
 
 def test_exact_engine_terminates_early():
@@ -631,15 +676,30 @@ def test_exact_engine_terminates_early():
     # stops at its first term, and the double sum is a terminating 2F1.
     x, beta, c = Fraction(3), Fraction(3, 2), Fraction(2, 5)
     spec = meixner_4f3_terms(9, x, beta, c, Fraction(0))
-    value = closedforms._exact_double_sum(*spec)
+    value = exact_sum(as_route(spec))
     assert value == fraction_double_sum(*spec)
     assert value == fraction_hyp([-9, beta + x], [beta], 1 - c, 9)
     assert exact_sum(closedforms._meixner_4f3_sum(9, x, beta, c, Fraction(0))) == value
     inputs = (Fraction(5, 4), Fraction(1, 2), Fraction(0))
     spec = laguerre_terms(7, *inputs)
-    assert closedforms._exact_double_sum(*spec) == fraction_double_sum(*spec)
+    assert exact_sum(as_route(spec)) == fraction_double_sum(*spec)
     assert (exact_sum(closedforms._laguerre_sum(7, *inputs))
             == fraction_double_sum(*spec))
+    # The two sums that stay double sums: with gamma = 0 they are the
+    # classical 1F1 and 2F0.
+    x, alpha, a = Fraction(5, 4), Fraction(1, 3), Fraction(3, 2)
+    value = exact_sum(closedforms._laguerre_rahman_sum(7, x, alpha, Fraction(0)))
+    assert value == fraction_double_sum(*laguerre_rahman_terms(7, x, alpha, 0))
+    assert value == fraction_hyp([-7], [alpha + 1], x, 7)
+    value = exact_sum(closedforms._charlier_transformed_sum(7, x, a, Fraction(0)))
+    assert value == fraction_double_sum(*charlier_transformed_terms(7, x, a, 0))
+    assert value == fraction_hyp([-7, -x], [], -1 / a, 7)
+
+
+def twice(route):
+    """A route sum run as both inner sums of an outer sum of degree 1."""
+    inner = route[4](0)
+    return 1, [], [], 1, lambda k: inner
 
 
 @pytest.mark.parametrize(
@@ -654,35 +714,37 @@ def test_exact_engine_terminates_early():
 )
 def test_exact_engine_cancellation_and_termination(nums, dens, expected):
     spec = single_sum(nums, dens, 5)
-    assert closedforms._exact_double_sum(*spec) == expected
     assert fraction_double_sum(*spec) == expected
-    value, _ = closedforms._double_sum(*single_sum(
-        [float(p) for p in nums], [float(q) for q in dens], 5))
-    assert value == float(expected)
-    # The same sum as a Cauchy sum cancels and terminates alike.
-    cauchy = cauchy_single_sum(nums, dens, 5)
-    assert exact_sum(cauchy) == expected
-    value, _ = closedforms._cauchy_sum(*cauchy_single_sum(
-        [float(p) for p in nums], [float(q) for q in dens], 5))
-    assert value == float(expected)
-    for spec in (spec, cauchy):
+    floats = ([float(p) for p in nums], [float(q) for q in dens], 5)
+    # The sum as the paper's double sum, as a lone Cauchy sum, and as both
+    # inner sums of an outer sum cancels and terminates alike.
+    for route, binary64, want in (
+            (as_route(spec), as_route(single_sum(*floats)), expected),
+            (cauchy_single_sum(nums, dens, 5), cauchy_single_sum(*floats),
+             expected),
+            (twice(cauchy_single_sum(nums, dens, 5)),
+             twice(cauchy_single_sum(*floats)), 2 * expected)):
+        assert exact_sum(route) == want
+        value, _ = closedforms._sum(*binary64)
+        assert value == float(want)
         # The certified engine: an exact zero straddles 0 at every
         # precision, so it runs every pass and the exact engine decides
         # (a positive zero).
-        value, passes = certified(spec, 64)
-        assert repr(value) == repr(float(expected))
-        assert len(passes) == (closedforms._ZIV_ROUNDS if expected == 0 else 1)
+        value, passes = certified(route, 64)
+        assert repr(value) == repr(float(want))
+        assert len(passes) == (closedforms._ZIV_ROUNDS if want == 0 else 1)
         # From 2**1200 on, both ends of a zero's interval round to zeros of
         # opposite sign, which compare equal: only the sign check refuses.
-        value, _ = certified(spec, 1200)
-        assert repr(value) == repr(float(expected))
+        value, _ = certified(route, 1200)
+        assert repr(value) == repr(float(want))
 
 
 def test_exact_engine_cancels_only_equal_parameters():
     # A numerator 2^-60 away from the denominator -1 does not cancel it.
     nums = [Fraction(-3), Fraction(-1) + Fraction(1, 2**60)]
-    for spec in (single_sum(nums, [Fraction(-1)], 5),
-                 cauchy_single_sum(nums, [Fraction(-1)], 5)):
+    for spec in (as_route(single_sum(nums, [Fraction(-1)], 5)),
+                 cauchy_single_sum(nums, [Fraction(-1)], 5),
+                 twice(cauchy_single_sum(nums, [Fraction(-1)], 5))):
         with pytest.raises(DenominatorPole, match="at offset 1 "):
             exact_sum(spec)
         with pytest.raises(DenominatorPole, match="at offset 1 "):
@@ -696,11 +758,15 @@ def test_exact_engine_raises_denominator_pole_at_same_offset():
     cauchy = closedforms._m_generalized_sum(6, a, b, 1)
     binary64 = closedforms._m_generalized_sum(6, float(a), float(b), 1)
     for evaluate in (lambda: fraction_double_sum(*spec),
-                     lambda: closedforms._exact_double_sum(*spec),
-                     lambda: closedforms._certified_double_sum(*spec, 64),
+                     lambda: exact_sum(as_route(spec)),
+                     lambda: certified(as_route(spec), 64),
                      lambda: exact_sum(cauchy),
-                     lambda: closedforms._certified_cauchy_sum(*cauchy, 64),
-                     lambda: closedforms._cauchy_sum(*binary64)):
+                     lambda: closedforms._certified_cauchy_sum(cauchy, 64,
+                                                               False, True),
+                     lambda: closedforms._sum(*binary64),
+                     lambda: exact_sum(twice(cauchy)),
+                     lambda: certified(twice(cauchy), 64),
+                     lambda: closedforms._sum(*twice(binary64))):
         with pytest.raises(DenominatorPole, match="at offset 1 "):
             evaluate()
 
@@ -709,10 +775,12 @@ def test_exact_engine_outer_zero_divisor_raises():
     spec = (3, [], [Fraction(-1)], Fraction(1), ([], [], Fraction(1), lambda k: 0))
     with pytest.raises(ZeroDivisionError):
         fraction_double_sum(*spec)
-    with pytest.raises(ZeroDivisionError):
-        closedforms._exact_double_sum(*spec)
-    with pytest.raises(ZeroDivisionError):
-        closedforms._certified_double_sum(*spec, 64)
+    binary64 = (3, [], [-1.0], 1.0, lambda k: (0, [], [], 1.0, [0], []))
+    for evaluate in (lambda: exact_sum(as_route(spec)),
+                     lambda: certified(as_route(spec), 64),
+                     lambda: closedforms._sum(*binary64)):
+        with pytest.raises(ZeroDivisionError):
+            evaluate()
 
 
 def test_escalated_routes_round_the_exact_rational(monkeypatch):
@@ -739,29 +807,37 @@ def test_escalated_routes_round_the_exact_rational(monkeypatch):
     assert checked == [float(value) for value in exact]
 
 
+def test_double_sum_condition_counts_each_inner_value():
+    # The peak of an outer term is |coef_k| max(peak_k, |S_k|): the inner
+    # 3F2 values of this sum exceed their own term peaks, and with the
+    # peaks alone the estimate stays below the escalation threshold and
+    # the binary64 sum is 2.9e-11 off.
+    inputs = (3.0, -0.5, 2.7)
+    value = closedforms._resum(closedforms._laguerre_rahman_sum, 25, inputs)
+    exact = fraction_double_sum(*laguerre_rahman_terms(25, *map(Fraction, inputs)))
+    assert repr(value) == repr(float(exact))
+
+
 # ---------------------------------------------------------------------------
-# The certified fixed-point engines against the exact reference
+# The certified fixed-point engine against the exact reference
 # ---------------------------------------------------------------------------
 
 
-def certified(spec, prec):
+def certified(spec, prec, gaussian=False):
     """The certified engine's value for a spec and the precision of each pass."""
-    if len(spec) == 6:
-        name, engine = "_fixed_point_cauchy", closedforms._certified_cauchy_sum
-    else:
-        name, engine = "_fixed_point_sum", closedforms._certified_double_sum
     passes = []
-    fixed = getattr(closedforms, name)
+    fixed = closedforms._fixed_point
 
     def counted(p, *args):
         passes.append(p)
         return fixed(p, *args)
 
-    setattr(closedforms, name, counted)
+    closedforms._fixed_point = counted
     try:
-        return engine(*spec, prec), passes
+        return (closedforms._certified_cauchy_sum(spec, prec, gaussian,
+                                                  not gaussian), passes)
     finally:
-        setattr(closedforms, name, fixed)
+        closedforms._fixed_point = fixed
 
 
 @pytest.mark.parametrize("name", list(EXACT_SUMS))
@@ -769,23 +845,26 @@ def test_certified_engine_equals_fraction_reference(name):
     # Each seeded dyadic draw summed from every starting precision in
     # 4..94 bits, so that many passes certify at the edge of the last
     # bit, where an error bound that is too small shows as a wrong double.
-    for spec, reference in draws(name):
-        want = float(fraction_double_sum(*reference))
+    for spec, reference, complex_x in draws(name):
+        want = fraction_double_sum(*reference)
+        want = want.rounded() if complex_x else float(want)
         for prec in range(4, 95, 3):
-            value, _ = certified(spec, prec)
+            value, _ = certified(spec, prec, complex_x)
             assert repr(value) == repr(want), (spec, prec)
 
 
 NEAR_POLE = Fraction(-1) + Fraction(1, 2**30)
+OUTER_NEAR_POLE = (3, [Fraction(1, 3)], [NEAR_POLE], Fraction(-5, 7),
+                   ([(Fraction(-3), 1, 0), (Fraction(2, 5), 0, 0)],
+                    [(Fraction(3, 4), 1, 0)], Fraction(1), lambda k: 3 - k))
 
 
 @pytest.mark.parametrize(
     "spec, reference",
     [
-        (single_sum([Fraction(-4), Fraction(1, 3)], [NEAR_POLE], 4), None),
-        ((3, [Fraction(1, 3)], [NEAR_POLE], Fraction(-5, 7),
-          ([(Fraction(-3), 1, 0), (Fraction(2, 5), 0, 0)],
-           [(Fraction(3, 4), 1, 0)], Fraction(1), lambda k: 3 - k)), None),
+        (cauchy_single_sum([Fraction(-4), Fraction(1, 3)], [NEAR_POLE], 4),
+         single_sum([Fraction(-4), Fraction(1, 3)], [NEAR_POLE], 4)),
+        (as_route(OUTER_NEAR_POLE), OUTER_NEAR_POLE),
         # b + 1 is a denominator of T_m, a + 1 one of d_m.
         (closedforms._t_powered_sum(4, Fraction(1, 3), NEAR_POLE - 1, Fraction(-5, 7)),
          t_powered_terms(4, Fraction(1, 3), NEAR_POLE - 1, Fraction(-5, 7))),
@@ -798,7 +877,7 @@ def test_certified_engine_bounds_steep_growth(spec, reference):
     # A factor 2**-30 in a denominator multiplies the error of the term
     # before it by 2**30: a bound that does not grow by |a/b| certifies
     # a wrong double from some starting precision.
-    want = float(fraction_double_sum(*(reference or spec)))
+    want = float(fraction_double_sum(*reference))
     for prec in range(4, 95, 3):
         value, _ = certified(spec, prec)
         assert repr(value) == repr(want), prec
@@ -808,11 +887,11 @@ def test_certified_engine_retries_from_a_small_precision(monkeypatch):
     # The lattice-point sum of meixner_4f3: its terms reach 1e12 times
     # its value 2.9e-7 (1e13 times as a Cauchy sum), so 48 bits cannot
     # certify it and 96 can.
-    monkeypatch.setattr(closedforms, "_exact_double_sum", None)
+    monkeypatch.setattr(closedforms, "_sum", None)
     monkeypatch.setattr(closedforms, "_cauchy_sum", None)
     inputs = (Fraction(3), Fraction(3, 2), Fraction(2, 5), Fraction(0))
     want = float(fraction_double_sum(*meixner_4f3_terms(25, *inputs)))
-    for spec in (meixner_4f3_terms(25, *inputs),
+    for spec in (as_route(meixner_4f3_terms(25, *inputs)),
                  closedforms._meixner_4f3_sum(25, *inputs)):
         value, passes = certified(spec, 48)
         assert value == want
@@ -828,19 +907,27 @@ def test_classical_routes_escalate():
     assert rel(laguerre_classical(3.0, -0.5, 60), float(exact)) < 1e-14
 
 
-def test_collapsed_routes_never_call_the_inner_terminating_sum(monkeypatch):
-    def refused(*args):
-        raise AssertionError("inner terminating sum called")
+def test_collapsed_routes_run_one_cauchy_sum(monkeypatch):
+    engine = closedforms._cauchy_sum
+    calls = []
 
-    monkeypatch.setattr(closedforms, "_terminating_sum", refused)
+    def counted(*args):
+        calls.append(args[0])
+        return engine(*args)
+
+    monkeypatch.setattr(closedforms, "_cauchy_sum", counted)
     for x in (0.9, 3.0, 0.9 + 0.4j):
-        meixner_4f3(x, MeixnerParams(1.5, 0.4, 0.3), 12)
-        meixner_4f3_alt(x, MeixnerParams(1.5, 0.4, 0.3), 12)
-        charlier_3f2(x, CharlierParams(2.0, 0.7), 12)
-        laguerre_3f2(x, LaguerreParams(0.5, 0.7), 12)
-    # The double sums that do not collapse still run it.
-    with pytest.raises(AssertionError, match="inner terminating sum"):
-        charlier_3f2(0.9, CharlierParams(2.0, 0.7), 12, "transformed")
+        for route, params in ((meixner_4f3, MeixnerParams(1.5, 0.4, 0.3)),
+                              (meixner_4f3_alt, MeixnerParams(1.5, 0.4, 0.3)),
+                              (charlier_3f2, CharlierParams(2.0, 0.7)),
+                              (laguerre_3f2, LaguerreParams(0.5, 0.7))):
+            calls.clear()
+            route(x, params, 12)
+            assert calls == [12]
+    # The double sums that do not collapse run one inner sum per outer term.
+    calls.clear()
+    charlier_3f2(0.9, CharlierParams(2.0, 0.7), 12, "transformed")
+    assert calls == [min(k, 12 - k) for k in range(13)]
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +962,7 @@ def test_gaussian_engine_bounds_steep_growth(steep):
     value = exact_sum(spec)
     assert (value.re, value.im) == (want.re, want.im)
     for prec in range(4, 95, 3):
-        value, _ = certified(spec, prec)
+        value, _ = certified(spec, prec, gaussian=True)
         assert repr(value) == repr(want.rounded()), prec
 
 
@@ -887,7 +974,7 @@ def test_gaussian_engine_falls_back_on_an_exact_zero_component():
     want = fraction_double_sum(*t_powered_terms(1, 1, 1, t_ref))
     assert want == GaussQ(0, Fraction(-1, 14))
     spec = closedforms._t_powered_sum(1, Fraction(1), Fraction(1), t)
-    value, passes = certified(spec, 64)
+    value, passes = certified(spec, 64, gaussian=True)
     assert repr(value) == repr(want.rounded())
     assert len(passes) == closedforms._ZIV_ROUNDS
 
@@ -900,8 +987,9 @@ def test_gaussian_engine_raises_denominator_pole_at_same_offset():
     binary64 = closedforms._m_generalized_sum(6, -2 + 0j, 1.75 + 1j / 3, 1)
     for evaluate in (lambda: fraction_double_sum(*pochhammer_terms(6, a_ref, b_ref)),
                      lambda: exact_sum(spec),
-                     lambda: closedforms._certified_cauchy_sum(*spec, 64),
-                     lambda: closedforms._cauchy_sum(*binary64)):
+                     lambda: closedforms._certified_cauchy_sum(spec, 64,
+                                                               True, False),
+                     lambda: closedforms._sum(*binary64)):
         with pytest.raises(DenominatorPole, match="at offset 1 "):
             evaluate()
 
@@ -924,6 +1012,34 @@ def test_meixner_4f3_complex_points_match_exact(x, exact):
     assert abs(value - exact) <= 1e-13 * abs(exact)
 
 
+@pytest.mark.parametrize(
+    "route, paper, x, inputs",
+    [
+        # x next to a real zero of C_25(x; a = 2, gamma = 0.3): the sum
+        # cancels to 1e-12 of its terms.
+        (lambda x, n: charlier_3f2(x, CharlierParams(2.0, 0.3), n, "transformed"),
+         charlier_transformed_terms, complex(0.04993249182026794, 1e-9),
+         (2.0, 0.3)),
+        (lambda x, n: laguerre_3f2(x, LaguerreParams(-0.5, 2.7), n, "rahman"),
+         laguerre_rahman_terms, complex(3.0, 0.1), (-0.5, 2.7)),
+    ],
+    ids=["charlier-3f2-transformed", "laguerre-3f2-rahman"],
+)
+def test_double_sums_escalate_complex_x(monkeypatch, route, paper, x, inputs):
+    engine = closedforms._certified_cauchy_sum
+    escalated = []
+
+    def recorded(*args):
+        escalated.append(engine(*args))
+        return escalated[-1]
+
+    monkeypatch.setattr(closedforms, "_certified_cauchy_sum", recorded)
+    route(x, 25)
+    want = fraction_double_sum(*paper(25, GaussQ(x.real, x.imag),
+                                      *map(Fraction, inputs)))
+    assert [repr(value) for value in escalated] == [repr(want.rounded())]
+
+
 # Each route with complex x, its paper double sum, and its parameters
 # drawn as in the benchmark's complex-x operations.
 COMPLEX_ROUTES = {
@@ -933,8 +1049,14 @@ COMPLEX_ROUTES = {
                         [(0.3, 2.7), (0.2, 0.8), (0.0, 2.7)]),
     "charlier-3f2": (charlier_3f2, charlier_terms, CharlierParams,
                      [(0.5, 5.0), (0.0, 2.7)]),
+    "charlier-3f2-transformed": (
+        lambda x, params, n: charlier_3f2(x, params, n, "transformed"),
+        charlier_transformed_terms, CharlierParams, [(0.5, 5.0), (0.0, 2.7)]),
     "laguerre-3f2": (laguerre_3f2, laguerre_terms, LaguerreParams,
                      [(-0.5, 1.7), (0.0, 2.7)]),
+    "laguerre-3f2-rahman": (
+        lambda x, params, n: laguerre_3f2(x, params, n, "rahman"),
+        laguerre_rahman_terms, LaguerreParams, [(-0.5, 1.7), (0.0, 2.7)]),
 }
 
 
@@ -961,7 +1083,7 @@ def test_escalated_complex_components_are_correctly_rounded(name, re, log_im,
     closedforms._certified_cauchy_sum = recorded
     try:
         route(x, params_type(*inputs), n)
-    except DenominatorPole:
+    except (DenominatorPole, RestrictedParameter):
         assume(False)
     finally:
         closedforms._certified_cauchy_sum = engine
