@@ -13,30 +13,12 @@ Two robustness policies apply throughout:
   are rejected with :class:`~assocpoly.errors.DenominatorPole` rather
   than regularized; the affected parameter sets are measure-zero and a
   caller can perturb or switch representation.
-* The alternating finite sums are evaluated in binary64 with
-  compensated summation while tracking a condition estimate (largest
-  intermediate magnitude over the final sum).  Every sum is an outer
-  sum over k of Cauchy sums ``sum_m T_m C_m`` whose C_m obey a
-  first-order recurrence.  The paper's double sums whose k-shifted
-  inner parameters continue an outer Pochhammer symbol collapse, with
-  m = k + j, to one Cauchy sum, so a degree costs O(n); the classical
-  (gamma = 0) forms are one Cauchy sum too.  The Charlier
-  ``transformed`` and Laguerre ``rahman`` sums do not collapse and keep
-  their outer sum, each inner terminating sum a Cauchy sum of its own.
-  When cancellation would destroy more digits than the target accuracy
-  allows and every input is finite, real or complex, the same sum
-  is re-evaluated from the rationals the inputs denote, Gaussian
-  rationals for complex inputs, which is possible because every term of
-  these sums is rational in the parameters.  The re-evaluation is
-  certified fixed point (a Ziv loop): the sum runs on plain integers
-  (pairs of them for complex values) at scale 2**p beside a rigorous
-  integer bound on its error, and is accepted once both ends of that
-  interval round to the same double in each component, which is then
-  the exact value correctly rounded; otherwise p doubles.  After three
-  passes (always for an exact zero component), or once an end of the
-  interval lies beyond the binary64 range, the sum is done in exact
-  arithmetic instead.  Either way the result is the exact value of the
-  sum at the given inputs, each component rounded to binary64 once.
+* The alternating finite sums run on the terminating-sum engine of
+  :mod:`assocpoly.hyperkernel`: binary64 with a condition estimate and,
+  when cancellation would cost more digits than the target accuracy
+  allows, the exact value of the sum at the given inputs, each
+  component rounded to binary64 once.  Most of the paper's double sums
+  collapse to a single Cauchy sum, so a degree costs O(n).
 
 The module also carries the finite-sum hypergeometric identities that
 underpin the quadratic representation, as report-producing checkers.
@@ -47,14 +29,15 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from fractions import Fraction
 
 from .errors import DenominatorPole, RestrictedParameter
 from .hyperkernel import (
+    _INT_TOL,
     Accumulator,
-    _cancel,
+    _cauchy,
     _check_nonneg_int,
-    _pole,
+    _near_int_in_range,
+    _resum,
     gauss_2f1,
     pochhammer,
 )
@@ -82,13 +65,6 @@ __all__ = [
     "identity_3f2_m_generalized",
 ]
 
-_INT_TOL = 1e-8
-# Escalate to exact rational arithmetic when the largest intermediate
-# magnitude exceeds the final sum by this factor (binary64 then retains
-# fewer than ~12 significant digits).
-_ESCALATE_COND = 1e4
-
-
 class CharlierVariant(enum.Enum):
     PRIMARY = "primary"
     TRANSFORMED = "transformed"
@@ -99,445 +75,18 @@ class LaguerreVariant(enum.Enum):
     RAHMAN = "rahman"
 
 
-def _near_int_in_range(w, lo, hi, tol=_INT_TOL):
-    """Return the integer r in [lo, hi] that w approximates, else None."""
-    if isinstance(w, complex):
-        if abs(w.imag) > tol:
-            return None
-        w = w.real
-    r = round(w)
-    if abs(w - r) > tol or r < lo or r > hi:
-        return None
-    return int(r)
-
-
-def _exactable(*vals):
-    return all(
-        isinstance(v, (int, Fraction))
-        or (isinstance(v, (float, complex)) and cmath.isfinite(v))
-        for v in vals
-    )
-
-
-# ---------------------------------------------------------------------------
-# Summation engine: binary64 with condition tracking, certified fixed
-# point for the ill-conditioned sums, and exact arithmetic as its fallback
-# ---------------------------------------------------------------------------
-#
-# Every route sum is ``(n, outer_nums, outer_dens, outer_scale, inner)``,
-# worth ``S = sum_{k<=n} coef_k S_k``.  The outer coefficients are
-# ``coef_0 = 1`` and ``coef_{k+1}/coef_k = outer_scale * prod(outer_nums +
-# k) / prod(outer_dens + k)``, and ``S_k`` is the Cauchy sum ``inner(k) =
-# (top, t_nums, t_dens, s, d_nums, d_dens)``, worth ``sum_{m<=top} T_m C_m``
-# with
-#   T_m = prod (t_nums)_m / prod (t_dens)_m,
-#   C_m = s C_{m-1} + d_m,  C_{-1} = 0,
-#   d_m = prod (d_nums)_m / (prod (d_dens)_m m!).
+# The sums of the routes below, in the route-sum shape of
+# ``hyperkernel._sum``; every parameter is built from the inputs by field
+# operations, so the same function serves every engine.  Values that do
+# not depend on the outer index k are built once, outside ``inner``.
 # Most of the paper's double sums are a lone Cauchy sum (n = 0): each inner
 # parameter that shifts with the outer index k continues an outer
 # Pochhammer symbol, ``(-n)_k (k-n)_j = (-n)_{k+j}``, and likewise for the
 # others, so with m = k + j the inner sums are one convolution C_m
 # (W. Koepf, Hypergeometric Summation, 2nd ed., Springer 2014), and one
 # degree costs O(n) instead of O(n^2).  The two that do not collapse
-# (Charlier ``transformed``, Laguerre ``rahman``) keep their outer sum; a
-# terminating hypergeometric sum such as their inner 3F2(1) is a Cauchy
-# sum with s = 1, ``d_nums = [0]`` (so that C_m = 1) and a 1 among
-# ``t_dens`` for the m!.
-
-# Fixed-point passes before the certified engine falls back to exact
-# arithmetic; each doubles the precision of the one before.
-_ZIV_ROUNDS = 3
-# Cap on the condition estimate that sizes the first pass; the estimate
-# is infinite when the binary64 sum is 0.
-_PREC_COND_CAP = 2.0**64
-
-
-class _Gaussian:
-    """An exact Gaussian rational ``re + i*im`` with Fraction parts.
-
-    It has the field operations the sum builders apply to their inputs,
-    with ints and Fractions on either side.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re, self.im = Fraction(re), Fraction(im)
-
-    @staticmethod
-    def _parts(w):
-        return (w.re, w.im) if isinstance(w, _Gaussian) else (w, 0)
-
-    def __add__(self, w):
-        re, im = self._parts(w)
-        return _Gaussian(self.re + re, self.im + im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Gaussian(-self.re, -self.im)
-
-    def __sub__(self, w):
-        return self + -w
-
-    def __rsub__(self, w):
-        return -self + w
-
-    def __mul__(self, w):
-        re, im = self._parts(w)
-        return _Gaussian(self.re * re - self.im * im, self.re * im + self.im * re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, w):
-        re, im = self._parts(w)
-        p = self * _Gaussian(re, -im)
-        norm = re * re + im * im
-        return _Gaussian(p.re / norm, p.im / norm)
-
-    def __rtruediv__(self, w):
-        return _Gaussian(w) / self
-
-    def __eq__(self, w):
-        return (self.re, self.im) == self._parts(w)
-
-    def __abs__(self):
-        return math.hypot(self.re, self.im)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-
-def _exact(v):
-    """The rational, or Gaussian rational, that a finite input denotes."""
-    return _Gaussian(v.real, v.imag) if isinstance(v, complex) else Fraction(v)
-
-
-def _rounded(t, e, prec):
-    """The double both ends of ``[(t - e)/2**prec, (t + e)/2**prec]`` round to.
-
-    Returns None when the ends differ in strict sign or round apart
-    (int/int division is correctly rounded), and raises OverflowError
-    when an end lies beyond the binary64 range.
-    """
-    if t - e > 0 or t + e < 0:
-        scale = 1 << prec
-        lo = (t - e) / scale
-        if lo == (t + e) / scale:
-            return lo
-    return None
-
-
-def _cauchy(*spec):
-    """A lone Cauchy sum as a route sum: the outer sum of degree 0."""
-    return 0, (), (), 1, lambda k: spec
-
-
-def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens):
-    """The Cauchy sum ``sum_m T_m C_m``, compensated, with its peak.
-
-    Returns ``(value, peak)``; the peak is ``max_m |T_m| Ĉ_m``, where
-    ``Ĉ_m = |s| Ĉ_{m-1} + |d_m|`` bounds C_m and each of its terms.  On
-    ints, Fractions and :class:`_Gaussian` values the same loop is
-    exact.  As in a terminating sum, equal numerator and denominator
-    parameters cancel, a zero numerator factor ends T (or d), and a zero
-    denominator factor raises :class:`~assocpoly.errors.DenominatorPole`
-    at its offset.
-    """
-    t_nums, t_dens = _cancel(t_nums, t_dens)
-    d_nums, d_dens = _cancel(d_nums, d_dens)
-    one = s * 0 + 1
-    tm = dm = one
-    cm = chat = total = comp = peak = 0
-    abs_s = abs(s)
-    for m in range(n + 1):
-        if m:
-            j = m - 1
-            num = one
-            for p in t_nums:
-                num = num * (p + j)
-            if num == 0:
-                break
-            den = one
-            for q in t_dens:
-                den = den * (q + j)
-            if den == 0:
-                raise _pole(j)
-            tm = tm * num / den
-            if dm != 0:
-                num = one
-                for p in d_nums:
-                    num = num * (p + j)
-                den = one * m
-                for q in d_dens:
-                    den = den * (q + j)
-                if num == 0:
-                    dm = num
-                elif den == 0:
-                    raise _pole(j)
-                else:
-                    dm = dm * num / den
-        cm = s * cm + dm
-        chat = abs_s * chat + abs(dm)
-        y = tm * cm - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        mag = abs(tm) * chat
-        if mag > peak:
-            peak = mag
-    return total, peak
-
-
-def _sum(n, outer_nums, outer_dens, outer_scale, inner):
-    """A route sum, compensated, with a condition estimate.
-
-    Returns ``(value, condition_estimate)``; the condition is ``max_k
-    |coef_k| max(peak_k, |S_k|)`` over ``|value|``, with ``peak_k`` the
-    peak of :func:`_cauchy_sum` for S_k.  On ints, Fractions and
-    :class:`_Gaussian` values the same loop is exact.  Raises what
-    :func:`_cauchy_sum` raises, and ZeroDivisionError when an outer
-    denominator factor vanishes.
-    """
-    total, peak = _cauchy_sum(*inner(0))
-    peak = max(peak, abs(total))
-    coef, comp = 1, 0
-    for k in range(n):
-        ratio = outer_scale
-        for p in outer_nums:
-            ratio = ratio * (p + k)
-        for q in outer_dens:
-            ratio = ratio / (q + k)
-        coef = coef * ratio
-        if coef == 0:
-            break
-        value, inner_peak = _cauchy_sum(*inner(k + 1))
-        y = coef * value - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        mag = abs(coef) * max(inner_peak, abs(value))
-        if mag > peak:
-            peak = mag
-    mag = abs(total)
-    return total, (peak / mag if mag > 0 else math.inf)
-
-
-def _gaussian(value):
-    """An exact value as integers ``(u, w, v)``, worth ``(u + i w)/v`` with v > 0."""
-    if isinstance(value, _Gaussian):
-        re, im = value.re, value.im
-        v = math.lcm(re.denominator, im.denominator)
-        return (re.numerator * (v // re.denominator),
-                im.numerator * (v // im.denominator), v)
-    return value.numerator, 0, value.denominator
-
-
-def _scaled(xr, xi, e, ar, ai, br, bi):
-    """``x * a / b`` for Gaussian integers, floored in each component.
-
-    With ``a / b = c / q`` and q > 0 (``c = a conj(b)`` and ``q = |b|^2``,
-    or ``c = ±a`` when b is real), a bound e on the error of each
-    component of x becomes ``ceil(e (|Re c| + |Im c|) / q) + 1``.
-    Returns ``(re, im, bound)``.
-    """
-    if bi:
-        ar, ai, q = ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi
-    elif br < 0:
-        ar, ai, q = -ar, -ai, -br
-    else:
-        q = br
-    return ((xr * ar - xi * ai) // q, (xr * ai + xi * ar) // q,
-            1 - -e * (abs(ar) + abs(ai)) // q)
-
-
-def _fixed_point_cauchy(re, im, e, n, t_nums, t_dens, s, d_nums, d_dens):
-    """One fixed-point pass of an exact Cauchy sum, from a scaled start value.
-
-    The start ``(re, im)`` holds both components of ``2**prec * c`` for a
-    coefficient c, each within e; the integers ``(re, im, e)`` returned
-    hold ``2**prec * c * S`` alike.  The other arguments are those of
-    :func:`_cauchy_sum` as ints, Fractions or :class:`_Gaussian` values;
-    each parameter, and s, enters as a triple ``(u, w, v)`` from
-    :func:`_gaussian`, worth ``(u + j v + i w)/v`` at offset j.  The pass
-    sums ``W_m = c T_m C_m``, which steps as ``W_m = s (T_m/T_{m-1})
-    W_{m-1} + V_m`` with ``V_m = c T_m d_m``: each of W and V takes one
-    exact ratio of Gaussian integers per step, through :func:`_scaled`.
-    Raises what :func:`_cauchy_sum` raises.
-    """
-    # Triples in lowest terms are equal exactly when their values are, so
-    # they cancel as the values do.
-    t_nums, t_dens, d_nums, d_dens = ([_gaussian(w) for w in group]
-                                      for group in (t_nums, t_dens, d_nums, d_dens))
-    t_nums, t_dens = _cancel(t_nums, t_dens)
-    d_nums, d_dens = _cancel(d_nums, d_dens)
-    sr, si, sv = _gaussian(s)
-    tn = td = dn = dd = 1
-    for _, _, v in t_dens:
-        tn *= v
-    for _, _, v in t_nums:
-        td *= v
-    for _, _, v in d_dens:
-        dn *= v
-    for _, _, v in d_nums:
-        dd *= v
-    wr = vr = re
-    wi = vi = im
-    ew = ev = err = e
-    live = True
-    for j in range(n):
-        ar, ai = tn, 0
-        for u, w, v in t_nums:
-            u += j * v
-            ar, ai = ar * u - ai * w, ar * w + ai * u
-        if not (ar or ai):
-            break
-        br, bi = td, 0
-        for u, w, v in t_dens:
-            u += j * v
-            br, bi = br * u - bi * w, br * w + bi * u
-        if not (br or bi):
-            raise _pole(j)
-        if live:
-            cr, ci = ar * dn, ai * dn
-            for u, w, v in d_nums:
-                u += j * v
-                cr, ci = cr * u - ci * w, cr * w + ci * u
-            qr, qi = br * dd * (j + 1), bi * dd * (j + 1)
-            for u, w, v in d_dens:
-                u += j * v
-                qr, qi = qr * u - qi * w, qr * w + qi * u
-            if not (cr or ci):
-                live = False
-                vr = vi = ev = 0
-            elif not (qr or qi):
-                raise _pole(j)
-            else:
-                vr, vi, ev = _scaled(vr, vi, ev, cr, ci, qr, qi)
-        wr, wi, ew = _scaled(wr, wi, ew, ar * sr - ai * si, ar * si + ai * sr,
-                             br * sv, bi * sv)
-        wr += vr
-        wi += vi
-        ew += ev
-        re += wr
-        im += wi
-        err += ew
-    return re, im, err
-
-
-def _fixed_point(prec, n, outer_nums, outer_dens, outer_scale, inner):
-    """One fixed-point pass of an exact route sum at scale ``2**prec``.
-
-    Takes the arguments of :func:`_sum` as exact values.  coef_k runs as
-    a Gaussian integer beside its error bound, through :func:`_scaled`,
-    and starts the pass of :func:`_fixed_point_cauchy` for S_k.  Returns
-    integers ``(re, im, e)``, both components of ``2**prec * S`` within e
-    of them.  Raises what :func:`_sum` raises.
-    """
-    # Every scaled quantity x carries a bound ex on its distance from
-    # 2**prec times its exact value; one line per operation:
-    #   x = 1 << prec          exact:                    ex = 0
-    #   a, b = integer products exact:                   no error
-    #   y = x * a // b         the error scales by |a/b| and the floor
-    #                          division adds at most 1:  ey = ceil(ex |a/b|) + 1
-    #   t = sum of terms       exact:                    e = sum of their bounds
-    sr, si, sv = _gaussian(outer_scale)
-    nums = [_gaussian(w) for w in outer_nums]
-    dens = [_gaussian(w) for w in outer_dens]
-    an = bn = 1
-    for _, _, v in dens:
-        an *= v
-    for _, _, v in nums:
-        bn *= v
-    cr, ci, ec = 1 << prec, 0, 0
-    re, im, err = _fixed_point_cauchy(cr, ci, ec, *inner(0))
-    for k in range(n):
-        ar, ai = sr * an, si * an
-        for u, w, v in nums:
-            u += k * v
-            ar, ai = ar * u - ai * w, ar * w + ai * u
-        br, bi = sv * bn, 0
-        for u, w, v in dens:
-            u += k * v
-            br, bi = br * u - bi * w, br * w + bi * u
-        if not (br or bi):
-            raise ZeroDivisionError(
-                f"outer denominator factor vanishes at step {k}")
-        if not (ar or ai):
-            break
-        cr, ci, ec = _scaled(cr, ci, ec, ar, ai, br, bi)
-        r, i, e = _fixed_point_cauchy(cr, ci, ec, *inner(k + 1))
-        re += r
-        im += i
-        err += e
-    return re, im, err
-
-
-def _certified_cauchy_sum(spec, prec, gaussian, real):
-    """The exact route sum ``spec`` rounded once, certified in fixed point.
-
-    A Ziv loop: ``spec`` is built from exact values, ``prec`` is the
-    precision of the first pass, and ``gaussian`` and ``real`` say
-    whether an input is complex and whether every input has a zero
-    imaginary part.  A pass at scale ``2**prec`` gives integers t and e
-    with each component of the exact value in ``[(t - e)/2**prec, (t +
-    e)/2**prec]``; when both ends have the same strict sign and round to
-    the same double (int/int division is correctly rounded), that double
-    is the exact component rounded.  When ``real``, the imaginary part is
-    exactly 0 and is not certified.  Otherwise the precision doubles, and
-    after ``_ZIV_ROUNDS`` passes, an end beyond the binary64 range or an
-    exact zero component, the loop of :func:`_sum` runs exactly instead.
-    Returns a complex when ``gaussian``, else a float.
-    """
-    for _ in range(_ZIV_ROUNDS):
-        re, im, e = _fixed_point(prec, *spec)
-        try:
-            value = _rounded(re, e, prec)
-            if value is not None and not real:
-                imag = _rounded(im, e, prec)
-                value = None if imag is None else complex(value, imag)
-        except OverflowError:
-            break
-        if value is not None:
-            return complex(value) if gaussian else value
-        prec *= 2
-    total = _sum(*spec)[0]
-    return complex(total) if gaussian else float(total)
-
-
-def _first_precision(total, cond):
-    """Bits of the first certified pass for a binary64 estimate.
-
-    It keeps 64 bits below the leading bit of the estimate, plus the bits
-    the condition estimate says cancellation may have cost, plus 16.
-    """
-    return max(16, 80 - math.frexp(abs(total))[1]
-               + math.ceil(math.log2(min(cond, _PREC_COND_CAP))))
-
-
-def _resum(terms, n, inputs):
-    """Binary64 value of the route sum ``terms(n, *inputs)``.
-
-    ``terms`` builds the sum from the inputs in whichever field they
-    live.  When the condition estimate exceeds ``_ESCALATE_COND`` and
-    every input is finite, real or complex, the sum is re-evaluated from
-    the exact (Gaussian) rationals the inputs denote by
-    :func:`_certified_cauchy_sum`, which returns the exact value with
-    each component rounded once.
-    """
-    total, cond = _sum(*terms(n, *inputs))
-    if cond > _ESCALATE_COND and _exactable(*inputs):
-        total = _certified_cauchy_sum(
-            terms(n, *map(_exact, inputs)), _first_precision(total, cond),
-            any(isinstance(v, complex) for v in inputs),
-            all(v.imag == 0 for v in inputs))
-    return total
-
-
-# The sums of the routes below; every parameter is built from the inputs
-# by field operations, so the same function serves every engine.  Values
-# that do not depend on the outer index k are built once, outside
-# ``inner``.
+# (Charlier ``transformed``, Laguerre ``rahman``) keep their outer sum,
+# and each inner 3F2(1) is a Cauchy sum with s = 1.
 
 
 def _meixner_4f3_sum(n, x, beta, c, gamma):

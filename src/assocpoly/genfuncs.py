@@ -30,7 +30,7 @@ from .hyperkernel import (
     EvalOutcome,
     _check_nonneg_int,
     _exp,
-    _nonpos_int_degree,
+    _near_int_in_range,
     _sum_series,
     appell_f1,
     euler_integral,
@@ -617,7 +617,7 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400):
     """
     if abs(t) >= 1.0:
         raise DomainError(f"the reduction chain requires |t| < 1, got {t!r}")
-    if _nonpos_int_degree(gamma + beta, 0.0) is not None:
+    if _near_int_in_range(gamma + beta, -math.inf, 0, 0.0) is not None:
         raise DenominatorPole(
             f"gamma + beta = {gamma + beta!r} is a pole of the chain's 3F2"
         )

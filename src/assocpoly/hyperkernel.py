@@ -17,9 +17,29 @@ the coefficients in one loop with no generator.  Its one stopping
 rule ends summation once two consecutive terms are below ``rel_tol``
 times the running partial sum, and it raises
 :class:`~assocpoly.errors.NotConverged` (carrying the partial outcome)
-if ``max_terms`` is hit first.  The loop of ``hyp_terminating`` sums
-every terminating series here; :mod:`assocpoly.closedforms` sums its
-own as Cauchy sums.
+if ``max_terms`` is hit first.
+
+One engine, ``_resum``, sums every terminating series: those of
+``hyp_terminating`` (the terminating 2F1 and 1F1 branches and the inner
+sums of the c = 1 chain) and the route sums of
+:mod:`assocpoly.closedforms`.  Each is an outer sum over k of Cauchy
+sums ``sum_m T_m C_m`` whose C_m obey a first-order recurrence, run in
+binary64 with compensated summation while tracking a condition estimate
+(largest intermediate magnitude over the final sum).  When cancellation
+would destroy more digits than the target accuracy allows and every
+input is finite, real or complex, the same sum is re-evaluated from the
+rationals the inputs denote, Gaussian rationals for complex inputs,
+which is possible because every term is rational in the parameters.
+The re-evaluation is certified fixed point (a Ziv loop): the sum runs on
+plain integers (pairs of them for complex values) at scale 2**p beside a
+rigorous integer bound on its error, and is accepted once both ends of
+that interval round to the same double in each component, which is
+then the exact value correctly rounded; otherwise p doubles.  After
+three passes (always for an exact zero component), or once an end of
+the interval lies beyond the binary64 range, the same loop as the
+binary64 sum runs in exact arithmetic instead.  Either way an escalated
+result is the exact value of the sum at the given inputs, each
+component rounded to binary64 once.
 
 Gamma functions are computed here in pure Python: ``math.lgamma`` for
 real arguments and a Stirling series for complex ones, so no evaluation
@@ -31,6 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DenominatorPole,
@@ -62,6 +83,7 @@ __all__ = [
 _NONPOS_INT_TOL = 1e-9
 _POLE_TOL = 1e-12
 _NEAR_INT_TOL = 1e-6
+_INT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -141,22 +163,19 @@ def _real(z):
     return z.real if isinstance(z, complex) else z
 
 
-def _nonpos_int_degree(w, tol):
-    """Return m >= 0 when w is within tol of the nonpositive integer -m, else None."""
+def _near_int_in_range(w, lo, hi, tol=_INT_TOL):
+    """Return the integer r in [lo, hi] that w is within tol of, else None.
+
+    A complex w also needs its imaginary part within tol of 0.
+    """
     if isinstance(w, complex):
         if abs(w.imag) > tol:
             return None
         w = w.real
     r = round(w)
-    if r > 0 or abs(w - r) > tol:
+    if abs(w - r) > tol or r < lo or r > hi:
         return None
-    return -int(r)
-
-
-def _near_integer(w, tol=_NEAR_INT_TOL):
-    re = _real(w)
-    im = w.imag if isinstance(w, complex) else 0.0
-    return abs(im) <= tol and abs(re - round(re)) <= tol
+    return int(r)
 
 
 def _close(u, v, tol=1e-12):
@@ -270,7 +289,7 @@ def _log_gamma(w):
 
 def gamma_value(w):
     """Gamma(w) with an explicit pole error at nonpositive integers."""
-    if _nonpos_int_degree(w, _POLE_TOL) is not None:
+    if _near_int_in_range(w, -math.inf, 0, _POLE_TOL) is not None:
         raise PoleArgument(f"gamma pole at {w!r}")
     if isinstance(w, complex):
         return cmath.exp(_log_gamma(w)[0])
@@ -294,7 +313,7 @@ def gamma_ratio(z, a, b):
     """
     za, zb = z + a, z + b
     for w in (za, zb):
-        if _nonpos_int_degree(w, _POLE_TOL) is not None:
+        if _near_int_in_range(w, -math.inf, 0, _POLE_TOL) is not None:
             raise PoleArgument(f"gamma pole at {w!r}")
     return _gamma_quotient([za], [zb])
 
@@ -306,10 +325,10 @@ def _gamma_quotient(numerators, denominators):
     makes the whole quotient exactly zero (reciprocal gamma is entire).
     """
     for w in numerators:
-        if _nonpos_int_degree(w, _POLE_TOL) is not None:
+        if _near_int_in_range(w, -math.inf, 0, _POLE_TOL) is not None:
             raise PoleArgument(f"gamma pole at {w!r}")
     for w in denominators:
-        if _nonpos_int_degree(w, _POLE_TOL) is not None:
+        if _near_int_in_range(w, -math.inf, 0, _POLE_TOL) is not None:
             return 0.0
     log_mag = 0.0
     sign = 1.0
@@ -325,8 +344,24 @@ def _gamma_quotient(numerators, denominators):
 
 
 # ---------------------------------------------------------------------------
-# Terminating hypergeometric sums
+# Terminating hypergeometric sums: binary64 with condition tracking,
+# certified fixed point for the ill-conditioned sums, and exact arithmetic
+# as its fallback
 # ---------------------------------------------------------------------------
+#
+# Every terminating sum is a route sum ``(n, outer_nums, outer_dens,
+# outer_scale, inner)``, worth ``S = sum_{k<=n} coef_k S_k``.  The outer
+# coefficients are ``coef_0 = 1`` and ``coef_{k+1}/coef_k = outer_scale *
+# prod(outer_nums + k) / prod(outer_dens + k)``, and ``S_k`` is the Cauchy
+# sum ``inner(k) = (top, t_nums, t_dens, s, d_nums, d_dens)``, worth
+# ``sum_{m<=top} T_m C_m`` with
+#   T_m = prod (t_nums)_m / prod (t_dens)_m,
+#   C_m = s C_{m-1} + d_m,  C_{-1} = 0,
+#   d_m = prod (d_nums)_m / (prod (d_dens)_m m!).
+# A terminating hypergeometric sum at argument z, such as the sum of
+# ``hyp_terminating`` or an inner 3F2(1) of a closedforms double sum, is a
+# lone Cauchy sum (n = 0) with s = z, ``d_nums = [0]`` (so that C_m = z^m)
+# and a 1 among ``t_dens`` for the m!.
 
 
 def _cancel(nums, dens):
@@ -355,6 +390,408 @@ def _pole(j):
     )
 
 
+# Escalate to exact rational arithmetic when the largest intermediate
+# magnitude exceeds the final sum by this factor (binary64 then retains
+# fewer than ~12 significant digits).
+_ESCALATE_COND = 1e4
+# Fixed-point passes before the certified engine falls back to exact
+# arithmetic; each doubles the precision of the one before.
+_ZIV_ROUNDS = 3
+# Cap on the condition estimate that sizes the first pass; the estimate
+# is infinite when the binary64 sum is 0.
+_PREC_COND_CAP = 2.0**64
+
+
+def _exactable(*vals):
+    return all(
+        isinstance(v, (int, Fraction))
+        or (isinstance(v, (float, complex)) and cmath.isfinite(v))
+        for v in vals
+    )
+
+
+class _Gaussian:
+    """An exact Gaussian rational ``re + i*im`` with Fraction parts.
+
+    It has the field operations the sum builders apply to their inputs,
+    with ints and Fractions on either side.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def _parts(w):
+        return (w.re, w.im) if isinstance(w, _Gaussian) else (w, 0)
+
+    def __add__(self, w):
+        re, im = self._parts(w)
+        return _Gaussian(self.re + re, self.im + im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Gaussian(-self.re, -self.im)
+
+    def __sub__(self, w):
+        return self + -w
+
+    def __rsub__(self, w):
+        return -self + w
+
+    def __mul__(self, w):
+        re, im = self._parts(w)
+        return _Gaussian(self.re * re - self.im * im, self.re * im + self.im * re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, w):
+        re, im = self._parts(w)
+        p = self * _Gaussian(re, -im)
+        norm = re * re + im * im
+        return _Gaussian(p.re / norm, p.im / norm)
+
+    def __rtruediv__(self, w):
+        return _Gaussian(w) / self
+
+    def __eq__(self, w):
+        return (self.re, self.im) == self._parts(w)
+
+    def __abs__(self):
+        return math.hypot(self.re, self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def _exact(v):
+    """The rational, or Gaussian rational, that a finite input denotes."""
+    return _Gaussian(v.real, v.imag) if isinstance(v, complex) else Fraction(v)
+
+
+def _rounded(t, e, prec):
+    """The double both ends of ``[(t - e)/2**prec, (t + e)/2**prec]`` round to.
+
+    Returns None when the ends differ in strict sign or round apart
+    (int/int division is correctly rounded), and raises OverflowError
+    when an end lies beyond the binary64 range.
+    """
+    if t - e > 0 or t + e < 0:
+        scale = 1 << prec
+        lo = (t - e) / scale
+        if lo == (t + e) / scale:
+            return lo
+    return None
+
+
+def _cauchy(*spec):
+    """A lone Cauchy sum as a route sum: the outer sum of degree 0."""
+    return 0, (), (), 1, lambda k: spec
+
+
+def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens):
+    """The Cauchy sum ``sum_m T_m C_m``, compensated, with its peak.
+
+    Returns ``(value, peak)``; the peak is ``max_m |T_m| Ĉ_m``, where
+    ``Ĉ_m = |s| Ĉ_{m-1} + |d_m|`` bounds C_m and each of its terms.  On
+    ints, Fractions and :class:`_Gaussian` values the same loop is
+    exact.  As in a terminating sum, equal numerator and denominator
+    parameters cancel, a zero numerator factor ends T (or d), and a zero
+    denominator factor raises :class:`~assocpoly.errors.DenominatorPole`
+    at its offset.
+    """
+    t_nums, t_dens = _cancel(t_nums, t_dens)
+    d_nums, d_dens = _cancel(d_nums, d_dens)
+    one = s * 0 + 1
+    tm = dm = one
+    cm = chat = total = comp = peak = 0
+    abs_s = abs(s)
+    for m in range(n + 1):
+        if m:
+            j = m - 1
+            num = one
+            for p in t_nums:
+                num = num * (p + j)
+            if num == 0:
+                break
+            den = one
+            for q in t_dens:
+                den = den * (q + j)
+            if den == 0:
+                raise _pole(j)
+            tm = tm * num / den
+            if dm != 0:
+                num = one
+                for p in d_nums:
+                    num = num * (p + j)
+                den = one * m
+                for q in d_dens:
+                    den = den * (q + j)
+                if num == 0:
+                    dm = num
+                elif den == 0:
+                    raise _pole(j)
+                else:
+                    dm = dm * num / den
+        cm = s * cm + dm
+        chat = abs_s * chat + abs(dm)
+        y = tm * cm - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        mag = abs(tm) * chat
+        if mag > peak:
+            peak = mag
+    return total, peak
+
+
+def _sum(n, outer_nums, outer_dens, outer_scale, inner):
+    """A route sum, compensated, with a condition estimate.
+
+    Returns ``(value, condition_estimate)``; the condition is ``max_k
+    |coef_k| max(peak_k, |S_k|)`` over ``|value|``, with ``peak_k`` the
+    peak of :func:`_cauchy_sum` for S_k.  On ints, Fractions and
+    :class:`_Gaussian` values the same loop is exact.  Raises what
+    :func:`_cauchy_sum` raises, and ZeroDivisionError when an outer
+    denominator factor vanishes.
+    """
+    total, peak = _cauchy_sum(*inner(0))
+    peak = max(peak, abs(total))
+    coef, comp = 1, 0
+    for k in range(n):
+        ratio = outer_scale
+        for p in outer_nums:
+            ratio = ratio * (p + k)
+        for q in outer_dens:
+            ratio = ratio / (q + k)
+        coef = coef * ratio
+        if coef == 0:
+            break
+        value, inner_peak = _cauchy_sum(*inner(k + 1))
+        y = coef * value - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        mag = abs(coef) * max(inner_peak, abs(value))
+        if mag > peak:
+            peak = mag
+    mag = abs(total)
+    return total, (peak / mag if mag > 0 else math.inf)
+
+
+def _gaussian(value):
+    """An exact value as integers ``(u, w, v)``, worth ``(u + i w)/v`` with v > 0."""
+    if isinstance(value, _Gaussian):
+        re, im = value.re, value.im
+        v = math.lcm(re.denominator, im.denominator)
+        return (re.numerator * (v // re.denominator),
+                im.numerator * (v // im.denominator), v)
+    return value.numerator, 0, value.denominator
+
+
+def _scaled(xr, xi, e, ar, ai, br, bi):
+    """``x * a / b`` for Gaussian integers, floored in each component.
+
+    With ``a / b = c / q`` and q > 0 (``c = a conj(b)`` and ``q = |b|^2``,
+    or ``c = ±a`` when b is real), a bound e on the error of each
+    component of x becomes ``ceil(e (|Re c| + |Im c|) / q) + 1``.
+    Returns ``(re, im, bound)``.
+    """
+    if bi:
+        ar, ai, q = ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi
+    elif br < 0:
+        ar, ai, q = -ar, -ai, -br
+    else:
+        q = br
+    return ((xr * ar - xi * ai) // q, (xr * ai + xi * ar) // q,
+            1 - -e * (abs(ar) + abs(ai)) // q)
+
+
+def _fixed_point_cauchy(re, im, e, n, t_nums, t_dens, s, d_nums, d_dens):
+    """One fixed-point pass of an exact Cauchy sum, from a scaled start value.
+
+    The start ``(re, im)`` holds both components of ``2**prec * c`` for a
+    coefficient c, each within e; the integers ``(re, im, e)`` returned
+    hold ``2**prec * c * S`` alike.  The other arguments are those of
+    :func:`_cauchy_sum` as ints, Fractions or :class:`_Gaussian` values;
+    each parameter, and s, enters as a triple ``(u, w, v)`` from
+    :func:`_gaussian`, worth ``(u + j v + i w)/v`` at offset j.  The pass
+    sums ``W_m = c T_m C_m``, which steps as ``W_m = s (T_m/T_{m-1})
+    W_{m-1} + V_m`` with ``V_m = c T_m d_m``: each of W and V takes one
+    exact ratio of Gaussian integers per step, through :func:`_scaled`.
+    Raises what :func:`_cauchy_sum` raises.
+    """
+    # Triples in lowest terms are equal exactly when their values are, so
+    # they cancel as the values do.
+    t_nums, t_dens, d_nums, d_dens = ([_gaussian(w) for w in group]
+                                      for group in (t_nums, t_dens, d_nums, d_dens))
+    t_nums, t_dens = _cancel(t_nums, t_dens)
+    d_nums, d_dens = _cancel(d_nums, d_dens)
+    sr, si, sv = _gaussian(s)
+    tn = td = dn = dd = 1
+    for _, _, v in t_dens:
+        tn *= v
+    for _, _, v in t_nums:
+        td *= v
+    for _, _, v in d_dens:
+        dn *= v
+    for _, _, v in d_nums:
+        dd *= v
+    wr = vr = re
+    wi = vi = im
+    ew = ev = err = e
+    live = True
+    for j in range(n):
+        ar, ai = tn, 0
+        for u, w, v in t_nums:
+            u += j * v
+            ar, ai = ar * u - ai * w, ar * w + ai * u
+        if not (ar or ai):
+            break
+        br, bi = td, 0
+        for u, w, v in t_dens:
+            u += j * v
+            br, bi = br * u - bi * w, br * w + bi * u
+        if not (br or bi):
+            raise _pole(j)
+        if live:
+            cr, ci = ar * dn, ai * dn
+            for u, w, v in d_nums:
+                u += j * v
+                cr, ci = cr * u - ci * w, cr * w + ci * u
+            qr, qi = br * dd * (j + 1), bi * dd * (j + 1)
+            for u, w, v in d_dens:
+                u += j * v
+                qr, qi = qr * u - qi * w, qr * w + qi * u
+            if not (cr or ci):
+                live = False
+                vr = vi = ev = 0
+            elif not (qr or qi):
+                raise _pole(j)
+            else:
+                vr, vi, ev = _scaled(vr, vi, ev, cr, ci, qr, qi)
+        wr, wi, ew = _scaled(wr, wi, ew, ar * sr - ai * si, ar * si + ai * sr,
+                             br * sv, bi * sv)
+        wr += vr
+        wi += vi
+        ew += ev
+        re += wr
+        im += wi
+        err += ew
+    return re, im, err
+
+
+def _fixed_point(prec, n, outer_nums, outer_dens, outer_scale, inner):
+    """One fixed-point pass of an exact route sum at scale ``2**prec``.
+
+    Takes the arguments of :func:`_sum` as exact values.  coef_k runs as
+    a Gaussian integer beside its error bound, through :func:`_scaled`,
+    and starts the pass of :func:`_fixed_point_cauchy` for S_k.  Returns
+    integers ``(re, im, e)``, both components of ``2**prec * S`` within e
+    of them.  Raises what :func:`_sum` raises.
+    """
+    # Every scaled quantity x carries a bound ex on its distance from
+    # 2**prec times its exact value; one line per operation:
+    #   x = 1 << prec          exact:                    ex = 0
+    #   a, b = integer products exact:                   no error
+    #   y = x * a // b         the error scales by |a/b| and the floor
+    #                          division adds at most 1:  ey = ceil(ex |a/b|) + 1
+    #   t = sum of terms       exact:                    e = sum of their bounds
+    sr, si, sv = _gaussian(outer_scale)
+    nums = [_gaussian(w) for w in outer_nums]
+    dens = [_gaussian(w) for w in outer_dens]
+    an = bn = 1
+    for _, _, v in dens:
+        an *= v
+    for _, _, v in nums:
+        bn *= v
+    cr, ci, ec = 1 << prec, 0, 0
+    re, im, err = _fixed_point_cauchy(cr, ci, ec, *inner(0))
+    for k in range(n):
+        ar, ai = sr * an, si * an
+        for u, w, v in nums:
+            u += k * v
+            ar, ai = ar * u - ai * w, ar * w + ai * u
+        br, bi = sv * bn, 0
+        for u, w, v in dens:
+            u += k * v
+            br, bi = br * u - bi * w, br * w + bi * u
+        if not (br or bi):
+            raise ZeroDivisionError(
+                f"outer denominator factor vanishes at step {k}")
+        if not (ar or ai):
+            break
+        cr, ci, ec = _scaled(cr, ci, ec, ar, ai, br, bi)
+        r, i, e = _fixed_point_cauchy(cr, ci, ec, *inner(k + 1))
+        re += r
+        im += i
+        err += e
+    return re, im, err
+
+
+def _certified_cauchy_sum(spec, prec, gaussian, real):
+    """The exact route sum ``spec`` rounded once, certified in fixed point.
+
+    A Ziv loop: ``spec`` is built from exact values, ``prec`` is the
+    precision of the first pass, and ``gaussian`` and ``real`` say
+    whether an input is complex and whether every input has a zero
+    imaginary part.  A pass at scale ``2**prec`` gives integers t and e
+    with each component of the exact value in ``[(t - e)/2**prec, (t +
+    e)/2**prec]``; when both ends have the same strict sign and round to
+    the same double (int/int division is correctly rounded), that double
+    is the exact component rounded.  When ``real``, the imaginary part is
+    exactly 0 and is not certified.  Otherwise the precision doubles, and
+    after ``_ZIV_ROUNDS`` passes, an end beyond the binary64 range or an
+    exact zero component, the loop of :func:`_sum` runs exactly instead.
+    Returns a complex when ``gaussian``, else a float.
+    """
+    for _ in range(_ZIV_ROUNDS):
+        re, im, e = _fixed_point(prec, *spec)
+        try:
+            value = _rounded(re, e, prec)
+            if value is not None and not real:
+                imag = _rounded(im, e, prec)
+                value = None if imag is None else complex(value, imag)
+        except OverflowError:
+            break
+        if value is not None:
+            return complex(value) if gaussian else value
+        prec *= 2
+    total = _sum(*spec)[0]
+    return complex(total) if gaussian else float(total)
+
+
+def _first_precision(total, cond):
+    """Bits of the first certified pass for a binary64 estimate.
+
+    It keeps 64 bits below the leading bit of the estimate, plus the bits
+    the condition estimate says cancellation may have cost, plus 16.
+    """
+    return max(16, 80 - math.frexp(abs(total))[1]
+               + math.ceil(math.log2(min(cond, _PREC_COND_CAP))))
+
+
+def _resum(terms, n, inputs):
+    """Binary64 value of the route sum ``terms(n, *inputs)``.
+
+    ``terms`` builds the sum from the inputs in whichever field they
+    live.  When the condition estimate exceeds ``_ESCALATE_COND`` and
+    every input is finite, real or complex, the sum is re-evaluated from
+    the exact (Gaussian) rationals the inputs denote by
+    :func:`_certified_cauchy_sum`, which returns the exact value with
+    each component rounded once.
+    """
+    total, cond = _sum(*terms(n, *inputs))
+    if cond > _ESCALATE_COND and _exactable(*inputs):
+        total = _certified_cauchy_sum(
+            terms(n, *map(_exact, inputs)), _first_precision(total, cond),
+            any(isinstance(v, complex) for v in inputs),
+            all(v.imag == 0 for v in inputs))
+    return total
+
+
 def hyp_terminating(num_params, den_params, arg, top_index):
     """Finite hypergeometric sum sum_{j=0}^{top_index} term_j.
 
@@ -363,7 +800,13 @@ def hyp_terminating(num_params, den_params, arg, top_index):
     the sum (all later terms vanish), while a denominator factor
     hitting zero raises :class:`~assocpoly.errors.DenominatorPole`.
     A denominator parameter exactly equal to a numerator parameter is
-    cancelled against it before summation.  The sum is compensated.
+    cancelled against it before summation.  The sum runs on the
+    terminating-sum engine, :func:`_resum`: compensated binary64 while its
+    condition estimate stays at most ``_ESCALATE_COND``, and otherwise,
+    with finite inputs, the exact sum at the parameters as given, each
+    component rounded to binary64 once.  Parameters that a caller
+    computed in binary64 (such as the quadratic route's ``-n - gamma``)
+    are taken at their binary64 values.
 
     Parameters
     ----------
@@ -390,26 +833,10 @@ def hyp_terminating(num_params, den_params, arg, top_index):
         )
     if top_index == 0 or arg == 0:
         return 1.0
-    nums, dens = _cancel(nums, den_params)
-    total = term = 1.0
-    comp = 0.0
-    for j in range(top_index):
-        numprod = 1.0
-        for p in nums:
-            numprod = numprod * (p + j)
-        if numprod == 0:
-            break
-        denprod = 1.0
-        for q in dens:
-            denprod = denprod * (q + j)
-        if denprod == 0:
-            raise _pole(j)
-        term = term * numprod / denprod * arg / (j + 1)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    k = len(nums)
+    return _resum(
+        lambda top, *v: _cauchy(top, v[:k], [*v[k:-1], 1], v[-1], [0], []),
+        top_index, (*nums, *den_params, arg))
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +1005,13 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
         return EvalOutcome(_power(1.0 - z, -a), True, 1, 0.0)
     if _close(a, c):
         return EvalOutcome(_power(1.0 - z, -b), True, 1, 0.0)
-    na = _nonpos_int_degree(a, 0.0)
-    nb = _nonpos_int_degree(b, 0.0)
-    if na is not None or nb is not None:
-        degrees = [d for d in (na, nb) if d is not None]
-        top = min(degrees)
+    ra = _near_int_in_range(a, -math.inf, 0, 0.0)
+    rb = _near_int_in_range(b, -math.inf, 0, 0.0)
+    if ra is not None or rb is not None:
+        top = -max(r for r in (ra, rb) if r is not None)
         val = hyp_terminating([a, b], [c], z, top)
         return EvalOutcome(val, True, top + 1, 0.0)
-    if _nonpos_int_degree(c, _POLE_TOL) is not None:
+    if _near_int_in_range(c, -math.inf, 0, _POLE_TOL) is not None:
         raise PoleArgument(f"2F1 denominator parameter c={c!r} is a gamma pole")
     s = c - a - b
     if z == 1:
@@ -605,7 +1031,8 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
         inner = _series_2f1(a, c - b, c, zp, cfg)
         return _scaled_outcome(_power(1.0 - z, -a), inner)
     conn_ready = abs(1.0 - z) >= 2.0
-    ab_near_int = _near_integer(a - b)
+    ab_near_int = _near_int_in_range(a - b, -math.inf, math.inf,
+                                     _NEAR_INT_TOL) is not None
     if conn_ready and not ab_near_int:
         return _connection_2f1(a, b, c, z, cfg)
     if abs(z) <= 0.95:
@@ -652,14 +1079,14 @@ def kummer_1f1(a, b, z, cfg=None):
     EvalOutcome
     """
     cfg = cfg or _DEFAULT_CFG
-    if _nonpos_int_degree(b, _POLE_TOL) is not None:
+    if _near_int_in_range(b, -math.inf, 0, _POLE_TOL) is not None:
         raise PoleArgument(f"1F1 denominator parameter b={b!r} is a gamma pole")
     if z == 0:
         return EvalOutcome(1.0, True, 1, 0.0)
-    na = _nonpos_int_degree(a, 0.0)
-    if na is not None:
-        val = hyp_terminating([a], [b], z, na)
-        return EvalOutcome(val, True, na + 1, 0.0)
+    ra = _near_int_in_range(a, -math.inf, 0, 0.0)
+    if ra is not None:
+        val = hyp_terminating([a], [b], z, -ra)
+        return EvalOutcome(val, True, 1 - ra, 0.0)
     if _real(z) < 0:
         inner = _series_1f1(b - a, b, -z, cfg)
         return _scaled_outcome(_exp(z), inner)
@@ -694,7 +1121,7 @@ def appell_f1(alpha, beta1, beta2, sigma, x, y, cfg=None):
     EvalOutcome
     """
     cfg = cfg or _DEFAULT_CFG
-    if _nonpos_int_degree(sigma, _POLE_TOL) is not None:
+    if _near_int_in_range(sigma, -math.inf, 0, _POLE_TOL) is not None:
         raise PoleArgument(f"F1 denominator parameter sigma={sigma!r} is a gamma pole")
     if max(abs(x), abs(y)) < 1.0:
         return _f1_series(alpha, beta1, beta2, sigma, x, y, cfg)
@@ -724,7 +1151,7 @@ def humbert_phi1(alpha1, lam, alpha2, x, y, cfg=None):
     EvalOutcome
     """
     cfg = cfg or _DEFAULT_CFG
-    if _nonpos_int_degree(alpha2, _POLE_TOL) is not None:
+    if _near_int_in_range(alpha2, -math.inf, 0, _POLE_TOL) is not None:
         raise PoleArgument(
             f"Phi1 denominator parameter alpha2={alpha2!r} is a gamma pole"
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ZeroA, ZeroC
-from .hyperkernel import _check_nonneg_int
+from .hyperkernel import _check_nonneg_int, _near_int_in_range
 
 __all__ = [
     "MeixnerParams",
@@ -176,15 +176,6 @@ def _real_finite(*vals):
     return True
 
 
-def _lattice_offset(x, gamma):
-    """round(x - gamma) when within 1e-6 of a nonnegative integer, else None."""
-    d = x - gamma
-    r = round(d)
-    if abs(d - r) <= _LATTICE_TOL and r >= 0:
-        return int(r)
-    return None
-
-
 def meixner_seq(x, params, n_max, exact_on_lattice=True):
     """Index-shifted Meixner values M_0(x), ..., M_{n_max}(x) by recurrence.
 
@@ -217,32 +208,20 @@ def meixner_seq(x, params, n_max, exact_on_lattice=True):
     """
     _check_nonneg_int(n_max, "n_max")
     beta, c, gamma = params.beta, params.c, params.gamma
-    if (
-        exact_on_lattice
-        and _real_finite(x, beta, c, gamma)
-        and _lattice_offset(x, gamma) is not None
-    ):
-        xf, bf, cf, gf = (Fraction(v) for v in (x, beta, c, gamma))
-        values = [1.0]
-        prev, cur = Fraction(0), Fraction(1)
-        for n in range(n_max):
-            s = n + gf
-            nxt = (
-                ((cf - 1) * xf + (cf + 1) * s + bf * cf) * cur
-                - s * (s + bf - 1) * prev
-            ) / cf
-            values.append(float(nxt))
-            prev, cur = cur, nxt
-        return PolySequence(tuple(values), params, x)
+    exact = (exact_on_lattice and _real_finite(x, beta, c, gamma)
+             and _near_int_in_range(x - gamma, 0, math.inf, _LATTICE_TOL) is not None)
+    z = x
+    if exact:
+        z, beta, c, gamma = map(Fraction, (x, beta, c, gamma))
     values = [1.0]
-    prev, cur = 0.0, 1.0
+    prev, cur = 0, 1
     for n in range(n_max):
         s = n + gamma
         nxt = (
-            ((c - 1.0) * x + (c + 1.0) * s + beta * c) * cur
-            - s * (s + beta - 1.0) * prev
+            ((c - 1) * z + (c + 1) * s + beta * c) * cur
+            - s * (s + beta - 1) * prev
         ) / c
-        values.append(nxt)
+        values.append(float(nxt) if exact else nxt)
         prev, cur = cur, nxt
     return PolySequence(tuple(values), params, x)
 
@@ -261,26 +240,17 @@ def charlier_seq(x, params, n_max, exact_on_lattice=True):
     """
     _check_nonneg_int(n_max, "n_max")
     a, gamma = params.a, params.gamma
-    if (
-        exact_on_lattice
-        and _real_finite(x, a, gamma)
-        and _lattice_offset(x, gamma) is not None
-    ):
-        xf, af, gf = (Fraction(v) for v in (x, a, gamma))
-        values = [1.0]
-        prev, cur = Fraction(0), Fraction(1)
-        for n in range(n_max):
-            s = n + gf
-            nxt = ((s + af - xf) * cur - s * prev) / af
-            values.append(float(nxt))
-            prev, cur = cur, nxt
-        return PolySequence(tuple(values), params, x)
+    exact = (exact_on_lattice and _real_finite(x, a, gamma)
+             and _near_int_in_range(x - gamma, 0, math.inf, _LATTICE_TOL) is not None)
+    z = x
+    if exact:
+        z, a, gamma = map(Fraction, (x, a, gamma))
     values = [1.0]
-    prev, cur = 0.0, 1.0
+    prev, cur = 0, 1
     for n in range(n_max):
         s = n + gamma
-        nxt = ((s + a - x) * cur - s * prev) / a
-        values.append(nxt)
+        nxt = ((s + a - z) * cur - s * prev) / a
+        values.append(float(nxt) if exact else nxt)
         prev, cur = cur, nxt
     return PolySequence(tuple(values), params, x)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from assocpoly import (
@@ -23,13 +23,17 @@ from assocpoly import (
     MeixnerParams,
     MeixnerPollaczekParams,
     RestrictedParameter,
+    c1_reduction_identity,
     charlier_3f2,
     charlier_classical,
     charlier_seq,
+    gauss_2f1,
+    hyp_terminating,
     identity_3f2_m_generalized,
     identity_3f2_pochhammer,
     identity_3f2_t_powered,
     identity_4f3_finite_sum,
+    kummer_1f1,
     laguerre_3f2,
     laguerre_classical,
     meixner_4f3,
@@ -43,7 +47,7 @@ from assocpoly import (
     meixner_seq,
     mp_from_meixner,
 )
-from assocpoly import closedforms
+from assocpoly import closedforms, hyperkernel
 
 
 def rel(a, b):
@@ -583,7 +587,7 @@ def laguerre_classical_terms(n, x, alpha):
 
 def cauchy_single_sum(nums, dens, top):
     """A lone terminating sum at argument 1, as a route sum (C_m = 1)."""
-    return closedforms._cauchy(top, nums, dens + [1], 1, [0], [])
+    return hyperkernel._cauchy(top, nums, dens + [1], 1, [0], [])
 
 
 def as_route(spec):
@@ -653,7 +657,7 @@ def draws(name):
 
 def exact_sum(spec):
     """The exact engine's value of a route sum."""
-    return closedforms._sum(*spec)[0]
+    return hyperkernel._sum(*spec)[0]
 
 
 def parts(value):
@@ -725,14 +729,14 @@ def test_exact_engine_cancellation_and_termination(nums, dens, expected):
             (twice(cauchy_single_sum(nums, dens, 5)),
              twice(cauchy_single_sum(*floats)), 2 * expected)):
         assert exact_sum(route) == want
-        value, _ = closedforms._sum(*binary64)
+        value, _ = hyperkernel._sum(*binary64)
         assert value == float(want)
         # The certified engine: an exact zero straddles 0 at every
         # precision, so it runs every pass and the exact engine decides
         # (a positive zero).
         value, passes = certified(route, 64)
         assert repr(value) == repr(float(want))
-        assert len(passes) == (closedforms._ZIV_ROUNDS if want == 0 else 1)
+        assert len(passes) == (hyperkernel._ZIV_ROUNDS if want == 0 else 1)
         # From 2**1200 on, both ends of a zero's interval round to zeros of
         # opposite sign, which compare equal: only the sign check refuses.
         value, _ = certified(route, 1200)
@@ -761,12 +765,12 @@ def test_exact_engine_raises_denominator_pole_at_same_offset():
                      lambda: exact_sum(as_route(spec)),
                      lambda: certified(as_route(spec), 64),
                      lambda: exact_sum(cauchy),
-                     lambda: closedforms._certified_cauchy_sum(cauchy, 64,
+                     lambda: hyperkernel._certified_cauchy_sum(cauchy, 64,
                                                                False, True),
-                     lambda: closedforms._sum(*binary64),
+                     lambda: hyperkernel._sum(*binary64),
                      lambda: exact_sum(twice(cauchy)),
                      lambda: certified(twice(cauchy), 64),
-                     lambda: closedforms._sum(*twice(binary64))):
+                     lambda: hyperkernel._sum(*twice(binary64))):
         with pytest.raises(DenominatorPole, match="at offset 1 "):
             evaluate()
 
@@ -778,13 +782,13 @@ def test_exact_engine_outer_zero_divisor_raises():
     binary64 = (3, [], [-1.0], 1.0, lambda k: (0, [], [], 1.0, [0], []))
     for evaluate in (lambda: exact_sum(as_route(spec)),
                      lambda: certified(as_route(spec), 64),
-                     lambda: closedforms._sum(*binary64)):
+                     lambda: hyperkernel._sum(*binary64)):
         with pytest.raises(ZeroDivisionError):
             evaluate()
 
 
 def test_escalated_routes_round_the_exact_rational(monkeypatch):
-    engine = closedforms._certified_cauchy_sum
+    engine = hyperkernel._certified_cauchy_sum
     checked = []
 
     def recorded(*args):
@@ -792,7 +796,7 @@ def test_escalated_routes_round_the_exact_rational(monkeypatch):
         checked.append(value)
         return value
 
-    monkeypatch.setattr(closedforms, "_certified_cauchy_sum", recorded)
+    monkeypatch.setattr(hyperkernel, "_certified_cauchy_sum", recorded)
     params = MeixnerParams(1.5, 0.4, 0.0)
     assert rel(meixner_4f3(3.0, params, 25), meixner_seq(3.0, params, 25)[25]) < 1e-9
     report = identity_3f2_pochhammer(20, 1.5, 0.75)
@@ -813,7 +817,7 @@ def test_double_sum_condition_counts_each_inner_value():
     # peaks alone the estimate stays below the escalation threshold and
     # the binary64 sum is 2.9e-11 off.
     inputs = (3.0, -0.5, 2.7)
-    value = closedforms._resum(closedforms._laguerre_rahman_sum, 25, inputs)
+    value = hyperkernel._resum(closedforms._laguerre_rahman_sum, 25, inputs)
     exact = fraction_double_sum(*laguerre_rahman_terms(25, *map(Fraction, inputs)))
     assert repr(value) == repr(float(exact))
 
@@ -826,18 +830,18 @@ def test_double_sum_condition_counts_each_inner_value():
 def certified(spec, prec, gaussian=False):
     """The certified engine's value for a spec and the precision of each pass."""
     passes = []
-    fixed = closedforms._fixed_point
+    fixed = hyperkernel._fixed_point
 
     def counted(p, *args):
         passes.append(p)
         return fixed(p, *args)
 
-    closedforms._fixed_point = counted
+    hyperkernel._fixed_point = counted
     try:
-        return (closedforms._certified_cauchy_sum(spec, prec, gaussian,
+        return (hyperkernel._certified_cauchy_sum(spec, prec, gaussian,
                                                   not gaussian), passes)
     finally:
-        closedforms._fixed_point = fixed
+        hyperkernel._fixed_point = fixed
 
 
 @pytest.mark.parametrize("name", list(EXACT_SUMS))
@@ -887,8 +891,8 @@ def test_certified_engine_retries_from_a_small_precision(monkeypatch):
     # The lattice-point sum of meixner_4f3: its terms reach 1e12 times
     # its value 2.9e-7 (1e13 times as a Cauchy sum), so 48 bits cannot
     # certify it and 96 can.
-    monkeypatch.setattr(closedforms, "_sum", None)
-    monkeypatch.setattr(closedforms, "_cauchy_sum", None)
+    monkeypatch.setattr(hyperkernel, "_sum", None)
+    monkeypatch.setattr(hyperkernel, "_cauchy_sum", None)
     inputs = (Fraction(3), Fraction(3, 2), Fraction(2, 5), Fraction(0))
     want = float(fraction_double_sum(*meixner_4f3_terms(25, *inputs)))
     for spec in (as_route(meixner_4f3_terms(25, *inputs)),
@@ -908,14 +912,14 @@ def test_classical_routes_escalate():
 
 
 def test_collapsed_routes_run_one_cauchy_sum(monkeypatch):
-    engine = closedforms._cauchy_sum
+    engine = hyperkernel._cauchy_sum
     calls = []
 
     def counted(*args):
         calls.append(args[0])
         return engine(*args)
 
-    monkeypatch.setattr(closedforms, "_cauchy_sum", counted)
+    monkeypatch.setattr(hyperkernel, "_cauchy_sum", counted)
     for x in (0.9, 3.0, 0.9 + 0.4j):
         for route, params in ((meixner_4f3, MeixnerParams(1.5, 0.4, 0.3)),
                               (meixner_4f3_alt, MeixnerParams(1.5, 0.4, 0.3)),
@@ -937,7 +941,7 @@ def test_collapsed_routes_run_one_cauchy_sum(monkeypatch):
 
 def gaussian(re, im):
     """One Gaussian rational for the engine and for the reference."""
-    return closedforms._Gaussian(re, im), GaussQ(re, im)
+    return hyperkernel._Gaussian(re, im), GaussQ(re, im)
 
 
 # b = -2 + 2^-40 + 2^-30 i: b + 1 + j is 2^-40 + 2^-30 i at offset j = 1,
@@ -976,7 +980,7 @@ def test_gaussian_engine_falls_back_on_an_exact_zero_component():
     spec = closedforms._t_powered_sum(1, Fraction(1), Fraction(1), t)
     value, passes = certified(spec, 64, gaussian=True)
     assert repr(value) == repr(want.rounded())
-    assert len(passes) == closedforms._ZIV_ROUNDS
+    assert len(passes) == hyperkernel._ZIV_ROUNDS
 
 
 def test_gaussian_engine_raises_denominator_pole_at_same_offset():
@@ -987,9 +991,9 @@ def test_gaussian_engine_raises_denominator_pole_at_same_offset():
     binary64 = closedforms._m_generalized_sum(6, -2 + 0j, 1.75 + 1j / 3, 1)
     for evaluate in (lambda: fraction_double_sum(*pochhammer_terms(6, a_ref, b_ref)),
                      lambda: exact_sum(spec),
-                     lambda: closedforms._certified_cauchy_sum(spec, 64,
+                     lambda: hyperkernel._certified_cauchy_sum(spec, 64,
                                                                True, False),
-                     lambda: closedforms._sum(*binary64)):
+                     lambda: hyperkernel._sum(*binary64)):
         with pytest.raises(DenominatorPole, match="at offset 1 "):
             evaluate()
 
@@ -1026,14 +1030,14 @@ def test_meixner_4f3_complex_points_match_exact(x, exact):
     ids=["charlier-3f2-transformed", "laguerre-3f2-rahman"],
 )
 def test_double_sums_escalate_complex_x(monkeypatch, route, paper, x, inputs):
-    engine = closedforms._certified_cauchy_sum
+    engine = hyperkernel._certified_cauchy_sum
     escalated = []
 
     def recorded(*args):
         escalated.append(engine(*args))
         return escalated[-1]
 
-    monkeypatch.setattr(closedforms, "_certified_cauchy_sum", recorded)
+    monkeypatch.setattr(hyperkernel, "_certified_cauchy_sum", recorded)
     route(x, 25)
     want = fraction_double_sum(*paper(25, GaussQ(x.real, x.imag),
                                       *map(Fraction, inputs)))
@@ -1073,21 +1077,103 @@ def test_escalated_complex_components_are_correctly_rounded(name, re, log_im,
     route, paper, params_type, ranges = COMPLEX_ROUTES[name]
     x = complex(re, 10.0 ** log_im)
     inputs = [lo + share * (hi - lo) for share, (lo, hi) in zip(shares, ranges)]
-    engine = closedforms._certified_cauchy_sum
+    engine = hyperkernel._certified_cauchy_sum
     escalated = []
 
     def recorded(*args):
         escalated.append(engine(*args))
         return escalated[-1]
 
-    closedforms._certified_cauchy_sum = recorded
+    hyperkernel._certified_cauchy_sum = recorded
     try:
         route(x, params_type(*inputs), n)
     except (DenominatorPole, RestrictedParameter):
         assume(False)
     finally:
-        closedforms._certified_cauchy_sum = engine
+        hyperkernel._certified_cauchy_sum = engine
     for value in escalated:
         want = fraction_double_sum(*paper(n, GaussQ(x.real, x.imag),
                                           *map(Fraction, inputs)))
         assert repr(value) == repr(want.rounded())
+
+
+# ---------------------------------------------------------------------------
+# The kernels' terminating sums run on the same engine
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "evaluate, nums, dens, arg, top",
+    [
+        # A term-by-term loop read -3.47e7, 9.2e16, a 1.7e-8 relative
+        # error and, for 3F2(-200, ...), 4.2e38 at these sums.
+        (lambda: kummer_1f1(-40, 0.5, 30).value, [-40], [0.5], 30, 40),
+        (lambda: kummer_1f1(-60, 1.5, 45).value, [-60], [1.5], 45, 60),
+        (lambda: gauss_2f1(-40, 0.3, 1.7, 0.9).value, [-40, 0.3], [1.7], 0.9, 40),
+        *[(lambda n=n: hyp_terminating([-n, 2.2, 0.7], [3.2, 1.7], 1.0, n),
+           [-n, 2.2, 0.7], [3.2, 1.7], 1.0, n) for n in (50, 100, 200)],
+    ],
+    ids=["1f1-40", "1f1-60", "2f1-40", "3f2-50", "3f2-100", "3f2-200"],
+)
+def test_terminating_kernels_round_the_exact_sum(evaluate, nums, dens, arg, top):
+    want = fraction_hyp([Fraction(p) for p in nums], [Fraction(q) for q in dens],
+                        Fraction(arg), top)
+    assert repr(evaluate()) == repr(float(want))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: gauss_2f1(-40, 0.3, 1.7, 0.9),
+        lambda: kummer_1f1(-40, 0.5, 30),
+        # The inner 3F2(1) sums of the c = 1 chain cancel past 1e4 here.
+        lambda: c1_reduction_identity(2.5, 0.7, 0.5, 1e-8, 400),
+    ],
+    ids=["gauss_2f1", "kummer_1f1", "c1-chain"],
+)
+def test_kernel_terminating_branches_escalate(monkeypatch, evaluate):
+    engine = hyperkernel._certified_cauchy_sum
+    escalated = []
+
+    def recorded(*args):
+        escalated.append(engine(*args))
+        return escalated[-1]
+
+    monkeypatch.setattr(hyperkernel, "_certified_cauchy_sum", recorded)
+    evaluate()
+    assert escalated
+
+
+@given(
+    n=st.integers(5, 40),
+    a=st.one_of(st.none(), st.complex_numbers(max_magnitude=3.0)),
+    b_re=st.floats(0.2, 3.0),
+    b_im=st.floats(-1.0, 1.0),
+    z_re=st.floats(1.0, 40.0),
+    z_im=st.floats(-20.0, 20.0),
+)
+@example(n=40, a=None, b_re=0.5, b_im=0.25, z_re=30.0, z_im=5.0)
+@settings(max_examples=40, deadline=None)
+def test_escalated_complex_terminating_sums_are_correctly_rounded(n, a, b_re, b_im,
+                                                                  z_re, z_im):
+    # A 1F1(-n; b; z) or 2F1(-n, a; b; z) with complex b and z; each
+    # escalated component equals the exact Gaussian sum's, rounded once.
+    nums = [-n] if a is None else [-n, a]
+    b, z = complex(b_re, b_im), complex(z_re, z_im)
+    engine = hyperkernel._certified_cauchy_sum
+    escalated = []
+
+    def recorded(*args):
+        escalated.append(engine(*args))
+        return escalated[-1]
+
+    hyperkernel._certified_cauchy_sum = recorded
+    try:
+        value = hyp_terminating(nums, [b], z, n)
+    finally:
+        hyperkernel._certified_cauchy_sum = engine
+    if escalated:
+        want = fraction_hyp([GaussQ(p.real, p.imag) for p in map(complex, nums)],
+                            [GaussQ(b.real, b.imag)], GaussQ(z.real, z.imag), n)
+        assert [repr(v) for v in escalated] == [repr(want.rounded())]
+        assert value is escalated[0]

@@ -622,7 +622,7 @@ _PINNED = [
     "('ok', 1.6725475705190114, 0, 0.0)",
     "('ok', 0.814795523296644, 0, 0.0)",
     "('ok', 1.2159878215610198, 0, 0.0)",
-    "('ok', 5.017396729002289, 0, 0.0)",
+    "('ok', 5.01739672900229, 0, 0.0)",
     "('c = 1 reduction series did not converge in 3 terms at t=0.2', 1.611938997821351, 3, 0.1531154684095861)",
 ]
 
