@@ -21,12 +21,20 @@ the convergence-study helpers and the tests for the quantitative form.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleArgument
-from .hyperkernel import _check_nonneg_int, gamma_value, gauss_2f1, kummer_1f1
+from .hyperkernel import (
+    _NONPOS_INT_TOL,
+    _check_nonneg_int,
+    _exp,
+    _near_int_in_range,
+    _power,
+    gamma_value,
+    gauss_2f1,
+    kummer_1f1,
+)
 from .recurrences import CharlierParams, MeixnerParams
 
 __all__ = [
@@ -38,9 +46,6 @@ __all__ = [
     "mh_charlier_limit",
     "mh_convergence_study",
 ]
-
-_POLE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ScaledSequence:
@@ -85,13 +90,7 @@ class MHStudy:
 
 
 def _check_scaling_pole(x, gamma):
-    w = gamma - x
-    if isinstance(w, complex):
-        if abs(w.imag) > _POLE_TOL:
-            return
-        w = w.real
-    r = round(w)
-    if abs(w - r) <= _POLE_TOL and r <= 0:
+    if _near_int_in_range(gamma - x, -math.inf, 0, _NONPOS_INT_TOL) is not None:
         raise PoleArgument(
             f"gamma - x = {gamma - x!r} is a nonpositive integer: the scaling "
             f"prefactor 1/Gamma(gamma-x) vanishes"
@@ -176,10 +175,7 @@ def mh_meixner_limit(x, params):
     if isinstance(c, complex) or not 0.0 < c < 1.0:
         raise DomainError(f"the scaled limit requires 0 < c < 1, got c={c!r}")
     _check_scaling_pole(x, gamma)
-    if isinstance(x, complex):
-        pref = complex(1.0 - c) ** (-beta - x)
-    else:
-        pref = (1.0 - c) ** (-beta - x)
+    pref = _power(1.0 - c, -beta - x)
     f = gauss_2f1(gamma, 1.0 - beta - x, gamma - x, c)
     return pref / gamma_value(gamma - x) * f.value
 
@@ -192,8 +188,7 @@ def mh_charlier_limit(x, params):
     a, gamma = params.a, params.gamma
     _check_scaling_pole(x, gamma)
     f = kummer_1f1(gamma, gamma - x, -a)
-    ea = cmath.exp(a) if isinstance(a, complex) else math.exp(a)
-    return ea / gamma_value(gamma - x) * f.value
+    return _exp(a) / gamma_value(gamma - x) * f.value
 
 
 def _second_term_magnitude(x, params, n):

@@ -215,10 +215,13 @@ def _family(params, flags, seq, routes, alternate):
     return _Family(params, flags, seq, routes, alternate)
 
 
-# Every route calls this module's global names when it runs, never a stored
-# function object: perfbench patches ``cli.<name>`` after import to time the
+# The one family/route table: ``eval`` and ``table`` offer its routes, and
+# ``verify --set representations`` compares them in pairs.  Every route
+# calls this module's global names when it runs, never a stored function
+# object: perfbench patches ``cli.<name>`` after import to time the
 # ``cli.route``, ``closedforms.*`` and ``recurrences`` spans, and a function
-# captured at import would silently bypass those patches.
+# captured at import would silently bypass those patches.  That is also why
+# the table lives here and not in ``closedforms``.
 _FAMILIES = {
     "meixner": _family(
         MeixnerParams, ("beta", "c"),
@@ -293,6 +296,14 @@ def _route(args):
     return routes[args.rep]
 
 
+def _finite_value(value):
+    """``value``, or ``OverflowError`` (exit 3) when it is inf or nan."""
+    if not cmath.isfinite(value):
+        raise OverflowError(
+            f"non-finite value {value!r}: beyond the binary64 range")
+    return value
+
+
 def _cross_check(args, params, x, n, value):
     """Best-effort independent estimate of the relative error."""
     family = _FAMILIES[args.family]
@@ -300,7 +311,7 @@ def _cross_check(args, params, x, n, value):
     if args.rep == "degenerate-c1" and x is None:
         x = 0.0
     try:
-        check = family.routes[other](x, params, n)
+        check = _finite_value(family.routes[other](x, params, n))
     except (*_VALIDATION_ERRORS, *_NUMERICAL_ERRORS):
         return None
     scale = max(abs(value), abs(check))
@@ -323,7 +334,7 @@ def _cmd_eval(args):
     if args.x is None and rep != "degenerate-c1":
         raise ValueError("--x is required (except --rep degenerate-c1)")
     x = args.x
-    value = route(x, params, args.n)
+    value = _finite_value(route(x, params, args.n))
     estimate = _cross_check(args, params, x, args.n, value)
     v = complex(value)
     record = {
@@ -354,7 +365,7 @@ def _cmd_table(args):
         else:
             values = [route(x, params, n) for n in range(args.n_max + 1)]
         for n, value in enumerate(values):
-            v = complex(value)
+            v = complex(_finite_value(value))
             records.append({
                 "family": args.family,
                 "representation": args.rep,

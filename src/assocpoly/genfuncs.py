@@ -31,6 +31,7 @@ from .hyperkernel import (
     _check_nonneg_int,
     _exp,
     _near_int_in_range,
+    _power,
     _sum_series,
     appell_f1,
     euler_integral,
@@ -38,6 +39,7 @@ from .hyperkernel import (
     humbert_phi1,
     hyp_terminating,
     kummer_1f1,
+    pochhammer,
 )
 from .recurrences import (
     CharlierParams,
@@ -309,12 +311,12 @@ def gf_meixner_alt(x, params, t):
     if t == 0:
         return 1.0
     f1 = appell_f1(gamma, 1.0 - beta - x, 1.0 + x, gamma + 1.0, c * t, t)
-    return _pow(1.0 - c * t, -beta - x) * _pow(1.0 - t, x) * f1.value
+    return _power(1.0 - c * t, -beta - x) * _power(1.0 - t, x) * f1.value
 
 
 def gf_meixner_elementary(x, beta, c, t):
     """Classical (gamma = 0) closed form (1-ct)^{-beta-x} (1-t)^x."""
-    return _pow(1.0 - c * t, -beta - x) * _pow(1.0 - t, x)
+    return _power(1.0 - c * t, -beta - x) * _power(1.0 - t, x)
 
 
 def gf_meixner_integral(x, params, t):
@@ -335,12 +337,6 @@ def gf_meixner_integral(x, params, t):
     )
     quad = euler_integral(spec)
     return gamma * gf_meixner_elementary(x, beta, c, t) * quad.value
-
-
-def _pow(base, exponent):
-    if isinstance(base, complex) or isinstance(exponent, complex) or base < 0:
-        return complex(base) ** exponent
-    return base**exponent
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +362,12 @@ def gf_charlier_phi1(x, params, t):
     if t == 0:
         return 1.0
     phi = humbert_phi1(gamma, x + 1.0, gamma + 1.0, t / a, -t)
-    return _exp(t) * _pow(1.0 - t / a, x) * phi.value
+    return _exp(t) * _power(1.0 - t / a, x) * phi.value
 
 
 def gf_charlier_elementary(x, a, t):
     """Classical (gamma = 0) closed form e^t (1-t/a)^x."""
-    return _exp(t) * _pow(1.0 - t / a, x)
+    return _exp(t) * _power(1.0 - t / a, x)
 
 
 def gf_charlier_integral(x, params, t):
@@ -447,12 +443,12 @@ def gf_laguerre(x, params, t):
         return 1.0
     w = t / (t - 1.0)
     phi = humbert_phi1(gamma, gamma + alpha, gamma + 1.0, w, -x * w)
-    return _pow(1.0 - t, -gamma - alpha - 1.0) * _exp(x * t / (t - 1.0)) * phi.value
+    return _power(1.0 - t, -gamma - alpha - 1.0) * _exp(x * t / (t - 1.0)) * phi.value
 
 
 def gf_laguerre_elementary(x, alpha, t):
     """Classical (gamma = 0) closed form (1-t)^{-alpha-1} exp(xt/(t-1))."""
-    return _pow(1.0 - t, -alpha - 1.0) * _exp(x * t / (t - 1.0))
+    return _power(1.0 - t, -alpha - 1.0) * _exp(x * t / (t - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +473,14 @@ def gf_weighted_laguerre_rhs(x, alpha, gamma, t):
     ``(1-t)^{-gamma} Phi1(gamma, gamma-alpha; gamma+1; t/(t-1), xt/(t-1))``."""
     w = t / (t - 1.0)
     phi = humbert_phi1(gamma, gamma - alpha, gamma + 1.0, w, x * w)
-    return _pow(1.0 - t, -gamma) * phi.value
+    return _power(1.0 - t, -gamma) * phi.value
 
 
 def gf_weighted_laguerre_diag(x, alpha, t):
     """The alpha = gamma case of the weighted Laguerre closed form:
     ``(1-t)^{-alpha} 1F1(alpha; alpha+1; xt/(t-1))``."""
     z = x * t / (t - 1.0)
-    return _pow(1.0 - t, -alpha) * kummer_1f1(alpha, alpha + 1.0, z).value
+    return _power(1.0 - t, -alpha) * kummer_1f1(alpha, alpha + 1.0, z).value
 
 
 def weighted_classical_gf(x, params, t, rel_tol=1e-9, n_start=60,
@@ -549,9 +545,7 @@ def convolution_identity(x, params, n, rel_tol=1e-9):
         raise DomainError(
             f"the convolution identities require gamma > 0, got {gamma!r}"
         )
-    poch = 1.0
-    for j in range(n):
-        poch *= gamma + 1.0 + j
+    poch = pochhammer(gamma + 1.0, n)
     acc = Accumulator()
     if isinstance(params, MeixnerParams):
         ident = "convolution-meixner"
@@ -636,7 +630,7 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400):
         "c = 1 reduction series did not converge in {max_terms} terms "
         "at t={z!r}", inner,
     )[0]
-    rhs = _pow(1.0 - t, -beta) * gauss_2f1(
+    rhs = _power(1.0 - t, -beta) * gauss_2f1(
         2.0 - beta, gamma, gamma + 1.0, t
     ).value
     point = {"beta": beta, "gamma": gamma, "t": t}

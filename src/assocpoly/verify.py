@@ -7,7 +7,9 @@ seeded random points and returns a list of
 - ``representations``: pairwise agreement of all evaluation routes for
   each family (recurrence, finite double sums, quadratic and
   cross-product 2F1 forms, the Meixner-Pollaczek connection) plus the
-  classical gamma = 0 reductions.
+  classical gamma = 0 reductions.  The routes are those of
+  ``cli._FAMILIES``, the package's one family/route table; this module
+  holds only the parameter grids and each family's pair order.
 - ``transformations``: hypergeometric kernel invariants (Pfaff, Euler,
   Kummer, the Appell F1 transformation and reduction, the Humbert Phi1
   confluence limit), the reflection identity, and the degenerate c = 1
@@ -29,38 +31,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, NamedTuple
 
+from .cli import _FAMILIES
 from .closedforms import (
-    charlier_3f2,
-    charlier_classical,
     identity_3f2_pochhammer,
     identity_3f2_t_powered,
     identity_4f3_finite_sum,
-    laguerre_3f2,
-    laguerre_classical,
-    meixner_4f3,
-    meixner_4f3_alt,
     meixner_c1_degenerate,
-    meixner_classical,
-    meixner_cross_2f1,
-    meixner_quadratic,
     meixner_reflection_rhs,
-    mp_from_meixner,
 )
 from .errors import DenominatorPole, RestrictedParameter
 from .genfuncs import c1_reduction_identity, convolution_identity
 from .hyperkernel import appell_f1, gauss_2f1, humbert_phi1, kummer_1f1
-from .recurrences import (
-    CharlierParams,
-    LaguerreParams,
-    MeixnerParams,
-    MeixnerPollaczekParams,
-    charlier_seq,
-    laguerre_seq,
-    meixner_pollaczek_seq,
-    meixner_seq,
-)
+from .recurrences import CharlierParams, LaguerreParams, MeixnerParams, meixner_seq
 from .report import VERIFY_SETS, _worst, make_report, summarize
 
 __all__ = [
@@ -89,57 +72,16 @@ def _worst_pair_report(identity_id, point, pairs, rel_tol):
     )
 
 
-class _Family(NamedTuple):
-    """The routes of one family that ``verify_representations`` compares."""
-
-    name: str
-    params: type
-    # {parameter name: grid}, in the params constructor's order before gamma.
-    grids: dict
-    # seq(x, params, n_max) -> PolySequence
-    seq: Callable
-    # {tag: route(x, params, n)}; every pair is compared in this order.
-    routes: dict
-    # classical(x, params, n): the gamma = 0 closed form.
-    classical: Callable
-
-
-# Every route calls this module's global names when it runs, never a stored
-# function object: perfbench patches ``verify.<name>`` after import to time
-# the ``closedforms.*`` and ``recurrences`` spans, and a function captured
-# at import would silently bypass those patches.
-_FAMILIES = (
-    _Family(
-        "meixner", MeixnerParams, {"beta": _MEIXNER_BETAS, "c": _MEIXNER_CS},
-        lambda x, p, n: meixner_seq(x, p, n),
-        {
-            "4f3": lambda x, p, n: meixner_4f3(x, p, n),
-            "4f3-alt": lambda x, p, n: meixner_4f3_alt(x, p, n),
-            "cross": lambda x, p, n: meixner_cross_2f1(x, p, n),
-            "quadratic": lambda x, p, n: meixner_quadratic(x, p, n),
-        },
-        lambda x, p, n: meixner_classical(x, p.beta, p.c, n),
-    ),
-    _Family(
-        "charlier", CharlierParams, {"a": _CHARLIER_AS},
-        lambda x, p, n: charlier_seq(x, p, n),
-        {
-            "3f2": lambda x, p, n: charlier_3f2(x, p, n, "primary"),
-            "3f2-transformed": lambda x, p, n: charlier_3f2(
-                x, p, n, "transformed"),
-        },
-        lambda x, p, n: charlier_classical(x, p.a, n),
-    ),
-    _Family(
-        "laguerre", LaguerreParams, {"alpha": _LAGUERRE_ALPHAS},
-        lambda x, p, n: laguerre_seq(x, p, n),
-        {
-            "3f2": lambda x, p, n: laguerre_3f2(x, p, n, "primary"),
-            "3f2-rahman": lambda x, p, n: laguerre_3f2(x, p, n, "rahman"),
-        },
-        lambda x, p, n: laguerre_classical(x, p.alpha, n),
-    ),
-)
+# The pairs that ``verify_representations`` compares: each family's
+# parameter grids, in the order of its ``cli`` flags, and its routes in
+# pair order after the recurrence.  The params classes, recurrences and
+# routes are those of ``cli._FAMILIES``, the one family/route table.
+_PAIRS = {
+    "meixner": ((_MEIXNER_BETAS, _MEIXNER_CS),
+                ("4f3", "4f3-alt", "cross", "quadratic")),
+    "charlier": ((_CHARLIER_AS,), ("3f2", "3f2-transformed")),
+    "laguerre": ((_LAGUERRE_ALPHAS,), ("3f2", "3f2-rahman")),
+}
 
 
 def verify_representations(rel_tol=1e-8, n_max=25):
@@ -152,14 +94,16 @@ def verify_representations(rel_tol=1e-8, n_max=25):
     reports = []
     # Recurrence against every closed form, and each closed form against
     # the later ones; a route that is not defined at a point is skipped.
-    for family in _FAMILIES:
-        names = (*family.grids, "gamma", "x")
-        for values in itertools.product(*family.grids.values(), _GAMMAS, _XS):
+    for name, (grids, tags) in _PAIRS.items():
+        family = _FAMILIES[name]
+        names = (*family.flags, "gamma", "x")
+        for values in itertools.product(*grids, _GAMMAS, _XS):
             point = dict(zip(names, values))
             *args, x = values
             params = family.params(*args)
             routes = {"recurrence": list(family.seq(x, params, n_max).values)}
-            for tag, route in family.routes.items():
+            for tag in tags:
+                route = family.routes[tag]
                 try:
                     routes[tag] = [route(x, params, n)
                                    for n in range(n_max + 1)]
@@ -167,20 +111,22 @@ def verify_representations(rel_tol=1e-8, n_max=25):
                     continue
             for tag_a, tag_b in itertools.combinations(routes, 2):
                 reports.append(_worst_pair_report(
-                    f"{family.name}-rep:{tag_a}~{tag_b}", point,
+                    f"{name}-rep:{tag_a}~{tag_b}", point,
                     zip(range(n_max + 1), routes[tag_a], routes[tag_b]),
                     rel_tol,
                 ))
     # Meixner-Pollaczek: recurrence vs the complex Meixner connection.
+    mp = _FAMILIES["meixner-pollaczek"]
+    connection = mp.routes["connection"]
     mp_n_max = min(n_max, 20)
     for nu, phi, gamma, x in itertools.product(
         (0.3, 1.0), (0.7, 2.0), (0.0, 0.5, 1.8), (-1.2, 0.0, 2.5)
     ):
-        params = MeixnerPollaczekParams(nu, phi, gamma)
+        params = mp.params(nu, phi, gamma)
         point = {"nu": nu, "phi": phi, "gamma": gamma, "x": x}
-        seq = meixner_pollaczek_seq(x, params, mp_n_max)
+        seq = mp.seq(x, params, mp_n_max)
         pairs = [
-            (n, mp_from_meixner(x, params, n), seq[n])
+            (n, connection(x, params, n), seq[n])
             for n in range(mp_n_max + 1)
         ]
         reports.append(
@@ -191,18 +137,20 @@ def verify_representations(rel_tol=1e-8, n_max=25):
     # Classical gamma = 0 reductions, tighter tolerance.
     red_tol = min(rel_tol, 1e-10)
     red_n_max = min(n_max, 20)
-    for family in _FAMILIES:
-        names = (*family.grids, "x")
-        for values in itertools.product(*family.grids.values(), _XS):
+    for name, (grids, _tags) in _PAIRS.items():
+        family = _FAMILIES[name]
+        classical = family.routes["classical"]
+        names = (*family.flags, "x")
+        for values in itertools.product(*grids, _XS):
             *args, x = values
             params = family.params(*args, 0.0)
             seq = family.seq(x, params, red_n_max)
             pairs = [
-                (n, family.classical(x, params, n), seq[n])
+                (n, classical(x, params, n), seq[n])
                 for n in range(red_n_max + 1)
             ]
             reports.append(_worst_pair_report(
-                f"{family.name}-classical-reduction",
+                f"{name}-classical-reduction",
                 dict(zip(names, values)), pairs, red_tol,
             ))
     return reports

@@ -364,6 +364,35 @@ def test_binary64_overflow_exits_numerical_in_one_line(capsys, argv):
     assert err.startswith("assocpoly: numerical failure: ")
 
 
+# A point where the Meixner value, -4.77e183, is in range at n = 100 but
+# the 4F3 prefactor overflows, and the recurrence turns to nan past n = 152.
+MEIXNER_FAR = ("--family", "meixner", "--beta", "0.8711151050205395", "--c",
+               "0.5265375351775712", "--gamma", "0.998878949679814", "--x",
+               "1.336464162104017")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", *MEIXNER_FAR, "--n", "100", "--rep", "4f3"),
+    ("eval", "--family", "charlier", "--a", "0.3", "--gamma", "0.5", "--x",
+     "1.3", "--n", "150", "--rep", "recurrence"),
+    ("table", *MEIXNER_FAR, "--n-max", "400"),
+], ids=["eval-4f3", "eval-recurrence", "table"])
+def test_non_finite_value_exits_numerical_and_writes_nothing(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("assocpoly: numerical failure: non-finite value")
+
+
+def test_non_finite_cross_check_leaves_the_estimate_empty(capsys):
+    code, out, _ = run_cli(capsys, "eval", *MEIXNER_FAR, "--n", "100")
+    assert code == EXIT_OK
+    header, data = parse_csv(out)
+    assert float(csv_value(header, data[0], "value_re")) == pytest.approx(
+        -4.770311282464512e183, rel=1e-13)
+    assert csv_value(header, data[0], "err_estimate") == ""
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------

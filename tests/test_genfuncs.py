@@ -69,6 +69,15 @@ def test_classical_charlier_frozen_example():
     )
 
 
+def test_elementary_forms_stay_real_at_a_negative_base():
+    # (1 - ct) = -0.8 and (1 - t) = -1 raised to integer exponents.
+    meixner = gf_meixner_elementary(1.0, 1.0, 2.0, 0.9)
+    laguerre = gf_laguerre_elementary(0.5, 1.0, 2.0)
+    assert type(meixner) is float and type(laguerre) is float
+    assert meixner == pytest.approx(0.15625, rel=1e-15)
+    assert laguerre == math.exp(1.0)
+
+
 def test_alt_form_collapses_to_elementary_at_zero_shift():
     params = MeixnerParams(1.5, 0.4, 0.0)
     assert gf_meixner_alt(2.0, params, 0.1) == pytest.approx(
@@ -339,6 +348,17 @@ def test_convolution_identity_holds(params):
     for n in range(13):
         report = convolution_identity(0.5, params, n)
         assert report.passed, (n, report.rel_discrepancy)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [MeixnerParams(1.5, 0.4, 2000.0), CharlierParams(0.5, 2000.0)],
+    ids=["meixner", "charlier"],
+)
+def test_convolution_raises_when_the_pochhammer_overflows(params):
+    # (2001)_100 is about 1e331: the left side would divide by inf.
+    with pytest.raises(OverflowError):
+        convolution_identity(0.25, params, 100)
 
 
 def test_convolution_requires_positive_shift():

@@ -1,9 +1,12 @@
-"""Worst-of selection in the verifier: a non-finite discrepancy never hides."""
+"""The verifier's route table and its worst-of selection."""
 
 import math
 
+import pytest
+
 from assocpoly import make_report, summarize
-from assocpoly.verify import _worst_pair_report
+from assocpoly.cli import _FAMILIES
+from assocpoly.verify import _worst_pair_report, verify_representations
 
 NAN = float("nan")
 
@@ -46,3 +49,24 @@ def test_summarize_reports_nan_as_worst():
 
 def test_summarize_of_nothing():
     assert summarize([]) == (0, 0, None)
+
+
+@pytest.mark.parametrize("family,tag", [
+    ("charlier", "3f2"),
+    ("meixner", "quadratic"),
+    ("laguerre", "classical"),
+    ("meixner-pollaczek", "connection"),
+])
+def test_representations_run_the_cli_route_table(monkeypatch, family, tag):
+    # The verifier compares the routes of cli._FAMILIES, not copies of them.
+    routes = _FAMILIES[family].routes
+    route = routes[tag]
+    degrees = []
+
+    def spy(x, params, n):
+        degrees.append(n)
+        return route(x, params, n)
+
+    monkeypatch.setitem(routes, tag, spy)
+    verify_representations(n_max=3)
+    assert set(degrees) == {0, 1, 2, 3}
