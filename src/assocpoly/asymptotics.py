@@ -22,9 +22,8 @@ the convergence-study helpers and the tests for the quantitative form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, PoleArgument
+from .errors import DomainError, PoleArgument, Record, _set_field
 from .hyperkernel import (
     _NONPOS_INT_TOL,
     _check_nonneg_int,
@@ -47,14 +46,16 @@ __all__ = [
     "mh_convergence_study",
 ]
 
-@dataclass(frozen=True)
-class ScaledSequence:
+class ScaledSequence(Record):
     """Scaled values r_n = rho^n P_n(x)/Gamma(n+gamma-x), n = 0..n_max."""
 
-    r: tuple
-    params: object
-    x: complex
-    n_max: int
+    __slots__ = ("r", "params", "x", "n_max")
+
+    def __init__(self, r, params, x, n_max):
+        _set_field(self, "r", r)
+        _set_field(self, "params", params)
+        _set_field(self, "x", x)
+        _set_field(self, "n_max", n_max)
 
     def __getitem__(self, n):
         return self.r[n]
@@ -63,8 +64,7 @@ class ScaledSequence:
         return len(self.r)
 
 
-@dataclass(frozen=True)
-class MHStudy:
+class MHStudy(Record):
     """Scaled-limit convergence study at a fixed point.
 
     Attributes
@@ -80,13 +80,17 @@ class MHStudy:
         For the Meixner family, |observed error| divided by the
         predicted correction magnitude
         ``n^{2x+beta} c^{n+1} (1-c)^x |2F1(x+1, 2-beta-gamma; 2+x-gamma; c)|``
-        at each checkpoint; None for Charlier.
+        at each checkpoint; None for Charlier, for complex x, and where
+        ``2 + x - gamma`` is a gamma pole of that 2F1.
     """
 
-    samples: tuple
-    limit: complex
-    monotone_tail: bool
-    second_term_ratios: tuple | None = None
+    __slots__ = ("samples", "limit", "monotone_tail", "second_term_ratios")
+
+    def __init__(self, samples, limit, monotone_tail, second_term_ratios=None):
+        _set_field(self, "samples", samples)
+        _set_field(self, "limit", limit)
+        _set_field(self, "monotone_tail", monotone_tail)
+        _set_field(self, "second_term_ratios", second_term_ratios)
 
 
 def _check_scaling_pole(x, gamma):
@@ -240,8 +244,13 @@ def mh_convergence_study(x, params, checkpoints):
     )
     ratios = None
     if isinstance(params, MeixnerParams) and not isinstance(x, complex):
-        ratios = tuple(
-            err / max(_second_term_magnitude(x, params, n), 1e-300)
-            for n, _v, err in samples
-        )
+        try:
+            ratios = tuple(
+                err / max(_second_term_magnitude(x, params, n), 1e-300)
+                for n, _v, err in samples
+            )
+        except PoleArgument:
+            # 2 + x - gamma is a gamma pole of the correction's 2F1: the
+            # study is defined there, its diagnostic is not.
+            pass
     return MHStudy(samples, limit, monotone, ratios)

@@ -558,18 +558,7 @@ def _add_family_flags(parser, families=_FAMILIES):
                         help="index shift (default 0)")
 
 
-def build_parser():
-    """The argparse parser for the ``assocpoly`` command."""
-    parser = argparse.ArgumentParser(
-        prog="assocpoly",
-        description=(
-            "Evaluate index-shifted Meixner, Charlier, Laguerre and "
-            "Meixner-Pollaczek polynomials and verify their identities."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate one polynomial value")
+def _eval_flags(p_eval):
     _add_family_flags(p_eval)
     p_eval.add_argument("--x", type=_SCALAR, default=None,
                         help="evaluation point (real or complex)")
@@ -579,7 +568,8 @@ def build_parser():
     _add_output_flags(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_table = sub.add_parser("table", help="tabulate a family")
+
+def _table_flags(p_table):
     _add_family_flags(p_table)
     p_table.add_argument("--x", type=_SCALAR, nargs="+", required=True,
                          help="evaluation points")
@@ -590,15 +580,16 @@ def build_parser():
     _add_output_flags(p_table)
     p_table.set_defaults(func=_cmd_table)
 
-    p_verify = sub.add_parser("verify", help="run an identity set")
+
+def _verify_flags(p_verify):
     p_verify.add_argument("--set", required=True, choices=VERIFY_SETS)
     p_verify.add_argument("--n-max", type=int, default=25,
                           help="highest degree for grids (default 25)")
     _add_output_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_gf = sub.add_parser("gf-check",
-                          help="check generating functions at (x, t) points")
+
+def _gf_check_flags(p_gf):
     _add_family_flags(p_gf, families=("meixner", "charlier", "laguerre"))
     p_gf.add_argument("--x", type=_SCALAR, nargs="+", default=[0.5],
                       help="evaluation points (default 0.5)")
@@ -609,8 +600,8 @@ def build_parser():
     _add_output_flags(p_gf)
     p_gf.set_defaults(func=_cmd_gf_check)
 
-    p_mh = sub.add_parser("mh-study",
-                          help="large-degree scaled convergence study")
+
+def _mh_study_flags(p_mh):
     _add_family_flags(p_mh, families=("meixner", "charlier"))
     p_mh.add_argument("--x", type=_SCALAR, required=True,
                       help="evaluation point (real or complex)")
@@ -619,13 +610,50 @@ def build_parser():
                       help="ascending degrees (default 50 100 200 400)")
     _add_output_flags(p_mh)
     p_mh.set_defaults(func=_cmd_mh_study)
+
+
+# {subcommand: (help, function that adds its flags)}, in the order that
+# the usage line lists them.
+_COMMANDS = {
+    "eval": ("evaluate one polynomial value", _eval_flags),
+    "table": ("tabulate a family", _table_flags),
+    "verify": ("run an identity set", _verify_flags),
+    "gf-check": ("check generating functions at (x, t) points",
+                 _gf_check_flags),
+    "mh-study": ("large-degree scaled convergence study", _mh_study_flags),
+}
+
+
+def build_parser(command=None):
+    """The argparse parser for the ``assocpoly`` command.
+
+    Given a subcommand name, only that subcommand gets its flags.  The
+    others are still listed, so the usage line and the top-level help
+    stay the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="assocpoly",
+        description=(
+            "Evaluate index-shifted Meixner, Charlier, Laguerre and "
+            "Meixner-Pollaczek polynomials and verify their identities."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_flags(subparser)
     return parser
 
 
 def main(argv=None):
     """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A first argument that names a subcommand is the one argparse runs,
+    # so only that subcommand's flags are built.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

@@ -5,9 +5,65 @@ evaluators is a subclass of :class:`AssocPolyError`, so callers can
 catch one base class.  The split between "validation" errors (bad
 parameters) and "numerical" errors (a well-posed computation that
 cannot be completed) is what drives the CLI exit codes.
+
+The module also holds :class:`Record`, the base of the library's
+immutable value records, because every other module imports it.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+# How a record's ``__init__`` sets its fields past its ``__setattr__``.
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base of the library's immutable value records.
+
+    A subclass lists its fields in ``__slots__``, in order, and its own
+    ``__init__`` checks its arguments and sets each field with
+    :func:`_set_field`.  A record equals only a record of the same class
+    with equal fields, hashes as the tuple of its fields, prints as
+    ``Name(field=value, ...)`` and raises AttributeError on any
+    assignment or deletion.  Pickling and copying call the class on the
+    fields, so ``__init__`` runs again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # The tuple of a record's fields; every record has two or more.
+        cls._fields = staticmethod(attrgetter(*cls.__slots__))
+
+    def _replace(self, **changes):
+        """A record of the same class with the fields in ``changes`` replaced."""
+        fields = dict(zip(self.__slots__, self._fields(self)))
+        fields.update(changes)
+        return self.__class__(**fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
 
 
 class AssocPolyError(Exception):

@@ -21,9 +21,15 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace
 
-from .errors import DenominatorPole, DomainError, NotConverged, TailTooLarge
+from .errors import (
+    DenominatorPole,
+    DomainError,
+    NotConverged,
+    Record,
+    TailTooLarge,
+    _set_field,
+)
 from .hyperkernel import (
     Accumulator,
     EulerIntegrand,
@@ -103,8 +109,7 @@ class Normalization(enum.Enum):
     WEIGHTED = "weighted"
 
 
-@dataclass(frozen=True)
-class GFSpec:
+class GFSpec(Record):
     """One generating-function left side: family, point, t, normalization.
 
     Attributes
@@ -123,23 +128,24 @@ class GFSpec:
         Number of the highest retained power of t.
     weight_gamma : float, optional
         Overrides ``family.gamma`` as the free weight for ``WEIGHTED``
-        normalization (the dataclass parameter types forbid negative
+        normalization (the family parameter records forbid negative
         gamma, the weight need not be nonnegative).
     """
 
-    family: object
-    x: complex
-    t: complex
-    normalization: Normalization = Normalization.BY_GAMMA_ONE
-    truncation_N: int = 60
-    weight_gamma: float | None = None
+    __slots__ = ("family", "x", "t", "normalization", "truncation_N",
+                 "weight_gamma")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "normalization", Normalization(self.normalization)
-        )
-        if not isinstance(self.truncation_N, int) or self.truncation_N < 1:
+    def __init__(self, family, x, t, normalization=Normalization.BY_GAMMA_ONE,
+                 truncation_N=60, weight_gamma=None):
+        normalization = Normalization(normalization)
+        if not isinstance(truncation_N, int) or truncation_N < 1:
             raise ValueError("truncation_N must be an integer >= 1")
+        _set_field(self, "family", family)
+        _set_field(self, "x", x)
+        _set_field(self, "t", t)
+        _set_field(self, "normalization", normalization)
+        _set_field(self, "truncation_N", truncation_N)
+        _set_field(self, "weight_gamma", weight_gamma)
 
 
 def _family_sequence(spec):
@@ -252,7 +258,7 @@ def gf_lhs_auto(spec, rel_tol=1e-9):
     """
     n = spec.truncation_N
     while True:
-        trial = replace(spec, truncation_N=n)
+        trial = spec._replace(truncation_N=n)
         try:
             return gf_lhs_partial(trial, rel_tol), n
         except TailTooLarge:

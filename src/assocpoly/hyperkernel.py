@@ -50,8 +50,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DenominatorPole,
@@ -60,8 +58,10 @@ from .errors import (
     NotConverged,
     PoleArgument,
     QuadratureNotConverged,
+    Record,
     SingularIntegrand,
     ZeroPochhammer,
+    _set_field,
 )
 
 __all__ = [
@@ -86,25 +86,24 @@ _NEAR_INT_TOL = 1e-6
 _INT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
+class SeriesConfig(Record):
     """Tolerances and caps shared by all series summations."""
 
-    rel_tol: float = 1e-14
-    max_terms: int = 10000
+    __slots__ = ("rel_tol", "max_terms")
 
-    def __post_init__(self):
-        if not self.rel_tol > 0:
+    def __init__(self, rel_tol=1e-14, max_terms=10000):
+        if not rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
+        if max_terms < 1:
             raise ValueError("max_terms must be at least 1")
+        _set_field(self, "rel_tol", rel_tol)
+        _set_field(self, "max_terms", max_terms)
 
 
 _DEFAULT_CFG = SeriesConfig()
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
+class EvalOutcome(Record):
     """Value of a summation together with convergence metadata.
 
     Attributes
@@ -120,10 +119,13 @@ class EvalOutcome:
         closed-form branches.
     """
 
-    value: complex
-    converged: bool
-    terms_used: int
-    err_estimate: float
+    __slots__ = ("value", "converged", "terms_used", "err_estimate")
+
+    def __init__(self, value, converged, terms_used, err_estimate):
+        _set_field(self, "value", value)
+        _set_field(self, "converged", converged)
+        _set_field(self, "terms_used", terms_used)
+        _set_field(self, "err_estimate", err_estimate)
 
 
 class Accumulator:
@@ -402,10 +404,25 @@ _ZIV_ROUNDS = 3
 _PREC_COND_CAP = 2.0**64
 
 
+def Fraction(*args):
+    """``fractions.Fraction``, imported on its first call.
+
+    Only exact arithmetic needs :mod:`fractions`, which loads
+    :mod:`decimal` and :mod:`numbers` too, so a process that never
+    escalates does not import it: the first call rebinds this name to
+    the class.
+    """
+    global Fraction
+    from fractions import Fraction
+    return Fraction(*args)
+
+
 def _exactable(*vals):
+    """True when every input is exact (an int or a Fraction, which have a
+    denominator) or a finite float or complex."""
     return all(
-        isinstance(v, (int, Fraction))
-        or (isinstance(v, (float, complex)) and cmath.isfinite(v))
+        cmath.isfinite(v) if isinstance(v, (float, complex))
+        else hasattr(v, "denominator")
         for v in vals
     )
 
@@ -1168,8 +1185,7 @@ def humbert_phi1(alpha1, lam, alpha2, x, y, cfg=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EulerIntegrand:
+class EulerIntegrand(Record):
     """Integrand u^(gamma-1) * prod (1 - b_i u)^(e_i) * exp(exp_scale * u).
 
     Attributes
@@ -1182,9 +1198,12 @@ class EulerIntegrand:
         Optional exponential factor scale (0 disables it).
     """
 
-    gamma: complex
-    factors: tuple = ()
-    exp_scale: complex = 0.0
+    __slots__ = ("gamma", "factors", "exp_scale")
+
+    def __init__(self, gamma, factors=(), exp_scale=0.0):
+        _set_field(self, "gamma", gamma)
+        _set_field(self, "factors", factors)
+        _set_field(self, "exp_scale", exp_scale)
 
 
 def _tanh_sinh_node(s):

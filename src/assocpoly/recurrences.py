@@ -13,13 +13,10 @@ The recurrences are the defining representation: every closed form in
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import ZeroA, ZeroC
-from .hyperkernel import _check_nonneg_int, _near_int_in_range
+from .errors import Record, ZeroA, ZeroC, _set_field
+from .hyperkernel import _check_nonneg_int, _exact, _near_int_in_range
 
 __all__ = [
     "MeixnerParams",
@@ -44,8 +41,7 @@ def _check_gamma(gamma):
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
 
 
-@dataclass(frozen=True)
-class MeixnerParams:
+class MeixnerParams(Record):
     """Parameters (beta, c, gamma) of the index-shifted Meixner family.
 
     ``c = 0`` raises :class:`~assocpoly.errors.ZeroC` and ``gamma < 0``
@@ -55,14 +51,15 @@ class MeixnerParams:
     ``gamma + beta > 0``).
     """
 
-    beta: float
-    c: complex
-    gamma: float = 0.0
+    __slots__ = ("beta", "c", "gamma")
 
-    def __post_init__(self):
-        if self.c == 0:
+    def __init__(self, beta, c, gamma=0.0):
+        if c == 0:
             raise ZeroC("Meixner parameter c must be nonzero")
-        _check_gamma(self.gamma)
+        _check_gamma(gamma)
+        _set_field(self, "beta", beta)
+        _set_field(self, "c", c)
+        _set_field(self, "gamma", gamma)
 
     @property
     def c_tilde(self):
@@ -79,17 +76,17 @@ class MeixnerParams:
         return c > 0 and c != 1 and self.gamma + self.beta > 0
 
 
-@dataclass(frozen=True)
-class CharlierParams:
+class CharlierParams(Record):
     """Parameters (a, gamma) of the index-shifted Charlier family."""
 
-    a: complex
-    gamma: float = 0.0
+    __slots__ = ("a", "gamma")
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, a, gamma=0.0):
+        if a == 0:
             raise ZeroA("Charlier parameter a must be nonzero")
-        _check_gamma(self.gamma)
+        _check_gamma(gamma)
+        _set_field(self, "a", a)
+        _set_field(self, "gamma", gamma)
 
     @property
     def in_orthogonal_regime(self):
@@ -101,23 +98,22 @@ class CharlierParams:
         return a > 0
 
 
-@dataclass(frozen=True)
-class LaguerreParams:
+class LaguerreParams(Record):
     """Parameters (alpha, gamma) of the index-shifted Laguerre family."""
 
-    alpha: float
-    gamma: float = 0.0
+    __slots__ = ("alpha", "gamma")
 
-    def __post_init__(self):
-        _check_gamma(self.gamma)
+    def __init__(self, alpha, gamma=0.0):
+        _check_gamma(gamma)
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "gamma", gamma)
 
     @property
     def in_orthogonal_regime(self):
         return self.alpha > -1
 
 
-@dataclass(frozen=True)
-class MeixnerPollaczekParams:
+class MeixnerPollaczekParams(Record):
     """Parameters (nu, phi, gamma) of the index-shifted Meixner-Pollaczek family.
 
     ``phi`` must lie strictly inside (0, pi).  The orthogonality flag is
@@ -126,14 +122,15 @@ class MeixnerPollaczekParams:
     ``2 nu + gamma >= 1`` with ``nu > -1``.
     """
 
-    nu: float
-    phi: float
-    gamma: float = 0.0
+    __slots__ = ("nu", "phi", "gamma")
 
-    def __post_init__(self):
-        if not 0.0 < self.phi < math.pi:
-            raise ValueError(f"phi must lie in (0, pi), got {self.phi!r}")
-        _check_gamma(self.gamma)
+    def __init__(self, nu, phi, gamma=0.0):
+        if not 0.0 < phi < math.pi:
+            raise ValueError(f"phi must lie in (0, pi), got {phi!r}")
+        _check_gamma(gamma)
+        _set_field(self, "nu", nu)
+        _set_field(self, "phi", phi)
+        _set_field(self, "gamma", gamma)
 
     @property
     def in_orthogonal_regime(self):
@@ -143,13 +140,15 @@ class MeixnerPollaczekParams:
         )
 
 
-@dataclass(frozen=True)
-class PolySequence:
+class PolySequence(Record):
     """Values P_0(x), ..., P_{n_max}(x) of one family at one point."""
 
-    values: tuple
-    params: object
-    x: complex
+    __slots__ = ("values", "params", "x")
+
+    def __init__(self, values, params, x):
+        _set_field(self, "values", values)
+        _set_field(self, "params", params)
+        _set_field(self, "x", x)
 
     def __getitem__(self, n):
         return self.values[n]
@@ -212,7 +211,7 @@ def meixner_seq(x, params, n_max, exact_on_lattice=True):
              and _near_int_in_range(x - gamma, 0, math.inf, _LATTICE_TOL) is not None)
     z = x
     if exact:
-        z, beta, c, gamma = map(Fraction, (x, beta, c, gamma))
+        z, beta, c, gamma = map(_exact, (x, beta, c, gamma))
     values = [1.0]
     prev, cur = 0, 1
     for n in range(n_max):
@@ -244,7 +243,7 @@ def charlier_seq(x, params, n_max, exact_on_lattice=True):
              and _near_int_in_range(x - gamma, 0, math.inf, _LATTICE_TOL) is not None)
     z = x
     if exact:
-        z, a, gamma = map(Fraction, (x, a, gamma))
+        z, a, gamma = map(_exact, (x, a, gamma))
     values = [1.0]
     prev, cur = 0, 1
     for n in range(n_max):
@@ -338,4 +337,4 @@ def positivity_check(params, n):
 
 def classical(params):
     """The same family parameters with the index shift removed (gamma = 0)."""
-    return dataclasses.replace(params, gamma=0.0)
+    return params._replace(gamma=0.0)

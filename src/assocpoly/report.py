@@ -10,7 +10,8 @@ the worst.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .errors import Record, _set_field
 
 # The identity sets of :func:`assocpoly.verify.run_set`.  They are named
 # here, in a module every command loads, so that the command line can
@@ -19,8 +20,7 @@ VERIFY_SETS = ("representations", "transformations", "convolutions",
                "finite-sums", "all")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one identity check at one parameter point.
 
     Attributes
@@ -40,13 +40,18 @@ class IdentityReport:
         The tolerance the check was run with.
     """
 
-    identity_id: str
-    point: dict
-    lhs: complex
-    rhs: complex
-    rel_discrepancy: float
-    passed: bool
-    rel_tol: float
+    __slots__ = ("identity_id", "point", "lhs", "rhs", "rel_discrepancy",
+                 "passed", "rel_tol")
+
+    def __init__(self, identity_id, point, lhs, rhs, rel_discrepancy, passed,
+                 rel_tol):
+        _set_field(self, "identity_id", identity_id)
+        _set_field(self, "point", point)
+        _set_field(self, "lhs", lhs)
+        _set_field(self, "rhs", rhs)
+        _set_field(self, "rel_discrepancy", rel_discrepancy)
+        _set_field(self, "passed", passed)
+        _set_field(self, "rel_tol", rel_tol)
 
 
 def make_report(identity_id, point, lhs, rhs, rel_tol):

@@ -175,6 +175,19 @@ def test_real_meixner_study_reports_ratios():
     assert len(study.second_term_ratios) == len(CHECKPOINTS)
 
 
+def test_meixner_study_runs_where_the_correction_2f1_has_a_pole():
+    # 2 + x - gamma = -1 is a gamma pole of the correction's 2F1, while the
+    # limit and the scaled iterates are defined: the ratios are left out.
+    x = -2.3
+    study = mh_convergence_study(x, MEIXNER, CHECKPOINTS)
+    assert study.second_term_ratios is None
+    assert study.limit == mh_meixner_limit(x, MEIXNER)
+    assert study.limit == pytest.approx(0.40659, abs=1e-5)
+    seq = scaled_meixner_seq(x, MEIXNER, CHECKPOINTS[-1])
+    assert [s[:2] for s in study.samples] == [(n, seq[n]) for n in CHECKPOINTS]
+    assert study.monotone_tail
+
+
 # ---------------------------------------------------------------------------
 # Convergence studies: what does not hold (strict expected failures)
 # ---------------------------------------------------------------------------

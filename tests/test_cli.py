@@ -1,7 +1,9 @@
 """Command-line interface tests (in-process via main(argv))."""
 
+import contextlib
 import csv
 import importlib
+import io
 import importlib.util
 import json
 import math
@@ -42,6 +44,7 @@ from assocpoly.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     EXIT_VERIFY_FAILED,
+    build_parser,
     main,
 )
 
@@ -594,6 +597,22 @@ def test_mh_study_at_scaling_pole_exits_numerical(capsys):
     assert "numerical failure" in err
 
 
+def test_mh_study_where_the_correction_2f1_has_a_pole(capsys):
+    # The study's ratio diagnostic has a gamma pole at 2 + x - gamma = -1;
+    # the study itself is defined there and is printed.
+    code, out, err = run_cli(
+        capsys, "mh-study", "--family", "meixner", "--beta", "1.5", "--c",
+        "0.4", "--gamma", "0.7", "--x", "-2.3",
+    )
+    assert code == EXIT_OK, err
+    header, data = parse_csv(out)
+    assert [row[0] for row in data] == ["50", "100", "200", "400",
+                                        "monotone_tail"]
+    assert float(csv_value(header, data[0], "limit_re")) == pytest.approx(
+        0.40659, abs=1e-5)
+    assert csv_value(header, data[-1], "abs_error") == "true"
+
+
 def test_mh_study_bad_checkpoints_exit_validation(capsys):
     code, _, _ = run_cli(
         capsys, "mh-study", "--family", "charlier", "--a", "1", "--gamma",
@@ -654,26 +673,31 @@ COLD_RUNS = [
      "quadratic"],
 ]
 # Runs the package as ``python -m assocpoly`` does, then lists on stderr
-# the package modules the run loaded.
+# every module the process holds.
 _LIST_MODULES_AFTER_RUN = (
     "import runpy, sys\n"
     "try:\n"
     "    runpy.run_module('assocpoly', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
-    "    print(*sorted(m for m in sys.modules\n"
-    "                  if m.startswith('assocpoly.')), file=sys.stderr)\n"
+    "    print(*sorted(sys.modules), file=sys.stderr)\n"
 )
+
+
+def _run_cold(*argv):
+    """A fresh ``python -m assocpoly`` run, and the modules it held."""
+    result = subprocess.run(
+        [sys.executable, "-c", _LIST_MODULES_AFTER_RUN, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    return result, set(result.stderr.split())
 
 
 @pytest.mark.parametrize("argv", COLD_RUNS,
                          ids=lambda argv: f"{argv[0]}-{argv[2]}")
 def test_cold_eval_and_table_load_only_the_modules_they_run(capsys, argv):
-    result = subprocess.run(
-        [sys.executable, "-c", _LIST_MODULES_AFTER_RUN, *argv],
-        capture_output=True, text=True, timeout=120,
-    )
+    result, modules = _run_cold(*argv)
     assert result.returncode == EXIT_OK, result.stderr
-    assert set(result.stderr.split()) == {
+    assert {m for m in modules if m.startswith("assocpoly.")} == {
         "assocpoly.cli", "assocpoly.errors",
         "assocpoly.hyperkernel", "assocpoly.recurrences",
         "assocpoly.closedforms", "assocpoly.report",
@@ -681,6 +705,92 @@ def test_cold_eval_and_table_load_only_the_modules_they_run(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert result.stdout == out
+
+
+# Standard modules that only start-up machinery or exact arithmetic need.
+_HEAVY_MODULES = {"dataclasses", "inspect", "fractions"}
+
+
+def test_cold_eval_loads_no_dataclasses_inspect_or_fractions():
+    # Compared with a bare interpreter, so that whatever the site hooks of
+    # this installation import does not count.
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert bare.returncode == 0, bare.stderr
+    result, modules = _run_cold(
+        "eval", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+        "--x", "0.3", "--n", "5", "--rep", "4f3")
+    assert result.returncode == EXIT_OK, result.stderr
+    assert not (modules - set(bare.stdout.split())) & _HEAVY_MODULES
+
+
+def test_cold_escalating_eval_imports_fractions_and_keeps_its_value():
+    # This double sum's condition estimate passes the escalation threshold,
+    # so its value comes from the exact engine.
+    result, modules = _run_cold(
+        "eval", "--family", "laguerre", "--alpha", "0.5", "--x", "2.5",
+        "--n", "25", "--rep", "3f2")
+    assert result.returncode == EXIT_OK, result.stderr
+    assert "fractions" in modules
+    assert result.stdout.splitlines()[-1] == (
+        "laguerre,3f2,25,2.5,0,-0.33917090885152401,0,26,"
+        "1.3093375589133081e-15")
+
+
+# One valid command line per subcommand.
+PARSER_SAMPLES = [
+    ["eval", "--family", "meixner", "--beta", "1.5", "--c", "0.4", "--x",
+     "0.5+0.1j", "--n", "3", "--rep", "4f3", "--output", "json"],
+    ["table", "--family", "charlier", "--a", "2", "--x", "0.5", "1.5",
+     "--n-max", "4", "--seed", "7"],
+    ["verify", "--set", "finite-sums", "--n-max", "5", "--rel-tol", "1e-9"],
+    ["gf-check", "--family", "laguerre", "--alpha", "0.7", "--t", "0.1",
+     "--forms", "plain"],
+    ["mh-study", "--family", "charlier", "--a", "1", "--x", "-0.5",
+     "--checkpoints", "50", "100", "--out", "study.csv"],
+]
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, Namespace) of parsing ``argv``; the code
+    is None when parsing returns, and the Namespace None when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), None
+    return None, out.getvalue(), err.getvalue(), args
+
+
+@pytest.mark.parametrize("argv", PARSER_SAMPLES, ids=lambda argv: argv[0])
+def test_one_subcommand_parser_matches_the_full_parser(argv):
+    command = argv[0]
+    full = build_parser()
+    help_full = _parse(full, [command, "--help"])
+    assert help_full[0] == 0 and help_full[1].startswith("usage: assocpoly")
+    assert _parse(build_parser(command), [command, "--help"]) == help_full
+    parsed = _parse(build_parser(command), argv)
+    assert parsed[0] is None
+    assert parsed == _parse(full, argv)
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["--help"], 0, "{eval,table,verify,gf-check,mh-study}"),
+    (["bogus"], 2, "invalid choice: 'bogus'"),
+    (["eval"], 2, "the following arguments are required: --family, --n"),
+    ([], 2, "the following arguments are required: command"),
+], ids=["help", "bogus", "eval-no-flags", "empty"])
+def test_main_prints_what_the_full_parser_prints(capsys, argv, code, text):
+    expected = _parse(build_parser(), argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out, err) == expected[:3]
+    assert expected[0] == code
+    assert text in out + err
 
 
 def _perfbench_spans():
