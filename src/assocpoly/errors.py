@@ -35,21 +35,21 @@ class Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         # The tuple of a record's fields; every record has two or more.
-        cls._fields = staticmethod(attrgetter(*cls.__slots__))
+        cls._field_values = staticmethod(attrgetter(*cls.__slots__))
 
     def _replace(self, **changes):
         """A record of the same class with the fields in ``changes`` replaced."""
-        fields = dict(zip(self.__slots__, self._fields(self)))
+        fields = dict(zip(self.__slots__, self._field_values(self)))
         fields.update(changes)
         return self.__class__(**fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields(self) == other._fields(other)
+            return self._field_values(self) == other._field_values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields(self))
+        return hash(self._field_values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -63,7 +63,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._fields(self)
+        return self.__class__, self._field_values(self)
 
 
 class AssocPolyError(Exception):
