@@ -85,6 +85,8 @@ __all__ = [
 ]
 
 _AUTO_N_CAP = 960
+# First truncation order of the weighted classical identity's left side.
+_WEIGHTED_N_START = 60
 
 
 class Normalization(enum.Enum):
@@ -187,21 +189,31 @@ def _normalizer_ratio(spec, n):
     return c_factor * (n + g) / ((n + 1.0 + g) * (n + 1.0))
 
 
-def _check_weight_poles(spec):
-    if spec.normalization is not Normalization.WEIGHTED:
+def _check_normalizer_poles(spec):
+    """Raise DomainError at a normalizer divisor within 1e-6 of 0: n+gamma
+    (n <= N) in the weighted chain, gamma+beta+n (n < N) in (gamma+beta)_n."""
+    params = spec.family
+    top = spec.truncation_N
+    if spec.normalization is Normalization.WEIGHTED:
+        g = spec.weight_gamma if spec.weight_gamma is not None else params.gamma
+        top, what, whose = top + 1, "gamma", "weight gamma"
+    elif (spec.normalization is Normalization.BY_GAMMA_BETA
+          and isinstance(params, MeixnerParams)):
+        g = params.gamma + params.beta
+        what = whose = "gamma+beta"
+    else:
         return
-    g = spec.weight_gamma if spec.weight_gamma is not None else spec.family.gamma
-    for n in range(spec.truncation_N + 1):
+    for n in range(top):
         if abs(n + g) < 1e-6:
             raise DomainError(
-                f"weighted normalization has a vanishing denominator n+gamma "
-                f"at n={n} for weight gamma={g!r}"
+                f"{spec.normalization.value} normalization has a vanishing "
+                f"denominator n+{what} at n={n} for {whose}={g!r}"
             )
 
 
 def _lhs_sum(spec):
     """(partial sum, |last term|) of the truncated generating series."""
-    _check_weight_poles(spec)
+    _check_normalizer_poles(spec)
     seq = _family_sequence(spec)
     acc = Accumulator()
     weight = 1.0
@@ -489,8 +501,7 @@ def gf_weighted_laguerre_diag(x, alpha, t):
     return _power(1.0 - t, -alpha) * kummer_1f1(alpha, alpha + 1.0, z).value
 
 
-def weighted_classical_gf(x, params, t, rel_tol=1e-9, n_start=60,
-                          weight_gamma=None):
+def weighted_classical_gf(x, params, t, rel_tol=1e-9, weight_gamma=None):
     """Weighted classical generating-function identity as a report.
 
     Compares the auto-truncated partial sum of the family's classical
@@ -503,7 +514,7 @@ def weighted_classical_gf(x, params, t, rel_tol=1e-9, n_start=60,
     IdentityReport
     """
     spec = GFSpec(
-        params, x, t, Normalization.WEIGHTED, n_start, weight_gamma
+        params, x, t, Normalization.WEIGHTED, _WEIGHTED_N_START, weight_gamma
     )
     g = weight_gamma if weight_gamma is not None else params.gamma
     lhs, n_used = gf_lhs_auto(spec, rel_tol)
@@ -635,7 +646,7 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400):
         gamma + beta, None, None, t, rel_tol, max_terms,
         "c = 1 reduction series did not converge in {max_terms} terms "
         "at t={z!r}", inner,
-    )[0]
+    ).value
     rhs = _power(1.0 - t, -beta) * gauss_2f1(
         2.0 - beta, gamma, gamma + 1.0, t
     ).value

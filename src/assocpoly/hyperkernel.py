@@ -13,11 +13,13 @@ alternating binary64 sums here lose digits without it.  One driver,
 c = 1 reduction chain of :mod:`assocpoly.genfuncs`).  A caller gives it
 the parameters of the coefficient ratio, plus, for F1, Phi1 and the
 chain, the inner value that multiplies each coefficient; it steps
-the coefficients in one loop with no generator.  Its one stopping
+the coefficients in one loop with no generator and returns the
+:class:`EvalOutcome` that its callers hand on as it is.  Its one stopping
 rule ends summation once two consecutive terms are below ``rel_tol``
 times the running partial sum, and it raises
 :class:`~assocpoly.errors.NotConverged` (carrying the partial outcome)
-if ``max_terms`` is hit first.
+if ``max_terms`` is hit first.  ``SeriesConfig`` holds the only settings;
+``_ONE_EXCLUSION``, ``_QUAD_TOL`` and ``_QUAD_LEVELS`` are constants.
 
 One engine, ``_resum``, sums every terminating series: those of
 ``hyp_terminating`` (the terminating 2F1 and 1F1 branches and the inner
@@ -84,6 +86,9 @@ _NONPOS_INT_TOL = 1e-9
 _POLE_TOL = 1e-12
 _NEAR_INT_TOL = 1e-6
 _INT_TOL = 1e-8
+_ONE_EXCLUSION = 0.05  # gauss_2f1 refuses |1 - z| below it if Re(c-a-b) <= 0
+_QUAD_TOL = 1e-13  # relative target of the tanh-sinh quadrature
+_QUAD_LEVELS = 12  # its grid halvings before QuadratureNotConverged
 
 
 class SeriesConfig(Record):
@@ -867,24 +872,25 @@ def _sum_series(a, b, c, z, rel_tol, max_terms, message, inner=None):
     The coefficients start at 1 and step as ``coef * (a + m) * (b + m) /
     ((c + m) * (m + 1)) * z``; ``b`` or ``c`` set to ``None`` drops its
     factor.  Without ``inner`` the terms are the coefficients: the leading
-    1 starts the sum and each later term costs 1.  With ``inner``, term m
-    is ``coef * inner(m).value`` and costs ``inner(m).terms_used``, and the
-    series ends exactly at a zero coefficient.  Summation ends once two
-    consecutive terms are at most ``rel_tol`` times the running sum.
+    1 starts the sum and each term, the 1 included, costs 1.  With ``inner``,
+    term m is ``coef * inner(m).value`` and costs ``inner(m).terms_used``,
+    and the series ends exactly at a zero coefficient.  Summation ends once
+    two consecutive terms are at most ``rel_tol`` times the running sum.
 
-    Returns ``(value, cost, err)``: ``cost`` sums the costs of the terms
-    taken, and ``err`` is the larger magnitude of the last two terms, or
-    0.0 for a series that ended exactly.  After ``max_terms`` terms raises
-    :class:`~assocpoly.errors.NotConverged` with the partial outcome and
+    Returns the :class:`EvalOutcome`, whose ``terms_used`` sums the costs of
+    the terms taken and ``err_estimate`` is the larger magnitude of the last
+    two terms, or 0.0 for a series that ended exactly.  After ``max_terms``
+    terms raises :class:`~assocpoly.errors.NotConverged` with the partial
+    outcome (its cost leaves out the leading 1) and
     ``message.format(max_terms=max_terms, z=z)``.
     """
     coef = 1.0
     comp = 0.0
-    used = small = 0
+    small = 0
     if inner is None:
-        total = prev_abs = 1.0
+        total, prev_abs, used = 1.0, 1.0, 1
     else:
-        total, prev_abs = 0.0, math.inf
+        total, prev_abs, used = 0.0, math.inf, 0
     for m in range(max_terms):
         if inner is not None:
             out = inner(m)
@@ -908,28 +914,17 @@ def _sum_series(a, b, c, z, rel_tol, max_terms, message, inner=None):
         if t_abs <= rel_tol * abs(total):
             small += 1
             if small >= 2:
-                return total, used, max(t_abs, prev_abs)
+                return EvalOutcome(total, True, used, max(t_abs, prev_abs))
         else:
             small = 0
         prev_abs = t_abs
         if inner is not None and coef == 0:
-            return total, used, 0.0
+            return EvalOutcome(total, True, used, 0.0)
     raise NotConverged(
         message.format(max_terms=max_terms, z=z),
-        outcome=EvalOutcome(total, False, used, prev_abs),
+        outcome=EvalOutcome(total, False,
+                            max_terms if inner is None else used, prev_abs),
     )
-
-
-def _coef_series(a, b, c, x, inner, cfg, name):
-    """Sum over m of ``(a)_m (b)_m / ((c)_m m!) x^m inner(m).value``.
-
-    This is the shape of the F1 and Phi1 series.
-    """
-    value, used, err = _sum_series(
-        a, b, c, x, cfg.rel_tol, cfg.max_terms,
-        name + " series did not converge in {max_terms} terms", inner,
-    )
-    return EvalOutcome(value, True, max(used, 1), err)
 
 
 # ---------------------------------------------------------------------------
@@ -938,11 +933,10 @@ def _coef_series(a, b, c, x, inner, cfg, name):
 
 
 def _series_2f1(a, b, c, z, cfg):
-    value, used, err = _sum_series(
+    return _sum_series(
         a, b, c, z, cfg.rel_tol, cfg.max_terms,
         "2F1 series did not converge in {max_terms} terms at z={z!r}",
     )
-    return EvalOutcome(value, True, used + 1, err)
 
 
 def _scaled_outcome(factor, inner):
@@ -959,28 +953,21 @@ def _connection_2f1(a, b, c, z, cfg):
     w = 1.0 / (1.0 - z)
     terms_used = 0
     err = 0.0
-    coef1 = _gamma_quotient([c, b - a], [b, c - a])
-    if coef1 == 0:
-        term1 = 0.0
-    else:
-        inner = _series_2f1(a, c - b, a - b + 1.0, w, cfg)
+    terms = []
+    for p, q in ((a, b), (b, a)):
+        coef = _gamma_quotient([c, q - p], [q, c - p])
+        if coef == 0:
+            terms.append(0.0)
+            continue
+        inner = _series_2f1(p, c - q, p - q + 1.0, w, cfg)
         terms_used += inner.terms_used
-        scale = coef1 * _power(1.0 - z, -a)
-        term1 = scale * inner.value
+        scale = coef * _power(1.0 - z, -p)
+        terms.append(scale * inner.value)
         err += abs(scale) * inner.err_estimate
-    coef2 = _gamma_quotient([c, a - b], [a, c - b])
-    if coef2 == 0:
-        term2 = 0.0
-    else:
-        inner = _series_2f1(b, c - a, b - a + 1.0, w, cfg)
-        terms_used += inner.terms_used
-        scale = coef2 * _power(1.0 - z, -b)
-        term2 = scale * inner.value
-        err += abs(scale) * inner.err_estimate
-    return EvalOutcome(term1 + term2, True, max(terms_used, 1), err)
+    return EvalOutcome(terms[0] + terms[1], True, max(terms_used, 1), err)
 
 
-def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
+def gauss_2f1(a, b, c, z, cfg=None):
     """Gauss hypergeometric function 2F1(a, b; c; z).
 
     The evaluation ladder, in order: exact elementary cases
@@ -993,7 +980,8 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
     ``|1-z| >= 2`` when ``a - b`` stays at least 1e-6 away from the
     integers, then the slow direct and transformed series up to radius
     0.95, and finally the direct series on the rest of the open unit
-    disk when ``Re(c-a-b) > 0`` (absolutely convergent there).
+    disk when ``Re(c-a-b) > 0`` (absolutely convergent there).  With
+    ``Re(c-a-b) <= 0``, ``|1-z| < _ONE_EXCLUSION`` (0.05) is refused.
 
     Parameters
     ----------
@@ -1005,10 +993,6 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
         Argument.
     cfg : SeriesConfig, optional
         Series tolerances.
-    one_exclusion_radius : float, optional
-        Radius of the disk around ``z = 1`` inside which evaluation is
-        refused (raising :class:`~assocpoly.errors.DomainError`) when
-        ``Re(c-a-b) <= 0``.
 
     Returns
     -------
@@ -1036,7 +1020,7 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
             val = _gamma_quotient([c, s], [c - a, c - b])
             return EvalOutcome(val, True, 1, 0.0)
         raise DomainError("2F1 at z=1 requires Re(c-a-b) > 0")
-    if abs(1.0 - z) < one_exclusion_radius and _real(s) <= 0:
+    if abs(1.0 - z) < _ONE_EXCLUSION and _real(s) <= 0:
         raise DomainError(
             f"2F1 argument z={z!r} is inside the exclusion disk around 1 "
             "with Re(c-a-b) <= 0"
@@ -1074,11 +1058,10 @@ def gauss_2f1(a, b, c, z, cfg=None, one_exclusion_radius=0.05):
 
 
 def _series_1f1(a, b, z, cfg):
-    value, used, err = _sum_series(
+    return _sum_series(
         a, None, b, z, cfg.rel_tol, cfg.max_terms,
         "1F1 series did not converge in {max_terms} terms at z={z!r}",
     )
-    return EvalOutcome(value, True, used + 1, err)
 
 
 def kummer_1f1(a, b, z, cfg=None):
@@ -1116,10 +1099,10 @@ def kummer_1f1(a, b, z, cfg=None):
 
 
 def _f1_series(alpha, beta1, beta2, sigma, x, y, cfg):
-    return _coef_series(
-        alpha, beta1, sigma, x,
-        lambda m: gauss_2f1(alpha + m, beta2, sigma + m, y, cfg), cfg,
-        "Appell F1",
+    return _sum_series(
+        alpha, beta1, sigma, x, cfg.rel_tol, cfg.max_terms,
+        "Appell F1 series did not converge in {max_terms} terms",
+        lambda m: gauss_2f1(alpha + m, beta2, sigma + m, y, cfg),
     )
 
 
@@ -1174,9 +1157,10 @@ def humbert_phi1(alpha1, lam, alpha2, x, y, cfg=None):
         )
     if abs(x) >= 1.0:
         raise DomainError(f"Phi1 requires |x| < 1, got x={x!r}")
-    return _coef_series(
-        alpha1, lam, alpha2, x,
-        lambda m: kummer_1f1(alpha1 + m, alpha2 + m, y, cfg), cfg, "Phi1",
+    return _sum_series(
+        alpha1, lam, alpha2, x, cfg.rel_tol, cfg.max_terms,
+        "Phi1 series did not converge in {max_terms} terms",
+        lambda m: kummer_1f1(alpha1 + m, alpha2 + m, y, cfg),
     )
 
 
@@ -1207,7 +1191,7 @@ class EulerIntegrand(Record):
 
 
 def _tanh_sinh_node(s):
-    """Return (u, 1-u, log u, log(1-u), log w) for the tanh-sinh map on (0,1)."""
+    """Return (u, 1-u, log u, log w) for the tanh-sinh map on (0,1)."""
     q = 0.5 * math.pi * math.sinh(s)
     m2q = -2.0 * abs(q)
     em = math.exp(m2q)
@@ -1216,18 +1200,16 @@ def _tanh_sinh_node(s):
         u = 1.0 / (1.0 + em)
         one_minus_u = em / (1.0 + em)
         log_u = -log1pem
-        log_1mu = m2q - log1pem
     else:
         u = em / (1.0 + em)
         one_minus_u = 1.0 / (1.0 + em)
         log_u = m2q - log1pem
-        log_1mu = -log1pem
     log_w = math.log(math.pi * math.cosh(s)) + m2q - 2.0 * log1pem
-    return u, one_minus_u, log_u, log_1mu, log_w
+    return u, one_minus_u, log_u, log_w
 
 
 def _euler_node_value(spec, s):
-    u, one_minus_u, log_u, _log_1mu, log_w = _tanh_sinh_node(s)
+    u, one_minus_u, log_u, log_w = _tanh_sinh_node(s)
     expo = (spec.gamma - 1.0) * log_u + log_w
     if spec.exp_scale != 0:
         expo = expo + spec.exp_scale * u
@@ -1239,11 +1221,13 @@ def _euler_node_value(spec, s):
     return val
 
 
-def euler_integral(spec, cfg=None, max_levels=12):
+def euler_integral(spec):
     """Integral over (0, 1) of an :class:`EulerIntegrand`.
 
-    Uses tanh-sinh quadrature with level doubling; endpoint
-    singularities of the ``u^(gamma-1)`` type are handled in log space.
+    Uses tanh-sinh quadrature with level doubling to a relative
+    ``_QUAD_TOL`` (1e-13), raising QuadratureNotConverged after
+    ``_QUAD_LEVELS`` (12) levels; endpoint singularities of the
+    ``u^(gamma-1)`` type are handled in log space.
 
     Parameters
     ----------
@@ -1252,17 +1236,11 @@ def euler_integral(spec, cfg=None, max_levels=12):
         :class:`~assocpoly.errors.DomainError`; a real factor base
         ``>= 1`` puts a zero of the factor on (0, 1] and raises
         :class:`~assocpoly.errors.SingularIntegrand`.
-    cfg : SeriesConfig, optional
-        ``rel_tol`` (floored at 1e-13) is the refinement target.
-    max_levels : int, optional
-        Maximum number of grid halvings before
-        :class:`~assocpoly.errors.QuadratureNotConverged` is raised.
 
     Returns
     -------
     EvalOutcome
     """
-    cfg = cfg or _DEFAULT_CFG
     re_gamma = _real(spec.gamma)
     if re_gamma <= 0:
         raise DomainError(f"Euler integral requires Re(gamma) > 0, got {spec.gamma!r}")
@@ -1282,8 +1260,7 @@ def euler_integral(spec, cfg=None, max_levels=12):
         total.add(_euler_node_value(spec, k * h))
         nodes += 1
     prev_val = total.value * h
-    tol = max(cfg.rel_tol, 1e-13)
-    for _level in range(1, max_levels + 1):
+    for _level in range(_QUAD_LEVELS):
         h *= 0.5
         n_half = int(round(tmax / h))
         for k in range(-n_half + 1, n_half, 2):
@@ -1291,9 +1268,9 @@ def euler_integral(spec, cfg=None, max_levels=12):
             nodes += 1
         cur_val = total.value * h
         delta = abs(cur_val - prev_val)
-        if delta <= tol * abs(cur_val):
+        if delta <= _QUAD_TOL * abs(cur_val):
             return EvalOutcome(cur_val, True, nodes, delta)
         prev_val = cur_val
     raise QuadratureNotConverged(
-        f"tanh-sinh refinement did not converge within {max_levels} levels"
+        f"tanh-sinh refinement did not converge within {_QUAD_LEVELS} levels"
     )

@@ -312,6 +312,9 @@ def positivity_product(params, n):
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be an integer >= 1")
+    if not isinstance(params, (MeixnerParams, CharlierParams, LaguerreParams,
+                               MeixnerPollaczekParams)):
+        raise TypeError(f"unsupported parameter type {type(params)!r}")
     s = n + params.gamma
     if isinstance(params, MeixnerParams):
         c = params.c
@@ -320,9 +323,7 @@ def positivity_product(params, n):
         return params.a * s
     if isinstance(params, LaguerreParams):
         return s * (s + params.alpha)
-    if isinstance(params, MeixnerPollaczekParams):
-        return 4.0 * math.sin(params.phi) ** 2 * s * (s + 2.0 * params.nu - 1.0)
-    raise TypeError(f"unsupported parameter type {type(params)!r}")
+    return 4.0 * math.sin(params.phi) ** 2 * s * (s + 2.0 * params.nu - 1.0)
 
 
 def positivity_check(params, n):

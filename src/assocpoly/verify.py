@@ -20,9 +20,9 @@ seeded random points and returns a list of
   random points.
 - ``all``: the union, in the order above.
 
-With the default counts, the randomized identities draw exactly 200
-points per run (reflection 40, degenerate 20, free-argument double sum
-60, two-term evaluation 50, t-powered companion 30), reproducible from
+The randomized identities draw exactly 200 points per run (reflection
+40, degenerate 20, free-argument double sum 60, two-term evaluation 50,
+t-powered companion 30; the ``_*_POINTS`` constants), reproducible from
 the seed.
 """
 
@@ -55,6 +55,12 @@ __all__ = [
     "verify_finite_sums",
     "summarize",
 ]
+
+_REFLECTION_POINTS = 40
+_DEGENERATE_POINTS = 20
+_FREE_ARGUMENT_POINTS = 60
+_TWO_TERM_POINTS = 50
+_T_POWERED_POINTS = 30
 
 _MEIXNER_BETAS = (0.5, 1.5, 2.5)
 _MEIXNER_CS = (0.2, 0.4, 0.8)
@@ -156,8 +162,7 @@ def verify_representations(rel_tol=1e-8, n_max=25):
     return reports
 
 
-def verify_transformations(rel_tol=1e-8, seed=0, reflection_points=40,
-                           degenerate_points=20):
+def verify_transformations(rel_tol=1e-8, seed=0):
     """Kernel transformation invariants plus reflection and c = 1 checks.
 
     Returns
@@ -229,7 +234,7 @@ def verify_transformations(rel_tol=1e-8, seed=0, reflection_points=40,
         )
     rng = random.Random(seed)
     # Reflection identity at random points.
-    for _ in range(reflection_points):
+    for _ in range(_REFLECTION_POINTS):
         beta = rng.uniform(0.2, 3.0)
         c = rng.uniform(0.15, 0.9)
         gamma = rng.uniform(0.0, 3.0)
@@ -242,7 +247,7 @@ def verify_transformations(rel_tol=1e-8, seed=0, reflection_points=40,
         reports.append(make_report("meixner-reflection", point, lhs, rhs,
                                    rel_tol))
     # Degenerate c = 1 value and its x-independence.
-    for _ in range(degenerate_points):
+    for _ in range(_DEGENERATE_POINTS):
         beta = rng.uniform(0.2, 3.0)
         if abs(beta - 1.0) < 1e-3:
             beta += 0.1
@@ -300,8 +305,7 @@ def verify_convolutions(rel_tol=1e-8):
     return reports
 
 
-def verify_finite_sums(rel_tol=1e-9, seed=0, free_argument_points=60,
-                       two_term_points=50, t_powered_points=30):
+def verify_finite_sums(rel_tol=1e-9, seed=0):
     """Terminating-sum identities at seeded random points.
 
     Returns
@@ -320,7 +324,7 @@ def verify_finite_sums(rel_tol=1e-9, seed=0, free_argument_points=60,
                 continue
             return b
 
-    for _ in range(free_argument_points):
+    for _ in range(_FREE_ARGUMENT_POINTS):
         n = rng.randint(1, 18)
         a = rng.uniform(0.1, 3.0)
         b = draw_b_away_from(a, -0.9, 3.0)
@@ -331,12 +335,12 @@ def verify_finite_sums(rel_tol=1e-9, seed=0, free_argument_points=60,
             if abs(ay - round(ay)) > 1e-3 or round(ay) > 0 or round(ay) < -(n - 1):
                 break
         reports.append(identity_4f3_finite_sum(n, a, b, t, y, rel_tol))
-    for _ in range(two_term_points):
+    for _ in range(_TWO_TERM_POINTS):
         n = rng.randint(1, 30)
         a = rng.uniform(0.05, 4.0)
         b = draw_b_away_from(a, 0.05, 4.0)
         reports.append(identity_3f2_pochhammer(n, a, b, min(rel_tol, 1e-10)))
-    for _ in range(t_powered_points):
+    for _ in range(_T_POWERED_POINTS):
         n = rng.randint(1, 20)
         a = rng.uniform(0.05, 3.0)
         b = draw_b_away_from(a, 0.05, 3.0)

@@ -533,6 +533,19 @@ def test_gf_check_zero_shift_uses_elementary_forms(capsys):
                    "gf-charlier-ode"}
 
 
+def test_gf_check_gamma_beta_pole_exits_validation(capsys):
+    code, out, err = run_cli(
+        capsys, "gf-check", "--family", "meixner", "--forms", "appell",
+        "--beta", "-3", "--c", "0.5", "--gamma", "1", "--x", "0.5",
+        "--t", "0",
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == (
+        "assocpoly: invalid input: by-gamma-beta normalization has a "
+        "vanishing denominator n+gamma+beta at n=2 for gamma+beta=-2.0\n")
+
+
 def test_gf_check_explicit_inapplicable_form_exits_validation(capsys):
     code, _, err = run_cli(
         capsys, "gf-check", "--family", "meixner", "--beta", "1.5", "--c",

@@ -274,6 +274,17 @@ def test_weighted_normalization_rejects_weight_pole():
         weighted_classical_gf(0.5, CharlierParams(2.0, 0.7), 0.1, weight_gamma=-2.0)
 
 
+@pytest.mark.parametrize("beta, gamma", [(-3.0, 1.0), (-2.5, 0.5)])
+def test_gamma_beta_normalization_rejects_its_pole(beta, gamma):
+    # gamma+beta+2 = 0, so the weight 1/(gamma+beta)_3 divides by zero.
+    spec = GFSpec(MeixnerParams(beta, 0.5, gamma), 0.5, 0.1, "by-gamma-beta")
+    with pytest.raises(DomainError) as info:
+        gf_lhs_partial(spec)
+    assert str(info.value) == (
+        "by-gamma-beta normalization has a vanishing denominator "
+        "n+gamma+beta at n=2 for gamma+beta=-2.0")
+
+
 def test_normalization_values_are_stable():
     assert Normalization.BY_GAMMA_BETA.value == "by-gamma-beta"
     assert Normalization.BY_GAMMA_ONE.value == "by-gamma-one"

@@ -24,6 +24,7 @@ from assocpoly import (
     IllConditioned,
     NotConverged,
     PoleArgument,
+    QuadratureNotConverged,
     SeriesConfig,
     SingularIntegrand,
     ZeroPochhammer,
@@ -461,6 +462,57 @@ def test_euler_integral_nonpositive_gamma_raises():
 def test_euler_integral_singular_base_raises():
     with pytest.raises(SingularIntegrand):
         euler_integral(EulerIntegrand(1.0, ((1.0, -0.5),)))
+
+
+def test_euler_integral_raises_once_its_levels_run_out(monkeypatch):
+    monkeypatch.setattr(hyperkernel, "_QUAD_LEVELS", 1)
+    with pytest.raises(QuadratureNotConverged) as info:
+        euler_integral(EulerIntegrand(1.5, ((0.3, 2.2), (0.8, -0.6)), 0.4))
+    assert str(info.value) == (
+        "tanh-sinh refinement did not converge within 1 levels")
+
+
+# ---------------------------------------------------------------------------
+# Refusal branches of the kernels
+# ---------------------------------------------------------------------------
+
+
+_REFUSALS = {
+    "2f1-at-one": (
+        lambda: gauss_2f1(1, 1, 1.5, 1.0), DomainError,
+        "2F1 at z=1 requires Re(c-a-b) > 0"),
+    "2f1-exclusion-disk": (
+        lambda: gauss_2f1(1, 1, 1.5, 0.99), DomainError,
+        "2F1 argument z=0.99 is inside the exclusion disk around 1 with "
+        "Re(c-a-b) <= 0"),
+    "2f1-connection-near-integer": (
+        lambda: gauss_2f1(0.3, 1.3, 2.0, 1 + 2j), IllConditioned,
+        "only the 1/(1-z) connection formula reaches z=(1+2j), but "
+        "a-b=-1.0 is within 1e-6 of an integer"),
+    "2f1-no-route": (
+        lambda: gauss_2f1(0.3, 0.7, 1.5, 1.5), DomainError,
+        "no evaluation route for 2F1 at z=1.5"),
+    "1f1-pole": (
+        lambda: kummer_1f1(0.5, -2.0, 1.0), PoleArgument,
+        "1F1 denominator parameter b=-2.0 is a gamma pole"),
+    "f1-pole": (
+        lambda: appell_f1(0.5, 0.5, 0.5, -1.0, 0.2, 0.2), PoleArgument,
+        "F1 denominator parameter sigma=-1.0 is a gamma pole"),
+    "f1-singular-transformation": (
+        lambda: appell_f1(0.5, 0.5, 0.5, 1.5, 1.0, 0.2), DomainError,
+        "F1 transformation is singular at x=1 or y=1"),
+    "terminating-without-degree": (
+        lambda: hyp_terminating([0.5, 1.0], [2.0], 0.5, 3), ValueError,
+        "no numerator parameter matches -top_index = -3"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_kernel_refusal_branches(name):
+    call, error, message = _REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,13 @@ def test_orthogonal_regime_flag():
     assert MeixnerParams(1.5, 0.4, 0.7).in_orthogonal_regime
     assert not MeixnerParams(1.5, 1.0, 0.7).in_orthogonal_regime
     assert not MeixnerParams(1.5, -0.4, 0.0).in_orthogonal_regime
+    assert not MeixnerParams(1.5, 0.4 + 0.1j, 0.7).in_orthogonal_regime
+    assert MeixnerParams(1.5, 0.4 + 0j, 0.7).in_orthogonal_regime
+    assert not CharlierParams(-1.0, 0.5).in_orthogonal_regime
+    assert not CharlierParams(2 + 1j, 0.5).in_orthogonal_regime
+    assert not LaguerreParams(-1.5, 0.3).in_orthogonal_regime
+    assert not MeixnerPollaczekParams(-0.7, 1.0, 0.5).in_orthogonal_regime
+    assert MeixnerPollaczekParams(-0.2, 1.0, 1.5).in_orthogonal_regime
 
 
 def test_classical_helper_zeroes_gamma():
@@ -183,6 +190,13 @@ def test_positivity_check_regimes():
     # 2 nu + gamma < 1
     assert positivity_check(MeixnerPollaczekParams(0.3, 0.7, 0.0), 5)
     assert not positivity_check(MeixnerPollaczekParams(-0.6, 0.7, 0.0), 1)
+    # a complex product is never positive
+    assert not positivity_check(MeixnerParams(1.5, 0.4 + 0.1j, 0.7), 5)
+
+
+def test_positivity_product_rejects_other_types():
+    with pytest.raises(TypeError, match="unsupported parameter type"):
+        positivity_product(object(), 1)
 
 
 # ---------------------------------------------------------------------------
