@@ -22,6 +22,8 @@ def test_checkout_matches_itself():
 def test_stub_package_differs(tmp_path):
     package = tmp_path / "src" / "assocpoly"
     package.mkdir(parents=True)
+    # A regular package, so it wins over an installed copy of the real one.
+    (package / "__init__.py").write_text("")
     (package / "__main__.py").write_text("print('stub')\n")
     out = io.StringIO()
     assert same_outputs.compare(tmp_path, ROOT, _CHEAP, out) == 2
@@ -38,5 +40,7 @@ def test_first_difference_names_the_stream():
             == "stdout line 2: 'b' -> 'c'")
     assert (same_outputs.first_difference(same, ("a\n", "", 0))
             == "stdout line 2: 2 lines -> 1 lines")
+    assert (same_outputs.first_difference(same, ("a\nb", "", 0))
+            == "stdout ends 'a\\nb\\n' -> 'a\\nb'")
     assert (same_outputs.first_difference(same, ("a\nb\n", "", 2))
             == "exit code 0 -> 2")
