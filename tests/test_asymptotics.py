@@ -237,3 +237,27 @@ def test_meixner_correction_ratio_is_stable_across_checkpoints():
     study = mh_convergence_study(0.4, MEIXNER, CHECKPOINTS)
     ratios = study.second_term_ratios
     assert max(ratios) <= 10.0 * min(ratios)
+
+
+# ---------------------------------------------------------------------------
+# Bit pinning of the convergence studies
+# ---------------------------------------------------------------------------
+
+
+_STUDY_CASES = [(0.3, MEIXNER), (-0.8, MEIXNER), (-1.1 + 0.2j, MEIXNER),
+                (0.3, CHARLIER), (-1.1 + 0.2j, CHARLIER)]
+
+# repr of each pinned study.
+_STUDY_PINNED = [
+    'MHStudy(samples=((50, 0.4745499183296107, 0.01519038684756746), (100, 0.46673073860653214, 0.00737120712448891), (200, 0.46299276030586295, 0.003633228823819723), (400, 0.4611634608386893, 0.0018039293566460834)), limit=0.4593595314820432, monotone_tail=True, second_term_ratios=(1023324536197407.8, 9.137357365659789e+33, 6.537513869942476e+72, 2.9320957067532186e+151))',
+    'MHStudy(samples=((50, 1.7282300838654332, 0.003233153966806679), (100, 1.7266100151224868, 0.0016130852238602778), (200, 1.7258026763854497, 0.0008057464868231889), (400, 1.725399613213892, 0.00040268331526549517)), limit=1.7249969298986265, monotone_tail=True, second_term_ratios=(6.508513892676488e+17, 2.7454667957483057e+37, 9.146631235429418e+76, 1.8972786464951178e+156))',
+    'MHStudy(samples=((50, (1.482423773635429+0.2031824664213701j), 0.001982054949206646), (100, (1.4832914948672102+0.20271141009025367j), 0.0009947307970955368), (200, (1.4837264828858174+0.20247222162807021j), 0.0004983195439858429), (400, (1.4839442790593307+0.2023517020494006j), 0.00024940179744550737)), limit=(1.4841622841355842+0.20223056145629997j), monotone_tail=True, second_term_ratios=None)',
+    'MHStudy(samples=((50, -0.35430892000842834, 0.013932061403402751), (100, -0.3471733468914447, 0.0067964882864191), (200, -0.3437347040952051, 0.003357845490179534), (400, -0.3420459139562191, 0.0016690553511934936)), limit=-0.3403768586050256, monotone_tail=True, second_term_ratios=None)',
+    'MHStudy(samples=((50, (2.9868450669901523+0.03264761076499314j), 0.02005473057838142), (100, (2.9914637435022384+0.023758424737990835j), 0.010037381661099685), (200, (2.9937526430154358+0.019295243112514314j), 0.005021517306482247), (400, (2.9948921334330247+0.017058787368061115j), 0.0025115047558976885)), limit=(2.9960283714657505+0.014819006291285047j), monotone_tail=True, second_term_ratios=None)',
+]
+
+
+def test_convergence_studies_are_bit_pinned():
+    got = [repr(mh_convergence_study(x, params, CHECKPOINTS))
+           for x, params in _STUDY_CASES]
+    assert got == _STUDY_PINNED

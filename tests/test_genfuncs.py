@@ -39,6 +39,7 @@ from assocpoly import (
     laguerre_diag_derivative_check,
     weighted_classical_gf,
 )
+from assocpoly import genfuncs
 
 
 def rel(a, b):
@@ -423,3 +424,81 @@ def test_laguerre_diag_derivative_link():
     report = laguerre_diag_derivative_check()
     assert report.passed
     assert report.rel_discrepancy < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Bit pinning of the left-hand partial sums
+# ---------------------------------------------------------------------------
+
+
+def _lhs_pinned_specs():
+    """A left side for each normalization and family, at real and complex x."""
+    families = (
+        (MeixnerParams(1.5, 0.4, 0.3713),
+         ("by-gamma-beta", "by-gamma-one", "by-factorial", "plain")),
+        (CharlierParams(1.3, 0.3713),
+         ("by-gamma-one", "by-factorial", "plain", "by-gamma-beta")),
+        (LaguerreParams(0.8, 0.3713), ("by-gamma-one", "by-factorial", "plain")),
+    )
+    specs = []
+    for params, norms in families:
+        for x, t in ((0.3, 0.3), (0.7 + 0.4j, 0.2 + 0.1j)):
+            specs += [GFSpec(params, x, t, norm, 30) for norm in norms]
+            specs += [GFSpec(params, x, t, "weighted", 30, weight)
+                      for weight in (None, -0.4, 1.2 + 0.3j)]
+    return specs
+
+
+# repr of ``_lhs_sum(spec)`` for each pinned spec, or of the error it raised.
+_LHS_PINNED = [
+    '(1.1729634983901747, 6.34698034760408e-20)',
+    '(1.243160898562449, 3.3063772299515113e-19)',
+    '(1.3441451525101478, 1.3257286529392774e-18)',
+    '(-3.197319554517192e+26, 3.050106317923373e+26)',
+    '(1.035040960905776, 1.8688472647740912e-20)',
+    '(0.9144689076520148, 2.0657631307325363e-20)',
+    '((1.0719617390444176+0.007983541074275083j), 6.06014879491254e-20)',
+    '((1.0958523759238656+0.01019390941610382j), 3.3265937253097296e-23)',
+    '((1.1334869555989862+0.013271149874542445j), 1.7329459277143761e-22)',
+    '((1.1871053535833815+0.017186988046377763j), 6.948439063618515e-22)',
+    '((-1.531819190744056e+23-7.225501503477645e+22j), 1.5986286364604305e+23)',
+    '((1.0167996085081663-0.010676989091553358j), 1.9307810880082717e-24)',
+    '((0.9591400001155714+0.023994524612132848j), 2.1342227694595903e-24)',
+    '((1.0374069195123115-0.019034294126512107j), 6.2609828551974585e-24)',
+    '(1.2553801002261191, 5.176227861742387e-22)',
+    '(1.3565227170311476, 2.0754660201174707e-21)',
+    '(-647942737653.3586, 550523297279.1857)',
+    "ValueError('BY_GAMMA_BETA normalization applies to the Meixner family only')",
+    '(1.0652331583676071, 1.0467043373467436e-23)',
+    '(0.8417254105207297, 1.1569930136212122e-23)',
+    '((1.1344270344135103+0.015043365980118595j), 3.394169308623714e-23)',
+    '((1.1406968390910173+0.0008949971148424668j), 6.72215201553208e-26)',
+    '((1.1955056378435136-0.0014623959726632212j), 2.6953214701805473e-25)',
+    '((-86910673.74034448+5887716.051737572j), 71494172.80785896)',
+    "ValueError('BY_GAMMA_BETA normalization applies to the Meixner family only')",
+    '((1.0343102120651604-0.006661406401575132j), 8.708583370324627e-28)',
+    '((0.9163861333803173+0.014168939955951492j), 9.62618550291308e-28)',
+    '((1.0724540966794964-0.006796071114304356j), 2.8239499295544477e-27)',
+    '(1.4191840973122718, 4.507371649179195e-49)',
+    '(1.5916923430758079, 1.8072806970215723e-48)',
+    '(1.7552506805567918, 4.793863733683422e-16)',
+    '(1.152851508914545, 3.596578294114817e-18)',
+    '(0.6519783290026584, 3.975540953408746e-18)',
+    '((1.326053208309425+0.03959064830298824j), 1.1662697121224194e-17)',
+    '((1.2383253151605367+0.06449254700776545j), 2.77610590190583e-52)',
+    '((1.3324545696436214+0.09086458522034935j), 1.1131104776584633e-51)',
+    '((1.379932571574504+0.11127788706559043j), 2.952557374858215e-19)',
+    '((1.0808618097870581+0.008515536800843429j), 3.667867482454337e-21)',
+    '((0.8103590238314721-0.02067307125676951j), 4.054341709183418e-21)',
+    '((1.1678569594545654+0.037410046712653834j), 1.1893868013008256e-20)',
+]
+
+
+def test_lhs_partial_sums_are_bit_pinned():
+    got = []
+    for spec in _lhs_pinned_specs():
+        try:
+            got.append(repr(genfuncs._lhs_sum(spec)))
+        except Exception as exc:  # the pin covers the raised error too
+            got.append(repr(exc))
+    assert got == _LHS_PINNED

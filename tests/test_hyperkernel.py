@@ -472,6 +472,39 @@ def test_euler_integral_raises_once_its_levels_run_out(monkeypatch):
         "tanh-sinh refinement did not converge within 1 levels")
 
 
+# Integrands with every real and complex combination of gamma, factor base,
+# exponent and exponential scale, including a complex zero scale.
+_EULER_PINNED_CASES = [
+    EulerIntegrand(1.5, ((0.3, 2.2), (0.8, -0.6)), 0.4),
+    EulerIntegrand(0.8 + 0.3j, ((0.3, 1.1),)),
+    EulerIntegrand(1.1 - 0.4j, (), 0.5),
+    EulerIntegrand(1.2, ((0.4 + 0.3j, -0.7),)),
+    EulerIntegrand(0.7, ((0.5 + 0.5j, 2.0), (0.2, -1.3))),
+    EulerIntegrand(0.6, ((0.5, 0.3 - 0.8j),)),
+    EulerIntegrand(1.3, ((0.2, -1.5),), -0.4 + 0.6j),
+    EulerIntegrand(0.9, ((0.6, 0.5),), 0j),
+    EulerIntegrand(2.0, ((-0.7, 0.5), (0.99, -0.5)), -1.0),
+]
+
+# repr of the outcome of each pinned integrand.
+_EULER_PINNED = [
+    'EvalOutcome(value=0.8560822580169086, converged=True, terms_used=97, err_estimate=0.0)',
+    'EvalOutcome(value=(0.9193917986015391-0.38142657443963984j), converged=True, terms_used=97, err_estimate=0.0)',
+    'EvalOutcome(value=(1.077927887860918+0.3413860218534857j), converged=True, terms_used=97, err_estimate=5.551115123125783e-17)',
+    'EvalOutcome(value=(0.9600264538482479+0.15682496408183227j), converged=True, terms_used=97, err_estimate=2.7755575615628914e-17)',
+    'EvalOutcome(value=(0.903847721708467-0.4760037152302385j), converged=True, terms_used=97, err_estimate=5.551115123125783e-17)',
+    'EvalOutcome(value=(1.5186591755576782+0.26282743275529286j), converged=True, terms_used=97, err_estimate=0.0)',
+    'EvalOutcome(value=(0.6860857111645883+0.23995051409663887j), converged=True, terms_used=97, err_estimate=2.7755575615628914e-17)',
+    'EvalOutcome(value=0.9326025239603744, converged=True, terms_used=97, err_estimate=1.1102230246251565e-16)',
+    'EvalOutcome(value=0.6706624547457773, converged=True, terms_used=193, err_estimate=0.0)',
+]
+
+
+def test_euler_integral_is_bit_pinned():
+    got = [repr(euler_integral(spec)) for spec in _EULER_PINNED_CASES]
+    assert got == _EULER_PINNED
+
+
 # ---------------------------------------------------------------------------
 # Refusal branches of the kernels
 # ---------------------------------------------------------------------------
