@@ -124,10 +124,11 @@ def scaled_meixner_seq(x, params, n_max):
     r0 = 1.0 / gamma_value(gamma - x)
     values = [r0]
     prev, cur = 0.0, r0
+    cx, c1, bc = (c - 1.0) * x, c + 1.0, beta * c
     for n in range(n_max):
         s = n + gamma
-        d = n + gamma - x
-        a_n = (c - 1.0) * x + (c + 1.0) * s + beta * c
+        d = s - x
+        a_n = cx + c1 * s + bc
         nxt = a_n * cur / d
         if prev != 0.0:
             nxt -= c * s * (s + beta - 1.0) * prev / (d * (d - 1.0))
@@ -156,7 +157,7 @@ def scaled_charlier_seq(x, params, n_max):
     prev, cur = 0.0, r0
     for n in range(n_max):
         s = n + gamma
-        d = n + gamma - x
+        d = s - x
         nxt = (s + a - x) * cur / d
         if prev != 0.0:
             nxt -= a * s * prev / (d * (d - 1.0))
@@ -193,14 +194,6 @@ def mh_charlier_limit(x, params):
     _check_scaling_pole(x, gamma)
     f = kummer_1f1(gamma, gamma - x, -a)
     return _exp(a) / gamma_value(gamma - x) * f.value
-
-
-def _second_term_magnitude(x, params, n):
-    beta, c, gamma = params.beta, params.c, params.gamma
-    f = gauss_2f1(x + 1.0, 2.0 - beta - gamma, 2.0 + x - gamma, c)
-    return abs(
-        float(n) ** (2.0 * x + beta) * c ** (n + 1) * (1.0 - c) ** x * f.value
-    )
 
 
 def mh_convergence_study(x, params, checkpoints):
@@ -244,13 +237,18 @@ def mh_convergence_study(x, params, checkpoints):
     )
     ratios = None
     if isinstance(params, MeixnerParams) and not isinstance(x, complex):
+        beta, c, gamma = params.beta, params.c, params.gamma
         try:
-            ratios = tuple(
-                err / max(_second_term_magnitude(x, params, n), 1e-300)
-                for n, _v, err in samples
-            )
+            # The correction's 2F1 does not depend on n: one value per study.
+            f = gauss_2f1(x + 1.0, 2.0 - beta - gamma, 2.0 + x - gamma, c).value
         except PoleArgument:
             # 2 + x - gamma is a gamma pole of the correction's 2F1: the
             # study is defined there, its diagnostic is not.
             pass
+        else:
+            ratios = tuple(
+                err / max(abs(float(n) ** (2.0 * x + beta) * c ** (n + 1)
+                              * (1.0 - c) ** x * f), 1e-300)
+                for n, _v, err in samples
+            )
     return MHStudy(samples, limit, monotone, ratios)

@@ -165,8 +165,8 @@ def _family_sequence(spec):
     raise TypeError(f"unsupported family parameter type {type(params)!r}")
 
 
-def _normalizer_ratio(spec, n):
-    """w_{n+1} / w_n for the chosen normalization (w_0 = 1)."""
+def _normalizer_step(spec):
+    """The map n -> w_{n+1} / w_n of the chosen normalization (w_0 = 1)."""
     params = spec.family
     norm = spec.normalization
     gamma = params.gamma
@@ -176,22 +176,28 @@ def _normalizer_ratio(spec, n):
             raise ValueError(
                 "BY_GAMMA_BETA normalization applies to the Meixner family only"
             )
-        return c_factor / (gamma + params.beta + n)
+        gamma_beta = gamma + params.beta
+        return lambda n: c_factor / (gamma_beta + n)
     if norm is Normalization.BY_GAMMA_ONE:
-        return c_factor / (gamma + 1.0 + n)
+        gamma_one = gamma + 1.0
+        return lambda n: c_factor / (gamma_one + n)
     if norm is Normalization.BY_FACTORIAL:
-        return c_factor / (n + 1.0)
+        return lambda n: c_factor / (n + 1.0)
     if norm is Normalization.PLAIN:
-        return 1.0
+        return lambda n: 1.0
     g = spec.weight_gamma if spec.weight_gamma is not None else gamma
     if isinstance(params, LaguerreParams):
-        return (n + g) / (n + 1.0 + g)
-    return c_factor * (n + g) / ((n + 1.0 + g) * (n + 1.0))
+        return lambda n: (n + g) / (n + 1.0 + g)
+    return lambda n: c_factor * (n + g) / ((n + 1.0 + g) * (n + 1.0))
 
 
 def _check_normalizer_poles(spec):
     """Raise DomainError at a normalizer divisor within 1e-6 of 0: n+gamma
-    (n <= N) in the weighted chain, gamma+beta+n (n < N) in (gamma+beta)_n."""
+    (n <= N) in the weighted chain, gamma+beta+n (n < N) in (gamma+beta)_n.
+
+    Only the integer nearest -Re(g) can lie that close to -g, so only it is
+    tested; a NaN or infinite g has none and passes.
+    """
     params = spec.family
     top = spec.truncation_N
     if spec.normalization is Normalization.WEIGHTED:
@@ -203,8 +209,9 @@ def _check_normalizer_poles(spec):
         what = whose = "gamma+beta"
     else:
         return
-    for n in range(top):
-        if abs(n + g) < 1e-6:
+    if -0.5 <= -g.real < top:
+        n = round(-g.real)
+        if n < top and abs(n + g) < 1e-6:
             raise DomainError(
                 f"{spec.normalization.value} normalization has a vanishing "
                 f"denominator n+{what} at n={n} for {whose}={g!r}"
@@ -212,18 +219,25 @@ def _check_normalizer_poles(spec):
 
 
 def _lhs_sum(spec):
-    """(partial sum, |last term|) of the truncated generating series."""
+    """(partial sum, |last term|) of the truncated generating series.
+
+    Term n is ``w_n t^n P_n(x)``, summed compensated.  The normalization
+    step n -> w_{n+1}/w_n is chosen once per sum, and the terms take the
+    sequence's values list as it is.
+    """
     _check_normalizer_poles(spec)
-    seq = _family_sequence(spec)
+    values = _family_sequence(spec).values
+    step = _normalizer_step(spec)
+    t = spec.t
     acc = Accumulator()
     weight = 1.0
     t_pow = 1.0
-    term = weight * seq[0]
+    term = weight * values[0]
     acc.add(term)
     for n in range(spec.truncation_N):
-        weight = weight * _normalizer_ratio(spec, n)
-        t_pow = t_pow * spec.t
-        term = weight * t_pow * seq[n + 1]
+        weight = weight * step(n)
+        t_pow = t_pow * t
+        term = weight * t_pow * values[n + 1]
         acc.add(term)
     return acc.value, abs(term)
 

@@ -14,7 +14,8 @@ c = 1 reduction chain of :mod:`assocpoly.genfuncs`).  A caller gives it
 the parameters of the coefficient ratio, plus, for F1, Phi1 and the
 chain, the inner value that multiplies each coefficient; it steps
 the coefficients in one loop with no generator and returns the
-:class:`EvalOutcome` that its callers hand on as it is.  Its one stopping
+:class:`EvalOutcome` that its callers hand on as it is; F1 and Phi1 pick
+their inner 2F1 or 1F1 evaluator once per series.  Its one stopping
 rule ends summation once two consecutive terms are below ``rel_tol``
 times the running partial sum, and it raises
 :class:`~assocpoly.errors.NotConverged` (carrying the partial outcome)
@@ -1098,11 +1099,28 @@ def kummer_1f1(a, b, z, cfg=None):
 # ---------------------------------------------------------------------------
 
 
+# F1 and Phi1 pick their inner evaluator once per series.  For finite w
+# with sum |w| + max_terms < 2**20, each w + m (m < max_terms) is within
+# 2**-33 of exact, so when each w is 1e-6 clear of the nonpositive
+# integers, and alpha of sigma, so is each w + m, and alpha+m of sigma+m.
+# No term then takes the z = 0, b = c, a = c, terminating or pole branch of
+# gauss_2f1 or kummer_1f1, and for 0 < |y| <= 0.5 the 2F1 ends in its
+# direct series: calling the series a ladder ends in gives its outcome.
+def _shifts_clear(cfg, *ws):
+    return (sum(map(abs, ws)) + cfg.max_terms < 2.0**20
+            and all(_near_int_in_range(w, -math.inf, 0, _NEAR_INT_TOL) is None
+                    for w in ws))
+
+
 def _f1_series(alpha, beta1, beta2, sigma, x, y, cfg):
+    series = (_series_2f1 if 0 < abs(y) <= 0.5
+              and abs(alpha - sigma) > _NEAR_INT_TOL
+              and _shifts_clear(cfg, alpha, sigma, beta2, sigma - beta2)
+              else gauss_2f1)
     return _sum_series(
         alpha, beta1, sigma, x, cfg.rel_tol, cfg.max_terms,
         "Appell F1 series did not converge in {max_terms} terms",
-        lambda m: gauss_2f1(alpha + m, beta2, sigma + m, y, cfg),
+        lambda m: series(alpha + m, beta2, sigma + m, y, cfg),
     )
 
 
@@ -1157,10 +1175,21 @@ def humbert_phi1(alpha1, lam, alpha2, x, y, cfg=None):
         )
     if abs(x) >= 1.0:
         raise DomainError(f"Phi1 requires |x| < 1, got x={x!r}")
+    direct = 0 < abs(y) < math.inf and _shifts_clear(cfg, alpha1, alpha2)
+    if direct and _real(y) < 0:
+        scale, neg_y = _exp(y), -y
+
+        def inner(m):
+            b = alpha2 + m
+            return _scaled_outcome(scale, _series_1f1(b - (alpha1 + m), b, neg_y, cfg))
+    else:
+        series = _series_1f1 if direct else kummer_1f1
+
+        def inner(m):
+            return series(alpha1 + m, alpha2 + m, y, cfg)
     return _sum_series(
         alpha1, lam, alpha2, x, cfg.rel_tol, cfg.max_terms,
-        "Phi1 series did not converge in {max_terms} terms",
-        lambda m: kummer_1f1(alpha1 + m, alpha2 + m, y, cfg),
+        "Phi1 series did not converge in {max_terms} terms", inner,
     )
 
 
@@ -1208,19 +1237,6 @@ def _tanh_sinh_node(s):
     return u, one_minus_u, log_u, log_w
 
 
-def _euler_node_value(spec, s):
-    u, one_minus_u, log_u, log_w = _tanh_sinh_node(s)
-    expo = (spec.gamma - 1.0) * log_u + log_w
-    if spec.exp_scale != 0:
-        expo = expo + spec.exp_scale * u
-    val = _exp(expo)
-    for base, exponent in spec.factors:
-        # 1 - base*u rewritten to stay accurate as u -> 1.
-        fac = (1.0 - base) + base * one_minus_u
-        val = val * _power(fac, exponent)
-    return val
-
-
 def euler_integral(spec):
     """Integral over (0, 1) of an :class:`EulerIntegrand`.
 
@@ -1233,9 +1249,9 @@ def euler_integral(spec):
     ----------
     spec : EulerIntegrand
         The integrand description.  ``Re(gamma) <= 0`` raises
-        :class:`~assocpoly.errors.DomainError`; a real factor base
-        ``>= 1`` puts a zero of the factor on (0, 1] and raises
-        :class:`~assocpoly.errors.SingularIntegrand`.
+        :class:`~assocpoly.errors.DomainError`; a factor base with zero
+        imaginary part and real part ``>= 1`` puts a zero of the factor
+        on (0, 1] and raises :class:`~assocpoly.errors.SingularIntegrand`.
 
     Returns
     -------
@@ -1245,10 +1261,28 @@ def euler_integral(spec):
     if re_gamma <= 0:
         raise DomainError(f"Euler integral requires Re(gamma) > 0, got {spec.gamma!r}")
     for base, _exponent in spec.factors:
-        if not isinstance(base, complex) and base >= 1.0 - 1e-14:
+        if base.imag == 0 and base.real >= 1.0 - 1e-14:
             raise SingularIntegrand(
                 f"factor base {base!r} puts a zero of (1 - b*u) on (0, 1]"
             )
+    # Fixed once per integrand: the exp for the exponent's type and each
+    # 1 - b (``**`` takes the complex form exactly where _power does).
+    g1, scale, scaled = spec.gamma - 1.0, spec.exp_scale, spec.exp_scale != 0
+    exp = (cmath.exp if isinstance(g1, complex)
+           or (scaled and isinstance(scale, complex)) else math.exp)
+    factors = [(base, 1.0 - base, e) for base, e in spec.factors]
+
+    def node(s):
+        u, one_minus_u, log_u, log_w = _tanh_sinh_node(s)
+        expo = g1 * log_u + log_w
+        if scaled:
+            expo = expo + scale * u
+        val = exp(expo)
+        for base, one_b, e in factors:
+            # 1 - base*u rewritten to stay accurate as u -> 1.
+            val = val * (one_b + base * one_minus_u) ** e
+        return val
+
     # Half-width chosen so the u^(gamma-1) endpoint weight and the
     # quadrature weight both decay below binary64 resolution.
     tmax = math.asinh(max(45.0 / (math.pi * min(1.0, re_gamma)), 44.0 / math.pi))
@@ -1257,14 +1291,14 @@ def euler_integral(spec):
     nodes = 0
     total = Accumulator()
     for k in range(-n0, n0 + 1):
-        total.add(_euler_node_value(spec, k * h))
+        total.add(node(k * h))
         nodes += 1
     prev_val = total.value * h
     for _level in range(_QUAD_LEVELS):
         h *= 0.5
         n_half = int(round(tmax / h))
         for k in range(-n_half + 1, n_half, 2):
-            total.add(_euler_node_value(spec, k * h))
+            total.add(node(k * h))
             nodes += 1
         cur_val = total.value * h
         delta = abs(cur_val - prev_val)

@@ -286,6 +286,34 @@ def test_gamma_beta_normalization_rejects_its_pole(beta, gamma):
         "n+gamma+beta at n=2 for gamma+beta=-2.0")
 
 
+@pytest.mark.parametrize("weight, n", [(-2 + 1e-8j, 2), (-30.0, 30), (1e-7, 0)])
+def test_weighted_normalization_pole_names_its_n(weight, n):
+    # A complex weight within 1e-6 of -2, the last divisor N + gamma and
+    # the first, gamma itself.
+    spec = GFSpec(CharlierParams(2.0, 0.7), 0.5, 0.1, "weighted", 30, weight)
+    with pytest.raises(DomainError) as info:
+        gf_lhs_partial(spec)
+    assert str(info.value) == (
+        f"weighted normalization has a vanishing denominator n+gamma at n={n} "
+        f"for weight gamma={weight!r}")
+
+
+@pytest.mark.parametrize("spec", [
+    GFSpec(CharlierParams(2.0, 0.7), 0.5, 0.1, "weighted", 30, -2 + 1e-5j),
+    GFSpec(CharlierParams(2.0, 0.7), 0.5, 0.1, "weighted", 30, -31.0),
+    GFSpec(CharlierParams(2.0, 0.7), 0.5, 0.1, "weighted", 30, -31.0 + 1e-7),
+    GFSpec(CharlierParams(2.0, 0.7), 0.5, 0.1, "weighted", 30, 0.5),
+    GFSpec(CharlierParams(2.0, 0.7), 0.5, 0.1, "weighted", 30, math.nan),
+    GFSpec(CharlierParams(2.0, 0.7), 0.5, 0.1, "weighted", 30, -math.inf),
+    GFSpec(CharlierParams(2.0, 0.7), 0.5, 0.1, "weighted", 30,
+           complex(-3.0, math.nan)),
+    # (gamma+beta)_n for n <= N stops short of the factor gamma+beta+N = 0.
+    GFSpec(MeixnerParams(-31.0, 0.5, 1.0), 0.5, 0.1, "by-gamma-beta", 30),
+])
+def test_normalizer_pole_check_passes_off_its_poles(spec):
+    assert genfuncs._check_normalizer_poles(spec) is None
+
+
 def test_normalization_values_are_stable():
     assert Normalization.BY_GAMMA_BETA.value == "by-gamma-beta"
     assert Normalization.BY_GAMMA_ONE.value == "by-gamma-one"

@@ -423,6 +423,84 @@ def test_humbert_phi1_second_variable_only_is_kummer():
 
 
 # ---------------------------------------------------------------------------
+# F1 and Phi1: the inner evaluator chosen once per series against the
+# gauss_2f1 / kummer_1f1 ladder taken for every term
+# ---------------------------------------------------------------------------
+
+
+def _per_term_f1(alpha, beta1, beta2, sigma, x, y, cfg):
+    return hyperkernel._sum_series(
+        alpha, beta1, sigma, x, cfg.rel_tol, cfg.max_terms,
+        "Appell F1 series did not converge in {max_terms} terms",
+        lambda m: gauss_2f1(alpha + m, beta2, sigma + m, y, cfg),
+    )
+
+
+def _per_term_phi1(alpha1, lam, alpha2, x, y, cfg):
+    """humbert_phi1 for |x| < 1, each inner 1F1 through kummer_1f1."""
+    if hyperkernel._near_int_in_range(alpha2, -math.inf, 0, 1e-12) is not None:
+        raise PoleArgument(
+            f"Phi1 denominator parameter alpha2={alpha2!r} is a gamma pole")
+    return hyperkernel._sum_series(
+        alpha1, lam, alpha2, x, cfg.rel_tol, cfg.max_terms,
+        "Phi1 series did not converge in {max_terms} terms",
+        lambda m: kummer_1f1(alpha1 + m, alpha2 + m, y, cfg),
+    )
+
+
+def _result(fn, *args):
+    """repr of (value, terms_used, err_estimate), or of the raised error and
+    the partial outcome it carries."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the comparison covers every raised error
+        out = getattr(exc, "outcome", None)
+        return repr((type(exc).__name__, str(exc),
+                     out and (out.value, out.terms_used, out.err_estimate)))
+    return repr((out.value, out.terms_used, out.err_estimate))
+
+
+# Integers -5..5 and points 1e-13, 1e-7 and 1e-5 to either side of them,
+# real or with a tiny imaginary part, and plain draws.
+_NEAR_INT = st.builds(
+    lambda k, off: k + off, st.integers(-5, 5),
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-7, -1e-7, 1e-5, -1e-5]))
+_INNER_PARAM = st.one_of(
+    _NEAR_INT,
+    st.builds(complex, _NEAR_INT, st.sampled_from([1e-13, -1e-7, 1e-5])),
+    st.floats(-5.5, 5.5))
+_OUTER_X = st.one_of(st.floats(-0.6, 0.6),
+                     st.builds(complex, st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)))
+_F1_Y = st.one_of(
+    st.sampled_from([0.0, 0j, 0.5, -0.5, 0.5j, 0.3 - 0.4j, 0.75, -0.9]),
+    st.floats(-0.95, 0.95),
+    st.builds(complex, st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)))
+_PHI1_Y = st.one_of(
+    st.sampled_from([0.0, 0j, 0.5, -0.5, -3.0, 2.5, 1.5 - 2j, -2 + 0.5j]),
+    st.floats(-6.0, 6.0),
+    st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+_CFGS = st.sampled_from([SeriesConfig(), SeriesConfig(max_terms=4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=_INNER_PARAM, beta1=_INNER_PARAM, beta2=_INNER_PARAM,
+       sigma=_INNER_PARAM, x=_OUTER_X, y=_F1_Y, cfg=_CFGS)
+def test_f1_inner_choice_matches_the_per_term_ladder(alpha, beta1, beta2, sigma,
+                                                     x, y, cfg):
+    args = (alpha, beta1, beta2, sigma, x, y, cfg)
+    assert _result(hyperkernel._f1_series, *args) == _result(_per_term_f1, *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha1=_INNER_PARAM, lam=_INNER_PARAM, alpha2=_INNER_PARAM,
+       x=_OUTER_X, y=_PHI1_Y, cfg=_CFGS)
+def test_phi1_inner_choice_matches_the_per_term_ladder(alpha1, lam, alpha2, x,
+                                                       y, cfg):
+    args = (alpha1, lam, alpha2, x, y, cfg)
+    assert _result(humbert_phi1, *args) == _result(_per_term_phi1, *args)
+
+
+# ---------------------------------------------------------------------------
 # Euler integrals
 # ---------------------------------------------------------------------------
 
@@ -462,6 +540,17 @@ def test_euler_integral_nonpositive_gamma_raises():
 def test_euler_integral_singular_base_raises():
     with pytest.raises(SingularIntegrand):
         euler_integral(EulerIntegrand(1.0, ((1.0, -0.5),)))
+
+
+@pytest.mark.parametrize("base, exponent", [(2 + 0j, -1.0), (1.5 + 0j, -0.5)])
+def test_euler_integral_complex_singular_base_raises(base, exponent):
+    # A complex base on the real axis at or past 1 puts the zero of 1 - b*u
+    # on (0, 1] as a real one does; it used to divide by zero or run every
+    # level before QuadratureNotConverged.
+    with pytest.raises(SingularIntegrand) as info:
+        euler_integral(EulerIntegrand(0.5, ((base, exponent),)))
+    assert str(info.value) == (
+        f"factor base {base!r} puts a zero of (1 - b*u) on (0, 1]")
 
 
 def test_euler_integral_raises_once_its_levels_run_out(monkeypatch):

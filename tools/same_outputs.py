@@ -1,21 +1,25 @@
-"""Check that a change keeps the command-line output of a parent checkout.
+"""Check that a change keeps the outputs of a parent checkout.
 
 Usage::
 
     python tools/same_outputs.py PARENT_CHECKOUT
 
-Runs each invocation below as a fresh ``python -m assocpoly`` process,
-once on ``PARENT_CHECKOUT/src`` and once on this checkout's ``src``,
-both with ``PYTHONDONTWRITEBYTECODE=1``, and compares stdout, stderr and
-the exit code.  The path of each side's ``src`` is written as ``<src>``
-in both streams, so a traceback through unchanged code reads the same on
-both sides.  Each differing invocation is printed with its first
-difference; the exit code is 1 when any invocation differs, else 0.
+Runs each invocation below as a fresh Python process, once on
+``PARENT_CHECKOUT/src`` and once on this checkout's ``src``, both with
+``PYTHONDONTWRITEBYTECODE=1``, and compares stdout, stderr and the exit
+code.  The path of each side's ``src`` is written as ``<src>`` in both
+streams, so a traceback through unchanged code reads the same on both
+sides.  Each differing invocation is printed with its first difference;
+the exit code is 1 when any invocation differs, else 0.
 
-The invocations: ``verify --set all`` for seeds 0-2; ``eval`` on the
-argv of ``perfbench/evalcold.cases(seed, 200)`` for seeds 1-3;
-``gf-check`` for every family at real and complex x; ``mh-study``;
-``table``; ``--help``, an unknown subcommand and no argument.
+The invocations of ``python -m assocpoly``: ``verify --set all`` for
+seeds 0-2; ``eval`` on the argv of ``perfbench/evalcold.cases(seed,
+200)`` for seeds 1-3; ``gf-check`` for every family at real and complex
+x; ``mh-study``; ``table``; ``--help``, an unknown subcommand and no
+argument.  Then one run of the warm kernel calls, which prints the repr of
+the report (or of the raised error) of each of the first 3,000 operations
+of ``perfbench/kernel.stream(seed)`` for seeds 1-3.  Both sides read this
+checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -45,8 +49,21 @@ def eval_argvs():
     return [case.argv for seed in (1, 2, 3) for case in evalcold.cases(seed, 200)]
 
 
+# The warm kernel calls, as arguments to python.
+WARM_REPORTS = ["-c", """\
+import itertools
+import kernel
+for seed in (1, 2, 3):
+    for op in itertools.islice(kernel.stream(seed), 3000):
+        try:
+            print(op.name, repr(op.run()))
+        except Exception as exc:
+            print(op.name, repr(exc))
+"""]
+
+
 def invocations():
-    """Every argv the check runs, in order."""
+    """Every argv the check runs, in order, as arguments to python."""
     argvs = [["verify", "--set", "all", "--seed", str(seed)] for seed in (0, 1, 2)]
     argvs += eval_argvs()
     for family, flags in _FAMILY_FLAGS.items():
@@ -66,14 +83,24 @@ def invocations():
     argvs.append(["table", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
                   "--gamma", "0.7", "--x", "0.3", "1.2", "--rep", "4f3"])
     argvs += [["--help"], ["bogus"], []]
-    return argvs
+    return [["-m", "assocpoly", *argv] for argv in argvs] + [WARM_REPORTS]
+
+
+def label(argv):
+    """How a report names the invocation ``python argv``."""
+    if argv is WARM_REPORTS:
+        return "kernel-warm reports of seeds 1-3"
+    return " ".join(["assocpoly", *argv[2:]])
 
 
 def run(checkout, argv):
-    """``(stdout, stderr, exit code)`` of ``python -m assocpoly argv`` on ``checkout/src``."""
+    """``(stdout, stderr, exit code)`` of ``python argv`` on ``checkout/src``,
+    with this checkout's ``perfbench`` on the path for the warm calls."""
     src = str(Path(checkout).resolve() / "src")
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-m", "assocpoly", *argv],
+    path = [src, str(ROOT / "perfbench")] if argv is WARM_REPORTS else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, cwd=checkout)
     return (proc.stdout.replace(src, "<src>"), proc.stderr.replace(src, "<src>"),
             proc.returncode)
@@ -104,7 +131,7 @@ def compare(parent, change, argvs, out=None):
         diff = first_difference(run(parent, argv), run(change, argv))
         if diff is not None:
             differing += 1
-            print(f"differs: assocpoly {' '.join(argv)}\n  {diff}", file=out)
+            print(f"differs: {label(argv)}\n  {diff}", file=out)
     print(f"{len(argvs) - differing} of {len(argvs)} invocations identical",
           file=out)
     return differing
