@@ -30,7 +30,7 @@ _EXPORTS = {
         "QuadratureNotConverged", "TailTooLarge",
     ),
     "hyperkernel": (
-        "SeriesConfig", "EvalOutcome", "Accumulator", "EulerIntegrand",
+        "EvalOutcome", "Accumulator", "EulerIntegrand",
         "pochhammer", "pochhammer_log", "gamma_value", "gamma_ratio",
         "hyp_terminating", "gauss_2f1", "kummer_1f1", "appell_f1",
         "humbert_phi1", "euler_integral",

@@ -96,8 +96,9 @@ def _scalar(text):
         return complex(text)
 
 
-def _finite(parse):
-    """The argparse type that parses with ``parse`` and rejects NaN and inf.
+def _finite(parse, positive=False):
+    """The argparse type that parses with ``parse`` and rejects NaN and inf,
+    and with ``positive`` every number that is not above 0.
 
     Text that does not parse keeps argparse's own message, which names
     ``parse``.
@@ -107,6 +108,9 @@ def _finite(parse):
         if not cmath.isfinite(value):
             raise argparse.ArgumentTypeError(
                 f"not a finite number: {text!r}")
+        if positive and not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"not a positive number: {text!r}")
         return value
 
     finite.__name__ = parse.__name__
@@ -115,6 +119,7 @@ def _finite(parse):
 
 _REAL = _finite(float)
 _SCALAR = _finite(_scalar)
+_POSITIVE = _finite(float, positive=True)
 
 
 def _cell(value):
@@ -534,7 +539,7 @@ def _add_output_flags(parser):
                         help="output format (default csv)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output path (default stdout)")
-    parser.add_argument("--rel-tol", type=_REAL, default=1e-8,
+    parser.add_argument("--rel-tol", type=_POSITIVE, default=1e-8,
                         help="relative tolerance (default 1e-8)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized sampling (default 0)")

@@ -243,7 +243,8 @@ def meixner_quadratic(x, params, n):
     Raises :class:`~assocpoly.errors.RestrictedParameter` when ``beta``
     is within 1e-8 of a positive integer (the 2F1 parameter ``2-beta``
     degenerates and the prefactor ``1/(beta-1)`` can blow up), when
-    ``gamma+beta`` is within 1e-8 of 1, or when ``gamma+beta <= 0``.
+    ``gamma+beta`` is within 1e-8 of 1, or when ``gamma+beta`` is real
+    and ``<= 0``.
     """
     _check_nonneg_int(n, "n")
     beta, gamma = params.beta, params.gamma
@@ -252,10 +253,12 @@ def meixner_quadratic(x, params, n):
             f"quadratic representation requires beta not a positive integer, "
             f"got beta={beta!r}"
         )
-    if abs(gamma + beta - 1.0) < _INT_TOL or gamma + beta <= 0:
+    gamma_beta = gamma + beta
+    if (abs(gamma_beta - 1.0) < _INT_TOL
+            or gamma_beta.imag == 0 and gamma_beta.real <= 0):
         raise RestrictedParameter(
             f"quadratic representation requires gamma+beta > 0 and != 1, "
-            f"got gamma+beta={gamma + beta!r}"
+            f"got gamma+beta={gamma_beta!r}"
         )
     ct = params.c_tilde
     coef1 = pochhammer(gamma + beta - 1.0, n + 1)
@@ -453,7 +456,7 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY):
             )
         total = _resum(_laguerre_sum, n, (x, alpha, gamma))
         return pochhammer(gamma + alpha + 1.0, n) / math.factorial(n) * total
-    if abs(alpha - round(alpha)) < _INT_TOL:
+    if _near_int_in_range(alpha, -math.inf, math.inf) is not None:
         raise RestrictedParameter(
             f"the second Laguerre 3F2 form requires non-integer alpha, "
             f"got alpha={alpha!r}"

@@ -85,6 +85,8 @@ __all__ = [
 ]
 
 _AUTO_N_CAP = 960
+# Terms of the c = 1 reduction chain before NotConverged.
+_C1_MAX_TERMS = 400
 # First truncation order of the weighted classical identity's left side.
 _WEIGHTED_N_START = 60
 
@@ -419,13 +421,13 @@ def gf_charlier_integral(x, params, t):
     return gamma * gf_charlier_elementary(x, a, t) * quad.value
 
 
-def gf_charlier_ode_residual(x, params, t, h=None):
+def gf_charlier_ode_residual(x, params, t):
     """Residual of the Charlier generating-function ODE at one t.
 
     The (gamma+1)_n-normalized series G satisfies
     ``t(a-t) G'(t) + [t^2 + (x-a-gamma) t + a gamma] G(t) = a gamma``;
-    the derivative uses a 5-point central difference with step ``h``
-    (default ``1e-4 * max(1, |t|)``).
+    the derivative uses a 5-point central difference with step
+    ``1e-4 * max(1, |t|)``.
 
     Returns
     -------
@@ -433,10 +435,7 @@ def gf_charlier_ode_residual(x, params, t, h=None):
         Absolute residual magnitude.
     """
     a, gamma = params.a, params.gamma
-    if h is None:
-        h = 1e-4 * max(1.0, abs(t))
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = 1e-4 * max(1.0, abs(t))
 
     def g(tt):
         if gamma == 0:
@@ -476,6 +475,11 @@ def gf_laguerre(x, params, t):
     w = t / (t - 1.0)
     phi = humbert_phi1(gamma, gamma + alpha, gamma + 1.0, w, -x * w)
     return _power(1.0 - t, -gamma - alpha - 1.0) * _exp(x * t / (t - 1.0)) * phi.value
+
+
+def _check_laguerre_t(params, t):
+    if abs(t) >= 1.0:
+        raise DomainError(f"|t| = {abs(t):.6g} is outside the validity disk |t| < 1")
 
 
 def gf_laguerre_elementary(x, alpha, t):
@@ -623,14 +627,14 @@ def convolution_identity(x, params, n, rel_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400):
+def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
     """Degenerate-argument (c = 1) generating-series reduction as a report.
 
     Left side: ``sum_n (gamma+beta)_n/n!
     3F2(-n, gamma+beta-1, gamma; gamma+beta, gamma+1; 1) t^n`` summed
     until two consecutive terms fall below ``rel_tol`` times the
     partial sum; :class:`~assocpoly.errors.NotConverged` is raised if
-    that takes more than ``max_terms`` terms.  Right side:
+    that takes more than ``_C1_MAX_TERMS`` (400) terms.  Right side:
     ``(1-t)^{-beta} 2F1(2-beta, gamma; gamma+1; t)``.  A nonpositive
     integer ``gamma + beta`` raises
     :class:`~assocpoly.errors.DenominatorPole`: past ``n = -(gamma+beta)``
@@ -657,7 +661,7 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400):
         return EvalOutcome(value, True, 1, 0.0)
 
     lhs = _sum_series(
-        gamma + beta, None, None, t, rel_tol, max_terms,
+        gamma + beta, None, None, t, rel_tol, _C1_MAX_TERMS,
         "c = 1 reduction series did not converge in {max_terms} terms "
         "at t={z!r}", inner,
     ).value
@@ -668,19 +672,19 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9, max_terms=400):
     return make_report("c1-reduction-chain", point, lhs, rhs, rel_tol)
 
 
-def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, h=1e-4,
-                                   rel_tol=1e-6):
+def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, rel_tol=1e-6):
     """Derivative link between the diagonal weighted form and the classical GF.
 
     With ``W(t) = (1-t)^{-alpha} 1F1(alpha; alpha+1; xt/(t-1))``, the
     relation ``d/dt [t^alpha W(t)] =
     alpha t^{alpha-1} (1-t)^{-alpha-1} exp(xt/(t-1))`` is checked with
-    a 5-point central difference.
+    a 5-point central difference of step ``h = 1e-4``.
 
     Returns
     -------
     IdentityReport
     """
+    h = 1e-4
 
     def f(tt):
         return tt**alpha * gf_weighted_laguerre_diag(x, alpha, tt)
@@ -698,7 +702,9 @@ def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, h=1e-4,
 # the order the command runs them; None for the weighted and ODE forms,
 # which build their own report.  Each closed form is called through this
 # module's global name when it runs, so that a wrapper patched over the
-# name (perfbench's span recorders) sees the call.
+# name (perfbench's span recorders) sees the call.  A closed form that
+# takes no params is guarded by the disk check of its series, which
+# returns None or raises DomainError.
 GF_FORMS = {
     "meixner": {
         "appell": (Normalization.BY_GAMMA_BETA,
@@ -709,8 +715,8 @@ GF_FORMS = {
                      lambda x, p, t: gf_meixner_integral(x, p, t)),
         "weighted": None,
         "elementary": (Normalization.BY_GAMMA_ONE,
-                       lambda x, p, t: gf_meixner_elementary(
-                           x, p.beta, p.c, t)),
+                       lambda x, p, t: _check_meixner_t(p, t)
+                       or gf_meixner_elementary(x, p.beta, p.c, t)),
     },
     "charlier": {
         "phi1": (Normalization.BY_GAMMA_ONE,
@@ -719,16 +725,18 @@ GF_FORMS = {
                      lambda x, p, t: gf_charlier_integral(x, p, t)),
         "weighted": None,
         "elementary": (Normalization.BY_GAMMA_ONE,
-                       lambda x, p, t: gf_charlier_elementary(x, p.a, t)),
+                       lambda x, p, t: _check_charlier_t(p, t)
+                       or gf_charlier_elementary(x, p.a, t)),
         "ode": None,
     },
     "laguerre": {
         "phi1": (Normalization.PLAIN, lambda x, p, t: gf_laguerre(x, p, t)),
         "weighted": None,
         "diag": (Normalization.WEIGHTED,
-                 lambda x, p, t: gf_weighted_laguerre_diag(x, p.alpha, t)),
+                 lambda x, p, t: _check_laguerre_t(p, t)
+                 or gf_weighted_laguerre_diag(x, p.alpha, t)),
         "elementary": (Normalization.PLAIN,
-                       lambda x, p, t: gf_laguerre_elementary(
-                           x, p.alpha, t)),
+                       lambda x, p, t: _check_laguerre_t(p, t)
+                       or gf_laguerre_elementary(x, p.alpha, t)),
     },
 }

@@ -19,8 +19,9 @@ their inner 2F1 or 1F1 evaluator once per series.  Its one stopping
 rule ends summation once two consecutive terms are below ``rel_tol``
 times the running partial sum, and it raises
 :class:`~assocpoly.errors.NotConverged` (carrying the partial outcome)
-if ``max_terms`` is hit first.  ``SeriesConfig`` holds the only settings;
-``_ONE_EXCLUSION``, ``_QUAD_TOL`` and ``_QUAD_LEVELS`` are constants.
+if ``max_terms`` is hit first.  The kernels take no settings: their series
+read ``_REL_TOL`` and ``_MAX_TERMS`` when they run, beside
+``_ONE_EXCLUSION``, ``_QUAD_TOL`` and ``_QUAD_LEVELS``.
 
 One engine, ``_resum``, sums every terminating series: those of
 ``hyp_terminating`` (the terminating 2F1 and 1F1 branches and the inner
@@ -68,7 +69,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SeriesConfig",
     "EvalOutcome",
     "EulerIntegrand",
     "pochhammer",
@@ -87,26 +87,11 @@ _NONPOS_INT_TOL = 1e-9
 _POLE_TOL = 1e-12
 _NEAR_INT_TOL = 1e-6
 _INT_TOL = 1e-8
+_REL_TOL = 1e-14  # a series stops after two terms below it times the sum
+_MAX_TERMS = 10000  # its terms before NotConverged
 _ONE_EXCLUSION = 0.05  # gauss_2f1 refuses |1 - z| below it if Re(c-a-b) <= 0
 _QUAD_TOL = 1e-13  # relative target of the tanh-sinh quadrature
 _QUAD_LEVELS = 12  # its grid halvings before QuadratureNotConverged
-
-
-class SeriesConfig(Record):
-    """Tolerances and caps shared by all series summations."""
-
-    __slots__ = ("rel_tol", "max_terms")
-
-    def __init__(self, rel_tol=1e-14, max_terms=10000):
-        if not rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        _set_field(self, "rel_tol", rel_tol)
-        _set_field(self, "max_terms", max_terms)
-
-
-_DEFAULT_CFG = SeriesConfig()
 
 
 class EvalOutcome(Record):
@@ -933,9 +918,9 @@ def _sum_series(a, b, c, z, rel_tol, max_terms, message, inner=None):
 # ---------------------------------------------------------------------------
 
 
-def _series_2f1(a, b, c, z, cfg):
+def _series_2f1(a, b, c, z):
     return _sum_series(
-        a, b, c, z, cfg.rel_tol, cfg.max_terms,
+        a, b, c, z, _REL_TOL, _MAX_TERMS,
         "2F1 series did not converge in {max_terms} terms at z={z!r}",
     )
 
@@ -949,7 +934,7 @@ def _scaled_outcome(factor, inner):
     )
 
 
-def _connection_2f1(a, b, c, z, cfg):
+def _connection_2f1(a, b, c, z):
     # 1/(1-z) connection formula, valid when a - b is not an integer.
     w = 1.0 / (1.0 - z)
     terms_used = 0
@@ -960,7 +945,7 @@ def _connection_2f1(a, b, c, z, cfg):
         if coef == 0:
             terms.append(0.0)
             continue
-        inner = _series_2f1(p, c - q, p - q + 1.0, w, cfg)
+        inner = _series_2f1(p, c - q, p - q + 1.0, w)
         terms_used += inner.terms_used
         scale = coef * _power(1.0 - z, -p)
         terms.append(scale * inner.value)
@@ -968,7 +953,7 @@ def _connection_2f1(a, b, c, z, cfg):
     return EvalOutcome(terms[0] + terms[1], True, max(terms_used, 1), err)
 
 
-def gauss_2f1(a, b, c, z, cfg=None):
+def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric function 2F1(a, b; c; z).
 
     The evaluation ladder, in order: exact elementary cases
@@ -991,16 +976,16 @@ def gauss_2f1(a, b, c, z, cfg=None):
         :class:`~assocpoly.errors.PoleArgument` unless an earlier exact
         or terminating branch applies.
     z : float or complex
-        Argument.
-    cfg : SeriesConfig, optional
-        Series tolerances.
+        Argument.  Each series stops once two consecutive terms are below
+        ``_REL_TOL`` (1e-14) times its sum, and raises
+        :class:`~assocpoly.errors.NotConverged` after ``_MAX_TERMS``
+        (10000) terms.
 
     Returns
     -------
     EvalOutcome
         Value plus convergence metadata.
     """
-    cfg = cfg or _DEFAULT_CFG
     if z == 0:
         return EvalOutcome(1.0, True, 1, 0.0)
     if _close(b, c):
@@ -1027,20 +1012,20 @@ def gauss_2f1(a, b, c, z, cfg=None):
             "with Re(c-a-b) <= 0"
         )
     if abs(z) <= 0.5:
-        return _series_2f1(a, b, c, z, cfg)
+        return _series_2f1(a, b, c, z)
     zp = z / (z - 1.0)
     if abs(zp) <= 0.5:
-        inner = _series_2f1(a, c - b, c, zp, cfg)
+        inner = _series_2f1(a, c - b, c, zp)
         return _scaled_outcome(_power(1.0 - z, -a), inner)
     conn_ready = abs(1.0 - z) >= 2.0
     ab_near_int = _near_int_in_range(a - b, -math.inf, math.inf,
                                      _NEAR_INT_TOL) is not None
     if conn_ready and not ab_near_int:
-        return _connection_2f1(a, b, c, z, cfg)
+        return _connection_2f1(a, b, c, z)
     if abs(z) <= 0.95:
-        return _series_2f1(a, b, c, z, cfg)
+        return _series_2f1(a, b, c, z)
     if abs(zp) <= 0.95:
-        inner = _series_2f1(a, c - b, c, zp, cfg)
+        inner = _series_2f1(a, c - b, c, zp)
         return _scaled_outcome(_power(1.0 - z, -a), inner)
     if conn_ready and ab_near_int:
         raise IllConditioned(
@@ -1049,7 +1034,7 @@ def gauss_2f1(a, b, c, z, cfg=None):
         )
     if abs(z) < 1.0 and _real(s) > 0:
         # Absolutely convergent up to the unit circle; slow but honest.
-        return _series_2f1(a, b, c, z, cfg)
+        return _series_2f1(a, b, c, z)
     raise DomainError(f"no evaluation route for 2F1 at z={z!r}")
 
 
@@ -1058,14 +1043,14 @@ def gauss_2f1(a, b, c, z, cfg=None):
 # ---------------------------------------------------------------------------
 
 
-def _series_1f1(a, b, z, cfg):
+def _series_1f1(a, b, z):
     return _sum_series(
-        a, None, b, z, cfg.rel_tol, cfg.max_terms,
+        a, None, b, z, _REL_TOL, _MAX_TERMS,
         "1F1 series did not converge in {max_terms} terms at z={z!r}",
     )
 
 
-def kummer_1f1(a, b, z, cfg=None):
+def kummer_1f1(a, b, z):
     """Confluent hypergeometric function 1F1(a; b; z).
 
     Uses the direct series for ``Re(z) >= 0`` and the Kummer
@@ -1079,7 +1064,6 @@ def kummer_1f1(a, b, z, cfg=None):
     -------
     EvalOutcome
     """
-    cfg = cfg or _DEFAULT_CFG
     if _near_int_in_range(b, -math.inf, 0, _POLE_TOL) is not None:
         raise PoleArgument(f"1F1 denominator parameter b={b!r} is a gamma pole")
     if z == 0:
@@ -1089,9 +1073,9 @@ def kummer_1f1(a, b, z, cfg=None):
         val = hyp_terminating([a], [b], z, -ra)
         return EvalOutcome(val, True, 1 - ra, 0.0)
     if _real(z) < 0:
-        inner = _series_1f1(b - a, b, -z, cfg)
+        inner = _series_1f1(b - a, b, -z)
         return _scaled_outcome(_exp(z), inner)
-    return _series_1f1(a, b, z, cfg)
+    return _series_1f1(a, b, z)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,31 +1084,31 @@ def kummer_1f1(a, b, z, cfg=None):
 
 
 # F1 and Phi1 pick their inner evaluator once per series.  For finite w
-# with sum |w| + max_terms < 2**20, each w + m (m < max_terms) is within
+# with sum |w| + _MAX_TERMS < 2**20, each w + m (m < _MAX_TERMS) is within
 # 2**-33 of exact, so when each w is 1e-6 clear of the nonpositive
 # integers, and alpha of sigma, so is each w + m, and alpha+m of sigma+m.
 # No term then takes the z = 0, b = c, a = c, terminating or pole branch of
 # gauss_2f1 or kummer_1f1, and for 0 < |y| <= 0.5 the 2F1 ends in its
 # direct series: calling the series a ladder ends in gives its outcome.
-def _shifts_clear(cfg, *ws):
-    return (sum(map(abs, ws)) + cfg.max_terms < 2.0**20
+def _shifts_clear(*ws):
+    return (sum(map(abs, ws)) + _MAX_TERMS < 2.0**20
             and all(_near_int_in_range(w, -math.inf, 0, _NEAR_INT_TOL) is None
                     for w in ws))
 
 
-def _f1_series(alpha, beta1, beta2, sigma, x, y, cfg):
+def _f1_series(alpha, beta1, beta2, sigma, x, y):
     series = (_series_2f1 if 0 < abs(y) <= 0.5
               and abs(alpha - sigma) > _NEAR_INT_TOL
-              and _shifts_clear(cfg, alpha, sigma, beta2, sigma - beta2)
+              and _shifts_clear(alpha, sigma, beta2, sigma - beta2)
               else gauss_2f1)
     return _sum_series(
-        alpha, beta1, sigma, x, cfg.rel_tol, cfg.max_terms,
+        alpha, beta1, sigma, x, _REL_TOL, _MAX_TERMS,
         "Appell F1 series did not converge in {max_terms} terms",
-        lambda m: series(alpha + m, beta2, sigma + m, y, cfg),
+        lambda m: series(alpha + m, beta2, sigma + m, y),
     )
 
 
-def appell_f1(alpha, beta1, beta2, sigma, x, y, cfg=None):
+def appell_f1(alpha, beta1, beta2, sigma, x, y):
     """Appell hypergeometric function F1(alpha; beta1, beta2; sigma; x, y).
 
     Evaluated as a single series over powers of ``x`` whose
@@ -1138,17 +1122,16 @@ def appell_f1(alpha, beta1, beta2, sigma, x, y, cfg=None):
     -------
     EvalOutcome
     """
-    cfg = cfg or _DEFAULT_CFG
     if _near_int_in_range(sigma, -math.inf, 0, _POLE_TOL) is not None:
         raise PoleArgument(f"F1 denominator parameter sigma={sigma!r} is a gamma pole")
     if max(abs(x), abs(y)) < 1.0:
-        return _f1_series(alpha, beta1, beta2, sigma, x, y, cfg)
+        return _f1_series(alpha, beta1, beta2, sigma, x, y)
     if x == 1 or y == 1:
         raise DomainError("F1 transformation is singular at x=1 or y=1")
     xp = x / (x - 1.0)
     yp = y / (y - 1.0)
     if max(abs(xp), abs(yp)) < 1.0:
-        inner = _f1_series(sigma - alpha, beta1, beta2, sigma, xp, yp, cfg)
+        inner = _f1_series(sigma - alpha, beta1, beta2, sigma, xp, yp)
         factor = _power(1.0 - x, -beta1) * _power(1.0 - y, -beta2)
         return _scaled_outcome(factor, inner)
     raise DomainError(
@@ -1157,7 +1140,7 @@ def appell_f1(alpha, beta1, beta2, sigma, x, y, cfg=None):
     )
 
 
-def humbert_phi1(alpha1, lam, alpha2, x, y, cfg=None):
+def humbert_phi1(alpha1, lam, alpha2, x, y):
     """Humbert confluent function Phi1(alpha1, lam; alpha2; x, y).
 
     Evaluated as a single series over powers of ``x`` whose
@@ -1168,27 +1151,26 @@ def humbert_phi1(alpha1, lam, alpha2, x, y, cfg=None):
     -------
     EvalOutcome
     """
-    cfg = cfg or _DEFAULT_CFG
     if _near_int_in_range(alpha2, -math.inf, 0, _POLE_TOL) is not None:
         raise PoleArgument(
             f"Phi1 denominator parameter alpha2={alpha2!r} is a gamma pole"
         )
     if abs(x) >= 1.0:
         raise DomainError(f"Phi1 requires |x| < 1, got x={x!r}")
-    direct = 0 < abs(y) < math.inf and _shifts_clear(cfg, alpha1, alpha2)
+    direct = 0 < abs(y) < math.inf and _shifts_clear(alpha1, alpha2)
     if direct and _real(y) < 0:
         scale, neg_y = _exp(y), -y
 
         def inner(m):
             b = alpha2 + m
-            return _scaled_outcome(scale, _series_1f1(b - (alpha1 + m), b, neg_y, cfg))
+            return _scaled_outcome(scale, _series_1f1(b - (alpha1 + m), b, neg_y))
     else:
         series = _series_1f1 if direct else kummer_1f1
 
         def inner(m):
-            return series(alpha1 + m, alpha2 + m, y, cfg)
+            return series(alpha1 + m, alpha2 + m, y)
     return _sum_series(
-        alpha1, lam, alpha2, x, cfg.rel_tol, cfg.max_terms,
+        alpha1, lam, alpha2, x, _REL_TOL, _MAX_TERMS,
         "Phi1 series did not converge in {max_terms} terms", inner,
     )
 

@@ -48,7 +48,7 @@ class MeixnerParams(Record):
     raises ``ValueError``; everything else is accepted, with
     :attr:`in_orthogonal_regime` flagging whether the parameters sit in
     the classical orthogonality range (real ``0 < c``, ``c != 1``,
-    ``gamma + beta > 0``).
+    real ``gamma + beta > 0``).
     """
 
     __slots__ = ("beta", "c", "gamma")
@@ -68,12 +68,10 @@ class MeixnerParams(Record):
 
     @property
     def in_orthogonal_regime(self):
-        c = self.c
-        if isinstance(c, complex):
-            if c.imag != 0:
-                return False
-            c = c.real
-        return c > 0 and c != 1 and self.gamma + self.beta > 0
+        c, beta = self.c, self.beta
+        if c.imag != 0 or beta.imag != 0:
+            return False
+        return c.real > 0 and c.real != 1 and self.gamma + beta.real > 0
 
 
 class CharlierParams(Record):
@@ -90,12 +88,7 @@ class CharlierParams(Record):
 
     @property
     def in_orthogonal_regime(self):
-        a = self.a
-        if isinstance(a, complex):
-            if a.imag != 0:
-                return False
-            a = a.real
-        return a > 0
+        return self.a.imag == 0 and self.a.real > 0
 
 
 class LaguerreParams(Record):
@@ -110,7 +103,7 @@ class LaguerreParams(Record):
 
     @property
     def in_orthogonal_regime(self):
-        return self.alpha > -1
+        return self.alpha.imag == 0 and self.alpha.real > -1
 
 
 class MeixnerPollaczekParams(Record):
@@ -134,9 +127,13 @@ class MeixnerPollaczekParams(Record):
 
     @property
     def in_orthogonal_regime(self):
-        two_nu_gamma = 2.0 * self.nu + self.gamma
+        nu = self.nu
+        if nu.imag != 0:
+            return False
+        nu = nu.real
+        two_nu_gamma = 2.0 * nu + self.gamma
         return (two_nu_gamma > 0 and self.gamma >= 0) or (
-            two_nu_gamma >= 1 and self.nu > -1
+            two_nu_gamma >= 1 and nu > -1
         )
 
 

@@ -323,6 +323,9 @@ NUMERIC_FLAGS = {
 }
 NON_FINITE = ("nan", "inf", "-inf", "NaN", "1e999")
 COMPLEX_FLAGS = ("--x",)
+# A nonpositive tolerance used to run and fail later: exit 1 with 140 FAIL
+# lines, or exit 3 from a series that could not meet it.
+NON_POSITIVE = ("0", "-1")
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -331,14 +334,17 @@ COMPLEX_FLAGS = ("--x",)
 def test_non_finite_numeric_flag_is_a_parse_error(capsys, argv, flag):
     texts = NON_FINITE + (("nan+1j", "1+infj") if flag in COMPLEX_FLAGS
                           else ())
-    for text in texts:
+    rejected = [(text, "not a finite number") for text in texts]
+    if flag == "--rel-tol":
+        rejected += [(text, "not a positive number") for text in NON_POSITIVE]
+    for text, reason in rejected:
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, f"{flag}={text}"])
         assert excinfo.value.code == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].endswith(
-            f"error: argument {flag}: not a finite number: {text!r}")
+            f"error: argument {flag}: {reason}: {text!r}")
 
 
 def test_unparsable_numeric_flag_keeps_the_argparse_message(capsys):
@@ -544,6 +550,30 @@ def test_gf_check_gamma_beta_pole_exits_validation(capsys):
     assert err == (
         "assocpoly: invalid input: by-gamma-beta normalization has a "
         "vanishing denominator n+gamma+beta at n=2 for gamma+beta=-2.0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "meixner", "--beta", "1.5", "--c", "0.4", "--gamma", "0",
+      "--forms", "elementary", "--t", "2.5", "--x", "0.5"),
+     "|t| = 2.5 is outside the validity disk |t| < 1"),
+    (("--family", "charlier", "--a", "1.3", "--gamma", "0",
+      "--forms", "elementary", "--t", "1.3", "--x", "-0.5"),
+     "|t| = 1.3 is outside the validity disk |t| < |a| = 1.3"),
+    (("--family", "laguerre", "--alpha", "0.8", "--gamma", "0",
+      "--forms", "elementary", "--t", "1.0"),
+     "|t| = 1 is outside the validity disk |t| < 1"),
+    (("--family", "laguerre", "--alpha", "0.8", "--gamma", "0.8",
+      "--forms", "diag", "--t", "1.0"),
+     "|t| = 1 is outside the validity disk |t| < 1"),
+], ids=["meixner-elementary", "charlier-elementary", "laguerre-elementary",
+        "laguerre-diag"])
+def test_gf_check_singular_t_exits_validation(capsys, argv, message):
+    # The closed form is singular at this t; it used to end in a
+    # ZeroDivisionError traceback (exit 1).
+    code, out, err = run_cli(capsys, "gf-check", *argv)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == f"assocpoly: invalid input: {message}\n"
 
 
 def test_gf_check_explicit_inapplicable_form_exits_validation(capsys):

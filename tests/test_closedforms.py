@@ -5,6 +5,7 @@ values with exact ``fractions.Fraction`` arithmetic, hypergeometric
 sums with mpmath at 50 significant digits, short cases by hand.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -36,6 +37,7 @@ from assocpoly import (
     kummer_1f1,
     laguerre_3f2,
     laguerre_classical,
+    laguerre_seq,
     meixner_4f3,
     meixner_4f3_alt,
     meixner_c1_degenerate,
@@ -134,6 +136,25 @@ def test_quadratic_rejects_positive_integer_beta():
 def test_quadratic_rejects_nonpositive_gamma_plus_beta():
     with pytest.raises(RestrictedParameter):
         meixner_quadratic(0.5, MeixnerParams(-0.5, 0.4, 0.3), 4)
+
+
+_RAHMAN = functools.partial(laguerre_3f2, variant="rahman")
+
+
+@pytest.mark.parametrize("route, seq, params", [
+    (meixner_quadratic, meixner_seq, MeixnerParams(1.5 + 0.1j, 0.4, 0.7)),
+    (meixner_quadratic, meixner_seq, MeixnerParams(0.7 - 0.4j, 0.4, 0.7)),
+    (_RAHMAN, laguerre_seq, LaguerreParams(0.5 + 1j, 0.7)),
+    (_RAHMAN, laguerre_seq, LaguerreParams(-0.3 - 0.5j, 0.7)),
+], ids=["quadratic-1.5+0.1j", "quadratic-0.7-0.4j", "rahman-0.5+1j",
+        "rahman-0.3-0.5j"])
+def test_complex_parameter_routes_match_the_recurrence(route, seq, params):
+    # The real-only guards (gamma+beta <= 0, round(alpha)) used to raise
+    # TypeError here.
+    for x in (0.5, 0.3 + 0.2j):
+        values = seq(x, params, 20)
+        for n in range(21):
+            assert rel(route(x, params, n), values[n]) < 1e-11, (x, n)
 
 
 def test_quadratic_rejects_gamma_plus_beta_one():
@@ -1127,7 +1148,7 @@ def test_terminating_kernels_round_the_exact_sum(evaluate, nums, dens, arg, top)
         lambda: gauss_2f1(-40, 0.3, 1.7, 0.9),
         lambda: kummer_1f1(-40, 0.5, 30),
         # The inner 3F2(1) sums of the c = 1 chain cancel past 1e4 here.
-        lambda: c1_reduction_identity(2.5, 0.7, 0.5, 1e-8, 400),
+        lambda: c1_reduction_identity(2.5, 0.7, 0.5, 1e-8),
     ],
     ids=["gauss_2f1", "kummer_1f1", "c1-chain"],
 )

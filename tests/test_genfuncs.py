@@ -6,6 +6,7 @@ Charlier example is e^{0.1} * 0.95 evaluated by the standard library.
 """
 
 import math
+from unittest.mock import patch
 
 import pytest
 
@@ -369,11 +370,6 @@ def test_ode_residual_small_on_grid(a, gamma, x):
         assert gf_charlier_ode_residual(x, params, t_frac * abs(a)) <= 1e-8
 
 
-def test_ode_residual_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        gf_charlier_ode_residual(0.5, CharlierParams(2.0, 0.7), 0.1, h=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Convolutions and the degenerate reduction chain
 # ---------------------------------------------------------------------------
@@ -442,8 +438,9 @@ def test_degenerate_reduction_chain_rejects_pole_of_its_3f2(beta, gamma):
 def test_degenerate_reduction_chain_raises_when_terms_run_out(t, max_terms):
     # The partial sum was once reported as a failed identity (rel
     # discrepancy 5.7e94 at t = 0.97, 0.036 at t = 0.2 with 3 terms).
-    with pytest.raises(NotConverged) as info:
-        c1_reduction_identity(2.5, 0.7, t, max_terms=max_terms)
+    with (patch.object(genfuncs, "_C1_MAX_TERMS", max_terms),
+          pytest.raises(NotConverged) as info):
+        c1_reduction_identity(2.5, 0.7, t)
     assert info.value.outcome.terms_used == max_terms
     assert not info.value.outcome.converged
 

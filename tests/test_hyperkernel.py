@@ -10,6 +10,7 @@ closed forms (Chu-Vandermonde, Gauss summation, binomial cases).
 import cmath
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 import scipy.special
@@ -25,7 +26,6 @@ from assocpoly import (
     NotConverged,
     PoleArgument,
     QuadratureNotConverged,
-    SeriesConfig,
     SingularIntegrand,
     ZeroPochhammer,
     appell_f1,
@@ -40,11 +40,19 @@ from assocpoly import (
     pochhammer,
     pochhammer_log,
 )
-from assocpoly import hyperkernel
+from assocpoly import genfuncs, hyperkernel
 
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _capped(kernel, max_terms):
+    """``kernel`` run with every series cut off after ``max_terms`` terms."""
+    def capped(*args):
+        with patch.object(hyperkernel, "_MAX_TERMS", max_terms):
+            return kernel(*args)
+    return capped
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +408,7 @@ def test_humbert_phi1_confluence_limit_of_f1():
 def test_series_ending_on_its_last_allowed_term_converges(kernel, args, value):
     # beta1 = -3 ends the series after its fourth term, which is exactly
     # the cap: the polynomial is complete, not a partial sum.
-    out = kernel(*args, SeriesConfig(max_terms=4))
+    out = _capped(kernel, 4)(*args)
     assert (out.value, out.converged, out.terms_used, out.err_estimate) == (
         value, True, 4, 0.0)
 
@@ -428,23 +436,23 @@ def test_humbert_phi1_second_variable_only_is_kummer():
 # ---------------------------------------------------------------------------
 
 
-def _per_term_f1(alpha, beta1, beta2, sigma, x, y, cfg):
+def _per_term_f1(alpha, beta1, beta2, sigma, x, y):
     return hyperkernel._sum_series(
-        alpha, beta1, sigma, x, cfg.rel_tol, cfg.max_terms,
+        alpha, beta1, sigma, x, hyperkernel._REL_TOL, hyperkernel._MAX_TERMS,
         "Appell F1 series did not converge in {max_terms} terms",
-        lambda m: gauss_2f1(alpha + m, beta2, sigma + m, y, cfg),
+        lambda m: gauss_2f1(alpha + m, beta2, sigma + m, y),
     )
 
 
-def _per_term_phi1(alpha1, lam, alpha2, x, y, cfg):
+def _per_term_phi1(alpha1, lam, alpha2, x, y):
     """humbert_phi1 for |x| < 1, each inner 1F1 through kummer_1f1."""
     if hyperkernel._near_int_in_range(alpha2, -math.inf, 0, 1e-12) is not None:
         raise PoleArgument(
             f"Phi1 denominator parameter alpha2={alpha2!r} is a gamma pole")
     return hyperkernel._sum_series(
-        alpha1, lam, alpha2, x, cfg.rel_tol, cfg.max_terms,
+        alpha1, lam, alpha2, x, hyperkernel._REL_TOL, hyperkernel._MAX_TERMS,
         "Phi1 series did not converge in {max_terms} terms",
-        lambda m: kummer_1f1(alpha1 + m, alpha2 + m, y, cfg),
+        lambda m: kummer_1f1(alpha1 + m, alpha2 + m, y),
     )
 
 
@@ -479,25 +487,27 @@ _PHI1_Y = st.one_of(
     st.sampled_from([0.0, 0j, 0.5, -0.5, -3.0, 2.5, 1.5 - 2j, -2 + 0.5j]),
     st.floats(-6.0, 6.0),
     st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
-_CFGS = st.sampled_from([SeriesConfig(), SeriesConfig(max_terms=4)])
+_CAPS = st.sampled_from([10000, 4])
 
 
 @settings(max_examples=300, deadline=None)
 @given(alpha=_INNER_PARAM, beta1=_INNER_PARAM, beta2=_INNER_PARAM,
-       sigma=_INNER_PARAM, x=_OUTER_X, y=_F1_Y, cfg=_CFGS)
+       sigma=_INNER_PARAM, x=_OUTER_X, y=_F1_Y, max_terms=_CAPS)
 def test_f1_inner_choice_matches_the_per_term_ladder(alpha, beta1, beta2, sigma,
-                                                     x, y, cfg):
-    args = (alpha, beta1, beta2, sigma, x, y, cfg)
-    assert _result(hyperkernel._f1_series, *args) == _result(_per_term_f1, *args)
+                                                     x, y, max_terms):
+    args = (alpha, beta1, beta2, sigma, x, y)
+    assert (_result(_capped(hyperkernel._f1_series, max_terms), *args)
+            == _result(_capped(_per_term_f1, max_terms), *args))
 
 
 @settings(max_examples=300, deadline=None)
 @given(alpha1=_INNER_PARAM, lam=_INNER_PARAM, alpha2=_INNER_PARAM,
-       x=_OUTER_X, y=_PHI1_Y, cfg=_CFGS)
+       x=_OUTER_X, y=_PHI1_Y, max_terms=_CAPS)
 def test_phi1_inner_choice_matches_the_per_term_ladder(alpha1, lam, alpha2, x,
-                                                       y, cfg):
-    args = (alpha1, lam, alpha2, x, y, cfg)
-    assert _result(humbert_phi1, *args) == _result(_per_term_phi1, *args)
+                                                       y, max_terms):
+    args = (alpha1, lam, alpha2, x, y)
+    assert (_result(_capped(humbert_phi1, max_terms), *args)
+            == _result(_capped(_per_term_phi1, max_terms), *args))
 
 
 # ---------------------------------------------------------------------------
@@ -638,23 +648,15 @@ def test_kernel_refusal_branches(name):
 
 
 # ---------------------------------------------------------------------------
-# Series configuration plumbing
+# The series stopping rule
 # ---------------------------------------------------------------------------
 
 
-def test_series_config_validation():
-    with pytest.raises(ValueError):
-        SeriesConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesConfig(max_terms=0)
-
-
 def test_eval_outcome_error_estimate_honours_tolerance():
-    cfg = SeriesConfig(rel_tol=1e-12)
-    out = gauss_2f1(0.3, 1.2, 0.9, 0.5, cfg)
+    out = gauss_2f1(0.3, 1.2, 0.9, 0.5)
     assert out.converged
-    assert out.err_estimate <= 1e-12 * abs(out.value) * 10.0
-    assert out.terms_used <= cfg.max_terms
+    assert out.err_estimate <= hyperkernel._REL_TOL * abs(out.value) * 10.0
+    assert out.terms_used <= hyperkernel._MAX_TERMS
 
 
 # ---------------------------------------------------------------------------
@@ -697,18 +699,17 @@ def _pinned_cases():
               (humbert_phi1, (0.8, -1.0, 1.6, 0.5, -1.2))]
     # Four series cut off by the term cap; F1 and Phi1 at y = 0 so that
     # their own loop, not an inner one, runs out.
-    short = SeriesConfig(max_terms=4)
-    cases += [(gauss_2f1, (0.3, 1.7, 2.2, 0.4, short)),
-              (kummer_1f1, (0.6, 1.9, -2.0, short)),
-              (appell_f1, (1.0, 0.5, 0.7, 1.3, 0.6, 0.0, short)),
-              (humbert_phi1, (0.8, 1.1, 1.6, 0.5, 0.0, short))]
+    cases += [(_capped(gauss_2f1, 4), (0.3, 1.7, 2.2, 0.4)),
+              (_capped(kummer_1f1, 4), (0.6, 1.9, -2.0)),
+              (_capped(appell_f1, 4), (1.0, 0.5, 0.7, 1.3, 0.6, 0.0)),
+              (_capped(humbert_phi1, 4), (0.8, 1.1, 1.6, 0.5, 0.0))]
     # Connection-formula 2F1 whose first inner series reaches an exactly
     # zero numerator (c - b = -2) and keeps summing zero terms.
     cases += [(gauss_2f1, (0.3, 3.5, 1.5, -3.0)),
               (gauss_2f1, (0.3, 3.5, 1.5, -3.0 + 0.5j))]
     # F1 and Phi1 whose inner 2F1 or 1F1 runs out of terms.
-    cases += [(appell_f1, (0.8, 0.6, 1.1, 2.3, 0.3, 0.45, short)),
-              (humbert_phi1, (0.7, 1.5, 2.2, 0.4, 3.0, short))]
+    cases += [(_capped(appell_f1, 4), (0.8, 0.6, 1.1, 2.3, 0.3, 0.45)),
+              (_capped(humbert_phi1, 4), (0.7, 1.5, 2.2, 0.4, 3.0))]
     # The c = 1 chain at the points verify_convolutions checks, at a t
     # that needs more terms, and cut off by its own term cap.
     cases += [(_c1_chain, (2.5, 0.7, 0.2)), (_c1_chain, (0.7, 1.4, -0.15)),
@@ -719,7 +720,8 @@ def _pinned_cases():
 
 def _c1_chain(beta, gamma, t, max_terms=400):
     """Left side of the c = 1 chain at the tolerance of verify_convolutions."""
-    report = c1_reduction_identity(beta, gamma, t, 1e-8, max_terms)
+    with patch.object(genfuncs, "_C1_MAX_TERMS", max_terms):
+        report = c1_reduction_identity(beta, gamma, t, 1e-8)
     return EvalOutcome(report.lhs, True, 0, 0.0)
 
 
@@ -846,7 +848,7 @@ def _reference_sum_series(terms, rel_tol, max_terms, message, z):
     )
 
 
-def _reference_2f1(a, b, c, z, cfg):
+def _reference_2f1(a, b, c, z, max_terms):
     def terms():
         term = 1.0
         n = 0
@@ -856,12 +858,12 @@ def _reference_2f1(a, b, c, z, cfg):
             n += 1
 
     return _reference_sum_series(
-        terms(), cfg.rel_tol, cfg.max_terms,
+        terms(), hyperkernel._REL_TOL, max_terms,
         "2F1 series did not converge in {max_terms} terms at z={z!r}", z,
     )
 
 
-def _reference_1f1(a, b, z, cfg):
+def _reference_1f1(a, b, z, max_terms):
     def terms():
         term = 1.0
         n = 0
@@ -871,7 +873,7 @@ def _reference_1f1(a, b, z, cfg):
             n += 1
 
     return _reference_sum_series(
-        terms(), cfg.rel_tol, cfg.max_terms,
+        terms(), hyperkernel._REL_TOL, max_terms,
         "1F1 series did not converge in {max_terms} terms at z={z!r}", z,
     )
 
@@ -901,8 +903,7 @@ _ARG = st.one_of(st.floats(-0.9, 0.9),
 @given(a=_PARAM, b=_PARAM, c=_PARAM, z=_ARG,
        max_terms=st.sampled_from([3, 40, 10000]))
 def test_series_loop_matches_generator_reference(a, b, c, z, max_terms):
-    cfg = SeriesConfig(max_terms=max_terms)
-    assert (_outcome_repr(hyperkernel._series_2f1, a, b, c, z, cfg)
-            == _outcome_repr(_reference_2f1, a, b, c, z, cfg))
-    assert (_outcome_repr(hyperkernel._series_1f1, a, c, z, cfg)
-            == _outcome_repr(_reference_1f1, a, c, z, cfg))
+    assert (_outcome_repr(_capped(hyperkernel._series_2f1, max_terms), a, b, c, z)
+            == _outcome_repr(_reference_2f1, a, b, c, z, max_terms))
+    assert (_outcome_repr(_capped(hyperkernel._series_1f1, max_terms), a, c, z)
+            == _outcome_repr(_reference_1f1, a, c, z, max_terms))

@@ -20,7 +20,6 @@ from assocpoly import (
     Normalization,
     PolySequence,
     ScaledSequence,
-    SeriesConfig,
     ZeroA,
     ZeroC,
     classical,
@@ -28,8 +27,6 @@ from assocpoly import (
 
 # (class, field names, values in field order, the repr of that record)
 RECORDS = [
-    (SeriesConfig, ("rel_tol", "max_terms"), (1e-10, 50),
-     "SeriesConfig(rel_tol=1e-10, max_terms=50)"),
     (EvalOutcome, ("value", "converged", "terms_used", "err_estimate"),
      (0.5 - 2j, True, 7, 1e-17),
      "EvalOutcome(value=(0.5-2j), converged=True, terms_used=7, "
@@ -76,7 +73,6 @@ IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 # (class, required arguments, {field: default} for the rest)
 DEFAULTS = [
-    (SeriesConfig, (), {"rel_tol": 1e-14, "max_terms": 10000}),
     (EulerIntegrand, (0.7,), {"factors": (), "exp_scale": 0.0}),
     (MeixnerParams, (1.5, 0.4), {"gamma": 0.0}),
     (CharlierParams, (2.0,), {"gamma": 0.0}),
@@ -189,12 +185,6 @@ def test_validation_errors_are_unchanged():
     for phi in (0.0, math.pi, -1.0):
         with pytest.raises(ValueError, match=r"phi must lie in \(0, pi\)"):
             MeixnerPollaczekParams(0.75, phi)
-    with pytest.raises(ValueError, match="rel_tol must be positive"):
-        SeriesConfig(rel_tol=0.0)
-    with pytest.raises(ValueError, match="rel_tol must be positive"):
-        SeriesConfig(rel_tol=math.nan)
-    with pytest.raises(ValueError, match="max_terms must be at least 1"):
-        SeriesConfig(max_terms=0)
 
 
 def test_gfspec_coerces_its_normalization_and_checks_truncation():

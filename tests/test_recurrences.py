@@ -81,6 +81,16 @@ def test_orthogonal_regime_flag():
     assert MeixnerPollaczekParams(-0.2, 1.0, 1.5).in_orthogonal_regime
 
 
+def test_orthogonal_regime_flag_is_false_for_non_real_parameters():
+    # Each used to raise TypeError from an order comparison of a complex.
+    assert not MeixnerParams(1.5 + 0.1j, 0.4, 0.7).in_orthogonal_regime
+    assert not LaguerreParams(0.5 + 1j, 0.3).in_orthogonal_regime
+    assert not MeixnerPollaczekParams(0.7 + 0.2j, 1.0, 0.5).in_orthogonal_regime
+    assert MeixnerParams(1.5 + 0j, 0.4, 0.7).in_orthogonal_regime
+    assert LaguerreParams(0.5 + 0j, 0.3).in_orthogonal_regime
+    assert MeixnerPollaczekParams(0.7 + 0j, 1.0, 0.5).in_orthogonal_regime
+
+
 def test_classical_helper_zeroes_gamma():
     p = classical(MeixnerParams(1.5, 0.4, 0.7))
     assert p.gamma == 0.0 and p.beta == 1.5 and p.c == 0.4

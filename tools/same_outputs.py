@@ -15,11 +15,12 @@ the exit code is 1 when any invocation differs, else 0.
 The invocations of ``python -m assocpoly``: ``verify --set all`` for
 seeds 0-2; ``eval`` on the argv of ``perfbench/evalcold.cases(seed,
 200)`` for seeds 1-3; ``gf-check`` for every family at real and complex
-x; ``mh-study``; ``table``; ``--help``, an unknown subcommand and no
-argument.  Then one run of the warm kernel calls, which prints the repr of
-the report (or of the raised error) of each of the first 3,000 operations
-of ``perfbench/kernel.stream(seed)`` for seeds 1-3.  Both sides read this
-checkout's ``perfbench``.
+x, and at a pole of a normalizer or the t where a closed form is singular;
+``verify`` with a zero tolerance; ``mh-study``; ``table``; ``--help``, an
+unknown subcommand and no argument.  Then one run of the warm kernel
+calls, which prints the repr of the report (or of the raised error) of
+each of the first 3,000 operations of ``perfbench/kernel.stream(seed)``
+for seeds 1-3.  Both sides read this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,16 @@ def invocations():
     argvs.append(["gf-check", "--family", "meixner", "--forms", "appell",
                   "--beta", "-3", "--c", "0.5", "--gamma", "1", "--x", "0.5",
                   "--t", "0"])
+    # Each closed form at the t where it is singular.
+    argvs += [["gf-check", "--family", "meixner", *_FAMILY_FLAGS["meixner"],
+               "--gamma", "0", "--forms", "elementary", "--t", "2.5", "--x", "0.5"],
+              ["gf-check", "--family", "charlier", *_FAMILY_FLAGS["charlier"],
+               "--gamma", "0", "--forms", "elementary", "--t", "1.3", "--x", "-0.5"],
+              ["gf-check", "--family", "laguerre", *_FAMILY_FLAGS["laguerre"],
+               "--gamma", "0", "--forms", "elementary", "--t", "1.0"],
+              ["gf-check", "--family", "laguerre", *_FAMILY_FLAGS["laguerre"],
+               "--gamma", "0.8", "--forms", "diag", "--t", "1.0"]]
+    argvs.append(["verify", "--set", "convolutions", "--rel-tol", "0"])
     for x in ("0.3", "-1.1+0.2j"):
         argvs.append(["mh-study", "--family", "meixner", "--beta", "1.5",
                       "--c", "0.4", "--gamma", "0.7", "--x", x])
