@@ -255,7 +255,7 @@ def meixner_quadratic(x, params, n):
         )
     gamma_beta = gamma + beta
     if (abs(gamma_beta - 1.0) < _INT_TOL
-            or gamma_beta.imag == 0 and gamma_beta.real <= 0):
+            or (gamma_beta.imag == 0 and gamma_beta.real <= 0)):
         raise RestrictedParameter(
             f"quadratic representation requires gamma+beta > 0 and != 1, "
             f"got gamma+beta={gamma_beta!r}"

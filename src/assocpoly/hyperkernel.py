@@ -87,7 +87,7 @@ _NONPOS_INT_TOL = 1e-9
 _POLE_TOL = 1e-12
 _NEAR_INT_TOL = 1e-6
 _INT_TOL = 1e-8
-_REL_TOL = 1e-14  # a series stops after two terms below it times the sum
+_REL_TOL = 1e-14  # a series stops at two terms below this times its sum
 _MAX_TERMS = 10000  # its terms before NotConverged
 _ONE_EXCLUSION = 0.05  # gauss_2f1 refuses |1 - z| below it if Re(c-a-b) <= 0
 _QUAD_TOL = 1e-13  # relative target of the tanh-sinh quadrature
@@ -968,6 +968,10 @@ def gauss_2f1(a, b, c, z):
     0.95, and finally the direct series on the rest of the open unit
     disk when ``Re(c-a-b) > 0`` (absolutely convergent there).  With
     ``Re(c-a-b) <= 0``, ``|1-z| < _ONE_EXCLUSION`` (0.05) is refused.
+    Each series stops once two consecutive terms are below ``_REL_TOL``
+    (1e-14) times its sum, and raises
+    :class:`~assocpoly.errors.NotConverged` after ``_MAX_TERMS`` (10000)
+    terms.
 
     Parameters
     ----------
@@ -976,10 +980,7 @@ def gauss_2f1(a, b, c, z):
         :class:`~assocpoly.errors.PoleArgument` unless an earlier exact
         or terminating branch applies.
     z : float or complex
-        Argument.  Each series stops once two consecutive terms are below
-        ``_REL_TOL`` (1e-14) times its sum, and raises
-        :class:`~assocpoly.errors.NotConverged` after ``_MAX_TERMS``
-        (10000) terms.
+        Argument.
 
     Returns
     -------
