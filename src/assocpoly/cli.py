@@ -13,8 +13,8 @@ Output is CSV (default) or JSON via ``--output``; CSV carries a
 ``# seed=<seed>`` comment line, a mandatory header row, and values with
 17 significant digits, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 parameter/validation
-error, 3 numerical failure.
+Exit codes: 0 success, 1 verification failure, 2 invalid input
+(``errors.InvalidInput``), 3 numerical failure (``errors.NumericalFailure``).
 """
 
 from __future__ import annotations
@@ -42,20 +42,7 @@ from .closedforms import (
     meixner_reflection_rhs,
     mp_from_meixner,
 )
-from .errors import (
-    DenominatorPole,
-    DomainError,
-    IllConditioned,
-    NotConverged,
-    PoleArgument,
-    QuadratureNotConverged,
-    RestrictedParameter,
-    SingularIntegrand,
-    TailTooLarge,
-    ZeroA,
-    ZeroC,
-    ZeroPochhammer,
-)
+from .errors import InvalidInput, NumericalFailure
 from .recurrences import (
     CharlierParams,
     LaguerreParams,
@@ -75,12 +62,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_VALIDATION_ERRORS = (ZeroC, ZeroA, RestrictedParameter, DomainError,
-                      ValueError, TypeError)
+_VALIDATION_ERRORS = (InvalidInput, ValueError, TypeError)
 # OverflowError: a value beyond the binary64 range.
-_NUMERICAL_ERRORS = (PoleArgument, DenominatorPole, NotConverged,
-                     IllConditioned, QuadratureNotConverged, TailTooLarge,
-                     ZeroPochhammer, SingularIntegrand, OverflowError)
+_NUMERICAL_ERRORS = (NumericalFailure, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +195,29 @@ class _Family(NamedTuple):
     seq: Callable
     # {rep: route(x, params, n)}; the order is the one "choose from" prints.
     routes: dict
-    # The route the cross-check compares a recurrence value against.
-    alternate: str
+
+    def sweep(self, rep, x, params, n_max):
+        """The values of route ``rep`` at degrees 0..n_max, as a list.
+
+        The recurrence runs once over the range; any other route runs once
+        per degree, so the first degree that fails raises.
+        """
+        if rep == "recurrence":
+            return list(self.seq(x, params, n_max).values)
+        route = self.routes[rep]
+        return [route(x, params, n) for n in range(n_max + 1)]
 
 
-def _family(params, flags, seq, routes, alternate):
+def _family(params, flags, seq, routes):
     routes = {"recurrence": lambda x, p, n: seq(x, p, n)[n], **routes}
-    return _Family(params, flags, seq, routes, alternate)
+    return _Family(params, flags, seq, routes)
 
 
 # The one family/route table: ``eval`` and ``table`` offer its routes, and
-# ``verify --set representations`` compares them in pairs.  Every route
-# calls this module's global names when it runs, never a stored function
-# object: perfbench patches ``cli.<name>`` after import to time the
+# ``verify --set representations`` compares them in pairs; both ``table``
+# and ``verify`` take a route's values over 0..n from ``_Family.sweep``.
+# Every route calls this module's global names when it runs, never a stored
+# function object: perfbench patches ``cli.<name>`` after import to time the
 # ``cli.route``, ``closedforms.*`` and ``recurrences`` spans, and a function
 # captured at import would silently bypass those patches.  That is also why
 # the table lives here and not in ``closedforms``.
@@ -241,7 +235,6 @@ _FAMILIES = {
             "classical": lambda x, p, n: meixner_classical(
                 x, _zero_shift(p).beta, p.c, n),
         },
-        "4f3",
     ),
     "charlier": _family(
         CharlierParams, ("a",),
@@ -253,7 +246,6 @@ _FAMILIES = {
             "classical": lambda x, p, n: charlier_classical(
                 x, _zero_shift(p).a, n),
         },
-        "3f2",
     ),
     "laguerre": _family(
         LaguerreParams, ("alpha",),
@@ -264,13 +256,11 @@ _FAMILIES = {
             "classical": lambda x, p, n: laguerre_classical(
                 x, _zero_shift(p).alpha, n),
         },
-        "3f2",
     ),
     "meixner-pollaczek": _family(
         MeixnerPollaczekParams, ("nu", "phi"),
         lambda x, p, n: meixner_pollaczek_seq(x, p, n),
         {"connection": lambda x, p, n: mp_from_meixner(x, p, n)},
-        "connection",
     ),
 }
 
@@ -310,13 +300,14 @@ def _finite_value(value):
 
 
 def _cross_check(args, params, x, n, value):
-    """Best-effort independent estimate of the relative error."""
-    family = _FAMILIES[args.family]
-    other = family.alternate if args.rep == "recurrence" else "recurrence"
+    """Best-effort independent estimate of the relative error: the
+    recurrence against the family's first closed-form route."""
+    routes = _FAMILIES[args.family].routes
+    other = list(routes)[1] if args.rep == "recurrence" else "recurrence"
     if args.rep == "degenerate-c1" and x is None:
         x = 0.0
     try:
-        check = _finite_value(family.routes[other](x, params, n))
+        check = _finite_value(routes[other](x, params, n))
     except (*_VALIDATION_ERRORS, *_NUMERICAL_ERRORS):
         return None
     scale = max(abs(value), abs(check))
@@ -359,17 +350,14 @@ def _cmd_eval(args):
 
 def _cmd_table(args):
     params = _build_params(args)
-    route = _route(args)
+    _route(args)  # rejects a --rep that the family lacks
     if args.n_max < 0:
         raise ValueError("empty grid: --n-max must be >= 0")
-    seq = _FAMILIES[args.family].seq
+    family = _FAMILIES[args.family]
     records = []
     for x in args.x:
-        if args.rep == "recurrence":
-            values = seq(x, params, args.n_max).values
-        else:
-            values = [route(x, params, n) for n in range(args.n_max + 1)]
-        for n, value in enumerate(values):
+        for n, value in enumerate(family.sweep(args.rep, x, params,
+                                               args.n_max)):
             v = complex(_finite_value(value))
             records.append({
                 "family": args.family,
@@ -534,13 +522,15 @@ def _cmd_mh_study(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_output_flags(parser):
+def _add_output_flags(parser, rel_tol=False):
+    """The output flags, and ``--rel-tol`` for the commands that check."""
     parser.add_argument("--output", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output path (default stdout)")
-    parser.add_argument("--rel-tol", type=_POSITIVE, default=1e-8,
-                        help="relative tolerance (default 1e-8)")
+    if rel_tol:
+        parser.add_argument("--rel-tol", type=_POSITIVE, default=1e-8,
+                            help="relative tolerance (default 1e-8)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized sampling (default 0)")
 
@@ -590,7 +580,7 @@ def _verify_flags(p_verify):
     p_verify.add_argument("--set", required=True, choices=VERIFY_SETS)
     p_verify.add_argument("--n-max", type=int, default=25,
                           help="highest degree for grids (default 25)")
-    _add_output_flags(p_verify)
+    _add_output_flags(p_verify, rel_tol=True)
     p_verify.set_defaults(func=_cmd_verify)
 
 
@@ -602,7 +592,7 @@ def _gf_check_flags(p_gf):
                       help="series variable values (default 0.05 0.1)")
     p_gf.add_argument("--forms", nargs="+", default=["all"],
                       help="closed forms to check (default all applicable)")
-    _add_output_flags(p_gf)
+    _add_output_flags(p_gf, rel_tol=True)
     p_gf.set_defaults(func=_cmd_gf_check)
 
 

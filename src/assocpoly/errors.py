@@ -2,9 +2,10 @@
 
 Every failure mode raised by the numerical kernel or the polynomial
 evaluators is a subclass of :class:`AssocPolyError`, so callers can
-catch one base class.  The split between "validation" errors (bad
-parameters) and "numerical" errors (a well-posed computation that
-cannot be completed) is what drives the CLI exit codes.
+catch one base class.  Each error sits under one of its two bases:
+:class:`InvalidInput` (bad parameters or arguments) or
+:class:`NumericalFailure` (a well-posed computation that cannot be
+completed).  The CLI exit codes follow that split: 2 and 3.
 
 The module also holds :class:`Record`, the base of the library's
 immutable value records, because every other module imports it.
@@ -75,19 +76,23 @@ class AssocPolyError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class ZeroC(AssocPolyError):
+class InvalidInput(AssocPolyError):
+    """Base of the errors for a parameter or argument the formula rejects."""
+
+
+class ZeroC(InvalidInput):
     """The Meixner parameter c is zero (the recurrence divides by c)."""
 
 
-class ZeroA(AssocPolyError):
+class ZeroA(InvalidInput):
     """The Charlier parameter a is zero (the recurrence divides by a)."""
 
 
-class RestrictedParameter(AssocPolyError):
+class RestrictedParameter(InvalidInput):
     """A parameter violates an explicit restriction of the formula in use."""
 
 
-class DomainError(AssocPolyError):
+class DomainError(InvalidInput):
     """An argument lies outside the evaluable domain of the requested form."""
 
 
@@ -96,19 +101,23 @@ class DomainError(AssocPolyError):
 # ---------------------------------------------------------------------------
 
 
-class ZeroPochhammer(AssocPolyError):
+class NumericalFailure(AssocPolyError):
+    """Base of the errors for a well-posed computation that cannot finish."""
+
+
+class ZeroPochhammer(NumericalFailure):
     """A rising factorial is exactly zero where a nonzero value is required."""
 
 
-class PoleArgument(AssocPolyError):
+class PoleArgument(NumericalFailure):
     """An argument hit a pole of the gamma function (nonpositive integer)."""
 
 
-class DenominatorPole(AssocPolyError):
+class DenominatorPole(NumericalFailure):
     """A denominator rising-factorial factor vanishes inside the summation range."""
 
 
-class NotConverged(AssocPolyError):
+class NotConverged(NumericalFailure):
     """An infinite series hit the term cap before meeting the tolerance.
 
     Carries the partial result in :attr:`outcome` so callers can inspect
@@ -120,7 +129,7 @@ class NotConverged(AssocPolyError):
         self.outcome = outcome
 
 
-class IllConditioned(AssocPolyError):
+class IllConditioned(NumericalFailure):
     """The only available evaluation route is numerically degenerate.
 
     Raised by the Gauss 2F1 connection formula when the parameter
@@ -130,13 +139,13 @@ class IllConditioned(AssocPolyError):
     """
 
 
-class SingularIntegrand(AssocPolyError):
+class SingularIntegrand(NumericalFailure):
     """An Euler-integral factor vanishes on the integration interval."""
 
 
-class QuadratureNotConverged(AssocPolyError):
+class QuadratureNotConverged(NumericalFailure):
     """Tanh-sinh refinement hit its level cap before the tolerance was met."""
 
 
-class TailTooLarge(AssocPolyError):
+class TailTooLarge(NumericalFailure):
     """A truncated generating-function partial sum has a non-negligible tail."""

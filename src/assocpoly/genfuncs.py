@@ -427,15 +427,21 @@ def gf_charlier_ode_residual(x, params, t):
     The (gamma+1)_n-normalized series G satisfies
     ``t(a-t) G'(t) + [t^2 + (x-a-gamma) t + a gamma] G(t) = a gamma``;
     the derivative uses a 5-point central difference with step
-    ``1e-4 * max(1, |t|)``.
+    ``1e-4 * max(1, |t|)``.  Raises DomainError when t, or a stencil
+    point t ± 2h, lies outside the disk |t| < |a|.
 
     Returns
     -------
     float
         Absolute residual magnitude.
     """
+    _check_charlier_t(params, t)
     a, gamma = params.a, params.gamma
     h = 1e-4 * max(1.0, abs(t))
+    if max(abs(t - 2 * h), abs(t + 2 * h)) >= abs(a):
+        raise DomainError(f"at |t| = {abs(t):.6g} the 5-point stencil t ± 2h "
+                          f"(h = {h:.6g}) leaves the validity disk |t| < "
+                          f"|a| = {abs(a):.6g}")
 
     def g(tt):
         if gamma == 0:
@@ -531,22 +537,27 @@ def weighted_classical_gf(x, params, t, rel_tol=1e-9, weight_gamma=None):
     -------
     IdentityReport
     """
+    g = weight_gamma if weight_gamma is not None else params.gamma
+    # The left side sums the family's series, so t must lie in its disk.
+    if isinstance(params, MeixnerParams):
+        _check_meixner_t(params, t)
+        ident, closed_form = "weighted-gf-meixner", gf_weighted_meixner_rhs
+        shape = (params.beta, params.c)
+    elif isinstance(params, CharlierParams):
+        _check_charlier_t(params, t)
+        ident, closed_form = "weighted-gf-charlier", gf_weighted_charlier_rhs
+        shape = (params.a,)
+    elif isinstance(params, LaguerreParams):
+        _check_laguerre_t(params, t)
+        ident, closed_form = "weighted-gf-laguerre", gf_weighted_laguerre_rhs
+        shape = (params.alpha,)
+    else:
+        raise TypeError(f"unsupported family parameter type {type(params)!r}")
     spec = GFSpec(
         params, x, t, Normalization.WEIGHTED, _WEIGHTED_N_START, weight_gamma
     )
-    g = weight_gamma if weight_gamma is not None else params.gamma
     lhs, n_used = gf_lhs_auto(spec, rel_tol)
-    if isinstance(params, MeixnerParams):
-        rhs = gf_weighted_meixner_rhs(x, params.beta, params.c, g, t)
-        ident = "weighted-gf-meixner"
-    elif isinstance(params, CharlierParams):
-        rhs = gf_weighted_charlier_rhs(x, params.a, g, t)
-        ident = "weighted-gf-charlier"
-    elif isinstance(params, LaguerreParams):
-        rhs = gf_weighted_laguerre_rhs(x, params.alpha, g, t)
-        ident = "weighted-gf-laguerre"
-    else:
-        raise TypeError(f"unsupported family parameter type {type(params)!r}")
+    rhs = closed_form(x, *shape, g, t)
     point = {"x": x, "t": t, "gamma": g, "N": n_used}
     return make_report(ident, point, lhs, rhs, rel_tol)
 

@@ -107,12 +107,10 @@ def verify_representations(rel_tol=1e-8, n_max=25):
             point = dict(zip(names, values))
             *args, x = values
             params = family.params(*args)
-            routes = {"recurrence": list(family.seq(x, params, n_max).values)}
-            for tag in tags:
-                route = family.routes[tag]
+            routes = {}
+            for tag in ("recurrence", *tags):
                 try:
-                    routes[tag] = [route(x, params, n)
-                                   for n in range(n_max + 1)]
+                    routes[tag] = family.sweep(tag, x, params, n_max)
                 except (DenominatorPole, RestrictedParameter):
                     continue
             for tag_a, tag_b in itertools.combinations(routes, 2):
@@ -123,41 +121,32 @@ def verify_representations(rel_tol=1e-8, n_max=25):
                 ))
     # Meixner-Pollaczek: recurrence vs the complex Meixner connection.
     mp = _FAMILIES["meixner-pollaczek"]
-    connection = mp.routes["connection"]
     mp_n_max = min(n_max, 20)
     for nu, phi, gamma, x in itertools.product(
         (0.3, 1.0), (0.7, 2.0), (0.0, 0.5, 1.8), (-1.2, 0.0, 2.5)
     ):
         params = mp.params(nu, phi, gamma)
         point = {"nu": nu, "phi": phi, "gamma": gamma, "x": x}
-        seq = mp.seq(x, params, mp_n_max)
-        pairs = [
-            (n, connection(x, params, n), seq[n])
-            for n in range(mp_n_max + 1)
-        ]
-        reports.append(
-            _worst_pair_report(
-                "mp-rep:connection~recurrence", point, pairs, rel_tol
-            )
-        )
+        recurrence = mp.sweep("recurrence", x, params, mp_n_max)
+        connection = mp.sweep("connection", x, params, mp_n_max)
+        reports.append(_worst_pair_report(
+            "mp-rep:connection~recurrence", point,
+            zip(range(mp_n_max + 1), connection, recurrence), rel_tol,
+        ))
     # Classical gamma = 0 reductions, tighter tolerance.
     red_tol = min(rel_tol, 1e-10)
     red_n_max = min(n_max, 20)
     for name, (grids, _tags) in _PAIRS.items():
         family = _FAMILIES[name]
-        classical = family.routes["classical"]
         names = (*family.flags, "x")
         for values in itertools.product(*grids, _XS):
             *args, x = values
             params = family.params(*args, 0.0)
-            seq = family.seq(x, params, red_n_max)
-            pairs = [
-                (n, classical(x, params, n), seq[n])
-                for n in range(red_n_max + 1)
-            ]
+            recurrence = family.sweep("recurrence", x, params, red_n_max)
+            classical = family.sweep("classical", x, params, red_n_max)
             reports.append(_worst_pair_report(
-                f"{name}-classical-reduction",
-                dict(zip(names, values)), pairs, red_tol,
+                f"{name}-classical-reduction", dict(zip(names, values)),
+                zip(range(red_n_max + 1), classical, recurrence), red_tol,
             ))
     return reports
 

@@ -15,6 +15,7 @@ import pytest
 
 from assocpoly import (
     CharlierParams,
+    DenominatorPole,
     LaguerreParams,
     MeixnerParams,
     MeixnerPollaczekParams,
@@ -38,6 +39,7 @@ from assocpoly import (
     meixner_seq,
     mp_from_meixner,
 )
+from assocpoly import cli, errors
 from assocpoly.cli import (
     _FAMILIES,
     EXIT_NUMERICAL,
@@ -310,22 +312,64 @@ def test_argparse_errors_exit_2():
 # One valid command per subcommand, and its real-valued and scalar flags.
 NUMERIC_FLAGS = {
     ("eval", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
-     "--x", "0.5", "--n", "3"): ("--beta", "--c", "--gamma", "--x",
-                                 "--rel-tol"),
+     "--x", "0.5", "--n", "3"): ("--beta", "--c", "--gamma", "--x"),
     ("eval", "--family", "meixner-pollaczek", "--nu", "0.7", "--phi", "1.1",
      "--x", "0.5", "--n", "3"): ("--nu", "--phi"),
     ("table", "--family", "charlier", "--a", "2", "--x", "0.5",
-     "--n-max", "3"): ("--a", "--gamma", "--x", "--rel-tol"),
+     "--n-max", "3"): ("--a", "--gamma", "--x"),
     ("gf-check", "--family", "laguerre", "--alpha", "0.7"): (
         "--alpha", "--gamma", "--x", "--t", "--rel-tol"),
     ("mh-study", "--family", "charlier", "--a", "1", "--x", "-0.5",
-     "--checkpoints", "50"): ("--a", "--gamma", "--x", "--rel-tol"),
+     "--checkpoints", "50"): ("--a", "--gamma", "--x"),
 }
 NON_FINITE = ("nan", "inf", "-inf", "NaN", "1e999")
 COMPLEX_FLAGS = ("--x",)
 # A nonpositive tolerance used to run and fail later: exit 1 with 140 FAIL
 # lines, or exit 3 from a series that could not meet it.
 NON_POSITIVE = ("0", "-1")
+
+
+@pytest.mark.parametrize("argv", [argv for argv in NUMERIC_FLAGS
+                                  if argv[0] in ("eval", "table",
+                                                 "mh-study")])
+def test_rel_tol_only_on_the_commands_that_read_it(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--rel-tol", "1e-6"])
+    assert excinfo.value.code == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "assocpoly: error: unrecognized arguments: --rel-tol 1e-6")
+
+
+# Every error class of the library and its exit code.
+ERROR_EXITS = {
+    "ZeroC": EXIT_VALIDATION, "ZeroA": EXIT_VALIDATION,
+    "RestrictedParameter": EXIT_VALIDATION, "DomainError": EXIT_VALIDATION,
+    "ZeroPochhammer": EXIT_NUMERICAL, "PoleArgument": EXIT_NUMERICAL,
+    "DenominatorPole": EXIT_NUMERICAL, "NotConverged": EXIT_NUMERICAL,
+    "IllConditioned": EXIT_NUMERICAL, "SingularIntegrand": EXIT_NUMERICAL,
+    "QuadratureNotConverged": EXIT_NUMERICAL, "TailTooLarge": EXIT_NUMERICAL,
+}
+
+
+def test_every_error_sits_under_one_base_and_keeps_its_exit_code(
+        capsys, monkeypatch):
+    bases = (errors.InvalidInput, errors.NumericalFailure)
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type)
+               and issubclass(value, errors.AssocPolyError)
+               and value not in (errors.AssocPolyError, *bases)}
+    assert set(classes) == set(ERROR_EXITS)
+    for name, cls in classes.items():
+        assert [issubclass(cls, base) for base in bases].count(True) == 1
+
+        def raise_it(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_cmd_eval", raise_it)
+        code = main(["eval", "--family", "charlier", "--a", "1", "--x", "0",
+                     "--n", "1"])
+        assert code == ERROR_EXITS[name], name
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -442,6 +486,67 @@ def test_table_negative_n_max_exits_validation(capsys):
     )
     assert code == EXIT_VALIDATION
     assert "empty grid" in err
+
+
+# ---------------------------------------------------------------------------
+# The degree sweep of the route table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,rep", TABLE_ROUTES)
+def test_sweep_gives_each_degree_of_the_route(family, rep):
+    cls, values = FAMILY_PARAMS[family]
+    values = dict(values)
+    if rep == "degenerate-c1":
+        values["c"] = 1.0
+    params = cls(*values.values(), 0.0 if rep == "classical" else 0.7)
+    spec = _FAMILIES[family]
+    swept = spec.sweep(rep, 0.5, params, 6)
+    assert swept == [spec.routes[rep](0.5, params, n) for n in range(7)]
+
+
+def test_sweep_runs_the_recurrence_once(monkeypatch):
+    calls = []
+    seq = cli.meixner_seq
+    monkeypatch.setattr(cli, "meixner_seq",
+                        lambda *args: calls.append(args) or seq(*args))
+    params = MeixnerParams(1.5, 0.4, 0.7)
+    swept = _FAMILIES["meixner"].sweep("recurrence", 0.5, params, 8)
+    assert calls == [(0.5, params, 8)]
+    assert swept == list(meixner_seq(0.5, params, 8).values)
+
+
+def test_sweep_raises_what_the_first_failing_degree_raises():
+    # x - gamma = 2 makes a 4f3-alt denominator vanish from degree 3 on.
+    params = MeixnerParams(1.5, 0.4, 0.7)
+    meixner_4f3_alt(2.7, params, 2)
+    with pytest.raises(DenominatorPole) as first:
+        meixner_4f3_alt(2.7, params, 3)
+    with pytest.raises(DenominatorPole) as swept:
+        _FAMILIES["meixner"].sweep("4f3-alt", 2.7, params, 6)
+    assert "for degree 3" in str(first.value)
+    assert str(swept.value) == str(first.value)
+
+
+@pytest.mark.parametrize("family,other", [
+    ("meixner", "4f3"), ("charlier", "3f2"), ("laguerre", "3f2"),
+    ("meixner-pollaczek", "connection")])
+def test_recurrence_cross_check_uses_the_first_closed_form(capsys, family,
+                                                           other):
+    cls, values = FAMILY_PARAMS[family]
+    x, n, gamma = 0.5, 6, 0.7
+    argv = ["eval", "--family", family, "--gamma", repr(gamma), "--x",
+            repr(x), "--n", str(n)]
+    for name, value in values.items():
+        argv += [f"--{name}", repr(value)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    header, data = parse_csv(out)
+    params = cls(*values.values(), gamma)
+    value = LIBRARY_ROUTES[family, "recurrence"](x, params, n)
+    check = LIBRARY_ROUTES[family, other](x, params, n)
+    expected = abs(value - check) / max(abs(value), abs(check))
+    assert float(csv_value(header, data[0], "err_estimate")) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +675,44 @@ def test_gf_check_gamma_beta_pole_exits_validation(capsys):
 def test_gf_check_singular_t_exits_validation(capsys, argv, message):
     # The closed form is singular at this t; it used to end in a
     # ZeroDivisionError traceback (exit 1).
+    code, out, err = run_cli(capsys, "gf-check", *argv)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == f"assocpoly: invalid input: {message}\n"
+
+
+_STENCIL = ("at |t| = 1.2999 the 5-point stencil t ± 2h (h = 0.00012999) "
+            "leaves the validity disk |t| < |a| = 1.3")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "charlier", "--a", "1.3", "--gamma", "0", "--forms", "ode",
+      "--t", "1.3", "--x", "-0.5"),
+     "|t| = 1.3 is outside the validity disk |t| < |a| = 1.3"),
+    (("--family", "charlier", "--a", "1.3", "--gamma", "0.5", "--forms",
+      "ode", "--t", "1.3", "--x", "-0.5"),
+     "|t| = 1.3 is outside the validity disk |t| < |a| = 1.3"),
+    (("--family", "charlier", "--a", "1.3", "--gamma", "0", "--forms", "ode",
+      "--t", "1.2999", "--x", "-0.5"), _STENCIL),
+    (("--family", "charlier", "--a", "1.3", "--gamma", "0.5", "--forms",
+      "ode", "--t", "1.2999", "--x", "-0.5"), _STENCIL),
+    (("--family", "charlier", "--a", "1.3", "--gamma", "0.5", "--forms",
+      "weighted", "--t", "1.5"),
+     "|t| = 1.5 is outside the validity disk |t| < |a| = 1.3"),
+    (("--family", "meixner", "--beta", "1.5", "--c", "0.4", "--gamma", "0.5",
+      "--forms", "weighted", "--t", "1.2"),
+     "|t| = 1.2 is outside the validity disk |t| < 1"),
+    (("--family", "laguerre", "--alpha", "0.8", "--gamma", "0.5", "--forms",
+      "weighted", "--t", "1.2"),
+     "|t| = 1.2 is outside the validity disk |t| < 1"),
+], ids=["ode-t-at-a", "ode-t-at-a-shifted", "ode-stencil",
+        "ode-stencil-shifted", "charlier-weighted", "meixner-weighted",
+        "laguerre-weighted"])
+def test_gf_check_ode_and_weighted_rows_check_their_disk(capsys, argv,
+                                                         message):
+    # These used to end in a ZeroDivisionError traceback, name a stencil
+    # point instead of t, report a false FAIL from a stencil that reached
+    # past |a|, or exit 3 from a diverging left side.
     code, out, err = run_cli(capsys, "gf-check", *argv)
     assert code == EXIT_VALIDATION
     assert out == ""

@@ -370,6 +370,31 @@ def test_ode_residual_small_on_grid(a, gamma, x):
         assert gf_charlier_ode_residual(x, params, t_frac * abs(a)) <= 1e-8
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("t, message", [
+    (1.3, "|t| = 1.3 is outside"),
+    (-1.3, "|t| = 1.3 is outside"),
+    (1.2999, "at |t| = 1.2999 the 5-point stencil"),
+    (-1.2999, "at |t| = 1.2999 the 5-point stencil"),
+])
+def test_ode_residual_rejects_t_whose_stencil_leaves_the_disk(gamma, t,
+                                                              message):
+    with pytest.raises(DomainError, match=message.replace("|", r"\|")):
+        gf_charlier_ode_residual(-0.5, CharlierParams(1.3, gamma), t)
+
+
+@pytest.mark.parametrize("params, t", [
+    (CharlierParams(1.3, 0.5), 1.5),
+    (MeixnerParams(1.5, 0.4, 0.5), 1.2),
+    (LaguerreParams(0.8, 0.5), 1.2),
+], ids=["charlier", "meixner", "laguerre"])
+def test_weighted_rejects_t_outside_the_series_disk(params, t):
+    with patch.object(genfuncs, "gf_lhs_auto") as lhs:
+        with pytest.raises(DomainError, match="outside the validity disk"):
+            weighted_classical_gf(0.5, params, t)
+    lhs.assert_not_called()
+
+
 # ---------------------------------------------------------------------------
 # Convolutions and the degenerate reduction chain
 # ---------------------------------------------------------------------------

@@ -16,8 +16,11 @@ The invocations of ``python -m assocpoly``: ``verify --set all`` for
 seeds 0-2; ``eval`` on the argv of ``perfbench/evalcold.cases(seed,
 200)`` for seeds 1-3; ``gf-check`` for every family at real and complex
 x, and at a pole of a normalizer or the t where a closed form is singular;
-``verify`` with a zero tolerance; ``mh-study``; ``table``; ``--help``, an
-unknown subcommand and no argument.  Then one run of the warm kernel
+``gf-check`` ODE rows at |t| = |a| and where the difference stencil
+reaches past |a|, and weighted rows outside their series disk;
+``verify`` with a zero tolerance; ``mh-study``; ``table``; ``eval`` with
+``--rel-tol``, a flag it does not take; ``--help``, an unknown subcommand
+and no argument.  Then one run of the warm kernel
 calls, which prints the repr of the report (or of the raised error) of
 each of the first 3,000 operations of ``perfbench/kernel.stream(seed)``
 for seeds 1-3.  Both sides read this checkout's ``perfbench``.
@@ -85,6 +88,17 @@ def invocations():
                "--gamma", "0", "--forms", "elementary", "--t", "1.0"],
               ["gf-check", "--family", "laguerre", *_FAMILY_FLAGS["laguerre"],
                "--gamma", "0.8", "--forms", "diag", "--t", "1.0"]]
+    # The ODE row at t = a, and where its difference stencil reaches past a.
+    for t in ("1.3", "1.2999"):
+        for gamma in ("0", "0.5"):
+            argvs.append(["gf-check", "--family", "charlier",
+                          *_FAMILY_FLAGS["charlier"], "--gamma", gamma,
+                          "--forms", "ode", "--t", t, "--x", "-0.5"])
+    # Each weighted row outside the disk where its left side converges.
+    for family, t in (("charlier", "1.5"), ("meixner", "1.2"),
+                      ("laguerre", "1.2")):
+        argvs.append(["gf-check", "--family", family, *_FAMILY_FLAGS[family],
+                      "--gamma", "0.5", "--forms", "weighted", "--t", t])
     argvs.append(["verify", "--set", "convolutions", "--rel-tol", "0"])
     for x in ("0.3", "-1.1+0.2j"):
         argvs.append(["mh-study", "--family", "meixner", "--beta", "1.5",
@@ -93,6 +107,8 @@ def invocations():
                       "--gamma", "0.7", "--x", x])
     argvs.append(["table", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
                   "--gamma", "0.7", "--x", "0.3", "1.2", "--rep", "4f3"])
+    argvs.append(["eval", "--family", "meixner", *_FAMILY_FLAGS["meixner"],
+                  "--x", "0.5", "--n", "3", "--rel-tol", "1e-6"])
     argvs += [["--help"], ["bogus"], []]
     return [["-m", "assocpoly", *argv] for argv in argvs] + [WARM_REPORTS]
 
