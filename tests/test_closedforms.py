@@ -201,6 +201,50 @@ def test_laguerre_primary_rejects_vanishing_denominator():
         laguerre_3f2(1.0, LaguerreParams(-1.0, 0.0), 3, "primary")
 
 
+_DENOMINATOR = "makes a denominator factor vanish for degree"
+_AWAY = "away from the nonpositive integers"
+
+
+# The class and exact message of each degree-dependent band refusal and
+# denominator-parameter refusal.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: meixner_4f3(-4.0, MeixnerParams(1.5, 0.4, 0.5), 5),
+     DenominatorPole, f"gamma+beta+x = -2.0 {_DENOMINATOR} 5"),
+    (lambda: meixner_4f3(-4 + 0j, MeixnerParams(1.5, 0.4, 0.5), 5),
+     DenominatorPole, f"gamma+beta+x = (-2+0j) {_DENOMINATOR} 5"),
+    (lambda: meixner_4f3(0.3, MeixnerParams(-2.5, 0.4, 0.5), 5),
+     DenominatorPole, f"gamma+beta = -2.0 {_DENOMINATOR} 5"),
+    (lambda: meixner_4f3_alt(0.3, MeixnerParams(-2.5, 0.4, 0.5), 5),
+     DenominatorPole, f"gamma+beta = -2.0 {_DENOMINATOR} 5"),
+    (lambda: meixner_4f3_alt(2.7, MeixnerParams(1.5, 0.4, 0.7), 5),
+     DenominatorPole, f"x - gamma = 2.0 {_DENOMINATOR} 5"),
+    (lambda: charlier_3f2(2.7, CharlierParams(1.3, 0.7), 5, "primary"),
+     DenominatorPole, f"x - gamma = 2.0 {_DENOMINATOR} 5"),
+    (lambda: charlier_3f2(1.7, CharlierParams(1.3, 0.7), 6, "transformed"),
+     DenominatorPole, f"x - gamma = 1.0 {_DENOMINATOR} 6 (transformed variant)"),
+    (lambda: laguerre_3f2(0.3, LaguerreParams(-3.5, 0.5), 5, "primary"),
+     DenominatorPole, f"gamma+alpha+1 = -2.0 {_DENOMINATOR} 5"),
+    (lambda: identity_4f3_finite_sum(4, 1.0, 0.4, 0.2, -1.0),
+     RestrictedParameter, f"a + y = 0.0 {_DENOMINATOR} 4"),
+    (lambda: identity_3f2_pochhammer(4, -2.0, 0.7), RestrictedParameter,
+     f"3F2 pochhammer identity requires denominator parameter -1.0 {_AWAY}"),
+    (lambda: identity_3f2_pochhammer(4, 0.7, -3.0), RestrictedParameter,
+     f"3F2 pochhammer identity requires denominator parameter -2.0 {_AWAY}"),
+    (lambda: identity_3f2_t_powered(4, -2.0, 0.7, 0.2), RestrictedParameter,
+     f"t-powered 3F2 identity requires denominator parameter -1.0 {_AWAY}"),
+    (lambda: identity_3f2_t_powered(4, 0.5, -2.0, 0.2), RestrictedParameter,
+     f"t-powered 3F2 identity requires denominator parameter -1.0 {_AWAY}"),
+], ids=["4f3-x", "4f3-x-complex", "4f3-beta", "4f3-alt-beta", "4f3-alt-x",
+        "charlier-primary", "charlier-transformed", "laguerre-primary",
+        "finite-4f3-a-plus-y", "pochhammer-a", "pochhammer-b", "t-powered-a",
+        "t-powered-b"])
+def test_band_refusal_class_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_laguerre_rahman_rejects_integer_alpha():
     with pytest.raises(RestrictedParameter):
         laguerre_3f2(1.0, LaguerreParams(1.0, 0.4), 3, "rahman")

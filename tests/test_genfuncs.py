@@ -370,6 +370,29 @@ def test_ode_residual_small_on_grid(a, gamma, x):
         assert gf_charlier_ode_residual(x, params, t_frac * abs(a)) <= 1e-8
 
 
+# The gamma = 0 residual, bit for bit: t = -1e-4 puts the stencil point
+# t + h on 0, where the Phi1 closed form returns 1.0 without a series.
+@pytest.mark.parametrize("x, t, residual", [
+    (0.5, 0.0, "0.0"),
+    (0.5, -1e-4, "7.669375117619337e-17"),
+    (0.5, 1e-4, "2.4638494369733088e-17"),
+    (0.5, 0.3, "4.1233683134578314e-13"),
+    (0.5, -0.2, "1.1771139618588222e-13"),
+    (0.5, 0.1 + 0.1j, "1.992219746847296e-13"),
+    (-1.1, -1e-4, "3.2255014631443757e-18"),
+    (-1.1, -0.2, "2.1116441928370477e-13"),
+    (0.7 + 0.4j, 0.0, "0.0"),
+    (0.7 + 0.4j, -1e-4, "4.622702299264269e-17"),
+    (0.7 + 0.4j, 0.3, "4.0812960222854445e-13"),
+    (-1.1 + 0.2j, -1e-4, "2.616875630425799e-17"),
+    (-1.1 + 0.2j, -0.2, "5.449710605605823e-13"),
+    (-1.1 + 0.2j, -0.2j, "2.3163920773995777e-13"),
+])
+def test_ode_residual_at_zero_gamma_is_pinned(x, t, residual):
+    assert repr(gf_charlier_ode_residual(x, CharlierParams(1.3, 0.0), t)) \
+        == residual
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 @pytest.mark.parametrize("t, message", [
     (1.3, "|t| = 1.3 is outside"),
