@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -100,6 +101,10 @@ def _finite(parse, positive=False):
     finite.__name__ = parse.__name__
     return finite
 
+
+# argparse reads an argument that starts with "-" as an option unless it
+# matches this; its own pattern misses -1e-3 and -1.1+0.2j.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 _REAL = _finite(float)
 _SCALAR = _finite(_scalar)
@@ -276,6 +281,11 @@ def _require(args, *names):
 def _build_params(args):
     family = _FAMILIES[args.family]
     _require(args, *family.flags)
+    for other in _FAMILIES.values():
+        for name in other.flags:
+            if name not in family.flags and getattr(args, name) is not None:
+                raise ValueError(
+                    f"--{name} does not apply to family {args.family!r}")
     return family.params(*(getattr(args, name) for name in family.flags),
                          args.gamma)
 
@@ -323,7 +333,7 @@ def _cross_check(args, params, x, n, value):
 
 def _cmd_eval(args):
     rep = args.rep
-    if rep == "degenerate-c1" and args.c is None:
+    if rep == "degenerate-c1" and args.c is None and args.family == "meixner":
         args.c = 1.0
     params = _build_params(args)
     route = _route(args)
@@ -636,6 +646,7 @@ def build_parser(command=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags) in _COMMANDS.items():
         subparser = sub.add_parser(name, help=help_text)
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER
         if command in (None, name):
             add_flags(subparser)
     return parser

@@ -151,6 +151,25 @@ def _laguerre_classical_sum(n, x, alpha):
     return _cauchy(n, [-n], [alpha + 1, 1], x, [0], [])
 
 
+def _refuse_band(name, w, lo, hi, n, error=DenominatorPole, suffix=""):
+    """Raise ``error`` when ``w`` is within 1e-8 of an integer in
+    ``[lo, hi]``, where a denominator factor of the degree-``n`` sum vanishes."""
+    if _near_int_in_range(w, lo, hi) is not None:
+        raise error(f"{name} = {w!r} makes a denominator factor vanish "
+                    f"for degree {n}{suffix}")
+
+
+def _refuse_denominators(identity, a, b):
+    """Raise RestrictedParameter when ``a+1`` or ``b+1`` is within 1e-8 of a
+    nonpositive integer."""
+    for w in (a + 1.0, b + 1.0):
+        if _near_int_in_range(w, -(10**9), 0) is not None:
+            raise RestrictedParameter(
+                f"{identity} requires denominator parameter {w!r} "
+                "away from the nonpositive integers"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Meixner closed forms
 # ---------------------------------------------------------------------------
@@ -185,11 +204,8 @@ def meixner_4f3(x, params, n):
     beta, c, gamma = params.beta, params.c, params.gamma
     if n == 0:
         return 1.0
-    for name, w in (("gamma+beta+x", gamma + beta + x), ("gamma+beta", gamma + beta)):
-        if _near_int_in_range(w, -(n - 1), 0) is not None:
-            raise DenominatorPole(
-                f"{name} = {w!r} makes a denominator factor vanish for degree {n}"
-            )
+    _refuse_band("gamma+beta+x", gamma + beta + x, -(n - 1), 0, n)
+    _refuse_band("gamma+beta", gamma + beta, -(n - 1), 0, n)
     total = _resum(_meixner_4f3_sum, n, (x, beta, c, gamma))
     pref = (
         c ** (-n) * pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n)
@@ -214,16 +230,8 @@ def meixner_4f3_alt(x, params, n):
     beta, c, gamma = params.beta, params.c, params.gamma
     if n == 0:
         return 1.0
-    if _near_int_in_range(x - gamma, 0, n - 1) is not None:
-        raise DenominatorPole(
-            f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
-            f"for degree {n}"
-        )
-    if _near_int_in_range(gamma + beta, -(n - 1), 0) is not None:
-        raise DenominatorPole(
-            f"gamma+beta = {gamma + beta!r} makes a denominator factor vanish "
-            f"for degree {n}"
-        )
+    _refuse_band("x - gamma", x - gamma, 0, n - 1, n)
+    _refuse_band("gamma+beta", gamma + beta, -(n - 1), 0, n)
     total = _resum(_meixner_4f3_alt_sum, n, (x, beta, c, gamma))
     pref = (
         pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n) / math.factorial(n)
@@ -397,19 +405,11 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY):
     if n == 0:
         return 1.0
     if variant is CharlierVariant.PRIMARY:
-        if _near_int_in_range(x - gamma, 0, n - 1) is not None:
-            raise DenominatorPole(
-                f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
-                f"for degree {n}"
-            )
+        _refuse_band("x - gamma", x - gamma, 0, n - 1, n)
         total = _resum(_charlier_sum, n, (x, a, gamma))
         return pochhammer(gamma + 1.0, n) / math.factorial(n) * total
-    upper = max(0, n // 2 - 1)
-    if _near_int_in_range(x - gamma, 0, upper) is not None:
-        raise DenominatorPole(
-            f"x - gamma = {x - gamma!r} makes a denominator factor vanish "
-            f"for degree {n} (transformed variant)"
-        )
+    _refuse_band("x - gamma", x - gamma, 0, max(0, n // 2 - 1), n,
+                 suffix=" (transformed variant)")
     return _resum(_charlier_transformed_sum, n, (x, a, gamma))
 
 
@@ -449,11 +449,7 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY):
     if n == 0:
         return 1.0
     if variant is LaguerreVariant.PRIMARY:
-        if _near_int_in_range(gamma + alpha + 1.0, -(n - 1), 0) is not None:
-            raise DenominatorPole(
-                f"gamma+alpha+1 = {gamma + alpha + 1.0!r} makes a denominator "
-                f"factor vanish for degree {n}"
-            )
+        _refuse_band("gamma+alpha+1", gamma + alpha + 1.0, -(n - 1), 0, n)
         total = _resum(_laguerre_sum, n, (x, alpha, gamma))
         return pochhammer(gamma + alpha + 1.0, n) / math.factorial(n) * total
     if _near_int_in_range(alpha, -math.inf, math.inf) is not None:
@@ -532,10 +528,7 @@ def identity_4f3_finite_sum(n, a, b, t, y, rel_tol=1e-9):
             f"finite 4F3 sum identity requires b - a away from the integers, "
             f"got b-a={b - a!r}"
         )
-    if _near_int_in_range(a + y, -(n - 1), 0) is not None:
-        raise RestrictedParameter(
-            f"a + y = {a + y!r} makes a denominator factor vanish for degree {n}"
-        )
+    _refuse_band("a + y", a + y, -(n - 1), 0, n, RestrictedParameter)
 
     lhs = _resum(_finite_4f3_sum, n, (a, b, t, y))
     rhs = (
@@ -571,12 +564,7 @@ def identity_3f2_pochhammer(n, a, b, rel_tol=1e-10):
     _check_nonneg_int(n, "n")
     if abs(b - a) < _INT_TOL:
         raise RestrictedParameter("3F2 pochhammer identity requires a != b")
-    for w in (a + 1.0, b + 1.0):
-        if _near_int_in_range(w, -(10**9), 0) is not None:
-            raise RestrictedParameter(
-                f"3F2 pochhammer identity requires denominator parameter {w!r} "
-                "away from the nonpositive integers"
-            )
+    _refuse_denominators("3F2 pochhammer identity", a, b)
     lhs = _resum(_m_generalized_sum, n, (a, b, 1))
     rhs = (
         math.factorial(n)
@@ -609,12 +597,7 @@ def identity_3f2_t_powered(n, a, b, t, rel_tol=1e-9):
             f"t-powered 3F2 identity requires b - a away from the nonpositive "
             f"integers, got b-a={b - a!r}"
         )
-    for w in (a + 1.0, b + 1.0):
-        if _near_int_in_range(w, -(10**9), 0) is not None:
-            raise RestrictedParameter(
-                f"t-powered 3F2 identity requires denominator parameter {w!r} "
-                "away from the nonpositive integers"
-            )
+    _refuse_denominators("t-powered 3F2 identity", a, b)
     lhs = _resum(_t_powered_sum, n, (a, b, t))
     rhs = (
         math.factorial(n)

@@ -421,6 +421,12 @@ def gf_charlier_integral(x, params, t):
     return gamma * gf_charlier_elementary(x, a, t) * quad.value
 
 
+def _central_difference(f, t, h):
+    """The 5-point central difference of ``f`` at ``t`` with step ``h``."""
+    return (-f(t + 2 * h) + 8.0 * f(t + h) - 8.0 * f(t - h)
+            + f(t - 2 * h)) / (12.0 * h)
+
+
 def gf_charlier_ode_residual(x, params, t):
     """Residual of the Charlier generating-function ODE at one t.
 
@@ -442,16 +448,9 @@ def gf_charlier_ode_residual(x, params, t):
         raise DomainError(f"at |t| = {abs(t):.6g} the 5-point stencil t ± 2h "
                           f"(h = {h:.6g}) leaves the validity disk |t| < "
                           f"|a| = {abs(a):.6g}")
-
-    def g(tt):
-        if gamma == 0:
-            return gf_charlier_elementary(x, a, tt)
-        return gf_charlier_phi1(x, params, tt)
-
-    deriv = (
-        -g(t + 2 * h) + 8.0 * g(t + h) - 8.0 * g(t - h) + g(t - 2 * h)
-    ) / (12.0 * h)
-    value = g(t)
+    deriv = _central_difference(lambda tt: gf_charlier_phi1(x, params, tt),
+                                t, h)
+    value = gf_charlier_phi1(x, params, t)
     residual = (
         t * (a - t) * deriv
         + (t * t + (x - a - gamma) * t + a * gamma) * value
@@ -696,13 +695,8 @@ def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, rel_tol=1e-6):
     IdentityReport
     """
     h = 1e-4
-
-    def f(tt):
-        return tt**alpha * gf_weighted_laguerre_diag(x, alpha, tt)
-
-    deriv = (-f(t + 2 * h) + 8.0 * f(t + h) - 8.0 * f(t - h) + f(t - 2 * h)) / (
-        12.0 * h
-    )
+    deriv = _central_difference(
+        lambda tt: tt**alpha * gf_weighted_laguerre_diag(x, alpha, tt), t, h)
     rhs = alpha * t ** (alpha - 1.0) * gf_laguerre_elementary(x, alpha, t)
     point = {"x": x, "alpha": alpha, "t": t, "h": h}
     return make_report("laguerre-diag-derivative", point, deriv, rhs, rel_tol)

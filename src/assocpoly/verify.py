@@ -259,6 +259,14 @@ def verify_transformations(rel_tol=1e-8, seed=0):
     return reports
 
 
+# Each family's convolution grids: its params constructor's arguments, then x.
+_CONVOLUTION_GRIDS = (
+    (MeixnerParams, ((0.5, 1.5), (0.4, 0.8), (0.7, 2.1), (0.25, -1.2, 2.0))),
+    (CharlierParams, ((0.5, 1.0, 2.0), (0.5, 1.8), (0.25, -1.2, 2.0))),
+    (LaguerreParams, ((-0.5, 0.5, 1.7), (0.9, 2.1), (0.0, 1.2, 3.0))),
+)
+
+
 def verify_convolutions(rel_tol=1e-8):
     """The three convolution identities over fixed grids.
 
@@ -267,27 +275,12 @@ def verify_convolutions(rel_tol=1e-8):
     list of IdentityReport
     """
     reports = []
-    for beta, c, gamma, x in itertools.product(
-        (0.5, 1.5), (0.4, 0.8), (0.7, 2.1), (0.25, -1.2, 2.0)
-    ):
-        params = MeixnerParams(beta, c, gamma)
-        reports.append(_worst(
-            convolution_identity(x, params, n, rel_tol) for n in range(13)
-        ))
-    for a, gamma, x in itertools.product(
-        (0.5, 1.0, 2.0), (0.5, 1.8), (0.25, -1.2, 2.0)
-    ):
-        params = CharlierParams(a, gamma)
-        reports.append(_worst(
-            convolution_identity(x, params, n, rel_tol) for n in range(13)
-        ))
-    for alpha, gamma, x in itertools.product(
-        (-0.5, 0.5, 1.7), (0.9, 2.1), (0.0, 1.2, 3.0)
-    ):
-        params = LaguerreParams(alpha, gamma)
-        reports.append(_worst(
-            convolution_identity(x, params, n, rel_tol) for n in range(13)
-        ))
+    for params_class, grids in _CONVOLUTION_GRIDS:
+        for *args, x in itertools.product(*grids):
+            params = params_class(*args)
+            reports.append(_worst(
+                convolution_identity(x, params, n, rel_tol) for n in range(13)
+            ))
     # Degenerate-argument reduction chain (fixed pinned point plus two others).
     for beta, gamma, t in ((2.5, 0.7, 0.2), (0.7, 1.4, -0.15), (1.8, 0.4, 0.1)):
         reports.append(c1_reduction_identity(beta, gamma, t, rel_tol))

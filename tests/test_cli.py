@@ -285,6 +285,58 @@ def test_eval_foreign_representation_exits_validation(capsys):
     assert "does not apply" in err
 
 
+_CHARLIER = ["--family", "charlier", "--a", "1.3", "--gamma", "0.7"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("eval", ["--n", "2"]),
+    ("table", ["--n-max", "2"]),
+    ("gf-check", ["--t", "0.1"]),
+    ("mh-study", []),
+])
+@pytest.mark.parametrize("x", ["-1.1+0.2j", "-1e-1", "-0.5j"])
+def test_negative_number_after_x_is_a_value(capsys, command, extra, x):
+    code, out, err = run_cli(capsys, command, *_CHARLIER, "--x", x, *extra)
+    assert (code, err.startswith("usage")) == (EXIT_OK, False)
+    assert (code, out) == run_cli(capsys, command, *_CHARLIER, f"--x={x}",
+                                  *extra)[:2]
+
+
+def test_table_takes_negative_complex_points_in_its_list(capsys):
+    code, out, _ = run_cli(capsys, "table", *_CHARLIER, "--x", "0.5",
+                           "-1.1+0.2j", "--n-max", "0")
+    assert code == EXIT_OK
+    header, data = parse_csv(out)
+    assert [(csv_value(header, row, "x_re"), csv_value(header, row, "x_im"))
+            for row in data] == [("0.5", "0"),
+                                 ("-1.1000000000000001", "0.20000000000000001")]
+
+
+@pytest.mark.parametrize("argv, flag, family", [
+    (["eval", "--family", "charlier", "--a", "1.3", "--beta", "7", "--nu",
+      "3", "--x", "0.5", "--n", "3"], "beta", "charlier"),
+    (["table", "--family", "charlier", "--a", "1.3", "--nu", "3", "--x",
+      "0.5"], "nu", "charlier"),
+    (["gf-check", "--family", "laguerre", "--alpha", "0.8", "--a", "1"],
+     "a", "laguerre"),
+    (["mh-study", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+      "--alpha", "0.5", "--x", "0.3"], "alpha", "meixner"),
+])
+def test_flag_of_another_family_exits_validation(capsys, argv, flag, family):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == (f"assocpoly: invalid input: --{flag} does not apply to "
+                   f"family {family!r}\n")
+
+
+def test_eval_degenerate_c1_of_another_family_names_the_route(capsys):
+    code, _, err = run_cli(capsys, "eval", "--family", "charlier", "--a",
+                           "1.3", "--x", "0.5", "--n", "2", "--rep",
+                           "degenerate-c1")
+    assert code == EXIT_VALIDATION
+    assert "representation 'degenerate-c1' does not apply" in err
+
+
 def test_eval_classical_requires_zero_shift(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--family", "charlier", "--a", "2", "--gamma", "0.5",

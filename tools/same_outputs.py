@@ -18,9 +18,10 @@ seeds 0-2; ``eval`` on the argv of ``perfbench/evalcold.cases(seed,
 x, and at a pole of a normalizer or the t where a closed form is singular;
 ``gf-check`` ODE rows at |t| = |a| and where the difference stencil
 reaches past |a|, and weighted rows outside their series disk;
-``verify`` with a zero tolerance; ``mh-study``; ``table``; ``eval`` with
-``--rel-tol``, a flag it does not take; ``--help``, an unknown subcommand
-and no argument.  Then one run of the warm kernel
+``verify`` with a zero tolerance; ``mh-study``; ``table``; ``eval`` at
+each degree-dependent denominator band that a closed-form route refuses;
+``eval`` with ``--rel-tol``, a flag it does not take, and with a flag of
+another family; ``--help``, an unknown subcommand and no argument.  Then one run of the warm kernel
 calls, which prints the repr of the report (or of the raised error) of
 each of the first 3,000 operations of ``perfbench/kernel.stream(seed)``
 for seeds 1-3.  Both sides read this checkout's ``perfbench``.
@@ -107,8 +108,28 @@ def invocations():
                       "--gamma", "0.7", "--x", x])
     argvs.append(["table", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
                   "--gamma", "0.7", "--x", "0.3", "1.2", "--rep", "4f3"])
+    # Each band of inputs where a closed form's denominator factor vanishes.
+    for family, flags in (
+        ("meixner", ["--beta", "1.5", "--c", "0.4", "--gamma", "0.5", "--x",
+                     "-4", "--n", "5", "--rep", "4f3"]),
+        ("meixner", ["--beta", "-2.5", "--c", "0.4", "--gamma", "0.5", "--x",
+                     "0.3", "--n", "5", "--rep", "4f3"]),
+        ("meixner", ["--beta", "-2.5", "--c", "0.4", "--gamma", "0.5", "--x",
+                     "0.3", "--n", "5", "--rep", "4f3-alt"]),
+        ("meixner", ["--beta", "1.5", "--c", "0.4", "--gamma", "0.7", "--x",
+                     "2.7", "--n", "5", "--rep", "4f3-alt"]),
+        ("charlier", ["--a", "1.3", "--gamma", "0.7", "--x", "2.7", "--n",
+                      "5", "--rep", "3f2"]),
+        ("charlier", ["--a", "1.3", "--gamma", "0.7", "--x", "1.7", "--n",
+                      "6", "--rep", "3f2-transformed"]),
+        ("laguerre", ["--alpha", "-3.5", "--gamma", "0.5", "--x", "0.3",
+                      "--n", "5", "--rep", "3f2"]),
+    ):
+        argvs.append(["eval", "--family", family, *flags])
     argvs.append(["eval", "--family", "meixner", *_FAMILY_FLAGS["meixner"],
                   "--x", "0.5", "--n", "3", "--rel-tol", "1e-6"])
+    argvs.append(["eval", "--family", "charlier", "--a", "1.3", "--beta", "7",
+                  "--nu", "3", "--x", "0.5", "--n", "3"])
     argvs += [["--help"], ["bogus"], []]
     return [["-m", "assocpoly", *argv] for argv in argvs] + [WARM_REPORTS]
 
