@@ -17,7 +17,8 @@ import importlib
 
 __version__ = "1.0.0"
 
-# Every public name, listed under the submodule that defines it.  A name is
+# Every public name, listed under the submodule that defines it; this is the
+# one list of them, so no submodule keeps an ``__all__``.  A name is
 # imported from its submodule on first access (PEP 562) and then kept in
 # this namespace, so ``import assocpoly`` loads no submodule, a command
 # loads only the submodules it runs, and each later lookup is a plain

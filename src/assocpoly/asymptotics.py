@@ -36,15 +36,6 @@ from .hyperkernel import (
 )
 from .recurrences import CharlierParams, MeixnerParams
 
-__all__ = [
-    "ScaledSequence",
-    "MHStudy",
-    "scaled_meixner_seq",
-    "scaled_charlier_seq",
-    "mh_meixner_limit",
-    "mh_charlier_limit",
-    "mh_convergence_study",
-]
 
 class ScaledSequence(Record):
     """Scaled values r_n = rho^n P_n(x)/Gamma(n+gamma-x), n = 0..n_max."""

@@ -44,26 +44,6 @@ from .hyperkernel import (
 from .recurrences import MeixnerParams, meixner_seq
 from .report import make_report
 
-__all__ = [
-    "CharlierVariant",
-    "LaguerreVariant",
-    "meixner_4f3",
-    "meixner_4f3_alt",
-    "meixner_quadratic",
-    "meixner_cross_2f1",
-    "meixner_reflection_rhs",
-    "charlier_3f2",
-    "laguerre_3f2",
-    "mp_from_meixner",
-    "meixner_c1_degenerate",
-    "meixner_classical",
-    "charlier_classical",
-    "laguerre_classical",
-    "identity_4f3_finite_sum",
-    "identity_3f2_pochhammer",
-    "identity_3f2_t_powered",
-    "identity_3f2_m_generalized",
-]
 
 class CharlierVariant(enum.Enum):
     PRIMARY = "primary"

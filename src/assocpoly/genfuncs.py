@@ -58,32 +58,6 @@ from .recurrences import (
 )
 from .report import make_report
 
-__all__ = [
-    "Normalization",
-    "GFSpec",
-    "gf_lhs_partial",
-    "gf_lhs_auto",
-    "gf_meixner_appell",
-    "gf_meixner_classical_2f1",
-    "gf_meixner_alt",
-    "gf_meixner_elementary",
-    "gf_meixner_integral",
-    "gf_charlier_phi1",
-    "gf_charlier_elementary",
-    "gf_charlier_integral",
-    "gf_charlier_ode_residual",
-    "gf_laguerre",
-    "gf_laguerre_elementary",
-    "gf_weighted_meixner_rhs",
-    "gf_weighted_charlier_rhs",
-    "gf_weighted_laguerre_rhs",
-    "gf_weighted_laguerre_diag",
-    "weighted_classical_gf",
-    "convolution_identity",
-    "c1_reduction_identity",
-    "laguerre_diag_derivative_check",
-]
-
 _AUTO_N_CAP = 960
 # Terms of the c = 1 reduction chain before NotConverged.
 _C1_MAX_TERMS = 400
@@ -590,11 +564,11 @@ def convolution_identity(x, params, n, rel_tol=1e-9):
         raise DomainError(
             f"the convolution identities require gamma > 0, got {gamma!r}"
         )
-    poch = pochhammer(gamma + 1.0, n)
     acc = Accumulator()
     if isinstance(params, MeixnerParams):
         ident = "convolution-meixner"
         beta, c = params.beta, params.c
+        poch = pochhammer(gamma + 1.0, n)
         lhs = math.factorial(n) * meixner_seq(x, params, n)[n] / poch
         main = meixner_seq(x, MeixnerParams(beta, c, 0.0), n)
         comp = meixner_seq(-x - 1.0, MeixnerParams(2.0 - beta, c, 0.0), n)
@@ -609,6 +583,7 @@ def convolution_identity(x, params, n, rel_tol=1e-9):
     elif isinstance(params, CharlierParams):
         ident = "convolution-charlier"
         a = params.a
+        poch = pochhammer(gamma + 1.0, n)
         lhs = math.factorial(n) * charlier_seq(x, params, n)[n] / poch
         main = charlier_seq(x, CharlierParams(a, 0.0), n)
         comp = charlier_seq(-x - 1.0, CharlierParams(-a, 0.0), n)

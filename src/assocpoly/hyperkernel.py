@@ -68,21 +68,6 @@ from .errors import (
     _set_field,
 )
 
-__all__ = [
-    "EvalOutcome",
-    "EulerIntegrand",
-    "pochhammer",
-    "pochhammer_log",
-    "gamma_value",
-    "gamma_ratio",
-    "hyp_terminating",
-    "gauss_2f1",
-    "kummer_1f1",
-    "appell_f1",
-    "humbert_phi1",
-    "euler_integral",
-]
-
 _NONPOS_INT_TOL = 1e-9
 _POLE_TOL = 1e-12
 _NEAR_INT_TOL = 1e-6

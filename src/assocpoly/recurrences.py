@@ -18,21 +18,6 @@ import math
 from .errors import Record, ZeroA, ZeroC, _set_field
 from .hyperkernel import _check_nonneg_int, _exact, _near_int_in_range
 
-__all__ = [
-    "MeixnerParams",
-    "CharlierParams",
-    "LaguerreParams",
-    "MeixnerPollaczekParams",
-    "PolySequence",
-    "meixner_seq",
-    "charlier_seq",
-    "laguerre_seq",
-    "meixner_pollaczek_seq",
-    "positivity_product",
-    "positivity_check",
-    "classical",
-]
-
 
 def _check_gamma(gamma):
     if isinstance(gamma, complex):

@@ -46,16 +46,6 @@ from .hyperkernel import appell_f1, gauss_2f1, humbert_phi1, kummer_1f1
 from .recurrences import CharlierParams, LaguerreParams, MeixnerParams, meixner_seq
 from .report import VERIFY_SETS, _worst, make_report, summarize
 
-__all__ = [
-    "VERIFY_SETS",
-    "run_set",
-    "verify_representations",
-    "verify_transformations",
-    "verify_convolutions",
-    "verify_finite_sums",
-    "summarize",
-]
-
 _REFLECTION_POINTS = 40
 _DEGENERATE_POINTS = 20
 _FREE_ARGUMENT_POINTS = 60

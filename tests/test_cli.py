@@ -312,6 +312,51 @@ def test_table_takes_negative_complex_points_in_its_list(capsys):
                                  ("-1.1000000000000001", "0.20000000000000001")]
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", *_CHARLIER, "--n", "2", "--x"],
+    ["table", *_CHARLIER, "--x"],
+    ["table", *_CHARLIER, "--x", "0.5"],
+    ["gf-check", *_CHARLIER, "--x"],
+    ["mh-study", *_CHARLIER, "--x"],
+    ["verify", "--set", "convolutions", "--rel-tol"],
+], ids=["eval", "table", "table-list", "gf-check", "mh-study", "verify"])
+@pytest.mark.parametrize("word", ["-inf", "-nan", "-infinity", "-Inf"])
+def test_negative_non_finite_word_is_a_value(capsys, argv, word):
+    # Read as an option, it gave "expected one argument" or "unrecognized
+    # arguments" instead of the finite check's message.
+    flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, word])
+    assert excinfo.value.code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {flag}: not a finite number: {word!r}")
+
+
+# The family flags of every subcommand that takes --family, one per family
+# table entry, in the table's order.
+FAMILY_FLAG_HELP = """\
+  --beta BETA           Meixner shape parameter
+  --c C                 Meixner geometric parameter
+  --a A                 Charlier rate parameter
+  --alpha ALPHA         Laguerre shape parameter
+  --nu NU               Meixner-Pollaczek shape parameter
+  --phi PHI             Meixner-Pollaczek angle in (0, pi)
+  --gamma GAMMA         index shift (default 0)
+"""
+
+
+@pytest.mark.parametrize("command", ["eval", "table", "gf-check", "mh-study"])
+def test_family_flags_come_from_the_family_table(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == EXIT_OK
+    assert FAMILY_FLAG_HELP in capsys.readouterr().out
+    assert [name for spec in _FAMILIES.values() for name in spec.flags] == [
+        "beta", "c", "a", "alpha", "nu", "phi"]
+
+
 @pytest.mark.parametrize("argv, flag, family", [
     (["eval", "--family", "charlier", "--a", "1.3", "--beta", "7", "--nu",
       "3", "--x", "0.5", "--n", "3"], "beta", "charlier"),
@@ -778,6 +823,20 @@ def test_gf_check_explicit_inapplicable_form_exits_validation(capsys):
     )
     assert code == EXIT_VALIDATION
     assert "not applicable" in err
+
+
+def test_gf_check_sums_the_series_below_its_tolerance(capsys):
+    # A fixed 1e-9 tail stopped this series at N = 60, 6.3e-13 off: a false
+    # FAIL against --rel-tol 1e-13.
+    code, out, _ = run_cli(
+        capsys, "gf-check", "--family", "charlier", "--a", "1.3", "--gamma",
+        "0.5", "--x", "0.5", "--t", "0.9", "--rel-tol", "1e-13", "--forms",
+        "phi1",
+    )
+    assert code == EXIT_OK
+    header, [row] = parse_csv(out)
+    assert json.loads(csv_value(header, row, "point"))["N"] == 120
+    assert float(csv_value(header, row, "rel_discrepancy")) < 1e-13
 
 
 def test_gf_check_unreachable_tolerance_exits_failed(capsys):

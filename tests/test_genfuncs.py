@@ -445,6 +445,13 @@ def test_convolution_raises_when_the_pochhammer_overflows(params):
         convolution_identity(0.25, params, 100)
 
 
+def test_laguerre_convolution_runs_past_the_pochhammer_range():
+    # (1.7)_180 exceeds binary64; only the Meixner and Charlier identities
+    # divide by it.
+    report = convolution_identity(0.5, LaguerreParams(0.5, 0.7), 180)
+    assert report.passed, report.rel_discrepancy
+
+
 def test_convolution_requires_positive_shift():
     with pytest.raises(DomainError):
         convolution_identity(0.5, MeixnerParams(1.5, 0.4, 0.0), 4)

@@ -71,6 +71,13 @@ def test_each_name_is_the_object_its_submodule_defines(module):
         assert getattr(assocpoly, name) is getattr(submodule, name), name
 
 
+@pytest.mark.parametrize("module", [*sorted(assocpoly._EXPORTS), "cli"])
+def test_only_the_package_lists_public_names(module):
+    # ``assocpoly._EXPORTS`` is the one list; a submodule copy of it drifts.
+    submodule = importlib.import_module(f"assocpoly.{module}")
+    assert not hasattr(submodule, "__all__")
+
+
 def test_dir_lists_every_public_name():
     assert set(PUBLIC_NAMES) <= set(dir(assocpoly))
 

@@ -21,10 +21,12 @@ reaches past |a|, and weighted rows outside their series disk;
 ``verify`` with a zero tolerance; ``mh-study``; ``table``; ``eval`` at
 each degree-dependent denominator band that a closed-form route refuses;
 ``eval`` with ``--rel-tol``, a flag it does not take, and with a flag of
-another family; ``--help``, an unknown subcommand and no argument.  Then one run of the warm kernel
-calls, which prints the repr of the report (or of the raised error) of
-each of the first 3,000 operations of ``perfbench/kernel.stream(seed)``
-for seeds 1-3.  Both sides read this checkout's ``perfbench``.
+another family; ``gf-check`` with a ``--rel-tol`` below the default series
+tail; ``eval``, ``table`` and ``mh-study`` with ``-inf`` as an x; the
+``--help`` of the command and of each subcommand, an unknown subcommand and
+no argument.  Then one run of the warm kernel calls, which prints the repr
+of the report (or of the raised error) of each of the first 3,000
+operations of ``perfbench/kernel.stream(seed)`` for seeds 1-3.  Both sides read this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -130,7 +132,19 @@ def invocations():
                   "--x", "0.5", "--n", "3", "--rel-tol", "1e-6"])
     argvs.append(["eval", "--family", "charlier", "--a", "1.3", "--beta", "7",
                   "--nu", "3", "--x", "0.5", "--n", "3"])
-    argvs += [["--help"], ["bogus"], []]
+    # A series that a 1e-9 tail stops short of a 1e-13 check.
+    argvs.append(["gf-check", "--family", "charlier", "--a", "1.3", "--gamma",
+                  "0.5", "--x", "0.5", "--t", "0.9", "--rel-tol", "1e-13",
+                  "--forms", "phi1"])
+    # A non-finite word after --x, which the finite check refuses.
+    argvs += [["eval", "--family", "charlier", "--a", "1.3", "--x", "-inf",
+               "--n", "3"],
+              ["table", "--family", "charlier", "--a", "1.3", "--x", "0.5",
+               "-inf"],
+              ["mh-study", "--family", "charlier", "--a", "1.3", "--gamma",
+               "0.7", "--x", "-inf"]]
+    argvs += [["--help"], *([command, "--help"] for command in (
+        "eval", "table", "verify", "gf-check", "mh-study")), ["bogus"], []]
     return [["-m", "assocpoly", *argv] for argv in argvs] + [WARM_REPORTS]
 
 
