@@ -348,13 +348,11 @@ FAMILY_FLAG_HELP = """\
 
 
 @pytest.mark.parametrize("command", ["eval", "table", "gf-check", "mh-study"])
-def test_family_flags_come_from_the_family_table(capsys, command):
+def test_family_flags_keep_their_order_and_help(capsys, command):
     with pytest.raises(SystemExit) as excinfo:
         main([command, "--help"])
     assert excinfo.value.code == EXIT_OK
     assert FAMILY_FLAG_HELP in capsys.readouterr().out
-    assert [name for spec in _FAMILIES.values() for name in spec.flags] == [
-        "beta", "c", "a", "alpha", "nu", "phi"]
 
 
 @pytest.mark.parametrize("argv, flag, family", [

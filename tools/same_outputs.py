@@ -26,7 +26,8 @@ tail; ``eval``, ``table`` and ``mh-study`` with ``-inf`` as an x; the
 ``--help`` of the command and of each subcommand, an unknown subcommand and
 no argument.  Then one run of the warm kernel calls, which prints the repr
 of the report (or of the raised error) of each of the first 3,000
-operations of ``perfbench/kernel.stream(seed)`` for seeds 1-3.  Both sides read this checkout's ``perfbench``.
+operations of ``perfbench/kernel.stream(seed)`` for seeds 1-3.  Both sides
+read this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
