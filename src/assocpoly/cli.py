@@ -286,7 +286,8 @@ def _build_params(args):
     _require(args, *family.flags)
     for other in _FAMILIES.values():
         for name in other.flags:
-            if name not in family.flags and getattr(args, name) is not None:
+            if (name not in family.flags
+                    and getattr(args, name, None) is not None):
                 raise ValueError(
                     f"--{name} does not apply to family {args.family!r}")
     return family.params(*(getattr(args, name) for name in family.flags),
@@ -546,8 +547,8 @@ def _add_output_flags(parser, rel_tol=False):
 
 def _add_family_flags(parser, families=_FAMILIES):
     parser.add_argument("--family", required=True, choices=families)
-    for family in _FAMILIES.values():
-        for name, help_text in family.flags.items():
+    for family in families:
+        for name, help_text in _FAMILIES[family].flags.items():
             parser.add_argument(f"--{name}", type=_REAL, default=None,
                                 help=help_text)
     parser.add_argument("--gamma", type=_REAL, default=0.0,

@@ -157,6 +157,16 @@ def _real_finite(*vals):
     return True
 
 
+def _exact_to_float(value, seq, n):
+    """``float(value)`` of an exact lattice value, or ``OverflowError``
+    naming ``seq`` and the degree ``n`` when it lies beyond binary64."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise OverflowError(
+            f"{seq} value at degree {n} exceeds binary64 range") from None
+
+
 def meixner_seq(x, params, n_max, exact_on_lattice=True):
     """Index-shifted Meixner values M_0(x), ..., M_{n_max}(x) by recurrence.
 
@@ -202,7 +212,8 @@ def meixner_seq(x, params, n_max, exact_on_lattice=True):
             ((c - 1) * z + (c + 1) * s + beta * c) * cur
             - s * (s + beta - 1) * prev
         ) / c
-        values.append(float(nxt) if exact else nxt)
+        values.append(_exact_to_float(nxt, "meixner_seq", n + 1) if exact
+                      else nxt)
         prev, cur = cur, nxt
     return PolySequence(tuple(values), params, x)
 
@@ -231,7 +242,8 @@ def charlier_seq(x, params, n_max, exact_on_lattice=True):
     for n in range(n_max):
         s = n + gamma
         nxt = ((s + a - z) * cur - s * prev) / a
-        values.append(float(nxt) if exact else nxt)
+        values.append(_exact_to_float(nxt, "charlier_seq", n + 1) if exact
+                      else nxt)
         prev, cur = cur, nxt
     return PolySequence(tuple(values), params, x)
 

@@ -9,7 +9,10 @@ seeded random points and returns a list of
   cross-product 2F1 forms, the Meixner-Pollaczek connection) plus the
   classical gamma = 0 reductions.  The routes are those of
   ``cli._FAMILIES``, the package's one family/route table; this module
-  holds only the parameter grids and each family's pair order.
+  holds only the parameter grids and each family's pair order.  The
+  family grid points run on every CPU the process may use, one forked
+  worker per extra CPU; the reports, and any error raised, are those of
+  the serial loop.
 - ``transformations``: hypergeometric kernel invariants (Pfaff, Euler,
   Kummer, the Appell F1 transformation and reduction, the Humbert Phi1
   confluence limit), the reflection identity, and the degenerate c = 1
@@ -30,7 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 import random
+import signal
+import threading
 
 from .cli import _FAMILIES
 from .closedforms import (
@@ -80,35 +87,133 @@ _PAIRS = {
 }
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_share(function, tasks, worker, k):
+    """``(results, failure)`` of tasks ``worker``, ``worker + k``, ...
+
+    The results are in task order.  The share stops at its first failing
+    task; ``failure`` is that task's ``(index, exception)``, or None.
+    """
+    results = []
+    for i in range(worker, len(tasks), k):
+        try:
+            results.append(function(tasks[i]))
+        except Exception as exc:  # carried to the parent, which raises it
+            return results, (i, exc)
+    return results, None
+
+
+def _fork_worker(function, tasks, worker, k):
+    """``(pid, read end)`` of a forked child that pickles its share to a pipe."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child never returns into the caller's stack: it runs no
+        # atexit handler and flushes no stdio buffer it inherited.
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_run_share(function, tasks, worker, k), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _map(function, tasks):
+    """``[function(task) for task in tasks]``, on every CPU the process may use.
+
+    With k = min(usable CPUs, len(tasks)) workers, task i runs in worker
+    i mod k: worker 0 is this process, and each other worker a child
+    forked with ``os.fork`` that sends its share back through a pipe.  A
+    worker stops at its first failing task.  Once every share is in, the
+    failing task of lowest index is raised: the error that the serial loop
+    raises first.  The map runs serially when k = 1, without ``os.fork``,
+    or while another thread is alive, since forking then can deadlock.
+    """
+    k = min(_usable_cpus(), len(tasks))
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [function(task) for task in tasks]
+    pipes, payloads, statuses = {}, {}, {}
+    try:
+        for worker in range(1, k):
+            pid, pipe = _fork_worker(function, tasks, worker, k)
+            pipes[pid] = pipe
+        shares = [_run_share(function, tasks, 0, k)]
+        for pid, pipe in pipes.items():
+            payloads[pid] = pipe.read()
+    finally:
+        for pid, pipe in pipes.items():
+            if pid not in payloads:  # an error or an interrupt came first
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pid, status in statuses.items():
+        if status != 0:
+            raise RuntimeError(
+                f"verify worker {pid} exited with status {status} "
+                "before sending its results")
+        shares.append(pickle.loads(payloads[pid]))
+    results = [None] * len(tasks)
+    failures = []
+    for worker, (share, failure) in enumerate(shares):
+        results[worker:worker + k * len(share):k] = share
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _grid_point(name, values, rel_tol, n_max):
+    """The route-pair reports of one family at one grid point."""
+    family = _FAMILIES[name]
+    point = dict(zip((*family.flags, "gamma", "x"), values))
+    *args, x = values
+    params = family.params(*args)
+    routes = {}
+    for tag in ("recurrence", *_PAIRS[name][1]):
+        try:
+            routes[tag] = family.sweep(tag, x, params, n_max)
+        except (DenominatorPole, RestrictedParameter):
+            continue
+    return [
+        _worst_pair_report(
+            f"{name}-rep:{tag_a}~{tag_b}", point,
+            zip(range(n_max + 1), routes[tag_a], routes[tag_b]), rel_tol,
+        )
+        for tag_a, tag_b in itertools.combinations(routes, 2)
+    ]
+
+
 def verify_representations(rel_tol=1e-8, n_max=25):
     """Pairwise route agreement and classical reductions.
+
+    The family grid points run through :func:`_map`, on every CPU the
+    process may use; the reports are those of the serial loop, in order.
 
     Returns
     -------
     list of IdentityReport
     """
-    reports = []
     # Recurrence against every closed form, and each closed form against
     # the later ones; a route that is not defined at a point is skipped.
-    for name, (grids, tags) in _PAIRS.items():
-        family = _FAMILIES[name]
-        names = (*family.flags, "gamma", "x")
-        for values in itertools.product(*grids, _GAMMAS, _XS):
-            point = dict(zip(names, values))
-            *args, x = values
-            params = family.params(*args)
-            routes = {}
-            for tag in ("recurrence", *tags):
-                try:
-                    routes[tag] = family.sweep(tag, x, params, n_max)
-                except (DenominatorPole, RestrictedParameter):
-                    continue
-            for tag_a, tag_b in itertools.combinations(routes, 2):
-                reports.append(_worst_pair_report(
-                    f"{name}-rep:{tag_a}~{tag_b}", point,
-                    zip(range(n_max + 1), routes[tag_a], routes[tag_b]),
-                    rel_tol,
-                ))
+    tasks = [(name, values) for name, (grids, _tags) in _PAIRS.items()
+             for values in itertools.product(*grids, _GAMMAS, _XS)]
+    reports = [
+        report
+        for point_reports in _map(
+            lambda task: _grid_point(*task, rel_tol, n_max), tasks)
+        for report in point_reports
+    ]
     # Meixner-Pollaczek: recurrence vs the complex Meixner connection.
     mp = _FAMILIES["meixner-pollaczek"]
     mp_n_max = min(n_max, 20)

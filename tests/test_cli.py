@@ -334,17 +334,23 @@ def test_negative_non_finite_word_is_a_value(capsys, argv, word):
         f"error: argument {flag}: not a finite number: {word!r}")
 
 
-# The family flags of every subcommand that takes --family, one per family
-# table entry, in the table's order.
-FAMILY_FLAG_HELP = """\
-  --beta BETA           Meixner shape parameter
-  --c C                 Meixner geometric parameter
-  --a A                 Charlier rate parameter
-  --alpha ALPHA         Laguerre shape parameter
-  --nu NU               Meixner-Pollaczek shape parameter
-  --phi PHI             Meixner-Pollaczek angle in (0, pi)
-  --gamma GAMMA         index shift (default 0)
-"""
+# The family flags of each subcommand that takes --family: the flags of its
+# own families, in the family table's order.
+FAMILY_FLAG_HELP = {
+    "beta": "  --beta BETA           Meixner shape parameter\n",
+    "c": "  --c C                 Meixner geometric parameter\n",
+    "a": "  --a A                 Charlier rate parameter\n",
+    "alpha": "  --alpha ALPHA         Laguerre shape parameter\n",
+    "nu": "  --nu NU               Meixner-Pollaczek shape parameter\n",
+    "phi": "  --phi PHI             Meixner-Pollaczek angle in (0, pi)\n",
+    "gamma": "  --gamma GAMMA         index shift (default 0)\n",
+}
+COMMAND_FLAGS = {
+    "eval": ("beta", "c", "a", "alpha", "nu", "phi"),
+    "table": ("beta", "c", "a", "alpha", "nu", "phi"),
+    "gf-check": ("beta", "c", "a", "alpha"),
+    "mh-study": ("beta", "c", "a"),
+}
 
 
 @pytest.mark.parametrize("command", ["eval", "table", "gf-check", "mh-study"])
@@ -352,7 +358,30 @@ def test_family_flags_keep_their_order_and_help(capsys, command):
     with pytest.raises(SystemExit) as excinfo:
         main([command, "--help"])
     assert excinfo.value.code == EXIT_OK
-    assert FAMILY_FLAG_HELP in capsys.readouterr().out
+    expected = "".join(FAMILY_FLAG_HELP[flag]
+                       for flag in (*COMMAND_FLAGS[command], "gamma"))
+    assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gf-check", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+     "--nu", "0.3"],
+    ["gf-check", "--family", "charlier", "--a", "1.3", "--phi", "1"],
+    ["mh-study", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+     "--alpha", "0.5", "--x", "0.3"],
+    ["mh-study", "--family", "charlier", "--a", "1.3", "--nu", "0.3",
+     "--x", "0.3"],
+], ids=["gf-check-nu", "gf-check-phi", "mh-study-alpha", "mh-study-nu"])
+def test_flag_of_no_family_of_the_command_is_not_offered(capsys, argv):
+    # gf-check offered --nu and --phi, and mh-study --alpha, --nu and --phi,
+    # although none of their families takes them.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = next(arg for arg in argv if arg in ("--nu", "--phi", "--alpha"))
+    assert f"error: unrecognized arguments: {flag} " in captured.err
 
 
 @pytest.mark.parametrize("argv, flag, family", [
@@ -363,7 +392,7 @@ def test_family_flags_keep_their_order_and_help(capsys, command):
     (["gf-check", "--family", "laguerre", "--alpha", "0.8", "--a", "1"],
      "a", "laguerre"),
     (["mh-study", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
-      "--alpha", "0.5", "--x", "0.3"], "alpha", "meixner"),
+      "--a", "0.5", "--x", "0.3"], "a", "meixner"),
 ])
 def test_flag_of_another_family_exits_validation(capsys, argv, flag, family):
     code, out, err = run_cli(capsys, *argv)

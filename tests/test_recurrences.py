@@ -256,6 +256,22 @@ def test_charlier_lattice_point_stable():
     assert rel(seq[20], float(cur)) < 1e-12
 
 
+@pytest.mark.parametrize("seq, params, degree", [
+    (meixner_seq, MeixnerParams(1.5, 0.4, 0.7), 148),
+    (charlier_seq, CharlierParams(1.3, 0.7), 184),
+])
+def test_lattice_value_past_binary64_names_the_range(seq, params, degree):
+    # The exact loop's float() raised "integer division result too large
+    # for a float", which names Python's division, not the range.
+    x = 3.700000001  # x - gamma within 1e-6 of 3: the exact loop
+    with pytest.raises(OverflowError) as excinfo:
+        seq(x, params, 400)
+    assert str(excinfo.value) == (
+        f"{seq.__name__} value at degree {degree} exceeds binary64 range")
+    last = seq(x, params, degree - 1)[degree - 1]
+    assert math.isfinite(last) and abs(last) > 1e300
+
+
 # ---------------------------------------------------------------------------
 # Complex evaluation points
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """The verifier's route table and its worst-of selection."""
 
+import itertools
 import math
+import os
+import threading
+import time
 
 import pytest
 
-from assocpoly import make_report, summarize
+from assocpoly import make_report, run_set, summarize, verify
 from assocpoly.cli import _FAMILIES
-from assocpoly.verify import _worst_pair_report, verify_representations
+from assocpoly.errors import NotConverged
+from assocpoly.verify import _GAMMAS, _worst_pair_report, verify_representations
 
 NAN = float("nan")
 
@@ -70,3 +75,140 @@ def test_representations_run_the_cli_route_table(monkeypatch, family, tag):
     monkeypatch.setitem(routes, tag, spy)
     verify_representations(n_max=3)
     assert set(degrees) == {0, 1, 2, 3}
+
+
+# --- The grid split across forked workers -----------------------------------
+
+def _force_cpus(monkeypatch, k):
+    """Make ``verify`` see k usable CPUs; return the list of its fork pids."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: k)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("set_name", ["representations", "all"])
+def test_split_grid_gives_the_serial_reports_in_order(monkeypatch, k, set_name):
+    _force_cpus(monkeypatch, 1)
+    serial = run_set(set_name, seed=1)
+    forks = _force_cpus(monkeypatch, k)
+    split = run_set(set_name, seed=1)
+    assert len(forks) == k - 1
+    assert [repr(r) for r in split] == [repr(r) for r in serial]
+    _assert_no_child_left()
+
+
+# Task i of the grid is the i-th point of itertools.product(betas, cs,
+# gammas, xs); with two workers the even tasks run in this process.
+_TASKS = list(itertools.product(verify._MEIXNER_BETAS, verify._MEIXNER_CS,
+                                verify._GAMMAS, verify._XS))
+
+
+def _fail_at(monkeypatch, indices):
+    """Make Meixner's 4f3 route raise at the grid tasks ``indices``."""
+    routes = _FAMILIES["meixner"].routes
+    route = routes["4f3"]
+    bad = {_TASKS[i] for i in indices}
+
+    def failing(x, params, n):
+        if (params.beta, params.c, params.gamma, x) in bad:
+            raise NotConverged(f"no sum at x={x}, gamma={params.gamma}",
+                               outcome=n)
+        return route(x, params, n)
+
+    monkeypatch.setitem(routes, "4f3", failing)
+
+
+@pytest.mark.parametrize("indices", [(1, 4), (2, 5)],
+                         ids=["child-first", "parent-first"])
+def test_split_grid_raises_the_serial_error(monkeypatch, indices):
+    _fail_at(monkeypatch, indices)
+    _force_cpus(monkeypatch, 1)
+    with pytest.raises(NotConverged) as serial:
+        verify_representations(n_max=3)
+    forks = _force_cpus(monkeypatch, 2)
+    with pytest.raises(NotConverged) as split:
+        verify_representations(n_max=3)
+    assert len(forks) == 1
+    assert str(split.value) == str(serial.value)
+    assert split.value.outcome == serial.value.outcome == 0
+    _assert_no_child_left()
+
+
+def test_interrupt_in_this_process_kills_every_child(monkeypatch):
+    routes = _FAMILIES["meixner"].routes
+    route = routes["4f3"]
+    parent = os.getpid()
+    slept = []
+
+    def interrupted(x, params, n):
+        if os.getpid() != parent and not slept:
+            slept.append(n)
+            time.sleep(40)  # a child still at work when the parent stops
+        elif os.getpid() == parent and params.gamma == _GAMMAS[2]:
+            raise KeyboardInterrupt
+        return route(x, params, n)
+
+    monkeypatch.setitem(routes, "4f3", interrupted)
+    forks = _force_cpus(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify_representations(n_max=3)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_child_without_results_names_its_pid_and_status(monkeypatch):
+    parent = os.getpid()
+
+    def share(*_args):
+        if os.getpid() != parent:
+            os._exit(7)
+        return [], None
+
+    monkeypatch.setattr(verify, "_run_share", share)
+    forks = _force_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError) as info:
+        verify_representations(n_max=3)
+    assert str(info.value) == (f"verify worker {forks[0]} exited with status 7 "
+                               "before sending its results")
+    _assert_no_child_left()
+
+
+def _refuse_fork():
+    raise AssertionError("os.fork was called")
+
+
+def test_one_cpu_never_forks(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert verify_representations(n_max=2)
+
+
+def test_a_live_thread_never_forks(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert verify_representations(n_max=2)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()

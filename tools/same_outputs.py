@@ -18,11 +18,16 @@ seeds 0-2; ``eval`` on the argv of ``perfbench/evalcold.cases(seed,
 x, and at a pole of a normalizer or the t where a closed form is singular;
 ``gf-check`` ODE rows at |t| = |a| and where the difference stencil
 reaches past |a|, and weighted rows outside their series disk;
-``verify`` with a zero tolerance; ``mh-study``; ``table``; ``eval`` at
+``verify`` with a zero tolerance; ``verify --set representations`` with
+``--rel-tol 1e-300``, so that every inexact pair fails (FAIL lines from
+every worker of the split grid, in grid order), and with ``--n-max 200``
+(a route's error, raised from the split grid); ``mh-study``; ``table``; ``eval`` at
 each degree-dependent denominator band that a closed-form route refuses;
 ``eval`` with ``--rel-tol``, a flag it does not take, and with a flag of
 another family; ``gf-check`` with a ``--rel-tol`` below the default series
-tail; ``eval``, ``table`` and ``mh-study`` with ``-inf`` as an x; the
+tail; ``eval``, ``table`` and ``mh-study`` with ``-inf`` as an x;
+Meixner and Charlier ``eval`` at a lattice point whose exact value at
+degree 400 lies beyond binary64; the
 ``--help`` of the command and of each subcommand, an unknown subcommand and
 no argument.  Then one run of the warm kernel calls, which prints the repr
 of the report (or of the raised error) of each of the first 3,000
@@ -104,6 +109,8 @@ def invocations():
         argvs.append(["gf-check", "--family", family, *_FAMILY_FLAGS[family],
                       "--gamma", "0.5", "--forms", "weighted", "--t", t])
     argvs.append(["verify", "--set", "convolutions", "--rel-tol", "0"])
+    argvs += [["verify", "--set", "representations", "--rel-tol", "1e-300"],
+              ["verify", "--set", "representations", "--n-max", "200"]]
     for x in ("0.3", "-1.1+0.2j"):
         argvs.append(["mh-study", "--family", "meixner", "--beta", "1.5",
                       "--c", "0.4", "--gamma", "0.7", "--x", x])
@@ -144,6 +151,10 @@ def invocations():
                "-inf"],
               ["mh-study", "--family", "charlier", "--a", "1.3", "--gamma",
                "0.7", "--x", "-inf"]]
+    # A lattice point, where the recurrence runs exactly, past binary64.
+    for family in ("meixner", "charlier"):
+        argvs.append(["eval", "--family", family, *_FAMILY_FLAGS[family],
+                      "--gamma", "0.7", "--x", "3.700000001", "--n", "400"])
     argvs += [["--help"], *([command, "--help"] for command in (
         "eval", "table", "verify", "gf-check", "mh-study")), ["bogus"], []]
     return [["-m", "assocpoly", *argv] for argv in argvs] + [WARM_REPORTS]
