@@ -169,7 +169,7 @@ def _map(function, tasks):
         if failure is not None:
             failures.append(failure)
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        raise min(failures)[1]  # indices are distinct: no two errors compared
     return results
 
 

@@ -1,4 +1,4 @@
-"""The verifier's route table and its worst-of selection."""
+"""The verifier's route table, its worst-of selection and its split grid."""
 
 import itertools
 import math
