@@ -452,6 +452,53 @@ def test_laguerre_convolution_runs_past_the_pochhammer_range():
     assert report.passed, report.rel_discrepancy
 
 
+_CONVOLUTION_PINNED = [
+    "IdentityReport(identity_id='convolution-meixner', point={'x': 0.5, "
+    "'n': 0, 'gamma': 0.7}, lhs=1.0, rhs=1.0, rel_discrepancy=0.0, "
+    "passed=True, rel_tol=1e-09)",
+    "IdentityReport(identity_id='convolution-meixner', point={'x': 0.5, "
+    "'n': 1, 'gamma': 0.7}, lhs=1.8823529411764706, rhs=1.8823529411764706, "
+    "rel_discrepancy=0.0, passed=True, rel_tol=1e-09)",
+    "IdentityReport(identity_id='convolution-meixner', point={'x': 0.5, "
+    "'n': 12, 'gamma': 0.7}, lhs=-172681126151.25592, "
+    "rhs=-172681126151.2588, rel_discrepancy=1.66124255017727e-14, "
+    "passed=True, rel_tol=1e-09)",
+    "IdentityReport(identity_id='convolution-charlier', point={'x': 0.5, "
+    "'n': 0, 'gamma': 0.7}, lhs=1.0, rhs=1.0, rel_discrepancy=0.0, "
+    "passed=True, rel_tol=1e-09)",
+    "IdentityReport(identity_id='convolution-charlier', point={'x': 0.5, "
+    "'n': 1, 'gamma': 0.7}, lhs=0.6470588235294118, rhs=0.6470588235294118, "
+    "rel_discrepancy=0.0, passed=True, rel_tol=1e-09)",
+    "IdentityReport(identity_id='convolution-charlier', point={'x': 0.5, "
+    "'n': 12, 'gamma': 0.7}, lhs=-5415.393769192149, rhs=-5415.393769192152, "
+    "rel_discrepancy=5.038385427927634e-16, passed=True, rel_tol=1e-09)",
+    "IdentityReport(identity_id='convolution-laguerre', point={'x': 0.5, "
+    "'n': 0, 'gamma': 0.7}, lhs=1.0, rhs=1.0, rel_discrepancy=0.0, "
+    "passed=True, rel_tol=1e-09)",
+    "IdentityReport(identity_id='convolution-laguerre', point={'x': 0.5, "
+    "'n': 1, 'gamma': 0.7}, lhs=1.5294117647058822, rhs=1.5294117647058822, "
+    "rel_discrepancy=0.0, passed=True, rel_tol=1e-09)",
+    "IdentityReport(identity_id='convolution-laguerre', point={'x': 0.5, "
+    "'n': 12, 'gamma': 0.7}, lhs=-1.5680671576319232, "
+    "rhs=-1.5680671576319214, rel_discrepancy=1.132832118034336e-15, "
+    "passed=True, rel_tol=1e-09)",
+    "IdentityReport(identity_id='convolution-laguerre', point={'x': 0.5, "
+    "'n': 200, 'gamma': 0.7}, lhs=0.3714478455982332, "
+    "rhs=0.3714478454494383, rel_discrepancy=4.005807736959376e-10, "
+    "passed=True, rel_tol=1e-09)",
+]
+
+
+def test_convolution_reports_are_bit_pinned():
+    cases = [(MeixnerParams(1.5, 0.4, 0.7), (0, 1, 12)),
+             (CharlierParams(2.0, 0.7), (0, 1, 12)),
+             (LaguerreParams(0.7, 0.7), (0, 1, 12)),
+             (LaguerreParams(0.5, 0.7), (200,))]
+    got = [repr(convolution_identity(0.5, params, n))
+           for params, degrees in cases for n in degrees]
+    assert got == _CONVOLUTION_PINNED
+
+
 def test_convolution_requires_positive_shift():
     with pytest.raises(DomainError):
         convolution_identity(0.5, MeixnerParams(1.5, 0.4, 0.0), 4)
