@@ -5,13 +5,16 @@ Subcommands
 - ``eval``: evaluate one polynomial value by a chosen representation.
 - ``table``: tabulate a family over degrees (and several x values).
 - ``verify``: run an identity-verification set and stream reports.
-- ``gf-check``: compare generating-function partial sums against their
-  closed forms (including the Charlier ODE residual).
+- ``gf-check``: run the generating-function checks of
+  ``genfuncs.GF_FORMS``: closed forms against their series partial sums,
+  and the Charlier ODE residual.
 - ``mh-study``: run a large-degree scaled-convergence study.
 
 Output is CSV (default) or JSON via ``--output``; CSV carries a
-``# seed=<seed>`` comment line, a mandatory header row, and values with
-17 significant digits, so identical invocations are byte-identical.
+mandatory header row and values with 17 significant digits, so identical
+invocations are byte-identical.  Only ``verify`` takes ``--seed``, and
+its CSV begins with a ``# seed=<seed>`` line.  ``verify`` and
+``gf-check`` print a summary and a ``FAIL`` line per failing check.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input
 (``errors.InvalidInput``), 3 numerical failure (``errors.NumericalFailure``).
@@ -127,7 +130,8 @@ def _cell(value):
 
 
 def _write_records(args, fieldnames, records):
-    """Emit records as CSV (with seed header) or JSON to --out/stdout."""
+    """Emit records as CSV (with the seed line of a seeded command) or
+    JSON to --out/stdout."""
     if args.out is None:
         _write_stream(sys.stdout, args, fieldnames, records)
     else:
@@ -142,14 +146,17 @@ def _write_stream(stream, args, fieldnames, records):
         stream.write(json.dumps(records, indent=2, default=str))
         stream.write("\n")
         return
-    stream.write(f"# seed={args.seed}\n")
+    if "seed" in args:
+        stream.write(f"# seed={args.seed}\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(fieldnames)
     for record in records:
         writer.writerow([_cell(record.get(name)) for name in fieldnames])
 
 
-def _report_records(reports):
+def _write_reports(args, command, reports):
+    """Write identity reports, print the summary line and a ``FAIL`` line
+    for each failing report, and return the exit code."""
     records = []
     for rep in reports:
         lhs, rhs = complex(rep.lhs), complex(rep.rhs)
@@ -163,11 +170,21 @@ def _report_records(reports):
             "rel_discrepancy": float(rep.rel_discrepancy),
             "passed": bool(rep.passed),
         })
-    return records
-
-
-_REPORT_FIELDS = ("identity_id", "point", "lhs_re", "lhs_im", "rhs_re",
-                  "rhs_im", "rel_discrepancy", "passed")
+    _write_records(args, tuple(records[0]), records)
+    passed, failed, worst = summarize(reports)
+    print(
+        f"{command}: {passed} passed, {failed} failed "
+        f"(worst {worst.identity_id}: rel {worst.rel_discrepancy:.3e})",
+        file=sys.stderr,
+    )
+    for rep in reports:
+        if not rep.passed:
+            print(
+                f"  FAIL {rep.identity_id} at {rep.point}: "
+                f"rel {rep.rel_discrepancy:.3e} > {rep.rel_tol:.1e}",
+                file=sys.stderr,
+            )
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -395,105 +412,36 @@ def _cmd_verify(args):
     from .verify import run_set
 
     if args.n_max < 0:
-        print("verify: empty grid (--n-max < 0)", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("empty grid: --n-max must be >= 0")
     reports = run_set(args.set, rel_tol=args.rel_tol, seed=args.seed,
                       n_max=args.n_max)
-    _write_records(args, _REPORT_FIELDS, _report_records(reports))
-    passed, failed, worst = summarize(reports)
-    print(
-        f"verify --set {args.set}: {passed} passed, {failed} failed "
-        f"(worst {worst.identity_id}: rel {worst.rel_discrepancy:.3e})",
-        file=sys.stderr,
-    )
-    if failed:
-        for rep in reports:
-            if not rep.passed:
-                print(
-                    f"  FAIL {rep.identity_id} at {rep.point}: "
-                    f"rel {rep.rel_discrepancy:.3e} > {rep.rel_tol:.1e}",
-                    file=sys.stderr,
-                )
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
-
-
-def _gf_applicable_forms(known, params):
-    forms = []
-    gamma = params.gamma
-    for form in known:
-        if form in ("integral", "weighted") and gamma <= 0.0:
-            continue
-        if form == "elementary" and gamma != 0.0:
-            continue
-        if form == "diag" and (gamma != params.alpha or gamma == 0.0):
-            continue
-        forms.append(form)
-    return forms
-
-
-def _gf_report(args, params, x, t, form, rel_tol):
-    from .genfuncs import (
-        GF_FORMS,
-        GFSpec,
-        gf_charlier_ode_residual,
-        gf_lhs_auto,
-        weighted_classical_gf,
-    )
-    from .report import make_report
-
-    point = {"x": x, "t": t, "gamma": params.gamma}
-    point.update((name, getattr(params, name))
-                 for name in _FAMILIES[args.family].flags)
-    if form == "weighted":
-        return weighted_classical_gf(x, params, t, rel_tol)
-    if form == "ode":
-        residual = gf_charlier_ode_residual(x, params, t)
-        return make_report("gf-charlier-ode", point, residual, 0.0, rel_tol)
-    norm, closed_form = GF_FORMS[args.family][form]
-    rhs = closed_form(x, params, t)
-    # The series tail is held ten times below the check, as the library's
-    # defaults are (1e-9 against 1e-8).
-    lhs, n_used = gf_lhs_auto(GFSpec(params, x, t, norm, 60), rel_tol / 10)
-    point["N"] = n_used
-    return make_report(f"gf-{args.family}-{form}", point, lhs, rhs, rel_tol)
+    return _write_reports(args, f"verify --set {args.set}", reports)
 
 
 def _cmd_gf_check(args):
     from .genfuncs import GF_FORMS
 
     params = _build_params(args)
-    known = tuple(GF_FORMS[args.family])
-    applicable = _gf_applicable_forms(known, params)
+    forms = GF_FORMS[args.family]
     if args.forms == ["all"]:
-        forms = applicable
+        chosen = [form for form, (applies, _) in forms.items()
+                  if applies(params)]
     else:
-        forms = args.forms
-        for form in forms:
-            if form not in known:
+        chosen = args.forms
+        for form in chosen:
+            if form not in forms:
                 raise ValueError(
                     f"form {form!r} does not apply to family "
-                    f"{args.family!r}; choose from {known}"
+                    f"{args.family!r}; choose from {tuple(forms)}"
                 )
-            if form not in applicable:
+            if not forms[form][0](params):
                 raise ValueError(
                     f"form {form!r} is not applicable at these parameters "
                     f"(gamma-dependent availability)"
                 )
-    reports = []
-    for x in args.x:
-        for t in args.t:
-            for form in forms:
-                reports.append(
-                    _gf_report(args, params, x, t, form, args.rel_tol))
-    _write_records(args, _REPORT_FIELDS, _report_records(reports))
-    passed, failed, worst = summarize(reports)
-    print(
-        f"gf-check --family {args.family}: {passed} passed, {failed} failed "
-        f"(worst {worst.identity_id}: rel {worst.rel_discrepancy:.3e})",
-        file=sys.stderr,
-    )
-    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
+    reports = [forms[form][1](x, params, t, args.rel_tol)
+               for x in args.x for t in args.t for form in chosen]
+    return _write_reports(args, f"gf-check --family {args.family}", reports)
 
 
 def _cmd_mh_study(args):
@@ -541,8 +489,6 @@ def _add_output_flags(parser, rel_tol=False):
     if rel_tol:
         parser.add_argument("--rel-tol", type=_POSITIVE, default=1e-8,
                             help="relative tolerance (default 1e-8)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sampling (default 0)")
 
 
 def _add_family_flags(parser, families=_FAMILIES):
@@ -583,6 +529,8 @@ def _verify_flags(p_verify):
     p_verify.add_argument("--n-max", type=int, default=25,
                           help="highest degree for grids (default 25)")
     _add_output_flags(p_verify, rel_tol=True)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized sampling (default 0)")
     p_verify.set_defaults(func=_cmd_verify)
 
 

@@ -7,7 +7,9 @@ confluent 1F1, elementary factors, or Euler integrals.  The module also
 carries the generating-function ODE residual for the Charlier family,
 the three convolution identities that mix an index-shifted value with
 two classical sequences, the weighted classical generating functions,
-and the degenerate-argument reduction chain.
+and the degenerate-argument reduction chain.  ``GF_FORMS`` is the one
+table of the forms ``assocpoly gf-check`` runs: per family, where each
+form applies and the check that turns it into an IdentityReport.
 
 All left-hand partial sums run the recurrences in plain binary64
 (``exact_on_lattice=False``): the terms carry rapidly decaying weights,
@@ -564,47 +566,37 @@ def convolution_identity(x, params, n, rel_tol=1e-9):
         raise DomainError(
             f"the convolution identities require gamma > 0, got {gamma!r}"
         )
-    acc = Accumulator()
+    # The sequence, the sign ratio of consecutive terms, whether C(n, k)
+    # and n!/(gamma+1)_n enter, and the x and params of the second
+    # classical sequence.
     if isinstance(params, MeixnerParams):
-        ident = "convolution-meixner"
-        beta, c = params.beta, params.c
-        poch = pochhammer(gamma + 1.0, n)
-        lhs = math.factorial(n) * meixner_seq(x, params, n)[n] / poch
-        main = meixner_seq(x, MeixnerParams(beta, c, 0.0), n)
-        comp = meixner_seq(-x - 1.0, MeixnerParams(2.0 - beta, c, 0.0), n)
-        for k in range(n + 1):
-            acc.add(
-                math.comb(n, k)
-                * gamma
-                / (k + gamma)
-                * main[n - k]
-                * comp[k]
-            )
+        family, seq, flip, binomial = "meixner", meixner_seq, 1.0, True
+        comp_x = -x - 1.0
+        comp_params = MeixnerParams(2.0 - params.beta, params.c, 0.0)
     elif isinstance(params, CharlierParams):
-        ident = "convolution-charlier"
-        a = params.a
-        poch = pochhammer(gamma + 1.0, n)
-        lhs = math.factorial(n) * charlier_seq(x, params, n)[n] / poch
-        main = charlier_seq(x, CharlierParams(a, 0.0), n)
-        comp = charlier_seq(-x - 1.0, CharlierParams(-a, 0.0), n)
-        sign = 1.0
-        for k in range(n + 1):
-            acc.add(
-                math.comb(n, k) * gamma * sign / (gamma + k) * main[n - k] * comp[k]
-            )
-            sign = -sign
+        family, seq, flip, binomial = "charlier", charlier_seq, -1.0, True
+        comp_x, comp_params = -x - 1.0, CharlierParams(-params.a, 0.0)
     elif isinstance(params, LaguerreParams):
-        ident = "convolution-laguerre"
-        alpha = params.alpha
-        lhs = laguerre_seq(x, params, n)[n]
-        main = laguerre_seq(x, LaguerreParams(alpha, 0.0), n)
-        comp = laguerre_seq(-x, LaguerreParams(-alpha, 0.0), n)
-        for k in range(n + 1):
-            acc.add(gamma / (k + gamma) * main[n - k] * comp[k])
+        family, seq, flip, binomial = "laguerre", laguerre_seq, 1.0, False
+        comp_x, comp_params = -x, LaguerreParams(-params.alpha, 0.0)
     else:
         raise TypeError(f"unsupported family parameter type {type(params)!r}")
+    # (gamma+1)_n first: past binary64 it raises before any sequence runs.
+    poch = pochhammer(gamma + 1.0, n) if binomial else None
+    lhs = seq(x, params, n)[n]
+    if binomial:
+        lhs = math.factorial(n) * lhs / poch
+    main = seq(x, classical(params), n)
+    comp = seq(comp_x, comp_params, n)
+    acc = Accumulator()
+    sign = 1.0
+    for k in range(n + 1):
+        comb = math.comb(n, k) if binomial else 1
+        acc.add(comb * gamma * sign / (gamma + k) * main[n - k] * comp[k])
+        sign *= flip
     point = {"x": x, "n": n, "gamma": gamma}
-    return make_report(ident, point, lhs, acc.value, rel_tol)
+    return make_report(f"convolution-{family}", point, lhs, acc.value,
+                       rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -677,46 +669,104 @@ def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, rel_tol=1e-6):
     return make_report("laguerre-diag-derivative", point, deriv, rhs, rel_tol)
 
 
-# The forms ``assocpoly gf-check`` compares, per family:
-# {form: (normalization of the left side, closed form(x, params, t))}, in
-# the order the command runs them; None for the weighted and ODE forms,
-# which build their own report.  Each closed form is called through this
-# module's global name when it runs, so that a wrapper patched over the
-# name (perfbench's span recorders) sees the call.  A closed form that
-# takes no params is guarded by the disk check of its series, which
-# returns None or raises DomainError.
+# ---------------------------------------------------------------------------
+# The forms of ``assocpoly gf-check``
+# ---------------------------------------------------------------------------
+
+
+def _gf_point(x, params, t):
+    """x, t, gamma, then the family's other fields in slot order (gamma
+    is the last slot)."""
+    return {"x": x, "t": t, "gamma": params.gamma,
+            **{name: getattr(params, name) for name in params.__slots__[:-1]}}
+
+
+def _series_check(identity_id, norm, closed_form):
+    """The check of ``closed_form(x, params, t)`` against its series under
+    ``norm``.  The closed form runs first, so that a t outside its disk
+    raises its own DomainError; the series tail is held ten times below
+    the check, as the library's defaults are (1e-9 against 1e-8)."""
+    def check(x, params, t, rel_tol):
+        rhs = closed_form(x, params, t)
+        lhs, n_used = gf_lhs_auto(GFSpec(params, x, t, norm), rel_tol / 10)
+        point = {**_gf_point(x, params, t), "N": n_used}
+        return make_report(identity_id, point, lhs, rhs, rel_tol)
+
+    return check
+
+
+def _charlier_ode_check(x, params, t, rel_tol):
+    """The Charlier generating-function ODE residual against 0."""
+    residual = gf_charlier_ode_residual(x, params, t)
+    return make_report("gf-charlier-ode", _gf_point(x, params, t), residual,
+                       0.0, rel_tol)
+
+
+def _always(params):
+    return True
+
+
+def _shifted(params):
+    return params.gamma > 0.0
+
+
+def _unshifted(params):
+    return params.gamma == 0.0
+
+
+def _diagonal(params):
+    return params.gamma == params.alpha != 0.0
+
+
+# {family: {form: (applies(params), check(x, params, t, rel_tol) ->
+# IdentityReport)}}, in the order gf-check runs them.  Each closed form is
+# called through this module's global name when it runs, so that a wrapper
+# patched over the name (perfbench's span recorders) sees the call.  A
+# closed form that takes no params is guarded by the disk check of its
+# series, which returns None or raises DomainError.
 GF_FORMS = {
     "meixner": {
-        "appell": (Normalization.BY_GAMMA_BETA,
-                   lambda x, p, t: gf_meixner_appell(x, p, t)),
-        "alt": (Normalization.BY_GAMMA_ONE,
-                lambda x, p, t: gf_meixner_alt(x, p, t)),
-        "integral": (Normalization.BY_GAMMA_ONE,
-                     lambda x, p, t: gf_meixner_integral(x, p, t)),
-        "weighted": None,
-        "elementary": (Normalization.BY_GAMMA_ONE,
-                       lambda x, p, t: _check_meixner_t(p, t)
-                       or gf_meixner_elementary(x, p.beta, p.c, t)),
+        "appell": (_always, _series_check(
+            "gf-meixner-appell", Normalization.BY_GAMMA_BETA,
+            lambda x, p, t: gf_meixner_appell(x, p, t))),
+        "alt": (_always, _series_check(
+            "gf-meixner-alt", Normalization.BY_GAMMA_ONE,
+            lambda x, p, t: gf_meixner_alt(x, p, t))),
+        "integral": (_shifted, _series_check(
+            "gf-meixner-integral", Normalization.BY_GAMMA_ONE,
+            lambda x, p, t: gf_meixner_integral(x, p, t))),
+        "weighted": (_shifted, weighted_classical_gf),
+        "elementary": (_unshifted, _series_check(
+            "gf-meixner-elementary", Normalization.BY_GAMMA_ONE,
+            lambda x, p, t: _check_meixner_t(p, t)
+            or gf_meixner_elementary(x, p.beta, p.c, t))),
     },
     "charlier": {
-        "phi1": (Normalization.BY_GAMMA_ONE,
-                 lambda x, p, t: gf_charlier_phi1(x, p, t)),
-        "integral": (Normalization.BY_GAMMA_ONE,
-                     lambda x, p, t: gf_charlier_integral(x, p, t)),
-        "weighted": None,
-        "elementary": (Normalization.BY_GAMMA_ONE,
-                       lambda x, p, t: _check_charlier_t(p, t)
-                       or gf_charlier_elementary(x, p.a, t)),
-        "ode": None,
+        "phi1": (_always, _series_check(
+            "gf-charlier-phi1", Normalization.BY_GAMMA_ONE,
+            lambda x, p, t: gf_charlier_phi1(x, p, t))),
+        "integral": (_shifted, _series_check(
+            "gf-charlier-integral", Normalization.BY_GAMMA_ONE,
+            lambda x, p, t: gf_charlier_integral(x, p, t))),
+        "weighted": (_shifted, weighted_classical_gf),
+        "elementary": (_unshifted, _series_check(
+            "gf-charlier-elementary", Normalization.BY_GAMMA_ONE,
+            lambda x, p, t: _check_charlier_t(p, t)
+            or gf_charlier_elementary(x, p.a, t))),
+        "ode": (_always, _charlier_ode_check),
     },
     "laguerre": {
-        "phi1": (Normalization.PLAIN, lambda x, p, t: gf_laguerre(x, p, t)),
-        "weighted": None,
-        "diag": (Normalization.WEIGHTED,
-                 lambda x, p, t: _check_laguerre_t(p, t)
-                 or gf_weighted_laguerre_diag(x, p.alpha, t)),
-        "elementary": (Normalization.PLAIN,
-                       lambda x, p, t: _check_laguerre_t(p, t)
-                       or gf_laguerre_elementary(x, p.alpha, t)),
+        "phi1": (_always, _series_check(
+            "gf-laguerre-phi1", Normalization.PLAIN,
+            lambda x, p, t: gf_laguerre(x, p, t))),
+        "weighted": (_shifted, weighted_classical_gf),
+        "diag": (_diagonal, _series_check(
+            "gf-laguerre-diag", Normalization.WEIGHTED,
+            lambda x, p, t: _check_laguerre_t(p, t)
+            or gf_weighted_laguerre_diag(x, p.alpha, t))),
+        "elementary": (_unshifted, _series_check(
+            "gf-laguerre-elementary", Normalization.PLAIN,
+            lambda x, p, t: _check_laguerre_t(p, t)
+            or gf_laguerre_elementary(x, p.alpha, t))),
     },
 }

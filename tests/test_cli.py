@@ -57,10 +57,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def parse_csv(out, seed=0):
+def parse_csv(out, seed=None):
+    """Header and rows of CSV output.  Only verify takes --seed, and its
+    output begins with the ``seed`` line; the others print none."""
     lines = out.splitlines()
-    assert lines[0] == f"# seed={seed}"
-    rows = list(csv.reader(lines[1:]))
+    if seed is not None:
+        assert lines.pop(0) == f"# seed={seed}"
+    assert not lines[0].startswith("#")
+    rows = list(csv.reader(lines))
     header, data = rows[0], rows[1:]
     return header, data
 
@@ -684,7 +688,7 @@ def test_verify_convolutions_green_and_deterministic(capsys):
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     assert " 0 failed" in err1
-    header, data = parse_csv(out1)
+    header, data = parse_csv(out1, seed=0)
     assert list(header) == ["identity_id", "point", "lhs_re", "lhs_im",
                             "rhs_re", "rhs_im", "rel_discrepancy", "passed"]
     assert all(csv_value(header, row, "passed") == "true" for row in data)
@@ -703,7 +707,9 @@ def test_verify_negative_n_max_exits_validation(capsys):
         capsys, "verify", "--set", "representations", "--n-max", "-1",
     )
     assert code == EXIT_VALIDATION
-    assert "empty grid" in err
+    # The message table prints; verify printed its own one.
+    assert err == ("assocpoly: invalid input: empty grid: --n-max must be "
+                   ">= 0\n")
 
 
 def test_verify_json_round_trip(capsys):
@@ -867,11 +873,47 @@ def test_gf_check_sums_the_series_below_its_tolerance(capsys):
 
 
 def test_gf_check_unreachable_tolerance_exits_failed(capsys):
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys, "gf-check", "--family", "laguerre", "--alpha", "0.7",
         "--gamma", "0.4", "--rel-tol", "1e-18",
     )
     assert code == EXIT_VERIFY_FAILED
+    # Each failing row is listed, as verify lists its own.
+    assert err.splitlines() == [
+        "gf-check --family laguerre: 2 passed, 2 failed (worst "
+        "weighted-gf-laguerre: rel 2.143e-16)",
+        "  FAIL gf-laguerre-phi1 at {'x': 0.5, 't': 0.1, 'gamma': 0.4, "
+        "'alpha': 0.7, 'N': 60}: rel 1.915e-16 > 1.0e-18",
+        "  FAIL weighted-gf-laguerre at {'x': 0.5, 't': 0.1, 'gamma': 0.4, "
+        "'N': 60}: rel 2.143e-16 > 1.0e-18",
+    ]
+
+
+@pytest.mark.parametrize("argv, forms", [
+    (("meixner", "--beta", "1.5", "--c", "0.4", "--gamma", "0"),
+     ["gf-meixner-appell", "gf-meixner-alt", "gf-meixner-elementary"]),
+    (("meixner", "--beta", "1.5", "--c", "0.4", "--gamma", "0.7"),
+     ["gf-meixner-appell", "gf-meixner-alt", "gf-meixner-integral",
+      "weighted-gf-meixner"]),
+    (("charlier", "--a", "2", "--gamma", "0"),
+     ["gf-charlier-phi1", "gf-charlier-elementary", "gf-charlier-ode"]),
+    (("charlier", "--a", "2", "--gamma", "0.7"),
+     ["gf-charlier-phi1", "gf-charlier-integral", "weighted-gf-charlier",
+      "gf-charlier-ode"]),
+    (("laguerre", "--alpha", "0.8", "--gamma", "0"),
+     ["gf-laguerre-phi1", "gf-laguerre-elementary"]),
+    (("laguerre", "--alpha", "0.8", "--gamma", "0.7"),
+     ["gf-laguerre-phi1", "weighted-gf-laguerre"]),
+    (("laguerre", "--alpha", "0.8", "--gamma", "0.8"),
+     ["gf-laguerre-phi1", "weighted-gf-laguerre", "gf-laguerre-diag"]),
+], ids=["meixner-0", "meixner-shifted", "charlier-0", "charlier-shifted",
+        "laguerre-0", "laguerre-shifted", "laguerre-diagonal"])
+def test_gf_check_all_runs_each_applicable_form_in_order(capsys, argv, forms):
+    code, out, _ = run_cli(capsys, "gf-check", "--family", *argv, "--t",
+                           "0.1")
+    assert code == EXIT_OK
+    header, data = parse_csv(out)
+    assert [csv_value(header, row, "identity_id") for row in data] == forms
 
 
 # ---------------------------------------------------------------------------
@@ -960,6 +1002,21 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert code2 == EXIT_OK
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", *_CHARLIER, "--x", "0.5", "--n", "2"],
+    ["table", *_CHARLIER, "--x", "0.5"],
+    ["gf-check", *_CHARLIER],
+    ["mh-study", *_CHARLIER, "--x", "0.5"],
+], ids=lambda argv: argv[0])
+def test_only_verify_takes_seed(capsys, argv):
+    # The other four took --seed and read it only for the CSV seed line.
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--seed", "7"])
+    assert excinfo.value.code == EXIT_VALIDATION
+    assert ("error: unrecognized arguments: --seed 7"
+            in capsys.readouterr().err)
 
 
 def test_csv_seed_line_follows_flag(capsys):
@@ -1068,7 +1125,7 @@ PARSER_SAMPLES = [
     ["eval", "--family", "meixner", "--beta", "1.5", "--c", "0.4", "--x",
      "0.5+0.1j", "--n", "3", "--rep", "4f3", "--output", "json"],
     ["table", "--family", "charlier", "--a", "2", "--x", "0.5", "1.5",
-     "--n-max", "4", "--seed", "7"],
+     "--n-max", "4"],
     ["verify", "--set", "finite-sums", "--n-max", "5", "--rel-tol", "1e-9"],
     ["gf-check", "--family", "laguerre", "--alpha", "0.7", "--t", "0.1",
      "--forms", "plain"],

@@ -18,21 +18,24 @@ seeds 0-2; ``eval`` on the argv of ``perfbench/evalcold.cases(seed,
 x, and at a pole of a normalizer or the t where a closed form is singular;
 ``gf-check`` ODE rows at |t| = |a| and where the difference stencil
 reaches past |a|, and weighted rows outside their series disk;
-``verify`` with a zero tolerance; ``verify --set representations`` with
-``--rel-tol 1e-300``, so that every inexact pair fails (FAIL lines from
-every worker of the split grid, in grid order), and with ``--n-max 200``
-(a route's error, raised from the split grid); ``mh-study``; ``table``; ``eval`` at
-each degree-dependent denominator band that a closed-form route refuses;
-``eval`` with ``--rel-tol``, a flag it does not take, and with a flag of
-another family; ``gf-check`` with a ``--rel-tol`` below the default series
-tail; ``eval``, ``table`` and ``mh-study`` with ``-inf`` as an x;
-Meixner and Charlier ``eval`` at a lattice point whose exact value at
-degree 400 lies beyond binary64; the
-``--help`` of the command and of each subcommand, an unknown subcommand and
-no argument.  Then one run of the warm kernel calls, which prints the repr
-of the report (or of the raised error) of each of the first 3,000
-operations of ``perfbench/kernel.stream(seed)`` for seeds 1-3.  Both sides
-read this checkout's ``perfbench``.
+``verify --set convolutions`` with ``--rel-tol 1e-300`` and ``gf-check``
+with ``--rel-tol 1e-18``, so that rows fail and are listed on FAIL lines;
+``gf-check --forms`` with a form that does not apply at gamma = 0 and
+with one the family lacks; ``verify --n-max -1``; ``verify --set
+representations`` with ``--rel-tol 1e-300``, so that every inexact pair
+fails (FAIL lines from every worker of the split grid, in grid order),
+and with ``--n-max 200`` (a route's error, raised from the split grid);
+``mh-study``; ``table``; ``eval`` at each degree-dependent denominator
+band that a closed-form route refuses; ``eval`` with ``--rel-tol``, a
+flag it does not take, and with a flag of another family; ``gf-check``
+with a ``--rel-tol`` below the default series tail; ``eval``, ``table``
+and ``mh-study`` with ``-inf`` as an x; Meixner and Charlier ``eval`` at
+a lattice point whose exact value at degree 400 lies beyond binary64;
+the ``--help`` of the command and of each subcommand, an unknown
+subcommand and no argument.  Then one run of the warm kernel calls,
+which prints the repr of the report (or of the raised error) of each of
+the first 3,000 operations of ``perfbench/kernel.stream(seed)`` for seeds
+1-3.  Both sides read this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -108,7 +111,16 @@ def invocations():
                       ("laguerre", "1.2")):
         argvs.append(["gf-check", "--family", family, *_FAMILY_FLAGS[family],
                       "--gamma", "0.5", "--forms", "weighted", "--t", t])
-    argvs.append(["verify", "--set", "convolutions", "--rel-tol", "0"])
+    # Rows that fail, each listed on a FAIL line.
+    argvs += [["verify", "--set", "convolutions", "--rel-tol", "1e-300"],
+              ["gf-check", "--family", "laguerre", "--alpha", "0.7",
+               "--gamma", "0.4", "--rel-tol", "1e-18"]]
+    # A form that does not apply at gamma = 0, and one the family lacks.
+    for form in ("integral", "bogus"):
+        argvs.append(["gf-check", "--family", "meixner",
+                      *_FAMILY_FLAGS["meixner"], "--gamma", "0", "--forms",
+                      form])
+    argvs.append(["verify", "--set", "convolutions", "--n-max", "-1"])
     argvs += [["verify", "--set", "representations", "--rel-tol", "1e-300"],
               ["verify", "--set", "representations", "--n-max", "200"]]
     for x in ("0.3", "-1.1+0.2j"):
