@@ -707,7 +707,7 @@ def test_verify_negative_n_max_exits_validation(capsys):
         capsys, "verify", "--set", "representations", "--n-max", "-1",
     )
     assert code == EXIT_VALIDATION
-    # The message table prints; verify printed its own one.
+    # The same message as table's.
     assert err == ("assocpoly: invalid input: empty grid: --n-max must be "
                    ">= 0\n")
 
@@ -906,8 +906,12 @@ def test_gf_check_unreachable_tolerance_exits_failed(capsys):
      ["gf-laguerre-phi1", "weighted-gf-laguerre"]),
     (("laguerre", "--alpha", "0.8", "--gamma", "0.8"),
      ["gf-laguerre-phi1", "weighted-gf-laguerre", "gf-laguerre-diag"]),
+    # gamma = alpha = 0 is not diagonal: its series divides by n + gamma = 0.
+    (("laguerre", "--alpha", "0", "--gamma", "0"),
+     ["gf-laguerre-phi1", "gf-laguerre-elementary"]),
 ], ids=["meixner-0", "meixner-shifted", "charlier-0", "charlier-shifted",
-        "laguerre-0", "laguerre-shifted", "laguerre-diagonal"])
+        "laguerre-0", "laguerre-shifted", "laguerre-diagonal",
+        "laguerre-0-0"])
 def test_gf_check_all_runs_each_applicable_form_in_order(capsys, argv, forms):
     code, out, _ = run_cli(capsys, "gf-check", "--family", *argv, "--t",
                            "0.1")
