@@ -33,6 +33,15 @@ from typing import Callable, NamedTuple
 # ``gf-check`` and ``mh-study`` handlers import the verifier, the
 # generating functions and the asymptotics when they run.
 from .closedforms import (
+    _charlier_3f2_range,
+    _charlier_classical_range,
+    _laguerre_3f2_range,
+    _laguerre_classical_range,
+    _meixner_4f3_alt_range,
+    _meixner_4f3_range,
+    _meixner_classical_range,
+    _meixner_cross_2f1_range,
+    _meixner_quadratic_range,
     charlier_3f2,
     charlier_classical,
     laguerre_3f2,
@@ -217,32 +226,44 @@ class _Family(NamedTuple):
     seq: Callable
     # {rep: route(x, params, n)}; the order is the one "choose from" prints.
     routes: dict
+    # {rep: range form(x, params, n_max) -> [route(x, params, n) for n in
+    # 0..n_max]}, for the routes that have one.
+    ranges: dict
 
     def sweep(self, rep, x, params, n_max):
         """The values of route ``rep`` at degrees 0..n_max, as a list.
 
-        The recurrence runs once over the range; any other route runs once
-        per degree, so the first degree that fails raises.
+        A route with a range form runs it once over the range: the
+        recurrence, and the closed forms that do their n-independent work
+        once, with the bits of the per-degree calls.  Any other route runs
+        once per degree.  Either way the first degree that fails raises.
         """
-        if rep == "recurrence":
-            return list(self.seq(x, params, n_max).values)
+        if rep in self.ranges:
+            return self.ranges[rep](x, params, n_max)
         route = self.routes[rep]
         return [route(x, params, n) for n in range(n_max + 1)]
 
 
-def _family(params, flags, seq, routes):
+def _family(params, flags, seq, routes, ranges=None):
     routes = {"recurrence": lambda x, p, n: seq(x, p, n)[n], **routes}
-    return _Family(params, flags, seq, routes)
+    ranges = {"recurrence": lambda x, p, n_max: list(seq(x, p, n_max).values),
+              **(ranges or {})}
+    return _Family(params, flags, seq, routes, ranges)
 
 
 # The one family/route table: ``eval`` and ``table`` offer its routes, and
 # ``verify --set representations`` compares them in pairs; both ``table``
-# and ``verify`` take a route's values over 0..n from ``_Family.sweep``.
+# and ``verify`` take a route's values over 0..n from ``_Family.sweep``,
+# which runs the range form of a route where the table has one: the
+# recurrence, the lone-Cauchy double sums, the quadratic and cross 2F1
+# forms and the classical routes.  Charlier ``3f2-transformed`` and
+# Laguerre ``3f2-rahman`` have none, because their outer sums depend on n.
 # Every route calls this module's global names when it runs, never a stored
 # function object: perfbench patches ``cli.<name>`` after import to time the
 # ``cli.route``, ``closedforms.*`` and ``recurrences`` spans, and a function
 # captured at import would silently bypass those patches.  That is also why
-# the table lives here and not in ``closedforms``.
+# the table lives here and not in ``closedforms``.  The range forms are
+# private to ``closedforms``, so those spans do not see a sweep's calls.
 _FAMILIES = {
     "meixner": _family(
         MeixnerParams,
@@ -258,6 +279,14 @@ _FAMILIES = {
             "classical": lambda x, p, n: meixner_classical(
                 x, _zero_shift(p).beta, p.c, n),
         },
+        {
+            "4f3": lambda x, p, n: _meixner_4f3_range(x, p, 0, n),
+            "4f3-alt": lambda x, p, n: _meixner_4f3_alt_range(x, p, 0, n),
+            "quadratic": lambda x, p, n: _meixner_quadratic_range(x, p, 0, n),
+            "cross": lambda x, p, n: _meixner_cross_2f1_range(x, p, 0, n),
+            "classical": lambda x, p, n: _meixner_classical_range(
+                x, _zero_shift(p).beta, p.c, 0, n),
+        },
     ),
     "charlier": _family(
         CharlierParams, {"a": "Charlier rate parameter"},
@@ -269,6 +298,11 @@ _FAMILIES = {
             "classical": lambda x, p, n: charlier_classical(
                 x, _zero_shift(p).a, n),
         },
+        {
+            "3f2": lambda x, p, n: _charlier_3f2_range(x, p, 0, n),
+            "classical": lambda x, p, n: _charlier_classical_range(
+                x, _zero_shift(p).a, 0, n),
+        },
     ),
     "laguerre": _family(
         LaguerreParams, {"alpha": "Laguerre shape parameter"},
@@ -278,6 +312,11 @@ _FAMILIES = {
             "3f2-rahman": lambda x, p, n: laguerre_3f2(x, p, n, "rahman"),
             "classical": lambda x, p, n: laguerre_classical(
                 x, _zero_shift(p).alpha, n),
+        },
+        {
+            "3f2": lambda x, p, n: _laguerre_3f2_range(x, p, 0, n),
+            "classical": lambda x, p, n: _laguerre_classical_range(
+                x, _zero_shift(p).alpha, 0, n),
         },
     ),
     "meixner-pollaczek": _family(

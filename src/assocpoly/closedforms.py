@@ -20,6 +20,16 @@ Two robustness policies apply throughout:
   component rounded to binary64 once.  Most of the paper's double sums
   collapse to a single Cauchy sum, so a degree costs O(n).
 
+Each collapsed route, each classical form and the quadratic and cross
+forms have a range form, ``_<route>_range(..., lo, hi)``, which gives
+degrees lo..hi in one call and is what the per-degree function calls on
+its one degree.  It does once what does not depend on n: it decides each
+denominator band, evaluates each n-independent 2F1, and shares the
+escalation across degrees (``hyperkernel._resums``); its prefactor rising
+factorials are chained from degree to degree (``hyperkernel._Rising``).
+The bits, and the error that the first failing degree raises, are those
+of the per-degree calls.
+
 The module also carries the finite-sum hypergeometric identities that
 underpin the quadratic representation, as report-producing checkers.
 """
@@ -38,6 +48,8 @@ from .hyperkernel import (
     _check_nonneg_int,
     _near_int_in_range,
     _resum,
+    _resums,
+    _Rising,
     gauss_2f1,
     pochhammer,
 )
@@ -135,8 +147,38 @@ def _refuse_band(name, w, lo, hi, n, error=DenominatorPole, suffix=""):
     """Raise ``error`` when ``w`` is within 1e-8 of an integer in
     ``[lo, hi]``, where a denominator factor of the degree-``n`` sum vanishes."""
     if _near_int_in_range(w, lo, hi) is not None:
-        raise error(f"{name} = {w!r} makes a denominator factor vanish "
-                    f"for degree {n}{suffix}")
+        raise _band_pole(name, w, n, error, suffix)
+
+
+def _band_pole(name, w, n, error=DenominatorPole, suffix=""):
+    return error(f"{name} = {w!r} makes a denominator factor vanish "
+                 f"for degree {n}{suffix}")
+
+
+def _bands(hi, *bands):
+    """A check ``n -> None`` of the bands ``(name, w, side)`` of the degrees
+    up to hi, each band decided once.
+
+    A band refuses degree n when ``w`` is within 1e-8 of an integer in
+    ``[-(n-1), 0]`` (side -1) or ``[0, n-1]`` (side 1), so it refuses
+    every degree from the first one on.  At each degree the check raises
+    what :func:`_refuse_band` raises there for the first band that
+    refuses it.
+    """
+    firsts = []
+    if hi:
+        for name, w, side in bands:
+            r = _near_int_in_range(w, -math.inf, 0) if side < 0 else (
+                _near_int_in_range(w, 0, math.inf))
+            if r is not None:
+                firsts.append((abs(r) + 1, name, w))
+
+    def check(n):
+        for first, name, w in firsts:
+            if n >= first:
+                raise _band_pole(name, w, n)
+
+    return check
 
 
 def _refuse_denominators(identity, a, b):
@@ -148,6 +190,19 @@ def _refuse_denominators(identity, a, b):
                 f"{identity} requires denominator parameter {w!r} "
                 "away from the nonpositive integers"
             )
+
+
+def _once(f, *args):
+    """A function that returns ``f(*args).value``, calling f only the first
+    time."""
+    cache = []
+
+    def value():
+        if not cache:
+            cache.append(f(*args).value)
+        return cache[0]
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +236,26 @@ def meixner_4f3(x, params, n):
         the summation range).
     """
     _check_nonneg_int(n, "n")
+    return _meixner_4f3_range(x, params, n, n)[0]
+
+
+def _meixner_4f3_range(x, params, lo, hi):
+    """``[meixner_4f3(x, params, n) for n in range(lo, hi + 1)]``."""
     beta, c, gamma = params.beta, params.c, params.gamma
-    if n == 0:
-        return 1.0
-    _refuse_band("gamma+beta+x", gamma + beta + x, -(n - 1), 0, n)
-    _refuse_band("gamma+beta", gamma + beta, -(n - 1), 0, n)
-    total = _resum(_meixner_4f3_sum, n, (x, beta, c, gamma))
-    pref = (
-        c ** (-n) * pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n)
-        / math.factorial(n)
-    )
-    return pref * total
+    bands = _bands(hi, ("gamma+beta+x", gamma + beta + x, -1),
+                   ("gamma+beta", gamma + beta, -1))
+    sums = _resums(_meixner_4f3_sum, (x, beta, c, gamma), hi)
+    shift, shape = _Rising(gamma + 1.0), _Rising(gamma + beta)
+    values = []
+    for n in range(lo, hi + 1):
+        if n == 0:
+            values.append(1.0)
+            continue
+        bands(n)
+        total = sums(n)
+        pref = c ** (-n) * shift(n) * shape(n) / math.factorial(n)
+        values.append(pref * total)
+    return values
 
 
 def meixner_4f3_alt(x, params, n):
@@ -207,16 +271,26 @@ def meixner_4f3_alt(x, params, n):
     an integer in ``[-(n-1), 0]``.
     """
     _check_nonneg_int(n, "n")
+    return _meixner_4f3_alt_range(x, params, n, n)[0]
+
+
+def _meixner_4f3_alt_range(x, params, lo, hi):
+    """``[meixner_4f3_alt(x, params, n) for n in range(lo, hi + 1)]``."""
     beta, c, gamma = params.beta, params.c, params.gamma
-    if n == 0:
-        return 1.0
-    _refuse_band("x - gamma", x - gamma, 0, n - 1, n)
-    _refuse_band("gamma+beta", gamma + beta, -(n - 1), 0, n)
-    total = _resum(_meixner_4f3_alt_sum, n, (x, beta, c, gamma))
-    pref = (
-        pochhammer(gamma + 1.0, n) * pochhammer(gamma + beta, n) / math.factorial(n)
-    )
-    return pref * total
+    bands = _bands(hi, ("x - gamma", x - gamma, 1),
+                   ("gamma+beta", gamma + beta, -1))
+    sums = _resums(_meixner_4f3_alt_sum, (x, beta, c, gamma), hi)
+    shift, shape = _Rising(gamma + 1.0), _Rising(gamma + beta)
+    values = []
+    for n in range(lo, hi + 1):
+        if n == 0:
+            values.append(1.0)
+            continue
+        bands(n)
+        total = sums(n)
+        pref = shift(n) * shape(n) / math.factorial(n)
+        values.append(pref * total)
+    return values
 
 
 def meixner_quadratic(x, params, n):
@@ -235,6 +309,15 @@ def meixner_quadratic(x, params, n):
     and ``<= 0``.
     """
     _check_nonneg_int(n, "n")
+    return _meixner_quadratic_range(x, params, n, n)[0]
+
+
+def _meixner_quadratic_range(x, params, lo, hi):
+    """``[meixner_quadratic(x, params, n) for n in range(lo, hi + 1)]``.
+
+    The two 2F1 values that do not depend on n are evaluated once, at the
+    first degree that uses them.
+    """
     beta, gamma = params.beta, params.gamma
     if _near_int_in_range(beta, 1, 10**9) is not None:
         raise RestrictedParameter(
@@ -249,27 +332,33 @@ def meixner_quadratic(x, params, n):
             f"got gamma+beta={gamma_beta!r}"
         )
     ct = params.c_tilde
-    coef1 = pochhammer(gamma + beta - 1.0, n + 1)
-    if coef1 == 0:
-        term1 = 0.0
-    else:
-        term1 = (
-            coef1
-            * gauss_2f1(x + 1.0, gamma, 2.0 - beta, ct).value
-            * gauss_2f1(-x, -n - gamma, beta, ct).value
-        )
-    coef2 = pochhammer(gamma, n + 1)
-    if coef2 == 0:
-        term2 = 0.0
-    else:
-        term2 = (
-            coef2
-            * gauss_2f1(x + beta, gamma + beta - 1.0, beta, ct).value
-            * gauss_2f1(
-                1.0 - beta - x, 1.0 - n - gamma - beta, 2.0 - beta, ct
-            ).value
-        )
-    return (term1 - term2) / (beta - 1.0)
+    coefs1, coefs2 = _Rising(gamma + beta - 1.0), _Rising(gamma)
+    first = _once(gauss_2f1, x + 1.0, gamma, 2.0 - beta, ct)
+    second = _once(gauss_2f1, x + beta, gamma + beta - 1.0, beta, ct)
+    values = []
+    for n in range(lo, hi + 1):
+        coef1 = coefs1(n + 1)
+        if coef1 == 0:
+            term1 = 0.0
+        else:
+            term1 = (
+                coef1
+                * first()
+                * gauss_2f1(-x, -n - gamma, beta, ct).value
+            )
+        coef2 = coefs2(n + 1)
+        if coef2 == 0:
+            term2 = 0.0
+        else:
+            term2 = (
+                coef2
+                * second()
+                * gauss_2f1(
+                    1.0 - beta - x, 1.0 - n - gamma - beta, 2.0 - beta, ct
+                ).value
+            )
+        values.append((term1 - term2) / (beta - 1.0))
+    return values
 
 
 def meixner_cross_2f1(x, params, n):
@@ -287,6 +376,15 @@ def meixner_cross_2f1(x, params, n):
     ``(gamma-x-1)_{n+2}`` degenerate for some degree.
     """
     _check_nonneg_int(n, "n")
+    return _meixner_cross_2f1_range(x, params, n, n)[0]
+
+
+def _meixner_cross_2f1_range(x, params, lo, hi):
+    """``[meixner_cross_2f1(x, params, n) for n in range(lo, hi + 1)]``.
+
+    ``F_0(c)`` and ``G_0(c)`` are evaluated once, at the first degree that
+    uses them.
+    """
     beta, c, gamma = params.beta, params.c, params.gamma
     if _near_int_in_range(x - gamma, -(10**9), 10**9) is not None:
         raise DenominatorPole(
@@ -300,19 +398,26 @@ def meixner_cross_2f1(x, params, n):
     def g_part(m):
         return gauss_2f1(gamma + m, 1.0 - beta - x, gamma - x + m, c)
 
-    term1 = c ** (-n) * pochhammer(gamma - x, n) * f_part(n + 1).value * g_part(0).value
-    coef2 = pochhammer(gamma, n + 1) * pochhammer(gamma + beta - 1.0, n + 1)
-    if coef2 == 0:
-        term2 = 0.0
-    else:
-        term2 = (
-            c
-            * coef2
-            / pochhammer(gamma - x - 1.0, n + 2)
-            * f_part(0).value
-            * g_part(n + 1).value
-        )
-    return (1.0 - c) ** (1.0 - beta) * (term1 - term2)
+    f_0, g_0 = _once(f_part, 0), _once(g_part, 0)
+    lead, coefs, shapes, tail = (_Rising(gamma - x), _Rising(gamma),
+                                 _Rising(gamma + beta - 1.0),
+                                 _Rising(gamma - x - 1.0))
+    values = []
+    for n in range(lo, hi + 1):
+        term1 = c ** (-n) * lead(n) * f_part(n + 1).value * g_0()
+        coef2 = coefs(n + 1) * shapes(n + 1)
+        if coef2 == 0:
+            term2 = 0.0
+        else:
+            term2 = (
+                c
+                * coef2
+                / tail(n + 2)
+                * f_0()
+                * g_part(n + 1).value
+            )
+        values.append((1.0 - c) ** (1.0 - beta) * (term1 - term2))
+    return values
 
 
 def meixner_reflection_rhs(x, params, n):
@@ -347,7 +452,14 @@ def meixner_c1_degenerate(beta, gamma, n):
 def meixner_classical(x, beta, c, n):
     """Classical Meixner polynomial (beta)_n 2F1(-n, -x; beta; 1 - 1/c)."""
     _check_nonneg_int(n, "n")
-    return pochhammer(beta, n) * _resum(_meixner_classical_sum, n, (x, beta, c))
+    return _meixner_classical_range(x, beta, c, n, n)[0]
+
+
+def _meixner_classical_range(x, beta, c, lo, hi):
+    """``[meixner_classical(x, beta, c, n) for n in range(lo, hi + 1)]``."""
+    sums = _resums(_meixner_classical_sum, (x, beta, c), hi)
+    shape = _Rising(beta)
+    return [shape(n) * sums(n) for n in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +494,42 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY):
     _check_nonneg_int(n, "n")
     variant = CharlierVariant(variant)
     a, gamma = params.a, params.gamma
+    if variant is CharlierVariant.PRIMARY:
+        return _charlier_3f2_range(x, params, n, n)[0]
     if n == 0:
         return 1.0
-    if variant is CharlierVariant.PRIMARY:
-        _refuse_band("x - gamma", x - gamma, 0, n - 1, n)
-        total = _resum(_charlier_sum, n, (x, a, gamma))
-        return pochhammer(gamma + 1.0, n) / math.factorial(n) * total
     _refuse_band("x - gamma", x - gamma, 0, max(0, n // 2 - 1), n,
                  suffix=" (transformed variant)")
     return _resum(_charlier_transformed_sum, n, (x, a, gamma))
 
 
+def _charlier_3f2_range(x, params, lo, hi):
+    """``[charlier_3f2(x, params, n) for n in range(lo, hi + 1)]``, primary."""
+    a, gamma = params.a, params.gamma
+    bands = _bands(hi, ("x - gamma", x - gamma, 1))
+    sums = _resums(_charlier_sum, (x, a, gamma), hi)
+    shift = _Rising(gamma + 1.0)
+    values = []
+    for n in range(lo, hi + 1):
+        if n == 0:
+            values.append(1.0)
+            continue
+        bands(n)
+        total = sums(n)
+        values.append(shift(n) / math.factorial(n) * total)
+    return values
+
+
 def charlier_classical(x, a, n):
     """Classical Charlier polynomial 2F0(-n, -x; ; -1/a)."""
     _check_nonneg_int(n, "n")
-    return _resum(_charlier_classical_sum, n, (x, a))
+    return _charlier_classical_range(x, a, n, n)[0]
+
+
+def _charlier_classical_range(x, a, lo, hi):
+    """``[charlier_classical(x, a, n) for n in range(lo, hi + 1)]``."""
+    sums = _resums(_charlier_classical_sum, (x, a), hi)
+    return [sums(n) for n in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +559,10 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY):
     _check_nonneg_int(n, "n")
     variant = LaguerreVariant(variant)
     alpha, gamma = params.alpha, params.gamma
+    if variant is LaguerreVariant.PRIMARY:
+        return _laguerre_3f2_range(x, params, n, n)[0]
     if n == 0:
         return 1.0
-    if variant is LaguerreVariant.PRIMARY:
-        _refuse_band("gamma+alpha+1", gamma + alpha + 1.0, -(n - 1), 0, n)
-        total = _resum(_laguerre_sum, n, (x, alpha, gamma))
-        return pochhammer(gamma + alpha + 1.0, n) / math.factorial(n) * total
     if _near_int_in_range(alpha, -math.inf, math.inf) is not None:
         raise RestrictedParameter(
             f"the second Laguerre 3F2 form requires non-integer alpha, "
@@ -441,14 +572,34 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY):
     return pochhammer(alpha + 1.0, n) / math.factorial(n) * total
 
 
+def _laguerre_3f2_range(x, params, lo, hi):
+    """``[laguerre_3f2(x, params, n) for n in range(lo, hi + 1)]``, primary."""
+    alpha, gamma = params.alpha, params.gamma
+    bands = _bands(hi, ("gamma+alpha+1", gamma + alpha + 1.0, -1))
+    sums = _resums(_laguerre_sum, (x, alpha, gamma), hi)
+    shift = _Rising(gamma + alpha + 1.0)
+    values = []
+    for n in range(lo, hi + 1):
+        if n == 0:
+            values.append(1.0)
+            continue
+        bands(n)
+        total = sums(n)
+        values.append(shift(n) / math.factorial(n) * total)
+    return values
+
+
 def laguerre_classical(x, alpha, n):
     """Classical Laguerre polynomial (alpha+1)_n / n! 1F1(-n; alpha+1; x)."""
     _check_nonneg_int(n, "n")
-    return (
-        pochhammer(alpha + 1.0, n)
-        / math.factorial(n)
-        * _resum(_laguerre_classical_sum, n, (x, alpha))
-    )
+    return _laguerre_classical_range(x, alpha, n, n)[0]
+
+
+def _laguerre_classical_range(x, alpha, lo, hi):
+    """``[laguerre_classical(x, alpha, n) for n in range(lo, hi + 1)]``."""
+    sums = _resums(_laguerre_classical_sum, (x, alpha), hi)
+    shape = _Rising(alpha + 1.0)
+    return [shape(n) / math.factorial(n) * sums(n) for n in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,12 @@ three passes (always for an exact zero component), or once an end of
 the interval lies beyond the binary64 range, the same loop as the
 binary64 sum runs in exact arithmetic instead.  Either way an escalated
 result is the exact value of the sum at the given inputs, each
-component rounded to binary64 once.
+component rounded to binary64 once.  Over a range of degrees n of a lone
+Cauchy sum (``_resums``), the escalations share one fixed-point pass of
+the terms ``Q_m = T_m C_m / (-n)_m``, which do not depend on n: each
+escalating degree sums ``(-n)_m Q_m`` in integers beside its error bound,
+and runs the Ziv loop alone only when that interval does not give one
+double.
 
 Gamma functions are computed here in pure Python: ``math.lgamma`` for
 real arguments and a Stirling series for complex ones, so no evaluation
@@ -189,15 +194,38 @@ def pochhammer(a, k):
         still exceeds the representable range.
     """
     _check_nonneg_int(k, "k")
-    result = 1.0
-    for j in range(k):
-        result = result * (a + j)
-        if result == 0:
-            return result
-    mag = abs(result)
+    return _rising(a, 1.0, 0, k)
+
+
+def _rising(a, value, j, k):
+    """``pochhammer(a, k)`` from ``value = pochhammer(a, j)``, for j <= k.
+
+    The factors are multiplied left to right and a zero product is kept
+    as it is, so a chain of calls gives pochhammer's bits at every k.
+    """
+    for j in range(j, k):
+        if value == 0:
+            break
+        value = value * (a + j)
+    mag = abs(value)
     if math.isinf(mag) or math.isnan(mag):
         raise OverflowError(f"pochhammer({a!r}, {k}) exceeds binary64 range")
-    return result
+    return value
+
+
+class _Rising:
+    """``pochhammer(a, k)`` at nondecreasing k, each call continuing the
+    product of the one before."""
+
+    __slots__ = ("a", "k", "value")
+
+    def __init__(self, a):
+        self.a, self.k, self.value = a, 0, 1.0
+
+    def __call__(self, k):
+        self.value = _rising(self.a, self.value, self.k, k)
+        self.k = k
+        return self.value
 
 
 def pochhammer_log(a, k):
@@ -602,19 +630,38 @@ def _scaled(xr, xi, e, ar, ai, br, bi):
             1 - -e * (abs(ar) + abs(ai)) // q)
 
 
-def _fixed_point_cauchy(re, im, e, n, t_nums, t_dens, s, d_nums, d_dens):
+def _fixed_point_cauchy(re, im, e, *spec):
     """One fixed-point pass of an exact Cauchy sum, from a scaled start value.
 
     The start ``(re, im)`` holds both components of ``2**prec * c`` for a
     coefficient c, each within e; the integers ``(re, im, e)`` returned
-    hold ``2**prec * c * S`` alike.  The other arguments are those of
+    hold ``2**prec * c * S`` alike.  ``spec`` holds the arguments of
+    :func:`_cauchy_sum`, as for :func:`_fixed_point_terms`, and the pass
+    adds up the terms that it yields.  Raises what :func:`_cauchy_sum`
+    raises.
+    """
+    tr = ti = err = 0
+    for wr, wi, ew in _fixed_point_terms(re, im, e, *spec):
+        tr += wr
+        ti += wi
+        err += ew
+    return tr, ti, err
+
+
+def _fixed_point_terms(wr, wi, ew, n, t_nums, t_dens, s, d_nums, d_dens):
+    """The scaled terms of a Cauchy sum, each beside its error bound.
+
+    The start ``(wr, wi)`` holds both components of ``2**prec * c`` for
+    a coefficient c, each within ew.  The other arguments are those of
     :func:`_cauchy_sum` as ints, Fractions or :class:`_Gaussian` values;
     each parameter, and s, enters as a triple ``(u, w, v)`` from
-    :func:`_gaussian`, worth ``(u + j v + i w)/v`` at offset j.  The pass
-    sums ``W_m = c T_m C_m``, which steps as ``W_m = s (T_m/T_{m-1})
-    W_{m-1} + V_m`` with ``V_m = c T_m d_m``: each of W and V takes one
-    exact ratio of Gaussian integers per step, through :func:`_scaled`.
-    Raises what :func:`_cauchy_sum` raises.
+    :func:`_gaussian`, worth ``(u + j v + i w)/v`` at offset j.  Yields
+    integers ``(wr, wi, ew)`` holding ``W_m = 2**prec c T_m C_m`` for m
+    = 0, 1, ..., n, up to the first zero factor of T.  W steps as ``W_m =
+    s (T_m/T_{m-1}) W_{m-1} + V_m`` with ``V_m = c T_m d_m``: each of W
+    and V takes one exact ratio of Gaussian integers per step, through
+    :func:`_scaled`.  Raises what :func:`_cauchy_sum` raises, once the
+    terms before the pole are yielded.
     """
     # Triples in lowest terms are equal exactly when their values are, so
     # they cancel as the values do.
@@ -632,10 +679,9 @@ def _fixed_point_cauchy(re, im, e, n, t_nums, t_dens, s, d_nums, d_dens):
         dn *= v
     for _, _, v in d_nums:
         dd *= v
-    wr = vr = re
-    wi = vi = im
-    ew = ev = err = e
+    vr, vi, ev = wr, wi, ew
     live = True
+    yield wr, wi, ew
     for j in range(n):
         ar, ai = tn, 0
         for u, w, v in t_nums:
@@ -670,10 +716,7 @@ def _fixed_point_cauchy(re, im, e, n, t_nums, t_dens, s, d_nums, d_dens):
         wr += vr
         wi += vi
         ew += ev
-        re += wr
-        im += wi
-        err += ew
-    return re, im, err
+        yield wr, wi, ew
 
 
 def _fixed_point(prec, n, outer_nums, outer_dens, outer_scale, inner):
@@ -743,10 +786,7 @@ def _certified_cauchy_sum(spec, prec, gaussian, real):
     for _ in range(_ZIV_ROUNDS):
         re, im, e = _fixed_point(prec, *spec)
         try:
-            value = _rounded(re, e, prec)
-            if value is not None and not real:
-                imag = _rounded(im, e, prec)
-                value = None if imag is None else complex(value, imag)
+            value = _certified(re, im, e, prec, real)
         except OverflowError:
             break
         if value is not None:
@@ -754,6 +794,19 @@ def _certified_cauchy_sum(spec, prec, gaussian, real):
         prec *= 2
     total = _sum(*spec)[0]
     return complex(total) if gaussian else float(total)
+
+
+def _certified(re, im, e, prec, real):
+    """The double, or complex, that both ends of each component's interval
+    round to, as :func:`_rounded` gives it; None when they round apart.
+
+    When ``real``, the imaginary part is exactly 0 and is not certified.
+    """
+    value = _rounded(re, e, prec)
+    if value is not None and not real:
+        imag = _rounded(im, e, prec)
+        value = None if imag is None else complex(value, imag)
+    return value
 
 
 def _first_precision(total, cond):
@@ -776,13 +829,86 @@ def _resum(terms, n, inputs):
     :func:`_certified_cauchy_sum`, which returns the exact value with
     each component rounded once.
     """
-    total, cond = _sum(*terms(n, *inputs))
-    if cond > _ESCALATE_COND and _exactable(*inputs):
-        total = _certified_cauchy_sum(
-            terms(n, *map(_exact, inputs)), _first_precision(total, cond),
-            any(isinstance(v, complex) for v in inputs),
-            all(v.imag == 0 for v in inputs))
-    return total
+    return _resums(terms, inputs, n)(n)
+
+
+# Bits that the shared pass of :func:`_resums` keeps beyond the first
+# precision of the degree that builds it, for the later degrees, whose
+# sums cancel more.
+_SHARED_BITS = 128
+
+
+def _resums(terms, inputs, hi):
+    """``n -> _resum(terms, n, inputs)`` for nondecreasing degrees n <= hi,
+    with the same bits, the escalations sharing one fixed-point pass.
+
+    For n < hi, ``terms(n, ...)`` must be a lone Cauchy sum (outer degree
+    0) whose first numerator of T is ``-n``.  Then ``S_n = sum_m (-n)_m
+    Q_m``, and the exact ``Q_m = T_m C_m / (-n)_m`` do not depend on n.
+    The binary64 sum and the escalation decision stay per degree.  The
+    first degree below hi that escalates runs one pass of
+    :func:`_fixed_point_terms` for the ``Q_m`` up to hi, at its first
+    precision plus ``_SHARED_BITS``, and a later degree whose first
+    precision exceeds that runs a new one.  Each escalating degree then
+    sums ``(-n)_m Q_m`` in integers, beside the bound ``sum |(-n)_m|
+    e_m``; when that interval does not give one double (or when the pass
+    stopped at a pole before m = n), the degree runs
+    :func:`_certified_cauchy_sum` alone.  Both give the exact value
+    rounded once.
+    """
+    shared = None
+
+    def resum(n):
+        nonlocal shared
+        total, cond = _sum(*terms(n, *inputs))
+        if not (cond > _ESCALATE_COND and _exactable(*inputs)):
+            return total
+        prec = _first_precision(total, cond)
+        gaussian = any(isinstance(v, complex) for v in inputs)
+        real = all(v.imag == 0 for v in inputs)
+        if n < hi and (shared is None or shared[0] < prec):
+            shared = _shared_pass(prec + _SHARED_BITS,
+                                  terms(hi, *map(_exact, inputs)))
+        value = None if shared is None else _shared_value(*shared, n, real)
+        if value is None:
+            return _certified_cauchy_sum(
+                terms(n, *map(_exact, inputs)), prec, gaussian, real)
+        return complex(value) if gaussian else value
+
+    return resum
+
+
+def _shared_pass(prec, spec):
+    """``(prec, terms, complete)`` of the lone Cauchy sum ``spec`` of degree
+    hi without its ``-hi`` numerator: ``terms`` lists the
+    :func:`_fixed_point_terms` of ``Q_m`` at scale ``2**prec``, and
+    ``complete`` is False when a pole stopped them."""
+    hi, t_nums, *rest = spec[4](0)
+    terms = []
+    try:
+        for term in _fixed_point_terms(1 << prec, 0, 0, hi, t_nums[1:], *rest):
+            terms.append(term)
+    except DenominatorPole:
+        return prec, terms, False
+    return prec, terms, True
+
+
+def _shared_value(prec, terms, complete, n, real):
+    """The certified ``S_n = sum_m (-n)_m Q_m`` of a :func:`_shared_pass`,
+    or None."""
+    if len(terms) <= n and not complete:
+        return None
+    tr = ti = e = 0
+    r = 1  # (-n)_m
+    for m, (wr, wi, ew) in zip(range(n + 1), terms):
+        tr += r * wr
+        ti += r * wi
+        e += abs(r) * ew
+        r *= m - n
+    try:
+        return _certified(tr, ti, e, prec, real)
+    except OverflowError:
+        return None
 
 
 def hyp_terminating(num_params, den_params, arg, top_index):

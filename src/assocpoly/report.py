@@ -61,9 +61,7 @@ def make_report(identity_id, point, lhs, rhs, rel_tol):
     ``rel_tol`` (the identity value is essentially zero), in which case
     the absolute difference is used so that exact zeros compare cleanly.
     """
-    scale = abs(rhs)
-    diff = abs(lhs - rhs)
-    rel = diff if scale < rel_tol else diff / scale
+    rel = _discrepancy(lhs, rhs, rel_tol)
     return IdentityReport(
         identity_id=identity_id,
         point=dict(point),
@@ -75,11 +73,21 @@ def make_report(identity_id, point, lhs, rhs, rel_tol):
     )
 
 
-def _severity(report):
-    """Ranking key for worst-of selection: a NaN or inf discrepancy ranks
-    above every finite one, so a non-finite result is never hidden."""
-    rel = report.rel_discrepancy
+def _discrepancy(lhs, rhs, rel_tol):
+    """The ``rel_discrepancy`` of :func:`make_report`."""
+    scale = abs(rhs)
+    diff = abs(lhs - rhs)
+    return diff if scale < rel_tol else diff / scale
+
+
+def _rank(rel):
+    """Ranking key of a discrepancy for worst-of selection: a NaN or inf
+    ranks above every finite one, so a non-finite result is never hidden."""
     return rel if math.isfinite(rel) else math.inf
+
+
+def _severity(report):
+    return _rank(report.rel_discrepancy)
 
 
 def _worst(reports):

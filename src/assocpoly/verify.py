@@ -10,9 +10,10 @@ seeded random points and returns a list of
   classical gamma = 0 reductions.  The routes are those of
   ``cli._FAMILIES``, the package's one family/route table; this module
   holds only the parameter grids and each family's pair order.  The
-  family grid points run on every CPU the process may use, one forked
+  family grid points, the Meixner-Pollaczek rows and the classical
+  reductions run as tasks on every CPU the process may use, one forked
   worker per extra CPU; the reports, and any error raised, are those of
-  the serial loop.
+  the serial loop.  Each route's degrees come from ``_Family.sweep``.
 - ``transformations``: hypergeometric kernel invariants (Pfaff, Euler,
   Kummer, the Appell F1 transformation and reduction, the Humbert Phi1
   confluence limit), the reflection identity, and the degenerate c = 1
@@ -21,7 +22,8 @@ seeded random points and returns a list of
   with two classical sequences.
 - ``finite-sums``: the standalone terminating-sum identities at seeded
   random points.
-- ``all``: the union, in the order above.
+- ``all``: the union, in the order above.  The other three sets run as
+  three more tasks of the same map, after the representation tasks.
 
 The randomized identities draw exactly 200 points per run (reflection
 40, degenerate 20, free-argument double sum 60, two-term evaluation 50,
@@ -31,6 +33,7 @@ the seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -51,7 +54,7 @@ from .errors import DenominatorPole, RestrictedParameter
 from .genfuncs import c1_reduction_identity, convolution_identity
 from .hyperkernel import appell_f1, gauss_2f1, humbert_phi1, kummer_1f1
 from .recurrences import CharlierParams, LaguerreParams, MeixnerParams, meixner_seq
-from .report import VERIFY_SETS, _worst, make_report, summarize
+from .report import VERIFY_SETS, _discrepancy, _rank, _worst, make_report, summarize
 
 _REFLECTION_POINTS = 40
 _DEGENERATE_POINTS = 20
@@ -68,11 +71,18 @@ _LAGUERRE_ALPHAS = (-0.5, 0.5, 1.7)
 
 
 def _worst_pair_report(identity_id, point, pairs, rel_tol):
-    """One report for a (grid point, route pair): the worst-n comparison."""
-    return _worst(
-        make_report(identity_id, {**point, "n": n}, lhs, rhs, rel_tol)
-        for n, lhs, rhs in pairs
-    )
+    """One report for a (grid point, route pair): the worst-n comparison.
+
+    Only the worst of the ``(n, lhs, rhs)`` pairs becomes a report, ranked
+    as :func:`~assocpoly.report.summarize` ranks reports: a NaN or inf
+    discrepancy highest, and the first of equals.
+    """
+    worst = max(pairs, default=None,
+                key=lambda pair: _rank(_discrepancy(pair[1], pair[2], rel_tol)))
+    if worst is None:
+        return None
+    n, lhs, rhs = worst
+    return make_report(identity_id, {**point, "n": n}, lhs, rhs, rel_tol)
 
 
 # The pairs that ``verify_representations`` compares: each family's
@@ -194,27 +204,10 @@ def _grid_point(name, values, rel_tol, n_max):
     ]
 
 
-def verify_representations(rel_tol=1e-8, n_max=25):
-    """Pairwise route agreement and classical reductions.
-
-    The family grid points run through :func:`_map`, on every CPU the
-    process may use; the reports are those of the serial loop, in order.
-
-    Returns
-    -------
-    list of IdentityReport
-    """
-    # Recurrence against every closed form, and each closed form against
-    # the later ones; a route that is not defined at a point is skipped.
-    tasks = [(name, values) for name, (grids, _tags) in _PAIRS.items()
-             for values in itertools.product(*grids, _GAMMAS, _XS)]
-    reports = [
-        report
-        for point_reports in _map(
-            lambda task: _grid_point(*task, rel_tol, n_max), tasks)
-        for report in point_reports
-    ]
-    # Meixner-Pollaczek: recurrence vs the complex Meixner connection.
+def _mp_rows(rel_tol, n_max):
+    """Meixner-Pollaczek: the recurrence against the complex Meixner
+    connection."""
+    reports = []
     mp = _FAMILIES["meixner-pollaczek"]
     mp_n_max = min(n_max, 20)
     for nu, phi, gamma, x in itertools.product(
@@ -228,7 +221,12 @@ def verify_representations(rel_tol=1e-8, n_max=25):
             "mp-rep:connection~recurrence", point,
             zip(range(mp_n_max + 1), connection, recurrence), rel_tol,
         ))
-    # Classical gamma = 0 reductions, tighter tolerance.
+    return reports
+
+
+def _classical_rows(rel_tol, n_max):
+    """The classical gamma = 0 reductions, at a tighter tolerance."""
+    reports = []
     red_tol = min(rel_tol, 1e-10)
     red_n_max = min(n_max, 20)
     for name, (grids, _tags) in _PAIRS.items():
@@ -244,6 +242,40 @@ def verify_representations(rel_tol=1e-8, n_max=25):
                 zip(range(red_n_max + 1), classical, recurrence), red_tol,
             ))
     return reports
+
+
+def _representation_tasks(rel_tol, n_max):
+    """The tasks of :func:`verify_representations`, in report order: each
+    family grid point, then the Meixner-Pollaczek rows and the classical
+    reductions.  A task is a function that returns a list of reports."""
+    # Recurrence against every closed form, and each closed form against
+    # the later ones; a route that is not defined at a point is skipped.
+    grid = [functools.partial(_grid_point, name, values, rel_tol, n_max)
+            for name, (grids, _tags) in _PAIRS.items()
+            for values in itertools.product(*grids, _GAMMAS, _XS)]
+    return [*grid, functools.partial(_mp_rows, rel_tol, n_max),
+            functools.partial(_classical_rows, rel_tol, n_max)]
+
+
+def _run_tasks(tasks):
+    """The reports of tasks, each a function that returns a list of them,
+    in task order; the tasks run through :func:`_map`."""
+    return [report for reports in _map(lambda task: task(), tasks)
+            for report in reports]
+
+
+def verify_representations(rel_tol=1e-8, n_max=25):
+    """Pairwise route agreement and classical reductions.
+
+    The family grid points, the Meixner-Pollaczek rows and the classical
+    reductions run as tasks of :func:`_map`, on every CPU the process may
+    use; the reports are those of the serial loop, in order.
+
+    Returns
+    -------
+    list of IdentityReport
+    """
+    return _run_tasks(_representation_tasks(rel_tol, n_max))
 
 
 def verify_transformations(rel_tol=1e-8, seed=0):
@@ -437,13 +469,16 @@ def run_set(set_name, rel_tol=1e-8, seed=0, n_max=25):
         raise ValueError(
             f"unknown verification set {set_name!r}; choose from {VERIFY_SETS}"
         )
-    reports = []
-    if set_name in ("representations", "all"):
-        reports.extend(verify_representations(rel_tol, n_max))
-    if set_name in ("transformations", "all"):
-        reports.extend(verify_transformations(rel_tol, seed))
-    if set_name in ("convolutions", "all"):
-        reports.extend(verify_convolutions(rel_tol))
-    if set_name in ("finite-sums", "all"):
-        reports.extend(verify_finite_sums(min(rel_tol, 1e-9), seed))
-    return reports
+    if set_name == "representations":
+        return verify_representations(rel_tol, n_max)
+    # ``all`` runs every set as tasks of one map, the other sets after the
+    # representation tasks; the sets are looked up when they run.
+    tasks = _representation_tasks(rel_tol, n_max) if set_name == "all" else []
+    for name, task in (
+        ("transformations", lambda: verify_transformations(rel_tol, seed)),
+        ("convolutions", lambda: verify_convolutions(rel_tol)),
+        ("finite-sums", lambda: verify_finite_sums(min(rel_tol, 1e-9), seed)),
+    ):
+        if set_name in (name, "all"):
+            tasks.append(task)
+    return _run_tasks(tasks)

@@ -48,6 +48,7 @@ from assocpoly import (
     meixner_reflection_rhs,
     meixner_seq,
     mp_from_meixner,
+    pochhammer,
 )
 from assocpoly import closedforms, hyperkernel
 
@@ -1242,3 +1243,239 @@ def test_escalated_complex_terminating_sums_are_correctly_rounded(n, a, b_re, b_
                             [GaussQ(b.real, b.imag)], GaussQ(z.real, z.imag), n)
         assert [repr(v) for v in escalated] == [repr(want.rounded())]
         assert value is escalated[0]
+
+
+# ---------------------------------------------------------------------------
+# Range forms: degrees lo..hi in one call, with the per-degree bits
+# ---------------------------------------------------------------------------
+
+# Each range form, its per-degree route and the family of its parameters.
+RANGE_FORMS = {
+    "4f3": (closedforms._meixner_4f3_range, meixner_4f3, "meixner"),
+    "4f3-alt": (closedforms._meixner_4f3_alt_range, meixner_4f3_alt, "meixner"),
+    "quadratic": (closedforms._meixner_quadratic_range, meixner_quadratic,
+                  "meixner"),
+    "cross": (closedforms._meixner_cross_2f1_range, meixner_cross_2f1,
+              "meixner"),
+    "meixner-classical": (
+        lambda x, p, lo, hi: closedforms._meixner_classical_range(
+            x, p.beta, p.c, lo, hi),
+        lambda x, p, n: meixner_classical(x, p.beta, p.c, n), "meixner"),
+    "charlier-3f2": (closedforms._charlier_3f2_range, charlier_3f2, "charlier"),
+    "charlier-classical": (
+        lambda x, p, lo, hi: closedforms._charlier_classical_range(
+            x, p.a, lo, hi),
+        lambda x, p, n: charlier_classical(x, p.a, n), "charlier"),
+    "laguerre-3f2": (closedforms._laguerre_3f2_range, laguerre_3f2, "laguerre"),
+    "laguerre-classical": (
+        lambda x, p, lo, hi: closedforms._laguerre_classical_range(
+            x, p.alpha, lo, hi),
+        lambda x, p, n: laguerre_classical(x, p.alpha, n), "laguerre"),
+}
+
+
+def per_degree(route, x, params, lo, hi):
+    """The repr of each degree's value, up to the first degree that raises,
+    and that degree's ``(type, message)`` or None."""
+    values = []
+    for n in range(lo, hi + 1):
+        try:
+            values.append(repr(route(x, params, n)))
+        except Exception as exc:
+            return values, (type(exc), str(exc))
+    return values, None
+
+
+def assert_range_is_per_degree(name, x, params, lo, hi):
+    ranged, route, _ = RANGE_FORMS[name]
+    want, error = per_degree(route, x, params, lo, hi)
+    if error is None:
+        assert [repr(v) for v in ranged(x, params, lo, hi)] == want
+    else:
+        with pytest.raises(error[0]) as info:
+            ranged(x, params, lo, hi)
+        assert str(info.value) == error[1]
+    return error
+
+
+def near(rng, w, within_tol):
+    """w moved by 1e-9 to 1e-3 either way, or to 1e-8 with ``within_tol``,
+    where a route takes w for the integer."""
+    return w + rng.choice((-1, 1)) * 10 ** rng.uniform(-9, -8 if within_tol
+                                                       else -3)
+
+
+def range_draws(name, kind, count=10):
+    """Seeded ``(x, params, lo)`` draws of one kind for a range form; every
+    third near draw lies within 1e-8."""
+    family = RANGE_FORMS[name][2]
+    rng = random.Random(f"{name}/{kind}")
+    for i in range(count):
+        gamma = rng.uniform(0.0, 3.0)
+        if family == "meixner":
+            beta = (near(rng, rng.randint(1, 3), i % 3 == 0)
+                    if kind == "beta-near-int" else rng.uniform(0.2, 3.0))
+            params = MeixnerParams(beta, rng.uniform(0.15, 0.9), gamma)
+        elif family == "charlier":
+            params = CharlierParams(rng.uniform(0.5, 5.0), gamma)
+        else:
+            params = LaguerreParams(rng.uniform(-0.9, 2.0), gamma)
+        if kind == "complex":
+            x = complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0))
+        elif kind == "x-near-pole":
+            x = near(rng, gamma + rng.randint(0, 8), i % 3 == 0)
+        else:
+            x = rng.uniform(-3.0, 3.0)
+        yield x, params, rng.choice((0, 0, 4))
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name, (_, _, family) in RANGE_FORMS.items()
+    for kind in ("real", "complex", "x-near-pole", "beta-near-int")
+    if kind != "beta-near-int" or family == "meixner"])
+def test_range_form_gives_the_per_degree_bits(name, kind):
+    # Near-pole draws escalate at most degrees, and those within 1e-8 of
+    # a pole refuse from a middle degree; either way the range form gives
+    # each degree's repr, or raises what the first failing degree raises.
+    for x, params, lo in range_draws(name, kind):
+        assert_range_is_per_degree(name, x, params, lo, 25)
+
+
+@pytest.mark.parametrize("name, x, params, degree, message", [
+    # x - gamma = 4 refuses from degree 5.
+    ("4f3-alt", 4.7, MeixnerParams(1.5, 0.4, 0.7), 5, "x - gamma"),
+    ("charlier-3f2", 4.7, CharlierParams(1.3, 0.7), 5, "x - gamma"),
+    # gamma+beta = -2 refuses from degree 3, before gamma+beta+x = -5 does.
+    ("4f3", -3.0, MeixnerParams(-2.5, 0.4, 0.5), 3, "gamma+beta ="),
+    ("4f3", -6.0, MeixnerParams(1.5, 0.4, 0.5), 5, "gamma+beta+x"),
+    ("laguerre-3f2", 0.3, LaguerreParams(-4.5, 0.5), 4, "gamma+alpha+1"),
+])
+def test_range_form_refuses_at_the_middle_degree(name, x, params, degree,
+                                                 message):
+    error = assert_range_is_per_degree(name, x, params, 0, 10)
+    assert error[0] is DenominatorPole
+    assert error[1].startswith(message)
+    assert f"for degree {degree}" in error[1]
+    # From a later first degree, the message names that degree.
+    error = assert_range_is_per_degree(name, x, params, degree + 2, 10)
+    assert f"for degree {degree + 2}" in error[1]
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from here on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# The lattice point of test_certified_engine_retries_from_a_small_precision,
+# where most degrees escalate.
+LATTICE = (3.0, MeixnerParams(1.5, 0.4, 0.0))
+
+
+def test_range_form_escalations_share_one_pass(monkeypatch):
+    escalated = count_calls(monkeypatch, hyperkernel, "_certified_cauchy_sum")
+    want, _ = per_degree(meixner_4f3, *LATTICE, 0, 25)
+    assert len(escalated) > 10
+    passes = count_calls(monkeypatch, hyperkernel, "_shared_pass")
+    escalated.clear()
+    values = closedforms._meixner_4f3_range(*LATTICE, 0, 25)
+    assert [repr(v) for v in values] == want
+    assert len(passes) == 1
+    assert escalated == []
+
+
+@pytest.mark.parametrize("name, x, params, hi", [
+    ("4f3", *LATTICE, 25),
+    # The point of test_classical_routes_escalate.
+    ("laguerre-classical", 3.0, LaguerreParams(-0.5, 0.0), 60),
+])
+def test_range_form_falls_back_when_the_shared_pass_misses(monkeypatch, name,
+                                                           x, params, hi):
+    # At 8 bits no degree's interval rounds to one double, so each
+    # escalating degree tries the shared pass and then runs the certified
+    # engine alone, with its bits.
+    ranged, route, _ = RANGE_FORMS[name]
+    escalated = count_calls(monkeypatch, hyperkernel, "_certified_cauchy_sum")
+    want, _ = per_degree(route, x, params, 0, hi)
+    shared = hyperkernel._shared_pass
+    monkeypatch.setattr(hyperkernel, "_shared_pass",
+                        lambda prec, spec: shared(8, spec))
+    tried = count_calls(monkeypatch, hyperkernel, "_shared_value")
+    count = len(escalated)
+    escalated.clear()
+    assert [repr(v) for v in ranged(x, params, 0, hi)] == want
+    assert len(escalated) == len(tried) == count > 3
+
+
+def test_range_form_shared_pass_stops_at_a_pole():
+    # beta = -3 puts a zero at offset 3 into (beta)_m of the classical
+    # Meixner sum: the pass keeps Q_0..Q_3, so degrees up to 3 take their
+    # value from it, and a later degree runs alone and raises.
+    inputs = (Fraction(3, 10), Fraction(-3), Fraction(2, 5))
+    prec, terms, complete = hyperkernel._shared_pass(
+        96, closedforms._meixner_classical_sum(8, *inputs))
+    assert (prec, len(terms), complete) == (96, 4, False)
+    for n in range(4):
+        want = float(hyperkernel._sum(
+            *closedforms._meixner_classical_sum(n, *inputs))[0])
+        assert hyperkernel._shared_value(prec, terms, complete, n, True) == want
+    assert hyperkernel._shared_value(prec, terms, complete, 4, True) is None
+    error = assert_range_is_per_degree("meixner-classical", 0.3,
+                                       MeixnerParams(-3.0, 0.4, 0.0), 0, 8)
+    assert error[0] is DenominatorPole
+
+
+# The lone Cauchy sums of the range forms, whose first numerator of T is -n.
+RANGE_SUMS = ["meixner-4f3", "meixner-4f3-alt", "charlier-3f2", "laguerre-3f2",
+              "meixner-classical", "charlier-classical", "laguerre-classical"]
+
+
+@pytest.mark.parametrize("name", RANGE_SUMS)
+def test_shared_pass_equals_fraction_reference(name):
+    # One pass at degree 14 from every starting precision in 4..94 bits,
+    # so that many degrees certify at the edge of the last bit, where an
+    # error bound that is too small shows as a wrong double.
+    builder, _, arity = EXACT_SUMS[name]
+    rng = random.Random(name)
+    certified = 0
+    for complex_x in (False, True) if name in COMPLEX_X_SUMS else (False,):
+        for _ in range(3):
+            inputs = [Fraction(rng.uniform(-3.0, 3.0)) for _ in range(arity)]
+            if complex_x:
+                inputs[0] = gaussian(Fraction(rng.uniform(-3.0, 3.0)),
+                                     Fraction(rng.uniform(-3.0, 3.0)))[0]
+            want = [repr(complex(v) if complex_x else float(v))
+                    for v in (exact_sum(builder(n, *inputs)) for n in range(15))]
+            for prec in range(4, 95, 3):
+                shared = hyperkernel._shared_pass(prec, builder(14, *inputs))
+                for n in range(15):
+                    value = hyperkernel._shared_value(*shared, n, not complex_x)
+                    if value is not None:
+                        certified += 1
+                        value = complex(value) if complex_x else value
+                        assert repr(value) == want[n], (inputs, prec, n)
+    assert certified > 100
+
+
+@pytest.mark.parametrize("a, k_max", [(-3.0, 8), (-2.5 + 0.5j, 8), (0.5, 200),
+                                      (-171.5, 200)])
+def test_rising_chain_gives_pochhammer_bits(a, k_max):
+    # A zero product keeps its sign, and overflow raises pochhammer's
+    # message at the first k beyond binary64.
+    chain = hyperkernel._Rising(a)
+    for k in range(k_max + 1):
+        try:
+            want = repr(pochhammer(a, k))
+        except OverflowError as exc:
+            with pytest.raises(OverflowError) as info:
+                chain(k)
+            assert str(info.value) == str(exc)
+            return
+        assert repr(chain(k)) == want

@@ -63,16 +63,22 @@ def test_summarize_of_nothing():
     ("meixner-pollaczek", "connection"),
 ])
 def test_representations_run_the_cli_route_table(monkeypatch, family, tag):
-    # The verifier compares the routes of cli._FAMILIES, not copies of them.
-    routes = _FAMILIES[family].routes
-    route = routes[tag]
+    # The verifier compares the routes of cli._FAMILIES, not copies of them:
+    # the range form that the sweep runs once over 0..n_max, or else the
+    # per-degree route.
+    spec = _FAMILIES[family]
+    ranged = tag in spec.ranges
+    table = spec.ranges if ranged else spec.routes
+    route = table[tag]
     degrees = []
 
     def spy(x, params, n):
-        degrees.append(n)
+        degrees.extend(range(n + 1) if ranged else [n])
         return route(x, params, n)
 
-    monkeypatch.setitem(routes, tag, spy)
+    monkeypatch.setitem(table, tag, spy)
+    # In one process, so that the spy sees every task's calls.
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     verify_representations(n_max=3)
     assert set(degrees) == {0, 1, 2, 3}
 
@@ -119,18 +125,19 @@ _TASKS = list(itertools.product(verify._MEIXNER_BETAS, verify._MEIXNER_CS,
 
 
 def _fail_at(monkeypatch, indices):
-    """Make Meixner's 4f3 route raise at the grid tasks ``indices``."""
-    routes = _FAMILIES["meixner"].routes
-    route = routes["4f3"]
+    """Make the sweep of Meixner's 4f3 route raise at degree 0 of the grid
+    tasks ``indices``."""
+    ranges = _FAMILIES["meixner"].ranges
+    route = ranges["4f3"]
     bad = {_TASKS[i] for i in indices}
 
-    def failing(x, params, n):
+    def failing(x, params, n_max):
         if (params.beta, params.c, params.gamma, x) in bad:
             raise NotConverged(f"no sum at x={x}, gamma={params.gamma}",
-                               outcome=n)
-        return route(x, params, n)
+                               outcome=0)
+        return route(x, params, n_max)
 
-    monkeypatch.setitem(routes, "4f3", failing)
+    monkeypatch.setitem(ranges, "4f3", failing)
 
 
 @pytest.mark.parametrize("indices", [(1, 4), (2, 5)],
@@ -150,20 +157,20 @@ def test_split_grid_raises_the_serial_error(monkeypatch, indices):
 
 
 def test_interrupt_in_this_process_kills_every_child(monkeypatch):
-    routes = _FAMILIES["meixner"].routes
-    route = routes["4f3"]
+    ranges = _FAMILIES["meixner"].ranges
+    route = ranges["4f3"]
     parent = os.getpid()
     slept = []
 
-    def interrupted(x, params, n):
+    def interrupted(x, params, n_max):
         if os.getpid() != parent and not slept:
-            slept.append(n)
+            slept.append(n_max)
             time.sleep(40)  # a child still at work when the parent stops
         elif os.getpid() == parent and params.gamma == _GAMMAS[2]:
             raise KeyboardInterrupt
-        return route(x, params, n)
+        return route(x, params, n_max)
 
-    monkeypatch.setitem(routes, "4f3", interrupted)
+    monkeypatch.setitem(ranges, "4f3", interrupted)
     forks = _force_cpus(monkeypatch, 3)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):

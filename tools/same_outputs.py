@@ -25,7 +25,11 @@ with one the family lacks; ``verify --n-max -1``; ``verify --set
 representations`` with ``--rel-tol 1e-300``, so that every inexact pair
 fails (FAIL lines from every worker of the split grid, in grid order),
 and with ``--n-max 200`` (a route's error, raised from the split grid);
-``mh-study``; ``table``; ``eval`` at each degree-dependent denominator
+``mh-study``; ``table``; ``table`` of each route that the degree sweep
+runs as a range form, at a complex x and where it fails at a middle
+degree (a denominator band, or a value beyond binary64 at degree 150 to
+171); ``gf-check`` of every Laguerre form at alpha = gamma = 0.8, where
+the weighted ``diag`` row applies; ``eval`` at each degree-dependent denominator
 band that a closed-form route refuses; ``eval`` with ``--rel-tol``, a
 flag it does not take, and with a flag of another family; ``gf-check``
 with a ``--rel-tol`` below the default series tail; ``eval``, ``table``
@@ -52,6 +56,28 @@ _FAMILY_FLAGS = {
     "charlier": ["--a", "1.3"],
     "laguerre": ["--alpha", "0.8"],
 }
+
+# (family, rep, flags, the --x and --n-max of a table that fails at a middle
+# degree) of each route that ``_Family.sweep`` runs as a range form.
+_RANGE_PROBES = [
+    ("meixner", "4f3", ["--beta", "1.5", "--c", "0.4", "--gamma", "0.5"],
+     ["--x", "0.3", "-6", "--n-max", "8"]),
+    ("meixner", "4f3-alt", ["--beta", "1.5", "--c", "0.4", "--gamma", "0.7"],
+     ["--x", "0.3", "3.7", "--n-max", "8"]),
+    ("meixner", "quadratic", ["--beta", "1.5", "--c", "0.4", "--gamma", "0.7"],
+     ["--x", "0.3", "--n-max", "200"]),
+    ("meixner", "cross", ["--beta", "1.5", "--c", "0.01", "--gamma", "0.7"],
+     ["--x", "0.3", "--n-max", "200"]),
+    ("meixner", "classical", ["--beta", "1.5", "--c", "0.4"],
+     ["--x", "0.3", "--n-max", "200"]),
+    ("charlier", "3f2", ["--a", "1.3", "--gamma", "0.7"],
+     ["--x", "0.3", "3.7", "--n-max", "8"]),
+    ("charlier", "classical", ["--a", "1.3"], ["--x", "0.3", "--n-max", "200"]),
+    ("laguerre", "3f2", ["--alpha", "-4.5", "--gamma", "0.5"],
+     ["--x", "0.3", "--n-max", "8"]),
+    ("laguerre", "classical", ["--alpha", "0.8"],
+     ["--x", "0.3", "--n-max", "200"]),
+]
 
 
 def eval_argvs():
@@ -99,7 +125,11 @@ def invocations():
               ["gf-check", "--family", "laguerre", *_FAMILY_FLAGS["laguerre"],
                "--gamma", "0", "--forms", "elementary", "--t", "1.0"],
               ["gf-check", "--family", "laguerre", *_FAMILY_FLAGS["laguerre"],
-               "--gamma", "0.8", "--forms", "diag", "--t", "1.0"]]
+               "--gamma", "0.8", "--forms", "diag", "--t", "1.0"],
+              # Every form at a gamma where the weighted Laguerre diag
+              # row applies.
+              ["gf-check", "--family", "laguerre", "--alpha", "0.8",
+               "--gamma", "0.8"]]
     # The ODE row at t = a, and where its difference stencil reaches past a.
     for t in ("1.3", "1.2999"):
         for gamma in ("0", "0.5"):
@@ -130,6 +160,13 @@ def invocations():
                       "--gamma", "0.7", "--x", x])
     argvs.append(["table", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
                   "--gamma", "0.7", "--x", "0.3", "1.2", "--rep", "4f3"])
+    # Each route with a range form, at complex x and where it fails at a
+    # middle degree: a denominator band, or a value past binary64.
+    for family, rep, flags, failing in _RANGE_PROBES:
+        argvs.append(["table", "--family", family, *flags, "--rep", rep,
+                      "--x", "0.7+0.4j", "--n-max", "12"])
+        argvs.append(["table", "--family", family, *flags, "--rep", rep,
+                      *failing])
     # Each band of inputs where a closed form's denominator factor vanishes.
     for family, flags in (
         ("meixner", ["--beta", "1.5", "--c", "0.4", "--gamma", "0.5", "--x",
