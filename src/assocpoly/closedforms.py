@@ -155,30 +155,34 @@ def _band_pole(name, w, n, error=DenominatorPole, suffix=""):
                  f"for degree {n}{suffix}")
 
 
-def _bands(hi, *bands):
-    """A check ``n -> None`` of the bands ``(name, w, side)`` of the degrees
-    up to hi, each band decided once.
+def _lone_sum_range(lo, hi, terms, inputs, bands, prefactor):
+    """Degrees lo..hi of a route worth 1 at degree 0 and ``prefactor(n) *
+    S_n`` above it, with S_n the lone Cauchy sum ``terms(n, *inputs)``.
 
-    A band refuses degree n when ``w`` is within 1e-8 of an integer in
-    ``[-(n-1), 0]`` (side -1) or ``[0, n-1]`` (side 1), so it refuses
-    every degree from the first one on.  At each degree the check raises
-    what :func:`_refuse_band` raises there for the first band that
-    refuses it.
+    Each band ``(name, w, side)`` refuses degree n when ``w`` is within
+    1e-8 of an integer in ``[-(n-1), 0]`` (side -1) or ``[0, n-1]`` (side
+    1), so every degree from the first one on; that first degree is found
+    once.  Each degree raises what :func:`_refuse_band` raises there for
+    the first band that refuses it, and then sums.
     """
     firsts = []
-    if hi:
-        for name, w, side in bands:
-            r = _near_int_in_range(w, -math.inf, 0) if side < 0 else (
-                _near_int_in_range(w, 0, math.inf))
-            if r is not None:
-                firsts.append((abs(r) + 1, name, w))
-
-    def check(n):
+    for name, w, side in bands if hi else ():
+        r = (_near_int_in_range(w, -math.inf, 0) if side < 0
+             else _near_int_in_range(w, 0, math.inf))
+        if r is not None:
+            firsts.append((abs(r) + 1, name, w))
+    sums = _resums(terms, inputs, hi)
+    values = []
+    for n in range(lo, hi + 1):
+        if n == 0:
+            values.append(1.0)
+            continue
         for first, name, w in firsts:
             if n >= first:
                 raise _band_pole(name, w, n)
-
-    return check
+        total = sums(n)
+        values.append(prefactor(n) * total)
+    return values
 
 
 def _refuse_denominators(identity, a, b):
@@ -242,20 +246,12 @@ def meixner_4f3(x, params, n):
 def _meixner_4f3_range(x, params, lo, hi):
     """``[meixner_4f3(x, params, n) for n in range(lo, hi + 1)]``."""
     beta, c, gamma = params.beta, params.c, params.gamma
-    bands = _bands(hi, ("gamma+beta+x", gamma + beta + x, -1),
-                   ("gamma+beta", gamma + beta, -1))
-    sums = _resums(_meixner_4f3_sum, (x, beta, c, gamma), hi)
     shift, shape = _Rising(gamma + 1.0), _Rising(gamma + beta)
-    values = []
-    for n in range(lo, hi + 1):
-        if n == 0:
-            values.append(1.0)
-            continue
-        bands(n)
-        total = sums(n)
-        pref = c ** (-n) * shift(n) * shape(n) / math.factorial(n)
-        values.append(pref * total)
-    return values
+    return _lone_sum_range(
+        lo, hi, _meixner_4f3_sum, (x, beta, c, gamma),
+        [("gamma+beta+x", gamma + beta + x, -1),
+         ("gamma+beta", gamma + beta, -1)],
+        lambda n: c ** (-n) * shift(n) * shape(n) / math.factorial(n))
 
 
 def meixner_4f3_alt(x, params, n):
@@ -277,20 +273,11 @@ def meixner_4f3_alt(x, params, n):
 def _meixner_4f3_alt_range(x, params, lo, hi):
     """``[meixner_4f3_alt(x, params, n) for n in range(lo, hi + 1)]``."""
     beta, c, gamma = params.beta, params.c, params.gamma
-    bands = _bands(hi, ("x - gamma", x - gamma, 1),
-                   ("gamma+beta", gamma + beta, -1))
-    sums = _resums(_meixner_4f3_alt_sum, (x, beta, c, gamma), hi)
     shift, shape = _Rising(gamma + 1.0), _Rising(gamma + beta)
-    values = []
-    for n in range(lo, hi + 1):
-        if n == 0:
-            values.append(1.0)
-            continue
-        bands(n)
-        total = sums(n)
-        pref = shift(n) * shape(n) / math.factorial(n)
-        values.append(pref * total)
-    return values
+    return _lone_sum_range(
+        lo, hi, _meixner_4f3_alt_sum, (x, beta, c, gamma),
+        [("x - gamma", x - gamma, 1), ("gamma+beta", gamma + beta, -1)],
+        lambda n: shift(n) * shape(n) / math.factorial(n))
 
 
 def meixner_quadratic(x, params, n):
@@ -506,18 +493,10 @@ def charlier_3f2(x, params, n, variant=CharlierVariant.PRIMARY):
 def _charlier_3f2_range(x, params, lo, hi):
     """``[charlier_3f2(x, params, n) for n in range(lo, hi + 1)]``, primary."""
     a, gamma = params.a, params.gamma
-    bands = _bands(hi, ("x - gamma", x - gamma, 1))
-    sums = _resums(_charlier_sum, (x, a, gamma), hi)
     shift = _Rising(gamma + 1.0)
-    values = []
-    for n in range(lo, hi + 1):
-        if n == 0:
-            values.append(1.0)
-            continue
-        bands(n)
-        total = sums(n)
-        values.append(shift(n) / math.factorial(n) * total)
-    return values
+    return _lone_sum_range(
+        lo, hi, _charlier_sum, (x, a, gamma), [("x - gamma", x - gamma, 1)],
+        lambda n: shift(n) / math.factorial(n))
 
 
 def charlier_classical(x, a, n):
@@ -575,18 +554,11 @@ def laguerre_3f2(x, params, n, variant=LaguerreVariant.PRIMARY):
 def _laguerre_3f2_range(x, params, lo, hi):
     """``[laguerre_3f2(x, params, n) for n in range(lo, hi + 1)]``, primary."""
     alpha, gamma = params.alpha, params.gamma
-    bands = _bands(hi, ("gamma+alpha+1", gamma + alpha + 1.0, -1))
-    sums = _resums(_laguerre_sum, (x, alpha, gamma), hi)
     shift = _Rising(gamma + alpha + 1.0)
-    values = []
-    for n in range(lo, hi + 1):
-        if n == 0:
-            values.append(1.0)
-            continue
-        bands(n)
-        total = sums(n)
-        values.append(shift(n) / math.factorial(n) * total)
-    return values
+    return _lone_sum_range(
+        lo, hi, _laguerre_sum, (x, alpha, gamma),
+        [("gamma+alpha+1", gamma + alpha + 1.0, -1)],
+        lambda n: shift(n) / math.factorial(n))
 
 
 def laguerre_classical(x, alpha, n):

@@ -86,13 +86,10 @@ def _rank(rel):
     return rel if math.isfinite(rel) else math.inf
 
 
-def _severity(report):
-    return _rank(report.rel_discrepancy)
-
-
 def _worst(reports):
-    """The first report of the largest severity, or None for no reports."""
-    return max(reports, key=_severity, default=None)
+    """The first report of the largest rank, or None for no reports."""
+    return max(reports, key=lambda report: _rank(report.rel_discrepancy),
+               default=None)
 
 
 def summarize(reports):

@@ -77,11 +77,8 @@ def _worst_pair_report(identity_id, point, pairs, rel_tol):
     as :func:`~assocpoly.report.summarize` ranks reports: a NaN or inf
     discrepancy highest, and the first of equals.
     """
-    worst = max(pairs, default=None,
-                key=lambda pair: _rank(_discrepancy(pair[1], pair[2], rel_tol)))
-    if worst is None:
-        return None
-    n, lhs, rhs = worst
+    n, lhs, rhs = max(
+        pairs, key=lambda pair: _rank(_discrepancy(pair[1], pair[2], rel_tol)))
     return make_report(identity_id, {**point, "n": n}, lhs, rhs, rel_tol)
 
 
