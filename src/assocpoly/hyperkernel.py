@@ -832,9 +832,9 @@ def _resum(terms, n, inputs):
     return _resums(terms, inputs, n)(n)
 
 
-# Bits that the shared pass of :func:`_resums` keeps beyond the first
-# precision of the degree that builds it, for the later degrees, whose
-# sums cancel more.
+# Bits that the shared pass of :func:`_resums` keeps beyond what the
+# degree that builds it needs, for the later degrees, whose sums cancel
+# more.
 _SHARED_BITS = 128
 
 
@@ -845,15 +845,16 @@ def _resums(terms, inputs, hi):
     For n < hi, ``terms(n, ...)`` must be a lone Cauchy sum (outer degree
     0) whose first numerator of T is ``-n``.  Then ``S_n = sum_m (-n)_m
     Q_m``, and the exact ``Q_m = T_m C_m / (-n)_m`` do not depend on n.
-    The binary64 sum and the escalation decision stay per degree.  The
-    first degree below hi that escalates runs one pass of
-    :func:`_fixed_point_terms` for the ``Q_m`` up to hi, at its first
-    precision plus ``_SHARED_BITS``, and a later degree whose first
-    precision exceeds that runs a new one.  Each escalating degree then
-    sums ``(-n)_m Q_m`` in integers, beside the bound ``sum |(-n)_m|
-    e_m``; when that interval does not give one double (or when the pass
-    stopped at a pole before m = n), the degree runs
-    :func:`_certified_cauchy_sum` alone.  Both give the exact value
+    The binary64 sum and the escalation decision stay per degree.  A
+    degree n needs its first precision plus the bits of n!, by which
+    ``(-n)_m`` can magnify the error of a late step.  The first degree
+    below hi that escalates runs one pass of :func:`_fixed_point_terms`
+    for the ``Q_m`` up to hi, at what it needs plus ``_SHARED_BITS``, and
+    a later degree below hi that needs more runs a new one.  Each
+    escalating degree then sums ``(-n)_m Q_m`` in integers, beside the
+    bound ``sum |(-n)_m| e_m``; when that interval does not give one
+    double (or when the pass stopped at a pole before m = n), the degree
+    runs :func:`_certified_cauchy_sum` alone.  Both give the exact value
     rounded once.
     """
     shared = None
@@ -866,8 +867,9 @@ def _resums(terms, inputs, hi):
         prec = _first_precision(total, cond)
         gaussian = any(isinstance(v, complex) for v in inputs)
         real = all(v.imag == 0 for v in inputs)
-        if n < hi and (shared is None or shared[0] < prec):
-            shared = _shared_pass(prec + _SHARED_BITS,
+        need = prec + math.factorial(n).bit_length()
+        if n < hi and (shared is None or shared[0] < need):
+            shared = _shared_pass(need + _SHARED_BITS,
                                   terms(hi, *map(_exact, inputs)))
         value = None if shared is None else _shared_value(*shared, n, real)
         if value is None:

@@ -1432,6 +1432,20 @@ def test_range_form_shared_pass_stops_at_a_pole():
     assert error[0] is DenominatorPole
 
 
+@pytest.mark.parametrize("name, x, params, hi", [
+    ("4f3", *LATTICE, 110),
+    ("laguerre-3f2", 3.0, LaguerreParams(0.5, 0.3), 150),
+])
+def test_long_range_forms_run_a_new_pass_as_degrees_need_more_bits(
+        monkeypatch, name, x, params, hi):
+    ranged, route, _ = RANGE_FORMS[name]
+    want, _ = per_degree(route, x, params, 0, hi)
+    passes = count_calls(monkeypatch, hyperkernel, "_shared_pass")
+    assert [repr(v) for v in ranged(x, params, 0, hi)] == want
+    bits = [prec for prec, _ in passes]
+    assert len(bits) > 2 and bits == sorted(bits)
+
+
 # The lone Cauchy sums of the range forms, whose first numerator of T is -n.
 RANGE_SUMS = ["meixner-4f3", "meixner-4f3-alt", "charlier-3f2", "laguerre-3f2",
               "meixner-classical", "charlier-classical", "laguerre-classical"]
