@@ -39,6 +39,7 @@ import math
 import os
 import pickle
 import random
+import select
 import signal
 import threading
 
@@ -101,22 +102,28 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _run_share(function, tasks, worker, k):
-    """``(results, failure)`` of tasks ``worker``, ``worker + k``, ...
+def _run_share(function, tasks, queue, size):
+    """``(results, failure)`` of the tasks this worker takes from ``queue``.
 
-    The results are in task order.  The share stops at its first failing
-    task; ``failure`` is that task's ``(index, exception)``, or None.
+    Each record of the pipe ``queue`` is the index of a block of ``size``
+    consecutive tasks; the worker takes the next record whenever it is
+    free, so a worker on a slower or busier CPU takes fewer tasks.
+    ``results`` holds a ``(index, result)`` pair for each task run.  The
+    share stops at its first failing task; ``failure`` is that task's
+    ``(index, exception)``, or None.
     """
     results = []
-    for i in range(worker, len(tasks), k):
-        try:
-            results.append(function(tasks[i]))
-        except Exception as exc:  # carried to the parent, which raises it
-            return results, (i, exc)
+    while record := os.read(queue, _RECORD):
+        block = int.from_bytes(record, "little") * size
+        for i in range(block, min(block + size, len(tasks))):
+            try:
+                results.append((i, function(tasks[i])))
+            except Exception as exc:  # carried to the parent, which raises it
+                return results, (i, exc)
     return results, None
 
 
-def _fork_worker(function, tasks, worker, k):
+def _fork_worker(function, tasks, queue, size):
     """``(pid, read end)`` of a forked child that pickles its share to a pipe."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -127,7 +134,7 @@ def _fork_worker(function, tasks, worker, k):
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pickle.dump(_run_share(function, tasks, worker, k), pipe)
+                pickle.dump(_run_share(function, tasks, queue, size), pipe)
             status = 0
         finally:
             os._exit(status)
@@ -135,29 +142,46 @@ def _fork_worker(function, tasks, worker, k):
     return pid, open(read_fd, "rb")
 
 
+# Bytes of one record of a ``_map`` task queue: a block index.
+_RECORD = 4
+
+
 def _map(function, tasks):
     """``[function(task) for task in tasks]``, on every CPU the process may use.
 
-    With k = min(usable CPUs, len(tasks)) workers, task i runs in worker
-    i mod k: worker 0 is this process, and each other worker a child
-    forked with ``os.fork`` that sends its share back through a pipe.  A
+    With k = min(usable CPUs, len(tasks)) workers: worker 0 is this
+    process, and each other worker a child forked with ``os.fork`` that
+    sends its share back through a pipe.  The workers take the tasks in
+    order from one queue, each the next task when it is free, so that the
+    run ends when the work does, however the CPUs' speeds differ.  A
     worker stops at its first failing task.  Once every share is in, the
     failing task of lowest index is raised: the error that the serial loop
-    raises first.  The map runs serially when k = 1, without ``os.fork``,
-    or while another thread is alive, since forking then can deadlock.
+    raises first, since the queue hands the tasks out in order and every
+    task below it ran.  The map runs serially when k = 1, without
+    ``os.fork``, or while another thread is alive, since forking then can
+    deadlock.
     """
     k = min(_usable_cpus(), len(tasks))
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [function(task) for task in tasks]
+    # The whole queue is written before any worker starts, in one write
+    # that a pipe always holds (PIPE_BUF bytes), so that no read sees half
+    # a record; past PIPE_BUF / _RECORD tasks a record stands for a block.
+    size = -(-len(tasks) // (select.PIPE_BUF // _RECORD))
+    queue, fill = os.pipe()
+    os.write(fill, b"".join(block.to_bytes(_RECORD, "little") for block
+                            in range(-(-len(tasks) // size))))
+    os.close(fill)
     pipes, payloads, statuses = {}, {}, {}
     try:
-        for worker in range(1, k):
-            pid, pipe = _fork_worker(function, tasks, worker, k)
+        for _ in range(k - 1):
+            pid, pipe = _fork_worker(function, tasks, queue, size)
             pipes[pid] = pipe
-        shares = [_run_share(function, tasks, 0, k)]
+        shares = [_run_share(function, tasks, queue, size)]
         for pid, pipe in pipes.items():
             payloads[pid] = pipe.read()
     finally:
+        os.close(queue)
         for pid, pipe in pipes.items():
             if pid not in payloads:  # an error or an interrupt came first
                 os.kill(pid, signal.SIGKILL)
@@ -171,8 +195,9 @@ def _map(function, tasks):
         shares.append(pickle.loads(payloads[pid]))
     results = [None] * len(tasks)
     failures = []
-    for worker, (share, failure) in enumerate(shares):
-        results[worker:worker + k * len(share):k] = share
+    for share, failure in shares:
+        for i, result in share:
+            results[i] = result
         if failure is not None:
             failures.append(failure)
     if failures:

@@ -119,7 +119,7 @@ def test_split_grid_gives_the_serial_reports_in_order(monkeypatch, k, set_name):
 
 
 # Task i of the grid is the i-th point of itertools.product(betas, cs,
-# gammas, xs); with two workers the even tasks run in this process.
+# gammas, xs); with two workers either may take either failing task.
 _TASKS = list(itertools.product(verify._MEIXNER_BETAS, verify._MEIXNER_CS,
                                 verify._GAMMAS, verify._XS))
 
@@ -194,6 +194,40 @@ def test_child_without_results_names_its_pid_and_status(monkeypatch):
         verify_representations(n_max=3)
     assert str(info.value) == (f"verify worker {forks[0]} exited with status 7 "
                                "before sending its results")
+    _assert_no_child_left()
+
+
+def test_a_slow_worker_takes_fewer_tasks(monkeypatch):
+    parent = os.getpid()
+
+    def task(i):
+        if os.getpid() != parent:
+            time.sleep(0.5)  # a child on a busy CPU
+        return i, os.getpid()
+
+    _force_cpus(monkeypatch, 2)
+    results = verify._map(task, list(range(20)))
+    assert [i for i, _pid in results] == list(range(20))
+    assert sum(pid == parent for _i, pid in results) >= 15
+    _assert_no_child_left()
+
+
+def _square_unless(bad):
+    def square(i):
+        if i in bad:
+            raise ValueError(i)
+        return i * i
+    return square
+
+
+def test_more_tasks_than_queue_records_run_in_blocks(monkeypatch):
+    # 3,000 tasks are 1,000 queue records of 3 tasks each.
+    _force_cpus(monkeypatch, 3)
+    assert verify._map(_square_unless(()), list(range(3000))) == [
+        i * i for i in range(3000)]
+    with pytest.raises(ValueError) as info:
+        verify._map(_square_unless((2999, 1701, 1702)), list(range(3000)))
+    assert info.value.args == (1701,)
     _assert_no_child_left()
 
 
