@@ -36,16 +36,17 @@ from .hyperkernel import (
     Accumulator,
     EulerIntegrand,
     EvalOutcome,
+    _cauchy,
     _check_nonneg_int,
     _exp,
     _near_int_in_range,
     _power,
+    _resums,
     _sum_series,
     appell_f1,
     euler_integral,
     gauss_2f1,
     humbert_phi1,
-    hyp_terminating,
     kummer_1f1,
     pochhammer,
 )
@@ -397,42 +398,35 @@ def gf_charlier_integral(x, params, t):
     return gamma * gf_charlier_elementary(x, a, t) * quad.value
 
 
-def _central_difference(f, t, h):
-    """The 5-point central difference of ``f`` at ``t`` with step ``h``."""
-    return (-f(t + 2 * h) + 8.0 * f(t + h) - 8.0 * f(t - h)
-            + f(t - 2 * h)) / (12.0 * h)
+def _charlier_ode_sides(x, params, t):
+    """The two sides of the ODE of :func:`gf_charlier_ode_residual`."""
+    value = gf_charlier_phi1(x, params, t)
+    a, gamma = params.a, params.gamma
+    deriv = value * (1.0 - x / (a - t))
+    if gamma != 0:
+        u, ratio = t / a, gamma / (gamma + 1.0)
+        d_u = humbert_phi1(gamma + 1.0, x + 2.0, gamma + 2.0, u, -t).value
+        d_v = humbert_phi1(gamma + 1.0, x + 1.0, gamma + 2.0, u, -t).value
+        deriv = deriv + _exp(t) * _power(1.0 - u, x) * ratio * (
+            (x + 1.0) * d_u / a - d_v)
+    return (t * (a - t) * deriv,
+            a * gamma - (t * t + (x - a - gamma) * t + a * gamma) * value)
 
 
 def gf_charlier_ode_residual(x, params, t):
-    """Residual of the Charlier generating-function ODE at one t.
+    """Residual ``|lhs - rhs|`` of the Charlier generating-function ODE at t.
 
-    The (gamma+1)_n-normalized series G satisfies
-    ``t(a-t) G'(t) + [t^2 + (x-a-gamma) t + a gamma] G(t) = a gamma``;
-    the derivative uses a 5-point central difference with step
-    ``1e-4 * max(1, |t|)``.  Raises DomainError when t, or a stencil
-    point t ± 2h, lies outside the disk |t| < |a|.
-
-    Returns
-    -------
-    float
-        Absolute residual magnitude.
+    The (gamma+1)_n-normalized series ``G = e^t (1-u)^x Phi1(gamma, x+1;
+    gamma+1; u, -t)``, ``u = t/a``, satisfies ``t(a-t) G'(t) = a gamma -
+    [t^2 + (x-a-gamma) t + a gamma] G(t)``.  G' is exact: ``G (1 - x/(a-t))
+    + e^t (1-u)^x (Phi1_u / a - Phi1_v)``, with ``Phi1_u = (gamma (x+1) /
+    (gamma+1)) Phi1(gamma+1, x+2; gamma+2; u, -t)`` and ``Phi1_v =
+    (gamma/(gamma+1)) Phi1(gamma+1, x+1; gamma+2; u, -t)``, both 0 (and
+    not evaluated) at gamma = 0.  Raises DomainError when t lies outside
+    the disk |t| < |a|.
     """
-    _check_charlier_t(params, t)
-    a, gamma = params.a, params.gamma
-    h = 1e-4 * max(1.0, abs(t))
-    if max(abs(t - 2 * h), abs(t + 2 * h)) >= abs(a):
-        raise DomainError(f"at |t| = {abs(t):.6g} the 5-point stencil t ± 2h "
-                          f"(h = {h:.6g}) leaves the validity disk |t| < "
-                          f"|a| = {abs(a):.6g}")
-    deriv = _central_difference(lambda tt: gf_charlier_phi1(x, params, tt),
-                                t, h)
-    value = gf_charlier_phi1(x, params, t)
-    residual = (
-        t * (a - t) * deriv
-        + (t * t + (x - a - gamma) * t + a * gamma) * value
-        - a * gamma
-    )
-    return abs(residual)
+    lhs, rhs = _charlier_ode_sides(x, params, t)
+    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +598,11 @@ def convolution_identity(x, params, n, rel_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
+def _c1_terms(n, p, g, q, g1, arg):
+    """The chain's ``3F2(-n, p, g; q, g1; arg)`` as a lone Cauchy sum."""
+    return _cauchy(n, [-n, p, g], [q, g1, 1], arg, [0], [])
+
+
 def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
     """Degenerate-argument (c = 1) generating-series reduction as a report.
 
@@ -611,7 +610,8 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
     3F2(-n, gamma+beta-1, gamma; gamma+beta, gamma+1; 1) t^n`` summed
     until two consecutive terms fall below ``rel_tol`` times the
     partial sum; :class:`~assocpoly.errors.NotConverged` is raised if
-    that takes more than ``_C1_MAX_TERMS`` (400) terms.  Right side:
+    that takes more than ``_C1_MAX_TERMS`` (400) terms; the 3F2s share
+    their escalations (``hyperkernel._resums``).  Right side:
     ``(1-t)^{-beta} 2F1(2-beta, gamma; gamma+1; t)``.  A nonpositive
     integer ``gamma + beta`` raises
     :class:`~assocpoly.errors.DenominatorPole`: past ``n = -(gamma+beta)``
@@ -628,19 +628,13 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
             f"gamma + beta = {gamma + beta!r} is a pole of the chain's 3F2"
         )
 
-    def inner(n):
-        value = hyp_terminating(
-            [-n, gamma + beta - 1.0, gamma],
-            [gamma + beta, gamma + 1.0],
-            1.0,
-            n,
-        )
-        return EvalOutcome(value, True, 1, 0.0)
-
+    # The argument 1 is an input, so that an escalation converts it too.
+    resum = _resums(_c1_terms, (gamma + beta - 1.0, gamma, gamma + beta,
+                                gamma + 1.0, 1.0), _C1_MAX_TERMS - 1)
     lhs = _sum_series(
         gamma + beta, None, None, t, rel_tol, _C1_MAX_TERMS,
         "c = 1 reduction series did not converge in {max_terms} terms "
-        "at t={z!r}", inner,
+        "at t={z!r}", lambda n: EvalOutcome(resum(n), True, 1, 0.0),
     ).value
     rhs = _power(1.0 - t, -beta) * gauss_2f1(
         2.0 - beta, gamma, gamma + 1.0, t
@@ -649,23 +643,26 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
     return make_report("c1-reduction-chain", point, lhs, rhs, rel_tol)
 
 
-def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, rel_tol=1e-6):
+def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, rel_tol=1e-9):
     """Derivative link between the diagonal weighted form and the classical GF.
 
-    With ``W(t) = (1-t)^{-alpha} 1F1(alpha; alpha+1; xt/(t-1))``, the
-    relation ``d/dt [t^alpha W(t)] =
+    With ``W(t) = (1-t)^{-alpha} 1F1(alpha; alpha+1; z)`` and ``z =
+    xt/(t-1)``, the relation ``d/dt [t^alpha W(t)] =
     alpha t^{alpha-1} (1-t)^{-alpha-1} exp(xt/(t-1))`` is checked with
-    a 5-point central difference of step ``h = 1e-4``.
+    the exact derivative: ``d/dz 1F1(alpha; alpha+1; z) = (alpha /
+    (alpha+1)) 1F1(alpha+1; alpha+2; z)`` and ``dz/dt = -x/(t-1)^2``.
 
     Returns
     -------
     IdentityReport
     """
-    h = 1e-4
-    deriv = _central_difference(
-        lambda tt: tt**alpha * gf_weighted_laguerre_diag(x, alpha, tt), t, h)
+    z = x * t / (t - 1.0)
+    d_z = alpha / (alpha + 1.0) * kummer_1f1(alpha + 1.0, alpha + 2.0, z).value
+    deriv = t**alpha * (
+        alpha / (t * (1.0 - t)) * gf_weighted_laguerre_diag(x, alpha, t)
+        - _power(1.0 - t, -alpha) * x / (t - 1.0) ** 2 * d_z)
     rhs = alpha * t ** (alpha - 1.0) * gf_laguerre_elementary(x, alpha, t)
-    point = {"x": x, "alpha": alpha, "t": t, "h": h}
+    point = {"x": x, "alpha": alpha, "t": t}
     return make_report("laguerre-diag-derivative", point, deriv, rhs, rel_tol)
 
 
@@ -696,10 +693,11 @@ def _series_check(identity_id, norm, closed_form):
 
 
 def _charlier_ode_check(x, params, t, rel_tol):
-    """The Charlier generating-function ODE residual against 0."""
-    residual = gf_charlier_ode_residual(x, params, t)
-    return make_report("gf-charlier-ode", _gf_point(x, params, t), residual,
-                       0.0, rel_tol)
+    """The two sides of the Charlier generating-function ODE, ``t(a-t) G'``
+    against ``a gamma - [t^2 + (x-a-gamma) t + a gamma] G``."""
+    lhs, rhs = _charlier_ode_sides(x, params, t)
+    return make_report("gf-charlier-ode", _gf_point(x, params, t), lhs, rhs,
+                       rel_tol)
 
 
 def _always(params):

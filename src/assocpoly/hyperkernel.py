@@ -1345,9 +1345,10 @@ def euler_integral(spec):
     ----------
     spec : EulerIntegrand
         The integrand description.  ``Re(gamma) <= 0`` raises
-        :class:`~assocpoly.errors.DomainError`; a factor base with zero
-        imaginary part and real part ``>= 1`` puts a zero of the factor
-        on (0, 1] and raises :class:`~assocpoly.errors.SingularIntegrand`.
+        :class:`~assocpoly.errors.DomainError`; a factor base b whose
+        zero ``1/b`` of ``1 - b*u`` lies within 1e-8 of (0, 1] (``|Im
+        b|/|b|^2 <= 1e-8`` and ``0 < Re(1/b) <= 1 + 1e-14``) raises
+        :class:`~assocpoly.errors.SingularIntegrand`.
 
     Returns
     -------
@@ -1357,10 +1358,10 @@ def euler_integral(spec):
     if re_gamma <= 0:
         raise DomainError(f"Euler integral requires Re(gamma) > 0, got {spec.gamma!r}")
     for base, _exponent in spec.factors:
-        if base.imag == 0 and base.real >= 1.0 - 1e-14:
-            raise SingularIntegrand(
-                f"factor base {base!r} puts a zero of (1 - b*u) on (0, 1]"
-            )
+        u0 = 1.0 / base if base != 0 else 0.0  # |Im u0| = |Im b|/|b|^2
+        if abs(u0.imag) <= 1e-8 and 0 < u0.real <= 1.0 + 1e-14:
+            raise SingularIntegrand(f"factor base {base!r} puts the zero of "
+                                    "(1 - b*u) within 1e-8 of (0, 1]")
     # Fixed once per integrand: the exp for the exponent's type and each
     # 1 - b (``**`` takes the complex form exactly where _power does).
     g1, scale, scaled = spec.gamma - 1.0, spec.exp_scale, spec.exp_scale != 0

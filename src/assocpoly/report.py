@@ -32,8 +32,8 @@ class IdentityReport(Record):
     lhs, rhs : float or complex
         The two independently computed sides.
     rel_discrepancy : float
-        ``|lhs - rhs| / |rhs|``, falling back to the absolute
-        difference when ``|rhs| < rel_tol``.
+        ``|lhs - rhs| / |rhs|``: 0.0 for equal sides, inf for a nonzero
+        difference from ``rhs = 0``.
     passed : bool
         ``rel_discrepancy <= rel_tol``.
     rel_tol : float
@@ -57,11 +57,11 @@ class IdentityReport(Record):
 def make_report(identity_id, point, lhs, rhs, rel_tol):
     """Build an :class:`IdentityReport` from two computed sides.
 
-    The discrepancy is relative to ``|rhs|`` unless ``|rhs|`` is below
-    ``rel_tol`` (the identity value is essentially zero), in which case
-    the absolute difference is used so that exact zeros compare cleanly.
+    The discrepancy is relative to ``|rhs|`` at every scale: equal sides
+    read 0.0, a nonzero difference from ``rhs = 0`` reads inf, and a NaN
+    fails.  An identity whose value is 0 is checked by its two sides.
     """
-    rel = _discrepancy(lhs, rhs, rel_tol)
+    rel = _discrepancy(lhs, rhs)
     return IdentityReport(
         identity_id=identity_id,
         point=dict(point),
@@ -73,11 +73,10 @@ def make_report(identity_id, point, lhs, rhs, rel_tol):
     )
 
 
-def _discrepancy(lhs, rhs, rel_tol):
+def _discrepancy(lhs, rhs):
     """The ``rel_discrepancy`` of :func:`make_report`."""
-    scale = abs(rhs)
-    diff = abs(lhs - rhs)
-    return diff if scale < rel_tol else diff / scale
+    diff, scale = abs(lhs - rhs), abs(rhs)
+    return diff / scale if scale else (math.inf if diff else 0.0)
 
 
 def _rank(rel):

@@ -79,7 +79,7 @@ def _worst_pair_report(identity_id, point, pairs, rel_tol):
     discrepancy highest, and the first of equals.
     """
     n, lhs, rhs = max(
-        pairs, key=lambda pair: _rank(_discrepancy(pair[1], pair[2], rel_tol)))
+        pairs, key=lambda pair: _rank(_discrepancy(pair[1], pair[2])))
     return make_report(identity_id, {**point, "n": n}, lhs, rhs, rel_tol)
 
 

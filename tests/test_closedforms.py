@@ -1198,14 +1198,17 @@ def test_terminating_kernels_round_the_exact_sum(evaluate, nums, dens, arg, top)
     ids=["gauss_2f1", "kummer_1f1", "c1-chain"],
 )
 def test_kernel_terminating_branches_escalate(monkeypatch, evaluate):
-    engine = hyperkernel._certified_cauchy_sum
+    # An escalated sum is rounded from its own exact pass, or, for the
+    # degrees of the c = 1 chain, from the pass they share.
     escalated = []
+    for name in ("_certified_cauchy_sum", "_shared_value"):
+        def recorded(*args, engine=getattr(hyperkernel, name)):
+            value = engine(*args)
+            if value is not None:
+                escalated.append(value)
+            return value
 
-    def recorded(*args):
-        escalated.append(engine(*args))
-        return escalated[-1]
-
-    monkeypatch.setattr(hyperkernel, "_certified_cauchy_sum", recorded)
+        monkeypatch.setattr(hyperkernel, name, recorded)
     evaluate()
     assert escalated
 

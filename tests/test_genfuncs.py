@@ -5,6 +5,7 @@ binary value both routes produce at x=2, beta=3/2, c=2/5, t=1/10; the
 Charlier example is e^{0.1} * 0.95 evaluated by the standard library.
 """
 
+import itertools
 import math
 from unittest.mock import patch
 
@@ -41,6 +42,7 @@ from assocpoly import (
     weighted_classical_gf,
 )
 from assocpoly import genfuncs
+from assocpoly.hyperkernel import EvalOutcome, humbert_phi1
 
 
 def rel(a, b):
@@ -370,23 +372,23 @@ def test_ode_residual_small_on_grid(a, gamma, x):
         assert gf_charlier_ode_residual(x, params, t_frac * abs(a)) <= 1e-8
 
 
-# The gamma = 0 residual, bit for bit: t = -1e-4 puts the stencil point
-# t + h on 0, where the Phi1 closed form returns 1.0 without a series.
+# The gamma = 0 residual, bit for bit.  G' is exact, so what is left is
+# the rounding of t(a-t) G (1 - x/(a-t)) against -(t^2 + (x-a) t) G.
 @pytest.mark.parametrize("x, t, residual", [
     (0.5, 0.0, "0.0"),
-    (0.5, -1e-4, "7.669375117619337e-17"),
-    (0.5, 1e-4, "2.4638494369733088e-17"),
-    (0.5, 0.3, "4.1233683134578314e-13"),
-    (0.5, -0.2, "1.1771139618588222e-13"),
-    (0.5, 0.1 + 0.1j, "1.992219746847296e-13"),
-    (-1.1, -1e-4, "3.2255014631443757e-18"),
-    (-1.1, -0.2, "2.1116441928370477e-13"),
+    (0.5, -1e-4, "1.3552527156068805e-20"),
+    (0.5, 1e-4, "0.0"),
+    (0.5, 0.3, "0.0"),
+    (0.5, -0.2, "2.7755575615628914e-17"),
+    (0.5, 0.1 + 0.1j, "3.1031676915590914e-17"),
+    (-1.1, -1e-4, "5.421010862427522e-20"),
+    (-1.1, -0.2, "0.0"),
     (0.7 + 0.4j, 0.0, "0.0"),
-    (0.7 + 0.4j, -1e-4, "4.622702299264269e-17"),
-    (0.7 + 0.4j, 0.3, "4.0812960222854445e-13"),
-    (-1.1 + 0.2j, -1e-4, "2.616875630425799e-17"),
-    (-1.1 + 0.2j, -0.2, "5.449710605605823e-13"),
-    (-1.1 + 0.2j, -0.2j, "2.3163920773995777e-13"),
+    (0.7 + 0.4j, -1e-4, "9.583083854271089e-21"),
+    (0.7 + 0.4j, 0.3, "1.3877787807814457e-17"),
+    (-1.1 + 0.2j, -1e-4, "5.431588454656214e-20"),
+    (-1.1 + 0.2j, -0.2, "5.551115123125783e-17"),
+    (-1.1 + 0.2j, -0.2j, "6.206335383118183e-17"),
 ])
 def test_ode_residual_at_zero_gamma_is_pinned(x, t, residual):
     assert repr(gf_charlier_ode_residual(x, CharlierParams(1.3, 0.0), t)) \
@@ -397,13 +399,63 @@ def test_ode_residual_at_zero_gamma_is_pinned(x, t, residual):
 @pytest.mark.parametrize("t, message", [
     (1.3, "|t| = 1.3 is outside"),
     (-1.3, "|t| = 1.3 is outside"),
-    (1.2999, "at |t| = 1.2999 the 5-point stencil"),
-    (-1.2999, "at |t| = 1.2999 the 5-point stencil"),
 ])
 def test_ode_residual_rejects_t_whose_stencil_leaves_the_disk(gamma, t,
                                                               message):
+    # t on the circle |t| = |a| is refused; a t just inside it is checked
+    # (test_ode_residual_at_the_disk_edge).
     with pytest.raises(DomainError, match=message.replace("|", r"\|")):
         gf_charlier_ode_residual(-0.5, CharlierParams(1.3, gamma), t)
+
+
+@pytest.mark.parametrize("t", [1.2999, -1.2999])
+def test_ode_residual_at_the_disk_edge(t):
+    # At gamma = 0 the Phi1 factor is 1 and the residual reads 0.  At
+    # gamma > 0, Phi1 at u = t/a = ±0.99992 does not converge in 10,000
+    # terms.
+    assert gf_charlier_ode_residual(-0.5, CharlierParams(1.3, 0.0), t) == 0.0
+    with pytest.raises(NotConverged, match="Phi1 series did not converge"):
+        gf_charlier_ode_residual(-0.5, CharlierParams(1.3, 0.5), t)
+
+
+# The grid of the ODE row: a, gamma, x and t/a, real and complex.
+_ODE_GRID = list(itertools.product(
+    (0.5, 2.0), (0.0, 0.7, 1.5), (0.5, 2.0, 0.7 + 0.4j, -1.1 + 0.2j),
+    (-0.5, -0.2, 0.1, 0.3, 0.1 + 0.1j, -0.3j)))
+
+
+def test_ode_row_compares_the_two_sides_on_a_grid():
+    worst = 0.0
+    for a, gamma, x, t_frac in _ODE_GRID:
+        report = genfuncs._charlier_ode_check(x, CharlierParams(a, gamma),
+                                              t_frac * a, 1e-8)
+        assert report.passed, (a, gamma, x, t_frac, report.rel_discrepancy)
+        worst = max(worst, report.rel_discrepancy)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("call", [0, 1, 2], ids=["phi1", "d-u", "d-v"])
+def test_ode_row_fails_when_one_phi1_value_is_off(call):
+    # One of the three Phi1 values (G's own and its two derivative terms),
+    # off by a relative 1e-6, must fail the row at gamma > 0.  At gamma =
+    # 0 the derivative terms carry a factor gamma and are not evaluated.
+    def perturbed(*args):
+        out = humbert_phi1(*args)
+        calls.append(args)
+        if len(calls) - 1 == call:
+            return EvalOutcome(out.value * (1 + 1e-6), out.converged,
+                               out.terms_used, out.err_estimate)
+        return out
+
+    for a, gamma, x, t_frac in _ODE_GRID:
+        if gamma == 0.0:
+            continue
+        calls = []
+        with patch.object(genfuncs, "humbert_phi1", perturbed):
+            report = genfuncs._charlier_ode_check(
+                x, CharlierParams(a, gamma), t_frac * a, 1e-8)
+        assert len(calls) == 3
+        assert not report.passed, (a, gamma, x, t_frac)
 
 
 @pytest.mark.parametrize("params, t", [
@@ -550,7 +602,17 @@ def test_degenerate_reduction_chain_raises_when_terms_run_out(t, max_terms):
 def test_laguerre_diag_derivative_link():
     report = laguerre_diag_derivative_check()
     assert report.passed
-    assert report.rel_discrepancy < 1e-6
+    assert report.rel_tol == 1e-9
+    assert report.point == {"x": 1.0, "alpha": 0.8, "t": 0.2}
+    assert report.rel_discrepancy < 1e-14
+
+
+@pytest.mark.parametrize("x", [1.0, -0.5, 2.5, 0.3 + 0.7j])
+@pytest.mark.parametrize("alpha", [0.3, 1.7])
+def test_laguerre_diag_derivative_link_on_a_grid(x, alpha):
+    for t in (0.2, 0.5, -0.4, 0.1 + 0.2j):
+        report = laguerre_diag_derivative_check(x, alpha, t)
+        assert report.rel_discrepancy < 1e-14, (t, report.rel_discrepancy)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,30 @@ def test_summarize_reports_nan_as_worst():
     assert worst.identity_id == "b"
 
 
+@pytest.mark.parametrize("lhs, rhs, rel, passed", [
+    (0.0, 0.0, 0.0, True),
+    (0j, 0.0, 0.0, True),
+    (0.0, 5e-9, 1.0, False),
+    (5e-9, 0.0, math.inf, False),
+    (1.0, 0.0, math.inf, False),
+    (2.0, 1.0, 1.0, False),
+], ids=["zeros", "complex-zero", "zero-lhs", "zero-rhs", "one-against-zero",
+        "relative"])
+def test_make_report_is_relative_at_every_scale(lhs, rhs, rel, passed):
+    # No absolute fallback below rel_tol: 0 against 5e-9 used to pass at
+    # 1e-8 with a discrepancy of 5e-9.
+    report = make_report("a", {}, lhs, rhs, 1e-8)
+    assert (report.rel_discrepancy, report.passed) == (rel, passed)
+
+
+@pytest.mark.parametrize("lhs, rhs", [(NAN, 1.0), (1.0, NAN), (NAN, 0.0),
+                                      (0.0, NAN), (NAN, NAN)])
+def test_make_report_fails_a_nan(lhs, rhs):
+    report = make_report("a", {}, lhs, rhs, 1e-8)
+    assert not report.passed
+    assert not report.rel_discrepancy <= 1e-8
+
+
 def test_summarize_of_nothing():
     assert summarize([]) == (0, 0, None)
 

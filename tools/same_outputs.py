@@ -16,8 +16,8 @@ The invocations of ``python -m assocpoly``: ``verify --set all`` for
 seeds 0-2; ``eval`` on the argv of ``perfbench/evalcold.cases(seed,
 200)`` for seeds 1-3; ``gf-check`` for every family at real and complex
 x, and at a pole of a normalizer or the t where a closed form is singular;
-``gf-check`` ODE rows at |t| = |a| and where the difference stencil
-reaches past |a|, and weighted rows outside their series disk;
+``gf-check`` ODE rows at |t| = |a|, just inside it, and at t = -1 and 1
+for real and complex x, and weighted rows outside their series disk;
 ``verify --set convolutions`` with ``--rel-tol 1e-300`` and ``gf-check``
 with ``--rel-tol 1e-18``, so that rows fail and are listed on FAIL lines;
 ``gf-check --forms`` with a form that does not apply at gamma = 0 and
@@ -130,12 +130,17 @@ def invocations():
               # row applies.
               ["gf-check", "--family", "laguerre", "--alpha", "0.8",
                "--gamma", "0.8"]]
-    # The ODE row at t = a, and where its difference stencil reaches past a.
-    for t in ("1.3", "1.2999"):
-        for gamma in ("0", "0.5"):
+    # The ODE row at t = a and just inside it, and at a t far from 0, where
+    # the Phi1 terms of the derivative weigh in.
+    for gamma in ("0", "0.5"):
+        for t in ("1.3", "1.2999"):
             argvs.append(["gf-check", "--family", "charlier",
                           *_FAMILY_FLAGS["charlier"], "--gamma", gamma,
                           "--forms", "ode", "--t", t, "--x", "-0.5"])
+        argvs.append(["gf-check", "--family", "charlier",
+                      *_FAMILY_FLAGS["charlier"], "--gamma", gamma,
+                      "--forms", "ode", "--t", "-1.0", "1.0",
+                      "--x", "-0.3", "1.2", "0.7+0.4j"])
     # Each weighted row outside the disk where its left side converges.
     for family, t in (("charlier", "1.5"), ("meixner", "1.2"),
                       ("laguerre", "1.2")):
