@@ -811,48 +811,52 @@ def test_gf_check_singular_t_exits_validation(capsys, argv, message):
     assert err == f"assocpoly: invalid input: {message}\n"
 
 
-@pytest.mark.parametrize("argv, message", [
+def _invalid(message):
+    return EXIT_VALIDATION, f"assocpoly: invalid input: {message}\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
     (("--family", "charlier", "--a", "1.3", "--gamma", "0", "--forms", "ode",
       "--t", "1.3", "--x", "-0.5"),
-     "|t| = 1.3 is outside the validity disk |t| < |a| = 1.3"),
+     _invalid("|t| = 1.3 is outside the validity disk |t| < |a| = 1.3")),
     (("--family", "charlier", "--a", "1.3", "--gamma", "0.5", "--forms",
       "ode", "--t", "1.3", "--x", "-0.5"),
-     "|t| = 1.3 is outside the validity disk |t| < |a| = 1.3"),
-    (("--family", "charlier", "--a", "1.3", "--gamma", "0.5", "--forms",
-      "weighted", "--t", "1.5"),
-     "|t| = 1.5 is outside the validity disk |t| < |a| = 1.3"),
-    (("--family", "meixner", "--beta", "1.5", "--c", "0.4", "--gamma", "0.5",
-      "--forms", "weighted", "--t", "1.2"),
-     "|t| = 1.2 is outside the validity disk |t| < 1"),
-    (("--family", "laguerre", "--alpha", "0.8", "--gamma", "0.5", "--forms",
-      "weighted", "--t", "1.2"),
-     "|t| = 1.2 is outside the validity disk |t| < 1"),
-], ids=["ode-t-at-a", "ode-t-at-a-shifted", "charlier-weighted",
-        "meixner-weighted", "laguerre-weighted"])
-def test_gf_check_ode_and_weighted_rows_check_their_disk(capsys, argv,
-                                                         message):
-    # These used to end in a ZeroDivisionError traceback, name a point
-    # other than t, or exit 3 from a diverging left side.
-    code, out, err = run_cli(capsys, "gf-check", *argv)
-    assert code == EXIT_VALIDATION
-    assert out == ""
-    assert err == f"assocpoly: invalid input: {message}\n"
-
-
-def test_gf_check_ode_row_at_the_disk_edge(capsys):
+     _invalid("|t| = 1.3 is outside the validity disk |t| < |a| = 1.3")),
     # Only t must lie in the disk: at |t| = 1.2999 < |a| = 1.3 the gamma =
     # 0 row is checked, while at gamma = 0.5 Phi1 at u = 0.99992 does not
     # converge in 10,000 terms.
-    argv = ("gf-check", "--family", "charlier", "--a", "1.3", "--forms",
-            "ode", "--t", "1.2999", "--x", "-0.5", "--gamma")
-    code, out, _ = run_cli(capsys, *argv, "0")
-    assert code == EXIT_OK
-    header, [row] = parse_csv(out)
-    assert csv_value(header, row, "passed") == "true"
-    code, out, err = run_cli(capsys, *argv, "0.5")
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err == ("assocpoly: numerical failure: Phi1 series did not "
-                   "converge in 10000 terms\n")
+    (("--family", "charlier", "--a", "1.3", "--gamma", "0", "--forms", "ode",
+      "--t", "1.2999", "--x", "-0.5"),
+     (EXIT_OK, "gf-check --family charlier: 1 passed, 0 failed (worst "
+               "gf-charlier-ode: rel 0.000e+00)\n")),
+    (("--family", "charlier", "--a", "1.3", "--gamma", "0.5", "--forms",
+      "ode", "--t", "1.2999", "--x", "-0.5"),
+     (EXIT_NUMERICAL, "assocpoly: numerical failure: Phi1 series did not "
+                      "converge in 10000 terms\n")),
+    (("--family", "charlier", "--a", "1.3", "--gamma", "0.5", "--forms",
+      "weighted", "--t", "1.5"),
+     _invalid("|t| = 1.5 is outside the validity disk |t| < |a| = 1.3")),
+    (("--family", "meixner", "--beta", "1.5", "--c", "0.4", "--gamma", "0.5",
+      "--forms", "weighted", "--t", "1.2"),
+     _invalid("|t| = 1.2 is outside the validity disk |t| < 1")),
+    (("--family", "laguerre", "--alpha", "0.8", "--gamma", "0.5", "--forms",
+      "weighted", "--t", "1.2"),
+     _invalid("|t| = 1.2 is outside the validity disk |t| < 1")),
+], ids=["ode-t-at-a", "ode-t-at-a-shifted", "ode-stencil",
+        "ode-stencil-shifted", "charlier-weighted", "meixner-weighted",
+        "laguerre-weighted"])
+def test_gf_check_ode_and_weighted_rows_check_their_disk(capsys, argv,
+                                                         expected):
+    # These used to end in a ZeroDivisionError traceback, name a point
+    # other than t, refuse a t inside the disk, or exit 3 from a diverging
+    # left side.
+    code, out, err = run_cli(capsys, "gf-check", *argv)
+    assert (code, err) == expected
+    if code == EXIT_OK:
+        header, [row] = parse_csv(out)
+        assert csv_value(header, row, "passed") == "true"
+    else:
+        assert out == ""
 
 
 def test_gf_check_explicit_inapplicable_form_exits_validation(capsys):
