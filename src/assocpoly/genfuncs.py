@@ -59,7 +59,7 @@ from .recurrences import (
     laguerre_seq,
     meixner_seq,
 )
-from .report import make_report
+from .report import IdentityReport, make_report
 
 _AUTO_N_CAP = 960
 # Terms of the c = 1 reduction chain before NotConverged.
@@ -322,7 +322,7 @@ def gf_meixner_alt(x, params, t):
     if t == 0:
         return 1.0
     f1 = appell_f1(gamma, 1.0 - beta - x, 1.0 + x, gamma + 1.0, c * t, t)
-    return _power(1.0 - c * t, -beta - x) * _power(1.0 - t, x) * f1.value
+    return gf_meixner_elementary(x, beta, c, t) * f1.value
 
 
 def gf_meixner_elementary(x, beta, c, t):
@@ -373,7 +373,7 @@ def gf_charlier_phi1(x, params, t):
     if t == 0:
         return 1.0
     phi = humbert_phi1(gamma, x + 1.0, gamma + 1.0, t / a, -t)
-    return _exp(t) * _power(1.0 - t / a, x) * phi.value
+    return gf_charlier_elementary(x, a, t) * phi.value
 
 
 def gf_charlier_elementary(x, a, t):
@@ -398,35 +398,17 @@ def gf_charlier_integral(x, params, t):
     return gamma * gf_charlier_elementary(x, a, t) * quad.value
 
 
-def _charlier_ode_sides(x, params, t):
-    """The two sides of the ODE of :func:`gf_charlier_ode_residual`."""
-    value = gf_charlier_phi1(x, params, t)
-    a, gamma = params.a, params.gamma
-    deriv = value * (1.0 - x / (a - t))
-    if gamma != 0:
-        u, ratio = t / a, gamma / (gamma + 1.0)
-        d_u = humbert_phi1(gamma + 1.0, x + 2.0, gamma + 2.0, u, -t).value
-        d_v = humbert_phi1(gamma + 1.0, x + 1.0, gamma + 2.0, u, -t).value
-        deriv = deriv + _exp(t) * _power(1.0 - u, x) * ratio * (
-            (x + 1.0) * d_u / a - d_v)
-    return (t * (a - t) * deriv,
-            a * gamma - (t * t + (x - a - gamma) * t + a * gamma) * value)
-
-
 def gf_charlier_ode_residual(x, params, t):
-    """Residual ``|lhs - rhs|`` of the Charlier generating-function ODE at t.
+    """Residual ``|lhs - rhs|`` of the Charlier generating-function ODE.
 
-    The (gamma+1)_n-normalized series ``G = e^t (1-u)^x Phi1(gamma, x+1;
-    gamma+1; u, -t)``, ``u = t/a``, satisfies ``t(a-t) G'(t) = a gamma -
-    [t^2 + (x-a-gamma) t + a gamma] G(t)``.  G' is exact: ``G (1 - x/(a-t))
-    + e^t (1-u)^x (Phi1_u / a - Phi1_v)``, with ``Phi1_u = (gamma (x+1) /
-    (gamma+1)) Phi1(gamma+1, x+2; gamma+2; u, -t)`` and ``Phi1_v =
-    (gamma/(gamma+1)) Phi1(gamma+1, x+1; gamma+2; u, -t)``, both 0 (and
-    not evaluated) at gamma = 0.  Raises DomainError when t lies outside
-    the disk |t| < |a|.
+    ``G = e^t (1-u)^x Phi1(gamma, x+1; gamma+1; u, -t)``, ``u = t/a``,
+    satisfies ``t(a-t) G' = a gamma - [t^2 + (x-a-gamma) t + a gamma] G``,
+    with the exact ``G' = G (1 - x/(a-t)) + e^t (1-u)^x gamma/(gamma+1)
+    [(x+1)/a Phi1(gamma+1, x+2; gamma+2; u, -t) - Phi1(gamma+1, x+1;
+    gamma+2; u, -t)]``.  Raises DomainError unless |t| < |a|.
     """
-    lhs, rhs = _charlier_ode_sides(x, params, t)
-    return abs(lhs - rhs)
+    report = _charlier_ode_check(x, params, t, 0.0)
+    return abs(report.lhs - report.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +592,7 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
     3F2(-n, gamma+beta-1, gamma; gamma+beta, gamma+1; 1) t^n`` summed
     until two consecutive terms fall below ``rel_tol`` times the
     partial sum; :class:`~assocpoly.errors.NotConverged` is raised if
-    that takes more than ``_C1_MAX_TERMS`` (400) terms; the 3F2s share
-    their escalations (``hyperkernel._resums``).  Right side:
+    that takes more than ``_C1_MAX_TERMS`` (400) terms.  Right side:
     ``(1-t)^{-beta} 2F1(2-beta, gamma; gamma+1; t)``.  A nonpositive
     integer ``gamma + beta`` raises
     :class:`~assocpoly.errors.DenominatorPole`: past ``n = -(gamma+beta)``
@@ -628,7 +609,8 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
             f"gamma + beta = {gamma + beta!r} is a pole of the chain's 3F2"
         )
 
-    # The argument 1 is an input, so that an escalation converts it too.
+    # The 3F2s share their escalations; the argument 1 is an input, so that
+    # an escalation converts it too.
     resum = _resums(_c1_terms, (gamma + beta - 1.0, gamma, gamma + beta,
                                 gamma + 1.0, 1.0), _C1_MAX_TERMS - 1)
     lhs = _sum_series(
@@ -646,10 +628,9 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
 def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, rel_tol=1e-9):
     """Derivative link between the diagonal weighted form and the classical GF.
 
-    With ``W(t) = (1-t)^{-alpha} 1F1(alpha; alpha+1; z)`` and ``z =
-    xt/(t-1)``, the relation ``d/dt [t^alpha W(t)] =
-    alpha t^{alpha-1} (1-t)^{-alpha-1} exp(xt/(t-1))`` is checked with
-    the exact derivative: ``d/dz 1F1(alpha; alpha+1; z) = (alpha /
+    With ``W(t) = (1-t)^{-alpha} 1F1(alpha; alpha+1; z)``, ``z = xt/(t-1)``,
+    ``d/dt [t^alpha W(t)] = alpha t^{alpha-1} (1-t)^{-alpha-1} e^z`` is
+    checked with the exact ``d/dz 1F1(alpha; alpha+1; z) = (alpha /
     (alpha+1)) 1F1(alpha+1; alpha+2; z)`` and ``dz/dt = -x/(t-1)^2``.
 
     Returns
@@ -693,11 +674,32 @@ def _series_check(identity_id, norm, closed_form):
 
 
 def _charlier_ode_check(x, params, t, rel_tol):
-    """The two sides of the Charlier generating-function ODE, ``t(a-t) G'``
-    against ``a gamma - [t^2 + (x-a-gamma) t + a gamma] G``."""
-    lhs, rhs = _charlier_ode_sides(x, params, t)
-    return make_report("gf-charlier-ode", _gf_point(x, params, t), lhs, rhs,
-                       rel_tol)
+    """The ODE of :func:`gf_charlier_ode_residual` as a report: ``t(a-t)
+    G'`` against ``a gamma - [t^2 + (x-a-gamma) t + a gamma] G``, relative
+    to the equation's largest term once multiplied out.  Neither side is a
+    scale: both vanish as t -> 0, and at t = a - x when gamma = 0.  A NaN
+    term makes the difference NaN, which fails."""
+    _check_charlier_t(params, t)
+    a, gamma, g1 = params.a, params.gamma, params.gamma + 1.0
+    u, pre = t / a, gf_charlier_elementary(x, a, t)
+    value = pre * humbert_phi1(gamma, x + 1.0, g1, u, -t).value if t else 1.0
+    deriv = value * (1.0 - x / (a - t))
+    # The terms: t(a-t) G, t x G, t(a-t) pre ratio d_u and d_v on the left;
+    # a gamma, t^2 G, (x-a-gamma) t G and a gamma G on the right.
+    scale = max(abs(t * value) * max(abs(t), abs(x), abs(a), abs(gamma)),
+                abs(a * gamma) * max(1.0, abs(value)))
+    if gamma != 0:
+        ratio, g2 = gamma / g1, gamma + 2.0
+        d_u = (x + 1.0) * humbert_phi1(g1, x + 2.0, g2, u, -t).value / a
+        d_v = humbert_phi1(g1, x + 1.0, g2, u, -t).value
+        deriv = deriv + pre * ratio * (d_u - d_v)
+        scale = max(scale, abs(t * (a - t) * pre * ratio)
+                    * max(abs(d_u), abs(d_v)))
+    lhs = t * (a - t) * deriv
+    rhs = a * gamma - (t * t + (x - a - gamma) * t + a * gamma) * value
+    rel = abs(lhs - rhs) / scale if scale else abs(lhs - rhs)
+    return IdentityReport("gf-charlier-ode", _gf_point(x, params, t), lhs,
+                          rhs, rel, rel <= rel_tol, rel_tol)
 
 
 def _always(params):

@@ -24,8 +24,8 @@ read ``_REL_TOL`` and ``_MAX_TERMS`` when they run, beside
 ``_ONE_EXCLUSION``, ``_QUAD_TOL`` and ``_QUAD_LEVELS``.
 
 One engine, ``_resum``, sums every terminating series: those of
-``hyp_terminating`` (the terminating 2F1 and 1F1 branches and the inner
-sums of the c = 1 chain) and the route sums of
+``hyp_terminating`` (the terminating 2F1 and 1F1 branches), the inner
+sums of the c = 1 chain and the route sums of
 :mod:`assocpoly.closedforms`.  Each is an outer sum over k of Cauchy
 sums ``sum_m T_m C_m`` whose C_m obey a first-order recurrence, run in
 binary64 with compensated summation while tracking a condition estimate
@@ -1345,9 +1345,8 @@ def euler_integral(spec):
     ----------
     spec : EulerIntegrand
         The integrand description.  ``Re(gamma) <= 0`` raises
-        :class:`~assocpoly.errors.DomainError`; a factor base b whose
-        zero ``1/b`` of ``1 - b*u`` lies within 1e-8 of (0, 1] (``|Im
-        b|/|b|^2 <= 1e-8`` and ``0 < Re(1/b) <= 1 + 1e-14``) raises
+        :class:`~assocpoly.errors.DomainError`; a factor base b that puts
+        the zero ``1/b`` of ``1 - b*u`` within 1e-8 of (0, 1] raises
         :class:`~assocpoly.errors.SingularIntegrand`.
 
     Returns

@@ -32,8 +32,8 @@ class IdentityReport(Record):
     lhs, rhs : float or complex
         The two independently computed sides.
     rel_discrepancy : float
-        ``|lhs - rhs| / |rhs|``: 0.0 for equal sides, inf for a nonzero
-        difference from ``rhs = 0``.
+        ``|lhs - rhs|`` over a scale, ``|rhs|`` in :func:`make_report`:
+        0.0 for equal sides, inf for a nonzero difference from ``rhs = 0``.
     passed : bool
         ``rel_discrepancy <= rel_tol``.
     rel_tol : float

@@ -434,8 +434,32 @@ def test_ode_row_compares_the_two_sides_on_a_grid():
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("call", [0, 1, 2], ids=["phi1", "d-u", "d-v"])
-def test_ode_row_fails_when_one_phi1_value_is_off(call):
+# Points where the two sides cancel toward 0: at gamma > 0 and small t,
+# a gamma - [...] G is the difference of two terms near a gamma; at gamma
+# = 0 and t = a - x, both sides vanish.  The row reads them against the
+# equation's largest term, so rounding stays far below the tolerance.
+@pytest.mark.parametrize("a, gamma, x, t", [
+    (1.3, 0.5, 0.5, 1e-9),
+    (1.3, 1.5, 0.7 + 0.4j, -1e-7j),
+    (2.0, 0.7, -1.1 + 0.2j, 1e-12),
+    (1.0, 0.0, 0.3, 0.7),
+    (1.3, 0.0, 0.7 + 0.4j, 0.6 - 0.4j),
+])
+def test_ode_row_passes_where_the_sides_cancel(a, gamma, x, t):
+    report = genfuncs._charlier_ode_check(x, CharlierParams(a, gamma), t,
+                                          1e-8)
+    assert report.passed
+    assert report.rel_discrepancy <= 1e-15
+
+
+# A relative 1e-6 error in G's own Phi1 value reads at least 5.7e-7 on
+# the grid.  The two derivative terms enter scaled by t(a-t) gamma/(gamma+1)
+# against a gamma, and Phi1_u by |x+1|/|a| as well, so an error in them
+# reads as little as 8.5e-9 (a = 2, gamma = 1.5, x = -1.1+0.2i, t = 0.2):
+# those cases are checked at 1e-9, still 3e5 times the unperturbed worst.
+@pytest.mark.parametrize("call, rel_tol", [(0, 1e-8), (1, 1e-9), (2, 1e-9)],
+                         ids=["phi1", "d-u", "d-v"])
+def test_ode_row_fails_when_one_phi1_value_is_off(call, rel_tol):
     # One of the three Phi1 values (G's own and its two derivative terms),
     # off by a relative 1e-6, must fail the row at gamma > 0.  At gamma =
     # 0 the derivative terms carry a factor gamma and are not evaluated.
@@ -453,7 +477,7 @@ def test_ode_row_fails_when_one_phi1_value_is_off(call):
         calls = []
         with patch.object(genfuncs, "humbert_phi1", perturbed):
             report = genfuncs._charlier_ode_check(
-                x, CharlierParams(a, gamma), t_frac * a, 1e-8)
+                x, CharlierParams(a, gamma), t_frac * a, rel_tol)
         assert len(calls) == 3
         assert not report.passed, (a, gamma, x, t_frac)
 
