@@ -76,9 +76,12 @@ class LaguerreVariant(enum.Enum):
 # Pochhammer symbol, ``(-n)_k (k-n)_j = (-n)_{k+j}``, and likewise for the
 # others, so with m = k + j the inner sums are one convolution C_m
 # (W. Koepf, Hypergeometric Summation, 2nd ed., Springer 2014), and one
-# degree costs O(n) instead of O(n^2).  The two that do not collapse
-# (Charlier ``transformed``, Laguerre ``rahman``) keep their outer sum,
-# and each inner 3F2(1) is a Cauchy sum with s = 1.
+# degree costs O(n) instead of O(n^2).  Laguerre ``rahman`` collapses
+# too, but its (1-alpha+k)_j continues (1-alpha)_k only after dividing by
+# it, so its C_m convolves d with e_k = x^k / ((alpha+1)_k (1-alpha)_k)
+# rather than with x^k: O(n^2) multiply-adds of three sequences built
+# once.  Charlier ``transformed`` does not collapse: it keeps its outer
+# sum, and each inner 3F2(1) is a Cauchy sum with s = 1.
 
 
 def _meixner_4f3_sum(n, x, beta, c, gamma):
@@ -111,12 +114,9 @@ def _laguerre_sum(n, x, alpha, gamma):
 
 
 def _laguerre_rahman_sum(n, x, alpha, gamma):
-    one = gamma * 0 + 1
     one_alpha = 1 - alpha
-    alpha_n = -alpha - n
-    g1 = gamma + 1
-    return n, [-n], [g1, alpha + 1], x, lambda k: (
-        n - k, [k - n, one_alpha + k, gamma], [alpha_n, g1 + k, 1], one, [0], [])
+    return _cauchy(n, [-n, one_alpha], [gamma + 1], x, [gamma], [-alpha - n],
+                   [], [alpha + 1, one_alpha])
 
 
 def _finite_4f3_sum(n, a, b, t, y):

@@ -590,8 +590,10 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
 
     Left side: ``sum_n (gamma+beta)_n/n!
     3F2(-n, gamma+beta-1, gamma; gamma+beta, gamma+1; 1) t^n`` summed
-    until two consecutive terms fall below ``rel_tol`` times the
-    partial sum; :class:`~assocpoly.errors.NotConverged` is raised if
+    until two consecutive terms fall below ``rel_tol / 10`` times the
+    partial sum, the tail-to-check ratio of gf-check, since the tail of a
+    ratio-t series exceeds its last term by about 1/(1-t);
+    :class:`~assocpoly.errors.NotConverged` is raised if
     that takes more than ``_C1_MAX_TERMS`` (400) terms.  Right side:
     ``(1-t)^{-beta} 2F1(2-beta, gamma; gamma+1; t)``.  A nonpositive
     integer ``gamma + beta`` raises
@@ -614,7 +616,7 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
     resum = _resums(_c1_terms, (gamma + beta - 1.0, gamma, gamma + beta,
                                 gamma + 1.0, 1.0), _C1_MAX_TERMS - 1)
     lhs = _sum_series(
-        gamma + beta, None, None, t, rel_tol, _C1_MAX_TERMS,
+        gamma + beta, None, None, t, rel_tol / 10, _C1_MAX_TERMS,
         "c = 1 reduction series did not converge in {max_terms} terms "
         "at t={z!r}", lambda n: EvalOutcome(resum(n), True, 1, 0.0),
     ).value

@@ -27,19 +27,22 @@ One engine, ``_resum``, sums every terminating series: those of
 ``hyp_terminating`` (the terminating 2F1 and 1F1 branches), the inner
 sums of the c = 1 chain and the route sums of
 :mod:`assocpoly.closedforms`.  Each is an outer sum over k of Cauchy
-sums ``sum_m T_m C_m`` whose C_m obey a first-order recurrence, run in
-binary64 with compensated summation while tracking a condition estimate
-(largest intermediate magnitude over the final sum).  When cancellation
-would destroy more digits than the target accuracy allows and every
-input is finite, real or complex, the same sum is re-evaluated from the
+sums ``sum_m T_m C_m``, where C_m convolves a sequence d with a sequence
+e that the spec names; e defaults to the powers of s, for which C_m
+obeys a first-order recurrence.  They run in binary64 with compensated
+summation while tracking a condition estimate (largest intermediate
+magnitude over the final sum).  When cancellation would destroy more
+digits than the target accuracy allows and every input is finite, real
+or complex, the same sum is re-evaluated from the
 rationals the inputs denote, Gaussian rationals for complex inputs,
 which is possible because every term is rational in the parameters.
 The re-evaluation is certified fixed point (a Ziv loop): the sum runs on
 plain integers (pairs of them for complex values) at scale 2**p beside a
 rigorous integer bound on its error, and is accepted once both ends of
 that interval round to the same double in each component, which is
-then the exact value correctly rounded; otherwise p doubles.  After
-three passes (always for an exact zero component), or once an end of
+then the exact value correctly rounded; otherwise the next pass takes
+the bits its interval asks for, at least 2p.  After three passes
+(always for an exact zero component), or once an end of
 the interval lies beyond the binary64 range, the same loop as the
 binary64 sum runs in exact arithmetic instead.  Either way an escalated
 result is the exact value of the sum at the given inputs, each
@@ -50,6 +53,9 @@ escalating degree sums ``(-n)_m Q_m`` in integers beside its error bound,
 and runs the Ziv loop alone only when that interval does not give one
 double.
 
+Like ``gauss_2f1``'s z/(z-1) step, ``humbert_phi1`` sums its series at
+x/(x-1) when that is smaller than an x beyond 1/2.
+
 Gamma functions are computed here in pure Python: ``math.lgamma`` for
 real arguments and a Stirling series for complex ones, so no evaluation
 loads scipy or numpy.
@@ -59,6 +65,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from .errors import (
     DenominatorPole,
@@ -362,8 +369,11 @@ def _gamma_quotient(numerators, denominators):
 # sum ``inner(k) = (top, t_nums, t_dens, s, d_nums, d_dens)``, worth
 # ``sum_{m<=top} T_m C_m`` with
 #   T_m = prod (t_nums)_m / prod (t_dens)_m,
-#   C_m = s C_{m-1} + d_m,  C_{-1} = 0,
-#   d_m = prod (d_nums)_m / (prod (d_dens)_m m!).
+#   C_m = sum_{k<=m} e_k d_{m-k},
+#   d_m = prod (d_nums)_m / (prod (d_dens)_m m!),
+#   e_k = s^k prod (e_nums)_k / prod (e_dens)_k.
+# ``inner(k)`` may end with ``(e_nums, e_dens)``; without them e_k = s^k,
+# and C_m = s C_{m-1} + d_m costs O(1) a step instead of O(m).
 # A terminating hypergeometric sum at argument z, such as the sum of
 # ``hyp_terminating`` or an inner 3F2(1) of a closedforms double sum, is a
 # lone Cauchy sum (n = 0) with s = z, ``d_nums = [0]`` (so that C_m = z^m)
@@ -401,7 +411,7 @@ def _pole(j):
 # fewer than ~12 significant digits).
 _ESCALATE_COND = 1e4
 # Fixed-point passes before the certified engine falls back to exact
-# arithmetic; each doubles the precision of the one before.
+# arithmetic; each has at least twice the precision of the one before.
 _ZIV_ROUNDS = 3
 # Cap on the condition estimate that sizes the first pass; the estimate
 # is infinite when the binary64 sum is 0.
@@ -512,23 +522,28 @@ def _cauchy(*spec):
     return 0, (), (), 1, lambda k: spec
 
 
-def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens):
+def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens, e_nums=(), e_dens=()):
     """The Cauchy sum ``sum_m T_m C_m``, compensated, with its peak.
 
     Returns ``(value, peak)``; the peak is ``max_m |T_m| Ĉ_m``, where
-    ``Ĉ_m = |s| Ĉ_{m-1} + |d_m|`` bounds C_m and each of its terms.  On
-    ints, Fractions and :class:`_Gaussian` values the same loop is
-    exact.  As in a terminating sum, equal numerator and denominator
-    parameters cancel, a zero numerator factor ends T (or d), and a zero
-    denominator factor raises :class:`~assocpoly.errors.DenominatorPole`
-    at its offset.
+    ``Ĉ_m = sum_k |e_k| |d_{m-k}|`` bounds C_m and each of its terms.
+    With no ``e_nums`` and ``e_dens``, e_k = s^k and C_m steps as ``s
+    C_{m-1} + d_m``; otherwise each C_m is the convolution of the two
+    sequences kept so far.  On ints, Fractions and :class:`_Gaussian`
+    values the same loop is exact.  As in a terminating sum, equal
+    numerator and denominator parameters cancel, a zero numerator factor
+    ends T (or d, or e), and a zero denominator factor raises
+    :class:`~assocpoly.errors.DenominatorPole` at its offset.
     """
     t_nums, t_dens = _cancel(t_nums, t_dens)
     d_nums, d_dens = _cancel(d_nums, d_dens)
+    e_nums, e_dens = _cancel(e_nums, e_dens)
+    convolved = e_nums or e_dens
     one = s * 0 + 1
-    tm = dm = one
+    tm = dm = em = one
     cm = chat = total = comp = peak = 0
     abs_s = abs(s)
+    es, ds, abs_es, abs_ds = [], [], [], []
     for m in range(n + 1):
         if m:
             j = m - 1
@@ -556,8 +571,28 @@ def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens):
                     raise _pole(j)
                 else:
                     dm = dm * num / den
-        cm = s * cm + dm
-        chat = abs_s * chat + abs(dm)
+            if em != 0 and convolved:
+                num, den = s, one
+                for p in e_nums:
+                    num = num * (p + j)
+                for q in e_dens:
+                    den = den * (q + j)
+                if num == 0:
+                    em = num
+                elif den == 0:
+                    raise _pole(j)
+                else:
+                    em = em * num / den
+        if convolved:
+            es.append(em)
+            ds.append(dm)
+            abs_es.append(abs(em))
+            abs_ds.append(abs(dm))
+            cm = sum(map(operator.mul, es, reversed(ds)))
+            chat = sum(map(operator.mul, abs_es, reversed(abs_ds)))
+        else:
+            cm = s * cm + dm
+            chat = abs_s * chat + abs(dm)
         y = tm * cm - comp
         t = total + y
         comp = (t - total) - y
@@ -637,9 +672,15 @@ def _fixed_point_cauchy(re, im, e, *spec):
     coefficient c, each within e; the integers ``(re, im, e)`` returned
     hold ``2**prec * c * S`` alike.  ``spec`` holds the arguments of
     :func:`_cauchy_sum`, as for :func:`_fixed_point_terms`, and the pass
-    adds up the terms that it yields.  Raises what :func:`_cauchy_sum`
+    adds up the terms that it yields, or, when the spec convolves C_m
+    with e, runs :func:`assocpoly.convolution.fixed_point_convolution`
+    (imported on its first call, so that a process that never escalates
+    such a sum does not compile it).  Raises what :func:`_cauchy_sum`
     raises.
     """
+    if len(spec) > 6:
+        from .convolution import fixed_point_convolution
+        return fixed_point_convolution(re, im, e, *spec)
     tr = ti = err = 0
     for wr, wi, ew in _fixed_point_terms(re, im, e, *spec):
         tr += wr
@@ -778,8 +819,9 @@ def _certified_cauchy_sum(spec, prec, gaussian, real):
     e)/2**prec]``; when both ends have the same strict sign and round to
     the same double (int/int division is correctly rounded), that double
     is the exact component rounded.  When ``real``, the imaginary part is
-    exactly 0 and is not certified.  Otherwise the precision doubles, and
-    after ``_ZIV_ROUNDS`` passes, an end beyond the binary64 range or an
+    exactly 0 and is not certified.  Otherwise the next pass takes the
+    bits that :func:`_next_precision` reads from the smaller component,
+    and after ``_ZIV_ROUNDS`` passes, an end beyond the binary64 range or an
     exact zero component, the loop of :func:`_sum` runs exactly instead.
     Returns a complex when ``gaussian``, else a float.
     """
@@ -791,7 +833,7 @@ def _certified_cauchy_sum(spec, prec, gaussian, real):
             break
         if value is not None:
             return complex(value) if gaussian else value
-        prec *= 2
+        prec = _next_precision(prec, re if real else min(re, im, key=abs), e)
     total = _sum(*spec)[0]
     return complex(total) if gaussian else float(total)
 
@@ -807,6 +849,19 @@ def _certified(re, im, e, prec, real):
         imag = _rounded(im, e, prec)
         value = None if imag is None else complex(value, imag)
     return value
+
+
+def _next_precision(prec, t, e):
+    """Bits of the pass after one at ``prec`` whose component t, within e,
+    did not give one double.
+
+    The next pass has about the same error in units of its scale, so it
+    takes the bits by which e exceeds the least magnitude the interval
+    allows (one unit when it straddles 0), plus 56; and never fewer than
+    twice ``prec``.
+    """
+    return max(2 * prec,
+               prec + e.bit_length() - max(abs(t) - e, 1).bit_length() + 56)
 
 
 def _first_precision(total, cond):
@@ -1254,23 +1309,7 @@ def appell_f1(alpha, beta1, beta2, sigma, x, y):
     )
 
 
-def humbert_phi1(alpha1, lam, alpha2, x, y):
-    """Humbert confluent function Phi1(alpha1, lam; alpha2; x, y).
-
-    Evaluated as a single series over powers of ``x`` whose
-    coefficients are confluent 1F1 values in ``y``; requires
-    ``|x| < 1``.
-
-    Returns
-    -------
-    EvalOutcome
-    """
-    if _near_int_in_range(alpha2, -math.inf, 0, _POLE_TOL) is not None:
-        raise PoleArgument(
-            f"Phi1 denominator parameter alpha2={alpha2!r} is a gamma pole"
-        )
-    if abs(x) >= 1.0:
-        raise DomainError(f"Phi1 requires |x| < 1, got x={x!r}")
+def _phi1_series(alpha1, lam, alpha2, x, y):
     direct = 0 < abs(y) < math.inf and _shifts_clear(alpha1, alpha2)
     if direct and _real(y) < 0:
         scale, neg_y = _exp(y), -y
@@ -1287,6 +1326,33 @@ def humbert_phi1(alpha1, lam, alpha2, x, y):
         alpha1, lam, alpha2, x, _REL_TOL, _MAX_TERMS,
         "Phi1 series did not converge in {max_terms} terms", inner,
     )
+
+
+def humbert_phi1(alpha1, lam, alpha2, x, y):
+    """Humbert confluent function Phi1(alpha1, lam; alpha2; x, y).
+
+    Evaluated as a single series over powers of ``x`` whose
+    coefficients are confluent 1F1 values in ``y``; requires
+    ``|x| < 1``.  For ``|x| > 1/2`` with ``|x/(x-1)| < |x|`` the series
+    is summed at the smaller argument, as in ``gauss_2f1``'s z/(z-1)
+    step: ``Phi1(alpha1, lam; alpha2; x, y) = (1-x)^(-lam) e^y
+    Phi1(alpha2-alpha1, lam; alpha2; x/(x-1), -y)``.
+
+    Returns
+    -------
+    EvalOutcome
+    """
+    if _near_int_in_range(alpha2, -math.inf, 0, _POLE_TOL) is not None:
+        raise PoleArgument(
+            f"Phi1 denominator parameter alpha2={alpha2!r} is a gamma pole"
+        )
+    if abs(x) >= 1.0:
+        raise DomainError(f"Phi1 requires |x| < 1, got x={x!r}")
+    xp = x / (x - 1.0)
+    if abs(x) > 0.5 and abs(xp) < abs(x):
+        return _scaled_outcome(_power(1.0 - x, -lam) * _exp(y),
+                               _phi1_series(alpha2 - alpha1, lam, alpha2, xp, -y))
+    return _phi1_series(alpha1, lam, alpha2, x, y)
 
 
 # ---------------------------------------------------------------------------

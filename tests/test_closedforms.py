@@ -50,7 +50,7 @@ from assocpoly import (
     mp_from_meixner,
     pochhammer,
 )
-from assocpoly import closedforms, hyperkernel
+from assocpoly import closedforms, genfuncs, hyperkernel
 
 
 def rel(a, b):
@@ -968,6 +968,22 @@ def test_certified_engine_retries_from_a_small_precision(monkeypatch):
         assert passes == [48, 96]
 
 
+def test_certified_engine_sizes_a_retry_from_the_failed_interval(monkeypatch):
+    # The c = 1 chain's 3F2 at n = 200 reads -2.96e39 in binary64 against
+    # an exact 3.26e-2, so its first pass has 16 bits.  Doubling stopped at
+    # 64 bits and fell back to the exact loop; the retry sized from the
+    # 16-bit interval certifies.
+    inputs = (2.2, 0.7, 3.2, 1.7, 1.0)
+    total, cond = hyperkernel._sum(*genfuncs._c1_terms(200, *inputs))
+    prec = hyperkernel._first_precision(total, cond)
+    exact = [Fraction(v) for v in inputs]
+    want = float(fraction_hyp([-200, *exact[:2]], exact[2:4], exact[4], 200))
+    monkeypatch.setattr(hyperkernel, "_sum", None)
+    value, passes = certified(genfuncs._c1_terms(200, *exact), prec)
+    assert value == want
+    assert passes[0] == 16 and len(passes) == 2
+
+
 def test_classical_routes_escalate():
     # The 1F1 terms of L_60^(-1/2)(3) reach 2e8 times its value, so the
     # unescalated sum was off by 3.3e-7.
@@ -990,7 +1006,8 @@ def test_collapsed_routes_run_one_cauchy_sum(monkeypatch):
         for route, params in ((meixner_4f3, MeixnerParams(1.5, 0.4, 0.3)),
                               (meixner_4f3_alt, MeixnerParams(1.5, 0.4, 0.3)),
                               (charlier_3f2, CharlierParams(2.0, 0.7)),
-                              (laguerre_3f2, LaguerreParams(0.5, 0.7))):
+                              (laguerre_3f2, LaguerreParams(0.5, 0.7)),
+                              (_RAHMAN, LaguerreParams(0.5, 0.7))):
             calls.clear()
             route(x, params, 12)
             assert calls == [12]
@@ -1108,6 +1125,33 @@ def test_double_sums_escalate_complex_x(monkeypatch, route, paper, x, inputs):
     want = fraction_double_sum(*paper(25, GaussQ(x.real, x.imag),
                                       *map(Fraction, inputs)))
     assert [repr(value) for value in escalated] == [repr(want.rounded())]
+
+
+def test_rahman_convolution_certifies_in_one_pass(monkeypatch):
+    # The slowest kernel-warm operations were escalated Rahman sums such as
+    # this one; its convolution pass sizes the scales of its three
+    # sequences itself, so the first precision certifies.
+    x = complex(2.7972288742646905, 0.0093288878495153)
+    alpha, gamma = 0.04649618516698728, 2.0238777036242297
+    engine, fixed = hyperkernel._certified_cauchy_sum, hyperkernel._fixed_point
+    escalated, passes = [], []
+
+    def recorded(*args):
+        escalated.append(engine(*args))
+        return escalated[-1]
+
+    def counted(prec, *args):
+        passes.append(prec)
+        return fixed(prec, *args)
+
+    monkeypatch.setattr(hyperkernel, "_certified_cauchy_sum", recorded)
+    monkeypatch.setattr(hyperkernel, "_fixed_point", counted)
+    value = hyperkernel._resum(closedforms._laguerre_rahman_sum, 25, (x, alpha, gamma))
+    want = fraction_double_sum(*laguerre_rahman_terms(
+        25, GaussQ(x.real, x.imag), Fraction(alpha), Fraction(gamma)))
+    assert [repr(v) for v in escalated] == [repr(want.rounded())]
+    assert value is escalated[0]
+    assert len(passes) == 1
 
 
 # Each route with complex x, its paper double sum, and its parameters

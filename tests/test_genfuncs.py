@@ -411,9 +411,13 @@ def test_ode_residual_rejects_t_whose_stencil_leaves_the_disk(gamma, t,
 @pytest.mark.parametrize("t", [1.2999, -1.2999])
 def test_ode_residual_at_the_disk_edge(t):
     # At gamma = 0 the Phi1 factor is 1 and the residual reads 0.  At
-    # gamma > 0, Phi1 at u = t/a = ±0.99992 does not converge in 10,000
-    # terms.
+    # gamma > 0, Phi1 at u = t/a = 0.99992 does not converge in 10,000
+    # terms; at u = -0.99992 it is summed at u/(u-1) = 0.49998, and the
+    # residual reads 1.6e-15.
     assert gf_charlier_ode_residual(-0.5, CharlierParams(1.3, 0.0), t) == 0.0
+    if t < 0:
+        assert gf_charlier_ode_residual(-0.5, CharlierParams(1.3, 0.5), t) < 1e-14
+        return
     with pytest.raises(NotConverged, match="Phi1 series did not converge"):
         gf_charlier_ode_residual(-0.5, CharlierParams(1.3, 0.5), t)
 
@@ -597,6 +601,29 @@ def test_degenerate_reduction_chain(beta, gamma, t):
     report = c1_reduction_identity(beta, gamma, t)
     assert report.identity_id == "c1-reduction-chain"
     assert report.passed
+
+
+_SLOW_CHAIN = [(0.3, 0.05), (2.5, 0.7), (0.7, 1.4), (1.8, 0.4)]
+
+
+@pytest.mark.parametrize("beta,gamma", _SLOW_CHAIN)
+def test_degenerate_reduction_chain_holds_at_a_slow_ratio(beta, gamma):
+    # At t = 0.8 the tail after the stopping point is about four times the
+    # last term; summed to rel_tol it read 2.6e-9 to 3.2e-9 (FAIL at
+    # 1e-9), summed to rel_tol / 10 it reads 2.7e-10 to 3.2e-10.
+    assert c1_reduction_identity(beta, gamma, 0.8).passed
+
+
+@pytest.mark.parametrize("beta,gamma", _SLOW_CHAIN)
+def test_degenerate_reduction_chain_fails_on_a_perturbed_side(beta, gamma):
+    def perturbed(*args):
+        out = gauss_2f1(*args)
+        return EvalOutcome(out.value * (1 + 1e-8), out.converged,
+                           out.terms_used, out.err_estimate)
+
+    gauss_2f1 = genfuncs.gauss_2f1
+    with patch.object(genfuncs, "gauss_2f1", perturbed):
+        assert not c1_reduction_identity(beta, gamma, 0.8).passed
 
 
 def test_degenerate_reduction_chain_requires_unit_disk():

@@ -28,10 +28,13 @@ and with ``--n-max 200`` (a route's error, raised from the split grid);
 ``mh-study``; ``table``; ``table`` of each route that the degree sweep
 runs as a range form, at a complex x and where it fails at a middle
 degree (a denominator band, or a value beyond binary64 at degree 150 to
-171); ``gf-check`` of every Laguerre form at alpha = gamma = 0.8, where
-the weighted ``diag`` row applies; ``eval`` at each degree-dependent denominator
-band that a closed-form route refuses; ``eval`` with ``--rel-tol``, a
-flag it does not take, and with a flag of another family; ``gf-check``
+171); the Rahman Laguerre route by ``eval`` at complex x (n = 25) and
+real x (n = 60) and by ``table``, and a ``gf-check`` whose Laguerre
+Phi1 form is summed at w/(w-1); ``gf-check`` of every Laguerre form at
+alpha = gamma = 0.8, where the weighted ``diag`` row applies; ``eval``
+at each degree-dependent denominator band that a closed-form route
+refuses; ``eval`` with ``--rel-tol``, a flag it does not take, and with
+a flag of another family; ``gf-check``
 with a ``--rel-tol`` below the default series tail; ``eval``, ``table``
 and ``mh-study`` with ``-inf`` as an x; Meixner and Charlier ``eval`` at
 a lattice point whose exact value at degree 400 lies beyond binary64;
@@ -172,6 +175,18 @@ def invocations():
                       "--x", "0.7+0.4j", "--n-max", "12"])
         argvs.append(["table", "--family", family, *flags, "--rep", rep,
                       *failing])
+    # The Rahman Laguerre sum, an escalating convolution, at complex and
+    # real x and over a table; and a Phi1 closed form summed at w/(w-1).
+    rahman = ["--family", "laguerre", "--rep", "3f2-rahman"]
+    argvs += [["eval", *rahman, "--alpha", "0.04649618516698728", "--gamma",
+               "2.0238777036242297", "--x=2.7972288742646905+0.0093288878495153j",
+               "--n", "25"],
+              ["eval", *rahman, "--alpha", "0.5", "--gamma", "0.7", "--x",
+               "2.5", "--n", "60"],
+              ["table", *rahman, "--alpha", "0.5", "--gamma", "0.7", "--x",
+               "2.5", "--n-max", "40"],
+              ["gf-check", "--family", "laguerre", "--alpha", "0.61",
+               "--gamma", "2.46", "--x", "2.6", "--t", "0.4457"]]
     # Each band of inputs where a closed form's denominator factor vanishes.
     for family, flags in (
         ("meixner", ["--beta", "1.5", "--c", "0.4", "--gamma", "0.5", "--x",
