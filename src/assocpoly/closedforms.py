@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 
 from .errors import DenominatorPole, RestrictedParameter
@@ -196,19 +197,6 @@ def _refuse_denominators(identity, a, b):
             )
 
 
-def _once(f, *args):
-    """A function that returns ``f(*args).value``, calling f only the first
-    time."""
-    cache = []
-
-    def value():
-        if not cache:
-            cache.append(f(*args).value)
-        return cache[0]
-
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Meixner closed forms
 # ---------------------------------------------------------------------------
@@ -320,8 +308,10 @@ def _meixner_quadratic_range(x, params, lo, hi):
         )
     ct = params.c_tilde
     coefs1, coefs2 = _Rising(gamma + beta - 1.0), _Rising(gamma)
-    first = _once(gauss_2f1, x + 1.0, gamma, 2.0 - beta, ct)
-    second = _once(gauss_2f1, x + beta, gamma + beta - 1.0, beta, ct)
+    first = functools.cache(
+        lambda: gauss_2f1(x + 1.0, gamma, 2.0 - beta, ct).value)
+    second = functools.cache(
+        lambda: gauss_2f1(x + beta, gamma + beta - 1.0, beta, ct).value)
     values = []
     for n in range(lo, hi + 1):
         coef1 = coefs1(n + 1)
@@ -385,7 +375,8 @@ def _meixner_cross_2f1_range(x, params, lo, hi):
     def g_part(m):
         return gauss_2f1(gamma + m, 1.0 - beta - x, gamma - x + m, c)
 
-    f_0, g_0 = _once(f_part, 0), _once(g_part, 0)
+    f_0 = functools.cache(lambda: f_part(0).value)
+    g_0 = functools.cache(lambda: g_part(0).value)
     lead, coefs, shapes, tail = (_Rising(gamma - x), _Rising(gamma),
                                  _Rising(gamma + beta - 1.0),
                                  _Rising(gamma - x - 1.0))

@@ -5,7 +5,9 @@ its C_m = sum_k e_k d_{m-k} convolves d with (the Laguerre ``rahman``
 route of :mod:`assocpoly.closedforms` does).  Its binary64 and exact
 sums run in ``hyperkernel._cauchy_sum``; its escalation runs here, in a
 module that ``hyperkernel`` imports on the first such escalation, so
-that a process that never needs it does not compile it.
+that a process that never needs it does not compile it.  Its steps take
+their exact ratios from ``hyperkernel._ratio``, as the other
+fixed-point passes do.
 """
 
 from __future__ import annotations
@@ -13,21 +15,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .hyperkernel import _cancel, _gaussian, _pole, _scaled
-
-
-def _ratio(nums, dens, j):
-    """Gaussian integers ``(ar, ai, br, bi)`` whose quotient ``(ar + i ai) /
-    (br + i bi)`` is ``prod (p + j) / prod (q + j)`` over the triples of
-    ``hyperkernel._gaussian``."""
-    ar, ai, br, bi = 1, 0, 1, 0
-    for u, w, v in nums:
-        u += j * v
-        ar, ai, br, bi = ar * u - ai * w, ar * w + ai * u, br * v, bi * v
-    for u, w, v in dens:
-        u += j * v
-        ar, ai, br, bi = ar * v, ai * v, br * u - bi * w, br * w + bi * u
-    return ar, ai, br, bi
+from .hyperkernel import _cancel, _gaussian, _pole, _ratio, _scaled
 
 
 def fixed_point_convolution(wr, wi, ew, n, t_nums, t_dens, s, d_nums, d_dens,
@@ -64,11 +52,10 @@ def fixed_point_convolution(wr, wi, ew, n, t_nums, t_dens, s, d_nums, d_dens,
             raise _pole(j)
         rats[0].append((ar, ai, br, bi))
         # d_j carries 1/j!, e_k a power of s.
-        for rat, group, (ur, ui, v) in ((rats[1], groups[1], (1, 0, j + 1)),
-                                        (rats[2], groups[2], (sr, si, sv))):
+        for rat, group, start in ((rats[1], groups[1], (1, 0, j + 1)),
+                                  (rats[2], groups[2], (sr, si, sv))):
             if len(rat) == j:  # the sequence has not ended at a zero
-                ar, ai, br, bi = _ratio(*group, j)
-                ar, ai, br, bi = ar * ur - ai * ui, ar * ui + ai * ur, br * v, bi * v
+                ar, ai, br, bi = _ratio(*group, j, *start)
                 if ar or ai:
                     if not (br or bi):
                         raise _pole(j)

@@ -103,8 +103,12 @@ class EvalOutcome(Record):
     terms_used : int
         Number of terms (or quadrature nodes) consumed.
     err_estimate : float
-        Magnitude of the last neglected contribution; 0.0 for exact
-        closed-form branches.
+        An estimate, not a bound: for a series, the larger magnitude of
+        its last two summed terms; for ``euler_integral``, the difference
+        between its last two levels; for the 2F1 connection formula, the
+        sum of its two series' estimates, each scaled by its coefficient.
+        A prefactor scales the estimate with the value.  0.0 for exact
+        closed-form branches and series that ended exactly.
     """
 
     __slots__ = ("value", "converged", "terms_used", "err_estimate")
@@ -195,10 +199,10 @@ def pochhammer(a, k):
     Returns
     -------
     float or complex
-        The exact product; real input gives real output.  If the
-        product overflows binary64 and no factor is zero, the value is
-        recomputed in log space and ``OverflowError`` is raised when it
-        still exceeds the representable range.
+        The product, multiplied left to right; real input gives real
+        output.  ``OverflowError`` is raised as soon as the product is
+        not finite (an inf or NaN, a NaN base included) and no factor
+        has been zero.
     """
     _check_nonneg_int(k, "k")
     return _rising(a, 1.0, 0, k)
@@ -647,6 +651,19 @@ def _gaussian(value):
     return value.numerator, 0, value.denominator
 
 
+def _ratio(nums, dens, j, ar=1, ai=0, br=1, bi=0):
+    """Gaussian integers ``(ar, ai, br, bi)`` whose quotient ``(ar + i ai) /
+    (br + i bi)`` is the start's quotient times ``prod (p + j) / prod (q +
+    j)`` over the triples of :func:`_gaussian`."""
+    for u, w, v in nums:
+        u += j * v
+        ar, ai, br, bi = ar * u - ai * w, ar * w + ai * u, br * v, bi * v
+    for u, w, v in dens:
+        u += j * v
+        ar, ai, br, bi = ar * v, ai * v, br * u - bi * w, br * w + bi * u
+    return ar, ai, br, bi
+
+
 def _scaled(xr, xi, e, ar, ai, br, bi):
     """``x * a / b`` for Gaussian integers, floored in each component.
 
@@ -700,9 +717,10 @@ def _fixed_point_terms(wr, wi, ew, n, t_nums, t_dens, s, d_nums, d_dens):
     integers ``(wr, wi, ew)`` holding ``W_m = 2**prec c T_m C_m`` for m
     = 0, 1, ..., n, up to the first zero factor of T.  W steps as ``W_m =
     s (T_m/T_{m-1}) W_{m-1} + V_m`` with ``V_m = c T_m d_m``: each of W
-    and V takes one exact ratio of Gaussian integers per step, through
-    :func:`_scaled`.  Raises what :func:`_cauchy_sum` raises, once the
-    terms before the pole are yielded.
+    and V takes one exact ratio of Gaussian integers per step, from
+    :func:`_ratio`, through :func:`_scaled`.  Raises what
+    :func:`_cauchy_sum` raises, once the terms before the pole are
+    yielded.
     """
     # Triples in lowest terms are equal exactly when their values are, so
     # they cancel as the values do.
@@ -711,40 +729,19 @@ def _fixed_point_terms(wr, wi, ew, n, t_nums, t_dens, s, d_nums, d_dens):
     t_nums, t_dens = _cancel(t_nums, t_dens)
     d_nums, d_dens = _cancel(d_nums, d_dens)
     sr, si, sv = _gaussian(s)
-    tn = td = dn = dd = 1
-    for _, _, v in t_dens:
-        tn *= v
-    for _, _, v in t_nums:
-        td *= v
-    for _, _, v in d_dens:
-        dn *= v
-    for _, _, v in d_nums:
-        dd *= v
     vr, vi, ev = wr, wi, ew
     live = True
     yield wr, wi, ew
     for j in range(n):
-        ar, ai = tn, 0
-        for u, w, v in t_nums:
-            u += j * v
-            ar, ai = ar * u - ai * w, ar * w + ai * u
+        ar, ai, br, bi = _ratio(t_nums, t_dens, j)
         if not (ar or ai):
             break
-        br, bi = td, 0
-        for u, w, v in t_dens:
-            u += j * v
-            br, bi = br * u - bi * w, br * w + bi * u
         if not (br or bi):
             raise _pole(j)
         if live:
-            cr, ci = ar * dn, ai * dn
-            for u, w, v in d_nums:
-                u += j * v
-                cr, ci = cr * u - ci * w, cr * w + ci * u
-            qr, qi = br * dd * (j + 1), bi * dd * (j + 1)
-            for u, w, v in d_dens:
-                u += j * v
-                qr, qi = qr * u - qi * w, qr * w + qi * u
+            # V's ratio is T's times d_m/d_{m-1}, which carries 1/m.
+            cr, ci, qr, qi = _ratio(d_nums, d_dens, j, ar, ai,
+                                    br * (j + 1), bi * (j + 1))
             if not (cr or ci):
                 live = False
                 vr = vi = ev = 0
@@ -779,22 +776,12 @@ def _fixed_point(prec, n, outer_nums, outer_dens, outer_scale, inner):
     sr, si, sv = _gaussian(outer_scale)
     nums = [_gaussian(w) for w in outer_nums]
     dens = [_gaussian(w) for w in outer_dens]
-    an = bn = 1
-    for _, _, v in dens:
-        an *= v
-    for _, _, v in nums:
-        bn *= v
     cr, ci, ec = 1 << prec, 0, 0
     re, im, err = _fixed_point_cauchy(cr, ci, ec, *inner(0))
     for k in range(n):
-        ar, ai = sr * an, si * an
-        for u, w, v in nums:
-            u += k * v
-            ar, ai = ar * u - ai * w, ar * w + ai * u
-        br, bi = sv * bn, 0
-        for u, w, v in dens:
-            u += k * v
-            br, bi = br * u - bi * w, br * w + bi * u
+        # The scale starts the ratio, so that a zero scale ends the sum
+        # as it ends :func:`_sum`.
+        ar, ai, br, bi = _ratio(nums, dens, k, sr, si, sv)
         if not (br or bi):
             raise ZeroDivisionError(
                 f"outer denominator factor vanishes at step {k}")

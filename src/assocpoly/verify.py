@@ -9,11 +9,12 @@ seeded random points and returns a list of
   cross-product 2F1 forms, the Meixner-Pollaczek connection) plus the
   classical gamma = 0 reductions.  The routes are those of
   ``cli._FAMILIES``, the package's one family/route table; this module
-  holds only the parameter grids and each family's pair order.  The
-  family grid points, the Meixner-Pollaczek rows and the classical
-  reductions run as tasks on every CPU the process may use, one forked
-  worker per extra CPU; the reports, and any error raised, are those of
-  the serial loop.  Each route's degrees come from ``_Family.sweep``.
+  holds only the parameter grids and each family's pair order.  Each
+  family grid point, Meixner-Pollaczek point and classical-reduction
+  point is one task, which sweeps the routes of its pairs; the tasks run
+  on every CPU the process may use, one forked worker per extra CPU, and
+  the reports, and any error raised, are those of the serial loop.  Each
+  route's degrees come from ``_Family.sweep``.
 - ``transformations``: hypergeometric kernel invariants (Pfaff, Euler,
   Kummer, the Appell F1 transformation and reduction, the Humbert Phi1
   confluence limit), the reflection identity, and the degenerate c = 1
@@ -160,6 +161,12 @@ def _map(function, tasks):
     task below it ran.  The map runs serially when k = 1, without
     ``os.fork``, or while another thread is alive, since forking then can
     deadlock.
+
+    The map is written out rather than run by a fork-context
+    ``concurrent.futures.ProcessPoolExecutor``: one that gave the same
+    output made ``verify --set all --seed 1`` slower (median wall 0.656
+    to 0.815 s over 12 alternating fresh runs on 2 CPUs, faster in none)
+    and larger (peak RSS 19.37 to 20.50 MB).
     """
     k = min(_usable_cpus(), len(tasks))
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -205,78 +212,66 @@ def _map(function, tasks):
     return results
 
 
-def _grid_point(name, values, rel_tol, n_max):
-    """The route-pair reports of one family at one grid point."""
+def _pair_reports(name, point, pairs, rel_tol, n_max, skip=()):
+    """The reports of one family's route pairs at one point.
+
+    ``pairs`` lists ``(identity id, lhs route, rhs route)``.  The point
+    gives x and the params, with gamma 0 when it names none.  The routes
+    are swept over 0..n_max, the recurrence first and then in the order
+    that the pairs name them; a route that raises one of ``skip`` is left
+    out with its pairs.  Each pair's report is that of its worst degree.
+    """
     family = _FAMILIES[name]
-    point = dict(zip((*family.flags, "gamma", "x"), values))
-    *args, x = values
-    params = family.params(*args)
+    params = family.params(*(point[flag] for flag in family.flags),
+                           point.get("gamma", 0.0))
+    tags = ["recurrence"] + [tag for _, *pair in pairs for tag in pair]
     routes = {}
-    for tag in ("recurrence", *_PAIRS[name][1]):
+    for tag in dict.fromkeys(tags):
         try:
-            routes[tag] = family.sweep(tag, x, params, n_max)
-        except (DenominatorPole, RestrictedParameter):
+            routes[tag] = family.sweep(tag, point["x"], params, n_max)
+        except skip:
             continue
     return [
-        _worst_pair_report(
-            f"{name}-rep:{tag_a}~{tag_b}", point,
-            zip(range(n_max + 1), routes[tag_a], routes[tag_b]), rel_tol,
-        )
-        for tag_a, tag_b in itertools.combinations(routes, 2)
+        _worst_pair_report(identity_id, point,
+                           zip(range(n_max + 1), routes[lhs], routes[rhs]),
+                           rel_tol)
+        for identity_id, lhs, rhs in pairs if lhs in routes and rhs in routes
     ]
-
-
-def _mp_rows(rel_tol, n_max):
-    """Meixner-Pollaczek: the recurrence against the complex Meixner
-    connection."""
-    reports = []
-    mp = _FAMILIES["meixner-pollaczek"]
-    mp_n_max = min(n_max, 20)
-    for nu, phi, gamma, x in itertools.product(
-        (0.3, 1.0), (0.7, 2.0), (0.0, 0.5, 1.8), (-1.2, 0.0, 2.5)
-    ):
-        params = mp.params(nu, phi, gamma)
-        point = {"nu": nu, "phi": phi, "gamma": gamma, "x": x}
-        recurrence = mp.sweep("recurrence", x, params, mp_n_max)
-        connection = mp.sweep("connection", x, params, mp_n_max)
-        reports.append(_worst_pair_report(
-            "mp-rep:connection~recurrence", point,
-            zip(range(mp_n_max + 1), connection, recurrence), rel_tol,
-        ))
-    return reports
-
-
-def _classical_rows(rel_tol, n_max):
-    """The classical gamma = 0 reductions, at a tighter tolerance."""
-    reports = []
-    red_tol = min(rel_tol, 1e-10)
-    red_n_max = min(n_max, 20)
-    for name, (grids, _tags) in _PAIRS.items():
-        family = _FAMILIES[name]
-        names = (*family.flags, "x")
-        for values in itertools.product(*grids, _XS):
-            *args, x = values
-            params = family.params(*args, 0.0)
-            recurrence = family.sweep("recurrence", x, params, red_n_max)
-            classical = family.sweep("classical", x, params, red_n_max)
-            reports.append(_worst_pair_report(
-                f"{name}-classical-reduction", dict(zip(names, values)),
-                zip(range(red_n_max + 1), classical, recurrence), red_tol,
-            ))
-    return reports
 
 
 def _representation_tasks(rel_tol, n_max):
     """The tasks of :func:`verify_representations`, in report order: each
-    family grid point, then the Meixner-Pollaczek rows and the classical
-    reductions.  A task is a function that returns a list of reports."""
-    # Recurrence against every closed form, and each closed form against
-    # the later ones; a route that is not defined at a point is skipped.
-    grid = [functools.partial(_grid_point, name, values, rel_tol, n_max)
-            for name, (grids, _tags) in _PAIRS.items()
+    family grid point, then each Meixner-Pollaczek point and each
+    classical-reduction point.  A task is a function that returns a list
+    of reports."""
+    grid, classical = [], []
+    for name, (grids, tags) in _PAIRS.items():
+        flags = _FAMILIES[name].flags
+        # Recurrence against every closed form, and each closed form
+        # against the later ones; a route that is not defined at a point
+        # is skipped.
+        pairs = [(f"{name}-rep:{a}~{b}", a, b)
+                 for a, b in itertools.combinations(("recurrence", *tags), 2)]
+        grid += [functools.partial(
+            _pair_reports, name, dict(zip((*flags, "gamma", "x"), values)),
+            pairs, rel_tol, n_max, (DenominatorPole, RestrictedParameter))
             for values in itertools.product(*grids, _GAMMAS, _XS)]
-    return [*grid, functools.partial(_mp_rows, rel_tol, n_max),
-            functools.partial(_classical_rows, rel_tol, n_max)]
+        # The classical gamma = 0 reduction, at a tighter tolerance.
+        classical += [functools.partial(
+            _pair_reports, name, dict(zip((*flags, "x"), values)),
+            [(f"{name}-classical-reduction", "classical", "recurrence")],
+            min(rel_tol, 1e-10), min(n_max, 20))
+            for values in itertools.product(*grids, _XS)]
+    # Meixner-Pollaczek: the recurrence against the complex Meixner
+    # connection.
+    mp = [functools.partial(
+        _pair_reports, "meixner-pollaczek",
+        dict(zip(("nu", "phi", "gamma", "x"), values)),
+        [("mp-rep:connection~recurrence", "connection", "recurrence")],
+        rel_tol, min(n_max, 20))
+        for values in itertools.product(
+            (0.3, 1.0), (0.7, 2.0), (0.0, 0.5, 1.8), (-1.2, 0.0, 2.5))]
+    return [*grid, *mp, *classical]
 
 
 def _run_tasks(tasks):
@@ -289,8 +284,8 @@ def _run_tasks(tasks):
 def verify_representations(rel_tol=1e-8, n_max=25):
     """Pairwise route agreement and classical reductions.
 
-    The family grid points, the Meixner-Pollaczek rows and the classical
-    reductions run as tasks of :func:`_map`, on every CPU the process may
+    Each family grid point, Meixner-Pollaczek point and classical-reduction
+    point runs as one task of :func:`_map`, on every CPU the process may
     use; the reports are those of the serial loop, in order.
 
     Returns

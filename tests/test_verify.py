@@ -148,26 +148,36 @@ _TASKS = list(itertools.product(verify._MEIXNER_BETAS, verify._MEIXNER_CS,
                                 verify._GAMMAS, verify._XS))
 
 
-def _fail_at(monkeypatch, indices):
-    """Make the sweep of Meixner's 4f3 route raise at degree 0 of the grid
-    tasks ``indices``."""
-    ranges = _FAMILIES["meixner"].ranges
-    route = ranges["4f3"]
-    bad = {_TASKS[i] for i in indices}
+def _fail_at(monkeypatch, name, tag, points):
+    """Make the sweep of route ``tag`` of family ``name`` raise at degree 0
+    of each of ``points``, its ``(*flags, gamma, x)`` values."""
+    spec = _FAMILIES[name]
+    table = spec.ranges if tag in spec.ranges else spec.routes
+    route = table[tag]
 
-    def failing(x, params, n_max):
-        if (params.beta, params.c, params.gamma, x) in bad:
+    def failing(x, params, n):
+        flags = (getattr(params, flag) for flag in spec.flags)
+        if (*flags, params.gamma, x) in points:
             raise NotConverged(f"no sum at x={x}, gamma={params.gamma}",
                                outcome=0)
-        return route(x, params, n_max)
+        return route(x, params, n)
 
-    monkeypatch.setitem(ranges, "4f3", failing)
+    monkeypatch.setitem(table, tag, failing)
 
 
-@pytest.mark.parametrize("indices", [(1, 4), (2, 5)],
-                         ids=["child-first", "parent-first"])
-def test_split_grid_raises_the_serial_error(monkeypatch, indices):
-    _fail_at(monkeypatch, indices)
+# The Meixner-Pollaczek points, one task each after the family grids.
+_MP_TASKS = list(itertools.product((0.3, 1.0), (0.7, 2.0), (0.0, 0.5, 1.8),
+                                   (-1.2, 0.0, 2.5)))
+
+
+@pytest.mark.parametrize("name, tag, points", [
+    ("meixner", "4f3", (_TASKS[1], _TASKS[4])),
+    ("meixner", "4f3", (_TASKS[2], _TASKS[5])),
+    ("meixner-pollaczek", "connection", (_MP_TASKS[1], _MP_TASKS[4])),
+    ("meixner-pollaczek", "connection", (_MP_TASKS[6], _MP_TASKS[7])),
+], ids=["child-first", "parent-first", "mp-points", "mp-neighbours"])
+def test_split_grid_raises_the_serial_error(monkeypatch, name, tag, points):
+    _fail_at(monkeypatch, name, tag, points)
     _force_cpus(monkeypatch, 1)
     with pytest.raises(NotConverged) as serial:
         verify_representations(n_max=3)
@@ -176,6 +186,8 @@ def test_split_grid_raises_the_serial_error(monkeypatch, indices):
         verify_representations(n_max=3)
     assert len(forks) == 1
     assert str(split.value) == str(serial.value)
+    *_, gamma, x = points[0]
+    assert str(serial.value) == f"no sum at x={x}, gamma={gamma}"
     assert split.value.outcome == serial.value.outcome == 0
     _assert_no_child_left()
 
