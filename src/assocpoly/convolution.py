@@ -1,13 +1,13 @@
 """The certified fixed-point pass of a Cauchy sum whose C_m is a convolution.
 
 A route sum of :mod:`assocpoly.hyperkernel` may name the sequence e that
-its C_m = sum_k e_k d_{m-k} convolves d with (the Laguerre ``rahman``
-route of :mod:`assocpoly.closedforms` does).  Its binary64 and exact
-sums run in ``hyperkernel._cauchy_sum``; its escalation runs here, in a
-module that ``hyperkernel`` imports on the first such escalation, so
-that a process that never needs it does not compile it.  Its steps take
-their exact ratios from ``hyperkernel._ratio``, as the other
-fixed-point passes do.
+its C_m = sum_k e_k d_{m-k} convolves d with: the Laguerre ``rahman``
+route of :mod:`assocpoly.closedforms` does, and so do F1 and Phi1 (whose
+d_j carries r^j) when they escalate.  The binary64 and exact sums run in
+``hyperkernel._cauchy_sum``; the escalation runs here, in a module that
+``hyperkernel`` imports on the first such escalation, so that a process
+that never needs it does not compile it.  Its steps take their exact
+ratios from ``hyperkernel._ratio``, as the other fixed-point passes do.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .hyperkernel import _cancel, _gaussian, _pole, _ratio, _scaled
 
 
 def fixed_point_convolution(wr, wi, ew, n, t_nums, t_dens, s, d_nums, d_dens,
-                            e_nums, e_dens):
+                            e_nums, e_dens, r=1):
     """The fixed-point pass of ``hyperkernel._fixed_point_cauchy`` when
     ``C_m = sum_k e_k d_{m-k}``.
 
@@ -42,7 +42,7 @@ def fixed_point_convolution(wr, wi, ew, n, t_nums, t_dens, s, d_nums, d_dens,
     """
     groups = [_cancel([_gaussian(w) for w in nums], [_gaussian(w) for w in dens])
               for nums, dens in ((t_nums, t_dens), (d_nums, d_dens), (e_nums, e_dens))]
-    sr, si, sv = _gaussian(s)
+    (sr, si, sv), (rr, ri, rv) = _gaussian(s), _gaussian(r)
     rats = ([], [], [])
     for j in range(n):
         ar, ai, br, bi = _ratio(*groups[0], j)
@@ -51,8 +51,8 @@ def fixed_point_convolution(wr, wi, ew, n, t_nums, t_dens, s, d_nums, d_dens,
         if not (br or bi):
             raise _pole(j)
         rats[0].append((ar, ai, br, bi))
-        # d_j carries 1/j!, e_k a power of s.
-        for rat, group, start in ((rats[1], groups[1], (1, 0, j + 1)),
+        # d_j carries r^j / j!, e_k a power of s.
+        for rat, group, start in ((rats[1], groups[1], (rr, ri, rv * (j + 1))),
                                   (rats[2], groups[2], (sr, si, sv))):
             if len(rat) == j:  # the sequence has not ended at a zero
                 ar, ai, br, bi = _ratio(*group, j, *start)

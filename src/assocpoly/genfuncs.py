@@ -35,7 +35,6 @@ from .errors import (
 from .hyperkernel import (
     Accumulator,
     EulerIntegrand,
-    EvalOutcome,
     _cauchy,
     _check_nonneg_int,
     _exp,
@@ -618,7 +617,7 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
     lhs = _sum_series(
         gamma + beta, None, None, t, rel_tol / 10, _C1_MAX_TERMS,
         "c = 1 reduction series did not converge in {max_terms} terms "
-        "at t={z!r}", lambda n: EvalOutcome(resum(n), True, 1, 0.0),
+        "at t={z!r}", resum,
     ).value
     rhs = _power(1.0 - t, -beta) * gauss_2f1(
         2.0 - beta, gamma, gamma + 1.0, t

@@ -4,57 +4,40 @@ Everything in the library reduces to the primitives collected here:
 rising factorials, gamma-function ratios, terminating hypergeometric
 sums, the Gauss 2F1 with a multi-route evaluation ladder, the confluent
 1F1, the two-variable Appell F1 and Humbert Phi1 series, and a
-tanh-sinh quadrature for Euler-type integrals over (0, 1).
+tanh-sinh quadrature for Euler-type integrals over (0, 1).  All routines
+accept real or complex scalars and keep real inputs real, and every sum
+is compensated (Kahan): the alternating binary64 sums here lose digits
+without it.
 
-All routines accept real or complex scalars and keep real inputs real.
-Series and terminating sums are compensated (Kahan), because the
-alternating binary64 sums here lose digits without it.  One driver,
-``_sum_series``, sums every infinite series (2F1, 1F1, F1, Phi1 and the
-c = 1 reduction chain of :mod:`assocpoly.genfuncs`).  A caller gives it
-the parameters of the coefficient ratio, plus, for F1, Phi1 and the
-chain, the inner value that multiplies each coefficient; it steps
-the coefficients in one loop with no generator and returns the
-:class:`EvalOutcome` that its callers hand on as it is; F1 and Phi1 pick
-their inner 2F1 or 1F1 evaluator once per series.  Its one stopping
-rule ends summation once two consecutive terms are below ``rel_tol``
-times the running partial sum, and it raises
-:class:`~assocpoly.errors.NotConverged` (carrying the partial outcome)
-if ``max_terms`` is hit first.  The kernels take no settings: their series
-read ``_REL_TOL`` and ``_MAX_TERMS`` when they run, beside
-``_ONE_EXCLUSION``, ``_QUAD_TOL`` and ``_QUAD_LEVELS``.
+Two loops sum the infinite series.  ``_sum_series`` sums those of one
+variable (2F1, 1F1 and the c = 1 reduction chain of
+:mod:`assocpoly.genfuncs`), and ``_grouped_series`` sums F1 and Phi1 as
+one series each over the total degree s of x^m y^n, with a condition
+estimate.  Both stop at two consecutive terms below ``_REL_TOL`` times
+the partial sum, and raise :class:`~assocpoly.errors.NotConverged`,
+carrying the partial outcome, after ``_MAX_TERMS``.  The kernels take no
+settings: they read these, ``_ONE_EXCLUSION``, ``_QUAD_TOL`` and
+``_QUAD_LEVELS`` when they run.  ``gauss_2f1`` steps to z/(z-1), and
+``humbert_phi1`` to x/(x-1) where that is smaller than an x beyond 1/2
+or, for Re y < 0, at most 1/2.
 
 One engine, ``_resum``, sums every terminating series: those of
-``hyp_terminating`` (the terminating 2F1 and 1F1 branches), the inner
-sums of the c = 1 chain and the route sums of
-:mod:`assocpoly.closedforms`.  Each is an outer sum over k of Cauchy
-sums ``sum_m T_m C_m``, where C_m convolves a sequence d with a sequence
-e that the spec names; e defaults to the powers of s, for which C_m
-obeys a first-order recurrence.  They run in binary64 with compensated
-summation while tracking a condition estimate (largest intermediate
-magnitude over the final sum).  When cancellation would destroy more
-digits than the target accuracy allows and every input is finite, real
-or complex, the same sum is re-evaluated from the
-rationals the inputs denote, Gaussian rationals for complex inputs,
-which is possible because every term is rational in the parameters.
-The re-evaluation is certified fixed point (a Ziv loop): the sum runs on
-plain integers (pairs of them for complex values) at scale 2**p beside a
-rigorous integer bound on its error, and is accepted once both ends of
-that interval round to the same double in each component, which is
-then the exact value correctly rounded; otherwise the next pass takes
-the bits its interval asks for, at least 2p.  After three passes
-(always for an exact zero component), or once an end of
-the interval lies beyond the binary64 range, the same loop as the
-binary64 sum runs in exact arithmetic instead.  Either way an escalated
-result is the exact value of the sum at the given inputs, each
-component rounded to binary64 once.  Over a range of degrees n of a lone
-Cauchy sum (``_resums``), the escalations share one fixed-point pass of
-the terms ``Q_m = T_m C_m / (-n)_m``, which do not depend on n: each
-escalating degree sums ``(-n)_m Q_m`` in integers beside its error bound,
-and runs the Ziv loop alone only when that interval does not give one
-double.
-
-Like ``gauss_2f1``'s z/(z-1) step, ``humbert_phi1`` sums its series at
-x/(x-1) when that is smaller than an x beyond 1/2.
+``hyp_terminating``, the inner sums of the c = 1 chain and the route
+sums of :mod:`assocpoly.closedforms`.  Each is an outer sum of Cauchy
+sums ``sum_m T_m C_m``, C_m convolving a sequence d with a sequence e
+(by default the powers of s, with which C_m steps in O(1)).  They run in
+binary64 while tracking a condition estimate (largest intermediate
+magnitude over the final sum).  Above ``_ESCALATE_COND``, with finite
+inputs, the sum is re-evaluated from the rationals, or Gaussian
+rationals, that the inputs denote, and so is the truncation of an F1 or
+Phi1 whose estimate is that large: in certified fixed point, on
+integers beside a rigorous bound on their error (a Ziv loop,
+``_certified_cauchy_sum``), accepted once both ends of each component's
+interval round to the same double, with exact arithmetic as its
+fallback.  An escalated result is thus the exact sum at the given
+inputs, each component rounded to binary64 once.  Over a range of
+degrees of a lone Cauchy sum (``_resums``), the escalations share one
+fixed-point pass.
 
 Gamma functions are computed here in pure Python: ``math.lgamma`` for
 real arguments and a Stirling series for complex ones, so no evaluation
@@ -101,14 +84,16 @@ class EvalOutcome(Record):
     converged : bool
         True when the stopping rule was met (or the result is exact).
     terms_used : int
-        Number of terms (or quadrature nodes) consumed.
+        Number of terms (or quadrature nodes) consumed; for F1 and Phi1,
+        the terms of each total degree s of x^m y^n.
     err_estimate : float
         An estimate, not a bound: for a series, the larger magnitude of
-        its last two summed terms; for ``euler_integral``, the difference
-        between its last two levels; for the 2F1 connection formula, the
-        sum of its two series' estimates, each scaled by its coefficient.
-        A prefactor scales the estimate with the value.  0.0 for exact
-        closed-form branches and series that ended exactly.
+        its last two summed terms (for an escalated F1 or Phi1, the two
+        below ``_CERT_TAIL`` times its sum); for ``euler_integral``, the
+        difference between its last two levels; for the 2F1 connection
+        formula, the sum of its two series' estimates, each scaled by its
+        coefficient.  A prefactor scales the estimate with the value.  0.0
+        for exact closed-form branches and series that ended exactly.
     """
 
     __slots__ = ("value", "converged", "terms_used", "err_estimate")
@@ -374,10 +359,11 @@ def _gamma_quotient(numerators, denominators):
 # ``sum_{m<=top} T_m C_m`` with
 #   T_m = prod (t_nums)_m / prod (t_dens)_m,
 #   C_m = sum_{k<=m} e_k d_{m-k},
-#   d_m = prod (d_nums)_m / (prod (d_dens)_m m!),
+#   d_m = r^m prod (d_nums)_m / (prod (d_dens)_m m!),
 #   e_k = s^k prod (e_nums)_k / prod (e_dens)_k.
-# ``inner(k)`` may end with ``(e_nums, e_dens)``; without them e_k = s^k,
-# and C_m = s C_{m-1} + d_m costs O(1) a step instead of O(m).
+# ``inner(k)`` may end with ``(e_nums, e_dens)`` and then r (else 1);
+# without them e_k = s^k, and C_m = s C_{m-1} + d_m costs O(1) a step
+# instead of O(m).
 # A terminating hypergeometric sum at argument z, such as the sum of
 # ``hyp_terminating`` or an inner 3F2(1) of a closedforms double sum, is a
 # lone Cauchy sum (n = 0) with s = z, ``d_nums = [0]`` (so that C_m = z^m)
@@ -526,7 +512,7 @@ def _cauchy(*spec):
     return 0, (), (), 1, lambda k: spec
 
 
-def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens, e_nums=(), e_dens=()):
+def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens, e_nums=(), e_dens=(), r=1):
     """The Cauchy sum ``sum_m T_m C_m``, compensated, with its peak.
 
     Returns ``(value, peak)``; the peak is ``max_m |T_m| Ĉ_m``, where
@@ -545,6 +531,7 @@ def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens, e_nums=(), e_dens=()):
     convolved = e_nums or e_dens
     one = s * 0 + 1
     tm = dm = em = one
+    r = one * r
     cm = chat = total = comp = peak = 0
     abs_s = abs(s)
     es, ds, abs_es, abs_ds = [], [], [], []
@@ -563,7 +550,7 @@ def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens, e_nums=(), e_dens=()):
                 raise _pole(j)
             tm = tm * num / den
             if dm != 0:
-                num = one
+                num = r
                 for p in d_nums:
                     num = num * (p + j)
                 den = one * m
@@ -892,7 +879,8 @@ def _resums(terms, inputs, hi):
     ``(-n)_m`` can magnify the error of a late step.  The first degree
     below hi that escalates runs one pass of :func:`_fixed_point_terms`
     for the ``Q_m`` up to hi, at what it needs plus ``_SHARED_BITS``, and
-    a later degree below hi that needs more runs a new one.  Each
+    a later degree below hi that needs more runs a new one, at twice the
+    bits of the last at least.  Each
     escalating degree then sums ``(-n)_m Q_m`` in integers, beside the
     bound ``sum |(-n)_m| e_m``; when that interval does not give one
     double (or when the pass stopped at a pole before m = n), the degree
@@ -911,8 +899,8 @@ def _resums(terms, inputs, hi):
         real = all(v.imag == 0 for v in inputs)
         need = prec + math.factorial(n).bit_length()
         if n < hi and (shared is None or shared[0] < need):
-            shared = _shared_pass(need + _SHARED_BITS,
-                                  terms(hi, *map(_exact, inputs)))
+            bits = max(need + _SHARED_BITS, 2 * shared[0] if shared else 0)
+            shared = _shared_pass(bits, terms(hi, *map(_exact, inputs)))
         value = None if shared is None else _shared_value(*shared, n, real)
         if value is None:
             return _certified_cauchy_sum(
@@ -1012,31 +1000,23 @@ def _sum_series(a, b, c, z, rel_tol, max_terms, message, inner=None):
 
     The coefficients start at 1 and step as ``coef * (a + m) * (b + m) /
     ((c + m) * (m + 1)) * z``; ``b`` or ``c`` set to ``None`` drops its
-    factor.  Without ``inner`` the terms are the coefficients: the leading
-    1 starts the sum and each term, the 1 included, costs 1.  With ``inner``,
-    term m is ``coef * inner(m).value`` and costs ``inner(m).terms_used``,
-    and the series ends exactly at a zero coefficient.  Summation ends once
-    two consecutive terms are at most ``rel_tol`` times the running sum.
+    factor.  Without ``inner`` the terms are the coefficients, the leading
+    1 starting the sum; with ``inner``, term m is ``coef * inner(m)``.
+    Summation ends once two consecutive terms are at most ``rel_tol``
+    times the running sum.
 
-    Returns the :class:`EvalOutcome`, whose ``terms_used`` sums the costs of
-    the terms taken and ``err_estimate`` is the larger magnitude of the last
-    two terms, or 0.0 for a series that ended exactly.  After ``max_terms``
+    Returns the :class:`EvalOutcome`, whose ``terms_used`` counts the terms
+    taken and ``err_estimate`` is the larger magnitude of the last two
+    terms.  After ``max_terms``
     terms raises :class:`~assocpoly.errors.NotConverged` with the partial
-    outcome (its cost leaves out the leading 1) and
+    outcome (its count leaves out the leading 1) and
     ``message.format(max_terms=max_terms, z=z)``.
     """
-    coef = 1.0
-    comp = 0.0
-    small = 0
-    if inner is None:
-        total, prev_abs, used = 1.0, 1.0, 1
-    else:
-        total, prev_abs, used = 0.0, math.inf, 0
+    coef, comp, small = 1.0, 0.0, 0
+    total, prev_abs, used = (1.0, 1.0, 1) if inner is None else (0.0, math.inf, 0)
     for m in range(max_terms):
         if inner is not None:
-            out = inner(m)
-            term = coef * out.value
-            used += out.terms_used
+            term = coef * inner(m)
         if b is None:
             if c is None:
                 coef = coef * (a + m) / (m + 1) * z
@@ -1046,25 +1026,18 @@ def _sum_series(a, b, c, z, rel_tol, max_terms, message, inner=None):
             coef = coef * (a + m) * (b + m) / ((c + m) * (m + 1)) * z
         if inner is None:
             term = coef
-            used += 1
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         t_abs = abs(term)
-        if t_abs <= rel_tol * abs(total):
-            small += 1
-            if small >= 2:
-                return EvalOutcome(total, True, used, max(t_abs, prev_abs))
-        else:
-            small = 0
+        small = small + 1 if t_abs <= rel_tol * abs(total) else 0
+        if small == 2:
+            return EvalOutcome(total, True, used + m + 1, max(t_abs, prev_abs))
         prev_abs = t_abs
-        if inner is not None and coef == 0:
-            return EvalOutcome(total, True, used, 0.0)
     raise NotConverged(
         message.format(max_terms=max_terms, z=z),
-        outcome=EvalOutcome(total, False,
-                            max_terms if inner is None else used, prev_abs),
+        outcome=EvalOutcome(total, False, max_terms, prev_abs),
     )
 
 
@@ -1239,40 +1212,87 @@ def kummer_1f1(a, b, z):
 # ---------------------------------------------------------------------------
 
 
-# F1 and Phi1 pick their inner evaluator once per series.  For finite w
-# with sum |w| + _MAX_TERMS < 2**20, each w + m (m < _MAX_TERMS) is within
-# 2**-33 of exact, so when each w is 1e-6 clear of the nonpositive
-# integers, and alpha of sigma, so is each w + m, and alpha+m of sigma+m.
-# No term then takes the z = 0, b = c, a = c, terminating or pole branch of
-# gauss_2f1 or kummer_1f1, and for 0 < |y| <= 0.5 the 2F1 ends in its
-# direct series: calling the series a ladder ends in gives its outcome.
-def _shifts_clear(*ws):
-    return (sum(map(abs, ws)) + _MAX_TERMS < 2.0**20
-            and all(_near_int_in_range(w, -math.inf, 0, _NEAR_INT_TOL) is None
-                    for w in ws))
+# An escalating F1 or Phi1 sums on to two terms below this times its sum,
+# which leaves out a tail far below half an ulp.
+_CERT_TAIL = 2.0**-64
 
 
-def _f1_series(alpha, beta1, beta2, sigma, x, y):
-    series = (_series_2f1 if 0 < abs(y) <= 0.5
-              and abs(alpha - sigma) > _NEAR_INT_TOL
-              and _shifts_clear(alpha, sigma, beta2, sigma - beta2)
-              else gauss_2f1)
-    return _sum_series(
-        alpha, beta1, sigma, x, _REL_TOL, _MAX_TERMS,
-        "Appell F1 series did not converge in {max_terms} terms",
-        lambda m: series(alpha + m, beta2, sigma + m, y),
-    )
+def _grouped_sum(a, b1, b2, c, x, y, tol):
+    """``(sum, terms, err, cond)`` of :func:`_grouped_series` in binary64,
+    stopped at two terms below ``tol`` times the sum, or where T or C ends
+    (err 0.0)."""
+    # (s+1) C_{s+1} = ((s + b1) x + (u s + w) y) C_s - (u (s - 1 + b1) + w)
+    # x y C_{s-1} = (s p1 + p0) C_s - (s q1 + q0) C_{s-1}, with u, w = 1, b2
+    # for F1 and 0, 1 for Phi1; Ĉ steps alike at |b1|, |w|, |x|, |y| (h, g).
+    # With x y = 0 the step is first order, so C ends where s p1 + p0 = 0.
+    u, w = (0, 1) if b2 is None else (1, b2)
+    ax, ay, ab, aw = abs(x), abs(y), abs(b1), abs(w)
+    xy, axy = x * y, ax * ay
+    p1, p0, q1, q0 = x + u * y, b1 * x + w * y, u * xy, (u * (b1 - 1) + w) * xy
+    h1, h0, g1, g0 = ax + u * ay, ab * ax + aw * ay, u * axy, (u * (ab - 1) + aw) * axy
+    tm = total = peak = prev = cs = hs = 1.0
+    comp = c_prev = h_prev = small = 0
+    for s in range(_MAX_TERMS):
+        tm = tm * (a + s) / (c + s)
+        c_prev, cs = cs, ((s * p1 + p0) * cs - (s * q1 + q0) * c_prev) / (s + 1)
+        h_prev, hs = hs, ((s * h1 + h0) * hs - (s * g1 + g0) * h_prev) / (s + 1)
+        if tm == 0 or (xy == 0 and s * p1 + p0 == 0):
+            err, used = 0.0, s + 1
+            break
+        term = tm * cs
+        t = term - comp
+        new = total + t
+        comp = (new - total) - t
+        total = new
+        peak = max(peak, abs(tm) * hs)
+        t_abs = abs(term)
+        small = small + 1 if t_abs <= tol * abs(total) else 0
+        if small == 2:
+            err, used = max(t_abs, prev), s + 2
+            break
+        prev = t_abs
+    else:
+        raise NotConverged(f"{'Phi1' if b2 is None else 'Appell F1'} series did "
+                           f"not converge in {_MAX_TERMS} terms",
+                           outcome=EvalOutcome(total, False, _MAX_TERMS, prev))
+    return total, used, err, (peak / abs(total) if total else math.inf)
+
+
+def _grouped_series(a, b1, b2, c, x, y):
+    """F1(a; b1, b2; c; x, y), or Phi1(a, b1; c; x, y) when ``b2`` is None,
+    as ``sum_s T_s C_s`` over s = m + n, with ``T_s = (a)_s / (c)_s``.
+
+    C_s, the coefficient of z^s in ``(1 - xz)^(-b1) (1 - yz)^(-b2)`` (``(1
+    - xz)^(-b1) e^(yz)``), convolves ``e_k = (b1)_k x^k / k!`` with ``d_j =
+    (b2)_j y^j / j!`` (``y^j / j!``) and steps by that function's
+    three-term recurrence, which at |b1|, |b2|, |x|, |y| bounds ``sum_k
+    |e_k| |d_{s-k}|`` by Ĉ_s.  When the condition ``max_s |T_s| Ĉ_s /
+    |sum|`` exceeds ``_ESCALATE_COND`` and the inputs are finite, the sum
+    runs on to ``_CERT_TAIL``, and :func:`_certified_cauchy_sum` sums that
+    truncation as a convolved Cauchy sum; a tail then above ``2**8
+    _CERT_TAIL`` times its value raises IllConditioned.
+    """
+    total, used, err, cond = _grouped_sum(a, b1, b2, c, x, y, _REL_TOL)
+    vals = [v for v in (a, b1, b2, c, x, y) if v is not None]
+    if cond > _ESCALATE_COND and _exactable(*vals):
+        total, used, err, _ = _grouped_sum(a, b1, b2, c, x, y, _CERT_TAIL)
+        a, b1, *b2, c, x, y = map(_exact, vals)
+        total = _certified_cauchy_sum(
+            _cauchy(used - 1, [a], [c], x, b2, [], [b1], [1], y),
+            _first_precision(total, cond),
+            any(isinstance(v, complex) for v in vals), all(v.imag == 0 for v in vals))
+        if err > 2**8 * _CERT_TAIL * abs(total):
+            raise IllConditioned(f"the certified sum {total!r} lies below the "
+                                 "tail its binary64 sum stopped at")
+    return EvalOutcome(total, True, used, err)
 
 
 def appell_f1(alpha, beta1, beta2, sigma, x, y):
     """Appell hypergeometric function F1(alpha; beta1, beta2; sigma; x, y).
 
-    Evaluated as a single series over powers of ``x`` whose
-    coefficients are Gauss 2F1 values in ``y``.  Inside the bidisk
-    ``max(|x|, |y|) < 1`` the series is summed directly; otherwise the
-    (x/(x-1), y/(y-1)) transformation is applied once, and arguments
-    still outside the bidisk raise
-    :class:`~assocpoly.errors.DomainError`.
+    Summed by :func:`_grouped_series` inside the bidisk ``max(|x|, |y|) <
+    1``, else after the (x/(x-1), y/(y-1)) transformation; arguments
+    still outside the bidisk raise :class:`~assocpoly.errors.DomainError`.
 
     Returns
     -------
@@ -1281,48 +1301,27 @@ def appell_f1(alpha, beta1, beta2, sigma, x, y):
     if _near_int_in_range(sigma, -math.inf, 0, _POLE_TOL) is not None:
         raise PoleArgument(f"F1 denominator parameter sigma={sigma!r} is a gamma pole")
     if max(abs(x), abs(y)) < 1.0:
-        return _f1_series(alpha, beta1, beta2, sigma, x, y)
+        return _grouped_series(alpha, beta1, beta2, sigma, x, y)
     if x == 1 or y == 1:
         raise DomainError("F1 transformation is singular at x=1 or y=1")
-    xp = x / (x - 1.0)
-    yp = y / (y - 1.0)
+    xp, yp = x / (x - 1.0), y / (y - 1.0)
     if max(abs(xp), abs(yp)) < 1.0:
-        inner = _f1_series(sigma - alpha, beta1, beta2, sigma, xp, yp)
-        factor = _power(1.0 - x, -beta1) * _power(1.0 - y, -beta2)
-        return _scaled_outcome(factor, inner)
+        return _scaled_outcome(
+            _power(1.0 - x, -beta1) * _power(1.0 - y, -beta2),
+            _grouped_series(sigma - alpha, beta1, beta2, sigma, xp, yp))
     raise DomainError(
         f"F1 arguments (x={x!r}, y={y!r}) lie outside the bidisk even after "
         "the Pfaff-type transformation"
     )
 
 
-def _phi1_series(alpha1, lam, alpha2, x, y):
-    direct = 0 < abs(y) < math.inf and _shifts_clear(alpha1, alpha2)
-    if direct and _real(y) < 0:
-        scale, neg_y = _exp(y), -y
-
-        def inner(m):
-            b = alpha2 + m
-            return _scaled_outcome(scale, _series_1f1(b - (alpha1 + m), b, neg_y))
-    else:
-        series = _series_1f1 if direct else kummer_1f1
-
-        def inner(m):
-            return series(alpha1 + m, alpha2 + m, y)
-    return _sum_series(
-        alpha1, lam, alpha2, x, _REL_TOL, _MAX_TERMS,
-        "Phi1 series did not converge in {max_terms} terms", inner,
-    )
-
-
 def humbert_phi1(alpha1, lam, alpha2, x, y):
-    """Humbert confluent function Phi1(alpha1, lam; alpha2; x, y).
+    """Humbert confluent function Phi1(alpha1, lam; alpha2; x, y), |x| < 1.
 
-    Evaluated as a single series over powers of ``x`` whose
-    coefficients are confluent 1F1 values in ``y``; requires
-    ``|x| < 1``.  For ``|x| > 1/2`` with ``|x/(x-1)| < |x|`` the series
-    is summed at the smaller argument, as in ``gauss_2f1``'s z/(z-1)
-    step: ``Phi1(alpha1, lam; alpha2; x, y) = (1-x)^(-lam) e^y
+    Summed by :func:`_grouped_series`, at ``x/(x-1)`` where that is smaller
+    than an x beyond 1/2, as in ``gauss_2f1``'s z/(z-1) step, or, for
+    ``Re y < 0``, at most 1/2, which turns the cancellation of ``e^y`` into
+    a prefactor: ``Phi1(alpha1, lam; alpha2; x, y) = (1-x)^(-lam) e^y
     Phi1(alpha2-alpha1, lam; alpha2; x/(x-1), -y)``.
 
     Returns
@@ -1336,10 +1335,11 @@ def humbert_phi1(alpha1, lam, alpha2, x, y):
     if abs(x) >= 1.0:
         raise DomainError(f"Phi1 requires |x| < 1, got x={x!r}")
     xp = x / (x - 1.0)
-    if abs(x) > 0.5 and abs(xp) < abs(x):
-        return _scaled_outcome(_power(1.0 - x, -lam) * _exp(y),
-                               _phi1_series(alpha2 - alpha1, lam, alpha2, xp, -y))
-    return _phi1_series(alpha1, lam, alpha2, x, y)
+    if abs(x) > 0.5 and abs(xp) < abs(x) or _real(y) < 0 and abs(xp) <= 0.5:
+        return _scaled_outcome(
+            _power(1.0 - x, -lam) * _exp(y),
+            _grouped_series(alpha2 - alpha1, lam, None, alpha2, xp, -y))
+    return _grouped_series(alpha1, lam, None, alpha2, x, y)
 
 
 # ---------------------------------------------------------------------------

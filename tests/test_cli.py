@@ -890,8 +890,12 @@ def test_gf_check_unreachable_tolerance_exits_failed(capsys):
     assert code == EXIT_VERIFY_FAILED
     # Each failing row is listed, as verify lists its own.
     assert err.splitlines() == [
-        "gf-check --family laguerre: 2 passed, 2 failed (worst "
-        "weighted-gf-laguerre: rel 2.143e-16)",
+        "gf-check --family laguerre: 0 passed, 4 failed (worst "
+        "weighted-gf-laguerre: rel 2.182e-16)",
+        "  FAIL gf-laguerre-phi1 at {'x': 0.5, 't': 0.05, 'gamma': 0.4, "
+        "'alpha': 0.7, 'N': 60}: rel 2.065e-16 > 1.0e-18",
+        "  FAIL weighted-gf-laguerre at {'x': 0.5, 't': 0.05, 'gamma': 0.4, "
+        "'N': 60}: rel 2.182e-16 > 1.0e-18",
         "  FAIL gf-laguerre-phi1 at {'x': 0.5, 't': 0.1, 'gamma': 0.4, "
         "'alpha': 0.7, 'N': 60}: rel 1.915e-16 > 1.0e-18",
         "  FAIL weighted-gf-laguerre at {'x': 0.5, 't': 0.1, 'gamma': 0.4, "

@@ -41,7 +41,7 @@ from assocpoly import (
     laguerre_diag_derivative_check,
     weighted_classical_gf,
 )
-from assocpoly import genfuncs
+from assocpoly import genfuncs, hyperkernel
 from assocpoly.hyperkernel import EvalOutcome, humbert_phi1
 
 
@@ -380,12 +380,12 @@ def test_ode_residual_small_on_grid(a, gamma, x):
     (0.5, 1e-4, "0.0"),
     (0.5, 0.3, "0.0"),
     (0.5, -0.2, "2.7755575615628914e-17"),
-    (0.5, 0.1 + 0.1j, "3.1031676915590914e-17"),
+    (0.5, 0.1 + 0.1j, "3.925231146709438e-17"),
     (-1.1, -1e-4, "5.421010862427522e-20"),
     (-1.1, -0.2, "0.0"),
     (0.7 + 0.4j, 0.0, "0.0"),
     (0.7 + 0.4j, -1e-4, "9.583083854271089e-21"),
-    (0.7 + 0.4j, 0.3, "1.3877787807814457e-17"),
+    (0.7 + 0.4j, 0.3, "0.0"),
     (-1.1 + 0.2j, -1e-4, "5.431588454656214e-20"),
     (-1.1 + 0.2j, -0.2, "5.551115123125783e-17"),
     (-1.1 + 0.2j, -0.2j, "6.206335383118183e-17"),
@@ -648,6 +648,33 @@ def test_degenerate_reduction_chain_raises_when_terms_run_out(t, max_terms):
         c1_reduction_identity(2.5, 0.7, t)
     assert info.value.outcome.terms_used == max_terms
     assert not info.value.outcome.converged
+
+
+def test_reduction_chain_grows_its_shared_pass_geometrically():
+    # At t = 0.97 the escalating degrees need more bits as n grows.  Each
+    # new shared pass takes at least twice the bits of the last, so five
+    # passes (286 to 4,576 bits) serve all 400 terms, where growing by
+    # _SHARED_BITS alone built 21, and 12 degrees, not 81, run the Ziv loop
+    # alone.  The chain still runs out of terms with the same sum.
+    passes, alone = [], []
+    shared_pass = hyperkernel._shared_pass
+    certified = hyperkernel._certified_cauchy_sum
+
+    def spy(prec, spec):
+        passes.append(prec)
+        return shared_pass(prec, spec)
+
+    def spy_alone(*args):
+        alone.append(args)
+        return certified(*args)
+
+    with (patch.object(hyperkernel, "_shared_pass", spy),
+          patch.object(hyperkernel, "_certified_cauchy_sum", spy_alone),
+          pytest.raises(NotConverged) as info):
+        c1_reduction_identity(2.5, 0.7, 0.97)
+    assert passes == [286, 572, 1144, 2288, 4576]
+    assert len(alone) == 12
+    assert info.value.outcome.value == 4772.66038755589
 
 
 def test_laguerre_diag_derivative_link():

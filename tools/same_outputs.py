@@ -30,7 +30,11 @@ runs as a range form, at a complex x and where it fails at a middle
 degree (a denominator band, or a value beyond binary64 at degree 150 to
 171); the Rahman Laguerre route by ``eval`` at complex x (n = 25) and
 real x (n = 60) and by ``table``, and a ``gf-check`` whose Laguerre
-Phi1 form is summed at w/(w-1); ``gf-check`` of every Laguerre form at
+Phi1 form is summed at w/(w-1); ``gf-check`` rows whose F1 or Phi1 takes
+each branch of the grouped series: a Charlier ODE row at Re y < 0 where
+x/(x-1) is not taken, Meixner F1 forms near |y| = 1, Laguerre Phi1 forms
+at complex x with |x| >= 30 (large |y|) and at x = 30i, where the sums
+escalate; ``gf-check`` of every Laguerre form at
 alpha = gamma = 0.8, where the weighted ``diag`` row applies; ``eval``
 at each degree-dependent denominator band that a closed-form route
 refuses; ``eval`` with ``--rel-tol``, a flag it does not take, and with
@@ -187,6 +191,23 @@ def invocations():
                "2.5", "--n-max", "40"],
               ["gf-check", "--family", "laguerre", "--alpha", "0.61",
                "--gamma", "2.46", "--x", "2.6", "--t", "0.4457"]]
+    # F1 and Phi1 on each branch of their grouped series: Phi1 at Re y < 0
+    # where x/(x-1) is not taken (u = t/a = 0.95), F1 near |y| = 1, Phi1
+    # at large |y| (complex x with |x| >= 30), and Phi1 sums that escalate.
+    argvs += [["gf-check", "--family", "charlier", "--a", "1.3", "--gamma",
+               "0.5", "--forms", "ode", "--t", "1.235", "--x", "-0.5"],
+              ["gf-check", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+               "--gamma", "0.7", "--forms", "appell", "alt", "weighted",
+               "--t", "0.9", "--x", "0.5", "2"],
+              ["gf-check", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+               "--gamma", "0.7", "--forms", "appell", "weighted", "--t",
+               "0.95", "--x", "2"],
+              ["gf-check", "--family", "laguerre", "--alpha", "0.8", "--gamma",
+               "0.5", "--forms", "phi1", "weighted", "--t", "0.3", "0.45",
+               "--x", "30+10j", "-40+30j"],
+              ["gf-check", "--family", "laguerre", "--alpha", "0.8", "--gamma",
+               "0.5", "--forms", "phi1", "weighted", "--t", "0.4", "--x",
+               "30j"]]
     # Each band of inputs where a closed form's denominator factor vanishes.
     for family, flags in (
         ("meixner", ["--beta", "1.5", "--c", "0.4", "--gamma", "0.5", "--x",
