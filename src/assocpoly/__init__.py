@@ -26,13 +26,13 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "errors": (
         "AssocPolyError", "ZeroC", "ZeroA", "RestrictedParameter",
-        "DomainError", "ZeroPochhammer", "PoleArgument", "DenominatorPole",
+        "DomainError", "PoleArgument", "DenominatorPole",
         "NotConverged", "IllConditioned", "SingularIntegrand",
         "QuadratureNotConverged", "TailTooLarge",
     ),
     "hyperkernel": (
         "EvalOutcome", "Accumulator", "EulerIntegrand",
-        "pochhammer", "pochhammer_log", "gamma_value", "gamma_ratio",
+        "pochhammer", "gamma_value",
         "hyp_terminating", "gauss_2f1", "kummer_1f1", "appell_f1",
         "humbert_phi1", "euler_integral",
     ),
@@ -40,7 +40,7 @@ _EXPORTS = {
         "MeixnerParams", "CharlierParams", "LaguerreParams",
         "MeixnerPollaczekParams", "PolySequence", "classical",
         "meixner_seq", "charlier_seq", "laguerre_seq",
-        "meixner_pollaczek_seq", "positivity_product", "positivity_check",
+        "meixner_pollaczek_seq",
     ),
     "closedforms": (
         "CharlierVariant", "LaguerreVariant",
@@ -50,7 +50,6 @@ _EXPORTS = {
         "charlier_classical", "laguerre_3f2", "laguerre_classical",
         "mp_from_meixner", "identity_4f3_finite_sum",
         "identity_3f2_pochhammer", "identity_3f2_t_powered",
-        "identity_3f2_m_generalized",
     ),
     "genfuncs": (
         "Normalization", "GFSpec", "gf_lhs_partial", "gf_lhs_auto",
@@ -61,7 +60,7 @@ _EXPORTS = {
         "gf_weighted_meixner_rhs", "gf_weighted_charlier_rhs",
         "gf_weighted_laguerre_rhs", "gf_weighted_laguerre_diag",
         "weighted_classical_gf", "convolution_identity",
-        "c1_reduction_identity", "laguerre_diag_derivative_check",
+        "c1_reduction_identity",
     ),
     "asymptotics": (
         "ScaledSequence", "MHStudy", "scaled_meixner_seq",

@@ -44,7 +44,6 @@ import math
 from .errors import DenominatorPole, RestrictedParameter
 from .hyperkernel import (
     _INT_TOL,
-    Accumulator,
     _cauchy,
     _check_nonneg_int,
     _near_int_in_range,
@@ -128,8 +127,8 @@ def _t_powered_sum(n, a, b, t):
     return _cauchy(n, [-n], [b + 1], t, [a, b], [a + 1])
 
 
-def _m_generalized_sum(n, a, b, m):
-    return _cauchy(n, [-n], [], a * 0, [a, b], [a + m, b + 1])
+def _pochhammer_sum(n, a, b):
+    return _cauchy(n, [-n], [], a * 0, [a, b], [a + 1, b + 1])
 
 
 def _meixner_classical_sum(n, x, beta, c):
@@ -659,7 +658,7 @@ def identity_3f2_pochhammer(n, a, b, rel_tol=1e-10):
     if abs(b - a) < _INT_TOL:
         raise RestrictedParameter("3F2 pochhammer identity requires a != b")
     _refuse_denominators("3F2 pochhammer identity", a, b)
-    lhs = _resum(_m_generalized_sum, n, (a, b, 1))
+    lhs = _resum(_pochhammer_sum, n, (a, b))
     rhs = (
         math.factorial(n)
         / (b - a)
@@ -708,50 +707,3 @@ def identity_3f2_t_powered(n, a, b, t, rel_tol=1e-9):
     )
     point = {"n": n, "a": a, "b": b, "t": t}
     return make_report("3f2-t-powered", point, lhs, rhs, rel_tol)
-
-
-def identity_3f2_m_generalized(n, a, b, m, rel_tol=1e-9):
-    """Check 3F2(-n, a, b; a+m, b+1; 1) against its m-term product form.
-
-    Right side: ``(a)_m / (a-b)_m { n!/(1+b)_n
-    - (b/a) sum_{l=0}^{m-1} (a-b)_l (1+l)_n / [(1+a)_l (1+a+l)_n] }``
-    for integer ``m >= 1``.
-
-    Requires ``a > 0``, ``b`` away from the nonpositive integers, and
-    ``(a-b)_m`` nonzero with ``|a - b| >= 1e-8``.
-
-    Returns
-    -------
-    IdentityReport
-    """
-    _check_nonneg_int(n, "n")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be an integer >= 1")
-    if not a > 0:
-        raise RestrictedParameter(
-            f"m-generalized 3F2 identity requires a > 0, got {a!r}"
-        )
-    if _near_int_in_range(b + 1.0, -(10**9), 0) is not None or abs(b) < _INT_TOL:
-        raise RestrictedParameter(
-            f"m-generalized 3F2 identity requires b away from the nonpositive "
-            f"integers, got b={b!r}"
-        )
-    if abs(b - a) < _INT_TOL or _near_int_in_range(a - b, -(m - 1), 0) is not None:
-        raise RestrictedParameter(
-            f"m-generalized 3F2 identity requires (a-b)_m nonzero, got a-b={a - b!r}"
-        )
-    lhs = _resum(_m_generalized_sum, n, (a, b, m))
-    tail = Accumulator()
-    for l in range(m):
-        tail.add(
-            pochhammer(a - b, l)
-            * pochhammer(1.0 + l, n)
-            / (pochhammer(1.0 + a, l) * pochhammer(1.0 + a + l, n))
-        )
-    rhs = (
-        pochhammer(a, m)
-        / pochhammer(a - b, m)
-        * (math.factorial(n) / pochhammer(1.0 + b, n) - (b / a) * tail.value)
-    )
-    point = {"n": n, "a": a, "b": b, "m": m}
-    return make_report("3f2-m-generalized", point, lhs, rhs, rel_tol)

@@ -105,10 +105,6 @@ class NumericalFailure(AssocPolyError):
     """Base of the errors for a well-posed computation that cannot finish."""
 
 
-class ZeroPochhammer(NumericalFailure):
-    """A rising factorial is exactly zero where a nonzero value is required."""
-
-
 class PoleArgument(NumericalFailure):
     """An argument hit a pole of the gamma function (nonpositive integer)."""
 
@@ -135,7 +131,9 @@ class IllConditioned(NumericalFailure):
     Raised by the Gauss 2F1 connection formula when the parameter
     difference a - b sits within 1e-6 of an integer (gamma-function
     poles make the two-term formula 0/0) and no series route reaches
-    the requested argument.
+    the requested argument, and by an escalated Appell F1 or Humbert Phi1
+    whose certified value lies below the tail at which its binary64
+    sum stopped.
     """
 
 

@@ -626,28 +626,6 @@ def c1_reduction_identity(beta, gamma, t, rel_tol=1e-9):
     return make_report("c1-reduction-chain", point, lhs, rhs, rel_tol)
 
 
-def laguerre_diag_derivative_check(x=1.0, alpha=0.8, t=0.2, rel_tol=1e-9):
-    """Derivative link between the diagonal weighted form and the classical GF.
-
-    With ``W(t) = (1-t)^{-alpha} 1F1(alpha; alpha+1; z)``, ``z = xt/(t-1)``,
-    ``d/dt [t^alpha W(t)] = alpha t^{alpha-1} (1-t)^{-alpha-1} e^z`` is
-    checked with the exact ``d/dz 1F1(alpha; alpha+1; z) = (alpha /
-    (alpha+1)) 1F1(alpha+1; alpha+2; z)`` and ``dz/dt = -x/(t-1)^2``.
-
-    Returns
-    -------
-    IdentityReport
-    """
-    z = x * t / (t - 1.0)
-    d_z = alpha / (alpha + 1.0) * kummer_1f1(alpha + 1.0, alpha + 2.0, z).value
-    deriv = t**alpha * (
-        alpha / (t * (1.0 - t)) * gf_weighted_laguerre_diag(x, alpha, t)
-        - _power(1.0 - t, -alpha) * x / (t - 1.0) ** 2 * d_z)
-    rhs = alpha * t ** (alpha - 1.0) * gf_laguerre_elementary(x, alpha, t)
-    point = {"x": x, "alpha": alpha, "t": t}
-    return make_report("laguerre-diag-derivative", point, deriv, rhs, rel_tol)
-
-
 # ---------------------------------------------------------------------------
 # The forms of ``assocpoly gf-check``
 # ---------------------------------------------------------------------------

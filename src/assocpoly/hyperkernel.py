@@ -1,7 +1,7 @@
 """Scalar hypergeometric kernel.
 
 Everything in the library reduces to the primitives collected here:
-rising factorials, gamma-function ratios, terminating hypergeometric
+rising factorials, gamma-function quotients, terminating hypergeometric
 sums, the Gauss 2F1 with a multi-route evaluation ladder, the confluent
 1F1, the two-variable Appell F1 and Humbert Phi1 series, and a
 tanh-sinh quadrature for Euler-type integrals over (0, 1).  All routines
@@ -33,9 +33,12 @@ rationals, that the inputs denote, and so is the truncation of an F1 or
 Phi1 whose estimate is that large: in certified fixed point, on
 integers beside a rigorous bound on their error (a Ziv loop,
 ``_certified_cauchy_sum``), accepted once both ends of each component's
-interval round to the same double, with exact arithmetic as its
-fallback.  An escalated result is thus the exact sum at the given
-inputs, each component rounded to binary64 once.  Over a range of
+interval round to the same double, an exact zero included.  Exact
+arithmetic remains for what fixed point cannot decide: an exact value
+halfway between two doubles, an end beyond the binary64 range, or an
+interval still too wide after ``_ZIV_ROUNDS`` passes.  An escalated
+result is thus the exact sum at the given inputs, each component
+rounded to binary64 once.  Over a range of
 degrees of a lone Cauchy sum (``_resums``), the escalations share one
 fixed-point pass.
 
@@ -59,7 +62,6 @@ from .errors import (
     QuadratureNotConverged,
     Record,
     SingularIntegrand,
-    ZeroPochhammer,
     _set_field,
 )
 
@@ -224,29 +226,6 @@ class _Rising:
         return self.value
 
 
-def pochhammer_log(a, k):
-    """Log-magnitude and phase of the rising factorial (a)_k.
-
-    Returns
-    -------
-    (float, float or complex)
-        ``(log_magnitude, phase)`` with ``phase`` of unit modulus
-        (for real ``a`` it is +-1.0).  Raises
-        :class:`~assocpoly.errors.ZeroPochhammer` when a factor is zero.
-    """
-    _check_nonneg_int(k, "k")
-    logmag = 0.0
-    phase = 1.0
-    for j in range(k):
-        f = a + j
-        m = abs(f)
-        if m == 0:
-            raise ZeroPochhammer(f"({a!r})_{k} has a zero factor at offset {j}")
-        logmag += math.log(m)
-        phase = phase * (f / m)
-    return logmag, phase
-
-
 # Stirling-series coefficients B_2k / (2k (2k - 1)) for k = 8, ..., 1.
 _STIRLING = (-3617.0 / 122400.0, 1.0 / 156.0, -691.0 / 360360.0,
              1.0 / 1188.0, -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0,
@@ -296,28 +275,6 @@ def gamma_value(w):
     if isinstance(w, complex):
         return cmath.exp(_log_gamma(w)[0])
     return math.gamma(w)
-
-
-def gamma_ratio(z, a, b):
-    """Gamma(z + a) / Gamma(z + b) evaluated in log space.
-
-    Parameters
-    ----------
-    z, a, b : float or complex
-        The ratio arguments; the two gamma arguments are ``z + a`` and
-        ``z + b``.
-
-    Returns
-    -------
-    float or complex
-        The ratio.  Raises :class:`~assocpoly.errors.PoleArgument` when
-        either gamma argument is within 1e-12 of a nonpositive integer.
-    """
-    za, zb = z + a, z + b
-    for w in (za, zb):
-        if _near_int_in_range(w, -math.inf, 0, _POLE_TOL) is not None:
-            raise PoleArgument(f"gamma pole at {w!r}")
-    return _gamma_quotient([za], [zb])
 
 
 def _gamma_quotient(numerators, denominators):
@@ -495,15 +452,21 @@ def _exact(v):
 def _rounded(t, e, prec):
     """The double both ends of ``[(t - e)/2**prec, (t + e)/2**prec]`` round to.
 
-    Returns None when the ends differ in strict sign or round apart
-    (int/int division is correctly rounded), and raises OverflowError
-    when an end lies beyond the binary64 range.
+    An interval that reaches 0 gives 0.0 when both of its ends round to
+    zero, that is when ``|t| + e <= 2**(prec - 1075)``.  An exact zero is
+    thus certified as +0.0, and so is a negative value above -2**-1075,
+    whose correct rounding would be -0.0.  Returns None when the ends
+    round apart (int/int division is correctly rounded), and raises
+    OverflowError when an end of an interval that does not reach 0 lies
+    beyond the binary64 range.
     """
+    scale = 1 << prec
     if t - e > 0 or t + e < 0:
-        scale = 1 << prec
         lo = (t - e) / scale
         if lo == (t + e) / scale:
             return lo
+    elif abs(t) + e <= scale >> 1075:
+        return 0.0
     return None
 
 
@@ -792,12 +755,16 @@ def _certified_cauchy_sum(spec, prec, gaussian, real):
     with each component of the exact value in ``[(t - e)/2**prec, (t +
     e)/2**prec]``; when both ends have the same strict sign and round to
     the same double (int/int division is correctly rounded), that double
-    is the exact component rounded.  When ``real``, the imaginary part is
-    exactly 0 and is not certified.  Otherwise the next pass takes the
-    bits that :func:`_next_precision` reads from the smaller component,
-    and after ``_ZIV_ROUNDS`` passes, an end beyond the binary64 range or an
-    exact zero component, the loop of :func:`_sum` runs exactly instead.
-    Returns a complex when ``gaussian``, else a float.
+    is the exact component rounded, and when both ends of an interval
+    that reaches 0 round to zero, 0.0 is (:func:`_rounded`).  When
+    ``real``, the imaginary part is exactly 0 and is not certified.  A
+    pass that certifies no value sizes the next by
+    :func:`_next_precision`, from the smaller component.  The loop of
+    :func:`_sum` runs exactly instead for what fixed point cannot decide:
+    an exact value halfway between two doubles, an end beyond the
+    binary64 range, or any interval still undecided after
+    ``_ZIV_ROUNDS`` passes.  Returns a complex when ``gaussian``,
+    else a float.
     """
     for _ in range(_ZIV_ROUNDS):
         re, im, e = _fixed_point(prec, *spec)
@@ -831,11 +798,15 @@ def _next_precision(prec, t, e):
 
     The next pass has about the same error in units of its scale, so it
     takes the bits by which e exceeds the least magnitude the interval
-    allows (one unit when it straddles 0), plus 56; and never fewer than
-    twice ``prec``.
+    allows, plus 56.  An interval that reaches 0 may hold an exact zero,
+    which only the zero rule of :func:`_rounded` certifies, so the next
+    pass takes the bits that bring e below 2**-1075 with 5 to spare.
+    Never fewer than twice ``prec``.
     """
+    if abs(t) <= e:
+        return max(2 * prec, 1080 + e.bit_length())
     return max(2 * prec,
-               prec + e.bit_length() - max(abs(t) - e, 1).bit_length() + 56)
+               prec + e.bit_length() - (abs(t) - e).bit_length() + 56)
 
 
 def _first_precision(total, cond):

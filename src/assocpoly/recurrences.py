@@ -30,10 +30,8 @@ class MeixnerParams(Record):
     """Parameters (beta, c, gamma) of the index-shifted Meixner family.
 
     ``c = 0`` raises :class:`~assocpoly.errors.ZeroC` and ``gamma < 0``
-    raises ``ValueError``; everything else is accepted, with
-    :attr:`in_orthogonal_regime` flagging whether the parameters sit in
-    the classical orthogonality range (real ``0 < c``, ``c != 1``,
-    real ``gamma + beta > 0``).
+    raises ``ValueError``; everything else is accepted, inside the
+    classical orthogonality range or not.
     """
 
     __slots__ = ("beta", "c", "gamma")
@@ -51,13 +49,6 @@ class MeixnerParams(Record):
         """The transformed argument (c - 1) / c."""
         return (self.c - 1.0) / self.c
 
-    @property
-    def in_orthogonal_regime(self):
-        c, beta = self.c, self.beta
-        if c.imag != 0 or beta.imag != 0:
-            return False
-        return c.real > 0 and c.real != 1 and self.gamma + beta.real > 0
-
 
 class CharlierParams(Record):
     """Parameters (a, gamma) of the index-shifted Charlier family."""
@@ -71,10 +62,6 @@ class CharlierParams(Record):
         _set_field(self, "a", a)
         _set_field(self, "gamma", gamma)
 
-    @property
-    def in_orthogonal_regime(self):
-        return self.a.imag == 0 and self.a.real > 0
-
 
 class LaguerreParams(Record):
     """Parameters (alpha, gamma) of the index-shifted Laguerre family."""
@@ -86,18 +73,11 @@ class LaguerreParams(Record):
         _set_field(self, "alpha", alpha)
         _set_field(self, "gamma", gamma)
 
-    @property
-    def in_orthogonal_regime(self):
-        return self.alpha.imag == 0 and self.alpha.real > -1
-
 
 class MeixnerPollaczekParams(Record):
     """Parameters (nu, phi, gamma) of the index-shifted Meixner-Pollaczek family.
 
-    ``phi`` must lie strictly inside (0, pi).  The orthogonality flag is
-    the union of the two known sufficient conditions:
-    ``2 nu + gamma > 0`` with ``gamma >= 0``, or
-    ``2 nu + gamma >= 1`` with ``nu > -1``.
+    ``phi`` must lie strictly inside (0, pi).
     """
 
     __slots__ = ("nu", "phi", "gamma")
@@ -109,17 +89,6 @@ class MeixnerPollaczekParams(Record):
         _set_field(self, "nu", nu)
         _set_field(self, "phi", phi)
         _set_field(self, "gamma", gamma)
-
-    @property
-    def in_orthogonal_regime(self):
-        nu = self.nu
-        if nu.imag != 0:
-            return False
-        nu = nu.real
-        two_nu_gamma = 2.0 * nu + self.gamma
-        return (two_nu_gamma > 0 and self.gamma >= 0) or (
-            two_nu_gamma >= 1 and nu > -1
-        )
 
 
 class PolySequence(Record):
@@ -294,40 +263,6 @@ def meixner_pollaczek_seq(x, params, n_max):
         values.append(nxt)
         prev, cur = cur, nxt
     return PolySequence(tuple(values), params, x)
-
-
-def positivity_product(params, n):
-    """The product A(s-1) B(s-1) B(s) D(s) at s = n + gamma.
-
-    Writing the recurrence in the factored form
-    ``A(s) P_{n+1} = [B(s) x + C(s)] P_n - D(s) P_{n-1}``, orthogonality
-    with positive weight at degree ``n >= 1`` requires this product to
-    be positive.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be an integer >= 1")
-    if not isinstance(params, (MeixnerParams, CharlierParams, LaguerreParams,
-                               MeixnerPollaczekParams)):
-        raise TypeError(f"unsupported parameter type {type(params)!r}")
-    s = n + params.gamma
-    if isinstance(params, MeixnerParams):
-        c = params.c
-        return c * (c - 1.0) ** 2 * s * (s + params.beta - 1.0)
-    if isinstance(params, CharlierParams):
-        return params.a * s
-    if isinstance(params, LaguerreParams):
-        return s * (s + params.alpha)
-    return 4.0 * math.sin(params.phi) ** 2 * s * (s + 2.0 * params.nu - 1.0)
-
-
-def positivity_check(params, n):
-    """True when the recurrence positivity product at degree n is real and positive."""
-    prod = positivity_product(params, n)
-    if isinstance(prod, complex):
-        if prod.imag != 0:
-            return False
-        prod = prod.real
-    return prod > 0
 
 
 def classical(params):

@@ -30,7 +30,6 @@ from assocpoly import (
     charlier_seq,
     gauss_2f1,
     hyp_terminating,
-    identity_3f2_m_generalized,
     identity_3f2_pochhammer,
     identity_3f2_t_powered,
     identity_4f3_finite_sum,
@@ -394,21 +393,6 @@ def test_finite_4f3_identity_pinned():
     assert report.rel_discrepancy < 1e-12
 
 
-def test_m_generalized_identity_pinned():
-    report = identity_3f2_m_generalized(5, 1.3, 0.7, 2)
-    assert report.identity_id == "3f2-m-generalized"
-    assert report.passed
-    assert report.rel_discrepancy < 1e-12
-
-
-def test_m_generalized_reduces_to_pochhammer_at_m_one():
-    a, b, n = 1.3, 0.7, 6
-    general = identity_3f2_m_generalized(n, a, b, 1)
-    plain = identity_3f2_pochhammer(n, a, b)
-    assert rel(general.lhs, plain.lhs) < 1e-13
-    assert rel(general.rhs, plain.rhs) < 1e-12
-
-
 @given(
     n=st.integers(1, 20),
     a=st.floats(0.1, 4.0),
@@ -444,19 +428,6 @@ def test_pochhammer_identity_rejects_bad_parameters():
 def test_t_powered_identity_rejects_bad_parameters():
     with pytest.raises(RestrictedParameter):
         identity_3f2_t_powered(4, 2.5, 0.5, 0.2)  # b - a + 1 = -1
-
-
-def test_m_generalized_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        identity_3f2_m_generalized(4, 1.3, 0.7, 0)
-    with pytest.raises(ValueError):
-        identity_3f2_m_generalized(4, 1.3, 0.7, 1.5)
-    with pytest.raises(RestrictedParameter):
-        identity_3f2_m_generalized(4, -1.0, 0.7, 2)  # a <= 0
-    with pytest.raises(RestrictedParameter):
-        identity_3f2_m_generalized(4, 1.3, -2.0, 2)  # b nonpositive integer
-    with pytest.raises(RestrictedParameter):
-        identity_3f2_m_generalized(4, 1.0, 2.0, 2)  # (a-b)_m vanishes
 
 
 def test_identity_checkers_reject_negative_degree():
@@ -680,11 +651,12 @@ EXACT_SUMS = {
     "laguerre-3f2": (closedforms._laguerre_sum, laguerre_terms, 3),
     "laguerre-3f2-rahman": (closedforms._laguerre_rahman_sum,
                             laguerre_rahman_terms, 3),
-    "3f2-pochhammer": (
-        lambda n, a, b: closedforms._m_generalized_sum(n, a, b, 1),
-        pochhammer_terms, 2),
+    "3f2-pochhammer": (closedforms._pochhammer_sum, pochhammer_terms, 2),
+    # 3F2(-n, a, b; a+3, b+1; 1): the same Cauchy sum with a + 3 in the
+    # place of a + 1, which no route sums.
     "3f2-m-generalized": (
-        lambda n, a, b: closedforms._m_generalized_sum(n, a, b, 3),
+        lambda n, a, b: closedforms._cauchy(n, [-n], [], a * 0, [a, b],
+                                            [a + 3, b + 1]),
         lambda n, a, b: m_generalized_terms(n, a, b, 3), 2),
     "finite-sum-4f3": (closedforms._finite_4f3_sum, finite_4f3_terms, 4),
     "3f2-t-powered": (closedforms._t_powered_sum, t_powered_terms, 3),
@@ -798,13 +770,14 @@ def test_exact_engine_cancellation_and_termination(nums, dens, expected):
         value, _ = hyperkernel._sum(*binary64)
         assert value == float(want)
         # The certified engine: an exact zero straddles 0 at every
-        # precision, so it runs every pass and the exact engine decides
-        # (a positive zero).
+        # precision, so the first pass sizes a second one, of more than
+        # 1075 bits, at which both ends of its interval round to zero and
+        # the zero rule certifies it (a positive zero).
         value, passes = certified(route, 64)
         assert repr(value) == repr(float(want))
-        assert len(passes) == (hyperkernel._ZIV_ROUNDS if want == 0 else 1)
-        # From 2**1200 on, both ends of a zero's interval round to zeros of
-        # opposite sign, which compare equal: only the sign check refuses.
+        assert len(passes) == (2 if want == 0 else 1)
+        # From 2**1200 on, both ends of a zero's interval round to zero at
+        # the first pass.
         value, _ = certified(route, 1200)
         assert repr(value) == repr(float(want))
 
@@ -825,8 +798,8 @@ def test_exact_engine_raises_denominator_pole_at_same_offset():
     # a + 1 = -1 is a denominator parameter: it vanishes at offset 1.
     a, b = Fraction(-2), Fraction(7, 4)
     spec = pochhammer_terms(6, a, b)
-    cauchy = closedforms._m_generalized_sum(6, a, b, 1)
-    binary64 = closedforms._m_generalized_sum(6, float(a), float(b), 1)
+    cauchy = closedforms._pochhammer_sum(6, a, b)
+    binary64 = closedforms._pochhammer_sum(6, float(a), float(b))
     for evaluate in (lambda: fraction_double_sum(*spec),
                      lambda: exact_sum(as_route(spec)),
                      lambda: certified(as_route(spec), 64),
@@ -1053,25 +1026,25 @@ def test_gaussian_engine_bounds_steep_growth(steep):
         assert repr(value) == repr(want.rounded()), prec
 
 
-def test_gaussian_engine_falls_back_on_an_exact_zero_component():
+def test_gaussian_engine_certifies_an_exact_zero_component():
     # 1 - (t + ab/(a+1))/(b+1) at n = 1, a = b = 1 and t = 3/2 + i/7 is
-    # -i/14: its real part straddles 0 at every precision, so every pass
-    # runs and the exact loop decides.
+    # -i/14: its real part straddles 0 at every precision, so the first
+    # pass sizes a second at which both ends round to zero.
     t, t_ref = gaussian(Fraction(3, 2), Fraction(1, 7))
     want = fraction_double_sum(*t_powered_terms(1, 1, 1, t_ref))
     assert want == GaussQ(0, Fraction(-1, 14))
     spec = closedforms._t_powered_sum(1, Fraction(1), Fraction(1), t)
     value, passes = certified(spec, 64, gaussian=True)
     assert repr(value) == repr(want.rounded())
-    assert len(passes) == hyperkernel._ZIV_ROUNDS
+    assert passes == [64, 1082]
 
 
 def test_gaussian_engine_raises_denominator_pole_at_same_offset():
     # a + 1 = -1 + 0i vanishes at offset 1, beside a complex b.
     a, a_ref = gaussian(-2, 0)
     b, b_ref = gaussian(Fraction(7, 4), Fraction(1, 3))
-    spec = closedforms._m_generalized_sum(6, a, b, 1)
-    binary64 = closedforms._m_generalized_sum(6, -2 + 0j, 1.75 + 1j / 3, 1)
+    spec = closedforms._pochhammer_sum(6, a, b)
+    binary64 = closedforms._pochhammer_sum(6, -2 + 0j, 1.75 + 1j / 3)
     for evaluate in (lambda: fraction_double_sum(*pochhammer_terms(6, a_ref, b_ref)),
                      lambda: exact_sum(spec),
                      lambda: hyperkernel._certified_cauchy_sum(spec, 64,

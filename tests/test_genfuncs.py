@@ -38,7 +38,7 @@ from assocpoly import (
     gf_meixner_elementary,
     gf_meixner_integral,
     gf_weighted_laguerre_diag,
-    laguerre_diag_derivative_check,
+    kummer_1f1,
     weighted_classical_gf,
 )
 from assocpoly import genfuncs, hyperkernel
@@ -677,20 +677,34 @@ def test_reduction_chain_grows_its_shared_pass_geometrically():
     assert info.value.outcome.value == 4772.66038755589
 
 
+def _diag_derivative_discrepancy(x, alpha, t):
+    """The derivative link between the diagonal weighted form and the
+    classical GF, as a relative discrepancy.
+
+    With ``W(t) = (1-t)^{-alpha} 1F1(alpha; alpha+1; z)``, ``z = xt/(t-1)``,
+    ``d/dt [t^alpha W(t)] = alpha t^{alpha-1} (1-t)^{-alpha-1} e^z``, with
+    the exact ``d/dz 1F1(alpha; alpha+1; z) = (alpha / (alpha+1))
+    1F1(alpha+1; alpha+2; z)`` and ``dz/dt = -x/(t-1)^2``.
+    """
+    z = x * t / (t - 1.0)
+    d_z = alpha / (alpha + 1.0) * kummer_1f1(alpha + 1.0, alpha + 2.0, z).value
+    deriv = t**alpha * (
+        alpha / (t * (1.0 - t)) * gf_weighted_laguerre_diag(x, alpha, t)
+        - hyperkernel._power(1.0 - t, -alpha) * x / (t - 1.0) ** 2 * d_z)
+    rhs = alpha * t ** (alpha - 1.0) * gf_laguerre_elementary(x, alpha, t)
+    return abs(deriv - rhs) / abs(rhs)
+
+
 def test_laguerre_diag_derivative_link():
-    report = laguerre_diag_derivative_check()
-    assert report.passed
-    assert report.rel_tol == 1e-9
-    assert report.point == {"x": 1.0, "alpha": 0.8, "t": 0.2}
-    assert report.rel_discrepancy < 1e-14
+    assert _diag_derivative_discrepancy(1.0, 0.8, 0.2) < 1e-14
 
 
 @pytest.mark.parametrize("x", [1.0, -0.5, 2.5, 0.3 + 0.7j])
 @pytest.mark.parametrize("alpha", [0.3, 1.7])
 def test_laguerre_diag_derivative_link_on_a_grid(x, alpha):
     for t in (0.2, 0.5, -0.4, 0.1 + 0.2j):
-        report = laguerre_diag_derivative_check(x, alpha, t)
-        assert report.rel_discrepancy < 1e-14, (t, report.rel_discrepancy)
+        discrepancy = _diag_derivative_discrepancy(x, alpha, t)
+        assert discrepancy < 1e-14, (t, discrepancy)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -33,24 +34,26 @@ from assocpoly import (
     PoleArgument,
     QuadratureNotConverged,
     SingularIntegrand,
-    ZeroPochhammer,
     appell_f1,
     c1_reduction_identity,
     euler_integral,
-    gamma_ratio,
     gamma_value,
     gauss_2f1,
     humbert_phi1,
     hyp_terminating,
     kummer_1f1,
     pochhammer,
-    pochhammer_log,
 )
 from assocpoly import genfuncs, hyperkernel
 
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def gamma_ratio(z, a, b):
+    """Gamma(z + a) / Gamma(z + b) by the kernel's gamma quotient."""
+    return hyperkernel._gamma_quotient([z + a], [z + b])
 
 
 def _capped(kernel, max_terms):
@@ -77,31 +80,6 @@ def test_pochhammer_rising_factorial():
 
 def test_pochhammer_hits_zero():
     assert pochhammer(-3.0, 5) == 0.0
-
-
-def test_pochhammer_log_small_case():
-    mag, phase = pochhammer_log(2.0, 3)
-    assert rel(mag, math.log(24.0)) < 1e-14
-    assert phase == 1.0
-
-
-def test_pochhammer_log_zero_raises():
-    with pytest.raises(ZeroPochhammer):
-        pochhammer_log(-3.0, 5)
-
-
-def test_pochhammer_log_large_matches_loggamma():
-    # magnitude of (1.5)_100 equals lgamma(101.5) - lgamma(1.5)
-    mag, phase = pochhammer_log(1.5, 100)
-    assert rel(mag, 366.16648043291199722) < 1e-12
-    assert phase == 1.0
-
-
-def test_pochhammer_log_negative_base_phase():
-    mag, phase = pochhammer_log(-2.5, 3)
-    # (-2.5)(-1.5)(-0.5) = -1.875
-    assert phase == -1.0
-    assert rel(math.exp(mag), 1.875) < 1e-13
 
 
 def test_gamma_value_pole():
@@ -166,14 +144,6 @@ def test_pochhammer_addition_law(a, m, n):
     lhs = pochhammer(a, m + n)
     rhs = pochhammer(a, m) * pochhammer(a + m, n)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
-
-
-@given(a=st.floats(0.1, 6.0), k=st.integers(0, 40))
-def test_pochhammer_log_consistent_with_product(a, k):
-    mag, phase = pochhammer_log(a, k)
-    direct = pochhammer(a, k)
-    assert phase == 1.0
-    assert rel(math.exp(mag), direct) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +616,27 @@ def test_grouped_series_escalates_exactly_above_the_bound():
               _escalations() as calls):
             hyperkernel._grouped_series(*args)
         assert len(calls) == escalates
+
+
+def test_grouped_series_certifies_an_exact_zero_component_in_fixed_point():
+    # F1 with b1 = b2 and y = conj(x) is real, so the imaginary part of the
+    # escalated truncation is an exact zero.  The zero rule certifies it in
+    # fixed point; the exact loop of _sum, which took about a minute here,
+    # never runs.
+    args = (2.5, -3.7, -3.7, 0.6, 0.85 + 0.1j, 0.85 - 0.1j)
+    exact_loops = []
+    exact_sum = hyperkernel._sum
+
+    def spy(*spec):
+        exact_loops.append(spec)
+        return exact_sum(*spec)
+
+    start = time.perf_counter()
+    with patch.object(hyperkernel, "_sum", spy), _escalations() as calls:
+        value = appell_f1(*args).value
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) == 1 and exact_loops == []
+    assert repr(value) == "(0.007732112520010318+0j)"
 
 
 def _draw(rng):

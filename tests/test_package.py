@@ -8,24 +8,23 @@ import pytest
 
 import assocpoly
 
-# The public names of the package, in the order of its 1.0 ``__all__``.
+# The public names of the package, in the order of its 1.0 ``__all__``,
+# less the seven that only their own tests ran.
 PUBLIC_NAMES = [
     "__version__",
     # errors
     "AssocPolyError", "ZeroC", "ZeroA", "RestrictedParameter", "DomainError",
-    "ZeroPochhammer", "PoleArgument", "DenominatorPole", "NotConverged",
-    "IllConditioned", "SingularIntegrand", "QuadratureNotConverged",
-    "TailTooLarge",
+    "PoleArgument", "DenominatorPole", "NotConverged", "IllConditioned",
+    "SingularIntegrand", "QuadratureNotConverged", "TailTooLarge",
     # hyperkernel
     "EvalOutcome", "Accumulator", "EulerIntegrand",
-    "pochhammer", "pochhammer_log", "gamma_value", "gamma_ratio",
+    "pochhammer", "gamma_value",
     "hyp_terminating", "gauss_2f1", "kummer_1f1", "appell_f1",
     "humbert_phi1", "euler_integral",
     # recurrences
     "MeixnerParams", "CharlierParams", "LaguerreParams",
     "MeixnerPollaczekParams", "PolySequence", "classical",
     "meixner_seq", "charlier_seq", "laguerre_seq", "meixner_pollaczek_seq",
-    "positivity_product", "positivity_check",
     # closed forms
     "CharlierVariant", "LaguerreVariant",
     "meixner_4f3", "meixner_4f3_alt", "meixner_quadratic",
@@ -33,7 +32,7 @@ PUBLIC_NAMES = [
     "meixner_classical", "charlier_3f2", "charlier_classical",
     "laguerre_3f2", "laguerre_classical", "mp_from_meixner",
     "identity_4f3_finite_sum", "identity_3f2_pochhammer",
-    "identity_3f2_t_powered", "identity_3f2_m_generalized",
+    "identity_3f2_t_powered",
     # generating functions
     "Normalization", "GFSpec", "gf_lhs_partial", "gf_lhs_auto",
     "gf_meixner_appell", "gf_meixner_classical_2f1", "gf_meixner_alt",
@@ -43,7 +42,7 @@ PUBLIC_NAMES = [
     "gf_weighted_meixner_rhs", "gf_weighted_charlier_rhs",
     "gf_weighted_laguerre_rhs", "gf_weighted_laguerre_diag",
     "weighted_classical_gf", "convolution_identity",
-    "c1_reduction_identity", "laguerre_diag_derivative_check",
+    "c1_reduction_identity",
     # asymptotics
     "ScaledSequence", "MHStudy", "scaled_meixner_seq", "scaled_charlier_seq",
     "mh_meixner_limit", "mh_charlier_limit", "mh_convergence_study",
@@ -53,7 +52,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_lists_the_public_names_once():
-    assert len(PUBLIC_NAMES) == 92
+    assert len(PUBLIC_NAMES) == 85
     assert len(set(assocpoly.__all__)) == len(assocpoly.__all__)
     assert sorted(assocpoly.__all__) == sorted(PUBLIC_NAMES)
 

@@ -25,8 +25,6 @@ from assocpoly import (
     meixner_pollaczek_seq,
     meixner_seq,
     pochhammer,
-    positivity_check,
-    positivity_product,
 )
 
 
@@ -66,29 +64,6 @@ def test_mp_angle_range():
 def test_meixner_c_tilde():
     p = MeixnerParams(1.5, 0.4, 0.7)
     assert rel(p.c_tilde, (0.4 - 1.0) / 0.4) < 1e-15
-
-
-def test_orthogonal_regime_flag():
-    assert MeixnerParams(1.5, 0.4, 0.7).in_orthogonal_regime
-    assert not MeixnerParams(1.5, 1.0, 0.7).in_orthogonal_regime
-    assert not MeixnerParams(1.5, -0.4, 0.0).in_orthogonal_regime
-    assert not MeixnerParams(1.5, 0.4 + 0.1j, 0.7).in_orthogonal_regime
-    assert MeixnerParams(1.5, 0.4 + 0j, 0.7).in_orthogonal_regime
-    assert not CharlierParams(-1.0, 0.5).in_orthogonal_regime
-    assert not CharlierParams(2 + 1j, 0.5).in_orthogonal_regime
-    assert not LaguerreParams(-1.5, 0.3).in_orthogonal_regime
-    assert not MeixnerPollaczekParams(-0.7, 1.0, 0.5).in_orthogonal_regime
-    assert MeixnerPollaczekParams(-0.2, 1.0, 1.5).in_orthogonal_regime
-
-
-def test_orthogonal_regime_flag_is_false_for_non_real_parameters():
-    # Each used to raise TypeError from an order comparison of a complex.
-    assert not MeixnerParams(1.5 + 0.1j, 0.4, 0.7).in_orthogonal_regime
-    assert not LaguerreParams(0.5 + 1j, 0.3).in_orthogonal_regime
-    assert not MeixnerPollaczekParams(0.7 + 0.2j, 1.0, 0.5).in_orthogonal_regime
-    assert MeixnerParams(1.5 + 0j, 0.4, 0.7).in_orthogonal_regime
-    assert LaguerreParams(0.5 + 0j, 0.3).in_orthogonal_regime
-    assert MeixnerPollaczekParams(0.7 + 0j, 1.0, 0.5).in_orthogonal_regime
 
 
 def test_classical_helper_zeroes_gamma():
@@ -170,43 +145,6 @@ def test_charlier_classical_small_table():
     c1 = (a - x) / a
     c2 = ((1.0 + a - x) * c1 - 1.0) / a
     assert rel(seq[2], c2) < 1e-15
-
-
-# ---------------------------------------------------------------------------
-# Positivity products
-# ---------------------------------------------------------------------------
-
-
-def test_positivity_products():
-    s = 2.0 + 0.7  # n + gamma
-    p = MeixnerParams(1.5, 0.4, 0.7)
-    assert rel(positivity_product(p, 2),
-               0.4 * 0.6 ** 2 * s * (s + 0.5)) < 1e-13
-    pc = CharlierParams(2.0, 0.7)
-    assert rel(positivity_product(pc, 2), 2.0 * s) < 1e-14
-    pl = LaguerreParams(0.5, 0.7)
-    assert rel(positivity_product(pl, 2), s * (s + 0.5)) < 1e-14
-    pm = MeixnerPollaczekParams(0.3, 0.7, 0.7)
-    assert rel(positivity_product(pm, 2),
-               4.0 * math.sin(0.7) ** 2 * s * (s - 0.4)) < 1e-13
-
-
-def test_positivity_check_regimes():
-    assert positivity_check(MeixnerParams(1.5, 0.4, 0.7), 5)
-    assert positivity_check(CharlierParams(2.0, 0.0), 5)
-    # negative a breaks positivity at some degree
-    assert not positivity_check(CharlierParams(-2.0, 0.5), 5)
-    # MP product s(s + 2 nu - 1) goes negative at small degrees when
-    # 2 nu + gamma < 1
-    assert positivity_check(MeixnerPollaczekParams(0.3, 0.7, 0.0), 5)
-    assert not positivity_check(MeixnerPollaczekParams(-0.6, 0.7, 0.0), 1)
-    # a complex product is never positive
-    assert not positivity_check(MeixnerParams(1.5, 0.4 + 0.1j, 0.7), 5)
-
-
-def test_positivity_product_rejects_other_types():
-    with pytest.raises(TypeError, match="unsupported parameter type"):
-        positivity_product(object(), 1)
 
 
 # ---------------------------------------------------------------------------
