@@ -350,15 +350,20 @@ def _build_params(args):
                          args.gamma)
 
 
+def _lookup(table, what, name, family):
+    """``table[name]``, or ValueError naming the family's choices."""
+    if name not in table:
+        raise ValueError(
+            f"{what} {name!r} does not apply to family {family!r}; "
+            f"choose from {tuple(table)}"
+        )
+    return table[name]
+
+
 def _route(args):
     """The route for ``--rep``; call after ``_build_params``."""
-    routes = _FAMILIES[args.family].routes
-    if args.rep not in routes:
-        raise ValueError(
-            f"representation {args.rep!r} does not apply to family "
-            f"{args.family!r}; choose from {tuple(routes)}"
-        )
-    return routes[args.rep]
+    return _lookup(_FAMILIES[args.family].routes, "representation", args.rep,
+                   args.family)
 
 
 def _finite_value(value):
@@ -468,12 +473,8 @@ def _cmd_gf_check(args):
     else:
         chosen = args.forms
         for form in chosen:
-            if form not in forms:
-                raise ValueError(
-                    f"form {form!r} does not apply to family "
-                    f"{args.family!r}; choose from {tuple(forms)}"
-                )
-            if not forms[form][0](params):
+            applies, _ = _lookup(forms, "form", form, args.family)
+            if not applies(params):
                 raise ValueError(
                     f"form {form!r} is not applicable at these parameters "
                     f"(gamma-dependent availability)"

@@ -1,7 +1,7 @@
 """Generating functions of the index-shifted families.
 
 Left-hand sides are truncated power series in ``t`` whose coefficients
-come from the recurrences, under one of five normalizations; right-hand
+come from the recurrences, under one of four normalizations; right-hand
 sides are closed forms built from Appell F1, Humbert Phi1, Gauss 2F1,
 confluent 1F1, elementary factors, or Euler integrals.  The module also
 carries the generating-function ODE residual for the Charlier family,
@@ -63,8 +63,6 @@ from .report import IdentityReport, make_report
 _AUTO_N_CAP = 960
 # Terms of the c = 1 reduction chain before NotConverged.
 _C1_MAX_TERMS = 400
-# First truncation order of the weighted classical identity's left side.
-_WEIGHTED_N_START = 60
 
 
 class Normalization(enum.Enum):
@@ -75,16 +73,14 @@ class Normalization(enum.Enum):
 
     - ``BY_GAMMA_BETA``: ``(ct)^n / (gamma+beta)_n`` (Meixner only).
     - ``BY_GAMMA_ONE``: ``(c^n) t^n / (gamma+1)_n``.
-    - ``BY_FACTORIAL``: ``(c^n) t^n / n!``.
     - ``PLAIN``: ``t^n``.
-    - ``WEIGHTED``: ``gamma/(n+gamma)`` times the family's factorial
-      normalizer, applied to the *classical* (gamma = 0) sequence; the
-      weight ``gamma`` is free.
+    - ``WEIGHTED``: ``gamma/(n+gamma)`` times ``(c^n) t^n / n!``, or
+      times ``t^n`` for Laguerre, applied to the *classical* (gamma = 0)
+      sequence.
     """
 
     BY_GAMMA_BETA = "by-gamma-beta"
     BY_GAMMA_ONE = "by-gamma-one"
-    BY_FACTORIAL = "by-factorial"
     PLAIN = "plain"
     WEIGHTED = "weighted"
 
@@ -96,9 +92,8 @@ class GFSpec(Record):
     ----------
     family : MeixnerParams, CharlierParams or LaguerreParams
         Family parameters; for ``WEIGHTED`` normalization the sequence
-        itself is evaluated at gamma = 0 and ``family.gamma`` (or
-        ``weight_gamma`` when given) only enters the weights
-        ``gamma/(n+gamma)``.
+        itself is evaluated at gamma = 0 and ``family.gamma`` only enters
+        the weights ``gamma/(n+gamma)``.
     x : float or complex
         Evaluation point.
     t : float or complex
@@ -106,17 +101,12 @@ class GFSpec(Record):
     normalization : Normalization or str
     truncation_N : int
         Number of the highest retained power of t.
-    weight_gamma : float, optional
-        Overrides ``family.gamma`` as the free weight for ``WEIGHTED``
-        normalization (the family parameter records forbid negative
-        gamma, the weight need not be nonnegative).
     """
 
-    __slots__ = ("family", "x", "t", "normalization", "truncation_N",
-                 "weight_gamma")
+    __slots__ = ("family", "x", "t", "normalization", "truncation_N")
 
     def __init__(self, family, x, t, normalization=Normalization.BY_GAMMA_ONE,
-                 truncation_N=60, weight_gamma=None):
+                 truncation_N=60):
         normalization = Normalization(normalization)
         if not isinstance(truncation_N, int) or truncation_N < 1:
             raise ValueError("truncation_N must be an integer >= 1")
@@ -125,7 +115,6 @@ class GFSpec(Record):
         _set_field(self, "t", t)
         _set_field(self, "normalization", normalization)
         _set_field(self, "truncation_N", truncation_N)
-        _set_field(self, "weight_gamma", weight_gamma)
 
 
 def _family_sequence(spec):
@@ -159,14 +148,11 @@ def _normalizer_step(spec):
     if norm is Normalization.BY_GAMMA_ONE:
         gamma_one = gamma + 1.0
         return lambda n: c_factor / (gamma_one + n)
-    if norm is Normalization.BY_FACTORIAL:
-        return lambda n: c_factor / (n + 1.0)
     if norm is Normalization.PLAIN:
         return lambda n: 1.0
-    g = spec.weight_gamma if spec.weight_gamma is not None else gamma
     if isinstance(params, LaguerreParams):
-        return lambda n: (n + g) / (n + 1.0 + g)
-    return lambda n: c_factor * (n + g) / ((n + 1.0 + g) * (n + 1.0))
+        return lambda n: (n + gamma) / (n + 1.0 + gamma)
+    return lambda n: c_factor * (n + gamma) / ((n + 1.0 + gamma) * (n + 1.0))
 
 
 def _check_normalizer_poles(spec):
@@ -179,8 +165,7 @@ def _check_normalizer_poles(spec):
     params = spec.family
     top = spec.truncation_N
     if spec.normalization is Normalization.WEIGHTED:
-        g = spec.weight_gamma if spec.weight_gamma is not None else params.gamma
-        top, what, whose = top + 1, "gamma", "weight gamma"
+        g, top, what, whose = params.gamma, top + 1, "gamma", "weight gamma"
     elif (spec.normalization is Normalization.BY_GAMMA_BETA
           and isinstance(params, MeixnerParams)):
         g = params.gamma + params.beta
@@ -276,12 +261,16 @@ def gf_lhs_auto(spec, rel_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
+def _check_disk(t, radius, shown="{:.6g}"):
+    """Raise DomainError unless |t| < radius; the message writes the radius
+    as ``shown`` formats it."""
+    if abs(t) >= radius:
+        raise DomainError(f"|t| = {abs(t):.6g} is outside the validity disk "
+                          f"|t| < {shown.format(radius)}")
+
+
 def _check_meixner_t(params, t):
-    bound = min(1.0, 1.0 / abs(params.c))
-    if abs(t) >= bound:
-        raise DomainError(
-            f"|t| = {abs(t):.6g} is outside the validity disk |t| < {bound:.6g}"
-        )
+    _check_disk(t, min(1.0, 1.0 / abs(params.c)))
 
 
 def gf_meixner_appell(x, params, t):
@@ -355,11 +344,7 @@ def gf_meixner_integral(x, params, t):
 
 
 def _check_charlier_t(params, t):
-    if abs(t) >= abs(params.a):
-        raise DomainError(
-            f"|t| = {abs(t):.6g} is outside the validity disk |t| < |a| = "
-            f"{abs(params.a):.6g}"
-        )
+    _check_disk(t, abs(params.a), "|a| = {:.6g}")
 
 
 def gf_charlier_phi1(x, params, t):
@@ -423,19 +408,13 @@ def gf_laguerre(x, params, t):
     requires ``|t| < 1/2`` so the transformed argument stays inside the
     Phi1 convergence disk.
     """
-    if abs(t) >= 0.5:
-        raise DomainError(f"|t| = {abs(t):.6g} is outside the validity disk |t| < 1/2")
+    _check_disk(t, 0.5, "1/2")
     alpha, gamma = params.alpha, params.gamma
     if t == 0:
         return 1.0
     w = t / (t - 1.0)
     phi = humbert_phi1(gamma, gamma + alpha, gamma + 1.0, w, -x * w)
     return _power(1.0 - t, -gamma - alpha - 1.0) * _exp(x * t / (t - 1.0)) * phi.value
-
-
-def _check_laguerre_t(params, t):
-    if abs(t) >= 1.0:
-        raise DomainError(f"|t| = {abs(t):.6g} is outside the validity disk |t| < 1")
 
 
 def gf_laguerre_elementary(x, alpha, t):
@@ -475,19 +454,18 @@ def gf_weighted_laguerre_diag(x, alpha, t):
     return _power(1.0 - t, -alpha) * kummer_1f1(alpha, alpha + 1.0, z).value
 
 
-def weighted_classical_gf(x, params, t, rel_tol=1e-9, weight_gamma=None):
+def weighted_classical_gf(x, params, t, rel_tol=1e-9):
     """Weighted classical generating-function identity as a report.
 
     Compares the auto-truncated partial sum of the family's classical
     sequence under ``WEIGHTED`` normalization against the matching
     closed form (Appell F1 for Meixner, Humbert Phi1 for Charlier and
-    Laguerre).  The weight gamma defaults to ``params.gamma``.
+    Laguerre).  The weight gamma is ``params.gamma``.
 
     Returns
     -------
     IdentityReport
     """
-    g = weight_gamma if weight_gamma is not None else params.gamma
     # The left side sums the family's series, so t must lie in its disk.
     if isinstance(params, MeixnerParams):
         _check_meixner_t(params, t)
@@ -498,17 +476,15 @@ def weighted_classical_gf(x, params, t, rel_tol=1e-9, weight_gamma=None):
         ident, closed_form = "weighted-gf-charlier", gf_weighted_charlier_rhs
         shape = (params.a,)
     elif isinstance(params, LaguerreParams):
-        _check_laguerre_t(params, t)
+        _check_disk(t, 1.0)
         ident, closed_form = "weighted-gf-laguerre", gf_weighted_laguerre_rhs
         shape = (params.alpha,)
     else:
         raise TypeError(f"unsupported family parameter type {type(params)!r}")
-    spec = GFSpec(
-        params, x, t, Normalization.WEIGHTED, _WEIGHTED_N_START, weight_gamma
-    )
-    lhs, n_used = gf_lhs_auto(spec, rel_tol)
-    rhs = closed_form(x, *shape, g, t)
-    point = {"x": x, "t": t, "gamma": g, "N": n_used}
+    lhs, n_used = gf_lhs_auto(GFSpec(params, x, t, Normalization.WEIGHTED),
+                              rel_tol)
+    rhs = closed_form(x, *shape, params.gamma, t)
+    point = {"x": x, "t": t, "gamma": params.gamma, "N": n_used}
     return make_report(ident, point, lhs, rhs, rel_tol)
 
 
@@ -741,11 +717,11 @@ GF_FORMS = {
         "weighted": (_shifted, weighted_classical_gf),
         "diag": (_diagonal, _series_check(
             "gf-laguerre-diag", Normalization.WEIGHTED,
-            lambda x, p, t: _check_laguerre_t(p, t)
+            lambda x, p, t: _check_disk(t, 1.0)
             or gf_weighted_laguerre_diag(x, p.alpha, t))),
         "elementary": (_unshifted, _series_check(
             "gf-laguerre-elementary", Normalization.PLAIN,
-            lambda x, p, t: _check_laguerre_t(p, t)
+            lambda x, p, t: _check_disk(t, 1.0)
             or gf_laguerre_elementary(x, p.alpha, t))),
     },
 }

@@ -159,8 +159,16 @@ def _near_int_in_range(w, lo, hi, tol=_INT_TOL):
     return int(r)
 
 
-def _close(u, v, tol=1e-12):
-    return abs(u - v) <= tol
+def _close(u, v):
+    return abs(u - v) <= 1e-12
+
+
+def _check_denominator(kind, name, value):
+    """Raise PoleArgument when the denominator parameter ``name`` of the
+    ``kind`` series is a gamma pole: within _POLE_TOL of 0, -1, -2, ..."""
+    if _near_int_in_range(value, -math.inf, 0, _POLE_TOL) is not None:
+        raise PoleArgument(
+            f"{kind} denominator parameter {name}={value!r} is a gamma pole")
 
 
 def _check_nonneg_int(value, name):
@@ -1098,8 +1106,7 @@ def gauss_2f1(a, b, c, z):
         top = -max(r for r in (ra, rb) if r is not None)
         val = hyp_terminating([a, b], [c], z, top)
         return EvalOutcome(val, True, top + 1, 0.0)
-    if _near_int_in_range(c, -math.inf, 0, _POLE_TOL) is not None:
-        raise PoleArgument(f"2F1 denominator parameter c={c!r} is a gamma pole")
+    _check_denominator("2F1", "c", c)
     s = c - a - b
     if z == 1:
         if _real(s) > 0:
@@ -1164,8 +1171,7 @@ def kummer_1f1(a, b, z):
     -------
     EvalOutcome
     """
-    if _near_int_in_range(b, -math.inf, 0, _POLE_TOL) is not None:
-        raise PoleArgument(f"1F1 denominator parameter b={b!r} is a gamma pole")
+    _check_denominator("1F1", "b", b)
     if z == 0:
         return EvalOutcome(1.0, True, 1, 0.0)
     ra = _near_int_in_range(a, -math.inf, 0, 0.0)
@@ -1269,8 +1275,7 @@ def appell_f1(alpha, beta1, beta2, sigma, x, y):
     -------
     EvalOutcome
     """
-    if _near_int_in_range(sigma, -math.inf, 0, _POLE_TOL) is not None:
-        raise PoleArgument(f"F1 denominator parameter sigma={sigma!r} is a gamma pole")
+    _check_denominator("F1", "sigma", sigma)
     if max(abs(x), abs(y)) < 1.0:
         return _grouped_series(alpha, beta1, beta2, sigma, x, y)
     if x == 1 or y == 1:
@@ -1299,10 +1304,7 @@ def humbert_phi1(alpha1, lam, alpha2, x, y):
     -------
     EvalOutcome
     """
-    if _near_int_in_range(alpha2, -math.inf, 0, _POLE_TOL) is not None:
-        raise PoleArgument(
-            f"Phi1 denominator parameter alpha2={alpha2!r} is a gamma pole"
-        )
+    _check_denominator("Phi1", "alpha2", alpha2)
     if abs(x) >= 1.0:
         raise DomainError(f"Phi1 requires |x| < 1, got x={x!r}")
     xp = x / (x - 1.0)

@@ -22,6 +22,8 @@ from .hyperkernel import _check_nonneg_int, _exact, _near_int_in_range
 def _check_gamma(gamma):
     if isinstance(gamma, complex):
         raise ValueError("gamma must be a real number >= 0")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
 
@@ -29,9 +31,9 @@ def _check_gamma(gamma):
 class MeixnerParams(Record):
     """Parameters (beta, c, gamma) of the index-shifted Meixner family.
 
-    ``c = 0`` raises :class:`~assocpoly.errors.ZeroC` and ``gamma < 0``
-    raises ``ValueError``; everything else is accepted, inside the
-    classical orthogonality range or not.
+    ``c = 0`` raises :class:`~assocpoly.errors.ZeroC` and a negative, NaN
+    or infinite gamma raises ``ValueError``; everything else is accepted,
+    inside the classical orthogonality range or not.
     """
 
     __slots__ = ("beta", "c", "gamma")

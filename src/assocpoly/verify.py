@@ -23,8 +23,10 @@ seeded random points and returns a list of
   with two classical sequences.
 - ``finite-sums``: the standalone terminating-sum identities at seeded
   random points.
-- ``all``: the union, in the order above.  The other three sets run as
-  three more tasks of the same map, after the representation tasks.
+- ``all``: the union, in the order above.
+
+:func:`run_set` runs every set as one list of tasks of the same map: the
+representation tasks, then one task for each other set.
 
 The randomized identities draw exactly 200 points per run (reflection
 40, degenerate 20, free-argument double sum 60, two-term evaluation 50,
@@ -84,7 +86,7 @@ def _worst_pair_report(identity_id, point, pairs, rel_tol):
     return make_report(identity_id, {**point, "n": n}, lhs, rhs, rel_tol)
 
 
-# The pairs that ``verify_representations`` compares: each family's
+# The pairs that the ``representations`` set compares: each family's
 # parameter grids, in the order of its ``cli`` flags, and its routes in
 # pair order after the recurrence.  The params classes, recurrences and
 # routes are those of ``cli._FAMILIES``, the one family/route table.
@@ -240,7 +242,7 @@ def _pair_reports(name, point, pairs, rel_tol, n_max, skip=()):
 
 
 def _representation_tasks(rel_tol, n_max):
-    """The tasks of :func:`verify_representations`, in report order: each
+    """The tasks of the ``representations`` set, in report order: each
     family grid point, then each Meixner-Pollaczek point and each
     classical-reduction point.  A task is a function that returns a list
     of reports."""
@@ -279,20 +281,6 @@ def _run_tasks(tasks):
     in task order; the tasks run through :func:`_map`."""
     return [report for reports in _map(lambda task: task(), tasks)
             for report in reports]
-
-
-def verify_representations(rel_tol=1e-8, n_max=25):
-    """Pairwise route agreement and classical reductions.
-
-    Each family grid point, Meixner-Pollaczek point and classical-reduction
-    point runs as one task of :func:`_map`, on every CPU the process may
-    use; the reports are those of the serial loop, in order.
-
-    Returns
-    -------
-    list of IdentityReport
-    """
-    return _run_tasks(_representation_tasks(rel_tol, n_max))
 
 
 def verify_transformations(rel_tol=1e-8, seed=0):
@@ -486,11 +474,10 @@ def run_set(set_name, rel_tol=1e-8, seed=0, n_max=25):
         raise ValueError(
             f"unknown verification set {set_name!r}; choose from {VERIFY_SETS}"
         )
-    if set_name == "representations":
-        return verify_representations(rel_tol, n_max)
-    # ``all`` runs every set as tasks of one map, the other sets after the
-    # representation tasks; the sets are looked up when they run.
-    tasks = _representation_tasks(rel_tol, n_max) if set_name == "all" else []
+    # The other sets run after the representation tasks; they are looked
+    # up when they run.
+    tasks = (_representation_tasks(rel_tol, n_max)
+             if set_name in ("representations", "all") else [])
     for name, task in (
         ("transformations", lambda: verify_transformations(rel_tol, seed)),
         ("convolutions", lambda: verify_convolutions(rel_tol)),

@@ -55,11 +55,10 @@ RECORDS = [
      "lhs=1.0, rhs=1.000000000001, rel_discrepancy=1e-12, passed=True, "
      "rel_tol=1e-08)"),
     (GFSpec,
-     ("family", "x", "t", "normalization", "truncation_N", "weight_gamma"),
-     (LaguerreParams(0.5, 1.0), 0.25, 0.1j, Normalization.WEIGHTED, 40, -0.5),
+     ("family", "x", "t", "normalization", "truncation_N"),
+     (LaguerreParams(0.5, 1.0), 0.25, 0.1j, Normalization.WEIGHTED, 40),
      "GFSpec(family=LaguerreParams(alpha=0.5, gamma=1.0), x=0.25, t=0.1j, "
-     "normalization=<Normalization.WEIGHTED: 'weighted'>, truncation_N=40, "
-     "weight_gamma=-0.5)"),
+     "normalization=<Normalization.WEIGHTED: 'weighted'>, truncation_N=40)"),
     (ScaledSequence, ("r", "params", "x", "n_max"),
      ((0.25, 0.125), MeixnerParams(1.5, 0.4), -2.3, 1),
      "ScaledSequence(r=(0.25, 0.125), params=MeixnerParams(beta=1.5, c=0.4, "
@@ -79,8 +78,7 @@ DEFAULTS = [
     (LaguerreParams, (-0.5,), {"gamma": 0.0}),
     (MeixnerPollaczekParams, (0.75, 1.0), {"gamma": 0.0}),
     (GFSpec, (MeixnerParams(1.5, 0.4), 0.5, 0.1),
-     {"normalization": Normalization.BY_GAMMA_ONE, "truncation_N": 60,
-      "weight_gamma": None}),
+     {"normalization": Normalization.BY_GAMMA_ONE, "truncation_N": 60}),
     (MHStudy, ((), 0.4, False), {"second_term_ratios": None}),
 ]
 
@@ -185,6 +183,17 @@ def test_validation_errors_are_unchanged():
     for phi in (0.0, math.pi, -1.0):
         with pytest.raises(ValueError, match=r"phi must lie in \(0, pi\)"):
             MeixnerPollaczekParams(0.75, phi)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, args", [
+    (MeixnerParams, (1.5, 0.4)), (CharlierParams, (2.0,)),
+    (LaguerreParams, (0.5,)), (MeixnerPollaczekParams, (0.75, 1.0)),
+], ids=["meixner", "charlier", "laguerre", "meixner-pollaczek"])
+def test_non_finite_gamma_is_rejected(cls, args, gamma):
+    # A NaN gamma would make every value from degree 1 on NaN.
+    with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma!r}"):
+        cls(*args, gamma)
 
 
 def test_gfspec_coerces_its_normalization_and_checks_truncation():

@@ -11,7 +11,7 @@ import pytest
 from assocpoly import make_report, run_set, summarize, verify
 from assocpoly.cli import _FAMILIES
 from assocpoly.errors import NotConverged
-from assocpoly.verify import _GAMMAS, _worst_pair_report, verify_representations
+from assocpoly.verify import _GAMMAS, _worst_pair_report
 
 NAN = float("nan")
 
@@ -103,7 +103,7 @@ def test_representations_run_the_cli_route_table(monkeypatch, family, tag):
     monkeypatch.setitem(table, tag, spy)
     # In one process, so that the spy sees every task's calls.
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    verify_representations(n_max=3)
+    run_set("representations", n_max=3)
     assert set(degrees) == {0, 1, 2, 3}
 
 
@@ -139,6 +139,19 @@ def test_split_grid_gives_the_serial_reports_in_order(monkeypatch, k, set_name):
     split = run_set(set_name, seed=1)
     assert len(forks) == k - 1
     assert [repr(r) for r in split] == [repr(r) for r in serial]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_representations_are_the_head_of_all(monkeypatch, k):
+    # One task list serves every set: ``representations`` is the list that
+    # ``all`` starts with, whatever the seed.
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: k)
+    representations = [repr(r) for r in run_set("representations")]
+    assert len(representations) == 1572
+    for seed in (1, 2):
+        head = run_set("all", seed=seed)[:len(representations)]
+        assert [repr(r) for r in head] == representations
     _assert_no_child_left()
 
 
@@ -180,10 +193,10 @@ def test_split_grid_raises_the_serial_error(monkeypatch, name, tag, points):
     _fail_at(monkeypatch, name, tag, points)
     _force_cpus(monkeypatch, 1)
     with pytest.raises(NotConverged) as serial:
-        verify_representations(n_max=3)
+        run_set("representations", n_max=3)
     forks = _force_cpus(monkeypatch, 2)
     with pytest.raises(NotConverged) as split:
-        verify_representations(n_max=3)
+        run_set("representations", n_max=3)
     assert len(forks) == 1
     assert str(split.value) == str(serial.value)
     *_, gamma, x = points[0]
@@ -210,7 +223,7 @@ def test_interrupt_in_this_process_kills_every_child(monkeypatch):
     forks = _force_cpus(monkeypatch, 3)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        verify_representations(n_max=3)
+        run_set("representations", n_max=3)
     assert time.monotonic() - start < 30
     assert len(forks) == 2
     _assert_no_child_left()
@@ -227,7 +240,7 @@ def test_child_without_results_names_its_pid_and_status(monkeypatch):
     monkeypatch.setattr(verify, "_run_share", share)
     forks = _force_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError) as info:
-        verify_representations(n_max=3)
+        run_set("representations", n_max=3)
     assert str(info.value) == (f"verify worker {forks[0]} exited with status 7 "
                                "before sending its results")
     _assert_no_child_left()
@@ -274,7 +287,7 @@ def _refuse_fork():
 def test_one_cpu_never_forks(monkeypatch):
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", _refuse_fork)
-    assert verify_representations(n_max=2)
+    assert run_set("representations", n_max=2)
 
 
 def test_a_live_thread_never_forks(monkeypatch):
@@ -284,7 +297,7 @@ def test_a_live_thread_never_forks(monkeypatch):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert verify_representations(n_max=2)
+        assert run_set("representations", n_max=2)
     finally:
         release.set()
         thread.join(timeout=10)

@@ -1,5 +1,5 @@
 """List the functions of ``src/assocpoly`` that no command and no benchmark
-operation enters.
+operation enters, and the keyword parameters that none of them sets.
 
 Usage::
 
@@ -15,9 +15,15 @@ discarded.  It then prints, as ``path:line name``, each function, method
 and lambda defined in a module of ``src/assocpoly`` that none of them
 entered, and their count.  A function nested in another is left out:
 whether it runs is a branch of the one that defines it.  The calls that
-build the package's tables at import count.  It changes no file.
+build the package's tables at import count.
 
-What it is expected to print, and why each is there:
+Then, as the options census, it prints as ``path:line name
+parameter=default`` each parameter with a default of such a function
+that every call entering the function left at its default, or passed a
+value equal to it, and their count.  A setting with one value in use is
+a candidate to become a constant.  It changes no file.
+
+What it is expected to print as not entered, and why each is there:
 
 - the protocol methods that only a library user calls: ``Record.__eq__``,
   ``__hash__``, ``__setattr__``, ``__delattr__`` and ``__reduce__`` (a
@@ -35,11 +41,28 @@ What it is expected to print, and why each is there:
   ``genfuncs.gf_charlier_ode_residual``, the two library entry points
   that README keeps for the acceptance tests of the paper's classical
   Meixner generating function and Charlier ODE.
+
+What the census is expected to print, and why each stays:
+
+- ``closedforms._band_pole``'s ``error``: only the ``RestrictedParameter``
+  band of ``identity_4f3_finite_sum`` passes another error, and no drawn
+  point meets that band;
+- the ``rel_tol`` of ``closedforms.identity_4f3_finite_sum``,
+  ``identity_3f2_pochhammer`` and ``identity_3f2_t_powered`` and of
+  ``verify.verify_transformations`` and ``verify_finite_sums``:
+  ``verify.run_set`` passes values equal to these defaults, and the
+  invocations vary ``--rel-tol`` only for ``representations``,
+  ``convolutions`` and ``gf-check``;
+- ``hyperkernel._cauchy_sum``'s ``r``: only the exact fallback, which no
+  invocation runs, passes it;
+- ``hyperkernel._ratio``'s ``bi``: no T ratio in an invocation has a
+  complex denominator.
 """
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import sys
 import types
@@ -77,17 +100,65 @@ def _key(code):
     return code.co_filename, code.co_firstlineno, code.co_qualname
 
 
-def entered_functions():
-    """``{(path, line, qualified name)}`` of every function of
-    ``src/assocpoly`` that the invocations enter."""
+def _keyword_defaults(frame):
+    """``{name: default}`` of each parameter with a default of the function
+    that ``frame`` runs, found by its qualified name in its module: {} for
+    a function nested in another, and for a generator, whose later
+    ``call`` events see its parameters as the body has left them."""
+    code = frame.f_code
+    if code.co_flags & inspect.CO_GENERATOR:
+        return {}
+    first, *rest = code.co_qualname.split(".")
+    fn = frame.f_globals.get(first)
+    for part in rest:
+        fn = vars(fn).get(part) if isinstance(fn, type) else None
+    fn = inspect.unwrap(getattr(fn, "__func__", fn))  # staticmethod, cache
+    if getattr(fn, "__code__", None) is not code:
+        return {}
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    return {**dict(zip(positional[len(positional) - len(defaults):],
+                       defaults)),
+            **(fn.__kwdefaults__ or {})}
+
+
+def _is_default(value, default):
+    """Whether a passed value is its parameter's default, or equals it."""
+    try:
+        return value is default or bool(value == default)
+    except (TypeError, ValueError):  # a value that does not compare is set
+        return False
+
+
+def trace_invocations():
+    """``(entered, unset)`` over the invocations: the ``(path, line,
+    qualified name)`` of every function of ``src/assocpoly`` that they
+    enter, and ``{key: {name: default}}`` of the parameters with a default
+    that every call entering that function leaves at it."""
     for path in (ROOT / "src", ROOT / "perfbench", ROOT / "tools"):
         sys.path.insert(0, str(path))
     sys.dont_write_bytecode = True  # leave no bytecode cache behind
+    package = str(PACKAGE)
     codes = set()
+    # code -> {name: default} of the parameters no call has set yet.
+    unset = {}
 
     def profile(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
+        if event != "call":
+            return
+        code = frame.f_code
+        codes.add(code)
+        left = unset.get(code)
+        if left is None:
+            left = unset[code] = (_keyword_defaults(frame)
+                                  if code.co_filename.startswith(package)
+                                  else {})
+        if left:
+            passed = frame.f_locals
+            for name in [name for name, default in left.items()
+                         if name in passed
+                         and not _is_default(passed[name], default)]:
+                del left[name]
 
     sink = io.StringIO()
     # The profile starts before any module of the package is imported, so
@@ -111,17 +182,27 @@ def entered_functions():
                 sink.truncate()
     finally:
         sys.setprofile(None)
-    package = str(PACKAGE)
-    return {_key(code) for code in codes
-            if code.co_filename.startswith(package)}
+    entered = {_key(code) for code in codes
+               if code.co_filename.startswith(package)}
+    return entered, {_key(code): left for code, left in unset.items()
+                     if left and code.co_filename.startswith(package)}
 
 
 def main():
     defined = defined_functions()
-    missed = sorted(defined - entered_functions())
+    entered, unset = trace_invocations()
+    missed = sorted(defined - entered)
     for path, line, name in missed:
         print(f"{Path(path).relative_to(ROOT)}:{line} {name}")
     print(f"{len(missed)} of {len(defined)} functions not entered")
+    census = sorted((key, name, default)
+                    for key, left in unset.items() if key in defined
+                    for name, default in left.items())
+    for (path, line, function), name, default in census:
+        print(f"{Path(path).relative_to(ROOT)}:{line} {function} "
+              f"{name}={default!r}")
+    print(f"{len(census)} keyword parameters left at their default by "
+          "every call")
     return 0
 
 
