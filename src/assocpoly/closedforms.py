@@ -405,7 +405,10 @@ def meixner_reflection_rhs(x, params, n):
     against a left side computed any other way.
     """
     _check_nonneg_int(n, "n")
-    reflected = MeixnerParams(params.beta, 1.0 / params.c, params.gamma)
+    c_inv = 1.0 / params.c
+    if not cmath.isfinite(c_inv):  # a numerical failure, not invalid input
+        raise OverflowError(f"1/c = {c_inv!r} exceeds binary64 range")
+    reflected = MeixnerParams(params.beta, c_inv, params.gamma)
     seq = meixner_seq(-params.beta - x, reflected, n)
     return params.c ** (-n) * seq[n]
 
@@ -580,6 +583,8 @@ def mp_from_meixner(x, params, n):
     _check_nonneg_int(n, "n")
     nu, phi, gamma = params.nu, params.phi, params.gamma
     c = cmath.exp(-2.0j * phi)
+    if not cmath.isfinite(2.0 * nu):  # a numerical failure, not invalid input
+        raise OverflowError(f"2 nu = {2.0 * nu!r} exceeds binary64 range")
     meix = MeixnerParams(2.0 * nu, c, gamma)
     seq = meixner_seq(1.0j * x - nu, meix, n)
     return cmath.exp(-1.0j * n * phi) / pochhammer(gamma + 1.0, n) * seq[n]

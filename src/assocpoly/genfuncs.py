@@ -160,7 +160,7 @@ def _check_normalizer_poles(spec):
     (n <= N) in the weighted chain, gamma+beta+n (n < N) in (gamma+beta)_n.
 
     Only the integer nearest -Re(g) can lie that close to -g, so only it is
-    tested; a NaN or infinite g has none and passes.
+    tested.
     """
     params = spec.family
     top = spec.truncation_N

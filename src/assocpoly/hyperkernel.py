@@ -26,21 +26,10 @@ One engine, ``_resum``, sums every terminating series: those of
 sums of :mod:`assocpoly.closedforms`.  Each is an outer sum of Cauchy
 sums ``sum_m T_m C_m``, C_m convolving a sequence d with a sequence e
 (by default the powers of s, with which C_m steps in O(1)).  They run in
-binary64 while tracking a condition estimate (largest intermediate
-magnitude over the final sum).  Above ``_ESCALATE_COND``, with finite
-inputs, the sum is re-evaluated from the rationals, or Gaussian
-rationals, that the inputs denote, and so is the truncation of an F1 or
-Phi1 whose estimate is that large: in certified fixed point, on
-integers beside a rigorous bound on their error (a Ziv loop,
-``_certified_cauchy_sum``), accepted once both ends of each component's
-interval round to the same double, an exact zero included.  Exact
-arithmetic remains for what fixed point cannot decide: an exact value
-halfway between two doubles, an end beyond the binary64 range, or an
-interval still too wide after ``_ZIV_ROUNDS`` passes.  An escalated
-result is thus the exact sum at the given inputs, each component
-rounded to binary64 once.  Over a range of
-degrees of a lone Cauchy sum (``_resums``), the escalations share one
-fixed-point pass.
+binary64 while tracking a condition estimate.  Above ``_ESCALATE_COND``,
+with finite inputs, the sum, or the truncation of an F1 or Phi1 whose
+estimate is that large, goes to :mod:`assocpoly.certified`, which gives
+the exact sum at the inputs, each component rounded once.
 
 Gamma functions are computed here in pure Python: ``math.lgamma`` for
 real arguments and a Stirling series for complex ones, so no evaluation
@@ -311,9 +300,8 @@ def _gamma_quotient(numerators, denominators):
 
 
 # ---------------------------------------------------------------------------
-# Terminating hypergeometric sums: binary64 with condition tracking,
-# certified fixed point for the ill-conditioned sums, and exact arithmetic
-# as its fallback
+# Terminating hypergeometric sums: binary64 with condition tracking, and
+# the exact loop that the certified engine falls back to
 # ---------------------------------------------------------------------------
 #
 # Every terminating sum is a route sum ``(n, outer_nums, outer_dens,
@@ -365,25 +353,6 @@ def _pole(j):
 # magnitude exceeds the final sum by this factor (binary64 then retains
 # fewer than ~12 significant digits).
 _ESCALATE_COND = 1e4
-# Fixed-point passes before the certified engine falls back to exact
-# arithmetic; each has at least twice the precision of the one before.
-_ZIV_ROUNDS = 3
-# Cap on the condition estimate that sizes the first pass; the estimate
-# is infinite when the binary64 sum is 0.
-_PREC_COND_CAP = 2.0**64
-
-
-def Fraction(*args):
-    """``fractions.Fraction``, imported on its first call.
-
-    Only exact arithmetic needs :mod:`fractions`, which loads
-    :mod:`decimal` and :mod:`numbers` too, so a process that never
-    escalates does not import it: the first call rebinds this name to
-    the class.
-    """
-    global Fraction
-    from fractions import Fraction
-    return Fraction(*args)
 
 
 def _exactable(*vals):
@@ -394,88 +363,6 @@ def _exactable(*vals):
         else hasattr(v, "denominator")
         for v in vals
     )
-
-
-class _Gaussian:
-    """An exact Gaussian rational ``re + i*im`` with Fraction parts.
-
-    It has the field operations the sum builders apply to their inputs,
-    with ints and Fractions on either side.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re, self.im = Fraction(re), Fraction(im)
-
-    @staticmethod
-    def _parts(w):
-        return (w.re, w.im) if isinstance(w, _Gaussian) else (w, 0)
-
-    def __add__(self, w):
-        re, im = self._parts(w)
-        return _Gaussian(self.re + re, self.im + im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Gaussian(-self.re, -self.im)
-
-    def __sub__(self, w):
-        return self + -w
-
-    def __rsub__(self, w):
-        return -self + w
-
-    def __mul__(self, w):
-        re, im = self._parts(w)
-        return _Gaussian(self.re * re - self.im * im, self.re * im + self.im * re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, w):
-        re, im = self._parts(w)
-        p = self * _Gaussian(re, -im)
-        norm = re * re + im * im
-        return _Gaussian(p.re / norm, p.im / norm)
-
-    def __rtruediv__(self, w):
-        return _Gaussian(w) / self
-
-    def __eq__(self, w):
-        return (self.re, self.im) == self._parts(w)
-
-    def __abs__(self):
-        return math.hypot(self.re, self.im)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-
-def _exact(v):
-    """The rational, or Gaussian rational, that a finite input denotes."""
-    return _Gaussian(v.real, v.imag) if isinstance(v, complex) else Fraction(v)
-
-
-def _rounded(t, e, prec):
-    """The double both ends of ``[(t - e)/2**prec, (t + e)/2**prec]`` round to.
-
-    An interval that reaches 0 gives 0.0 when both of its ends round to
-    zero, that is when ``|t| + e <= 2**(prec - 1075)``.  An exact zero is
-    thus certified as +0.0, and so is a negative value above -2**-1075,
-    whose correct rounding would be -0.0.  Returns None when the ends
-    round apart (int/int division is correctly rounded), and raises
-    OverflowError when an end of an interval that does not reach 0 lies
-    beyond the binary64 range.
-    """
-    scale = 1 << prec
-    if t - e > 0 or t + e < 0:
-        lo = (t - e) / scale
-        if lo == (t + e) / scale:
-            return lo
-    elif abs(t) + e <= scale >> 1075:
-        return 0.0
-    return None
 
 
 def _cauchy(*spec):
@@ -490,7 +377,7 @@ def _cauchy_sum(n, t_nums, t_dens, s, d_nums, d_dens, e_nums=(), e_dens=(), r=1)
     ``Ĉ_m = sum_k |e_k| |d_{m-k}|`` bounds C_m and each of its terms.
     With no ``e_nums`` and ``e_dens``, e_k = s^k and C_m steps as ``s
     C_{m-1} + d_m``; otherwise each C_m is the convolution of the two
-    sequences kept so far.  On ints, Fractions and :class:`_Gaussian`
+    sequences kept so far.  On ints, Fractions and ``certified._Gaussian``
     values the same loop is exact.  As in a terminating sum, equal
     numerator and denominator parameters cancel, a zero numerator factor
     ends T (or d, or e), and a zero denominator factor raises
@@ -571,7 +458,7 @@ def _sum(n, outer_nums, outer_dens, outer_scale, inner):
     Returns ``(value, condition_estimate)``; the condition is ``max_k
     |coef_k| max(peak_k, |S_k|)`` over ``|value|``, with ``peak_k`` the
     peak of :func:`_cauchy_sum` for S_k.  On ints, Fractions and
-    :class:`_Gaussian` values the same loop is exact.  Raises what
+    ``certified._Gaussian`` values the same loop is exact.  Raises what
     :func:`_cauchy_sum` raises, and ZeroDivisionError when an outer
     denominator factor vanishes.
     """
@@ -599,327 +486,37 @@ def _sum(n, outer_nums, outer_dens, outer_scale, inner):
     return total, (peak / mag if mag > 0 else math.inf)
 
 
-def _gaussian(value):
-    """An exact value as integers ``(u, w, v)``, worth ``(u + i w)/v`` with v > 0."""
-    if isinstance(value, _Gaussian):
-        re, im = value.re, value.im
-        v = math.lcm(re.denominator, im.denominator)
-        return (re.numerator * (v // re.denominator),
-                im.numerator * (v // im.denominator), v)
-    return value.numerator, 0, value.denominator
-
-
-def _ratio(nums, dens, j, ar=1, ai=0, br=1, bi=0):
-    """Gaussian integers ``(ar, ai, br, bi)`` whose quotient ``(ar + i ai) /
-    (br + i bi)`` is the start's quotient times ``prod (p + j) / prod (q +
-    j)`` over the triples of :func:`_gaussian`."""
-    for u, w, v in nums:
-        u += j * v
-        ar, ai, br, bi = ar * u - ai * w, ar * w + ai * u, br * v, bi * v
-    for u, w, v in dens:
-        u += j * v
-        ar, ai, br, bi = ar * v, ai * v, br * u - bi * w, br * w + bi * u
-    return ar, ai, br, bi
-
-
-def _scaled(xr, xi, e, ar, ai, br, bi):
-    """``x * a / b`` for Gaussian integers, floored in each component.
-
-    With ``a / b = c / q`` and q > 0 (``c = a conj(b)`` and ``q = |b|^2``,
-    or ``c = ±a`` when b is real), a bound e on the error of each
-    component of x becomes ``ceil(e (|Re c| + |Im c|) / q) + 1``.
-    Returns ``(re, im, bound)``.
-    """
-    if bi:
-        ar, ai, q = ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi
-    elif br < 0:
-        ar, ai, q = -ar, -ai, -br
-    else:
-        q = br
-    return ((xr * ar - xi * ai) // q, (xr * ai + xi * ar) // q,
-            1 - -e * (abs(ar) + abs(ai)) // q)
-
-
-def _fixed_point_cauchy(re, im, e, *spec):
-    """One fixed-point pass of an exact Cauchy sum, from a scaled start value.
-
-    The start ``(re, im)`` holds both components of ``2**prec * c`` for a
-    coefficient c, each within e; the integers ``(re, im, e)`` returned
-    hold ``2**prec * c * S`` alike.  ``spec`` holds the arguments of
-    :func:`_cauchy_sum`, as for :func:`_fixed_point_terms`, and the pass
-    adds up the terms that it yields, or, when the spec convolves C_m
-    with e, runs :func:`assocpoly.convolution.fixed_point_convolution`
-    (imported on its first call, so that a process that never escalates
-    such a sum does not compile it).  Raises what :func:`_cauchy_sum`
-    raises.
-    """
-    if len(spec) > 6:
-        from .convolution import fixed_point_convolution
-        return fixed_point_convolution(re, im, e, *spec)
-    tr = ti = err = 0
-    for wr, wi, ew in _fixed_point_terms(re, im, e, *spec):
-        tr += wr
-        ti += wi
-        err += ew
-    return tr, ti, err
-
-
-def _fixed_point_terms(wr, wi, ew, n, t_nums, t_dens, s, d_nums, d_dens):
-    """The scaled terms of a Cauchy sum, each beside its error bound.
-
-    The start ``(wr, wi)`` holds both components of ``2**prec * c`` for
-    a coefficient c, each within ew.  The other arguments are those of
-    :func:`_cauchy_sum` as ints, Fractions or :class:`_Gaussian` values;
-    each parameter, and s, enters as a triple ``(u, w, v)`` from
-    :func:`_gaussian`, worth ``(u + j v + i w)/v`` at offset j.  Yields
-    integers ``(wr, wi, ew)`` holding ``W_m = 2**prec c T_m C_m`` for m
-    = 0, 1, ..., n, up to the first zero factor of T.  W steps as ``W_m =
-    s (T_m/T_{m-1}) W_{m-1} + V_m`` with ``V_m = c T_m d_m``: each of W
-    and V takes one exact ratio of Gaussian integers per step, from
-    :func:`_ratio`, through :func:`_scaled`.  Raises what
-    :func:`_cauchy_sum` raises, once the terms before the pole are
-    yielded.
-    """
-    # Triples in lowest terms are equal exactly when their values are, so
-    # they cancel as the values do.
-    t_nums, t_dens, d_nums, d_dens = ([_gaussian(w) for w in group]
-                                      for group in (t_nums, t_dens, d_nums, d_dens))
-    t_nums, t_dens = _cancel(t_nums, t_dens)
-    d_nums, d_dens = _cancel(d_nums, d_dens)
-    sr, si, sv = _gaussian(s)
-    vr, vi, ev = wr, wi, ew
-    live = True
-    yield wr, wi, ew
-    for j in range(n):
-        ar, ai, br, bi = _ratio(t_nums, t_dens, j)
-        if not (ar or ai):
-            break
-        if not (br or bi):
-            raise _pole(j)
-        if live:
-            # V's ratio is T's times d_m/d_{m-1}, which carries 1/m.
-            cr, ci, qr, qi = _ratio(d_nums, d_dens, j, ar, ai,
-                                    br * (j + 1), bi * (j + 1))
-            if not (cr or ci):
-                live = False
-                vr = vi = ev = 0
-            elif not (qr or qi):
-                raise _pole(j)
-            else:
-                vr, vi, ev = _scaled(vr, vi, ev, cr, ci, qr, qi)
-        wr, wi, ew = _scaled(wr, wi, ew, ar * sr - ai * si, ar * si + ai * sr,
-                             br * sv, bi * sv)
-        wr += vr
-        wi += vi
-        ew += ev
-        yield wr, wi, ew
-
-
-def _fixed_point(prec, n, outer_nums, outer_dens, outer_scale, inner):
-    """One fixed-point pass of an exact route sum at scale ``2**prec``.
-
-    Takes the arguments of :func:`_sum` as exact values.  coef_k runs as
-    a Gaussian integer beside its error bound, through :func:`_scaled`,
-    and starts the pass of :func:`_fixed_point_cauchy` for S_k.  Returns
-    integers ``(re, im, e)``, both components of ``2**prec * S`` within e
-    of them.  Raises what :func:`_sum` raises.
-    """
-    # Every scaled quantity x carries a bound ex on its distance from
-    # 2**prec times its exact value; one line per operation:
-    #   x = 1 << prec          exact:                    ex = 0
-    #   a, b = integer products exact:                   no error
-    #   y = x * a // b         the error scales by |a/b| and the floor
-    #                          division adds at most 1:  ey = ceil(ex |a/b|) + 1
-    #   t = sum of terms       exact:                    e = sum of their bounds
-    sr, si, sv = _gaussian(outer_scale)
-    nums = [_gaussian(w) for w in outer_nums]
-    dens = [_gaussian(w) for w in outer_dens]
-    cr, ci, ec = 1 << prec, 0, 0
-    re, im, err = _fixed_point_cauchy(cr, ci, ec, *inner(0))
-    for k in range(n):
-        # The scale starts the ratio, so that a zero scale ends the sum
-        # as it ends :func:`_sum`.
-        ar, ai, br, bi = _ratio(nums, dens, k, sr, si, sv)
-        if not (br or bi):
-            raise ZeroDivisionError(
-                f"outer denominator factor vanishes at step {k}")
-        if not (ar or ai):
-            break
-        cr, ci, ec = _scaled(cr, ci, ec, ar, ai, br, bi)
-        r, i, e = _fixed_point_cauchy(cr, ci, ec, *inner(k + 1))
-        re += r
-        im += i
-        err += e
-    return re, im, err
-
-
-def _certified_cauchy_sum(spec, prec, gaussian, real):
-    """The exact route sum ``spec`` rounded once, certified in fixed point.
-
-    A Ziv loop: ``spec`` is built from exact values, ``prec`` is the
-    precision of the first pass, and ``gaussian`` and ``real`` say
-    whether an input is complex and whether every input has a zero
-    imaginary part.  A pass at scale ``2**prec`` gives integers t and e
-    with each component of the exact value in ``[(t - e)/2**prec, (t +
-    e)/2**prec]``; when both ends have the same strict sign and round to
-    the same double (int/int division is correctly rounded), that double
-    is the exact component rounded, and when both ends of an interval
-    that reaches 0 round to zero, 0.0 is (:func:`_rounded`).  When
-    ``real``, the imaginary part is exactly 0 and is not certified.  A
-    pass that certifies no value sizes the next by
-    :func:`_next_precision`, from the smaller component.  The loop of
-    :func:`_sum` runs exactly instead for what fixed point cannot decide:
-    an exact value halfway between two doubles, an end beyond the
-    binary64 range, or any interval still undecided after
-    ``_ZIV_ROUNDS`` passes.  Returns a complex when ``gaussian``,
-    else a float.
-    """
-    for _ in range(_ZIV_ROUNDS):
-        re, im, e = _fixed_point(prec, *spec)
-        try:
-            value = _certified(re, im, e, prec, real)
-        except OverflowError:
-            break
-        if value is not None:
-            return complex(value) if gaussian else value
-        prec = _next_precision(prec, re if real else min(re, im, key=abs), e)
-    total = _sum(*spec)[0]
-    return complex(total) if gaussian else float(total)
-
-
-def _certified(re, im, e, prec, real):
-    """The double, or complex, that both ends of each component's interval
-    round to, as :func:`_rounded` gives it; None when they round apart.
-
-    When ``real``, the imaginary part is exactly 0 and is not certified.
-    """
-    value = _rounded(re, e, prec)
-    if value is not None and not real:
-        imag = _rounded(im, e, prec)
-        value = None if imag is None else complex(value, imag)
-    return value
-
-
-def _next_precision(prec, t, e):
-    """Bits of the pass after one at ``prec`` whose component t, within e,
-    did not give one double.
-
-    The next pass has about the same error in units of its scale, so it
-    takes the bits by which e exceeds the least magnitude the interval
-    allows, plus 56.  An interval that reaches 0 may hold an exact zero,
-    which only the zero rule of :func:`_rounded` certifies, so the next
-    pass takes the bits that bring e below 2**-1075 with 5 to spare.
-    Never fewer than twice ``prec``.
-    """
-    if abs(t) <= e:
-        return max(2 * prec, 1080 + e.bit_length())
-    return max(2 * prec,
-               prec + e.bit_length() - (abs(t) - e).bit_length() + 56)
-
-
-def _first_precision(total, cond):
-    """Bits of the first certified pass for a binary64 estimate.
-
-    It keeps 64 bits below the leading bit of the estimate, plus the bits
-    the condition estimate says cancellation may have cost, plus 16.
-    """
-    return max(16, 80 - math.frexp(abs(total))[1]
-               + math.ceil(math.log2(min(cond, _PREC_COND_CAP))))
-
-
 def _resum(terms, n, inputs):
-    """Binary64 value of the route sum ``terms(n, *inputs)``.
-
-    ``terms`` builds the sum from the inputs in whichever field they
-    live.  When the condition estimate exceeds ``_ESCALATE_COND`` and
-    every input is finite, real or complex, the sum is re-evaluated from
-    the exact (Gaussian) rationals the inputs denote by
-    :func:`_certified_cauchy_sum`, which returns the exact value with
-    each component rounded once.
+    """Binary64 value of the route sum ``terms(n, *inputs)``, built from the
+    inputs in whichever field they live; above ``_ESCALATE_COND``, with
+    finite inputs, the exact sum rounded once (:mod:`assocpoly.certified`).
     """
     return _resums(terms, inputs, n)(n)
 
 
-# Bits that the shared pass of :func:`_resums` keeps beyond what the
-# degree that builds it needs, for the later degrees, whose sums cancel
-# more.
-_SHARED_BITS = 128
-
-
 def _resums(terms, inputs, hi):
     """``n -> _resum(terms, n, inputs)`` for nondecreasing degrees n <= hi,
-    with the same bits, the escalations sharing one fixed-point pass.
-
-    For n < hi, ``terms(n, ...)`` must be a lone Cauchy sum (outer degree
-    0) whose first numerator of T is ``-n``.  Then ``S_n = sum_m (-n)_m
-    Q_m``, and the exact ``Q_m = T_m C_m / (-n)_m`` do not depend on n.
-    The binary64 sum and the escalation decision stay per degree.  A
-    degree n needs its first precision plus the bits of n!, by which
-    ``(-n)_m`` can magnify the error of a late step.  The first degree
-    below hi that escalates runs one pass of :func:`_fixed_point_terms`
-    for the ``Q_m`` up to hi, at what it needs plus ``_SHARED_BITS``, and
-    a later degree below hi that needs more runs a new one, at twice the
-    bits of the last at least.  Each
-    escalating degree then sums ``(-n)_m Q_m`` in integers, beside the
-    bound ``sum |(-n)_m| e_m``; when that interval does not give one
-    double (or when the pass stopped at a pole before m = n), the degree
-    runs :func:`_certified_cauchy_sum` alone.  Both give the exact value
-    rounded once.
-    """
-    shared = None
+    with the same bits.  The escalating degrees go to one
+    :func:`assocpoly.certified.escalation`, under its condition on
+    ``terms``, and share its fixed-point pass."""
+    escalate = None
 
     def resum(n):
-        nonlocal shared
+        nonlocal escalate
         total, cond = _sum(*terms(n, *inputs))
         if not (cond > _ESCALATE_COND and _exactable(*inputs)):
             return total
-        prec = _first_precision(total, cond)
-        gaussian = any(isinstance(v, complex) for v in inputs)
-        real = all(v.imag == 0 for v in inputs)
-        need = prec + math.factorial(n).bit_length()
-        if n < hi and (shared is None or shared[0] < need):
-            bits = max(need + _SHARED_BITS, 2 * shared[0] if shared else 0)
-            shared = _shared_pass(bits, terms(hi, *map(_exact, inputs)))
-        value = None if shared is None else _shared_value(*shared, n, real)
-        if value is None:
-            return _certified_cauchy_sum(
-                terms(n, *map(_exact, inputs)), prec, gaussian, real)
-        return complex(value) if gaussian else value
+        if escalate is None:
+            escalate = _escalation(terms, inputs, hi)
+        return escalate(n, total, cond)
 
     return resum
 
 
-def _shared_pass(prec, spec):
-    """``(prec, terms, complete)`` of the lone Cauchy sum ``spec`` of degree
-    hi without its ``-hi`` numerator: ``terms`` lists the
-    :func:`_fixed_point_terms` of ``Q_m`` at scale ``2**prec``, and
-    ``complete`` is False when a pole stopped them."""
-    hi, t_nums, *rest = spec[4](0)
-    terms = []
-    try:
-        for term in _fixed_point_terms(1 << prec, 0, 0, hi, t_nums[1:], *rest):
-            terms.append(term)
-    except DenominatorPole:
-        return prec, terms, False
-    return prec, terms, True
-
-
-def _shared_value(prec, terms, complete, n, real):
-    """The certified ``S_n = sum_m (-n)_m Q_m`` of a :func:`_shared_pass`,
-    or None."""
-    if len(terms) <= n and not complete:
-        return None
-    tr = ti = e = 0
-    r = 1  # (-n)_m
-    for m, (wr, wi, ew) in zip(range(n + 1), terms):
-        tr += r * wr
-        ti += r * wi
-        e += abs(r) * ew
-        r *= m - n
-    try:
-        return _certified(tr, ti, e, prec, real)
-    except OverflowError:
-        return None
+def _escalation(terms, inputs, hi):
+    """:func:`assocpoly.certified.escalation`, imported on the first call."""
+    from .certified import escalation
+    return escalation(terms, inputs, hi)
 
 
 def hyp_terminating(num_params, den_params, arg, top_index):
@@ -1245,19 +842,18 @@ def _grouped_series(a, b1, b2, c, x, y):
     three-term recurrence, which at |b1|, |b2|, |x|, |y| bounds ``sum_k
     |e_k| |d_{s-k}|`` by Ĉ_s.  When the condition ``max_s |T_s| Ĉ_s /
     |sum|`` exceeds ``_ESCALATE_COND`` and the inputs are finite, the sum
-    runs on to ``_CERT_TAIL``, and :func:`_certified_cauchy_sum` sums that
+    runs on to ``_CERT_TAIL``, and :func:`_escalation` certifies that
     truncation as a convolved Cauchy sum; a tail then above ``2**8
     _CERT_TAIL`` times its value raises IllConditioned.
     """
     total, used, err, cond = _grouped_sum(a, b1, b2, c, x, y, _REL_TOL)
-    vals = [v for v in (a, b1, b2, c, x, y) if v is not None]
+    vals = [v for v in (a, c, x, b1, y, b2) if v is not None]
     if cond > _ESCALATE_COND and _exactable(*vals):
         total, used, err, _ = _grouped_sum(a, b1, b2, c, x, y, _CERT_TAIL)
-        a, b1, *b2, c, x, y = map(_exact, vals)
-        total = _certified_cauchy_sum(
-            _cauchy(used - 1, [a], [c], x, b2, [], [b1], [1], y),
-            _first_precision(total, cond),
-            any(isinstance(v, complex) for v in vals), all(v.imag == 0 for v in vals))
+        total = _escalation(
+            lambda top, a, c, x, b1, y, *b2: _cauchy(top, [a], [c], x, b2, [],
+                                                     [b1], [1], y),
+            vals, used - 1)(used - 1, total, cond)
         if err > 2**8 * _CERT_TAIL * abs(total):
             raise IllConditioned(f"the certified sum {total!r} lies below the "
                                  "tail its binary64 sum stopped at")

@@ -13,17 +13,24 @@ The recurrences are the defining representation: every closed form in
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import Record, ZeroA, ZeroC, _set_field
-from .hyperkernel import _check_nonneg_int, _exact, _near_int_in_range
+from .hyperkernel import _check_nonneg_int, _near_int_in_range
+
+
+def _check_finite(name, value):
+    # A complex value is allowed: the Meixner-Pollaczek connection builds
+    # MeixnerParams with a complex c.
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _check_gamma(gamma):
     if isinstance(gamma, complex):
         raise ValueError("gamma must be a real number >= 0")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    _check_finite("gamma", gamma)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
 
@@ -31,9 +38,10 @@ def _check_gamma(gamma):
 class MeixnerParams(Record):
     """Parameters (beta, c, gamma) of the index-shifted Meixner family.
 
-    ``c = 0`` raises :class:`~assocpoly.errors.ZeroC` and a negative, NaN
-    or infinite gamma raises ``ValueError``; everything else is accepted,
-    inside the classical orthogonality range or not.
+    ``c = 0`` raises :class:`~assocpoly.errors.ZeroC`, and a NaN or
+    infinite beta or c, or a negative, NaN or infinite gamma, raises
+    ``ValueError``; everything else is accepted, inside the classical
+    orthogonality range or not.
     """
 
     __slots__ = ("beta", "c", "gamma")
@@ -41,6 +49,8 @@ class MeixnerParams(Record):
     def __init__(self, beta, c, gamma=0.0):
         if c == 0:
             raise ZeroC("Meixner parameter c must be nonzero")
+        _check_finite("beta", beta)
+        _check_finite("c", c)
         _check_gamma(gamma)
         _set_field(self, "beta", beta)
         _set_field(self, "c", c)
@@ -60,6 +70,7 @@ class CharlierParams(Record):
     def __init__(self, a, gamma=0.0):
         if a == 0:
             raise ZeroA("Charlier parameter a must be nonzero")
+        _check_finite("a", a)
         _check_gamma(gamma)
         _set_field(self, "a", a)
         _set_field(self, "gamma", gamma)
@@ -71,6 +82,7 @@ class LaguerreParams(Record):
     __slots__ = ("alpha", "gamma")
 
     def __init__(self, alpha, gamma=0.0):
+        _check_finite("alpha", alpha)
         _check_gamma(gamma)
         _set_field(self, "alpha", alpha)
         _set_field(self, "gamma", gamma)
@@ -87,6 +99,7 @@ class MeixnerPollaczekParams(Record):
     def __init__(self, nu, phi, gamma=0.0):
         if not 0.0 < phi < math.pi:
             raise ValueError(f"phi must lie in (0, pi), got {phi!r}")
+        _check_finite("nu", nu)
         _check_gamma(gamma)
         _set_field(self, "nu", nu)
         _set_field(self, "phi", phi)
@@ -174,7 +187,8 @@ def meixner_seq(x, params, n_max, exact_on_lattice=True):
              and _near_int_in_range(x - gamma, 0, math.inf, _LATTICE_TOL) is not None)
     z = x
     if exact:
-        z, beta, c, gamma = map(_exact, (x, beta, c, gamma))
+        from fractions import Fraction  # only an exact run loads it
+        z, beta, c, gamma = map(Fraction, (x, beta, c, gamma))
     values = [1.0]
     prev, cur = 0, 1
     for n in range(n_max):
@@ -207,7 +221,8 @@ def charlier_seq(x, params, n_max, exact_on_lattice=True):
              and _near_int_in_range(x - gamma, 0, math.inf, _LATTICE_TOL) is not None)
     z = x
     if exact:
-        z, a, gamma = map(_exact, (x, a, gamma))
+        from fractions import Fraction
+        z, a, gamma = map(Fraction, (x, a, gamma))
     values = [1.0]
     prev, cur = 0, 1
     for n in range(n_max):

@@ -430,6 +430,21 @@ def test_eval_cross_at_integer_offset_exits_numerical(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "meixner", "--beta", "1.5", "--c", "1e-320", "--rep",
+     "reflection"],
+    ["--family", "meixner-pollaczek", "--nu", "1e308", "--phi", "1.1",
+     "--rep", "connection"],
+], ids=["reflection-1/c", "connection-2nu"])
+def test_eval_route_parameter_past_binary64_exits_numerical(capsys, argv):
+    # 1/c and 2 nu overflow from valid input: a numerical failure, which the
+    # parameter records' finite check must not turn into invalid input.
+    code, _, err = run_cli(capsys, "eval", *argv, "--gamma", "0.7", "--x",
+                           "0.5", "--n", "3")
+    assert code == EXIT_NUMERICAL
+    assert "exceeds binary64 range" in err
+
+
 def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["eval", "--family", "nonsense", "--n", "1"])
@@ -1056,19 +1071,28 @@ def test_module_entry_point_runs_as_subprocess():
     assert record["value_re"] == pytest.approx(0.5, rel=1e-14)
 
 
-# A fresh ``python -m assocpoly`` for one route of each family, and a table.
+# The package modules that a cold run of one route loads.
+_ROUTE_MODULES = {
+    "assocpoly.cli", "assocpoly.errors", "assocpoly.hyperkernel",
+    "assocpoly.recurrences", "assocpoly.closedforms", "assocpoly.report",
+}
+# A fresh ``python -m assocpoly`` for one route of each family, and a table,
+# each beside the package modules it loads: the Meixner 4f3 sum escalates,
+# so that run loads the certified engine too.
 COLD_RUNS = [
-    ["eval", "--family", "meixner", "--beta", "1.5", "--c", "0.4", "--gamma",
-     "0.7", "--x", "0.5", "--n", "6", "--rep", "4f3"],
-    ["eval", "--family", "charlier", "--a", "2", "--gamma", "0.7", "--x",
-     "0.5+0.1j", "--n", "6", "--rep", "3f2"],
-    ["eval", "--family", "laguerre", "--alpha", "0.7", "--gamma", "0.7",
-     "--x", "0.5", "--n", "6", "--rep", "3f2-rahman"],
-    ["eval", "--family", "meixner-pollaczek", "--nu", "0.7", "--phi", "1.1",
-     "--gamma", "0.7", "--x", "0.5", "--n", "6", "--rep", "connection"],
-    ["table", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
-     "--gamma", "0.7", "--x", "0.5", "1+1j", "--n-max", "5", "--rep",
-     "quadratic"],
+    (["eval", "--family", "meixner", "--beta", "1.5", "--c", "0.4", "--gamma",
+      "0.7", "--x", "0.5", "--n", "6", "--rep", "4f3"],
+     _ROUTE_MODULES | {"assocpoly.certified"}),
+    (["eval", "--family", "charlier", "--a", "2", "--gamma", "0.7", "--x",
+      "0.5+0.1j", "--n", "6", "--rep", "3f2"], _ROUTE_MODULES),
+    (["eval", "--family", "laguerre", "--alpha", "0.7", "--gamma", "0.7",
+      "--x", "0.5", "--n", "6", "--rep", "3f2-rahman"], _ROUTE_MODULES),
+    (["eval", "--family", "meixner-pollaczek", "--nu", "0.7", "--phi", "1.1",
+      "--gamma", "0.7", "--x", "0.5", "--n", "6", "--rep", "connection"],
+     _ROUTE_MODULES),
+    (["table", "--family", "meixner", "--beta", "1.5", "--c", "0.4",
+      "--gamma", "0.7", "--x", "0.5", "1+1j", "--n-max", "5", "--rep",
+      "quadratic"], _ROUTE_MODULES),
 ]
 # Runs the package as ``python -m assocpoly`` does, then lists on stderr
 # every module the process holds.
@@ -1090,16 +1114,13 @@ def _run_cold(*argv):
     return result, set(result.stderr.split())
 
 
-@pytest.mark.parametrize("argv", COLD_RUNS,
-                         ids=lambda argv: f"{argv[0]}-{argv[2]}")
-def test_cold_eval_and_table_load_only_the_modules_they_run(capsys, argv):
+@pytest.mark.parametrize("argv, expected", COLD_RUNS,
+                         ids=[f"{argv[0]}-{argv[2]}" for argv, _ in COLD_RUNS])
+def test_cold_eval_and_table_load_only_the_modules_they_run(capsys, argv,
+                                                            expected):
     result, modules = _run_cold(*argv)
     assert result.returncode == EXIT_OK, result.stderr
-    assert {m for m in modules if m.startswith("assocpoly.")} == {
-        "assocpoly.cli", "assocpoly.errors",
-        "assocpoly.hyperkernel", "assocpoly.recurrences",
-        "assocpoly.closedforms", "assocpoly.report",
-    }
+    assert {m for m in modules if m.startswith("assocpoly.")} == expected
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert result.stdout == out
@@ -1122,6 +1143,7 @@ def test_cold_eval_loads_no_dataclasses_inspect_or_fractions():
         "--x", "0.3", "--n", "5", "--rep", "4f3")
     assert result.returncode == EXIT_OK, result.stderr
     assert not (modules - set(bare.stdout.split())) & _HEAVY_MODULES
+    assert "assocpoly.certified" not in modules
 
 
 def test_cold_escalating_eval_imports_fractions_and_keeps_its_value():
@@ -1132,6 +1154,7 @@ def test_cold_escalating_eval_imports_fractions_and_keeps_its_value():
         "--n", "25", "--rep", "3f2")
     assert result.returncode == EXIT_OK, result.stderr
     assert "fractions" in modules
+    assert "assocpoly.certified" in modules
     assert result.stdout.splitlines()[-1] == (
         "laguerre,3f2,25,2.5,0,-0.33917090885152401,0,26,"
         "1.3093375589133081e-15")

@@ -49,7 +49,7 @@ from assocpoly import (
     mp_from_meixner,
     pochhammer,
 )
-from assocpoly import closedforms, genfuncs, hyperkernel
+from assocpoly import certified, closedforms, genfuncs, hyperkernel
 
 
 def rel(a, b):
@@ -773,12 +773,12 @@ def test_exact_engine_cancellation_and_termination(nums, dens, expected):
         # precision, so the first pass sizes a second one, of more than
         # 1075 bits, at which both ends of its interval round to zero and
         # the zero rule certifies it (a positive zero).
-        value, passes = certified(route, 64)
+        value, passes = certify(route, 64)
         assert repr(value) == repr(float(want))
         assert len(passes) == (2 if want == 0 else 1)
         # From 2**1200 on, both ends of a zero's interval round to zero at
         # the first pass.
-        value, _ = certified(route, 1200)
+        value, _ = certify(route, 1200)
         assert repr(value) == repr(float(want))
 
 
@@ -791,7 +791,7 @@ def test_exact_engine_cancels_only_equal_parameters():
         with pytest.raises(DenominatorPole, match="at offset 1 "):
             exact_sum(spec)
         with pytest.raises(DenominatorPole, match="at offset 1 "):
-            certified(spec, 64)
+            certify(spec, 64)
 
 
 def test_exact_engine_raises_denominator_pole_at_same_offset():
@@ -802,13 +802,13 @@ def test_exact_engine_raises_denominator_pole_at_same_offset():
     binary64 = closedforms._pochhammer_sum(6, float(a), float(b))
     for evaluate in (lambda: fraction_double_sum(*spec),
                      lambda: exact_sum(as_route(spec)),
-                     lambda: certified(as_route(spec), 64),
+                     lambda: certify(as_route(spec), 64),
                      lambda: exact_sum(cauchy),
-                     lambda: hyperkernel._certified_cauchy_sum(cauchy, 64,
-                                                               False, True),
+                     lambda: certified._certified_cauchy_sum(cauchy, 64,
+                                                             False, True),
                      lambda: hyperkernel._sum(*binary64),
                      lambda: exact_sum(twice(cauchy)),
-                     lambda: certified(twice(cauchy), 64),
+                     lambda: certify(twice(cauchy), 64),
                      lambda: hyperkernel._sum(*twice(binary64))):
         with pytest.raises(DenominatorPole, match="at offset 1 "):
             evaluate()
@@ -820,14 +820,14 @@ def test_exact_engine_outer_zero_divisor_raises():
         fraction_double_sum(*spec)
     binary64 = (3, [], [-1.0], 1.0, lambda k: (0, [], [], 1.0, [0], []))
     for evaluate in (lambda: exact_sum(as_route(spec)),
-                     lambda: certified(as_route(spec), 64),
+                     lambda: certify(as_route(spec), 64),
                      lambda: hyperkernel._sum(*binary64)):
         with pytest.raises(ZeroDivisionError):
             evaluate()
 
 
 def test_escalated_routes_round_the_exact_rational(monkeypatch):
-    engine = hyperkernel._certified_cauchy_sum
+    engine = certified._certified_cauchy_sum
     checked = []
 
     def recorded(*args):
@@ -835,7 +835,7 @@ def test_escalated_routes_round_the_exact_rational(monkeypatch):
         checked.append(value)
         return value
 
-    monkeypatch.setattr(hyperkernel, "_certified_cauchy_sum", recorded)
+    monkeypatch.setattr(certified, "_certified_cauchy_sum", recorded)
     params = MeixnerParams(1.5, 0.4, 0.0)
     assert rel(meixner_4f3(3.0, params, 25), meixner_seq(3.0, params, 25)[25]) < 1e-9
     report = identity_3f2_pochhammer(20, 1.5, 0.75)
@@ -866,21 +866,21 @@ def test_double_sum_condition_counts_each_inner_value():
 # ---------------------------------------------------------------------------
 
 
-def certified(spec, prec, gaussian=False):
+def certify(spec, prec, gaussian=False):
     """The certified engine's value for a spec and the precision of each pass."""
     passes = []
-    fixed = hyperkernel._fixed_point
+    fixed = certified._fixed_point
 
     def counted(p, *args):
         passes.append(p)
         return fixed(p, *args)
 
-    hyperkernel._fixed_point = counted
+    certified._fixed_point = counted
     try:
-        return (hyperkernel._certified_cauchy_sum(spec, prec, gaussian,
-                                                  not gaussian), passes)
+        return (certified._certified_cauchy_sum(spec, prec, gaussian,
+                                                not gaussian), passes)
     finally:
-        hyperkernel._fixed_point = fixed
+        certified._fixed_point = fixed
 
 
 @pytest.mark.parametrize("name", list(EXACT_SUMS))
@@ -892,7 +892,7 @@ def test_certified_engine_equals_fraction_reference(name):
         want = fraction_double_sum(*reference)
         want = want.rounded() if complex_x else float(want)
         for prec in range(4, 95, 3):
-            value, _ = certified(spec, prec, complex_x)
+            value, _ = certify(spec, prec, complex_x)
             assert repr(value) == repr(want), (spec, prec)
 
 
@@ -922,7 +922,7 @@ def test_certified_engine_bounds_steep_growth(spec, reference):
     # a wrong double from some starting precision.
     want = float(fraction_double_sum(*reference))
     for prec in range(4, 95, 3):
-        value, _ = certified(spec, prec)
+        value, _ = certify(spec, prec)
         assert repr(value) == repr(want), prec
 
 
@@ -930,13 +930,13 @@ def test_certified_engine_retries_from_a_small_precision(monkeypatch):
     # The lattice-point sum of meixner_4f3: its terms reach 1e12 times
     # its value 2.9e-7 (1e13 times as a Cauchy sum), so 48 bits cannot
     # certify it and 96 can.
-    monkeypatch.setattr(hyperkernel, "_sum", None)
+    monkeypatch.setattr(certified, "_sum", None)
     monkeypatch.setattr(hyperkernel, "_cauchy_sum", None)
     inputs = (Fraction(3), Fraction(3, 2), Fraction(2, 5), Fraction(0))
     want = float(fraction_double_sum(*meixner_4f3_terms(25, *inputs)))
     for spec in (as_route(meixner_4f3_terms(25, *inputs)),
                  closedforms._meixner_4f3_sum(25, *inputs)):
-        value, passes = certified(spec, 48)
+        value, passes = certify(spec, 48)
         assert value == want
         assert passes == [48, 96]
 
@@ -948,11 +948,11 @@ def test_certified_engine_sizes_a_retry_from_the_failed_interval(monkeypatch):
     # 16-bit interval certifies.
     inputs = (2.2, 0.7, 3.2, 1.7, 1.0)
     total, cond = hyperkernel._sum(*genfuncs._c1_terms(200, *inputs))
-    prec = hyperkernel._first_precision(total, cond)
+    prec = certified._first_precision(total, cond)
     exact = [Fraction(v) for v in inputs]
     want = float(fraction_hyp([-200, *exact[:2]], exact[2:4], exact[4], 200))
-    monkeypatch.setattr(hyperkernel, "_sum", None)
-    value, passes = certified(genfuncs._c1_terms(200, *exact), prec)
+    monkeypatch.setattr(certified, "_sum", None)
+    value, passes = certify(genfuncs._c1_terms(200, *exact), prec)
     assert value == want
     assert passes[0] == 16 and len(passes) == 2
 
@@ -997,7 +997,7 @@ def test_collapsed_routes_run_one_cauchy_sum(monkeypatch):
 
 def gaussian(re, im):
     """One Gaussian rational for the engine and for the reference."""
-    return hyperkernel._Gaussian(re, im), GaussQ(re, im)
+    return certified._Gaussian(re, im), GaussQ(re, im)
 
 
 # b = -2 + 2^-40 + 2^-30 i: b + 1 + j is 2^-40 + 2^-30 i at offset j = 1,
@@ -1022,7 +1022,7 @@ def test_gaussian_engine_bounds_steep_growth(steep):
     value = exact_sum(spec)
     assert (value.re, value.im) == (want.re, want.im)
     for prec in range(4, 95, 3):
-        value, _ = certified(spec, prec, gaussian=True)
+        value, _ = certify(spec, prec, gaussian=True)
         assert repr(value) == repr(want.rounded()), prec
 
 
@@ -1034,7 +1034,7 @@ def test_gaussian_engine_certifies_an_exact_zero_component():
     want = fraction_double_sum(*t_powered_terms(1, 1, 1, t_ref))
     assert want == GaussQ(0, Fraction(-1, 14))
     spec = closedforms._t_powered_sum(1, Fraction(1), Fraction(1), t)
-    value, passes = certified(spec, 64, gaussian=True)
+    value, passes = certify(spec, 64, gaussian=True)
     assert repr(value) == repr(want.rounded())
     assert passes == [64, 1082]
 
@@ -1047,8 +1047,8 @@ def test_gaussian_engine_raises_denominator_pole_at_same_offset():
     binary64 = closedforms._pochhammer_sum(6, -2 + 0j, 1.75 + 1j / 3)
     for evaluate in (lambda: fraction_double_sum(*pochhammer_terms(6, a_ref, b_ref)),
                      lambda: exact_sum(spec),
-                     lambda: hyperkernel._certified_cauchy_sum(spec, 64,
-                                                               True, False),
+                     lambda: certified._certified_cauchy_sum(spec, 64,
+                                                             True, False),
                      lambda: hyperkernel._sum(*binary64)):
         with pytest.raises(DenominatorPole, match="at offset 1 "):
             evaluate()
@@ -1086,14 +1086,14 @@ def test_meixner_4f3_complex_points_match_exact(x, exact):
     ids=["charlier-3f2-transformed", "laguerre-3f2-rahman"],
 )
 def test_double_sums_escalate_complex_x(monkeypatch, route, paper, x, inputs):
-    engine = hyperkernel._certified_cauchy_sum
+    engine = certified._certified_cauchy_sum
     escalated = []
 
     def recorded(*args):
         escalated.append(engine(*args))
         return escalated[-1]
 
-    monkeypatch.setattr(hyperkernel, "_certified_cauchy_sum", recorded)
+    monkeypatch.setattr(certified, "_certified_cauchy_sum", recorded)
     route(x, 25)
     want = fraction_double_sum(*paper(25, GaussQ(x.real, x.imag),
                                       *map(Fraction, inputs)))
@@ -1106,7 +1106,7 @@ def test_rahman_convolution_certifies_in_one_pass(monkeypatch):
     # sequences itself, so the first precision certifies.
     x = complex(2.7972288742646905, 0.0093288878495153)
     alpha, gamma = 0.04649618516698728, 2.0238777036242297
-    engine, fixed = hyperkernel._certified_cauchy_sum, hyperkernel._fixed_point
+    engine, fixed = certified._certified_cauchy_sum, certified._fixed_point
     escalated, passes = [], []
 
     def recorded(*args):
@@ -1117,8 +1117,8 @@ def test_rahman_convolution_certifies_in_one_pass(monkeypatch):
         passes.append(prec)
         return fixed(prec, *args)
 
-    monkeypatch.setattr(hyperkernel, "_certified_cauchy_sum", recorded)
-    monkeypatch.setattr(hyperkernel, "_fixed_point", counted)
+    monkeypatch.setattr(certified, "_certified_cauchy_sum", recorded)
+    monkeypatch.setattr(certified, "_fixed_point", counted)
     value = hyperkernel._resum(closedforms._laguerre_rahman_sum, 25, (x, alpha, gamma))
     want = fraction_double_sum(*laguerre_rahman_terms(
         25, GaussQ(x.real, x.imag), Fraction(alpha), Fraction(gamma)))
@@ -1160,20 +1160,20 @@ def test_escalated_complex_components_are_correctly_rounded(name, re, log_im,
     route, paper, params_type, ranges = COMPLEX_ROUTES[name]
     x = complex(re, 10.0 ** log_im)
     inputs = [lo + share * (hi - lo) for share, (lo, hi) in zip(shares, ranges)]
-    engine = hyperkernel._certified_cauchy_sum
+    engine = certified._certified_cauchy_sum
     escalated = []
 
     def recorded(*args):
         escalated.append(engine(*args))
         return escalated[-1]
 
-    hyperkernel._certified_cauchy_sum = recorded
+    certified._certified_cauchy_sum = recorded
     try:
         route(x, params_type(*inputs), n)
     except (DenominatorPole, RestrictedParameter):
         assume(False)
     finally:
-        hyperkernel._certified_cauchy_sum = engine
+        certified._certified_cauchy_sum = engine
     for value in escalated:
         want = fraction_double_sum(*paper(n, GaussQ(x.real, x.imag),
                                           *map(Fraction, inputs)))
@@ -1219,13 +1219,13 @@ def test_kernel_terminating_branches_escalate(monkeypatch, evaluate):
     # degrees of the c = 1 chain, from the pass they share.
     escalated = []
     for name in ("_certified_cauchy_sum", "_shared_value"):
-        def recorded(*args, engine=getattr(hyperkernel, name)):
+        def recorded(*args, engine=getattr(certified, name)):
             value = engine(*args)
             if value is not None:
                 escalated.append(value)
             return value
 
-        monkeypatch.setattr(hyperkernel, name, recorded)
+        monkeypatch.setattr(certified, name, recorded)
     evaluate()
     assert escalated
 
@@ -1246,18 +1246,18 @@ def test_escalated_complex_terminating_sums_are_correctly_rounded(n, a, b_re, b_
     # escalated component equals the exact Gaussian sum's, rounded once.
     nums = [-n] if a is None else [-n, a]
     b, z = complex(b_re, b_im), complex(z_re, z_im)
-    engine = hyperkernel._certified_cauchy_sum
+    engine = certified._certified_cauchy_sum
     escalated = []
 
     def recorded(*args):
         escalated.append(engine(*args))
         return escalated[-1]
 
-    hyperkernel._certified_cauchy_sum = recorded
+    certified._certified_cauchy_sum = recorded
     try:
         value = hyp_terminating(nums, [b], z, n)
     finally:
-        hyperkernel._certified_cauchy_sum = engine
+        certified._certified_cauchy_sum = engine
     if escalated:
         want = fraction_hyp([GaussQ(p.real, p.imag) for p in map(complex, nums)],
                             [GaussQ(b.real, b.imag)], GaussQ(z.real, z.imag), n)
@@ -1400,10 +1400,10 @@ LATTICE = (3.0, MeixnerParams(1.5, 0.4, 0.0))
 
 
 def test_range_form_escalations_share_one_pass(monkeypatch):
-    escalated = count_calls(monkeypatch, hyperkernel, "_certified_cauchy_sum")
+    escalated = count_calls(monkeypatch, certified, "_certified_cauchy_sum")
     want, _ = per_degree(meixner_4f3, *LATTICE, 0, 25)
     assert len(escalated) > 10
-    passes = count_calls(monkeypatch, hyperkernel, "_shared_pass")
+    passes = count_calls(monkeypatch, certified, "_shared_pass")
     escalated.clear()
     values = closedforms._meixner_4f3_range(*LATTICE, 0, 25)
     assert [repr(v) for v in values] == want
@@ -1422,12 +1422,12 @@ def test_range_form_falls_back_when_the_shared_pass_misses(monkeypatch, name,
     # escalating degree tries the shared pass and then runs the certified
     # engine alone, with its bits.
     ranged, route, _ = RANGE_FORMS[name]
-    escalated = count_calls(monkeypatch, hyperkernel, "_certified_cauchy_sum")
+    escalated = count_calls(monkeypatch, certified, "_certified_cauchy_sum")
     want, _ = per_degree(route, x, params, 0, hi)
-    shared = hyperkernel._shared_pass
-    monkeypatch.setattr(hyperkernel, "_shared_pass",
+    shared = certified._shared_pass
+    monkeypatch.setattr(certified, "_shared_pass",
                         lambda prec, spec: shared(8, spec))
-    tried = count_calls(monkeypatch, hyperkernel, "_shared_value")
+    tried = count_calls(monkeypatch, certified, "_shared_value")
     count = len(escalated)
     escalated.clear()
     assert [repr(v) for v in ranged(x, params, 0, hi)] == want
@@ -1439,14 +1439,14 @@ def test_range_form_shared_pass_stops_at_a_pole():
     # Meixner sum: the pass keeps Q_0..Q_3, so degrees up to 3 take their
     # value from it, and a later degree runs alone and raises.
     inputs = (Fraction(3, 10), Fraction(-3), Fraction(2, 5))
-    prec, terms, complete = hyperkernel._shared_pass(
+    prec, terms, complete = certified._shared_pass(
         96, closedforms._meixner_classical_sum(8, *inputs))
     assert (prec, len(terms), complete) == (96, 4, False)
     for n in range(4):
         want = float(hyperkernel._sum(
             *closedforms._meixner_classical_sum(n, *inputs))[0])
-        assert hyperkernel._shared_value(prec, terms, complete, n, True) == want
-    assert hyperkernel._shared_value(prec, terms, complete, 4, True) is None
+        assert certified._shared_value(prec, terms, complete, n, True) == want
+    assert certified._shared_value(prec, terms, complete, 4, True) is None
     error = assert_range_is_per_degree("meixner-classical", 0.3,
                                        MeixnerParams(-3.0, 0.4, 0.0), 0, 8)
     assert error[0] is DenominatorPole
@@ -1460,7 +1460,7 @@ def test_long_range_forms_run_a_new_pass_as_degrees_need_more_bits(
         monkeypatch, name, x, params, hi):
     ranged, route, _ = RANGE_FORMS[name]
     want, _ = per_degree(route, x, params, 0, hi)
-    passes = count_calls(monkeypatch, hyperkernel, "_shared_pass")
+    passes = count_calls(monkeypatch, certified, "_shared_pass")
     assert [repr(v) for v in ranged(x, params, 0, hi)] == want
     bits = [prec for prec, _ in passes]
     assert len(bits) > 2 and bits == sorted(bits)
@@ -1478,7 +1478,7 @@ def test_shared_pass_equals_fraction_reference(name):
     # error bound that is too small shows as a wrong double.
     builder, _, arity = EXACT_SUMS[name]
     rng = random.Random(name)
-    certified = 0
+    n_certified = 0
     for complex_x in (False, True) if name in COMPLEX_X_SUMS else (False,):
         for _ in range(3):
             inputs = [Fraction(rng.uniform(-3.0, 3.0)) for _ in range(arity)]
@@ -1488,14 +1488,14 @@ def test_shared_pass_equals_fraction_reference(name):
             want = [repr(complex(v) if complex_x else float(v))
                     for v in (exact_sum(builder(n, *inputs)) for n in range(15))]
             for prec in range(4, 95, 3):
-                shared = hyperkernel._shared_pass(prec, builder(14, *inputs))
+                shared = certified._shared_pass(prec, builder(14, *inputs))
                 for n in range(15):
-                    value = hyperkernel._shared_value(*shared, n, not complex_x)
+                    value = certified._shared_value(*shared, n, not complex_x)
                     if value is not None:
-                        certified += 1
+                        n_certified += 1
                         value = complex(value) if complex_x else value
                         assert repr(value) == want[n], (inputs, prec, n)
-    assert certified > 100
+    assert n_certified > 100
 
 
 @pytest.mark.parametrize("a, k_max", [(-3.0, 8), (-2.5 + 0.5j, 8), (0.5, 200),

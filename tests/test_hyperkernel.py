@@ -44,7 +44,7 @@ from assocpoly import (
     kummer_1f1,
     pochhammer,
 )
-from assocpoly import genfuncs, hyperkernel
+from assocpoly import certified, genfuncs, hyperkernel
 
 
 def rel(a, b):
@@ -513,7 +513,7 @@ def _double_sum(a, b1, b2, c, x, y, top):
     """``sum_{m + n <= top} (a)_{m+n} (b1)_m (b2)_n x^m y^n / ((c)_{m+n} m!
     n!)`` in exact (Gaussian) rationals, term by term; ``(b2)_n`` is 1 for
     Phi1."""
-    a, b1, c, x, y = map(hyperkernel._exact, (a, b1, c, x, y))
+    a, b1, c, x, y = map(certified._exact, (a, b1, c, x, y))
 
     def poch(v, n):
         out = Fraction(1)
@@ -525,7 +525,7 @@ def _double_sum(a, b1, b2, c, x, y, top):
     for m in range(top + 1):
         for n in range(top + 1 - m):
             term = (poch(a, m + n) * poch(b1, m)
-                    * (1 if b2 is None else poch(hyperkernel._exact(b2), n))
+                    * (1 if b2 is None else poch(certified._exact(b2), n))
                     / (poch(c, m + n) * math.factorial(m) * math.factorial(n)))
             for _ in range(m):
                 term = term * x
@@ -546,7 +546,7 @@ def test_exact_reference_is_the_double_sum(args):
     # double series exactly.
     top = 10
     _, (re, im), den = next(itertools.islice(_exact_partial_sums(*args), top, None))
-    exact = hyperkernel._Gaussian(Fraction(re, den), Fraction(im, den))
+    exact = certified._Gaussian(Fraction(re, den), Fraction(im, den))
     assert exact == _double_sum(*args, top)
 
 
@@ -560,13 +560,13 @@ def _kernel(a, b1, b2, c, x, y):
 def _escalations():
     """The argument tuples of every certified pass run inside the block."""
     calls = []
-    certified = hyperkernel._certified_cauchy_sum
+    engine = certified._certified_cauchy_sum
 
     def spy(*args):
         calls.append(args)
-        return certified(*args)
+        return engine(*args)
 
-    with patch.object(hyperkernel, "_certified_cauchy_sum", spy):
+    with patch.object(certified, "_certified_cauchy_sum", spy):
         yield calls
 
 
@@ -625,14 +625,14 @@ def test_grouped_series_certifies_an_exact_zero_component_in_fixed_point():
     # never runs.
     args = (2.5, -3.7, -3.7, 0.6, 0.85 + 0.1j, 0.85 - 0.1j)
     exact_loops = []
-    exact_sum = hyperkernel._sum
+    exact_sum = certified._sum
 
     def spy(*spec):
         exact_loops.append(spec)
         return exact_sum(*spec)
 
     start = time.perf_counter()
-    with patch.object(hyperkernel, "_sum", spy), _escalations() as calls:
+    with patch.object(certified, "_sum", spy), _escalations() as calls:
         value = appell_f1(*args).value
     assert time.perf_counter() - start < 1.0
     assert len(calls) == 1 and exact_loops == []

@@ -61,6 +61,27 @@ def test_mp_angle_range():
         MeixnerPollaczekParams(0.3, math.pi, 0.5)
 
 
+@pytest.mark.parametrize("build, name, value", [
+    (lambda v: MeixnerParams(v, 0.4, 0.5), "beta", math.nan),
+    # A NaN or infinite gamma+beta, which has no nearest integer for
+    # genfuncs._check_normalizer_poles to test.
+    (lambda v: MeixnerParams(v, 0.5, 1.0), "beta", -math.inf),
+    (lambda v: MeixnerParams(v, 0.5, 1.0), "beta", complex(-3.0, math.nan)),
+    (lambda v: MeixnerParams(1.5, v, 0.5), "c", math.inf),
+    (lambda v: MeixnerParams(1.5, v, 0.5), "c", complex(0.4, -math.inf)),
+    (lambda v: CharlierParams(v, 0.5), "a", math.inf),
+    (lambda v: LaguerreParams(v, 0.5), "alpha", math.nan),
+    (lambda v: MeixnerPollaczekParams(v, 1.0, 0.5), "nu", -math.inf),
+], ids=["meixner-beta", "meixner-beta-inf", "meixner-beta-complex-nan",
+        "meixner-c", "meixner-complex-c", "charlier-a", "laguerre-alpha",
+        "mp-nu"])
+def test_non_finite_shape_parameter_rejected(build, name, value):
+    # Such a parameter makes every value NaN from degree 1 on.
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert str(info.value) == f"{name} must be finite, got {value!r}"
+
+
 def test_meixner_c_tilde():
     p = MeixnerParams(1.5, 0.4, 0.7)
     assert rel(p.c_tilde, (0.4 - 1.0) / 0.4) < 1e-15

@@ -33,10 +33,10 @@ What it is expected to print as not entered, and why each is there:
 - verify's fork code: ``_usable_cpus`` (patched here), ``_run_share``
   and ``_fork_worker``;
 - ``hyperkernel._pole``, whose raise no invocation reaches;
-- the ``_Gaussian`` operations that no sum builder applies to its inputs
-  and that only the exact loop of ``hyperkernel._sum`` uses, which no
-  invocation runs: the certified fixed-point passes decide every
-  escalated sum first;
+- the operations of ``certified._Gaussian`` that no sum builder applies
+  to its inputs and that only the exact loop of ``hyperkernel._sum``
+  uses, which no invocation runs: the certified fixed-point passes decide
+  every escalated sum first;
 - ``genfuncs.gf_meixner_classical_2f1`` and
   ``genfuncs.gf_charlier_ode_residual``, the two library entry points
   that README keeps for the acceptance tests of the paper's classical
@@ -55,7 +55,7 @@ What the census is expected to print, and why each stays:
   ``convolutions`` and ``gf-check``;
 - ``hyperkernel._cauchy_sum``'s ``r``: only the exact fallback, which no
   invocation runs, passes it;
-- ``hyperkernel._ratio``'s ``bi``: no T ratio in an invocation has a
+- ``certified._ratio``'s ``bi``: no T ratio in an invocation has a
   complex denominator.
 """
 
