@@ -300,8 +300,15 @@ def test_weighted_normalization_pole_names_its_n(gamma, n):
     # gamma+beta = -2 + 1e-5i and -2 + 1e-5, each 1e-5 off the pole.
     GFSpec(MeixnerParams(-3.0 + 1e-5j, 0.5, 1.0), 0.5, 0.1, "by-gamma-beta", 30),
     GFSpec(MeixnerParams(-3.0 + 1e-5, 0.5, 1.0), 0.5, 0.1, "by-gamma-beta", 30),
+    # Finite beta and gamma whose sum overflows: gamma+beta = inf has no
+    # nearest integer.
+    GFSpec(MeixnerParams(1.5e308, 0.5, 1.5e308), 0.5, 0.1, "by-gamma-beta", 30),
     # (gamma+beta)_n for n <= N stops short of the factor gamma+beta+N = 0.
-    GFSpec(MeixnerParams(-31.0, 0.5, 1.0), 0.5, 0.1, "by-gamma-beta", 30),
+    # The id is the one this case had when two more non-finite specs, now
+    # refused by MeixnerParams, stood before it.
+    pytest.param(
+        GFSpec(MeixnerParams(-31.0, 0.5, 1.0), 0.5, 0.1, "by-gamma-beta", 30),
+        id="spec7"),
 ])
 def test_normalizer_pole_check_passes_off_its_poles(spec):
     assert genfuncs._check_normalizer_poles(spec) is None
